@@ -2,15 +2,15 @@
 // gates the result: ramp → storm → soak, plus chaos stages that arm the
 // server's fault injector over its debug listener (minupd -fault-admin).
 // Each stage mixes catalog mutations (seeded workload.MutationStreams),
-// cached policy solves, cold solves, and trace requests across concurrent
-// clients, records client-side latency histograms and outcome counts,
+// policy solves, policy traces, and problem-frontend creates across
+// concurrent clients, records client-side latency histograms and outcome counts,
 // scrapes /metrics?format=prometheus between stages, and writes per-stage
 // JSON plus a summary into the result directory. Any failed stage gate
 // exits nonzero.
 //
 // Usage:
 //
-//	minupd -policies -fault-admin &                # the target
+//	minupd -fault-admin &                          # the target
 //	minload                                        # full default plan
 //	minload -stages ramp,storm -stage-seconds 10   # CI smoke
 //	minload -plan plan.json -out artifacts/load    # custom plan

@@ -19,9 +19,10 @@ import (
 // fast and cheap instead of stacking goroutines until the deadline storm.
 //
 // The gate also reports a soft overload signal: when the wait queue is at
-// least half full, admitted /solve requests skip the minimal solver and
-// serve the Qian baseline directly (see serveDegraded), trading optimality
-// for latency while staying secure by construction.
+// least half full, an admitted read of a cold policy version skips the
+// minimal solver and serves the Qian baseline directly (see
+// handlePolicySolve), trading optimality for latency while staying secure
+// by construction.
 
 // Shed reasons, returned by gate.acquire and surfaced in the 503 body and
 // the structured log.
@@ -106,6 +107,22 @@ func (g *gate) acquire(ctx context.Context) (release func(), err error) {
 }
 
 func (g *gate) release() { <-g.sem }
+
+// admit passes a request through the gate. When the request is shed, or its
+// client went away while queued, admit answers it and returns ok false;
+// otherwise the caller must invoke release exactly once.
+func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	release, err := s.gate.acquire(r.Context())
+	switch {
+	case err == nil:
+		return release, true
+	case r.Context().Err() != nil:
+		http.Error(w, "client gone while queued", http.StatusRequestTimeout)
+	default:
+		writeShed(w, r, err)
+	}
+	return nil, false
+}
 
 // shed counts and passes the reason through.
 func (g *gate) shed(reason error) error {

@@ -87,7 +87,7 @@ func newClusterServers(t *testing.T, n int) []*clusterTestNode {
 		tn.node = node
 		cfg := defaultConfig()
 		cfg.cluster = clusterConfig{node: node, maxReplicaLag: 8}
-		tn.srv = newServer(nil, nil, cat, tn.reg, cfg)
+		tn.srv = newServer(cat, tn.reg, cfg)
 		logger := slog.New(slog.NewJSONHandler(&strings.Builder{}, nil))
 		routes := tn.srv.routes(logger)
 		h.Store(&routes)
@@ -281,7 +281,7 @@ func TestClusterHTTPNoLeader(t *testing.T) {
 	t.Cleanup(func() { node.Close() })
 	cfg := defaultConfig()
 	cfg.cluster = clusterConfig{node: node, maxReplicaLag: 8}
-	srv := newServer(nil, nil, cat, reg, cfg)
+	srv := newServer(cat, reg, cfg)
 	logger := slog.New(slog.NewJSONHandler(&strings.Builder{}, nil))
 	h := srv.routes(logger)
 

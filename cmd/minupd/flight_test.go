@@ -42,17 +42,25 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 	dumpDir := t.TempDir()
 	cfg.flight = minup.NewFlightRecorder(minup.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
 	srv, h, logBuf := newTestServerCfg(t, cfg)
+	putCold(t, srv, h, "fig2")
 
-	rec := get(t, h, "/solve")
-	decodeDegraded(t, srv, rec, "deadline")
+	rec := get(t, h, "/policies/fig2/solve")
+	decodeDegraded(t, rec, "deadline")
 
-	// (1) The degraded request is in the flight ring and the anomaly ring.
+	// (1) The degraded request is in the flight ring and the anomaly ring,
+	// next to the PUT and its failed refresh.
 	snap, slo := debugRequestsJSON(t, cfg.flight)
-	if snap.Total != 1 || len(snap.RecentAnomalies) != 1 {
-		t.Fatalf("flight snapshot total=%d anomalies=%d, want 1/1", snap.Total, len(snap.RecentAnomalies))
+	var solves []minup.FlightRecord
+	for _, fr := range snap.RecentAnomalies {
+		if fr.Route == "policy.solve" {
+			solves = append(solves, fr)
+		}
 	}
-	fr := snap.RecentAnomalies[0]
-	if fr.Route != "solve" || !fr.Degraded || fr.DegradeReason != "deadline" {
+	if snap.Total != 3 || len(solves) != 1 {
+		t.Fatalf("flight snapshot total=%d solve anomalies=%d, want 3/1", snap.Total, len(solves))
+	}
+	fr := solves[0]
+	if !fr.Degraded || fr.DegradeReason != "deadline" || fr.Policy != "fig2" {
 		t.Fatalf("anomaly record = %+v", fr)
 	}
 	if fr.Status != http.StatusOK {
@@ -79,7 +87,8 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
 	// Metadata + the request slice at minimum; the fault spec delays solver
-	// steps, so the capture sink saw events before the deadline hit.
+	// steps, so the cold solve's capture sink saw events before the
+	// deadline hit.
 	if len(dump.TraceEvents) < 3 {
 		t.Fatalf("dump traceEvents = %d entries, want the request plus solver events", len(dump.TraceEvents))
 	}
@@ -91,12 +100,12 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 	// though the client saw a 200.
 	var solveSLO *minup.SLOStatus
 	for i := range slo {
-		if slo[i].Route == "solve" {
+		if slo[i].Route == "policy.solve" {
 			solveSLO = &slo[i]
 		}
 	}
 	if solveSLO == nil {
-		t.Fatalf("no solve SLO in /debug/requests: %+v", slo)
+		t.Fatalf("no policy.solve SLO in /debug/requests: %+v", slo)
 	}
 	if solveSLO.AvailBurn5m <= 0 || solveSLO.Requests5m != 1 {
 		t.Fatalf("availability burn did not move: %+v", *solveSLO)
@@ -107,15 +116,15 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 	body := get(t, h, "/metrics?format=prometheus").Body.String()
 	found := false
 	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "slo_solve_avail_burn_5m_milli ") {
+		if strings.HasPrefix(line, "slo_policy_solve_avail_burn_5m_milli ") {
 			found = true
-			if strings.TrimPrefix(line, "slo_solve_avail_burn_5m_milli ") == "0" {
+			if strings.TrimPrefix(line, "slo_policy_solve_avail_burn_5m_milli ") == "0" {
 				t.Fatalf("scraped burn gauge still zero: %s", line)
 			}
 		}
 	}
 	if !found {
-		t.Fatalf("Prometheus scrape missing slo_solve_avail_burn_5m_milli:\n%s", body)
+		t.Fatalf("Prometheus scrape missing slo_policy_solve_avail_burn_5m_milli:\n%s", body)
 	}
 
 	// The access log agrees with the flight record.
@@ -137,7 +146,7 @@ func TestShedRequestRecordedNotDumped(t *testing.T) {
 
 	// Hold the only slot so the next request sheds instantly.
 	srv.gate.sem <- struct{}{}
-	rec := get(t, h, "/solve")
+	rec := get(t, h, "/policies/fig2/solve")
 	<-srv.gate.sem
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated solve = %d, want 503", rec.Code)

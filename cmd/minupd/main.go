@@ -1,27 +1,22 @@
-// Command minupd serves minimal-classification solves of one compiled
-// constraint set over HTTP, with a separate debug listener exposing the
-// solver's cumulative telemetry — the ROADMAP's production-shape deployment
-// of the compile-once / solve-many split.
+// Command minupd serves minimal-classification solves of a catalog of
+// named, versioned policies over HTTP, with a separate debug listener
+// exposing the solver's cumulative telemetry — the ROADMAP's
+// production-shape deployment of the compile-once / solve-many split.
 //
 // Usage:
 //
-//	minupd [-lattice lat.txt -constraints cons.txt] \
-//	       [-data-dir dir] [-fsync always|never] [-shards n] \
+//	minupd [-data-dir dir] [-fsync always|never] [-shards n] \
 //	       [-addr :8080] [-debug-addr 127.0.0.1:6060] \
 //	       [-max-inflight 64] [-max-queue 128] [-queue-wait 100ms] \
 //	       [-solve-timeout 2s] [-degrade] [-fault spec] [-fault-seed n] \
 //	       [-flight-size 256] [-flight-dump-dir auto] [-flight-dump-cap n] \
 //	       [-flight-slow 1s] [-slo spec] [-slo-interval 10s]
 //
-// -lattice/-constraints configure the optional static instance behind
-// /solve and /trace; without them minupd is a pure policy-catalog server
-// and those routes answer 404.
-//
 // # Policy catalog
 //
-// Besides the static instance, minupd manages a catalog of named,
-// versioned policies (lattice + constraint set each), hashed across
-// -shards independent shards (default GOMAXPROCS). The catalog is durable
+// minupd manages a catalog of named, versioned policies (lattice +
+// constraint set each), hashed across -shards independent shards (default
+// GOMAXPROCS). The catalog is durable
 // when -data-dir is set: every mutation is written to that shard's
 // write-ahead log before it is applied (fsync per -fsync), each log is
 // periodically compacted into an atomic snapshot, shards recover
@@ -51,7 +46,15 @@
 //	GET    /policies/{name}/solve       minimal classification, memoized:
 //	                                    an unchanged policy is served with
 //	                                    zero compiles and zero solves
-//	                                    (POST works too)
+//	                                    (POST works too; ?trace=1 runs the
+//	                                    request under a tracer and reports
+//	                                    its trace ID, ?timeout_ms=N tightens
+//	                                    the solve deadline — clamped to
+//	                                    [1ms, -solve-timeout])
+//	GET    /policies/{name}/trace       run one fully instrumented solve of
+//	                                    the current version and return its
+//	                                    span tree (?format=json|chrome|
+//	                                    flame); the memo is left untouched
 //
 // Source problems from the registered problem frontends enter through the
 // /problems routes: the instance JSON is parsed and compiled to policy
@@ -70,40 +73,37 @@
 // compare-and-swap writes (412 on a lost race) and If-None-Match: *
 // create-only PUTs (409 if the name exists).
 //
-// The service listener answers on the static routes (GET only; other
-// methods get 405):
+// The service listener also answers:
 //
-//	GET /solve            solve the compiled instance; JSON assignment +
-//	                      per-solve stats (add ?lattice_ops=1 to count
-//	                      lattice operations, ?trace=1 to run the solve
-//	                      under a tracer and report its trace ID, and
-//	                      ?timeout_ms=N to tighten the solve deadline —
-//	                      clamped to [1ms, -solve-timeout])
 //	GET /metrics          the metrics registry snapshot as JSON; add
 //	                      ?format=prometheus for text exposition format
-//	GET /trace            run one fully instrumented solve and return its
-//	                      span tree (?format=json|chrome|flame)
 //	GET /healthz          liveness check (process is up)
 //	GET /readyz           readiness check: 503 while draining after
 //	                      SIGTERM/SIGINT or while the admission queue is
 //	                      past its soft overload threshold
 //
+// Every route is registered with its method, so the mux answers any other
+// method with 405 and an Allow header.
+//
 // # Overload behavior
 //
-// /solve and /trace run behind a bounded-concurrency admission gate: at
-// most -max-inflight requests solve at once, up to -max-queue more wait up
-// to -queue-wait for a slot, and everything beyond that is shed with 503 +
-// Retry-After (counted as http.shed). Every admitted solve runs under a
-// deadline (-solve-timeout, tightened per request with ?timeout_ms=).
+// Policy solves and traces, appends, and ?wait=1 writes run behind a
+// bounded-concurrency admission gate: at most -max-inflight requests hold
+// a slot at once, up to -max-queue more wait up to -queue-wait for a slot,
+// and everything beyond that is shed with 503 + Retry-After (counted as
+// http.shed). Every admitted solve runs under a deadline (-solve-timeout,
+// tightened per request with ?timeout_ms=).
 //
-// When a minimal solve cannot be served — its deadline expired, or the
-// gate is already past its soft overload threshold at admission — the
-// server degrades instead of failing: it answers with the Qian-baseline
-// least fixpoint (§4 of the paper), which satisfies every secrecy,
-// inference, and association constraint by construction and merely
-// over-classifies. Degraded responses carry "degraded": true, the reason,
-// and the over-classification cost (upgraded-attribute delta vs. the last
-// minimal solve); each is counted under solve.degraded. Disable with
+// A warm version costs no solve, so its memoized answer is served whatever
+// the load. A cold version — the first read of a version no refresh has
+// warmed yet — runs a solve, and when that minimal solve cannot be served
+// — its deadline expired, or the gate is already past its soft overload
+// threshold at admission — the server degrades instead of failing: it
+// answers with the Qian-baseline least fixpoint (§4 of the paper), which
+// satisfies every secrecy, inference, and association constraint by
+// construction and merely over-classifies. Degraded responses carry
+// "degraded": true, the reason, and the number of upgraded attributes;
+// each is counted under solve.degraded and none is memoized. Disable with
 // -degrade=false to get plain 504/503 errors instead.
 //
 // Solver panics never kill the process: the solver converts them to typed
@@ -111,8 +111,9 @@
 // recovery middleware backstops the handlers themselves (http.panics).
 //
 // The -fault flag (chaos testing only; see internal/fault) arms a
-// deterministic fault injector at the solver's named fault points, e.g.
-// -fault 'solve.step:delay:%1:5ms' to slow every solver step.
+// deterministic fault injector at the solver's and the catalog's named
+// fault points, e.g. -fault 'solve.step:delay:%1:5ms' to slow every solver
+// step.
 //
 // Every route runs behind a middleware stack: per-route latency histograms
 // ("http.<route>.duration_us"), status-class counters, an in-flight gauge,
@@ -127,11 +128,12 @@
 // An always-on flight recorder (DESIGN.md §8) keeps one compact record per
 // request and per async catalog refresh in a bounded ring (-flight-size).
 // Anomalous work — panicked, degraded, errored, or slower than -flight-slow
-// — additionally dumps its captured solver event stream and span tree as a
-// Perfetto-loadable JSON file under -flight-dump-dir ("auto" resolves to
-// <data-dir>/anomalies or artifacts/anomalies; empty disables), rotated to
-// stay under -flight-dump-cap bytes. A graceful shutdown writes a final
-// recorder snapshot there too.
+// — additionally dumps its span tree and the solver event stream captured
+// from the request's cold solve as a Perfetto-loadable JSON file under
+// -flight-dump-dir ("auto" resolves to <data-dir>/anomalies or
+// artifacts/anomalies; empty disables), rotated to stay under
+// -flight-dump-cap bytes. A graceful shutdown writes a final recorder
+// snapshot there too.
 //
 // The -slo flag ("route:p99=250ms,avail=99.9;...") arms per-route
 // objectives; a background collector (every -slo-interval) publishes
@@ -161,6 +163,7 @@ import (
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -195,9 +198,9 @@ type config struct {
 	cluster clusterConfig
 }
 
-// defaultSLOSpec is the -slo default: both solve-serving routes get a p99
+// defaultSLOSpec is the -slo default: the solve-serving route gets a p99
 // latency target and three nines of availability.
-const defaultSLOSpec = "solve:p99=250ms,avail=99.9;policy.solve:p99=250ms,avail=99.9"
+const defaultSLOSpec = "policy.solve:p99=250ms,avail=99.9"
 
 func defaultConfig() config {
 	slo, err := minup.ParseSLOSpecs(defaultSLOSpec)
@@ -218,19 +221,17 @@ func defaultConfig() config {
 }
 
 func main() {
-	latticePath := flag.String("lattice", "", "path to the lattice description file for the static /solve instance (optional)")
-	consPath := flag.String("constraints", "", "path to the constraint file for the static /solve instance (optional)")
 	dataDir := flag.String("data-dir", "", "policy-catalog data directory; empty keeps the catalog in memory only")
 	fsyncPolicy := flag.String("fsync", "always", "catalog WAL fsync policy: always|never")
 	shards := flag.Int("shards", 0, "policy-catalog shard count (0 = GOMAXPROCS); an existing data directory's count always wins")
 	addr := flag.String("addr", ":8080", "service listen address")
 	debugAddr := flag.String("debug-addr", "127.0.0.1:6060", "debug listen address for /debug/vars and /debug/pprof (empty to disable)")
 	def := defaultConfig()
-	maxInflight := flag.Int("max-inflight", def.maxInflight, "max concurrent /solve and /trace requests before queueing")
+	maxInflight := flag.Int("max-inflight", def.maxInflight, "max concurrent gated requests (policy solves and traces, appends, ?wait=1 writes) before queueing")
 	maxQueue := flag.Int("max-queue", def.maxQueue, "max requests waiting for a solve slot; beyond this, shed with 503")
 	queueWait := flag.Duration("queue-wait", def.queueWait, "max time a queued request waits for a slot before being shed")
 	solveTimeout := flag.Duration("solve-timeout", def.solveTimeout, "per-request solve budget (ceiling for ?timeout_ms=)")
-	degrade := flag.Bool("degrade", def.degrade, "serve the Qian-baseline assignment when a minimal solve misses its deadline or the server is overloaded")
+	degrade := flag.Bool("degrade", def.degrade, "answer a cold policy version with the Qian-baseline assignment when its minimal solve misses its deadline or the server is overloaded")
 	faultSpec := flag.String("fault", "", "chaos-testing fault spec, e.g. 'solve.step:delay:%1:5ms;pool.get:panic:3' (see internal/fault)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault rules")
 	faultAdmin := flag.Bool("fault-admin", false, "expose POST/GET /debug/fault on the debug listener to rearm the injector at runtime (chaos testing; implies an installed, initially unarmed injector)")
@@ -249,41 +250,7 @@ func main() {
 	flag.DurationVar(&cf.lease, "cluster-lease", 0, "leader lease (0 = 8 ticks)")
 	maxReplicaLag := flag.Int64("max-replica-lag", 1024, "frames a follower may trail the leader before /readyz answers 503 (negative disables the check)")
 	flag.Parse()
-	if (*latticePath == "") != (*consPath == "") {
-		fmt.Fprintln(os.Stderr, "minupd: -lattice and -constraints must be given together")
-		flag.Usage()
-		os.Exit(2)
-	}
 
-	// The static instance behind /solve and /trace is optional; without it
-	// minupd is a pure policy-catalog server.
-	var set *minup.ConstraintSet
-	var compiled *minup.CompiledSet
-	if *latticePath != "" {
-		lf, err := os.Open(*latticePath)
-		if err != nil {
-			fatal(err)
-		}
-		lat, err := minup.ParseLattice(lf)
-		lf.Close()
-		if err != nil {
-			fatal(err)
-		}
-		set = minup.NewConstraintSet(lat)
-		cf, err := os.Open(*consPath)
-		if err != nil {
-			fatal(err)
-		}
-		err = set.ParseInto(cf)
-		cf.Close()
-		if err != nil {
-			fatal(err)
-		}
-		compiled = minup.Compile(set)
-		if err := minup.CheckSolvable(set); err != nil {
-			fatal(fmt.Errorf("instance is unsolvable: %w", err))
-		}
-	}
 	cfg := config{
 		maxInflight:  *maxInflight,
 		maxQueue:     *maxQueue,
@@ -395,7 +362,7 @@ func main() {
 		"start_time": time.Now().UTC().Format(time.RFC3339),
 	})
 
-	srv := newServer(set, compiled, cat, reg, cfg)
+	srv := newServer(cat, reg, cfg)
 	mux := srv.routes(logger)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -462,15 +429,8 @@ func main() {
 		wg.Wait()
 		close(shutdownDone)
 	}()
-	if compiled != nil {
-		cs := compiled.CompileStats()
-		fmt.Fprintf(os.Stderr, "minupd: serving %d attrs, %d constraints (S=%d, %d SCCs, compiled in %s) on %s (max-inflight=%d queue=%d solve-timeout=%s degrade=%v)\n",
-			cs.Attrs, cs.Constraints, cs.TotalSize, cs.SCCs, cs.Duration, *addr,
-			cfg.maxInflight, cfg.maxQueue, cfg.solveTimeout, cfg.degrade)
-	} else {
-		fmt.Fprintf(os.Stderr, "minupd: serving the policy catalog (no static instance) on %s (max-inflight=%d queue=%d solve-timeout=%s)\n",
-			*addr, cfg.maxInflight, cfg.maxQueue, cfg.solveTimeout)
-	}
+	fmt.Fprintf(os.Stderr, "minupd: serving the policy catalog on %s (max-inflight=%d queue=%d solve-timeout=%s degrade=%v)\n",
+		*addr, cfg.maxInflight, cfg.maxQueue, cfg.solveTimeout, cfg.degrade)
 	err = main.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
@@ -504,29 +464,20 @@ func main() {
 }
 
 type server struct {
-	// set and compiled are the optional static instance behind /solve and
-	// /trace; both nil when minupd runs as a pure policy-catalog server.
-	set      *minup.ConstraintSet
-	compiled *minup.CompiledSet
 	cat      *minup.PolicyCatalog
 	reg      *minup.MetricsRegistry
 	cfg      config
 	gate     *gate
 	draining atomic.Bool
-	// lastMinimalUpgraded is CountUpgraded of the most recent successful
-	// minimal solve, or -1 before the first; degraded responses report the
-	// baseline's over-classification cost as a delta against it.
-	lastMinimalUpgraded atomic.Int64
 	// start anchors the process.uptime_seconds gauge.
 	start time.Time
 }
 
 // newServer wires a server the way main does, so tests share the exact
 // production admission/degradation path.
-func newServer(set *minup.ConstraintSet, compiled *minup.CompiledSet, cat *minup.PolicyCatalog, reg *minup.MetricsRegistry, cfg config) *server {
-	s := &server{set: set, compiled: compiled, cat: cat, reg: reg, cfg: cfg, start: time.Now()}
+func newServer(cat *minup.PolicyCatalog, reg *minup.MetricsRegistry, cfg config) *server {
+	s := &server{cat: cat, reg: reg, cfg: cfg, start: time.Now()}
 	s.gate = newGate(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, &s.draining, reg)
-	s.lastMinimalUpgraded.Store(-1)
 	// Register the degradation counters eagerly so a scrape sees the
 	// series before the first overload.
 	reg.Counter("solve.degraded")
@@ -534,35 +485,33 @@ func newServer(set *minup.ConstraintSet, compiled *minup.CompiledSet, cat *minup
 	return s
 }
 
-// routes builds the service mux with the full middleware stack.
+// routes builds the service mux with the full middleware stack. Every route
+// is a Go 1.22 method pattern, so the mux itself answers mismatched methods
+// with 405 + Allow. Route names stay low-cardinality: the policy name never
+// reaches a metric.
 func (s *server) routes(logger *slog.Logger) http.Handler {
 	o := httpObs{reg: s.reg, logger: logger, flight: s.cfg.flight, slo: s.cfg.slo}
 	mux := http.NewServeMux()
-	mux.Handle("/solve", instrument("solve", o, s.handleSolve))
-	mux.Handle("/metrics", instrument("metrics", o, s.handleMetrics))
-	mux.Handle("/trace", instrument("trace", o, s.handleTrace))
-	mux.Handle("/healthz", instrument("healthz", o, func(w http.ResponseWriter, _ *http.Request) {
+	mux.Handle("GET /metrics", instrument("metrics", o, s.handleMetrics))
+	mux.Handle("GET /healthz", instrument("healthz", o, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	}))
-	mux.Handle("/readyz", instrument("readyz", o, s.handleReady))
-	mux.Handle("/cluster", instrument("cluster", o, s.handleClusterStatus))
-	// Policy-catalog routes use Go 1.22 method patterns, so the mux itself
-	// answers mismatched methods with 405 + Allow; the middleware variant
-	// without the GET gate keeps the rest of the stack. Route names stay
-	// low-cardinality: the policy name never reaches a metric.
-	mux.Handle("GET /policies", instrumentMethods("policies", o, s.handlePolicyList))
-	mux.Handle("PUT /policies/{name}", instrumentMethods("policy", o, s.handlePolicyPut))
-	mux.Handle("GET /policies/{name}", instrumentMethods("policy", o, s.handlePolicyGet))
-	mux.Handle("DELETE /policies/{name}", instrumentMethods("policy", o, s.handlePolicyDelete))
-	mux.Handle("POST /policies/{name}/constraints", instrumentMethods("policy.constraints", o, s.handlePolicyAppend))
-	mux.Handle("GET /policies/{name}/solve", instrumentMethods("policy.solve", o, s.handlePolicySolve))
-	mux.Handle("POST /policies/{name}/solve", instrumentMethods("policy.solve", o, s.handlePolicySolve))
+	mux.Handle("GET /readyz", instrument("readyz", o, s.handleReady))
+	mux.Handle("GET /cluster", instrument("cluster", o, s.handleClusterStatus))
+	mux.Handle("GET /policies", instrument("policies", o, s.handlePolicyList))
+	mux.Handle("PUT /policies/{name}", instrument("policy", o, s.handlePolicyPut))
+	mux.Handle("GET /policies/{name}", instrument("policy", o, s.handlePolicyGet))
+	mux.Handle("DELETE /policies/{name}", instrument("policy", o, s.handlePolicyDelete))
+	mux.Handle("POST /policies/{name}/constraints", instrument("policy.constraints", o, s.handlePolicyAppend))
+	mux.Handle("GET /policies/{name}/solve", instrument("policy.solve", o, s.handlePolicySolve))
+	mux.Handle("POST /policies/{name}/solve", instrument("policy.solve", o, s.handlePolicySolve))
+	mux.Handle("GET /policies/{name}/trace", instrument("policy.trace", o, s.handlePolicyTrace))
 	// Problem-frontend routes: source problems compiled into ordinary
 	// catalog policies. Route names stay low-cardinality — the family set
 	// is small and fixed at build time.
-	mux.Handle("GET /problems", instrumentMethods("problems", o, s.handleProblemList))
-	mux.Handle("POST /problems/{family}", instrumentMethods("problem", o, s.handleProblemCreate))
+	mux.Handle("GET /problems", instrument("problems", o, s.handleProblemList))
+	mux.Handle("POST /problems/{family}", instrument("problem", o, s.handleProblemCreate))
 	return mux
 }
 
@@ -588,46 +537,13 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// solveResponse is the JSON answer of /solve.
-type solveResponse struct {
-	Assignment map[string]string `json:"assignment"`
-	Stats      solveStats        `json:"stats"`
-	TraceID    string            `json:"trace_id,omitempty"`
-
-	// Degraded marks an answer produced by the Qian baseline instead of
-	// the minimal solver: still satisfying every constraint, but
-	// over-classified. DegradeReason is "deadline" or "overload".
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradeReason string `json:"degrade_reason,omitempty"`
-	// UpgradedAttrs is the number of attributes classified above lattice
-	// bottom in a degraded answer; UpgradeDelta is the over-classification
-	// cost vs. the last successful minimal solve (absent before one).
-	UpgradedAttrs int  `json:"upgraded_attrs,omitempty"`
-	UpgradeDelta  *int `json:"upgrade_delta,omitempty"`
-}
-
-type solveStats struct {
-	Tries          int    `json:"tries"`
-	FailedTries    int    `json:"failed_tries"`
-	Collapses      int    `json:"collapses"`
-	AttrsProcessed int    `json:"attrs_processed"`
-	MinlevelCalls  int    `json:"minlevel_calls"`
-	TrySteps       int    `json:"try_steps"`
-	DescentSteps   int    `json:"descent_steps"`
-	LatticeLub     uint64 `json:"lattice_lub,omitempty"`
-	LatticeGlb     uint64 `json:"lattice_glb,omitempty"`
-	LatticeDom     uint64 `json:"lattice_dominates,omitempty"`
-	LatticeCovers  uint64 `json:"lattice_covers,omitempty"`
-	PoolHit        bool   `json:"pool_hit"`
-	DurationUS     int64  `json:"duration_us"`
-}
-
-// solveBudget resolves the request's solve deadline: the -solve-timeout
-// flag, tightened by ?timeout_ms= and clamped to [1ms, flag] so a client
-// can only shrink its own budget, never grow it past the server's policy.
-func (s *server) solveBudget(r *http.Request) time.Duration {
+// solveBudget resolves a request's solve deadline from its query: the
+// -solve-timeout flag, tightened by ?timeout_ms= and clamped to [1ms, flag]
+// so a client can only shrink its own budget, never grow it past the
+// server's policy.
+func (s *server) solveBudget(query url.Values) time.Duration {
 	budget := s.cfg.solveTimeout
-	if q := r.URL.Query().Get("timeout_ms"); q != "" {
+	if q := query.Get("timeout_ms"); q != "" {
 		if ms, err := strconv.ParseInt(q, 10, 64); err == nil {
 			d := time.Duration(ms) * time.Millisecond
 			if d < time.Millisecond {
@@ -642,82 +558,6 @@ func (s *server) solveBudget(r *http.Request) time.Duration {
 	return budget
 }
 
-func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if s.compiled == nil {
-		http.Error(w, "no static instance configured (start minupd with -lattice/-constraints, or use /policies)", http.StatusNotFound)
-		return
-	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
-		return
-	}
-	defer release()
-	budget := s.solveBudget(r)
-
-	// Soft overload: the queue behind us is filling. Serve the secure
-	// baseline immediately instead of burning a full solve budget.
-	if s.cfg.degrade && s.gate.overloaded() {
-		s.serveDegraded(w, r, "overload", budget)
-		return
-	}
-
-	ri := infoFrom(r.Context())
-	opt := minup.Options{
-		Metrics:           s.reg,
-		CollectLatticeOps: r.URL.Query().Get("lattice_ops") == "1",
-		Fault:             s.cfg.fault,
-	}
-	if ri != nil && ri.flight != nil {
-		// Arm anomaly capture: the solver's event stream goes into a pooled
-		// buffer that is dumped if this request ends slow/errored/degraded
-		// and discarded otherwise.
-		opt.Sink = ri.flight.CaptureSink()
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-	var root *minup.Span
-	var traceID string
-	if r.URL.Query().Get("trace") == "1" {
-		tr := minup.NewTracer()
-		root = tr.Start("request")
-		traceID = tr.TraceID()
-		ctx = minup.ContextWithSpan(ctx, root)
-		if ri != nil {
-			ri.traceID = traceID
-			if ri.flight != nil {
-				ri.flight.SetSpan(root)
-			}
-		}
-	}
-	res, err := minup.SolveContext(ctx, s.compiled, opt)
-	if root != nil {
-		root.End()
-	}
-	if err != nil {
-		s.solveError(w, r, err, budget)
-		return
-	}
-	lat := s.set.Lattice()
-	out := solveResponse{
-		Assignment: make(map[string]string, len(res.Assignment)),
-		TraceID:    traceID,
-	}
-	for _, a := range s.set.Attrs() {
-		out.Assignment[s.set.AttrName(a)] = lat.FormatLevel(res.Assignment[a])
-	}
-	out.Stats = newSolveStats(res.Stats)
-	if ri != nil {
-		ri.stats = flightStatsOf(res.Stats)
-	}
-	s.lastMinimalUpgraded.Store(int64(minup.CountUpgraded(s.set, res.Assignment)))
-	writeJSON(w, out)
-}
-
 // flightStatsOf compresses the solver stats block into the flight record's
 // compact shape.
 func flightStatsOf(st minup.SolveStats) minup.FlightStats {
@@ -728,87 +568,6 @@ func flightStatsOf(st minup.SolveStats) minup.FlightStats {
 		TrySteps:    st.TrySteps,
 		SolveUS:     st.Duration.Microseconds(),
 	}
-}
-
-// solveError maps a failed minimal solve to a response. A deadline miss
-// degrades to the baseline when enabled; everything else maps to a typed
-// status.
-func (s *server) solveError(w http.ResponseWriter, r *http.Request, err error, budget time.Duration) {
-	markErr := func() {
-		if ri := infoFrom(r.Context()); ri != nil {
-			ri.errText = err.Error()
-		}
-	}
-	switch {
-	case errors.Is(err, minup.ErrCanceled) || errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			// The client went away; nobody is reading a degraded answer.
-			http.Error(w, err.Error(), http.StatusRequestTimeout)
-			return
-		}
-		if s.cfg.degrade {
-			s.serveDegraded(w, r, "deadline", budget)
-			return
-		}
-		markErr()
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-	case errors.Is(err, minup.ErrUnsolvable):
-		markErr()
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-	case errors.Is(err, minup.ErrInternal):
-		// The stack is in the log (the solver logs it at recovery); the
-		// client gets an opaque 500.
-		markErr()
-		http.Error(w, "internal solver error", http.StatusInternalServerError)
-	default:
-		markErr()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// serveDegraded answers with the Qian-baseline least fixpoint: satisfying
-// — hence safe to serve — but over-classified. The baseline runs on a
-// fresh budget detached from the (possibly already expired) solve
-// deadline, though still abandoned if the client disconnects.
-func (s *server) serveDegraded(w http.ResponseWriter, r *http.Request, reason string, budget time.Duration) {
-	start := time.Now()
-	qctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), budget)
-	defer cancel()
-	m, err := minup.QianBaseline(qctx, s.set)
-	if err != nil {
-		// No minimal answer and no baseline either — shed honestly.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "degraded solve failed: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if err := minup.Verify(s.set, m); err != nil {
-		// Defense in depth: never serve an unverified fallback.
-		http.Error(w, "degraded solve produced an invalid assignment: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.reg.Counter("solve.degraded").Inc()
-	s.reg.Counter("solve.degraded." + reason).Inc()
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.degraded = true
-		ri.degradeReason = reason
-	}
-	lat := s.set.Lattice()
-	out := solveResponse{
-		Assignment:    make(map[string]string, len(m)),
-		Degraded:      true,
-		DegradeReason: reason,
-		UpgradedAttrs: minup.CountUpgraded(s.set, m),
-	}
-	for _, a := range s.set.Attrs() {
-		out.Assignment[s.set.AttrName(a)] = lat.FormatLevel(m[a])
-	}
-	if last := s.lastMinimalUpgraded.Load(); last >= 0 {
-		delta := out.UpgradedAttrs - int(last)
-		out.UpgradeDelta = &delta
-		s.reg.Gauge("solve.degraded.upgrade_delta").Set(int64(delta))
-	}
-	out.Stats.DurationUS = time.Since(start).Microseconds()
-	writeJSON(w, out)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -835,66 +594,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	s.reg.WriteJSON(w)
-}
-
-// traceResponse is the JSON answer of /trace: one fully instrumented solve
-// and its reconstructed span tree.
-type traceResponse struct {
-	TraceID string         `json:"trace_id"`
-	Spans   minup.SpanNode `json:"spans"`
-}
-
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.compiled == nil {
-		http.Error(w, "no static instance configured (start minupd with -lattice/-constraints, or use /policies)", http.StatusNotFound)
-		return
-	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
-		return
-	}
-	defer release()
-	tr := minup.NewTracer()
-	root := tr.Start("request")
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.traceID = tr.TraceID()
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r))
-	defer cancel()
-	ctx = minup.ContextWithSpan(ctx, root)
-	_, err = minup.SolveContext(ctx, s.compiled, minup.Options{Metrics: s.reg, Fault: s.cfg.fault})
-	root.End()
-	if err != nil {
-		if ri := infoFrom(r.Context()); ri != nil {
-			ri.errText = err.Error()
-		}
-		status := http.StatusInternalServerError
-		if errors.Is(err, minup.ErrCanceled) {
-			status = http.StatusGatewayTimeout
-		} else if errors.Is(err, minup.ErrUnsolvable) {
-			status = http.StatusUnprocessableEntity
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	switch r.URL.Query().Get("format") {
-	case "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		minup.WriteChromeTrace(w, root)
-	case "flame":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		minup.WriteFlameSummary(w, root)
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
-	}
 }
 
 // buildVersion reports the best version identifier the binary carries: the

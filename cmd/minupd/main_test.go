@@ -1,36 +1,37 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
 	"minup"
-	"minup/internal/constraint"
 )
 
-// newTestServer builds a server over the Figure 2(a) fixture with the full
-// middleware stack and default serving policy, mirroring main().
+// newTestServer builds a catalog server with the full middleware stack and
+// default serving policy, mirroring main().
 func newTestServer(t *testing.T) (*server, http.Handler, *strings.Builder) {
 	t.Helper()
 	return newTestServerCfg(t, defaultConfig())
 }
 
 // newTestServerCfg is newTestServer with an explicit serving policy, for
-// the admission/degradation tests.
+// the admission/degradation tests. Like main, it opens the catalog with the
+// config's fault injector and flight recorder.
 func newTestServerCfg(t *testing.T, cfg config) (*server, http.Handler, *strings.Builder) {
 	t.Helper()
-	f := constraint.NewFigure2()
 	reg := minup.NewMetricsRegistry()
-	cat, err := minup.OpenCatalog(minup.CatalogOptions{Metrics: reg, Flight: cfg.flight})
+	cat, err := minup.OpenCatalog(minup.CatalogOptions{Metrics: reg, Flight: cfg.flight, Fault: cfg.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cat.Close() })
-	srv := newServer(f.Set, f.Set.Compile(), cat, reg, cfg)
+	srv := newServer(cat, reg, cfg)
 	logBuf := &strings.Builder{}
 	logger := slog.New(slog.NewJSONHandler(logBuf, nil))
 	return srv, srv.routes(logger), logBuf
@@ -43,22 +44,88 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// fig2Policy is the Figure 2(a) constraint set over the Figure 1(b)
+// lattice, from the checked-in fixtures.
+func fig2Policy(t *testing.T) *policyRequest {
+	t.Helper()
+	lat, err := os.ReadFile("../../testdata/lattice_fig1b.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := os.ReadFile("../../testdata/constraints_fig2.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &policyRequest{Lattice: string(lat), Constraints: string(cons)}
+}
+
+// putWarm creates the Figure 2(a) policy under name with ?wait=1, so its
+// version is solved and memoized before the call returns.
+func putWarm(t *testing.T, h http.Handler, name string) {
+	t.Helper()
+	if rec := policyReq(t, h, http.MethodPut, "/policies/"+name+"?wait=1", fig2Policy(t), nil); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT %s = %d: %s", name, rec.Code, rec.Body.String())
+	}
+}
+
+// coldRule cancels the first catalog compile. Armed by faultCfg, it makes
+// the refresh of putCold's policy fail, so that version is still cold when
+// the next request reads it.
+const coldRule = "catalog.compile:cancel:1"
+
+// faultCfg is the default config with a fault injector armed with coldRule
+// and the given extra rules.
+func faultCfg(t *testing.T, rules string) config {
+	t.Helper()
+	inj, err := minup.ParseFaultSpec(coldRule+";"+rules, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultConfig()
+	cfg.fault = inj
+	return cfg
+}
+
+// putCold creates the Figure 2(a) policy under name without waiting and
+// drains the refresh pipeline, whose compile coldRule cancels: the version
+// is left cold, so the next solve of it runs at request time.
+func putCold(t *testing.T, srv *server, h http.Handler, name string) {
+	t.Helper()
+	if rec := policyReq(t, h, http.MethodPut, "/policies/"+name, fig2Policy(t), nil); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT %s = %d: %s", name, rec.Code, rec.Body.String())
+	}
+	if err := srv.cat.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := srv.cat.Get(name); err != nil || info.Solved {
+		t.Fatalf("policy %s after its refresh: %+v, %v; want a cold version", name, info, err)
+	}
+}
+
+// decodeSolve asserts a 200 solve answer and decodes it.
+func decodeSolve(t *testing.T, rec *httptest.ResponseRecorder) policySolveResponse {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("solve = %d: %s", rec.Code, rec.Body.String())
+	}
+	var out policySolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSolveEndpoint(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	rec := get(t, h, "/solve")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /solve = %d: %s", rec.Code, rec.Body.String())
-	}
+	putWarm(t, h, "fig2")
+	rec := get(t, h, "/policies/fig2/solve")
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 	if rec.Header().Get("X-Request-Id") == "" {
 		t.Fatal("no X-Request-Id header")
 	}
-	var out solveResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
+	out := decodeSolve(t, rec)
 	if out.Assignment["B"] != "L5" {
 		t.Fatalf("λ(B) = %q, want L5", out.Assignment["B"])
 	}
@@ -68,40 +135,48 @@ func TestSolveEndpoint(t *testing.T) {
 }
 
 func TestSolveEndpointTraced(t *testing.T) {
-	_, h, logBuf := newTestServer(t)
-	rec := get(t, h, "/solve?trace=1")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /solve?trace=1 = %d: %s", rec.Code, rec.Body.String())
-	}
-	var out solveResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
+	srv, h, logBuf := newTestServerCfg(t, faultCfg(t, ""))
+	putCold(t, srv, h, "fig2")
+	out := decodeSolve(t, get(t, h, "/policies/fig2/solve?trace=1"))
 	if out.TraceID == "" {
 		t.Fatal("traced solve did not report a trace id")
 	}
+	if out.CacheHit || out.Assignment["B"] != "L5" {
+		t.Fatalf("traced cold solve: hit=%v λ(B)=%q", out.CacheHit, out.Assignment["B"])
+	}
 	if !strings.Contains(logBuf.String(), out.TraceID) {
 		t.Fatalf("access log does not carry trace id %s:\n%s", out.TraceID, logBuf.String())
+	}
+	// A warm read traces too; it just has no solve to hang under the root.
+	if warm := decodeSolve(t, get(t, h, "/policies/fig2/solve?trace=1")); warm.TraceID == "" || warm.TraceID == out.TraceID {
+		t.Fatalf("warm traced solve reported trace id %q", warm.TraceID)
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	for _, path := range []string{"/solve", "/metrics", "/healthz", "/readyz", "/trace"} {
+	for _, path := range []string{"/metrics", "/healthz", "/readyz", "/policies/fig2/trace"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader("{}")))
 		if rec.Code != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s = %d, want 405", path, rec.Code)
 		}
-		if allow := rec.Header().Get("Allow"); allow != http.MethodGet {
-			t.Errorf("POST %s Allow = %q, want GET", path, allow)
+		if allow := rec.Header().Get("Allow"); !strings.Contains(allow, http.MethodGet) {
+			t.Errorf("POST %s Allow = %q, want GET listed", path, allow)
 		}
+	}
+	// The mux serves HEAD wherever GET is registered.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodHead, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("HEAD /healthz = %d, want 200", rec.Code)
 	}
 }
 
 func TestMetricsEndpointJSON(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	get(t, h, "/solve")
+	putWarm(t, h, "fig2")
+	get(t, h, "/policies/fig2/solve")
 	rec := get(t, h, "/metrics")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", rec.Code)
@@ -113,6 +188,7 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
+	// One solve: the waited PUT's; the read was a memo hit.
 	if snap.Counters["solve.count"] != 1 {
 		t.Fatalf("solve.count = %d, want 1", snap.Counters["solve.count"])
 	}
@@ -126,7 +202,8 @@ func TestMetricsEndpointJSON(t *testing.T) {
 
 func TestMetricsEndpointPrometheus(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	get(t, h, "/solve")
+	putWarm(t, h, "fig2")
+	get(t, h, "/policies/fig2/solve")
 	rec := get(t, h, "/metrics?format=prometheus")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics?format=prometheus = %d", rec.Code)
@@ -142,7 +219,7 @@ func TestMetricsEndpointPrometheus(t *testing.T) {
 		"# TYPE solve_count counter",
 		"# TYPE http_in_flight gauge",
 		"solve_duration_us_bucket{le=\"+Inf\"}",
-		"http_solve_duration_us_count",
+		"http_policy_solve_duration_us_count",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("Prometheus body missing %q:\n%s", want, body)
@@ -156,7 +233,7 @@ func TestMetricsPreRegisteredBeforeTraffic(t *testing.T) {
 	_, h, _ := newTestServer(t)
 	rec := get(t, h, "/metrics?format=prometheus")
 	body := rec.Body.String()
-	for _, want := range []string{"http_solve_duration_us", "http_trace_duration_us"} {
+	for _, want := range []string{"http_policy_solve_duration_us", "http_policy_trace_duration_us"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("pre-traffic scrape missing %q:\n%s", want, body)
 		}
@@ -165,12 +242,16 @@ func TestMetricsPreRegisteredBeforeTraffic(t *testing.T) {
 
 func TestTraceEndpointJSON(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	rec := get(t, h, "/trace")
+	putWarm(t, h, "fig2")
+	rec := get(t, h, "/policies/fig2/trace")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /trace = %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("GET /policies/fig2/trace = %d: %s", rec.Code, rec.Body.String())
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q", ct)
+	}
+	if et := rec.Header().Get("ETag"); et != `"1"` {
+		t.Fatalf("ETag = %q, want %q", et, `"1"`)
 	}
 	var out traceResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
@@ -185,13 +266,17 @@ func TestTraceEndpointJSON(t *testing.T) {
 	if out.Spans.Children[0].Name != "solve" {
 		t.Fatalf("first child %q, want solve", out.Spans.Children[0].Name)
 	}
+	if rec := get(t, h, "/policies/missing/trace"); rec.Code != http.StatusNotFound {
+		t.Fatalf("trace of an unknown policy = %d, want 404", rec.Code)
+	}
 }
 
 func TestTraceEndpointChromeAndFlame(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	rec := get(t, h, "/trace?format=chrome")
+	putWarm(t, h, "fig2")
+	rec := get(t, h, "/policies/fig2/trace?format=chrome")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /trace?format=chrome = %d", rec.Code)
+		t.Fatalf("GET /policies/fig2/trace?format=chrome = %d", rec.Code)
 	}
 	var chrome struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
@@ -203,9 +288,9 @@ func TestTraceEndpointChromeAndFlame(t *testing.T) {
 		t.Fatalf("chrome trace has %d events", len(chrome.TraceEvents))
 	}
 
-	rec = get(t, h, "/trace?format=flame")
+	rec = get(t, h, "/policies/fig2/trace?format=flame")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /trace?format=flame = %d", rec.Code)
+		t.Fatalf("GET /policies/fig2/trace?format=flame = %d", rec.Code)
 	}
 	if !strings.Contains(rec.Body.String(), "solve") {
 		t.Fatalf("flame output missing solve:\n%s", rec.Body.String())
@@ -236,15 +321,17 @@ func TestRequestIDEchoed(t *testing.T) {
 
 func TestStatusClassCounters(t *testing.T) {
 	srv, h, _ := newTestServer(t)
-	get(t, h, "/solve")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", nil))
-	snap := srv.reg.Snapshot()
-	if snap.Counters["http.solve.status.2xx"] != 1 {
-		t.Fatalf("2xx counter = %d, want 1", snap.Counters["http.solve.status.2xx"])
+	putWarm(t, h, "fig2")
+	get(t, h, "/policies/fig2/solve")
+	if rec := get(t, h, "/policies/missing/solve"); rec.Code != http.StatusNotFound {
+		t.Fatalf("solve of an unknown policy = %d, want 404", rec.Code)
 	}
-	if snap.Counters["http.solve.status.4xx"] != 1 {
-		t.Fatalf("4xx counter = %d, want 1", snap.Counters["http.solve.status.4xx"])
+	snap := srv.reg.Snapshot()
+	if snap.Counters["http.policy.solve.status.2xx"] != 1 {
+		t.Fatalf("2xx counter = %d, want 1", snap.Counters["http.policy.solve.status.2xx"])
+	}
+	if snap.Counters["http.policy.solve.status.4xx"] != 1 {
+		t.Fatalf("4xx counter = %d, want 1", snap.Counters["http.policy.solve.status.4xx"])
 	}
 	if snap.Gauges["http.in_flight"] != 0 {
 		t.Fatalf("in_flight gauge = %d after requests drained", snap.Gauges["http.in_flight"])
@@ -253,9 +340,11 @@ func TestStatusClassCounters(t *testing.T) {
 
 func TestAccessLogShape(t *testing.T) {
 	_, h, logBuf := newTestServer(t)
-	get(t, h, "/solve")
+	putWarm(t, h, "fig2")
+	get(t, h, "/policies/fig2/solve")
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
 	var line map[string]any
-	if err := json.Unmarshal([]byte(strings.SplitN(logBuf.String(), "\n", 2)[0]), &line); err != nil {
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &line); err != nil {
 		t.Fatalf("access log is not JSON: %v\n%s", err, logBuf.String())
 	}
 	for _, key := range []string{"method", "path", "status", "duration_us", "request_id"} {
@@ -263,7 +352,7 @@ func TestAccessLogShape(t *testing.T) {
 			t.Errorf("access log missing %q: %v", key, line)
 		}
 	}
-	if line["path"] != "/solve" || line["status"] != float64(200) {
+	if line["path"] != "/policies/fig2/solve" || line["status"] != float64(200) {
 		t.Fatalf("access log line %v", line)
 	}
 }

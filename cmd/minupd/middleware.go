@@ -35,6 +35,19 @@ type requestInfo struct {
 	shard         int
 	errText       string
 	stats         minup.FlightStats
+	// capture is the flight's solver-event buffer, armed by the first event
+	// of the request's cold solve (see Event).
+	capture minup.EventSink
+}
+
+// Event makes the record the solver-event sink of the request's cold solve:
+// the first event arms the flight's pooled capture buffer, so a memo hit,
+// which runs no solver, never takes one.
+func (ri *requestInfo) Event(e minup.SolveEvent) {
+	if ri.capture == nil {
+		ri.capture = ri.flight.CaptureSink()
+	}
+	ri.capture.Event(e)
 }
 
 type requestInfoKey struct{}
@@ -100,15 +113,16 @@ func statusClass(code int) string {
 	}
 }
 
-// instrument wraps one route with the minupd middleware stack: GET-only
-// method gating (405 + Allow), request IDs (X-Request-Id echoed or
-// generated), panic recovery (a panicking handler answers 500 and bumps
-// http.panics instead of killing the connection goroutine unlogged), an
-// in-flight gauge, a per-route latency histogram, per-route status-class
-// counters, a flight record per request, SLO accounting, and one structured
-// access-log line per request carrying the request ID, the shed/degraded
-// disposition, the queue wait, and — when the handler ran an instrumented
-// solve — the trace ID.
+// instrument wraps one route with the minupd middleware stack: request IDs
+// (X-Request-Id echoed or generated), panic recovery (a panicking handler
+// answers 500 and bumps http.panics instead of killing the connection
+// goroutine unlogged), an in-flight gauge, a per-route latency histogram,
+// per-route status-class counters, a flight record per request, SLO
+// accounting, and one structured access-log line per request carrying the
+// request ID, the shed/degraded disposition, the queue wait, and — when the
+// handler ran an instrumented solve — the trace ID. Routes are registered
+// with ServeMux method patterns ("PUT /policies/{name}"), so the mux itself
+// answers mismatched methods with 405 and the right Allow set.
 //
 // The bookkeeping runs in a defer so a panicking request is still counted,
 // timed, logged, and flight-recorded like any other before the recovery
@@ -116,25 +130,9 @@ func statusClass(code int) string {
 //
 // The histogram and the 2xx counter are registered eagerly at wrap time so
 // a Prometheus scrape sees the route's series before its first request.
+// Several method patterns may share one route name; the eager registration
+// is get-or-create, so the series are shared too.
 func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
-	inner := instrumentMethods(route, o, next)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			o.reg.Counter("http." + route + ".status.4xx").Inc()
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
-// instrumentMethods is instrument without the GET-only gate, for routes
-// registered with ServeMux method patterns ("PUT /policies/{name}") —
-// there the mux itself answers mismatched methods with 405 and the right
-// Allow set. Several method patterns may share one route name; the eager
-// metric registration is get-or-create, so the series are shared too.
-func instrumentMethods(route string, o httpObs, next http.HandlerFunc) http.Handler {
 	hist := o.reg.Histogram("http."+route+".duration_us", minup.DurationBucketsUS)
 	o.reg.Counter("http." + route + ".status.2xx")
 	inFlight := o.reg.Gauge("http.in_flight")

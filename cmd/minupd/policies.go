@@ -1,8 +1,6 @@
-// The /policies surface: the stateful side of minupd. Where /solve serves
-// one constraint set compiled at boot, these routes manage a durable
-// sharded catalog of named, versioned policies — created and replaced with
-// PUT, refined with constraint appends, and served from a per-version
-// memoized solve cache.
+// The /policies surface: these routes manage a durable sharded catalog of
+// named, versioned policies — created and replaced with PUT, refined with
+// constraint appends, and served from a per-version memoized solve cache.
 //
 // Mutations answer as soon as the record is durable and the new version is
 // visible; the solver work (compile, memoized solve, incremental repair)
@@ -70,12 +68,42 @@ type policyAppendResponse struct {
 }
 
 // policySolveResponse is the JSON answer of GET/POST /policies/{name}/solve.
+// The fields after Stats are omitted from a plain memo answer.
 type policySolveResponse struct {
 	Name       string            `json:"name"`
 	Version    uint64            `json:"version"`
 	CacheHit   bool              `json:"cache_hit"`
 	Assignment map[string]string `json:"assignment"`
 	Stats      solveStats        `json:"stats"`
+	TraceID    string            `json:"trace_id,omitempty"`
+
+	// Degraded marks an answer produced by the Qian baseline instead of
+	// the minimal solver: still satisfying every constraint, but
+	// over-classified. DegradeReason is "deadline" or "overload", and
+	// UpgradedAttrs the number of attributes classified above lattice
+	// bottom.
+	Degraded      bool   `json:"degraded,omitempty"`
+	DegradeReason string `json:"degrade_reason,omitempty"`
+	UpgradedAttrs int    `json:"upgraded_attrs,omitempty"`
+}
+
+type solveStats struct {
+	Tries          int   `json:"tries"`
+	FailedTries    int   `json:"failed_tries"`
+	Collapses      int   `json:"collapses"`
+	AttrsProcessed int   `json:"attrs_processed"`
+	MinlevelCalls  int   `json:"minlevel_calls"`
+	TrySteps       int   `json:"try_steps"`
+	DescentSteps   int   `json:"descent_steps"`
+	PoolHit        bool  `json:"pool_hit"`
+	DurationUS     int64 `json:"duration_us"`
+}
+
+// traceResponse is the JSON answer of GET /policies/{name}/trace: one fully
+// instrumented solve and its reconstructed span tree.
+type traceResponse struct {
+	TraceID string         `json:"trace_id"`
+	Spans   minup.SpanNode `json:"spans"`
 }
 
 // etag formats a policy version as a strong entity tag.
@@ -201,19 +229,14 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if opts.Wait {
 		// ?wait=1 compiles and solves inline, so it passes the same
-		// admission gate and solve budget as /solve and appends.
-		release, err := s.gate.acquire(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-				return
-			}
-			writeShed(w, r, err)
+		// admission gate and solve budget as solves and appends.
+		release, ok := s.admit(w, r)
+		if !ok {
 			return
 		}
 		defer release()
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r))
+		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r.URL.Query()))
 		defer cancel()
 	}
 	if ri := infoFrom(r.Context()); ri != nil {
@@ -270,7 +293,7 @@ func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
 // handlePolicyAppend runs POST /policies/{name}/constraints. Appends do
 // solver work — at least the solvability check, and with ?wait=1 the full
 // inline repair — so they pass the same admission gate and solve budget as
-// /solve.
+// solves.
 func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	if !s.clusterWriteGate(w, r) {
 		return
@@ -288,17 +311,12 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry "constraints" text`, http.StatusBadRequest)
 		return
 	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r))
+	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r.URL.Query()))
 	defer cancel()
 	if ri := infoFrom(r.Context()); ri != nil {
 		ri.policy = r.PathValue("name")
@@ -330,44 +348,147 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePolicySolve serves GET/POST /policies/{name}/solve from the
-// catalog's memoized cache; only a cache miss (the first solve of a
-// version) compiles and solves, under the admission gate's budget.
+// handlePolicySolve serves GET/POST /policies/{name}/solve. A warm version
+// is the memoized answer, whatever the load: it costs no solve. Only a cold
+// version — the first read of a version no refresh has warmed yet — runs
+// Algorithm 3.1, and that solve carries the request's guards: under soft
+// overload (with -degrade) the Qian baseline answers in its place, a missed
+// deadline falls back to the baseline on a fresh budget, and its solver
+// events go to the flight recorder's capture buffer. ?trace=1 runs the
+// request under a root span whose trace ID the response reports; a cold
+// solve hangs its span tree under it.
 func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-			return
-		}
-		writeShed(w, r, err)
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
 	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r))
+	name := r.PathValue("name")
+	query := r.URL.Query()
+	budget := s.solveBudget(query)
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
+	// Soft overload: the queue behind us is filling. A cold version gets
+	// the secure baseline at once instead of burning a full solve budget.
+	opt := minup.PolicySolveOptions{Baseline: s.cfg.degrade && s.gate.overloaded()}
+	reason := "overload"
 	ri := infoFrom(r.Context())
 	if ri != nil {
-		ri.policy = r.PathValue("name")
+		ri.policy = name
+		if ri.flight != nil {
+			opt.Sink = ri
+		}
 	}
-	res, err := s.cat.Solve(ctx, r.PathValue("name"))
+	var root *minup.Span
+	var traceID string
+	if query.Get("trace") == "1" {
+		tr := minup.NewTracer()
+		root = tr.Start("request")
+		traceID = tr.TraceID()
+		ctx = minup.ContextWithSpan(ctx, root)
+		if ri != nil {
+			ri.traceID = traceID
+			if ri.flight != nil {
+				ri.flight.SetSpan(root)
+			}
+		}
+	}
+	res, err := s.cat.SolveWith(ctx, name, opt)
+	if err != nil && s.cfg.degrade && !opt.Baseline && r.Context().Err() == nil &&
+		(errors.Is(err, minup.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// The cold solve missed its deadline: answer with the baseline on a
+		// fresh budget, still abandoned if the client disconnects.
+		reason = "deadline"
+		opt = minup.PolicySolveOptions{Baseline: true}
+		bctx, bcancel := context.WithTimeout(r.Context(), budget)
+		defer bcancel()
+		res, err = s.cat.SolveWith(bctx, name, opt)
+	}
+	if root != nil {
+		root.End()
+	}
 	if err != nil {
+		if opt.Baseline && r.Context().Err() == nil &&
+			!errors.Is(err, minup.ErrPolicyNotFound) && !errors.Is(err, minup.ErrInternal) {
+			// No minimal answer and no baseline either (Qian does not
+			// support upper bounds): shed honestly.
+			if ri != nil {
+				ri.errText = err.Error()
+			}
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "degraded solve failed: "+err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 		s.policyError(w, r, err)
 		return
 	}
-	if ri != nil {
-		ri.shard = res.Info.Shard
-		ri.cacheHit = res.CacheHit
-		ri.stats = flightStatsOf(res.Stats)
-	}
-	w.Header().Set("ETag", etag(res.Info.Version))
-	writeJSON(w, policySolveResponse{
+	out := policySolveResponse{
 		Name:       res.Info.Name,
 		Version:    res.Info.Version,
 		CacheHit:   res.CacheHit,
 		Assignment: res.Assignment,
 		Stats:      newSolveStats(res.Stats),
-	})
+		TraceID:    traceID,
+	}
+	if res.Baseline {
+		s.reg.Counter("solve.degraded").Inc()
+		s.reg.Counter("solve.degraded." + reason).Inc()
+		out.Degraded, out.DegradeReason, out.UpgradedAttrs = true, reason, res.UpgradedAttrs
+	}
+	if ri != nil {
+		ri.shard = res.Info.Shard
+		ri.cacheHit = res.CacheHit
+		ri.stats = flightStatsOf(res.Stats)
+		ri.degraded, ri.degradeReason = out.Degraded, out.DegradeReason
+	}
+	w.Header().Set("ETag", etag(res.Info.Version))
+	writeJSON(w, out)
+}
+
+// handlePolicyTrace serves GET /policies/{name}/trace: one fully
+// instrumented solve of the current version's compiled snapshot, behind the
+// same gate and budget as a solve, rendered as a span tree
+// (?format=json|chrome|flame). The memoized answer is left untouched.
+func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
+	release, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
+	defer release()
+	ri := infoFrom(r.Context())
+	if ri != nil {
+		ri.policy = r.PathValue("name")
+	}
+	info, compiled, err := s.cat.Compiled(r.PathValue("name"))
+	if err != nil {
+		s.policyError(w, r, err)
+		return
+	}
+	tr := minup.NewTracer()
+	root := tr.Start("request")
+	if ri != nil {
+		ri.shard = info.Shard
+		ri.traceID = tr.TraceID()
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r.URL.Query()))
+	defer cancel()
+	_, err = minup.SolveContext(minup.ContextWithSpan(ctx, root), compiled, minup.Options{Metrics: s.reg, Fault: s.cfg.fault})
+	root.End()
+	if err != nil {
+		s.policyError(w, r, err)
+		return
+	}
+	w.Header().Set("ETag", etag(info.Version))
+	switch r.URL.Query().Get("format") {
+	case "chrome":
+		w.Header().Set("Content-Type", "application/json")
+		minup.WriteChromeTrace(w, root)
+	case "flame":
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		minup.WriteFlameSummary(w, root)
+	default:
+		writeJSON(w, traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
+	}
 }
 
 // writeJSONStatus is writeJSON with an explicit status code.
@@ -379,8 +500,7 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// newSolveStats maps the solver's stats block to its JSON shape, shared by
-// /solve and /policies/{name}/solve.
+// newSolveStats maps the solver's stats block to its JSON shape.
 func newSolveStats(st minup.SolveStats) solveStats {
 	return solveStats{
 		Tries:          st.Tries,
@@ -390,10 +510,6 @@ func newSolveStats(st minup.SolveStats) solveStats {
 		MinlevelCalls:  st.MinlevelCalls,
 		TrySteps:       st.TrySteps,
 		DescentSteps:   st.DescentSteps,
-		LatticeLub:     st.LatticeOps.Lub,
-		LatticeGlb:     st.LatticeOps.Glb,
-		LatticeDom:     st.LatticeOps.Dominates,
-		LatticeCovers:  st.LatticeOps.Covers,
 		PoolHit:        st.PoolHit,
 		DurationUS:     st.Duration.Microseconds(),
 	}

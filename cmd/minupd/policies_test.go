@@ -40,7 +40,7 @@ func policyReq(t *testing.T, h http.Handler, method, path string, body *policyRe
 }
 
 // TestPolicyWaitPutShedWhenSaturated: a PUT with ?wait=1 runs a full
-// inline compile+solve, so it passes the same admission gate as /solve and
+// inline compile+solve, so it passes the same admission gate as solves and
 // appends — and sheds when the gate is saturated. A plain async PUT does
 // no inline solver work and must keep landing regardless.
 func TestPolicyWaitPutShedWhenSaturated(t *testing.T) {
@@ -336,8 +336,8 @@ func TestPolicyPreconditions(t *testing.T) {
 		t.Fatalf("DELETE unknown = %d, want 404", rec.Code)
 	}
 	if rec := policyReq(t, h, http.MethodPut, "/policies/bad..name/x", body, nil); rec.Code != http.StatusNotFound {
-		// Two path segments under /policies only match the /constraints and
-		// /solve patterns; everything else is the mux's 404.
+		// Two path segments under /policies only match the /constraints,
+		// /solve, and /trace patterns; everything else is the mux's 404.
 		t.Fatalf("nested name = %d, want 404", rec.Code)
 	}
 	if rec := policyReq(t, h, http.MethodPut, "/policies/unsolvable",

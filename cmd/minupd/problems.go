@@ -91,19 +91,14 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if opts.Wait {
 		// ?wait=1 solves inline, so it passes the same admission gate and
-		// solve budget as /solve and policy mutations.
-		release, err := s.gate.acquire(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				http.Error(w, "client gone while queued", http.StatusRequestTimeout)
-				return
-			}
-			writeShed(w, r, err)
+		// solve budget as policy solves and mutations.
+		release, ok := s.admit(w, r)
+		if !ok {
 			return
 		}
 		defer release()
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r))
+		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r.URL.Query()))
 		defer cancel()
 	}
 	if ri := infoFrom(r.Context()); ri != nil {

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -13,19 +13,15 @@ import (
 	"time"
 
 	"minup"
+	"minup/internal/constraint"
 )
 
-// slowCfg returns a policy whose every solver step sleeps, so a solve
+// slowCfg returns a faultCfg whose every solver step sleeps, so a solve
 // reliably outlives the given budget while the Qian baseline (which does
 // not run through the solver) stays fast.
 func slowCfg(t *testing.T, stepDelay, budget time.Duration) config {
 	t.Helper()
-	inj, err := minup.ParseFaultSpec(fmt.Sprintf("solve.step:delay:%%1:%s", stepDelay), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultConfig()
-	cfg.fault = inj
+	cfg := faultCfg(t, fmt.Sprintf("solve.step:delay:%%1:%s", stepDelay))
 	cfg.solveTimeout = budget
 	return cfg
 }
@@ -62,14 +58,15 @@ func TestSolveShedWhenSaturated(t *testing.T) {
 	cfg.maxInflight = 1
 	cfg.maxQueue = 0
 	srv, h, _ := newTestServerCfg(t, cfg)
+	putWarm(t, h, "fig2")
 
 	// Occupy the only slot, as a long-running solve would.
 	srv.gate.sem <- struct{}{}
 	defer func() { <-srv.gate.sem }()
 
-	rec := get(t, h, "/solve")
+	rec := get(t, h, "/policies/fig2/solve")
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("saturated /solve = %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("saturated solve = %d: %s", rec.Code, rec.Body.String())
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("shed response has no Retry-After")
@@ -77,50 +74,55 @@ func TestSolveShedWhenSaturated(t *testing.T) {
 	if got := srv.reg.Snapshot().Counters["http.shed"]; got != 1 {
 		t.Fatalf("http.shed = %d, want 1", got)
 	}
-	// /trace runs behind the same gate.
-	if rec := get(t, h, "/trace"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("saturated /trace = %d", rec.Code)
+	// The trace route runs behind the same gate.
+	if rec := get(t, h, "/policies/fig2/trace"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated trace = %d", rec.Code)
 	}
 }
 
 func TestSolveShedWhileDraining(t *testing.T) {
 	srv, h, _ := newTestServer(t)
+	putWarm(t, h, "fig2")
 	srv.draining.Store(true)
-	rec := get(t, h, "/solve")
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining /solve = %d: %s", rec.Code, rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "draining") {
-		t.Fatalf("draining shed body %q", rec.Body.String())
+	for _, path := range []string{"/policies/fig2/solve", "/policies/fig2/trace"} {
+		rec := get(t, h, path)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("draining %s = %d: %s", path, rec.Code, rec.Body.String())
+		}
+		if !strings.Contains(rec.Body.String(), "draining") {
+			t.Fatalf("draining shed body %q", rec.Body.String())
+		}
 	}
 }
 
 // decodeDegraded asserts a 200 degraded response with the given reason and
-// returns it after re-verifying the served assignment against the set.
-func decodeDegraded(t *testing.T, srv *server, rec *httptest.ResponseRecorder, reason string) solveResponse {
+// returns it after re-verifying the served assignment against the Figure
+// 2(a) set.
+func decodeDegraded(t *testing.T, rec *httptest.ResponseRecorder, reason string) policySolveResponse {
 	t.Helper()
-	if rec.Code != http.StatusOK {
-		t.Fatalf("degraded solve = %d: %s", rec.Code, rec.Body.String())
-	}
-	var out solveResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
+	out := decodeSolve(t, rec)
 	if !out.Degraded || out.DegradeReason != reason {
 		t.Fatalf("degraded=%v reason=%q, want degraded %q: %s", out.Degraded, out.DegradeReason, reason, rec.Body.String())
 	}
+	if out.CacheHit {
+		t.Fatal("degraded answer claims a cache hit")
+	}
+	if out.UpgradedAttrs <= 0 {
+		t.Fatalf("degraded response reports %d upgraded attrs", out.UpgradedAttrs)
+	}
 	// The degraded answer must still satisfy every constraint: parse the
 	// served levels back and check.
-	lat := srv.set.Lattice()
+	set := constraint.NewFigure2().Set
+	lat := set.Lattice()
 	m := make(minup.Assignment, len(out.Assignment))
-	for _, a := range srv.set.Attrs() {
-		lvl, err := lat.ParseLevel(out.Assignment[srv.set.AttrName(a)])
+	for _, a := range set.Attrs() {
+		lvl, err := lat.ParseLevel(out.Assignment[set.AttrName(a)])
 		if err != nil {
-			t.Fatalf("served level %q: %v", out.Assignment[srv.set.AttrName(a)], err)
+			t.Fatalf("served level %q: %v", out.Assignment[set.AttrName(a)], err)
 		}
 		m[a] = lvl
 	}
-	if err := minup.Verify(srv.set, m); err != nil {
+	if err := minup.Verify(set, m); err != nil {
 		t.Fatalf("degraded assignment does not verify: %v", err)
 	}
 	return out
@@ -128,14 +130,8 @@ func decodeDegraded(t *testing.T, srv *server, rec *httptest.ResponseRecorder, r
 
 func TestSolveDegradesOnDeadline(t *testing.T) {
 	srv, h, _ := newTestServerCfg(t, slowCfg(t, 30*time.Millisecond, 10*time.Millisecond))
-	rec := get(t, h, "/solve")
-	out := decodeDegraded(t, srv, rec, "deadline")
-	if out.UpgradedAttrs <= 0 {
-		t.Fatalf("degraded response reports %d upgraded attrs", out.UpgradedAttrs)
-	}
-	if out.UpgradeDelta != nil {
-		t.Fatalf("upgrade_delta %d before any minimal solve", *out.UpgradeDelta)
-	}
+	putCold(t, srv, h, "fig2")
+	decodeDegraded(t, get(t, h, "/policies/fig2/solve"), "deadline")
 	snap := srv.reg.Snapshot()
 	if snap.Counters["solve.degraded"] != 1 || snap.Counters["solve.degraded.deadline"] != 1 {
 		t.Fatalf("degraded counters %v", snap.Counters)
@@ -143,50 +139,133 @@ func TestSolveDegradesOnDeadline(t *testing.T) {
 }
 
 func TestSolveDegradesOnOverload(t *testing.T) {
-	srv, h, _ := newTestServer(t)
+	srv, h, _ := newTestServerCfg(t, faultCfg(t, ""))
+	putCold(t, srv, h, "fig2")
 	srv.gate.queued.Add(srv.gate.softQueue)
 	defer srv.gate.queued.Add(-srv.gate.softQueue)
-	rec := get(t, h, "/solve")
-	decodeDegraded(t, srv, rec, "overload")
-	if got := srv.reg.Snapshot().Counters["solve.degraded.overload"]; got != 1 {
-		t.Fatalf("solve.degraded.overload = %d, want 1", got)
+	decodeDegraded(t, get(t, h, "/policies/fig2/solve"), "overload")
+	snap := srv.reg.Snapshot()
+	if snap.Counters["solve.degraded"] != 1 || snap.Counters["solve.degraded.overload"] != 1 {
+		t.Fatalf("degraded counters %v", snap.Counters)
+	}
+	// The baseline answered in place of Algorithm 3.1: no cold solve ran.
+	if snap.Counters["solve.cold"] != 0 {
+		t.Fatalf("solve.cold = %d under overload, want 0", snap.Counters["solve.cold"])
 	}
 }
 
-func TestUpgradeDeltaAgainstLastMinimalSolve(t *testing.T) {
-	// A minimal solve first, then a forced-degraded one: the degraded
-	// response must report its over-classification cost as a delta.
-	srv, h, _ := newTestServer(t)
-	if rec := get(t, h, "/solve"); rec.Code != http.StatusOK {
-		t.Fatalf("minimal solve = %d", rec.Code)
+// TestDegradedBaselineFailureIs503: Qian propagation does not support §6
+// upper bounds, so an overloaded cold read of an upper-bounded policy has
+// no safe answer to serve and sheds with 503 + Retry-After.
+func TestDegradedBaselineFailureIs503(t *testing.T) {
+	srv, h, _ := newTestServerCfg(t, faultCfg(t, ""))
+	body := &policyRequest{Lattice: testPolicyLattice, Constraints: "attrs salary rank\nsalary >= rank\nS >= salary\n"}
+	if rec := policyReq(t, h, http.MethodPut, "/policies/ub", body, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT = %d: %s", rec.Code, rec.Body.String())
 	}
-	if last := srv.lastMinimalUpgraded.Load(); last < 0 {
-		t.Fatalf("lastMinimalUpgraded = %d after a successful solve", last)
+	if err := srv.cat.Flush(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	srv.gate.queued.Add(srv.gate.softQueue)
 	defer srv.gate.queued.Add(-srv.gate.softQueue)
-	out := decodeDegraded(t, srv, get(t, h, "/solve"), "overload")
-	if out.UpgradeDelta == nil {
-		t.Fatal("no upgrade_delta after a prior minimal solve")
+	rec := get(t, h, "/policies/ub/solve")
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("overloaded cold read of an upper-bounded policy = %d (Retry-After %q): %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
 	}
-	if *out.UpgradeDelta < 0 {
-		t.Fatalf("upgrade_delta = %d; Qian can never upgrade fewer attrs than minimal", *out.UpgradeDelta)
+}
+
+// TestWarmPolicyNotDegradedUnderOverload: a warm version costs no solve, so
+// overload never degrades it — the memo answer is served byte for byte.
+func TestWarmPolicyNotDegradedUnderOverload(t *testing.T) {
+	srv, h, _ := newTestServer(t)
+	putWarm(t, h, "fig2")
+	calm := get(t, h, "/policies/fig2/solve")
+	srv.gate.queued.Add(srv.gate.softQueue)
+	defer srv.gate.queued.Add(-srv.gate.softQueue)
+	busy := get(t, h, "/policies/fig2/solve")
+	if out := decodeSolve(t, busy); out.Degraded || !out.CacheHit {
+		t.Fatalf("warm policy under overload: degraded=%v hit=%v", out.Degraded, out.CacheHit)
+	}
+	if busy.Body.String() != calm.Body.String() {
+		t.Fatalf("overloaded memo answer differs:\n%s\nvs\n%s", busy.Body.String(), calm.Body.String())
+	}
+	if got := srv.reg.Snapshot().Counters["solve.degraded"]; got != 0 {
+		t.Fatalf("solve.degraded = %d, want 0", got)
+	}
+}
+
+// TestDegradedAnswerNotMemoized: a baseline answer is never memoized, so the
+// first read after the gate clears solves the version minimally.
+func TestDegradedAnswerNotMemoized(t *testing.T) {
+	srv, h, _ := newTestServerCfg(t, faultCfg(t, ""))
+	putCold(t, srv, h, "fig2")
+	srv.gate.queued.Add(srv.gate.softQueue)
+	degraded := decodeDegraded(t, get(t, h, "/policies/fig2/solve"), "overload")
+	srv.gate.queued.Add(-srv.gate.softQueue)
+
+	minimal := decodeSolve(t, get(t, h, "/policies/fig2/solve"))
+	if minimal.Degraded || minimal.CacheHit {
+		t.Fatalf("first read after overload: degraded=%v hit=%v, want a fresh minimal solve", minimal.Degraded, minimal.CacheHit)
+	}
+	if minimal.Assignment["B"] != "L5" {
+		t.Fatalf("λ(B) = %q, want L5", minimal.Assignment["B"])
+	}
+	if again := decodeSolve(t, get(t, h, "/policies/fig2/solve")); !again.CacheHit || again.Degraded {
+		t.Fatalf("second read: hit=%v degraded=%v, want the memoized minimal answer", again.CacheHit, again.Degraded)
+	}
+	if fmt.Sprint(degraded.Assignment) == fmt.Sprint(minimal.Assignment) {
+		t.Fatalf("Figure 2(a) baseline equals the minimal solution %v", minimal.Assignment)
+	}
+}
+
+// TestTraceNeverDegradesOrMemoizes: the trace route runs the minimal solver
+// even under overload, and leaves the memo as it found it — cold stays
+// cold, warm keeps its answer.
+func TestTraceNeverDegradesOrMemoizes(t *testing.T) {
+	srv, h, _ := newTestServerCfg(t, faultCfg(t, ""))
+	putCold(t, srv, h, "fig2")
+	srv.gate.queued.Add(srv.gate.softQueue)
+	if rec := get(t, h, "/policies/fig2/trace"); rec.Code != http.StatusOK {
+		t.Fatalf("trace under overload = %d: %s", rec.Code, rec.Body.String())
+	}
+	srv.gate.queued.Add(-srv.gate.softQueue)
+	if info, err := srv.cat.Get("fig2"); err != nil || info.Solved || !info.Compiled {
+		t.Fatalf("after a cold trace: %+v, %v; want compiled but unsolved", info, err)
+	}
+
+	warm := get(t, h, "/policies/fig2/solve")
+	if out := decodeSolve(t, warm); out.CacheHit {
+		t.Fatal("the trace memoized a solve")
+	}
+	before := srv.reg.Snapshot().Counters
+	if rec := get(t, h, "/policies/fig2/trace"); rec.Code != http.StatusOK {
+		t.Fatalf("warm trace = %d", rec.Code)
+	}
+	after := srv.reg.Snapshot().Counters
+	for _, c := range []string{"catalog.cache_hits", "catalog.cache_misses", "catalog.compiles", "solve.cold"} {
+		if after[c] != before[c] {
+			t.Fatalf("%s moved across a trace: %d -> %d", c, before[c], after[c])
+		}
+	}
+	if again := get(t, h, "/policies/fig2/solve"); again.Body.String() != strings.Replace(warm.Body.String(), `"cache_hit": false`, `"cache_hit": true`, 1) {
+		t.Fatalf("memo answer changed across a trace:\n%s\nvs\n%s", again.Body.String(), warm.Body.String())
 	}
 }
 
 func TestSolveTimeoutQueryClamped(t *testing.T) {
 	// ?timeout_ms may shrink the budget but never grow it past the flag.
 	srv, _, _ := newTestServerCfg(t, slowCfg(t, time.Millisecond, 50*time.Millisecond))
-	req := httptest.NewRequest(http.MethodGet, "/solve?timeout_ms=999999", nil)
-	if got := srv.solveBudget(req); got != 50*time.Millisecond {
+	req := httptest.NewRequest(http.MethodGet, "/policies/p/solve?timeout_ms=999999", nil)
+	if got := srv.solveBudget(req.URL.Query()); got != 50*time.Millisecond {
 		t.Fatalf("budget = %s, want clamp to 50ms", got)
 	}
-	req = httptest.NewRequest(http.MethodGet, "/solve?timeout_ms=0", nil)
-	if got := srv.solveBudget(req); got != time.Millisecond {
+	req = httptest.NewRequest(http.MethodGet, "/policies/p/solve?timeout_ms=0", nil)
+	if got := srv.solveBudget(req.URL.Query()); got != time.Millisecond {
 		t.Fatalf("budget = %s, want floor 1ms", got)
 	}
-	req = httptest.NewRequest(http.MethodGet, "/solve?timeout_ms=7", nil)
-	if got := srv.solveBudget(req); got != 7*time.Millisecond {
+	req = httptest.NewRequest(http.MethodGet, "/policies/p/solve?timeout_ms=7", nil)
+	if got := srv.solveBudget(req.URL.Query()); got != 7*time.Millisecond {
 		t.Fatalf("budget = %s, want 7ms", got)
 	}
 }
@@ -194,8 +273,9 @@ func TestSolveTimeoutQueryClamped(t *testing.T) {
 func TestDeadlineWithoutDegradeIs504(t *testing.T) {
 	cfg := slowCfg(t, 30*time.Millisecond, 10*time.Millisecond)
 	cfg.degrade = false
-	_, h, _ := newTestServerCfg(t, cfg)
-	rec := get(t, h, "/solve")
+	srv, h, _ := newTestServerCfg(t, cfg)
+	putCold(t, srv, h, "fig2")
+	rec := get(t, h, "/policies/fig2/solve")
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline with -degrade=false = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -205,14 +285,9 @@ func TestSolverPanicAnswers500(t *testing.T) {
 	// A fault-injected solver panic must surface as an opaque 500 (the
 	// recovery guard in core converts it to a typed internal error), never
 	// crash the server, and leave the next solve working.
-	inj, err := minup.ParseFaultSpec("solve.step:panic:1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := defaultConfig()
-	cfg.fault = inj
-	_, h, _ := newTestServerCfg(t, cfg)
-	rec := get(t, h, "/solve")
+	srv, h, _ := newTestServerCfg(t, faultCfg(t, "solve.step:panic:1"))
+	putCold(t, srv, h, "fig2")
+	rec := get(t, h, "/policies/fig2/solve")
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking solve = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -220,7 +295,7 @@ func TestSolverPanicAnswers500(t *testing.T) {
 		t.Fatal("500 body leaks a stack trace")
 	}
 	// The panic fired its once-only rule; the next solve must be clean.
-	rec = get(t, h, "/solve")
+	rec = get(t, h, "/policies/fig2/solve")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("solve after panic = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -258,10 +333,11 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 }
 
 // TestGracefulShutdownDrainsInFlight is the end-to-end drain scenario over
-// a real listener: an in-flight slow /solve must complete while the
+// a real listener: an in-flight slow cold solve must complete while the
 // draining server refuses new work and reports not-ready.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	srv, h, _ := newTestServerCfg(t, slowCfg(t, 20*time.Millisecond, 2*time.Second))
+	putCold(t, srv, h, "fig2")
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -270,7 +346,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	inflight := make(chan int, 1)
 	go func() {
 		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/solve")
+		resp, err := http.Get(ts.URL + "/policies/fig2/solve")
 		if err != nil {
 			t.Errorf("in-flight solve: %v", err)
 			inflight <- 0
@@ -295,14 +371,14 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("draining /readyz = %d, want 503", resp.StatusCode)
 	}
 
-	resp, err = http.Get(ts.URL + "/solve")
+	resp, err = http.Get(ts.URL + "/policies/fig2/solve")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("new /solve while draining = %d, want 503", resp.StatusCode)
+		t.Fatalf("new solve while draining = %d, want 503", resp.StatusCode)
 	}
 
 	wg.Wait()

@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"minup/internal/baseline"
 	"minup/internal/bus"
 	"minup/internal/constraint"
 	"minup/internal/core"
@@ -746,23 +747,32 @@ type PolicyInfo struct {
 	Solved   bool `json:"solved"`
 	// Lattice and ConstraintText are the policy's source texts; the
 	// constraint text is the Put batch followed by every appended batch.
+	// Only Get and mutation results fill them.
 	Lattice        string `json:"lattice,omitempty"`
 	ConstraintText string `json:"constraints_text,omitempty"`
 }
 
+// info describes p without its source texts; fullInfo adds them, for the
+// places that serve them (Get and mutation results). Joining the texts
+// costs an allocation per batch, which a memo hit must not pay.
 func (p *policy) info() PolicyInfo {
 	return PolicyInfo{
-		Name:           p.name,
-		Version:        p.version,
-		Attrs:          p.set.NumAttrs(),
-		Constraints:    len(p.set.Constraints()),
-		UpperBounds:    len(p.set.UpperBounds()),
-		Shard:          p.shard,
-		Compiled:       p.compiled != nil,
-		Solved:         p.solved != nil,
-		Lattice:        p.latticeText,
-		ConstraintText: strings.Join(p.consTexts, "\n"),
+		Name:        p.name,
+		Version:     p.version,
+		Attrs:       p.set.NumAttrs(),
+		Constraints: len(p.set.Constraints()),
+		UpperBounds: len(p.set.UpperBounds()),
+		Shard:       p.shard,
+		Compiled:    p.compiled != nil,
+		Solved:      p.solved != nil,
 	}
+}
+
+func (p *policy) fullInfo() PolicyInfo {
+	info := p.info()
+	info.Lattice = p.latticeText
+	info.ConstraintText = strings.Join(p.consTexts, "\n")
+	return info
 }
 
 // checkVersion enforces the optimistic-concurrency precondition against
@@ -801,7 +811,7 @@ func (c *Catalog) Get(name string) (PolicyInfo, error) {
 	if p == nil {
 		return PolicyInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return p.info(), nil
+	return p.fullInfo(), nil
 }
 
 // List returns every policy's description (without the source texts),
@@ -811,9 +821,7 @@ func (c *Catalog) List() []PolicyInfo {
 	for _, s := range c.shards {
 		s.mu.RLock()
 		for _, p := range s.pol {
-			info := p.info()
-			info.Lattice, info.ConstraintText = "", ""
-			out = append(out, info)
+			out = append(out, p.info())
 		}
 		s.mu.RUnlock()
 	}
@@ -831,6 +839,7 @@ func (c *Catalog) Bus() *bus.Bus { return c.bus }
 
 // SolveResult is the answer of Catalog.Solve.
 type SolveResult struct {
+	// Info describes the served version, without its source texts.
 	Info PolicyInfo
 	// Assignment maps attribute names to formatted level names.
 	Assignment map[string]string
@@ -840,17 +849,40 @@ type SolveResult struct {
 	// CacheHit reports that the answer came from the memoized cache: zero
 	// compiles and zero solves were performed by this call.
 	CacheHit bool
+	// Baseline reports a cold version answered with the Qian least
+	// fixpoint (SolveOptions.Baseline): it satisfies every constraint but
+	// may over-classify, and it was not memoized. UpgradedAttrs counts its
+	// attributes classified above lattice bottom.
+	Baseline      bool
+	UpgradedAttrs int
+}
+
+// SolveOptions tunes how SolveWith answers a cold version; a warm one is
+// the memoized answer whatever they say.
+type SolveOptions struct {
+	// Sink, when non-nil, receives the cold solve's event stream.
+	Sink obs.EventSink
+	// Baseline answers a cold version with the verified Qian least
+	// fixpoint (§4 of the paper) instead of running Algorithm 3.1, and
+	// memoizes nothing. It runs outside the shard lock.
+	Baseline bool
 }
 
 // Solve returns the minimal classification for the policy's current
-// version. Warm policies are served from the memoized cache
-// ("catalog.cache_hits") under only the shard's read lock, with no compile
-// and no solve; a cold version — the refresh pipeline hasn't caught up, or
-// its event was dropped — is filled here under the shard's write lock,
-// compiling the snapshot (at most once per version, "catalog.compiles",
-// fault point "catalog.compile") and running one cold solve ("solve.cold",
-// "catalog.cache_misses"), then memoizing.
+// version; it is SolveWith with no options.
 func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
+	return c.SolveWith(ctx, name, SolveOptions{})
+}
+
+// SolveWith returns the classification for the policy's current version.
+// Warm policies are served from the memoized cache ("catalog.cache_hits")
+// under only the shard's read lock, with no compile and no solve. A cold
+// version — the refresh pipeline hasn't caught up, or its event was
+// dropped — is answered with the baseline when opt asks for it, and is
+// otherwise filled here under the shard's write lock: compiling the
+// snapshot (at most once per version, see compile) and running one cold
+// solve ("solve.cold", "catalog.cache_misses"), then memoizing.
+func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) (SolveResult, error) {
 	s := c.shardFor(name)
 	s.mu.RLock()
 	p := s.pol[name]
@@ -859,6 +891,13 @@ func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
 		s.mu.RUnlock()
 		c.count("catalog.cache_hits")
 		return res, nil
+	}
+	if p != nil && opt.Baseline {
+		// The set is immutable once installed (mutations clone-and-swap), so
+		// the baseline can run after the lock is dropped.
+		info, set, lat := p.info(), p.set, p.lat
+		s.mu.RUnlock()
+		return baselineResult(ctx, info, set, lat)
 	}
 	s.mu.RUnlock()
 
@@ -875,17 +914,14 @@ func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
 		return solveResult(p, true), nil
 	}
 	c.count("catalog.cache_misses")
-	if p.compiled == nil {
-		if err := c.opt.Fault.Hit("catalog.compile"); err != nil {
-			return SolveResult{}, fmt.Errorf("catalog: compiling %q: %w", name, err)
-		}
-		p.compiled = p.set.Snapshot()
-		c.count("catalog.compiles")
+	if err := c.compile(p); err != nil {
+		return SolveResult{}, err
 	}
 	c.count("solve.cold")
 	res, err := core.SolveContext(ctx, p.compiled, core.Options{
 		Metrics: c.opt.Metrics,
 		Fault:   c.opt.Fault,
+		Sink:    opt.Sink,
 	})
 	if err != nil {
 		return SolveResult{}, err
@@ -895,17 +931,75 @@ func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
 	return solveResult(p, false), nil
 }
 
+// Compiled returns the description and compiled snapshot of the policy's
+// current version, building the snapshot if no read or refresh has yet.
+// The memoized solution is left untouched.
+func (c *Catalog) Compiled(name string) (PolicyInfo, *constraint.Compiled, error) {
+	s := c.shardFor(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.pol[name]
+	if p == nil {
+		return PolicyInfo{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	if err := c.compile(p); err != nil {
+		return PolicyInfo{}, nil, err
+	}
+	return p.info(), p.compiled, nil
+}
+
+// compile builds p's compiled snapshot at most once per version
+// ("catalog.compiles", fault point "catalog.compile"); mutations drop it.
+// Caller holds the shard's write lock.
+func (c *Catalog) compile(p *policy) error {
+	if p.compiled != nil {
+		return nil
+	}
+	if err := c.opt.Fault.Hit("catalog.compile"); err != nil {
+		return fmt.Errorf("catalog: compiling %q: %w", p.name, err)
+	}
+	p.compiled = p.set.Snapshot()
+	c.count("catalog.compiles")
+	return nil
+}
+
+// baselineResult answers one version with the Qian least fixpoint. The
+// assignment is checked against every constraint before it is served; a
+// failed check is an internal error, never an answer.
+func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set, lat lattice.Lattice) (SolveResult, error) {
+	start := time.Now()
+	m, err := baseline.QianContext(ctx, set)
+	if err != nil {
+		return SolveResult{}, fmt.Errorf("catalog: baseline for %q: %w", info.Name, err)
+	}
+	if err := core.Verify(set, m); err != nil {
+		return SolveResult{}, fmt.Errorf("%w: baseline for %q does not verify: %v", core.ErrInternal, info.Name, err)
+	}
+	return SolveResult{
+		Info:          info,
+		Assignment:    formatAssignment(set, lat, m),
+		Stats:         core.Stats{Duration: time.Since(start)},
+		Baseline:      true,
+		UpgradedAttrs: baseline.CountUpgraded(set, m),
+	}, nil
+}
+
 // solveResult snapshots the memoized answer; caller holds at least the
 // shard's read lock.
 func solveResult(p *policy, hit bool) SolveResult {
-	out := SolveResult{
+	return SolveResult{
 		Info:       p.info(),
-		Assignment: make(map[string]string, p.set.NumAttrs()),
+		Assignment: formatAssignment(p.set, p.lat, p.solved),
 		Stats:      p.solvedStats,
 		CacheHit:   hit,
 	}
-	for _, a := range p.set.Attrs() {
-		out.Assignment[p.set.AttrName(a)] = p.lat.FormatLevel(p.solved[a])
+}
+
+// formatAssignment maps attribute names to formatted level names.
+func formatAssignment(set *constraint.Set, lat lattice.Lattice, m constraint.Assignment) map[string]string {
+	out := make(map[string]string, set.NumAttrs())
+	for _, a := range set.Attrs() {
+		out[set.AttrName(a)] = lat.FormatLevel(m[a])
 	}
 	return out
 }

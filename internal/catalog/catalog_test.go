@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"minup/internal/fault"
 	"minup/internal/obs"
 	"minup/internal/wal"
 )
@@ -120,6 +121,89 @@ func TestPutGetSolveLifecycle(t *testing.T) {
 
 	if list := c.List(); len(list) != 1 || list[0].Name != "hr" || list[0].Lattice != "" {
 		t.Fatalf("List = %+v", list)
+	}
+}
+
+// TestSolveWithBaseline: the baseline answers only cold versions, is never
+// memoized, and fails honestly where Qian propagation cannot run (upper
+// bounds). Every compile is canceled here, so versions stay cold.
+func TestSolveWithBaseline(t *testing.T) {
+	reg := obs.NewRegistry()
+	inj := fault.New(1)
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Cancel, Every: 1})
+	c := mustOpen(t, Options{Metrics: reg, Fault: inj})
+	ctx := context.Background()
+	if _, err := c.Put(ctx, "hr", testLattice, testCons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, c)
+
+	res, err := c.SolveWith(ctx, "hr", SolveOptions{Baseline: true})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	if !res.Baseline || res.CacheHit || res.UpgradedAttrs != 2 || res.Assignment["salary"] != "S" {
+		t.Fatalf("baseline result = %+v", res)
+	}
+	if info, _ := c.Get("hr"); info.Solved {
+		t.Fatal("baseline answer was memoized")
+	}
+	if reg.Counter("solve.cold").Value() != 0 {
+		t.Fatal("baseline ran the minimal solver")
+	}
+	// The cold solve and the trace accessor share the failing compile.
+	if _, err := c.Solve(ctx, "hr"); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("cold solve with a canceled compile: %v", err)
+	}
+	if _, _, err := c.Compiled("hr"); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Compiled with a canceled compile: %v", err)
+	}
+
+	if _, err := c.Put(ctx, "ub", testLattice, "attrs salary\nS >= salary\n", MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SolveWith(ctx, "ub", SolveOptions{Baseline: true}); err == nil {
+		t.Fatal("baseline of an upper-bounded policy succeeded")
+	}
+	if _, err := c.SolveWith(ctx, "nope", SolveOptions{Baseline: true}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("baseline of an unknown policy: %v", err)
+	}
+}
+
+// TestCompiledLeavesMemo: the compiled-snapshot accessor compiles a cold
+// version once — the later cold solve reuses it — and never fills or
+// changes the memo; a warm version's answer survives it.
+func TestCompiledLeavesMemo(t *testing.T) {
+	reg := obs.NewRegistry()
+	inj := fault.New(1)
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Cancel, Nth: 1})
+	c := mustOpen(t, Options{Metrics: reg, Fault: inj})
+	ctx := context.Background()
+	if _, err := c.Put(ctx, "hr", testLattice, testCons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, c) // the refresh's compile is canceled: the version stays cold
+
+	info, compiled, err := c.Compiled("hr")
+	if err != nil || compiled == nil {
+		t.Fatalf("Compiled: %v", err)
+	}
+	if !info.Compiled || info.Solved || info.Version != 1 {
+		t.Fatalf("Compiled info = %+v", info)
+	}
+	compiles := reg.Counter("catalog.compiles").Value()
+	res, err := c.Solve(ctx, "hr")
+	if err != nil || res.CacheHit {
+		t.Fatalf("first solve after Compiled: hit=%v err=%v", res.CacheHit, err)
+	}
+	if got := reg.Counter("catalog.compiles").Value(); got != compiles {
+		t.Fatalf("the cold solve compiled again: %d -> %d", compiles, got)
+	}
+	if _, again, err := c.Compiled("hr"); err != nil || again != compiled {
+		t.Fatalf("Compiled of the same version returned a different snapshot (%v)", err)
+	}
+	if warm, err := c.Solve(ctx, "hr"); err != nil || !warm.CacheHit || warm.Assignment["rank"] != res.Assignment["rank"] {
+		t.Fatalf("memo after Compiled: %+v, %v", warm, err)
 	}
 }
 

@@ -151,7 +151,7 @@ func (c *Catalog) Put(ctx context.Context, name, latticeText, constraintsText st
 			c.policies.Add(1)
 		}
 		s.pol[name] = staged
-		info = staged.info()
+		info = staged.fullInfo()
 		seq = s.seq
 		if opt.SeqOut != nil {
 			*opt.SeqOut = seq
@@ -282,14 +282,11 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 			// The repair already warmed the solution inline; rebuild the
 			// compiled snapshot too, so the version doesn't report
 			// compiled:false forever (a solved cache never triggers the
-			// lazy compile on reads). Same fault point as the pipeline's
-			// compile; on injected failure the snapshot just stays cold.
-			if c.opt.Fault.Hit("catalog.compile") == nil {
-				p.compiled = ns.Snapshot()
-				c.count("catalog.compiles")
-			}
+			// lazy compile on reads). On injected failure the snapshot just
+			// stays cold.
+			_ = c.compile(p)
 		}
-		res.Info = p.info()
+		res.Info = p.fullInfo()
 		pol = p
 		seq = s.seq
 		if opt.SeqOut != nil {

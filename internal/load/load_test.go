@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,25 +17,28 @@ import (
 )
 
 // fakeServer emulates just enough of minupd's surface for the runner:
-// policy CRUD with real liveness, memoized solves, a static instance, a
-// Prometheus endpoint, and per-request behavior knobs (shed, degrade).
+// policy CRUD with real liveness, memoized solves and traces, a Prometheus
+// endpoint, and per-request behavior knobs (shed, degrade).
 type fakeServer struct {
 	mu       sync.Mutex
 	policies map[string]bool
+	seenPuts map[string]bool
 
 	requests  atomic.Uint64
 	mutations atomic.Uint64
 	solves    atomic.Uint64
+	traces    atomic.Uint64
 	problems  atomic.Uint64
 
 	// shedEvery sheds (503) every Nth request when > 0.
 	shedEvery uint64
+	// shedFirstPut sheds (503) the first attempt of every distinct policy
+	// PUT (name and body); a resent PUT lands.
+	shedFirstPut bool
 	// degradeSolves answers policy solves with "degraded": true.
 	degradeSolves atomic.Bool
-	// burnMilli is exposed as slo_solve_avail_burn_5m_milli.
+	// burnMilli is exposed as slo_policy_solve_avail_burn_5m_milli.
 	burnMilli atomic.Int64
-	// noStatic makes /solve and /trace 404 (catalog-only server).
-	noStatic bool
 	// noProblems makes the /problems routes 404 (pre-frontend server).
 	noProblems bool
 	// noLeader answers every mutation 503 + X-Cluster-State: no-leader,
@@ -61,7 +65,7 @@ func (f *fakeServer) newFollower() *httptest.Server {
 }
 
 func newFakeServer() *fakeServer {
-	f := &fakeServer{policies: make(map[string]bool)}
+	f := &fakeServer{policies: make(map[string]bool), seenPuts: make(map[string]bool)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -71,28 +75,7 @@ func newFakeServer() *fakeServer {
 		fmt.Fprintf(w, "# TYPE http_requests counter\nhttp_requests %d\n", f.requests.Load())
 		fmt.Fprintf(w, "# TYPE catalog_mutations counter\ncatalog_mutations %d\n", f.mutations.Load())
 		fmt.Fprintf(w, "# TYPE runtime_goroutines gauge\nruntime_goroutines 12\n")
-		fmt.Fprintf(w, "# TYPE slo_solve_avail_burn_5m_milli gauge\nslo_solve_avail_burn_5m_milli %d\n", f.burnMilli.Load())
-	})
-	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
-		if f.noStatic {
-			http.NotFound(w, r)
-			return
-		}
-		if f.count(w, r) {
-			return
-		}
-		f.solves.Add(1)
-		fmt.Fprintln(w, `{"assignment":{}}`)
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		if f.noStatic {
-			http.NotFound(w, r)
-			return
-		}
-		if f.count(w, r) {
-			return
-		}
-		fmt.Fprintln(w, `{"steps":[]}`)
+		fmt.Fprintf(w, "# TYPE slo_policy_solve_avail_burn_5m_milli gauge\nslo_policy_solve_avail_burn_5m_milli %d\n", f.burnMilli.Load())
 	})
 	mux.HandleFunc("/problems", func(w http.ResponseWriter, r *http.Request) {
 		if f.noProblems {
@@ -148,6 +131,14 @@ func newFakeServer() *fakeServer {
 		defer f.mu.Unlock()
 		switch {
 		case len(parts) == 1 && r.Method == http.MethodPut:
+			if f.shedFirstPut {
+				body, _ := io.ReadAll(r.Body)
+				if key := name + "\x00" + string(body); !f.seenPuts[key] {
+					f.seenPuts[key] = true
+					http.Error(w, "shed", http.StatusServiceUnavailable)
+					return
+				}
+			}
 			f.mutations.Add(1)
 			f.policies[name] = true
 			w.WriteHeader(http.StatusCreated)
@@ -177,6 +168,13 @@ func newFakeServer() *fakeServer {
 			} else {
 				fmt.Fprintln(w, `{"assignment":{}}`)
 			}
+		case len(parts) == 2 && parts[1] == "trace" && r.Method == http.MethodGet:
+			if !f.policies[name] {
+				http.NotFound(w, r)
+				return
+			}
+			f.traces.Add(1)
+			fmt.Fprintln(w, `{"trace_id":"t","spans":{}}`)
 		default:
 			http.Error(w, "bad request", http.StatusBadRequest)
 		}
@@ -298,6 +296,30 @@ func TestRunnerClassifiesSheds(t *testing.T) {
 	}
 	if got := c.ShedRate(); got < 0.2 || got > 0.45 {
 		t.Fatalf("shed rate %.3f implausible for shed-every-3rd", got)
+	}
+}
+
+// TestRunnerResendsShedMutations: a mutation answered 503 never reached the
+// catalog, so the client must resend it rather than move on. Otherwise the
+// appends and deletes behind a shed PUT target a policy that never existed,
+// and their 404s count as errors.
+func TestRunnerResendsShedMutations(t *testing.T) {
+	f := newFakeServer()
+	defer f.srv.Close()
+	f.shedFirstPut = true
+	r := &Runner{BaseURL: f.srv.URL}
+	plan := smokePlan()
+	plan.Stages = plan.Stages[:1]
+	rep, err := r.Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutates := rep.Stages[0].PerOp[opMutate].Counts
+	if mutates.Shed == 0 || mutates.Success == 0 {
+		t.Fatalf("mutations %+v, want shed first attempts and landed resends", mutates)
+	}
+	if c := rep.Stages[0].Total; c.Errors != 0 {
+		t.Fatalf("%d errors after shed PUTs (per op %+v)", c.Errors, rep.Stages[0].PerOp)
 	}
 }
 
@@ -452,27 +474,30 @@ func TestRunnerBurnRateGate(t *testing.T) {
 }
 
 func TestRunnerCatalogOnlyFallback(t *testing.T) {
-	// Against a server with no static instance, cold-solve and trace draws
-	// fall back to cached solves instead of racking up 404 errors.
+	// Every read targets a policy route, and only policies the client has
+	// created: solve and trace draws before its first accepted put fall
+	// back to mutations instead of racking up 404 errors, and traces land
+	// on /policies/{name}/trace.
 	f := newFakeServer()
 	defer f.srv.Close()
-	f.noStatic = true
 	r := &Runner{BaseURL: f.srv.URL}
 	plan := smokePlan()
 	plan.Stages = plan.Stages[:1]
-	plan.Stages[0].Gates = Gates{MaxErrorRate: 0.01}
+	plan.Stages[0].Mix.Trace = 0.3
+	plan.Stages[0].Gates = Gates{MaxErrorRate: 0.0001}
 	rep, err := r.Run(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Passed {
-		t.Fatalf("fallback run failed: %v", rep.Stages[0].GateFailures)
+		t.Fatalf("catalog-only run failed: %v", rep.Stages[0].GateFailures)
 	}
-	st := rep.Stages[0]
-	for _, op := range []string{opCold, opTrace} {
-		if res, ok := st.PerOp[op]; ok && res.Counts.Attempts > 0 {
-			t.Fatalf("%s attempted against a catalog-only server", op)
-		}
+	traces := rep.Stages[0].PerOp[opTrace].Counts
+	if traces.Attempts == 0 || traces.Success != traces.Attempts {
+		t.Fatalf("trace draws %+v, want every one answered", traces)
+	}
+	if got := f.traces.Load(); got < traces.Success {
+		t.Fatalf("server saw %d policy traces, client had %d answered", got, traces.Success)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package load is the staged load-test harness behind cmd/minload: a plan
 // of stages (ramp → storm → soak, plus chaos stages that arm server-side
 // fault injection), each driving a mixed workload — catalog mutations from
-// seeded workload.MutationStreams, cached policy solves, cold solves of
-// the static instance, and trace requests — from many concurrent clients
-// against a running minupd.
+// seeded workload.MutationStreams, policy solves, policy traces, and
+// problem-frontend creates — from many concurrent clients against a running
+// minupd.
 //
 // Each stage records client-side latency histograms (obs.Histogram) and
 // success/degraded/shed/error counts, scrapes the server's
@@ -38,14 +38,11 @@ type Mix struct {
 	// MutationStream (policy put / constraint append / delete).
 	Mutate float64 `json:"mutate"`
 	// CachedSolve asks for a policy the client already created — the
-	// memoized serve path, the hot path at scale.
+	// memoized serve path, the hot path at scale. A read that lands before
+	// the refresh of the policy's latest version runs the cold solve.
 	CachedSolve float64 `json:"cached_solve"`
-	// ColdSolve solves the server's static instance (/solve), which runs
-	// the full compiled solver on every request. On a catalog-only server
-	// these fall back to cached solves.
-	ColdSolve float64 `json:"cold_solve"`
-	// Trace requests a fully instrumented solve (/trace), the most
-	// expensive read. Falls back like ColdSolve on catalog-only servers.
+	// Trace requests a fully instrumented solve of a policy the client
+	// already created (/policies/{name}/trace), the most expensive read.
 	Trace float64 `json:"trace"`
 	// Problem posts a seeded problem-frontend instance (alternating
 	// suppress / depinf) to /problems/{family}, exercising the
@@ -54,7 +51,7 @@ type Mix struct {
 	Problem float64 `json:"problem,omitempty"`
 }
 
-func (m Mix) total() float64 { return m.Mutate + m.CachedSolve + m.ColdSolve + m.Trace + m.Problem }
+func (m Mix) total() float64 { return m.Mutate + m.CachedSolve + m.Trace + m.Problem }
 
 // Gates are a stage's pass/fail thresholds. The zero value of each field
 // disables that gate, so a plan only pays for the checks it declares; use
@@ -138,11 +135,11 @@ func DefaultWorkload() workload.MutationSpec {
 	}
 }
 
-// DefaultMix is the standard request mix: mostly cached solves (the hot
-// path at scale), a steady mutation trickle, some cold solves, a few
-// traces, and a thin stream of problem-frontend creates.
+// DefaultMix is the standard request mix: mostly policy solves (the hot
+// path at scale), a steady mutation trickle, a few traces, and a thin
+// stream of problem-frontend creates.
 func DefaultMix() Mix {
-	return Mix{Mutate: 0.15, CachedSolve: 0.55, ColdSolve: 0.20, Trace: 0.05, Problem: 0.05}
+	return Mix{Mutate: 0.15, CachedSolve: 0.75, Trace: 0.05, Problem: 0.05}
 }
 
 // DefaultPlan is the canonical staged run: ramp to find the knee, storm to

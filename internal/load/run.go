@@ -43,7 +43,6 @@ const (
 const (
 	opMutate  = "mutate"
 	opCached  = "cached_solve"
-	opCold    = "cold_solve"
 	opTrace   = "trace"
 	opProblem = "problem"
 )
@@ -89,10 +88,9 @@ type Runner struct {
 	// Logf, when set, receives one progress line per stage.
 	Logf func(format string, args ...any)
 
-	hasStatic bool
 	// hasProblems reports whether the target serves the problem-frontend
 	// routes; older servers answer 404 on GET /problems, and problem draws
-	// then fall back to mutations the way cold solves fall back to cached.
+	// then fall back to mutations.
 	hasProblems bool
 	targets     []string
 	// readTargets is the preflight's load-balanced ordering of targets for
@@ -114,7 +112,7 @@ func (r *Runner) logf(format string, args ...any) {
 // client is one load-generating goroutine's persistent state: a seeded RNG
 // for op draws, its own MutationStream under a private name prefix (so its
 // mutations stay valid regardless of interleaving with other clients), and
-// the set of policies it knows to be live for cached solves.
+// the set of policies it knows to be live for cached solves and traces.
 type client struct {
 	id     int
 	base   string // this client's home member (reads stay here)
@@ -181,11 +179,10 @@ func (c *client) markDead(name string) {
 }
 
 // pickOp draws a request kind from the stage mix, resolving fallbacks: no
-// static instance turns cold/trace draws into cached solves, no /problems
-// routes turn problem draws into mutations, and a cached draw with no live
-// policy becomes a mutation (whose stream is guaranteed to start with a
-// put).
-func (c *client) pickOp(mix Mix, hasStatic, hasProblems bool) string {
+// /problems routes turn problem draws into mutations, and a cached or trace
+// draw with no live policy becomes a mutation (whose stream is guaranteed to
+// start with a put).
+func (c *client) pickOp(mix Mix, hasProblems bool) string {
 	r := c.rng.Float64() * mix.total()
 	var op string
 	switch {
@@ -193,20 +190,15 @@ func (c *client) pickOp(mix Mix, hasStatic, hasProblems bool) string {
 		op = opMutate
 	case r < mix.Mutate+mix.CachedSolve:
 		op = opCached
-	case r < mix.Mutate+mix.CachedSolve+mix.ColdSolve:
-		op = opCold
-	case r < mix.Mutate+mix.CachedSolve+mix.ColdSolve+mix.Trace:
+	case r < mix.Mutate+mix.CachedSolve+mix.Trace:
 		op = opTrace
 	default:
 		op = opProblem
 	}
-	if (op == opCold || op == opTrace) && !hasStatic {
-		op = opCached
-	}
 	if op == opProblem && !hasProblems {
 		op = opMutate
 	}
-	if op == opCached && len(c.live) == 0 {
+	if (op == opCached || op == opTrace) && len(c.live) == 0 {
 		op = opMutate
 	}
 	return op
@@ -229,7 +221,7 @@ func newStageRecorder() *stageRecorder {
 		perOp:  make(map[string]*obs.Histogram),
 		counts: make(map[string]*Counts),
 	}
-	for _, op := range []string{opMutate, opCached, opCold, opTrace, opProblem} {
+	for _, op := range []string{opMutate, opCached, opTrace, opProblem} {
 		r.perOp[op] = obs.NewHistogram(obs.DurationBucketsUS)
 		r.counts[op] = &Counts{}
 	}
@@ -376,10 +368,9 @@ func (r *Runner) Run(ctx context.Context, plan Plan) (*Report, error) {
 	return report, nil
 }
 
-// preflight verifies every target is alive and discovers which optional
-// surfaces exist: the static /solve instance (decides cold-solve/trace
-// fallbacks) and the /problems frontend routes (decides the problem-op
-// fallback), then ranks the targets for read traffic.
+// preflight verifies every target is alive and discovers whether the
+// /problems frontend routes exist (decides the problem-op fallback), then
+// ranks the targets for read traffic.
 func (r *Runner) preflight(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, r.RequestTimeout)
 	defer cancel()
@@ -397,24 +388,11 @@ func (r *Runner) preflight(ctx context.Context) error {
 			return fmt.Errorf("load: %s/healthz answered %d", target, resp.StatusCode)
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/solve", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/problems", nil)
 	if err != nil {
 		return err
 	}
 	resp, err := r.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("load: probing /solve: %w", err)
-	}
-	drain(resp)
-	r.hasStatic = resp.StatusCode != http.StatusNotFound
-	if !r.hasStatic {
-		r.logf("target has no static instance; cold-solve and trace draws fall back to cached solves")
-	}
-	req, err = http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/problems", nil)
-	if err != nil {
-		return err
-	}
-	resp, err = r.Client.Do(req)
 	if err != nil {
 		return fmt.Errorf("load: probing /problems: %w", err)
 	}
@@ -618,7 +596,7 @@ func (r *Runner) clientLoop(ctx context.Context, st Stage, c *client, rec *stage
 				nextAt = time.Now().Add(interval)
 			}
 		}
-		op := c.pickOp(st.Mix, r.hasStatic, r.hasProblems)
+		op := c.pickOp(st.Mix, r.hasProblems)
 		outcome, d, hops, err := r.execute(ctx, c, op)
 		if err != nil && ctx.Err() != nil {
 			return // stage ended mid-request; not the server's fault
@@ -638,9 +616,10 @@ type mutationBody struct {
 // leader redirects, re-sending the same method and body each hop. A 503
 // carrying X-Cluster-State (election window, replication stall) counts as
 // degraded — the cluster still serves reads but cannot commit just now —
-// while an untyped 503 remains an admission shed. The returned error is
-// only consulted to detect stage teardown; it is already folded into the
-// outcome.
+// while an untyped 503 remains an admission shed. Either way the mutation
+// was not acknowledged, so it stays the client's next one. The returned
+// error is only consulted to detect stage teardown; it is already folded
+// into the outcome.
 func (r *Runner) execute(ctx context.Context, c *client, op string) (Outcome, time.Duration, int, error) {
 	var (
 		method = http.MethodGet
@@ -676,10 +655,8 @@ func (r *Runner) execute(ctx context.Context, c *client, op string) (Outcome, ti
 		}
 	case opCached:
 		path = "/policies/" + c.live[c.rng.Intn(len(c.live))] + "/solve"
-	case opCold:
-		path = "/solve"
 	case opTrace:
-		path = "/trace"
+		path = "/policies/" + c.live[c.rng.Intn(len(c.live))] + "/trace"
 	case opProblem:
 		// Alternate the frontend families with a per-client deterministic
 		// seed; the instance lands under a client-scoped policy name so
@@ -776,9 +753,15 @@ func (r *Runner) execute(ctx context.Context, c *client, op string) (Outcome, ti
 	}
 	drain(resp)
 
+	// A mutation answered 503 was shed, or not committed in an election
+	// window: keep it the client's next one, or the appends and deletes
+	// behind a lost put would target a policy that never existed.
+	if op == opMutate && resp.StatusCode == http.StatusServiceUnavailable {
+		c.next--
+	}
 	// Keep the client's live-set in sync with the mutations the server
-	// actually accepted, so cached solves only target policies that exist.
-	// A stored problem is an ordinary policy, so it joins the live set too.
+	// actually accepted, so reads only target policies that exist. A stored
+	// problem is an ordinary policy, so it joins the live set too.
 	if (op == opMutate || op == opProblem) && outcome == OutcomeSuccess {
 		switch mut.Op {
 		case workload.OpPut:

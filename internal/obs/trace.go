@@ -196,7 +196,8 @@ func (s *Span) Walk(fn func(*Span)) {
 }
 
 // SpanNode is the JSON tree shape of a finished span, used by the minupd
-// /trace endpoint and anywhere a serializable copy of the tree is needed.
+// /policies/{name}/trace endpoint and anywhere a serializable copy of the
+// tree is needed.
 type SpanNode struct {
 	ID         uint64     `json:"id"`
 	ParentID   uint64     `json:"parent_id,omitempty"`

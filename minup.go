@@ -672,6 +672,9 @@ type (
 	// PolicySolveResult is a served solution: assignment, solve stats, and
 	// whether it came from the memoized cache.
 	PolicySolveResult = catalog.SolveResult
+	// PolicySolveOptions tunes how a cold version is answered: a
+	// solver-event sink for its solve, or the Qian baseline in its place.
+	PolicySolveOptions = catalog.SolveOptions
 	// CatalogRecoveryInfo reports what OpenCatalog reconstructed from the
 	// data directory (snapshot policies, WAL records, torn tails, shards).
 	CatalogRecoveryInfo = catalog.RecoveryInfo

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Load smoke (`make load-smoke`): start one minupd with the Figure 2(a)
-# static instance and fault admin enabled, then run cmd/minload's staged
-# plan scaled down to CI size — a short ramp, storm, and chaos stage —
+# Load smoke (`make load-smoke`): start one minupd with fault admin enabled,
+# store the Figure 2(a) fixtures as policy fig2, then run cmd/minload's
+# staged plan scaled down to CI size — a short ramp, storm, and chaos stage —
 # writing per-stage JSON into artifacts/load/ for CI to upload. Then the
 # negative check: rerun the ramp with an impossibly tight p99 gate and
-# require a nonzero exit, proving the gates actually gate.
+# require a nonzero exit, proving the gates actually gate. Needs curl and jq.
 #
 # Usage: scripts/load_smoke.sh [addr] [debug-addr]
 #        (defaults 127.0.0.1:18091 and 127.0.0.1:16071)
@@ -22,8 +22,6 @@ go build -o /tmp/minupd ./cmd/minupd
 go build -o /tmp/minload ./cmd/minload
 
 /tmp/minupd \
-  -lattice testdata/lattice_fig1b.txt \
-  -constraints testdata/constraints_fig2.txt \
   -addr "$addr" -debug-addr "$dbg" \
   -fault-admin \
   -slo-interval 1s &
@@ -39,6 +37,16 @@ until curl -fsS "http://$addr/healthz" >/dev/null 2>&1; do
   fi
   sleep 0.1
 done
+
+code="$(jq -n --rawfile l testdata/lattice_fig1b.txt \
+    --rawfile c testdata/constraints_fig2.txt '{lattice:$l,constraints:$c}' |
+  curl -sS -o /tmp/load-smoke-put.json -w '%{http_code}' -X PUT --data-binary @- \
+    "http://$addr/policies/fig2?wait=1")"
+if [ "$code" != "201" ]; then
+  echo "load-smoke: PUT /policies/fig2 returned $code" >&2
+  cat /tmp/load-smoke-put.json >&2 || true
+  exit 1
+fi
 
 # ~30s total: ramp + storm + chaos at 10s each. The chaos stage arms the
 # fault injector over /debug/fault and must disarm it afterwards.
@@ -77,7 +85,7 @@ cat > /tmp/load-smoke-tight.json <<'EOF'
     {
       "name": "tight", "kind": "soak", "seconds": 3, "clients": 4,
       "qps": 50,
-      "mix": {"mutate": 0.2, "cached_solve": 0.6, "cold_solve": 0.15, "trace": 0.05},
+      "mix": {"mutate": 0.2, "cached_solve": 0.75, "trace": 0.05},
       "gates": {"max_p99_ms": 0.0001}
     }
   ]

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Focused smoke of the observability layer (`make slo-smoke`): start one
 # chaos-configured minupd (20ms solve budget, every solver step delayed 30ms
-# by fault injection, anomaly dumps under artifacts/anomalies), drive a mix
-# of healthy-looking and forced-degraded traffic, then assert the whole
-# flight-recorder/SLO chain end to end:
+# by fault injection, anomaly dumps under artifacts/anomalies), drive
+# forced-degraded traffic — each request solves a fresh un-waited copy of
+# the Figure 2(a) policy, whose version no refresh has warmed yet — then
+# assert the whole flight-recorder/SLO chain end to end:
 #
 #   1. every request shows up in /debug/requests (JSON and HTML views);
 #   2. the degraded requests are in the anomaly ring with dump file names;
@@ -13,7 +14,7 @@
 #   5. a SIGTERM drain writes the final-state dump.
 #
 # The dump directory is left in place (artifacts/ is gitignored) so CI can
-# upload the anomaly dumps as a build artifact.
+# upload the anomaly dumps as a build artifact. Needs curl and jq.
 #
 # Usage: scripts/slo_smoke.sh [addr] [debug-addr]
 #        (defaults 127.0.0.1:18090 and 127.0.0.1:16070)
@@ -30,13 +31,11 @@ mkdir -p "$dump_dir"
 go build -o /tmp/minupd ./cmd/minupd
 
 /tmp/minupd \
-  -lattice testdata/lattice_fig1b.txt \
-  -constraints testdata/constraints_fig2.txt \
   -addr "$addr" -debug-addr "$dbg" \
   -solve-timeout 20ms \
   -fault 'solve.step:delay:%1:30ms' \
   -flight-dump-dir "$dump_dir" -flight-dump-cap 1048576 \
-  -slo 'solve:p99=10ms,avail=99.9' -slo-interval 1s &
+  -slo 'policy.solve:p99=10ms,avail=99.9' -slo-interval 1s &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true' EXIT INT TERM
 
@@ -59,11 +58,22 @@ fetch() {
   fi
 }
 
-# Every solve blows the 20ms budget through the 30ms step delay, so each one
-# degrades to the baseline: five requests, five availability-budget burns.
+# Every cold solve blows the 20ms budget through the 30ms step delay, while
+# the policy's own refresh needs a few hundred ms: each read of a fresh
+# policy degrades to the baseline. Five requests, five availability-budget
+# burns.
+fig2_body="$(jq -n --rawfile l testdata/lattice_fig1b.txt \
+  --rawfile c testdata/constraints_fig2.txt '{lattice:$l,constraints:$c}')"
 n=0
 while [ "$n" -lt 5 ]; do
-  fetch "http://$addr/solve" /tmp/slo-smoke-solve.json
+  code="$(curl -sS -o /tmp/slo-smoke-put.json -w '%{http_code}' -X PUT \
+    -d "$fig2_body" "http://$addr/policies/fig2-$n")"
+  if [ "$code" != "201" ]; then
+    echo "slo-smoke: PUT /policies/fig2-$n returned $code" >&2
+    cat /tmp/slo-smoke-put.json >&2 || true
+    exit 1
+  fi
+  fetch "http://$addr/policies/fig2-$n/solve" /tmp/slo-smoke-solve.json
   grep -q '"degraded": true' /tmp/slo-smoke-solve.json
   n=$((n + 1))
 done
@@ -71,7 +81,7 @@ echo "slo-smoke: 5 forced-degraded solves served"
 
 # (1)+(2) The live view lists them, and they are anomalies with dumps.
 fetch "http://$dbg/debug/requests?format=json" /tmp/slo-smoke-flight.json
-grep -q '"route": "solve"' /tmp/slo-smoke-flight.json
+grep -q '"route": "policy.solve"' /tmp/slo-smoke-flight.json
 grep -q '"degrade_reason": "deadline"' /tmp/slo-smoke-flight.json
 grep -q '"dump": "anomaly-' /tmp/slo-smoke-flight.json
 fetch "http://$dbg/debug/requests" /tmp/slo-smoke-flight.html
@@ -93,12 +103,12 @@ echo "slo-smoke: $count Perfetto-loadable anomaly dumps in $dump_dir"
 # (4) The burn gauges moved: 100% degraded traffic against a 99.9% target
 # is a 1000x burn (1000000 milli); accept anything clearly non-zero.
 fetch "http://$addr/metrics?format=prometheus" /tmp/slo-smoke-metrics.txt
-burn="$(awk '/^slo_solve_avail_burn_5m_milli /{print $2}' /tmp/slo-smoke-metrics.txt)"
+burn="$(awk '/^slo_policy_solve_avail_burn_5m_milli /{print $2}' /tmp/slo-smoke-metrics.txt)"
 if [ -z "$burn" ] || [ "$burn" -le 1000 ]; then
   echo "slo-smoke: availability burn gauge did not move (got '${burn:-absent}')" >&2
   exit 1
 fi
-lat="$(awk '/^slo_solve_latency_burn_5m_milli /{print $2}' /tmp/slo-smoke-metrics.txt)"
+lat="$(awk '/^slo_policy_solve_latency_burn_5m_milli /{print $2}' /tmp/slo-smoke-metrics.txt)"
 if [ -z "$lat" ] || [ "$lat" -le 0 ]; then
   echo "slo-smoke: latency burn gauge did not move (got '${lat:-absent}')" >&2
   exit 1

@@ -1,26 +1,31 @@
 #!/usr/bin/env sh
 # Smoke-test the minupd HTTP service end to end against the checked-in
-# Figure 2(a) fixtures: build, start, poll /healthz, then assert that
-# /readyz, /solve, /metrics?format=prometheus, and /trace?format=chrome all
-# answer 200 with non-empty bodies. The Chrome trace is left at
-# artifacts/sample-trace.json (gitignored) for CI to upload as an artifact.
-# A second, deliberately throttled instance (-max-inflight 1, no queue,
-# 20ms solve budget, every solver step delayed 30ms by fault injection)
-# then exercises the robustness layer: a forced-degraded solve and load
-# shedding under concurrent requests, with the http_shed and
-# solve_degraded counters asserted via Prometheus exposition. A third
-# instance runs the durable sharded policy catalog: create a policy with a
-# waited mutation, append a constraint through the inline incremental
-# repair (?wait=1), solve twice (the second solve must be a cache hit),
-# check the /policies index and per-shard metrics, SIGTERM, restart on the
-# same -data-dir WITHOUT -shards (the directory's pinned count must win),
-# and assert the policy survived.
+# Figure 2(a) fixtures: build, start, poll /healthz, store the fixtures as
+# policy fig2 (PUT /policies/fig2 with ?wait=1), then assert that /readyz,
+# /policies/fig2/solve?trace=1, /metrics?format=prometheus, and
+# /policies/fig2/trace?format=chrome all answer 200 with non-empty bodies.
+# The Chrome trace is left at artifacts/sample-trace.json (gitignored) for
+# CI to upload as an artifact. A second, deliberately throttled instance
+# (-max-inflight 1, no queue, 20ms solve budget, every solver step delayed
+# 30ms by fault injection) then exercises the robustness layer: a
+# forced-degraded solve and load shedding under concurrent requests, with
+# the http_shed and solve_degraded counters asserted via Prometheus
+# exposition. Each of those requests reads a fresh un-waited policy, whose
+# version no refresh has warmed yet, so it runs the guarded cold solve. A
+# third instance runs the durable sharded policy catalog: create a policy
+# with a waited mutation, append a constraint through the inline
+# incremental repair (?wait=1), solve twice (the second solve must be a
+# cache hit), check the /policies index and per-shard metrics, SIGTERM,
+# restart on the same -data-dir WITHOUT -shards (the directory's pinned
+# count must win), and assert the policy survived.
 #
 # The first two instances also expose the loopback debug listener so the
 # flight recorder's /debug/requests view and the SLO burn-rate gauges can be
 # asserted: issued solves must appear in the JSON view, the chaos instance's
 # forced-degraded request must land in the anomaly ring with an on-disk
 # Perfetto dump, and its availability burn gauge must move.
+#
+# Needs curl and jq (which builds the policy body from the fixture files).
 #
 # Usage: scripts/smoke_minupd.sh [addr] [addr2] [addr3]
 #        (defaults 127.0.0.1:18080 .. 127.0.0.1:18082; debug listeners on
@@ -38,10 +43,22 @@ mkdir -p artifacts
 
 go build -o /tmp/minupd ./cmd/minupd
 
-/tmp/minupd \
-  -lattice testdata/lattice_fig1b.txt \
-  -constraints testdata/constraints_fig2.txt \
-  -addr "$addr" -debug-addr "$dbg1" &
+# The Figure 2(a) policy: the two fixture files as one PUT body.
+fig2_body="$(jq -n --rawfile l testdata/lattice_fig1b.txt \
+  --rawfile c testdata/constraints_fig2.txt '{lattice:$l,constraints:$c}')"
+
+put_fig2() {
+  # put_fig2 <addr> <name-and-query>: store the Figure 2(a) policy; assert 201.
+  code="$(curl -sS -o /tmp/smoke-put.json -w '%{http_code}' -X PUT \
+    -d "$fig2_body" "http://$1/policies/$2")"
+  if [ "$code" != "201" ]; then
+    echo "smoke: PUT /policies/$2 returned $code" >&2
+    cat /tmp/smoke-put.json >&2 || true
+    exit 1
+  fi
+}
+
+/tmp/minupd -addr "$addr" -debug-addr "$dbg1" &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true' EXIT INT TERM
 
@@ -71,10 +88,14 @@ fetch() {
   fi
 }
 
-fetch "http://$addr/solve?trace=1" /tmp/smoke-solve.json
-grep -q '"assignment"' /tmp/smoke-solve.json
+put_fig2 "$addr" 'fig2?wait=1'
+grep -q '"solved": true' /tmp/smoke-put.json
+echo "smoke: PUT /policies/fig2 ok"
+
+fetch "http://$addr/policies/fig2/solve?trace=1" /tmp/smoke-solve.json
+grep -q '"B": "L5"' /tmp/smoke-solve.json
 grep -q '"trace_id"' /tmp/smoke-solve.json
-echo "smoke: /solve?trace=1 ok"
+echo "smoke: /policies/fig2/solve?trace=1 ok"
 
 fetch "http://$addr/metrics?format=prometheus" /tmp/smoke-metrics.txt
 grep -q '^# TYPE solve_count counter' /tmp/smoke-metrics.txt
@@ -82,13 +103,13 @@ grep -q '^solve_duration_us_bucket{le="+Inf"}' /tmp/smoke-metrics.txt
 grep -q '^http_in_flight ' /tmp/smoke-metrics.txt
 echo "smoke: /metrics?format=prometheus ok"
 
-fetch "http://$addr/trace?format=chrome" artifacts/sample-trace.json
+fetch "http://$addr/policies/fig2/trace?format=chrome" artifacts/sample-trace.json
 grep -q '"traceEvents"' artifacts/sample-trace.json
-echo "smoke: /trace?format=chrome ok (artifacts/sample-trace.json)"
+echo "smoke: /policies/fig2/trace?format=chrome ok (artifacts/sample-trace.json)"
 
-fetch "http://$addr/trace" /tmp/smoke-trace.json
+fetch "http://$addr/policies/fig2/trace" /tmp/smoke-trace.json
 grep -q '"spans"' /tmp/smoke-trace.json
-echo "smoke: /trace ok"
+echo "smoke: /policies/fig2/trace ok"
 
 fetch "http://$addr/readyz" /tmp/smoke-ready.txt
 grep -q 'ready' /tmp/smoke-ready.txt
@@ -98,7 +119,7 @@ echo "smoke: /readyz ok"
 # solves issued above must be in the ring, in both the JSON and HTML views.
 fetch "http://$dbg1/debug/requests?format=json" /tmp/smoke-flight.json
 grep -q '"total_records"' /tmp/smoke-flight.json
-grep -q '"route": "solve"' /tmp/smoke-flight.json
+grep -q '"route": "policy.solve"' /tmp/smoke-flight.json
 fetch "http://$dbg1/debug/requests" /tmp/smoke-flight.html
 grep -q '/debug/requests' /tmp/smoke-flight.html
 echo "smoke: /debug/requests ok (JSON and HTML)"
@@ -106,8 +127,8 @@ echo "smoke: /debug/requests ok (JSON and HTML)"
 # The SLO burn-rate gauges are part of the Prometheus exposition from the
 # first scrape (the runtime collector publishes them eagerly).
 fetch "http://$addr/metrics?format=prometheus" /tmp/smoke-metrics-slo.txt
-grep -q '^# TYPE slo_solve_avail_burn_5m_milli gauge' /tmp/smoke-metrics-slo.txt
-grep -q '^slo_solve_latency_burn_1h_milli ' /tmp/smoke-metrics-slo.txt
+grep -q '^# TYPE slo_policy_solve_avail_burn_5m_milli gauge' /tmp/smoke-metrics-slo.txt
+grep -q '^slo_policy_solve_latency_burn_1h_milli ' /tmp/smoke-metrics-slo.txt
 grep -q '^runtime_goroutines ' /tmp/smoke-metrics-slo.txt
 echo "smoke: SLO burn-rate and runtime gauges exported"
 
@@ -115,11 +136,10 @@ echo "smoke: SLO burn-rate and runtime gauges exported"
 # One slot, no queue, a 20ms solve budget, and a fault injector that delays
 # every solver step 30ms: any minimal solve blows its deadline (forcing the
 # Qian-baseline degraded path), and concurrent requests overflow the gate
-# (forcing sheds).
+# (forcing sheds). A refresh needs a few hundred ms under that delay, so a
+# solve issued right after an un-waited PUT finds the version cold.
 dump_dir="$(mktemp -d)"
 /tmp/minupd \
-  -lattice testdata/lattice_fig1b.txt \
-  -constraints testdata/constraints_fig2.txt \
   -addr "$addr2" -debug-addr "$dbg2" \
   -max-inflight 1 -max-queue 0 -solve-timeout 20ms \
   -flight-dump-dir "$dump_dir" \
@@ -137,11 +157,12 @@ until curl -fsS "http://$addr2/healthz" >/dev/null 2>&1; do
   sleep 0.1
 done
 
-fetch "http://$addr2/solve" /tmp/smoke-degraded.json
+put_fig2 "$addr2" degraded
+fetch "http://$addr2/policies/degraded/solve" /tmp/smoke-degraded.json
 grep -q '"degraded": true' /tmp/smoke-degraded.json
 grep -q '"degrade_reason": "deadline"' /tmp/smoke-degraded.json
 grep -q '"assignment"' /tmp/smoke-degraded.json
-echo "smoke: forced-degraded /solve ok"
+echo "smoke: forced-degraded cold solve ok"
 
 # The degraded request is an anomaly: it must be in the flight recorder's
 # anomaly ring with a dump file name, the dump must exist on disk as a
@@ -160,19 +181,23 @@ grep -q '"traceEvents"' "$dump_dir/$dump_file"
 echo "smoke: degraded anomaly dumped ($dump_file)"
 
 fetch "http://$addr2/metrics?format=prometheus" /tmp/smoke-metrics-burn.txt
-burn="$(awk '/^slo_solve_avail_burn_5m_milli /{print $2}' /tmp/smoke-metrics-burn.txt)"
+burn="$(awk '/^slo_policy_solve_avail_burn_5m_milli /{print $2}' /tmp/smoke-metrics-burn.txt)"
 if [ -z "$burn" ] || [ "$burn" -le 0 ]; then
   echo "smoke: availability burn gauge did not move (got '${burn:-absent}')" >&2
   exit 1
 fi
-echo "smoke: availability burn gauge moved (slo_solve_avail_burn_5m_milli=$burn)"
+echo "smoke: availability burn gauge moved (slo_policy_solve_avail_burn_5m_milli=$burn)"
 
-# Fire 8 concurrent solves at the single-slot gate; with each solve pinned
-# down by the 30ms step delay, most must be shed with 503.
+# Fire 8 concurrent solves at the single-slot gate, each of a fresh cold
+# policy; with each solve pinned down by the 30ms step delay, most must be
+# shed with 503.
+for n in 1 2 3 4 5 6 7 8; do
+  put_fig2 "$addr2" "shed$n"
+done
 : > /tmp/smoke-shed-codes.txt
 curl_pids=""
-for _ in 1 2 3 4 5 6 7 8; do
-  curl -sS -o /dev/null -w '%{http_code}\n' "http://$addr2/solve" >> /tmp/smoke-shed-codes.txt &
+for n in 1 2 3 4 5 6 7 8; do
+  curl -sS -o /dev/null -w '%{http_code}\n' "http://$addr2/policies/shed$n/solve" >> /tmp/smoke-shed-codes.txt &
   curl_pids="$curl_pids $!"
 done
 for p in $curl_pids; do
@@ -202,7 +227,7 @@ fi
 echo "smoke: http_shed and solve_degraded counters ok (shed=$shed degraded=$degraded)"
 
 # --- Policy catalog: durability across restart ----------------------------
-# A pure catalog server (no static instance), sharded two ways: create a
+# A durable catalog server, sharded two ways: create a
 # policy, append a constraint through the inline incremental-repair path
 # (?wait=1), solve twice asserting the second solve is a memoized cache
 # hit, then SIGTERM and restart on the same data directory — with no
