@@ -28,9 +28,9 @@ ci: vet fmt-check race
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Machine-readable solve-path benchmarks: the fresh/compiled split plus
-# the policy catalog's memoized serve path, written to BENCH_solve.json
-# (CI uploads it as an artifact).
+# Machine-readable solve-path benchmarks: the fresh/compiled split, the
+# policy catalog's memoized serve path and the policy-text parse, written
+# to BENCH_solve.json (CI uploads it as an artifact).
 bench-json:
 	sh scripts/bench_json.sh
 

@@ -655,6 +655,53 @@ func BenchmarkSolveDepinf(b *testing.B) {
 	}
 }
 
+// BenchmarkParsePolicy measures building a policy from its source texts
+// the way the catalog does on every put, append, follower apply and WAL
+// replay: lattice.Parse, NewSet and ParseString. The shapes and sizes are
+// those of perfbench's cold_create workload: a 402-attribute paper set, a
+// 20x21 suppress grid and a 504-attribute depinf DAG, the last two as the
+// texts their frontends compile to.
+func BenchmarkParsePolicy(b *testing.B) {
+	paper, err := workload.GenerateFamily("paper", 1, 67)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab, err := suppress.Generate(suppress.GenSpec{Seed: 1, Rows: 20, Cols: 21})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sup, err := suppress.Frontend{}.Compile(tab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dep, err := depinf.Frontend{}.Compile(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct{ name, lattice, constraints string }{
+		{"paper", paper.Lattice, paper.Constraints},
+		{"suppress", sup.LatticeText, sup.ConstraintText},
+		{"depinf", dep.LatticeText, dep.ConstraintText},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lat, err := lattice.Parse(strings.NewReader(tc.lattice))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := constraint.NewSet(lat).ParseString(tc.constraints); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSolveCompiledStats measures the fully observed compiled path —
 // lattice op counting, a counting event sink, and registry aggregation all
 // enabled — the upper bound a telemetry-heavy deployment pays relative to

@@ -125,6 +125,13 @@ func (s *Set) AddAttr(name string) (Attr, error) {
 	if a, ok := s.index[name]; ok {
 		return a, nil
 	}
+	return s.declare(name, true)
+}
+
+// declare adds a name that is not declared yet as a new attribute.
+// checkLevel is false only when the caller has just failed to parse name
+// as a level, so that a new identifier costs one failed level lookup.
+func (s *Set) declare(name string, checkLevel bool) (Attr, error) {
 	if s.frozen {
 		return 0, fmt.Errorf("%w: cannot declare attribute %q", ErrFrozen, name)
 	}
@@ -134,8 +141,10 @@ func (s *Set) AddAttr(name string) (Attr, error) {
 	if strings.ContainsAny(name, "(), \t") {
 		return 0, fmt.Errorf("constraint: attribute name %q contains reserved characters", name)
 	}
-	if _, err := s.lat.ParseLevel(name); err == nil {
-		return 0, fmt.Errorf("constraint: attribute name %q collides with a level of lattice %q", name, s.lat.Name())
+	if checkLevel {
+		if _, err := s.lat.ParseLevel(name); err == nil {
+			return 0, fmt.Errorf("constraint: attribute name %q collides with a level of lattice %q", name, s.lat.Name())
+		}
 	}
 	a := Attr(len(s.names))
 	s.names = append(s.names, name)

@@ -1,6 +1,9 @@
 package constraint
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -303,5 +306,68 @@ func TestParseIntoReader(t *testing.T) {
 	}
 	if len(s.Constraints()) != 1 {
 		t.Fatal("reader parse failed")
+	}
+}
+
+// TestParseErrorText pins the parser's error messages, so that a change
+// to how tokens are resolved cannot change what a rejected policy reports.
+func TestParseErrorText(t *testing.T) {
+	l := chain4(t)
+	for _, tc := range []struct{ in, want string }{
+		{"lub(a, S) >= TS", `line 1: constraint "lub(a, S) >= TS": level "S" cannot appear inside lub(...) (levels belong on the right-hand side)`},
+		{"a >= C\nlub(a, S) >= b", `line 2: constraint "lub(a, S) >= b": level "S" cannot appear inside lub(...) (levels belong on the right-hand side)`},
+		{"S >= TS", `line 1: constraint "S >= TS" relates two constants`},
+		{"lub(a,,b) >= S", `line 1: constraint "lub(a,,b) >= S" has an empty lub member`},
+		{"lub(a, b) >= b", `line 1: constraint: rhs attribute "b" also on lhs (trivially satisfied)`},
+		{"x >= a\tb", `line 1: constraint: attribute name "a\tb" contains reserved characters`},
+		{"a b >= S", `line 1: constraint: attribute name "a b" contains reserved characters`},
+		{"a >= S\nattrs b TS", `line 2: constraint: attribute name "TS" collides with a level of lattice "mil"`},
+		{"a >", `line 1: constraint "a >" missing '>='`},
+		{">= a", `line 1: constraint ">= a" has an empty side`},
+	} {
+		err := NewSet(l).ParseString(tc.in)
+		if err == nil {
+			t.Errorf("ParseString(%q) accepted", tc.in)
+		} else if err.Error() != tc.want {
+			t.Errorf("ParseString(%q) error\n got %s\nwant %s", tc.in, err, tc.want)
+		}
+	}
+
+	s := NewSet(l)
+	if err := s.ParseString("a >= S"); err != nil {
+		t.Fatal(err)
+	}
+	s.Compile()
+	for _, tc := range []struct{ in, want string }{
+		{"a >= TS", "line 1: constraint: set is frozen by Compile: cannot add constraint"},
+		{"z >= TS", `line 1: constraint: set is frozen by Compile: cannot declare attribute "z"`},
+		{"TS >= a", "line 1: constraint: set is frozen by Compile: cannot add upper bound"},
+	} {
+		if err := s.ParseString(tc.in); err == nil || err.Error() != tc.want || !errors.Is(err, ErrFrozen) {
+			t.Errorf("frozen ParseString(%q) error = %v, want %s", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestParseLongLines checks the line limit: a line far longer than the
+// scanner's starting buffer parses, and one over 4 MiB is refused.
+func TestParseLongLines(t *testing.T) {
+	l := chain4(t)
+	var b strings.Builder
+	b.WriteString("attrs")
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&b, " a%05d", i)
+	}
+	b.WriteString("\na19999 >= S\n")
+	s := NewSet(l)
+	if err := s.ParseString(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumAttrs() != 20000 || len(s.Constraints()) != 1 {
+		t.Fatalf("parsed %d attributes and %d constraints", s.NumAttrs(), len(s.Constraints()))
+	}
+	long := "a >= S\nattrs " + strings.Repeat("x", 4<<20) + "\n"
+	if err := NewSet(l).ParseString(long); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a line over 4 MiB: err = %v, want %v", err, bufio.ErrTooLong)
 	}
 }

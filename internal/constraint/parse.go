@@ -24,7 +24,11 @@ import (
 // identifiers are attributes and are declared on first use.
 func (s *Set) ParseInto(r io.Reader) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	// Lines may be up to 4 MiB; the buffer starts small and grows only
+	// for long ones.
+	sc.Buffer(nil, 4*1024*1024)
+	// lhs is scratch reused across lines: Add copies what it keeps.
+	var lhs []Attr
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -40,7 +44,8 @@ func (s *Set) ParseInto(r io.Reader) error {
 			}
 			continue
 		}
-		if err := s.parseConstraintLine(line); err != nil {
+		var err error
+		if lhs, err = s.parseConstraintLine(line, lhs[:0]); err != nil {
 			return fmt.Errorf("line %d: %w", lineno, err)
 		}
 	}
@@ -52,63 +57,73 @@ func (s *Set) ParseString(text string) error {
 	return s.ParseInto(strings.NewReader(text))
 }
 
-func (s *Set) parseConstraintLine(line string) error {
+// parseConstraintLine parses one constraint line, collecting its left-hand
+// side in lhs (an empty scratch slice); it returns lhs for reuse.
+func (s *Set) parseConstraintLine(line string, lhs []Attr) ([]Attr, error) {
 	lhsText, rhsText, ok := strings.Cut(line, ">=")
 	if !ok {
-		return fmt.Errorf("constraint %q missing '>='", line)
+		return lhs, fmt.Errorf("constraint %q missing '>='", line)
 	}
 	lhsText = strings.TrimSpace(lhsText)
 	rhsText = strings.TrimSpace(rhsText)
 	if lhsText == "" || rhsText == "" {
-		return fmt.Errorf("constraint %q has an empty side", line)
+		return lhs, fmt.Errorf("constraint %q has an empty side", line)
 	}
 
 	rhs, err := s.parseOperand(rhsText)
 	if err != nil {
-		return err
+		return lhs, err
 	}
 
 	// Complex lhs: lub(a, b, ...).
 	if inner, found := cutLub(lhsText); found {
-		var lhs []Attr
-		for _, tok := range strings.Split(inner, ",") {
+		for more := true; more; {
+			var tok string
+			tok, inner, more = strings.Cut(inner, ",")
 			tok = strings.TrimSpace(tok)
 			if tok == "" {
-				return fmt.Errorf("constraint %q has an empty lub member", line)
+				return lhs, fmt.Errorf("constraint %q has an empty lub member", line)
 			}
-			if _, err := s.lat.ParseLevel(tok); err == nil {
-				return fmt.Errorf("constraint %q: level %q cannot appear inside lub(...) (levels belong on the right-hand side)", line, tok)
-			}
-			a, err := s.AddAttr(tok)
+			op, err := s.parseOperand(tok)
 			if err != nil {
-				return err
+				return lhs, err
 			}
-			lhs = append(lhs, a)
+			if op.IsLevel {
+				return lhs, fmt.Errorf("constraint %q: level %q cannot appear inside lub(...) (levels belong on the right-hand side)", line, tok)
+			}
+			lhs = append(lhs, op.Attr)
 		}
-		return s.Add(lhs, rhs)
+		return lhs, s.Add(lhs, rhs)
 	}
 
 	// Simple lhs: a single attribute, or a level (§6 upper bound).
-	if lvl, err := s.lat.ParseLevel(lhsText); err == nil {
-		if rhs.IsLevel {
-			return fmt.Errorf("constraint %q relates two constants", line)
-		}
-		return s.AddUpper(rhs.Attr, lvl)
-	}
-	a, err := s.AddAttr(lhsText)
+	op, err := s.parseOperand(lhsText)
 	if err != nil {
-		return err
+		return lhs, err
 	}
-	return s.Add([]Attr{a}, rhs)
+	if op.IsLevel {
+		if rhs.IsLevel {
+			return lhs, fmt.Errorf("constraint %q relates two constants", line)
+		}
+		return lhs, s.AddUpper(rhs.Attr, op.Level)
+	}
+	lhs = append(lhs, op.Attr)
+	return lhs, s.Add(lhs, rhs)
 }
 
-// parseOperand interprets a token as a level of the lattice if possible,
-// and as an attribute (declared on first use) otherwise.
+// parseOperand resolves a token: an attribute already declared, else a
+// level of the lattice, else a new attribute. The declared-name lookup
+// goes first because it is the common case and costs one map lookup;
+// it cannot shadow a level, since AddAttr refuses names that parse as
+// levels and the lattice never changes.
 func (s *Set) parseOperand(tok string) (RHS, error) {
+	if a, ok := s.index[tok]; ok {
+		return AttrRHS(a), nil
+	}
 	if lvl, err := s.lat.ParseLevel(tok); err == nil {
 		return LevelRHS(lvl), nil
 	}
-	a, err := s.AddAttr(tok)
+	a, err := s.declare(tok, false)
 	if err != nil {
 		return RHS{}, err
 	}

@@ -270,10 +270,11 @@ func MustSolve(s *constraint.Set, opt Options) *Result {
 // session carries the mutable state of one run of Algorithm 3.1 against a
 // compiled constraint set. Sessions are recycled through sessionPool:
 // scratch buffers (done flags, unlabeled counters, Try worklists and maps)
-// keep their capacity across solves, so a hot server solving the same
-// compiled set allocates little more than the result assignment per
-// request. A session is used by one goroutine at a time; concurrency comes
-// from acquiring one session per in-flight solve.
+// keep their capacity across solves. A solve still allocates more than
+// its result assignment: 206 allocs/op in BenchmarkSolveCompiled, most of
+// them Try's result maps and lattice.CoversAbove's slices (ROADMAP item 2
+// tracks cutting that). A session is used by one goroutine at a time;
+// concurrency comes from acquiring one session per in-flight solve.
 type session struct {
 	c   *constraint.Compiled
 	set *constraint.Set // read-only view, for formatting and traces

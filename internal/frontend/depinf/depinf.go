@@ -36,6 +36,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"unicode"
 
 	"minup/internal/constraint"
 	"minup/internal/frontend"
@@ -116,7 +117,13 @@ func (r *Relation) Validate() error {
 	}
 	index := make(map[string]bool, len(r.Attrs))
 	for _, a := range r.Attrs {
-		if a == "" || strings.ContainsAny(a, "(), \t\n") {
+		// The stored policy text must read every name back as that one
+		// attribute: its attrs line is split with strings.Fields (white
+		// space of any kind), a line starting with '#' is a comment, one
+		// starting with "attrs " a declaration, and a constraint line is
+		// cut at its first ">=".
+		if a == "" || a == "attrs" || strings.HasPrefix(a, "#") || strings.Contains(a, ">=") ||
+			strings.ContainsAny(a, "(),") || strings.ContainsFunc(a, unicode.IsSpace) {
 			return fmt.Errorf("depinf: invalid attribute name %q", a)
 		}
 		if index[a] {

@@ -98,6 +98,56 @@ func TestDepinfValidateRejects(t *testing.T) {
 	}
 }
 
+// TestDepinfRejectsNamesThePolicyTextMisreads: the catalog stores a
+// compiled instance as policy text, so Validate must refuse every
+// attribute name that text would read back as something else. An NBSP
+// splits "p\u00a0r" into p and r on the attrs line, after which the
+// dependency line declares a fourth attribute; a sensitive "#p" floor
+// line is a comment and vanishes. Names that merely contain the
+// characters somewhere harmless stay valid and round-trip.
+func TestDepinfRejectsNamesThePolicyTextMisreads(t *testing.T) {
+	fe := depinf.Frontend{}
+	relation := func(name string) []byte {
+		raw, err := frontend.Marshal(&depinf.Relation{
+			Name:      "r",
+			Lattice:   "chain c\nlevels a b\n",
+			Attrs:     []string{name, "q"},
+			Sensitive: map[string]string{name: "b"},
+			Deps:      []depinf.Dependency{{From: []string{"q"}, To: name}, {From: []string{name}, To: "q"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, name := range []string{"p\u00a0r", "p\vr", "p\u2003r", "p\u0085r", "p\u3000", "#p", "attrs", "p>=r"} {
+		if _, err := fe.Parse(relation(name)); err == nil {
+			t.Errorf("Parse accepted attribute name %q", name)
+		}
+	}
+	for _, name := range []string{"p_r", "p#r", "attrs2", "p>r", "p\u00e9r"} {
+		inst, err := fe.Parse(relation(name))
+		if err != nil {
+			t.Fatalf("Parse rejected attribute name %q: %v", name, err)
+		}
+		c, err := fe.Compile(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat, err := lattice.Parse(strings.NewReader(c.LatticeText))
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := constraint.NewSet(lat)
+		if err := set.ParseString(c.ConstraintText); err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if set.NumAttrs() != 2 || !reflect.DeepEqual(set.Constraints(), c.Set.Constraints()) {
+			t.Errorf("%q: policy text reads back as a different set:\n%s", name, c.ConstraintText)
+		}
+	}
+}
+
 // TestDepinfOracleSweep is the property test the issue demands: across a
 // seeded sweep of generated relations, the solver's minimal assignment
 // must pass the source-level oracle — no dependency chain reaches a

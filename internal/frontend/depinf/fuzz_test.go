@@ -1,6 +1,8 @@
 package depinf_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +18,8 @@ import (
 // a compiled instance must solve (classifying every attribute at the
 // lattice top satisfies every floor and inference constraint), the result
 // must pass the engine verifier, and the emitted policy texts must
-// reparse.
+// reparse into the lattice and set that were compiled: the catalog and
+// its replicas only ever see the texts.
 func FuzzDepinfCompile(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		rel, err := depinf.Generate(depinf.GenSpec{Seed: seed, Depth: 2 + int(seed%4)})
@@ -30,6 +33,9 @@ func FuzzDepinfCompile(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Add([]byte(`{"name":"x","lattice":"chain c\nlevels a b\n","attrs":["p","q"],"sensitive":{"q":"b"},"deps":[{"from":["p"],"to":"q"}]}`))
+	// An NBSP inside an attribute name: the attrs line of the stored text
+	// is split with strings.Fields, which splits there.
+	f.Add([]byte(`{"name":"x","lattice":"chain c\nlevels a b\n","attrs":["p\u00a0r","q"],"sensitive":{"q":"b"},"deps":[{"from":["p\u00a0r"],"to":"q"}]}`))
 	f.Add([]byte(`{"attrs":[]}`))
 	f.Add([]byte(`not json`))
 	fe := depinf.Frontend{}
@@ -57,5 +63,37 @@ func FuzzDepinfCompile(f *testing.F) {
 		if err := set.ParseString(c.ConstraintText); err != nil {
 			t.Fatalf("constraint text does not reparse: %v", err)
 		}
+		if got, want := levelNames(lat), levelNames(c.Lattice); !slices.Equal(got, want) {
+			t.Fatalf("lattice text reparses to levels %q, compiled to %q", got, want)
+		}
+		if got, want := attrNames(set), attrNames(c.Set); !slices.Equal(got, want) {
+			t.Fatalf("constraint text reparses to attributes %q, compiled to %q", got, want)
+		}
+		if !reflect.DeepEqual(set.Constraints(), c.Set.Constraints()) {
+			t.Fatalf("constraint text reparses to other constraints:\n%s", c.ConstraintText)
+		}
+		if !reflect.DeepEqual(set.UpperBounds(), c.Set.UpperBounds()) {
+			t.Fatalf("constraint text reparses to other upper bounds:\n%s", c.ConstraintText)
+		}
 	})
+}
+
+// levelNames lists a lattice's name and then its levels in element order.
+// Equal lists mean equal level handles, so the constraints of two sets
+// over such lattices compare directly.
+func levelNames(lat lattice.Lattice) []string {
+	names := []string{lat.Name()}
+	for _, l := range lat.(lattice.Enumerable).Elements() {
+		names = append(names, lat.FormatLevel(l))
+	}
+	return names
+}
+
+// attrNames lists a set's attribute names in id order.
+func attrNames(s *constraint.Set) []string {
+	names := make([]string, s.NumAttrs())
+	for i := range names {
+		names[i] = s.AttrName(constraint.Attr(i))
+	}
+	return names
 }

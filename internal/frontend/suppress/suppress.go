@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"unicode"
 
 	"minup/internal/constraint"
 	"minup/internal/frontend"
@@ -104,7 +105,9 @@ func (t *Table) Validate() error {
 	}
 	seenLevel := make(map[string]bool, len(t.Levels))
 	for _, l := range t.Levels {
-		if l == "" || strings.ContainsAny(l, "(), \t\n") {
+		// The stored lattice's levels line is split with strings.Fields,
+		// so a name with white space of any kind would come back as several.
+		if l == "" || strings.ContainsAny(l, "(),") || strings.ContainsFunc(l, unicode.IsSpace) {
 			return fmt.Errorf("suppress: invalid level name %q", l)
 		}
 		if seenLevel[l] {

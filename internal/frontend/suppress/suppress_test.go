@@ -98,6 +98,31 @@ func TestSuppressValidateRejects(t *testing.T) {
 	}
 }
 
+// TestSuppressRejectsLevelsThePolicyTextSplits: the catalog stores a
+// compiled table as policy text, and the levels line of its lattice text
+// is split with strings.Fields. A level "top\u00a0secret" would come back
+// as two levels, its floor line would name an unknown level and so
+// declare a fifth attribute, and the sensitive cell would be served at
+// the bottom level. Validate must refuse white space of any kind.
+func TestSuppressRejectsLevelsThePolicyTextSplits(t *testing.T) {
+	fe := suppress.Frontend{}
+	for _, level := range []string{"top\u00a0secret", "top\vsecret", "top\u2003secret", "top\u0085secret", "top\u3000"} {
+		raw, err := frontend.Marshal(&suppress.Table{
+			Name:      "t",
+			Levels:    []string{"open", level},
+			Rows:      2,
+			Cols:      2,
+			Sensitive: []suppress.Cell{{Row: 0, Col: 0, Level: level}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fe.Parse(raw); err == nil {
+			t.Errorf("Parse accepted level name %q", level)
+		}
+	}
+}
+
 // TestSuppressOracleSweep is the property test the issue demands: across a
 // seeded sweep of generated tables, the solver's minimal assignment must
 // pass the frontend's source-level oracle — no sensitive cell inferable

@@ -112,7 +112,7 @@ func (c *Chain) ParseLevel(s string) (Level, error) {
 	if i, ok := c.index[s]; ok {
 		return Level(i), nil
 	}
-	return 0, fmt.Errorf("chain %q: unknown level %q", c.name, s)
+	return 0, &levelError{"chain %q: unknown level %q", c.name, s}
 }
 
 // MinComplement implements ComplementMinimizer: in a total order the

@@ -331,7 +331,7 @@ func (e *Explicit) ParseLevel(s string) (Level, error) {
 	if i, ok := e.index[strings.TrimSpace(s)]; ok {
 		return Level(i), nil
 	}
-	return 0, fmt.Errorf("lattice %q: unknown level %q", e.name, s)
+	return 0, &levelError{"lattice %q: unknown level %q", e.name, s}
 }
 
 func (e *Explicit) check(l Level) {

@@ -80,6 +80,18 @@ type Lattice interface {
 	ParseLevel(s string) (Level, error)
 }
 
+// levelError is a failed level lookup. It keeps the lattice name and the
+// input and formats the message only when read: the constraint parser asks
+// the lattice about every identifier it declares, and nearly every answer
+// is "not a level", so the message is almost never wanted.
+type levelError struct {
+	format string // two %q verbs: the lattice name, then the input
+	name   string
+	input  string
+}
+
+func (e *levelError) Error() string { return fmt.Sprintf(e.format, e.name, e.input) }
+
 // Enumerable is implemented by lattices small enough to list exhaustively.
 // Validation, brute-force oracles, and DOT export require it.
 type Enumerable interface {

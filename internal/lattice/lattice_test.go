@@ -582,3 +582,43 @@ func TestForeignHandlePanics(t *testing.T) {
 	}()
 	l.Dominates(Level(999), l.Top())
 }
+
+// TestParseLevelErrorText pins the messages of failed level lookups, which
+// are formatted only when read, to their exact text.
+func TestParseLevelErrorText(t *testing.T) {
+	ch := MustChain("c", "lo", "hi")
+	ps := MustPowerset("p", "x", "y")
+	pr := MustProduct("c×p", ch, ps)
+	mls := FigureOneA()
+	cases := []struct {
+		lat  Lattice
+		in   string
+		want string
+	}{
+		{ch, "mid", `chain "c": unknown level "mid"`},
+		{FigureOneB(), " L9\t", `lattice "figure-1b": unknown level " L9\t"`},
+		{mls, "C", `mls "figure-1a": unknown classification "C"`},
+		{mls, "<TS,{Army,Navy}>", `mls "figure-1a": unknown category "Navy"`},
+		{mls, "<S,{}", `mls "figure-1a": level "<S,{}" not of the form <CL,{a,b}>`},
+		{ps, "x", `powerset "p": level "x" not of the form {a,b}`},
+		{ps, "{x, z}", `powerset "p": unknown category "z"`},
+		{pr, "lo", `product "c×p": level "lo" not of the form (a,b)`},
+		{pr, "(mid,{x})", `chain "c": unknown level "mid"`},
+		{pr, "(hi,{z})", `powerset "p": unknown category "z"`},
+		{pr, "(hi{x})", `product "c×p": level "(hi{x})" missing component separator`},
+		{ch, "a\u00a0b", `chain "c": unknown level "a\u00a0b"`},
+	}
+	for _, tc := range cases {
+		_, err := tc.lat.ParseLevel(tc.in)
+		if err == nil {
+			t.Errorf("%s: ParseLevel(%q) succeeded", tc.lat.Name(), tc.in)
+			continue
+		}
+		if got := err.Error(); got != tc.want {
+			t.Errorf("%s: ParseLevel(%q) error\n got %s\nwant %s", tc.lat.Name(), tc.in, got, tc.want)
+		}
+	}
+	if _, err := mls.LevelOf("TS", "Navy"); err == nil || err.Error() != `mls "figure-1a": unknown category "Navy"` {
+		t.Errorf("LevelOf error = %v", err)
+	}
+}

@@ -107,13 +107,13 @@ func (m *MLS) Count() uint64 { return uint64(len(m.levels)) << uint(len(m.cats))
 func (m *MLS) LevelOf(classification string, categories ...string) (Level, error) {
 	cl, ok := m.levelIdx[classification]
 	if !ok {
-		return 0, fmt.Errorf("mls %q: unknown classification %q", m.name, classification)
+		return 0, &levelError{"mls %q: unknown classification %q", m.name, classification}
 	}
 	var mask uint64
 	for _, c := range categories {
 		i, ok := m.catIdx[c]
 		if !ok {
-			return 0, fmt.Errorf("mls %q: unknown category %q", m.name, c)
+			return 0, &levelError{"mls %q: unknown category %q", m.name, c}
 		}
 		mask |= 1 << i
 	}

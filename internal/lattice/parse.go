@@ -37,7 +37,9 @@ import (
 //	cover L1 1
 func Parse(r io.Reader) (Lattice, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	// Lines may be up to 4 MiB; the buffer starts small and grows only
+	// for long ones.
+	sc.Buffer(nil, 4*1024*1024)
 	var kind, name string
 	var levels, categories, elements []string
 	covers := make(map[string][]string)

@@ -76,7 +76,7 @@ func (p *Powerset) LevelOf(categories ...string) (Level, error) {
 	for _, c := range categories {
 		i, ok := p.index[c]
 		if !ok {
-			return 0, fmt.Errorf("powerset %q: unknown category %q", p.name, c)
+			return 0, &levelError{"powerset %q: unknown category %q", p.name, c}
 		}
 		mask |= 1 << i
 	}
@@ -156,7 +156,7 @@ func (p *Powerset) FormatLevel(l Level) string {
 func (p *Powerset) ParseLevel(s string) (Level, error) {
 	s = strings.TrimSpace(s)
 	if !strings.HasPrefix(s, "{") || !strings.HasSuffix(s, "}") {
-		return 0, fmt.Errorf("powerset %q: level %q not of the form {a,b}", p.name, s)
+		return 0, &levelError{"powerset %q: level %q not of the form {a,b}", p.name, s}
 	}
 	body := strings.TrimSuffix(strings.TrimPrefix(s, "{"), "}")
 	if strings.TrimSpace(body) == "" {

@@ -138,7 +138,7 @@ func (p *Product) FormatLevel(l Level) string {
 func (p *Product) ParseLevel(s string) (Level, error) {
 	s = strings.TrimSpace(s)
 	if !strings.HasPrefix(s, "(") || !strings.HasSuffix(s, ")") {
-		return 0, fmt.Errorf("product %q: level %q not of the form (a,b)", p.name, s)
+		return 0, &levelError{"product %q: level %q not of the form (a,b)", p.name, s}
 	}
 	body := s[1 : len(s)-1]
 	depth := 0
