@@ -18,6 +18,7 @@ package minup
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -756,6 +757,125 @@ func BenchmarkSolveCompiledTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SolveContext(ctx, compiled, Options{RecordTrace: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// refreshBench is the policy BenchmarkCompile and BenchmarkRefresh share,
+// shaped like a policy of perfbench's replicated_write workload: a
+// paper-family set of size 20 (120 attributes, 360 constraints) plus twelve
+// appended batches (the middle of that workload's 8..16 history), and one
+// more batch that the base's minimal solution violates, so its refresh
+// repairs rather than copies.
+type refreshBench struct {
+	set       *constraint.Set       // base plus the violating batch
+	baseCount int                   // constraints of the base
+	base      constraint.Assignment // the base's solution, ⊥ for new attributes
+}
+
+func newRefreshBench(b *testing.B) refreshBench {
+	b.Helper()
+	fi, err := workload.GenerateFamily("paper", 1, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lat, err := lattice.Parse(strings.NewReader(fi.Lattice))
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := constraint.NewSet(lat)
+	if err := set.ParseString(fi.Constraints); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	fresh := 0
+	for i := 0; i < 12; i++ {
+		if err := set.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base := core.MustSolve(set, core.Options{}).Assignment
+	for tries := 0; tries < 100; tries++ {
+		ext := set.Clone()
+		if err := ext.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
+			b.Fatal(err)
+		}
+		seeded := base.Clone()
+		for len(seeded) < ext.NumAttrs() {
+			seeded = append(seeded, lat.Bottom())
+		}
+		if !ext.Satisfies(seeded) {
+			return refreshBench{set: ext, baseCount: len(set.Constraints()), base: seeded}
+		}
+	}
+	b.Fatal("bench setup: no drawn batch violates the base solution")
+	return refreshBench{}
+}
+
+// appendBatch draws 1..3 lower-bound constraint lines over the paper
+// family's attribute names a000..a(attrs-1), sometimes on a fresh
+// attribute, with the distribution of perfbench's appendText.
+func appendBatch(rng *rand.Rand, attrs int, fresh *int) string {
+	levels := []string{"U", "C", "S", "TS"}
+	attr := func() int { return rng.Intn(attrs) }
+	var b strings.Builder
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		x := attr()
+		lhs := fmt.Sprintf("a%03d", x)
+		if rng.Intn(20) == 0 {
+			lhs = fmt.Sprintf("n%04d", *fresh)
+			*fresh++
+			x = -1
+		}
+		y := -2
+		if rng.Intn(3) == 0 {
+			for y = attr(); y == x; y = attr() {
+			}
+			lhs = fmt.Sprintf("lub(%s, a%03d)", lhs, y)
+		}
+		if rng.Intn(3) == 0 {
+			fmt.Fprintf(&b, "%s >= %s\n", lhs, levels[rng.Intn(len(levels))])
+			continue
+		}
+		z := attr()
+		for z == x || z == y {
+			z = attr()
+		}
+		fmt.Fprintf(&b, "%s >= a%03d\n", lhs, z)
+	}
+	return b.String()
+}
+
+// BenchmarkCompile measures the one-time compile of a refreshed policy
+// version (Set.Snapshot: digraph, Constr[A], SCCs and priorities), which
+// every node pays once per mutation.
+func BenchmarkCompile(b *testing.B) {
+	rb := newRefreshBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := rb.set.Snapshot(); c.NumAttrs() != rb.set.NumAttrs() {
+			b.Fatal("snapshot lost attributes")
+		}
+	}
+}
+
+// BenchmarkRefresh measures what the catalog's refresh worker does for an
+// append to a solved version: compile the new version once, then repair
+// the previous solution against that snapshot with minimality verified.
+func BenchmarkRefresh(b *testing.B) {
+	rb := newRefreshBench(b)
+	ctx := context.Background()
+	opt := core.RepairOptions{VerifyMinimal: true}
+	if _, st, err := core.RepairCompiled(ctx, rb.set.Snapshot(), rb.baseCount, rb.base, opt); err != nil ||
+		st.ViolatedConstraints == 0 || st.FellBack {
+		b.Fatalf("bench setup: repair shape wrong (%v, %+v)", err, st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.RepairCompiled(ctx, rb.set.Snapshot(), rb.baseCount, rb.base, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

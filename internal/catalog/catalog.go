@@ -31,9 +31,9 @@
 //   - Mutation pipeline (pipeline.go). Ingest is decoupled from
 //     compile/solve: a mutation returns once its WAL append is durable and
 //     the in-memory maps are updated, and a per-shard background worker —
-//     fed through internal/bus — recompiles and refreshes the memoized
-//     solve (incrementally via core.RepairContext when the cache was
-//     warm). MutateOptions.Wait restores fully synchronous semantics, and
+//     fed through internal/bus — compiles the new version once and
+//     refreshes the memoized solve against that snapshot (incrementally
+//     via core.RepairCompiled when the cache was warm). MutateOptions.Wait restores fully synchronous semantics, and
 //     Flush drains the pipeline for deterministic tests and shutdown.
 //
 // Serving an unchanged policy performs zero compiles and zero solves

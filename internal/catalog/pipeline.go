@@ -93,10 +93,18 @@ type refreshJob struct {
 	lat     lattice.Lattice
 	set     *constraint.Set
 	// base, when non-nil, is the previous version's memoized solution:
-	// the worker repairs it incrementally (core.RepairContext) instead of
+	// the worker repairs it incrementally (core.RepairCompiled) instead of
 	// solving cold. baseCount is the constraint count the base satisfied.
 	base      constraint.Assignment
 	baseCount int
+}
+
+// current reports whether the job may still install its artifacts on p,
+// the policy now under its name: p is the very *policy the mutation
+// touched, still at the job's version, and no read has solved that
+// version yet. Caller holds the shard lock.
+func (j refreshJob) current(p *policy) bool {
+	return p == j.pol && p.version == j.version && p.solved == nil
 }
 
 // ---------------------------------------------------------------------------
@@ -182,7 +190,7 @@ func (c *Catalog) Put(ctx context.Context, name, latticeText, constraintsText st
 type AppendResult struct {
 	Info PolicyInfo
 	// Repaired is true when the memoized solution was extended
-	// incrementally via core.RepairContext before the call returned (i.e.
+	// incrementally via core.RepairCompiled before the call returned (i.e.
 	// a Wait append against a warm cache); the new solution is memoized
 	// either way it was computed.
 	Repaired bool
@@ -199,7 +207,7 @@ type AppendResult struct {
 // set is validated (§6 solvability) and made durable synchronously — a
 // failed append leaves the policy untouched — while recomputing the
 // memoized answer is handed to the shard's refresh worker, which goes
-// through core.RepairContext instead of a cold solve whenever the previous
+// through core.RepairCompiled instead of a cold solve whenever the previous
 // version's solution was memoized. With MutateOptions.Wait the repair runs
 // inline under the shard lock and its stats are returned (the
 // pre-pipeline behavior). ifVersion as in Put (MustNotExist is an error
@@ -216,6 +224,7 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 		lat       lattice.Lattice
 		seq       uint64
 		solved    constraint.Assignment
+		compiled  *constraint.Compiled
 	)
 	// Locked section in a closure with a deferred unlock: an injected panic
 	// (chaos tests crash mid-append) must not leave the shard mutex held.
@@ -246,12 +255,15 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 			// under the lock, rejecting the append outright if the repair
 			// fails. Attributes the appended text introduced start at ⊥ —
 			// they carry no history, and the repair raises them exactly as
-			// far as the new constraints force.
+			// far as the new constraints force. The snapshot the repair
+			// runs against becomes the version's compiled snapshot.
 			seeded := base.Clone()
 			for len(seeded) < ns.NumAttrs() {
 				seeded = append(seeded, p.lat.Bottom())
 			}
-			repaired, rstats, err := core.RepairContext(ctx, ns, baseCount, seeded, core.RepairOptions{VerifyMinimal: true})
+			compiled = ns.Snapshot()
+			c.count("catalog.compiles")
+			repaired, rstats, err := core.RepairCompiled(ctx, compiled, baseCount, seeded, core.RepairOptions{VerifyMinimal: true})
 			if err != nil {
 				return fmt.Errorf("catalog: policy %q append rejected: %w", name, err)
 			}
@@ -278,13 +290,12 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 		p.compiled = nil
 		p.solved = solved
 		p.solvedStats = solvedStats
-		if res.Repaired {
-			// The repair already warmed the solution inline; rebuild the
-			// compiled snapshot too, so the version doesn't report
-			// compiled:false forever (a solved cache never triggers the
-			// lazy compile on reads). On injected failure the snapshot just
-			// stays cold.
-			_ = c.compile(p)
+		if res.Repaired && c.opt.Fault.Hit("catalog.compile") == nil {
+			// The repair already warmed the solution inline; install its
+			// snapshot too, so the version doesn't report compiled:false
+			// forever (a solved cache never triggers the lazy compile on
+			// reads). On injected failure the snapshot just stays cold.
+			p.compiled = compiled
 		}
 		res.Info = p.fullInfo()
 		pol = p
@@ -466,10 +477,11 @@ func (c *Catalog) doRefresh(ctx context.Context, job refreshJob) (outcome, errTe
 	// Bail before doing any solver work if the policy already moved past
 	// this job's version — under a rapid mutation stream most queued
 	// refreshes are stale by the time a worker picks them up, and
-	// compiling them first would burn the cores the mutators need.
+	// compiling them first would burn the cores the mutators need. A
+	// version a read already solved is stale too: its answer has been
+	// served, and replacing it would let two reads of one ETag differ.
 	s.mu.RLock()
-	cur := s.pol[job.name]
-	stale := cur != job.pol || cur.version != job.version
+	stale := !job.current(s.pol[job.name])
 	s.mu.RUnlock()
 	if stale {
 		c.count("catalog.refresh.stale")
@@ -491,7 +503,7 @@ func (c *Catalog) doRefresh(ctx context.Context, job refreshJob) (outcome, errTe
 		for len(seeded) < job.set.NumAttrs() {
 			seeded = append(seeded, job.lat.Bottom())
 		}
-		fixed, rstats, err := core.RepairContext(ctx, job.set, job.baseCount, seeded, core.RepairOptions{VerifyMinimal: true})
+		fixed, rstats, err := core.RepairCompiled(ctx, compiled, job.baseCount, seeded, core.RepairOptions{VerifyMinimal: true})
 		if err == nil {
 			repaired = true
 			solved = fixed
@@ -518,7 +530,7 @@ func (c *Catalog) doRefresh(ctx context.Context, job refreshJob) (outcome, errTe
 
 	s.mu.Lock()
 	p := s.pol[job.name]
-	if p != job.pol || p.version != job.version {
+	if !job.current(p) {
 		s.mu.Unlock()
 		c.count("catalog.refresh.stale")
 		return "stale", ""

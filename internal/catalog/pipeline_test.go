@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"minup/internal/fault"
 	"minup/internal/obs"
 	"minup/internal/wal"
 )
@@ -263,5 +265,51 @@ func TestRefreshStaleVersion(t *testing.T) {
 	}
 	if g := reg.Snapshot().Gauges["catalog.refresh.pending"]; g != 0 {
 		t.Fatalf("catalog.refresh.pending = %d after Flush, want 0", g)
+	}
+}
+
+// TestRefreshKeepsServedAnswer: a read that finds a version cold solves and
+// memoizes it; the refresh of that version, finishing later, must leave
+// that answer alone, so two reads of one version return the same
+// assignment and the same stats. The repair the refresh runs settles on a
+// different stats record than the cold solve, so an overwrite shows.
+func TestRefreshKeepsServedAnswer(t *testing.T) {
+	reg := obs.NewRegistry()
+	inj := fault.New(1)
+	c := mustOpen(t, Options{Shards: 1, Metrics: reg, Fault: inj})
+	ctx := context.Background()
+	const cons = "attrs a b c d\nlub(a, b) >= TS\nc >= a\nd >= c\nlub(c, d) >= S\n"
+	if _, err := c.Put(ctx, "p", testLattice, cons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, c)
+	// Whichever compiles first, the refresh or the read's cold fill, is
+	// held back, so the read's cold solve is memoized before the refresh
+	// could install.
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Delay, Nth: 1, Dur: 200 * time.Millisecond})
+	if _, err := c.Append(ctx, "p", "b >= S\na >= C\n", Unconditional); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Solve(ctx, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, c)
+	second, err := c.Solve(ctx, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Info.Version != 2 || second.Info.Version != 2 {
+		t.Fatalf("versions %d, %d; want 2, 2", first.Info.Version, second.Info.Version)
+	}
+	if !reflect.DeepEqual(first.Assignment, second.Assignment) || first.Stats != second.Stats {
+		t.Fatalf("one version, two answers:\n first  %v %+v\n second %v %+v",
+			first.Assignment, first.Stats, second.Assignment, second.Stats)
+	}
+	snap := reg.Snapshot()
+	total := snap.Counters["catalog.refresh.completed"] + snap.Counters["catalog.refresh.stale"] +
+		snap.Counters["catalog.refresh.dropped"] + snap.Counters["catalog.refresh.failures"]
+	if want := snap.Counters["catalog.refresh.enqueued"]; total != want {
+		t.Fatalf("refresh accounting leak: enqueued %d, accounted %d", want, total)
 	}
 }

@@ -19,11 +19,13 @@ var ErrFrozen = errors.New("constraint: set is frozen by Compile")
 
 // Compiled is an immutable snapshot of a constraint Set: the attribute
 // table, the constraint and upper-bound slices, the dependency digraph, its
-// SCC condensation with the §4 priority numbering, the Constr[A] /
-// into-constraint adjacency, and (when §6 upper bounds are present) the
-// derived firm per-attribute bounds. All of this is the one-time "compile"
-// cost of Theorem 5.2's complexity argument; a Compiled value is safe for
-// concurrent use by any number of solver sessions.
+// SCC condensation with the §4 priority numbering, the Constr[A]
+// adjacency, and (when §6 upper bounds are present) the derived firm
+// per-attribute bounds. The digraph's lists (one array per direction),
+// Constr[A] and the SCC member lists are each windows of one flat array.
+// All of this is the one-time "compile" cost of Theorem 5.2's complexity
+// argument; a Compiled value is safe for concurrent use by any number of
+// solver sessions.
 //
 // Obtain one with Set.Compile (which freezes the source set so it can never
 // drift from the snapshot) or Set.Snapshot (which leaves the source
@@ -34,7 +36,6 @@ type Compiled struct {
 	g           *graph.Digraph
 	pr          *graph.PriorityResult
 	onLHS       [][]int
-	into        [][]int
 	acyclic     bool
 	totalSize   int
 	ub          Assignment // §6 firm bounds; nil when the set has no upper bounds
@@ -119,7 +120,6 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 		src:       src,
 		g:         src.Graph(),
 		onLHS:     src.ConstraintsOn(),
-		into:      src.ConstraintsInto(),
 		totalSize: src.TotalSize(),
 	}
 	if ph != nil {
@@ -127,7 +127,9 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 		ph = sp.Child("scc")
 	}
 	c.pr = graph.PrioritySCC(c.g)
-	c.acyclic = graph.IsAcyclic(c.g)
+	// Add refuses a right-hand side that is also on the left, so the graph
+	// has no self-loops: it is acyclic exactly when every SCC is one node.
+	c.acyclic = c.pr.Max == len(src.names)
 	if ph != nil {
 		ph.End()
 	}
@@ -135,7 +137,7 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 		if sp != nil {
 			ph = sp.Child("upper-bounds")
 		}
-		c.ub, c.ubConflicts = upperBoundFixpoint(src, &c.cstats)
+		c.ub, c.ubConflicts = upperBoundFixpoint(src, c.onLHS, &c.cstats)
 		if ph != nil {
 			ph.End()
 		}
@@ -210,9 +212,10 @@ func (c *Compiled) Priorities() *graph.PriorityResult { return c.pr }
 // indices with A on the left-hand side). Shared and immutable.
 func (c *Compiled) ConstraintsOn() [][]int { return c.onLHS }
 
-// ConstraintsInto returns the precomputed per-attribute indices of the
-// constraints whose right-hand side is that attribute. Shared and immutable.
-func (c *Compiled) ConstraintsInto() [][]int { return c.into }
+// ConstraintsInto returns the per-attribute indices of the constraints
+// whose right-hand side is that attribute. No solve reads it, so it is not
+// precomputed: each call builds it afresh from the snapshot's constraints.
+func (c *Compiled) ConstraintsInto() [][]int { return c.src.ConstraintsInto() }
 
 // Acyclic reports whether the compiled constraint graph is a DAG.
 func (c *Compiled) Acyclic() bool { return c.acyclic }
@@ -240,8 +243,9 @@ func (c *Compiled) UpperBoundFixpoint() (Assignment, []string) { return c.ub, c.
 // attribute's bound strictly decreases on every update, so the pass
 // terminates after at most H updates per attribute, O(S·H·c) in the worst
 // case and O(S·c) when bounds settle in one pass as the paper assumes.
-// Worklist pops and bound tightenings are counted into st when non-nil.
-func upperBoundFixpoint(s *Set, st *CompileStats) (Assignment, []string) {
+// onLHS is s's Constr[A] adjacency. Worklist pops and bound tightenings are
+// counted into st when non-nil.
+func upperBoundFixpoint(s *Set, onLHS [][]int, st *CompileStats) (Assignment, []string) {
 	lat := s.lat
 	n := len(s.names)
 	ub := make(Assignment, n)
@@ -253,7 +257,6 @@ func upperBoundFixpoint(s *Set, st *CompileStats) (Assignment, []string) {
 	}
 
 	cons := s.cons
-	onLHS := s.ConstraintsOn()
 
 	// Worklist of constraint indices whose lhs bound may have tightened.
 	inQueue := make([]bool, len(cons))

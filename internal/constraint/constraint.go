@@ -309,16 +309,18 @@ func (s *Set) Format(c Constraint) string {
 // hypernode). Level constants are omitted — they are always "done" and
 // never affect strong connectivity.
 func (s *Set) Graph() *graph.Digraph {
-	g := graph.New(len(s.names))
-	for _, c := range s.cons {
-		if c.RHS.IsLevel {
-			continue
+	return graph.FromEdges(len(s.names), func(yield func(u, v int) bool) {
+		for _, c := range s.cons {
+			if c.RHS.IsLevel {
+				continue
+			}
+			for _, a := range c.LHS {
+				if !yield(int(a), int(c.RHS.Attr)) {
+					return
+				}
+			}
 		}
-		for _, a := range c.LHS {
-			g.AddEdge(int(a), int(c.RHS.Attr))
-		}
-	}
-	return g
+	})
 }
 
 // Priorities computes the paper's §4 priority structure: SCCs of Graph()
@@ -337,9 +339,27 @@ func (s *Set) Acyclic() bool {
 
 // ConstraintsOn returns, for every attribute, the indices (into
 // Constraints()) of the constraints whose left-hand side contains it — the
-// paper's Constr[A].
+// paper's Constr[A] — in constraint order. The lists are windows of one
+// array of Σ|lhs| indices, each capped at its length; an attribute on no
+// left-hand side has a nil list.
 func (s *Set) ConstraintsOn() [][]int {
 	out := make([][]int, len(s.names))
+	deg := make([]int, len(s.names))
+	total := 0
+	for _, c := range s.cons {
+		for _, a := range c.LHS {
+			deg[a]++
+		}
+		total += len(c.LHS)
+	}
+	flat := make([]int, total)
+	off := 0
+	for a, d := range deg {
+		if d > 0 {
+			out[a] = flat[off : off : off+d]
+			off += d
+		}
+	}
 	for i, c := range s.cons {
 		for _, a := range c.LHS {
 			out[a] = append(out[a], i)

@@ -75,5 +75,37 @@ func FuzzSolve(f *testing.F) {
 		if verr := Verify(s, res.Assignment); verr != nil {
 			t.Fatalf("solve of lat=%q cons=%q returned a non-satisfying assignment: %v", latText, consText, verr)
 		}
+		// Solve, probe and repair are the three users of Try: the probe must
+		// certify the solve, and a repair from a solution of the first half
+		// of the constraints must be satisfying and certified minimal too.
+		minimal, w, err := ProbeMinimalityContext(context.Background(), c, res.Assignment)
+		if err != nil || !minimal {
+			t.Fatalf("probe of the solve of lat=%q cons=%q: minimal=%v witness=%+v err=%v", latText, consText, minimal, w, err)
+		}
+		if c.HasUpperBounds() {
+			return
+		}
+		half := len(s.Constraints()) / 2
+		prefix := constraint.NewSet(lat)
+		for _, a := range s.Attrs() {
+			prefix.MustAttr(s.AttrName(a))
+		}
+		for _, cn := range s.Constraints()[:half] {
+			prefix.MustAdd(cn.LHS, cn.RHS)
+		}
+		base, err := Solve(prefix, Options{})
+		if err != nil {
+			t.Fatalf("solve of the first %d constraints of lat=%q cons=%q: %v", half, latText, consText, err)
+		}
+		fixed, _, err := RepairCompiled(context.Background(), c, half, base.Assignment, RepairOptions{VerifyMinimal: true})
+		if err != nil {
+			t.Fatalf("repair of lat=%q cons=%q from %d constraints: %v", latText, consText, half, err)
+		}
+		if verr := Verify(s, fixed); verr != nil {
+			t.Fatalf("repair of lat=%q cons=%q returned a non-satisfying assignment: %v", latText, consText, verr)
+		}
+		if minimal, w, err := ProbeMinimality(s, fixed); err != nil || !minimal {
+			t.Fatalf("probe of the repair of lat=%q cons=%q: minimal=%v witness=%+v err=%v", latText, consText, minimal, w, err)
+		}
 	})
 }

@@ -26,9 +26,10 @@ import (
 // minimality set VerifyMinimal, which probes the result and falls back to
 // a full solve if a witness is found.
 //
-// Repair inherently works on a mutable Set (its whole point is absorbing
-// mutation), so it takes the Set, compiles a fresh snapshot per call, and
-// runs in a pooled session.
+// Repair and RepairContext take the extended Set and compile a snapshot of
+// it per call; RepairCompiled takes that snapshot, so a caller that also
+// keeps the snapshot (the policy catalog installs it for later solves)
+// compiles the version once. All three run in pooled sessions.
 
 // RepairOptions tunes Repair.
 type RepairOptions struct {
@@ -52,8 +53,9 @@ type RepairStats struct {
 	// performed: the partial solve over the affected region, or the full
 	// solve when the repair fell back.
 	Solve Stats
-	// Duration is the wall time of the whole repair, including snapshot
-	// compilation, violation scanning, and any fallback solve.
+	// Duration is the wall time of the whole repair: violation scanning,
+	// the partial solve and any fallback solve, plus, for Repair and
+	// RepairContext, compiling the snapshot.
 	Duration time.Duration
 }
 
@@ -69,9 +71,22 @@ func Repair(s *constraint.Set, baseCount int, base constraint.Assignment, opt Re
 
 // RepairContext is Repair with cancellation: the context is polled during
 // the partial solve and any fallback full solve, and a canceled context
-// yields an error satisfying errors.Is(err, ErrCanceled).
+// yields an error satisfying errors.Is(err, ErrCanceled). It is
+// RepairCompiled on a fresh snapshot of s.
 func RepairContext(ctx context.Context, s *constraint.Set, baseCount int, base constraint.Assignment, opt RepairOptions) (constraint.Assignment, *RepairStats, error) {
+	start := time.Now()
+	fixed, stats, err := RepairCompiled(ctx, s.Snapshot(), baseCount, base, opt)
+	stats.Duration = time.Since(start)
+	return fixed, stats, err
+}
+
+// RepairCompiled is RepairContext against a compiled snapshot of the
+// extended set: base satisfies the first baseCount of c's constraints.
+func RepairCompiled(ctx context.Context, c *constraint.Compiled, baseCount int, base constraint.Assignment, opt RepairOptions) (constraint.Assignment, *RepairStats, error) {
 	stats := &RepairStats{}
+	if c == nil {
+		return nil, stats, ErrNotCompiled
+	}
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
 	// Tracing: wrap the whole repair (violation scan, reachability, partial
@@ -91,6 +106,7 @@ func RepairContext(ctx context.Context, s *constraint.Set, baseCount int, base c
 	if ctx.Err() != nil {
 		return nil, stats, canceled(ctx)
 	}
+	s := c.Set()
 	cons := s.Constraints()
 	if baseCount < 0 || baseCount > len(cons) {
 		return nil, stats, fmt.Errorf("core: baseCount %d out of range [0,%d]", baseCount, len(cons))
@@ -98,7 +114,6 @@ func RepairContext(ctx context.Context, s *constraint.Set, baseCount int, base c
 	if len(base) != s.NumAttrs() {
 		return nil, stats, fmt.Errorf("core: base assignment covers %d of %d attributes", len(base), s.NumAttrs())
 	}
-	c := s.Snapshot()
 	if c.HasUpperBounds() {
 		stats.FellBack = true
 		res, err := SolveContext(ctx, c, Options{})
@@ -114,32 +129,28 @@ func RepairContext(ctx context.Context, s *constraint.Set, baseCount int, base c
 		}
 	}
 
-	// Seed: left-hand sides of violated new constraints.
-	lat := s.Lattice()
-	seed := make(map[constraint.Attr]bool)
+	// Affected = the left-hand sides of violated new constraints, plus every
+	// attribute that reaches one of them in the constraint graph (raising
+	// such an attribute can violate constraints whose rhs it is, pushing
+	// the raise to their lhs — i.e. backward along edges).
+	affected := make([]bool, s.NumAttrs())
+	var stack []int
 	for _, cn := range cons[baseCount:] {
 		if s.SatisfiedBy(base, cn) {
 			continue
 		}
 		stats.ViolatedConstraints++
 		for _, a := range cn.LHS {
-			seed[a] = true
+			if !affected[a] {
+				affected[a] = true
+				stack = append(stack, int(a))
+			}
 		}
 	}
 	if stats.ViolatedConstraints == 0 {
 		return base.Clone(), stats, nil
 	}
-
-	// Affected = attributes that reach a seed attribute in the constraint
-	// graph (raising a seed can violate constraints whose rhs it is,
-	// pushing the raise to their lhs — i.e. backward along edges).
 	g := c.Graph()
-	affected := make([]bool, s.NumAttrs())
-	stack := make([]int, 0, len(seed))
-	for a := range seed {
-		affected[a] = true
-		stack = append(stack, int(a))
-	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -175,6 +186,7 @@ func RepairContext(ctx context.Context, s *constraint.Set, baseCount int, base c
 			psink.root.End()
 		}
 	}()
+	lat := c.Lattice()
 	sv.lambda = base.Clone()
 	for a := 0; a < s.NumAttrs(); a++ {
 		if affected[a] {

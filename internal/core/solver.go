@@ -29,11 +29,11 @@
 // over solving. They live in an immutable constraint.Compiled produced by
 // Set.Compile; SolveContext runs Algorithm 3.1 against such a snapshot.
 // All per-solve mutable state (the assignment, done flags, worklists, and
-// Try scratch maps) lives in a session recycled through a sync.Pool, so
-// repeated solves of the same compiled set are allocation-light and any
-// number of goroutines may solve the same snapshot concurrently. The
-// one-shot Solve(set, opt) remains as a compatibility shim that compiles a
-// snapshot and solves it.
+// Try's attribute-indexed scratch arrays) lives in a session recycled
+// through a sync.Pool, so a steady-state solve of a compiled set allocates
+// only its result and any number of goroutines may solve the same snapshot
+// concurrently. The one-shot Solve(set, opt) remains as a compatibility
+// shim that compiles a snapshot and solves it.
 //
 // # Observability
 //
@@ -49,6 +49,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"log/slog"
 	"runtime/debug"
@@ -269,12 +270,12 @@ func MustSolve(s *constraint.Set, opt Options) *Result {
 
 // session carries the mutable state of one run of Algorithm 3.1 against a
 // compiled constraint set. Sessions are recycled through sessionPool:
-// scratch buffers (done flags, unlabeled counters, Try worklists and maps)
-// keep their capacity across solves. A solve still allocates more than
-// its result assignment: 206 allocs/op in BenchmarkSolveCompiled, most of
-// them Try's result maps and lattice.CoversAbove's slices (ROADMAP item 2
-// tracks cutting that). A session is used by one goroutine at a time;
-// concurrency comes from acquiring one session per in-flight solve.
+// scratch buffers (done flags, unlabeled counters, Try's level arrays,
+// worklist and result, descent candidates) keep their capacity across
+// solves, so a solve allocates only its result: 2 allocs/op in
+// BenchmarkSolveCompiled, the assignment and the Result. A session is
+// used by one goroutine at a time; concurrency comes from acquiring one
+// session per in-flight solve.
 type session struct {
 	c   *constraint.Compiled
 	set *constraint.Set // read-only view, for formatting and traces
@@ -318,22 +319,80 @@ type session struct {
 	// cancellation polling.
 	ops int
 
-	// Scratch buffers reused across Try calls and across solves.
-	tocheck map[constraint.Attr]lattice.Level
-	tolower map[constraint.Attr]lattice.Level
-	queue   []constraint.Attr
-	inSet   map[constraint.Attr]bool // collapseSet scratch
-	emitBuf []constraint.Attr        // sorted-lower-event scratch (sink path only)
+	// Try scratch, reused across calls and across solves. tocheck and
+	// tolower are the procedure's Tocheck and Tolower; each call advances
+	// tryGen, which empties both without clearing their entries. queue is
+	// the worklist, read by index; lowered lists every attribute that
+	// entered tolower (repeats included); lowers holds the result a call
+	// returns.
+	tocheck, tolower levelMarks
+	tryGen           uint32
+	queue            []constraint.Attr
+	lowered          []constraint.Attr
+	lowers           []lowering
+
+	dset  []lattice.Level          // processAttr's descent candidates
+	inSet map[constraint.Attr]bool // collapseSet scratch
+}
+
+// lowering is one entry of Try's result: attr is lowered to level.
+type lowering struct {
+	attr  constraint.Attr
+	level lattice.Level
+}
+
+// levelMarks is an attribute-indexed partial map to levels. Attribute a is
+// present when stamp[a] equals the caller's generation, so moving to a
+// new generation empties the map in O(1). Generations start at 1; a zero
+// stamp is never present.
+type levelMarks struct {
+	level []lattice.Level
+	stamp []uint32
+}
+
+func (m *levelMarks) get(a constraint.Attr, gen uint32) (lattice.Level, bool) {
+	if m.stamp[a] != gen {
+		return 0, false
+	}
+	return m.level[a], true
+}
+
+func (m *levelMarks) put(a constraint.Attr, l lattice.Level, gen uint32) {
+	m.level[a] = l
+	m.stamp[a] = gen
+}
+
+func (m *levelMarks) del(a constraint.Attr) { m.stamp[a] = 0 }
+
+// resize makes room for n attributes. Kept stamps are all older than the
+// next generation, so they read as absent; new arrays start at zero.
+func (m *levelMarks) resize(n int) {
+	if cap(m.stamp) < n {
+		m.level = make([]lattice.Level, n)
+		m.stamp = make([]uint32, n)
+		return
+	}
+	m.level = m.level[:n]
+	m.stamp = m.stamp[:n]
+}
+
+// nextTryGen starts a Try call's generation. On wrap-around every stamp,
+// to the arrays' full capacity, is cleared once, so a stamp written 2^32
+// calls ago cannot read as present.
+func (sv *session) nextTryGen() uint32 {
+	sv.tryGen++
+	if sv.tryGen == 0 {
+		clear(sv.tocheck.stamp[:cap(sv.tocheck.stamp)])
+		clear(sv.tolower.stamp[:cap(sv.tolower.stamp)])
+		sv.tryGen = 1
+	}
+	return sv.tryGen
 }
 
 var sessionPool = sync.Pool{
 	New: func() any {
 		sessionsAllocated.Add(1)
-		return &session{
-			tocheck: make(map[constraint.Attr]lattice.Level),
-			tolower: make(map[constraint.Attr]lattice.Level),
-			inSet:   make(map[constraint.Attr]bool),
-		}
+		return &session{inSet: make(map[constraint.Attr]bool)}
 	},
 }
 
@@ -434,9 +493,8 @@ func acquireSession(ctx context.Context, c *constraint.Compiled, opt Options) *s
 	sv.ops = 0
 	sv.done = resizeBools(sv.done, c.NumAttrs())
 	sv.unlabeled = resizeInts(sv.unlabeled, len(sv.cons))
-	clear(sv.tocheck)
-	clear(sv.tolower)
-	sv.queue = sv.queue[:0]
+	sv.tocheck.resize(c.NumAttrs())
+	sv.tolower.resize(c.NumAttrs())
 	clear(sv.inSet)
 	return sv
 }
@@ -651,47 +709,44 @@ func (sv *session) processAttr(a constraint.Attr) error {
 		return nil
 	}
 	// Forward lowering through the cycle: try each maximal level between
-	// the lower bound l and the current level.
-	dset := lattice.CoversAbove(sv.lat, sv.lambda[a], l)
-	sv.stats.DescentSteps += len(dset)
-	for len(dset) > 0 {
-		cand := dset[0]
-		dset = dset[1:]
-		lower, ok, err := sv.try(a, cand)
-		if err != nil {
-			return err
+	// the lower bound l and the current level; after a successful Try,
+	// start over from a's new level.
+	for lowered := true; lowered; {
+		lowered = false
+		sv.dset = lattice.AppendCoversAbove(sv.dset[:0], sv.lat, sv.lambda[a], l)
+		sv.stats.DescentSteps += len(sv.dset)
+		for _, cand := range sv.dset {
+			lower, ok, err := sv.try(a, cand)
+			if err != nil {
+				return err
+			}
+			sv.stats.Tries++
+			if !ok {
+				sv.stats.FailedTries++
+				if sv.sink != nil {
+					sv.emit(obs.EventTryFailed, a, cand)
+				}
+				continue
+			}
+			if sv.sink == nil {
+				for _, lw := range lower {
+					sv.lambda[lw.attr] = lw.level
+				}
+			} else {
+				// The try row first, then one lower event per propagated
+				// change (including a itself) so sinks see the deltas that
+				// belong to it, in sorted attribute order so instrumented
+				// runs (traces, goldens) are deterministic.
+				sv.emit(obs.EventTry, a, cand)
+				slices.SortFunc(lower, func(x, y lowering) int { return cmp.Compare(x.attr, y.attr) })
+				for _, lw := range lower {
+					sv.lambda[lw.attr] = lw.level
+					sv.emit(obs.EventLower, lw.attr, lw.level)
+				}
+			}
+			lowered = true
+			break
 		}
-		sv.stats.Tries++
-		if !ok {
-			sv.stats.FailedTries++
-			if sv.sink != nil {
-				sv.emit(obs.EventTryFailed, a, cand)
-			}
-			continue
-		}
-		if sv.sink == nil {
-			for attr, lvl := range lower {
-				sv.lambda[attr] = lvl
-			}
-		} else {
-			// The try row first, then one lower event per propagated
-			// change (including a itself) so sinks see the deltas that
-			// belong to it. The map is iterated in sorted attribute order
-			// so instrumented runs (traces, goldens) are deterministic.
-			sv.emit(obs.EventTry, a, cand)
-			sv.emitBuf = sv.emitBuf[:0]
-			for attr := range lower {
-				sv.emitBuf = append(sv.emitBuf, attr)
-			}
-			slices.Sort(sv.emitBuf)
-			for _, attr := range sv.emitBuf {
-				lvl := lower[attr]
-				sv.lambda[attr] = lvl
-				sv.emit(obs.EventLower, attr, lvl)
-			}
-		}
-		dset = lattice.CoversAbove(sv.lat, sv.lambda[a], l)
-		sv.stats.DescentSteps += len(dset)
 	}
 	sv.done[a] = true
 	if sv.sink != nil {
@@ -760,32 +815,34 @@ func (sv *session) minlevel(a constraint.Attr, c constraint.Constraint) lattice.
 // (including a→l itself) that together with the current λ still satisfy
 // all constraints, or ok=false if lowering a to l transitively violates a
 // constraint whose right-hand side is already definitively labeled. λ is
-// not modified. A non-nil error reports cancellation.
-func (sv *session) try(a constraint.Attr, l lattice.Level) (map[constraint.Attr]lattice.Level, bool, error) {
+// not modified. A non-nil error reports cancellation. The returned slice
+// is session scratch, valid until the next call.
+func (sv *session) try(a constraint.Attr, l lattice.Level) ([]lowering, bool, error) {
 	if sv.fault != nil {
 		if err := sv.fault.Hit("solve.try"); err != nil {
 			return nil, false, err
 		}
 	}
 	sv.lastFailure = -1
-	tocheck := sv.tocheck
-	tolower := sv.tolower
-	clear(tocheck)
-	clear(tolower)
+	gen := sv.nextTryGen()
+	tocheck, tolower := &sv.tocheck, &sv.tolower
 	queue := sv.queue[:0]
+	lowered := sv.lowered[:0]
+	// Hand the grown buffers back to the session on every return.
+	defer func() { sv.queue, sv.lowered = queue[:0], lowered[:0] }()
 
-	tocheck[a] = l
+	tocheck.put(a, l, gen)
 	queue = append(queue, a)
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		curLvl, pending := tocheck[cur]
+	for qi := 0; qi < len(queue); qi++ {
+		cur := queue[qi]
+		curLvl, pending := tocheck.get(cur, gen)
 		if !pending {
 			continue // superseded entry
 		}
-		delete(tocheck, cur)
-		tolower[cur] = curLvl
+		tocheck.del(cur)
+		tolower.put(cur, curLvl, gen)
+		lowered = append(lowered, cur)
 
 		for _, ci := range sv.constr[cur] {
 			c := sv.cons[ci]
@@ -797,14 +854,13 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) (map[constraint.Attr]
 				sv.emit(obs.EventTryStep, cur, curLvl)
 			}
 			if err := sv.poll(); err != nil {
-				sv.queue = queue[:0]
 				return nil, false, err
 			}
 			// Level of the lhs under the tentative lowerings: Tolower
 			// entries override λ.
 			level := sv.lat.Bottom()
 			for _, m := range c.LHS {
-				if lv, ok := tolower[m]; ok {
+				if lv, ok := tolower.get(m, gen); ok {
 					level = sv.lat.Lub(level, lv)
 				} else {
 					level = sv.lat.Lub(level, sv.lambda[m])
@@ -814,7 +870,6 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) (map[constraint.Attr]
 			if sv.rhsDone(c) {
 				if !sv.lat.Dominates(level, rhsLvl) {
 					sv.lastFailure = ci
-					sv.queue = queue[:0]
 					return nil, false, nil
 				}
 				continue
@@ -824,30 +879,35 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) (map[constraint.Attr]
 			}
 			rhs := c.RHS.Attr
 			newlevel := sv.lat.Glb(rhsLvl, level)
-			if old, ok := tolower[rhs]; ok {
+			if old, ok := tolower.get(rhs, gen); ok {
 				if sv.lat.Dominates(newlevel, old) {
 					continue // existing lowering already suffices
 				}
 				newlevel = sv.lat.Glb(old, newlevel)
-				delete(tolower, rhs)
-				tocheck[rhs] = newlevel
+				tolower.del(rhs)
+				tocheck.put(rhs, newlevel, gen)
 				queue = append(queue, rhs)
-			} else if old, ok := tocheck[rhs]; ok {
+			} else if old, ok := tocheck.get(rhs, gen); ok {
 				if sv.lat.Dominates(newlevel, old) {
 					continue
 				}
-				tocheck[rhs] = sv.lat.Glb(old, newlevel) // already queued
+				tocheck.put(rhs, sv.lat.Glb(old, newlevel), gen) // already queued
 			} else {
-				tocheck[rhs] = newlevel
+				tocheck.put(rhs, newlevel, gen)
 				queue = append(queue, rhs)
 			}
 		}
 	}
-	sv.queue = queue[:0]
-	// Copy the result out: the scratch map is reused by the next call.
-	out := make(map[constraint.Attr]lattice.Level, len(tolower))
-	for k, v := range tolower {
-		out[k] = v
+	// Every attribute that left tolower went back through tocheck and the
+	// drained queue, so tolower now holds exactly the attributes listed in
+	// lowered. Deleting each entry as it is copied out skips the repeats.
+	out := sv.lowers[:0]
+	for _, m := range lowered {
+		if lv, ok := tolower.get(m, gen); ok {
+			out = append(out, lowering{attr: m, level: lv})
+			tolower.del(m)
+		}
 	}
+	sv.lowers = out
 	return out, true, nil
 }

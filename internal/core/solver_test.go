@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -458,4 +460,49 @@ rank >= salary
 	}
 	fmt.Println(set.FormatAssignment(res.Assignment))
 	// Output: name=TS rank=C salary=C
+}
+
+// TestTryGenerationWrap runs a solve whose Try generation counter wraps
+// around mid-solve, with every Tocheck/Tolower stamp poisoned to the
+// first generation after the wrap: the wrap must clear them, so the
+// result and every count equal a fresh solve's.
+func TestTryGenerationWrap(t *testing.T) {
+	lat := lattice.FigureOneB()
+	s := workload.MustConstraints(lat, workload.ConstraintSpec{
+		Seed: 3, NumAttrs: 40, NumConstraints: 100, MaxLHS: 3,
+		LevelRHSFraction: 0.3, Cyclic: true,
+	})
+	c := s.Compile()
+	ctx := context.Background()
+	want, err := SolveContext(ctx, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.Tries < 8 {
+		t.Fatalf("instance makes only %d Try calls; the wrap needs more", want.Stats.Tries)
+	}
+
+	sv := acquireSession(ctx, c, Options{})
+	defer sv.release()
+	sv.tryGen = math.MaxUint32 - 3
+	for _, m := range []*levelMarks{&sv.tocheck, &sv.tolower} {
+		for a := range m.stamp {
+			m.stamp[a] = 1
+			m.level[a] = lat.Bottom()
+		}
+	}
+	if err := sv.run(); err != nil {
+		t.Fatal(err)
+	}
+	if sv.tryGen >= math.MaxUint32-3 {
+		t.Fatalf("tryGen = %d: the counter never wrapped", sv.tryGen)
+	}
+	if !sv.lambda.Equal(want.Assignment) {
+		t.Fatalf("assignment across the wrap:\n got %s\nwant %s", s.FormatAssignment(sv.lambda), s.FormatAssignment(want.Assignment))
+	}
+	got, ref := sv.stats, want.Stats
+	got.Duration, got.PoolHit, ref.Duration, ref.PoolHit = 0, false, 0, false
+	if got != ref {
+		t.Fatalf("stats across the wrap = %+v, want %+v", got, ref)
+	}
 }

@@ -80,7 +80,8 @@ func ProbeMinimalityContext(ctx context.Context, c *constraint.Compiled, m const
 	}
 	sv := acquireProbe(ctx, c, m)
 	defer sv.release()
-	for _, a := range s.Attrs() {
+	for i := 0; i < c.NumAttrs(); i++ {
+		a := constraint.Attr(i)
 		for _, cand := range sv.lat.Covers(m[a]) {
 			lower, ok, err := sv.try(a, cand)
 			if err != nil {
@@ -90,8 +91,8 @@ func ProbeMinimalityContext(ctx context.Context, c *constraint.Compiled, m const
 				continue
 			}
 			witness := m.Clone()
-			for attr, lvl := range lower {
-				witness[attr] = lvl
+			for _, lw := range lower {
+				witness[lw.attr] = lw.level
 			}
 			if viol := s.Violations(witness); viol != nil {
 				return false, nil, fmt.Errorf("core: internal error: probe produced a non-solution (%s)", viol[0])

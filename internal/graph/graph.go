@@ -11,6 +11,8 @@ package graph
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 )
 
@@ -32,6 +34,43 @@ func New(n int) *Digraph {
 		succ: make([][]int, n),
 		pred: make([][]int, n),
 	}
+}
+
+// FromEdges returns the digraph over n nodes with the edges u -> v that
+// edges yields, ranging over edges twice: once to count every node's out-
+// and in-degree, once to fill the lists. Each direction's lists share one
+// backing array, cut into one window per node whose capacity is capped at
+// its degree, so a later AddEdge reallocates the list it grows and never
+// writes into a neighbour's window. Lists come out in yield order, equal
+// to those AddEdge calls in the same order would build; a node without
+// edges keeps a nil list. edges must yield the same sequence both times.
+func FromEdges(n int, edges iter.Seq2[int, int]) *Digraph {
+	g := New(n)
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for u, v := range edges {
+		g.check(u)
+		g.check(v)
+		deg[u]++
+		deg[n+v]++
+		g.m++
+	}
+	succ, pred := make([]int, g.m), make([]int, g.m)
+	so, po := 0, 0
+	for u := 0; u < n; u++ {
+		if d := deg[u]; d > 0 {
+			g.succ[u] = succ[so : so : so+d]
+			so += d
+		}
+		if d := deg[n+u]; d > 0 {
+			g.pred[u] = pred[po : po : po+d]
+			po += d
+		}
+	}
+	for u, v := range edges {
+		g.succ[u] = append(g.succ[u], v)
+		g.pred[v] = append(g.pred[v], u)
+	}
+	return g
 }
 
 // N returns the number of nodes.
@@ -133,7 +172,9 @@ func (g *Digraph) PostOrder() []int {
 type SCCResult struct {
 	// Comp maps each node to its component index.
 	Comp []int
-	// Components lists the members of each component, each sorted ascending.
+	// Components lists the members of each component, each sorted
+	// ascending. KosarajuSCC cuts them from one n-length array, each a
+	// window capped at its length.
 	Components [][]int
 }
 
@@ -156,31 +197,39 @@ func KosarajuSCC(g *Digraph) *SCCResult {
 	for i := range comp {
 		comp[i] = -1
 	}
-	var components [][]int
+	// Each component's nodes form one contiguous run of members, runs in
+	// discovery order; the run being flooded doubles as its worklist.
+	members := make([]int, 0, n)
+	nc := 0
 	// Walk nodes in decreasing finish time; flood backward.
-	stack := make([]int, 0, 64)
 	for i := n - 1; i >= 0; i-- {
 		root := post[i]
 		if comp[root] != -1 {
 			continue
 		}
-		id := len(components)
-		comp[root] = id
-		members := []int{root}
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.pred[u] {
+		lo := len(members)
+		comp[root] = nc
+		members = append(members, root)
+		for j := lo; j < len(members); j++ {
+			for _, v := range g.pred[members[j]] {
 				if comp[v] == -1 {
-					comp[v] = id
+					comp[v] = nc
 					members = append(members, v)
-					stack = append(stack, v)
 				}
 			}
 		}
-		sort.Ints(members)
-		components = append(components, members)
+		slices.Sort(members[lo:])
+		nc++
+	}
+	components := make([][]int, nc)
+	lo := 0
+	for id := range components {
+		hi := lo + 1
+		for hi < n && comp[members[hi]] == id {
+			hi++
+		}
+		components[id] = members[lo:hi:hi]
+		lo = hi
 	}
 	return &SCCResult{Comp: comp, Components: components}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -372,5 +373,55 @@ func BenchmarkTarjanSCC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TarjanSCC(g)
+	}
+}
+
+// TestFromEdgesMatchesAddEdge: the counted constructor builds the same
+// Succ/Pred lists, in the same order, as AddEdge in yield order — on random
+// edge lists with parallel edges, self-loops, isolated nodes and n = 0 —
+// and an AddEdge on the built graph reallocates the list it grows instead
+// of writing into a neighbour's window.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		n := trial % 13 // every 13th trial has n = 0
+		var edges [][2]int
+		for i, m := 0, rng.Intn(2*n+1); i < m; i++ {
+			e := [2]int{rng.Intn(n), rng.Intn(n)}
+			edges = append(edges, e)
+			if rng.Intn(4) == 0 {
+				edges = append(edges, e) // parallel edge
+			}
+		}
+		want := buildGraph(n, edges)
+		got := FromEdges(n, func(yield func(u, v int) bool) {
+			for _, e := range edges {
+				if !yield(e[0], e[1]) {
+					return
+				}
+			}
+		})
+		same := func(stage string) {
+			t.Helper()
+			if got.N() != want.N() || got.M() != want.M() {
+				t.Fatalf("trial %d %s: N, M = %d, %d; want %d, %d", trial, stage, got.N(), got.M(), want.N(), want.M())
+			}
+			for u := 0; u < n; u++ {
+				if !reflect.DeepEqual(got.Succ(u), want.Succ(u)) || !reflect.DeepEqual(got.Pred(u), want.Pred(u)) {
+					t.Fatalf("trial %d %s: node %d succ %v pred %v; want %v %v (edges %v)",
+						trial, stage, u, got.Succ(u), got.Pred(u), want.Succ(u), want.Pred(u), edges)
+				}
+			}
+		}
+		same("built")
+		if n == 0 {
+			continue
+		}
+		for i := 0; i < 3; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			got.AddEdge(u, v)
+			want.AddEdge(u, v)
+			same(fmt.Sprintf("after AddEdge(%d, %d)", u, v))
+		}
 	}
 }

@@ -148,14 +148,19 @@ func StrictlyDominates(l Lattice, a, b Level) bool {
 // above the known lower bound lo. In a finite lattice these are exactly the
 // immediate descendants of a that dominate lo.
 func CoversAbove(l Lattice, a, lo Level) []Level {
-	covers := l.Covers(a)
-	out := make([]Level, 0, len(covers))
-	for _, c := range covers {
+	return AppendCoversAbove(nil, l, a, lo)
+}
+
+// AppendCoversAbove appends CoversAbove(l, a, lo) to dst and returns the
+// extended slice, so a caller that reuses one buffer allocates only when
+// the buffer grows.
+func AppendCoversAbove(dst []Level, l Lattice, a, lo Level) []Level {
+	for _, c := range l.Covers(a) {
 		if l.Dominates(c, lo) {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // Branching returns B, the maximum number of immediate predecessors

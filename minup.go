@@ -648,9 +648,10 @@ func SolveSAT(numVars int, clauses []SATClause) (assignment []bool, ok bool) {
 // (lattice + constraint set) hashed across independent shards, each with
 // its own storage backend (CatalogStore) and lock. Mutations return once
 // the record is durable and the in-memory maps are updated; the solver
-// work (compile, memoized solve, incremental repair via RepairContext)
-// runs on per-shard background workers fed by an event bus, unless the
-// caller opts into waiting (PolicyMutateOptions{Wait: true}).
+// work (one compile per version, memoized solve, incremental repair
+// against that compile) runs on per-shard background workers fed by an
+// event bus, unless the caller opts into waiting
+// (PolicyMutateOptions{Wait: true}).
 type (
 	// PolicyCatalog is the store itself; construct with OpenCatalog. Safe
 	// for concurrent use.

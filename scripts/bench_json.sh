@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Run the solve-path benchmark family — the fresh/compiled split, the
-# policy catalog's memoized serve path and the policy-text parse every
-# put, append and replay pays — and write the measurements as
+# policy catalog's memoized serve path, the policy-text parse every put,
+# append and replay pays, and the compile and compile + repair every
+# refreshed version pays — and write the measurements as
 # machine-readable JSON (default BENCH_solve.json), seeding the perf
 # trajectory CI keeps as an artifact.
 #
@@ -16,7 +17,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkParsePolicy)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh)$' \
   -benchmem -count 1 . | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
@@ -35,7 +36,8 @@ END { print "\n}" }' "$tmp" > "$out"
 # Guard against a silently empty run (e.g. a benchmark regex typo).
 for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe \
             BenchmarkSolveSuppress BenchmarkSolveDepinf \
-            BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf; do
+            BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf \
+            BenchmarkCompile BenchmarkRefresh; do
   if ! grep -q "\"$want\"" "$out"; then
     echo "bench_json: $want missing from $out" >&2
     exit 1
