@@ -8,11 +8,14 @@
 # seconds (default 25) is perfbench's --seconds: it sets the length of the
 # fixed op sequence, not its duration. Each profile lasts seconds/2, so
 # the timed part outlasts it. An untraced run sets up three times, each on
-# new minupd processes, and only the last set-up runs the sequence, so the
-# script waits until the set of `minupd -addr` processes has been replaced
-# twice, then profiles every member of that last set in parallel through
-# its loopback -debug-addr pprof endpoint. Profile on an otherwise idle
-# machine: the servers share its cores with the load generator.
+# new minupd processes with a new data directory, and only the last
+# set-up runs the sequence. The script waits until the set of servers has
+# been replaced twice, then profiles every server of that last set in
+# parallel through its loopback -debug-addr pprof endpoint. It counts
+# replacements by the run's set-up directories rather than by polling
+# PIDs: a cold_create set-up lives for about 20 ms, too short to be seen
+# reliably. Profile on an otherwise idle machine: the servers share its
+# cores with the load generator.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 3 ]]; then
@@ -42,34 +45,24 @@ trap 'kill -INT "$run" 2>/dev/null || true' EXIT
 # pids lists this checkout's running minupd servers.
 pids() { pgrep -f "^$bin -addr" | sort -n | tr '\n' ' ' || true; }
 
-# A set of servers that shares no PID with the previous set is a new
-# set-up: perfbench stops every server of one set-up before it starts
-# the next. Servers of one set-up may start a few polls apart.
-gens=0
-members=" "
-while ((gens < 3)); do
+# run.sh execs perfbench, so $run is perfbench's PID, which names its work
+# directory. perfbench stops one set-up's servers before it creates the
+# next set-up's directory, so once the third exists every server that
+# runs belongs to the last set-up.
+setups=.bench_build/perfbench/runs/$workload-s$seed-t0-$run/http
+until [[ -d $setups && $(find "$setups" -mindepth 1 -maxdepth 1 -type d -name 'setup*' | wc -l) -ge 3 ]]; do
 	if ! kill -0 "$run" 2>/dev/null; then
 		echo "profile_perfbench: perfbench exited before its last set-up; see $out/$tag.run.err" >&2
 		exit 1
 	fi
-	cur=$(pids)
-	if [[ -n $cur ]]; then
-		fresh=1
-		for p in $cur; do
-			[[ $members == *" $p "* ]] && fresh=0
-		done
-		if ((fresh)); then
-			gens=$((gens + 1))
-			members=" "
-		fi
-		for p in $cur; do
-			[[ $members == *" $p "* ]] || members="$members$p "
-		done
-	fi
-	sleep 0.2
+	sleep 0.05
 done
-sleep 1 # let the last set-up's remaining servers start
+sleep 1 # let the last set-up's servers start
 procs=$(pids)
+if [[ -z $procs ]]; then
+	echo "profile_perfbench: no minupd server is running; see $out/$tag.run.err" >&2
+	exit 1
+fi
 
 i=0
 profs=()
