@@ -77,8 +77,8 @@ cluster-smoke:
 # four (cross-shard interleavings). Tests that pin their own shard count
 # are unaffected; the rest read CATALOG_TEST_SHARDS via mustOpen.
 shard-matrix:
-	CATALOG_TEST_SHARDS=1 $(GO) test -race -count=1 ./internal/catalog ./internal/bus
-	CATALOG_TEST_SHARDS=4 $(GO) test -race -count=1 ./internal/catalog ./internal/bus
+	CATALOG_TEST_SHARDS=1 $(GO) test -race -count=1 ./internal/catalog
+	CATALOG_TEST_SHARDS=4 $(GO) test -race -count=1 ./internal/catalog
 
 # Fault-injection and resilience suites under the race detector: the
 # concurrent chaos storm, panic isolation, admission/shedding, degraded

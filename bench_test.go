@@ -762,12 +762,12 @@ func BenchmarkSolveCompiledTrace(b *testing.B) {
 	}
 }
 
-// refreshBench is the policy BenchmarkCompile and BenchmarkRefresh share,
-// shaped like a policy of perfbench's replicated_write workload: a
-// paper-family set of size 20 (120 attributes, 360 constraints) plus twelve
-// appended batches (the middle of that workload's 8..16 history), and one
-// more batch that the base's minimal solution violates, so its refresh
-// repairs rather than copies.
+// refreshBench is the policy BenchmarkCompile, BenchmarkRefresh and
+// BenchmarkRepairCompiled share, shaped like a policy of perfbench's
+// replicated_write workload: a paper-family set of size 20 (120
+// attributes, 360 constraints) plus twelve appended batches (the middle of
+// that workload's 8..16 history), and one more batch that the base's
+// minimal solution violates, so a repair of it has work to do.
 type refreshBench struct {
 	set       *constraint.Set       // base plus the violating batch
 	baseCount int                   // constraints of the base
@@ -861,10 +861,24 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkRefresh measures what the catalog's refresh worker does for an
-// append to a solved version: compile the new version once, then repair
-// the previous solution against that snapshot with minimality verified.
+// BenchmarkRefresh measures what the catalog's refresh does for every
+// version: compile it once, then solve the snapshot cold.
 func BenchmarkRefresh(b *testing.B) {
+	rb := newRefreshBench(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SolveContext(ctx, rb.set.Snapshot(), core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRepairCompiled measures the incremental alternative on the same
+// version: compile it once, then repair the previous solution against
+// that snapshot with minimality verified.
+func BenchmarkRepairCompiled(b *testing.B) {
 	rb := newRefreshBench(b)
 	ctx := context.Background()
 	opt := core.RepairOptions{VerifyMinimal: true}

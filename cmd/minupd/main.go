@@ -27,8 +27,8 @@
 //
 // Mutations return once durable; compiling and solving the new version
 // happens on per-shard background workers unless the request carries
-// ?wait=1 to run the refresh inline (appends then report the incremental
-// repair, and PUT responses show a warm cache).
+// ?wait=1 to run that same refresh inline (the response then shows a warm
+// cache).
 //
 //	GET    /policies                    index: name, version, etag, shard,
 //	                                    and cache state per policy
@@ -39,10 +39,10 @@
 //	DELETE /policies/{name}             remove it
 //	POST   /policies/{name}/constraints append constraint text
 //	                                    ({"constraints": ...}); with ?wait=1
-//	                                    and a warm solve cache this runs the
-//	                                    incremental repair inline, otherwise
-//	                                    it answers refresh_pending and the
-//	                                    shard worker repairs in background
+//	                                    the new version is compiled and
+//	                                    solved inline, otherwise it answers
+//	                                    refresh_pending and the shard worker
+//	                                    solves it in background
 //	GET    /policies/{name}/solve       minimal classification, memoized:
 //	                                    an unchanged policy is served with
 //	                                    zero compiles and zero solves
@@ -322,7 +322,6 @@ func main() {
 		Fault:   cfg.fault,
 		Shards:  *shards,
 		Flight:  cfg.flight,
-		Logger:  logger,
 	}
 	// Cluster mode: the record ring must observe every durable append, so
 	// it is wired in before the catalog opens.

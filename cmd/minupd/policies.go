@@ -3,11 +3,10 @@
 // constraint appends, and served from a per-version memoized solve cache.
 //
 // Mutations answer as soon as the record is durable and the new version is
-// visible; the solver work (compile, memoized solve, incremental repair)
-// runs on the catalog's per-shard background workers. Add ?wait=1 to a PUT
-// or append to run that refresh inline instead: the response then reflects
-// a warm cache, and appends report how the memoized solution was repaired.
-// Without it, an append whose refresh is still queued carries
+// visible, and queue the policy on its shard; the shard's background worker
+// compiles the current version once and solves it cold. Add ?wait=1 to a
+// PUT or append to run that same refresh inline instead: the response then
+// reflects a warm cache. Without it, an append answers
 // "refresh_pending": true.
 //
 // Optimistic concurrency is plain HTTP: every response carrying policy
@@ -54,17 +53,11 @@ type policyListResponse struct {
 }
 
 // policyAppendResponse reports an accepted constraint append: the new
-// version plus how the solution cache was maintained — repaired
-// incrementally from the memoized solution (repaired: true, with the
-// repair's work counts, ?wait=1 only), left for a shard worker
-// (refresh_pending: true), or left cold for the next solve to fill.
+// version, plus refresh_pending when its compile and solve were left to a
+// shard worker (an append without ?wait=1).
 type policyAppendResponse struct {
 	minup.PolicyInfo
-	Repaired         bool `json:"repaired"`
-	RepairViolated   int  `json:"repair_violated,omitempty"`
-	RepairRecomputed int  `json:"repair_recomputed,omitempty"`
-	RepairFellBack   bool `json:"repair_fell_back,omitempty"`
-	RefreshPending   bool `json:"refresh_pending,omitempty"`
+	RefreshPending bool `json:"refresh_pending,omitempty"`
 }
 
 // policySolveResponse is the JSON answer of GET/POST /policies/{name}/solve.
@@ -291,9 +284,9 @@ func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePolicyAppend runs POST /policies/{name}/constraints. Appends do
-// solver work — at least the solvability check, and with ?wait=1 the full
-// inline repair — so they pass the same admission gate and solve budget as
-// solves.
+// solver work — at least the solvability check, and with ?wait=1 the
+// version's compile and solve — so they pass the same admission gate and
+// solve budget as solves.
 func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	if !s.clusterWriteGate(w, r) {
 		return
@@ -338,14 +331,7 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag(res.Info.Version))
-	writeJSON(w, policyAppendResponse{
-		PolicyInfo:       res.Info,
-		Repaired:         res.Repaired,
-		RepairViolated:   res.Repair.ViolatedConstraints,
-		RepairRecomputed: res.Repair.Recomputed,
-		RepairFellBack:   res.Repair.FellBack,
-		RefreshPending:   res.Pending,
-	})
+	writeJSON(w, policyAppendResponse{PolicyInfo: res.Info, RefreshPending: res.Pending})
 }
 
 // handlePolicySolve serves GET/POST /policies/{name}/solve. A warm version

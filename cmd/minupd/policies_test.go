@@ -150,8 +150,8 @@ func TestPolicyLifecycle(t *testing.T) {
 			after.Counters["catalog.cache_hits"], before.Counters["catalog.cache_hits"]+1)
 	}
 
-	// A waited append runs the incremental repair off the warm cache and
-	// keeps it warm: the next solve is still a hit, at the new version.
+	// A waited append compiles and solves the new version inline, so it
+	// answers warm and the next solve is a hit, at the new version.
 	rec = policyReq(t, h, http.MethodPost, "/policies/acct/constraints?wait=1",
 		&policyRequest{Constraints: "rank >= TS\n"}, nil)
 	if rec.Code != http.StatusOK {
@@ -161,8 +161,8 @@ func TestPolicyLifecycle(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
 		t.Fatal(err)
 	}
-	if !ar.Repaired {
-		t.Fatal("waited append with a warm cache did not run the incremental repair")
+	if !ar.Solved || !ar.Compiled {
+		t.Fatalf("waited append answered a cold version: %+v", ar)
 	}
 	if ar.RefreshPending {
 		t.Fatal("waited append still reported a pending refresh")
@@ -182,10 +182,10 @@ func TestPolicyLifecycle(t *testing.T) {
 	}
 	final := srv.reg.Snapshot()
 	if final.Counters["solve.cold"] != 0 {
-		t.Fatalf("solve.cold = %d after repair-maintained cache, want 0", final.Counters["solve.cold"])
+		t.Fatalf("solve.cold = %d after waited mutations, want 0", final.Counters["solve.cold"])
 	}
-	if final.Counters["catalog.repairs"] != 1 {
-		t.Fatalf("catalog.repairs = %d, want 1", final.Counters["catalog.repairs"])
+	if final.Counters["catalog.refresh.solves"] != 2 {
+		t.Fatalf("catalog.refresh.solves = %d, want 2 (the waited put and append)", final.Counters["catalog.refresh.solves"])
 	}
 
 	rec = policyReq(t, h, http.MethodDelete, "/policies/acct", nil, nil)
@@ -221,8 +221,8 @@ func TestPolicyAsyncPipeline(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
 		t.Fatal(err)
 	}
-	if ar.Repaired || !ar.RefreshPending {
-		t.Fatalf("async append = %+v, want pending refresh and no inline repair", ar)
+	if !ar.RefreshPending {
+		t.Fatalf("async append = %+v, want a pending refresh", ar)
 	}
 	if ar.Version != 2 {
 		t.Fatalf("async append version = %d, want 2", ar.Version)

@@ -30,11 +30,12 @@
 //
 //   - Mutation pipeline (pipeline.go). Ingest is decoupled from
 //     compile/solve: a mutation returns once its WAL append is durable and
-//     the in-memory maps are updated, and a per-shard background worker —
-//     fed through internal/bus — compiles the new version once and
-//     refreshes the memoized solve against that snapshot (incrementally
-//     via core.RepairCompiled when the cache was warm). MutateOptions.Wait restores fully synchronous semantics, and
-//     Flush drains the pipeline for deterministic tests and shutdown.
+//     the in-memory maps are updated, and queues the policy's name on its
+//     shard. The queue holds each name at most once; the shard's worker
+//     drains it, compiling the name's current version once and solving it
+//     cold with core.SolveContext. MutateOptions.Wait runs that same
+//     refresh inline instead, and Flush drains the queues for
+//     deterministic tests and shutdown.
 //
 // Serving an unchanged policy performs zero compiles and zero solves
 // ("catalog.cache_hits"); optimistic concurrency (If-Match versions) keeps
@@ -47,7 +48,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -58,7 +58,6 @@ import (
 	"time"
 
 	"minup/internal/baseline"
-	"minup/internal/bus"
 	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/fault"
@@ -105,17 +104,13 @@ type Options struct {
 	Dir string
 	// Sync is the WAL fsync policy (wal.SyncAlways by default).
 	Sync wal.SyncPolicy
-	// Metrics, when non-nil, receives the catalog.*, bus.*, and wal.*
-	// series.
+	// Metrics, when non-nil, receives the catalog.* and wal.* series.
 	Metrics *obs.Registry
 	// Flight, when non-nil, receives one FlightRecord per refresh-pipeline
 	// job (outcome, duration, policy identity), so stalled or crashing
 	// refreshes are visible in /debug/requests next to the HTTP traffic
 	// that caused them.
 	Flight *obs.FlightRecorder
-	// Logger, when non-nil, is handed to the internal bus for rate-limited
-	// dropped-event warnings.
-	Logger *slog.Logger
 	// Fault, when non-nil, arms the "catalog.compile", "wal.append", and
 	// "wal.fsync" fault points for chaos testing.
 	Fault *fault.Injector
@@ -205,7 +200,13 @@ type shard struct {
 	snapSeq   uint64 // sequence number the shard's snapshot covers
 	sinceSnap int
 	closed    bool
-	sub       *bus.Subscription // the refresh worker's feed
+
+	// The refresh queue: names awaiting the shard worker, oldest first,
+	// each at most once (queued marks membership). Guarded by mu; wake
+	// (capacity 1) tells the worker there is work or the shard closed.
+	queue  []string
+	queued map[string]bool
+	wake   chan struct{}
 
 	// Recovery bookkeeping, written only during Open.
 	snapPolicies, walRecords int
@@ -217,7 +218,6 @@ type shard struct {
 type Catalog struct {
 	opt      Options
 	shards   []*shard
-	bus      *bus.Bus
 	pending  pendingTracker
 	workers  sync.WaitGroup
 	closed   atomic.Bool
@@ -282,13 +282,13 @@ func Open(opt Options) (*Catalog, error) {
 		}
 		opt.Shards = n
 	}
-	c := &Catalog{
-		opt: opt,
-		bus: bus.New(bus.Options{Metrics: opt.Metrics, Logger: opt.Logger}),
+	c := &Catalog{opt: opt}
+	if opt.Metrics != nil {
+		c.pending.gauge = opt.Metrics.Gauge("catalog.refresh.pending")
 	}
 	c.recovery.Shards = opt.Shards
 	for i := 0; i < opt.Shards; i++ {
-		s := &shard{id: i, pol: make(map[string]*policy)}
+		s := &shard{id: i, pol: make(map[string]*policy), queued: make(map[string]bool), wake: make(chan struct{}, 1)}
 		var err error
 		switch {
 		case opt.OpenStore != nil:
@@ -341,9 +341,8 @@ func Open(opt Options) (*Catalog, error) {
 	c.recovery.Duration = time.Since(start)
 	c.setGauges()
 
-	// Start the refresh pipeline: one worker per shard, fed over the bus.
+	// Start the refresh pipeline: one worker per shard, draining its queue.
 	for _, s := range c.shards {
-		s.sub = c.bus.Subscribe(refreshTopic(s.id), refreshBuffer)
 		c.workers.Add(1)
 		go c.refreshWorker(s)
 	}
@@ -477,24 +476,24 @@ func (c *Catalog) closeStores() {
 // Idempotent and safe to race with mutations: the first call wins, later
 // calls (and mutations that lose the race) observe ErrClosed. Durable state
 // needs no flushing — every mutation is WAL-first — so drain only has to
-// let in-flight cache refreshes finish.
+// let the queued cache refreshes finish.
 func (c *Catalog) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Stop the pipeline: closing each subscription lets its worker drain
-	// the buffered refreshes and exit; refreshes published by mutations
-	// still in flight after this point are counted dropped (the bus is
-	// lossy by contract, and a cold cache merely refills on next read).
-	for _, s := range c.shards {
-		s.sub.Close()
-	}
-	c.workers.Wait()
-	c.bus.Close()
-	var first error
+	// Close every shard first: a mutation that loses the race sees closed
+	// under the shard lock, returns ErrClosed and queues nothing. Each
+	// worker then drains the names already queued and exits.
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.closed = true
+		s.mu.Unlock()
+		s.signal()
+	}
+	c.workers.Wait()
+	var first error
+	for _, s := range c.shards {
+		s.mu.Lock()
 		if err := s.store.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -550,18 +549,38 @@ func buildPolicy(name, latticeText, constraintsText string) (*policy, error) {
 	}, nil
 }
 
+// install puts p under its name on s, continuing the version sequence of
+// the policy it replaces (or starting at 1), and reports whether the name
+// was new. Caller holds s's write lock.
+func (s *shard) install(p *policy) bool {
+	p.shard = s.id
+	old := s.pol[p.name]
+	p.version = 1
+	if old != nil {
+		p.version = old.version + 1
+	}
+	s.pol[p.name] = p
+	return old == nil
+}
+
+// extend installs ns — a clone of p's set with text parsed into it — as
+// p's next version, dropping the previous version's memoized artifacts.
+// Caller holds the owning shard's write lock.
+func (p *policy) extend(ns *constraint.Set, text string) {
+	p.set = ns
+	p.consTexts = append(p.consTexts, text)
+	p.version++
+	p.compiled = nil
+	p.solved = nil
+	p.solvedStats = core.Stats{}
+}
+
 func (s *shard) applyPut(name, latticeText, constraintsText string) error {
 	p, err := buildPolicy(name, latticeText, constraintsText)
 	if err != nil {
 		return err
 	}
-	p.shard = s.id
-	if old := s.pol[name]; old != nil {
-		p.version = old.version + 1
-	} else {
-		p.version = 1
-	}
-	s.pol[name] = p
+	s.install(p)
 	return nil
 }
 
@@ -574,12 +593,7 @@ func (s *shard) applyAppend(name, constraintsText string) error {
 	if err := ns.ParseString(constraintsText); err != nil {
 		return fmt.Errorf("catalog: policy %q append: %w", name, err)
 	}
-	p.set = ns
-	p.consTexts = append(p.consTexts, constraintsText)
-	p.version++
-	p.compiled = nil
-	p.solved = nil
-	p.solvedStats = core.Stats{}
+	p.extend(ns, constraintsText)
 	return nil
 }
 
@@ -832,11 +846,6 @@ func (c *Catalog) List() []PolicyInfo {
 // Len returns the number of policies across all shards.
 func (c *Catalog) Len() int { return int(c.policies.Load()) }
 
-// Bus exposes the catalog's event bus so external observers (metrics
-// shippers, the future WAL-shipping replicator of ROADMAP item 1) can
-// subscribe to TopicMutations and TopicRefreshed.
-func (c *Catalog) Bus() *bus.Bus { return c.bus }
-
 // SolveResult is the answer of Catalog.Solve.
 type SolveResult struct {
 	// Info describes the served version, without its source texts.
@@ -877,8 +886,8 @@ func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
 // SolveWith returns the classification for the policy's current version.
 // Warm policies are served from the memoized cache ("catalog.cache_hits")
 // under only the shard's read lock, with no compile and no solve. A cold
-// version — the refresh pipeline hasn't caught up, or its event was
-// dropped — is answered with the baseline when opt asks for it, and is
+// version — the refresh pipeline hasn't caught up, or its refresh failed —
+// is answered with the baseline when opt asks for it, and is
 // otherwise filled here under the shard's write lock: compiling the
 // snapshot (at most once per version, see compile) and running one cold
 // solve ("solve.cold", "catalog.cache_misses"), then memoizing.

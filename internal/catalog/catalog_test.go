@@ -269,35 +269,35 @@ func TestAppendRepairsAndMemoizes(t *testing.T) {
 		t.Fatalf("wait-mode Put returned a cold policy: %+v", pinfo)
 	}
 
-	// Warm wait-mode append: must take the incremental-repair path, not a
-	// cold solve, and must leave the repaired answer memoized.
+	// Wait-mode append: runs the worker's refresh inline, so it returns
+	// warm at the new version with nothing pending.
 	ar, err := c.Append(ctx, "hr", "rank >= TS\n", 1, MutateOptions{Wait: true})
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if !ar.Repaired || ar.Pending || ar.Info.Version != 2 {
-		t.Fatalf("AppendResult = %+v, want repaired (not pending) at version 2", ar)
+	if ar.Pending || ar.Info.Version != 2 {
+		t.Fatalf("AppendResult = %+v, want warm (not pending) at version 2", ar)
 	}
 	if !ar.Info.Solved || !ar.Info.Compiled {
-		t.Fatalf("wait-mode repaired append left cache flags cold: %+v", ar.Info)
+		t.Fatalf("wait-mode append left cache flags cold: %+v", ar.Info)
 	}
 	res, err := c.Solve(ctx, "hr")
 	if err != nil || !res.CacheHit {
 		t.Fatalf("Solve after append: hit=%v err=%v", res.CacheHit, err)
 	}
 	if res.Assignment["rank"] != "TS" || res.Assignment["salary"] != "TS" {
-		t.Fatalf("repaired Assignment = %v, want both TS", res.Assignment)
+		t.Fatalf("appended Assignment = %v, want both TS", res.Assignment)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["solve.cold"] != 0 {
-		t.Fatalf("solve.cold = %d after warm append, want 0 (repair must not cold-solve)", snap.Counters["solve.cold"])
+		t.Fatalf("solve.cold = %d after waited append, want 0 (the refresh warmed it)", snap.Counters["solve.cold"])
 	}
-	if snap.Counters["catalog.repairs"] != 1 {
-		t.Fatalf("catalog.repairs = %d, want 1", snap.Counters["catalog.repairs"])
+	if snap.Counters["catalog.refresh.solves"] != 2 {
+		t.Fatalf("catalog.refresh.solves = %d, want 2", snap.Counters["catalog.refresh.solves"])
 	}
 
-	// Append introducing a brand-new attribute: the repair extends the
-	// solution to it.
+	// Append introducing a brand-new attribute: the new version's solve
+	// classifies it.
 	if _, err := c.Append(ctx, "hr", "bonus >= salary\n", 2, MutateOptions{Wait: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +322,11 @@ func TestAppendRepairsAndMemoizes(t *testing.T) {
 		t.Fatalf("cache lost after failed append: hit=%v err=%v", res.CacheHit, err)
 	}
 
-	// Async append: returns immediately with Pending set, no repair stats;
-	// the shard worker repairs in the background (the cache was warm, so
-	// the refresh goes through RepairContext, not a cold solve).
+	// Async append: returns immediately with Pending set; the shard worker
+	// solves the new version in the background.
 	ar, err = c.Append(ctx, "hr", "salary >= TS\n", Unconditional)
-	if err != nil || ar.Repaired || !ar.Pending {
-		t.Fatalf("async Append = %+v, %v (want pending, unrepaired)", ar, err)
+	if err != nil || !ar.Pending {
+		t.Fatalf("async Append = %+v, %v (want pending)", ar, err)
 	}
 	mustFlush(t, c)
 	res, err = c.Solve(ctx, "hr")
@@ -335,8 +334,8 @@ func TestAppendRepairsAndMemoizes(t *testing.T) {
 		t.Fatalf("solve after flushed async append: hit=%v res=%v err=%v", res.CacheHit, res.Assignment, err)
 	}
 	snap = reg.Snapshot()
-	if snap.Counters["catalog.repairs"] != 3 {
-		t.Fatalf("catalog.repairs = %d, want 3 (async refresh must repair, not cold-solve)", snap.Counters["catalog.repairs"])
+	if snap.Counters["catalog.refresh.solves"] != 4 {
+		t.Fatalf("catalog.refresh.solves = %d, want 4 (the async refresh must solve on the worker)", snap.Counters["catalog.refresh.solves"])
 	}
 	if snap.Counters["solve.cold"] != 0 {
 		t.Fatalf("solve.cold = %d, want 0", snap.Counters["solve.cold"])

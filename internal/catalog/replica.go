@@ -4,15 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-
-	"minup/internal/core"
 )
 
 // This file is the catalog's follower-apply surface: what the cluster
 // replication layer (internal/cluster) needs to mirror a leader's per-shard
 // WAL onto a replica. A follower applies each replicated record exactly the
 // way the live mutation path does — durable store append first, in-memory
-// install second, refresh pipeline warm-up third — so two catalogs that
+// install second, refresh queued third — so two catalogs that
 // applied the same record sequence hold byte-identical WALs and equal
 // Fingerprints. Lagging or new followers skip the record stream entirely
 // and install a whole-shard snapshot (InstallShardSnapshot), the same bytes
@@ -52,11 +50,11 @@ func (c *Catalog) ShardSeqs() []uint64 {
 // ApplyRecord applies one replicated WAL record payload to shard shardID,
 // returning the shard's sequence number afterwards. The payload must be the
 // leader's exact record bytes (seq and all); it is validated, appended
-// durably to the shard's own store, applied in memory, and handed to the
-// refresh pipeline — the same WAL-first ordering as a live mutation, minus
-// the precondition checks the leader already enforced. A record that is not
-// exactly the shard's next sequence number returns ErrOutOfOrder and
-// changes nothing.
+// durably to the shard's own store and applied in memory, and a put or
+// append queues the policy for the shard's refresh worker — the same
+// WAL-first ordering as an async live mutation, minus the precondition
+// checks the leader already enforced. A record that is not exactly the
+// shard's next sequence number returns ErrOutOfOrder and changes nothing.
 func (c *Catalog) ApplyRecord(shardID int, payload []byte) (uint64, error) {
 	if shardID < 0 || shardID >= len(c.shards) {
 		return 0, fmt.Errorf("catalog: apply: no shard %d", shardID)
@@ -66,88 +64,57 @@ func (c *Catalog) ApplyRecord(shardID int, payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("catalog: apply: decoding record: %w", err)
 	}
 	s := c.shards[shardID]
-
-	var job refreshJob
-	var ev MutationEvent
-	var seq uint64
-	err := func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return ErrClosed
-		}
-		seq = s.seq
-		if rec.Seq != s.seq+1 {
-			return fmt.Errorf("%w: shard %d at seq %d got record seq %d", ErrOutOfOrder, shardID, s.seq, rec.Seq)
-		}
-		switch rec.Op {
-		case "put":
-			staged, err := buildPolicy(rec.Name, rec.Lattice, rec.Constraints)
-			if err != nil {
-				return fmt.Errorf("catalog: replicated put: %w", err)
-			}
-			if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
-				return err
-			}
-			staged.shard = s.id
-			if old := s.pol[rec.Name]; old != nil {
-				staged.version = old.version + 1
-			} else {
-				staged.version = 1
-				c.policies.Add(1)
-			}
-			s.pol[rec.Name] = staged
-			job = refreshJob{shard: s, pol: staged, name: rec.Name, version: staged.version, lat: staged.lat, set: staged.set}
-			ev = MutationEvent{Op: "put", Name: rec.Name, Version: staged.version, Shard: s.id, Seq: rec.Seq}
-		case "append":
-			p := s.pol[rec.Name]
-			if p == nil {
-				return fmt.Errorf("catalog: replicated append: %w: %q", ErrNotFound, rec.Name)
-			}
-			ns := p.set.Clone()
-			if err := ns.ParseString(rec.Constraints); err != nil {
-				return fmt.Errorf("catalog: replicated append %q: %w", rec.Name, err)
-			}
-			base, baseCount := p.solved, len(p.set.Constraints())
-			if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
-				return err
-			}
-			p.set = ns
-			p.consTexts = append(p.consTexts, rec.Constraints)
-			p.version++
-			p.compiled = nil
-			p.solved = nil
-			p.solvedStats = core.Stats{}
-			job = refreshJob{shard: s, pol: p, name: rec.Name, version: p.version, lat: p.lat, set: ns, base: base, baseCount: baseCount}
-			ev = MutationEvent{Op: "append", Name: rec.Name, Version: p.version, Shard: s.id, Seq: rec.Seq}
-		case "delete":
-			if s.pol[rec.Name] == nil {
-				return fmt.Errorf("catalog: replicated delete: %w: %q", ErrNotFound, rec.Name)
-			}
-			if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
-				return err
-			}
-			delete(s.pol, rec.Name)
-			c.policies.Add(-1)
-			ev = MutationEvent{Op: "delete", Name: rec.Name, Shard: s.id, Seq: rec.Seq}
-		default:
-			return fmt.Errorf("catalog: replicated record: unknown op %q", rec.Op)
-		}
-		seq = s.seq
-		c.count("catalog.replica.applied")
-		c.shardGauge(s)
-		c.maybeCompact(s)
-		return nil
-	}()
-	if err != nil {
-		return seq, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return s.seq, ErrClosed
 	}
-
-	c.bus.Publish(TopicMutations, ev)
-	if job.pol != nil {
-		c.enqueueRefresh(job)
+	if rec.Seq != s.seq+1 {
+		return s.seq, fmt.Errorf("%w: shard %d at seq %d got record seq %d", ErrOutOfOrder, shardID, s.seq, rec.Seq)
 	}
-	return seq, nil
+	switch rec.Op {
+	case "put":
+		staged, err := buildPolicy(rec.Name, rec.Lattice, rec.Constraints)
+		if err != nil {
+			return s.seq, fmt.Errorf("catalog: replicated put: %w", err)
+		}
+		if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
+			return s.seq, err
+		}
+		if s.install(staged) {
+			c.policies.Add(1)
+		}
+		c.enqueue(s, rec.Name)
+	case "append":
+		p := s.pol[rec.Name]
+		if p == nil {
+			return s.seq, fmt.Errorf("catalog: replicated append: %w: %q", ErrNotFound, rec.Name)
+		}
+		ns := p.set.Clone()
+		if err := ns.ParseString(rec.Constraints); err != nil {
+			return s.seq, fmt.Errorf("catalog: replicated append %q: %w", rec.Name, err)
+		}
+		if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
+			return s.seq, err
+		}
+		p.extend(ns, rec.Constraints)
+		c.enqueue(s, rec.Name)
+	case "delete":
+		if s.pol[rec.Name] == nil {
+			return s.seq, fmt.Errorf("catalog: replicated delete: %w: %q", ErrNotFound, rec.Name)
+		}
+		if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
+			return s.seq, err
+		}
+		delete(s.pol, rec.Name)
+		c.policies.Add(-1)
+	default:
+		return s.seq, fmt.Errorf("catalog: replicated record: unknown op %q", rec.Op)
+	}
+	c.count("catalog.replica.applied")
+	c.shardGauge(s)
+	c.maybeCompact(s)
+	return s.seq, nil
 }
 
 // appendReplicated durably appends a replicated record and advances the
@@ -188,7 +155,7 @@ func (c *Catalog) ShardSnapshot(i int) (data []byte, seq uint64, err error) {
 // snapshot: the data is fully decoded and validated first (a failure —
 // ErrSnapshotCorrupt — leaves the shard untouched), then durably compacted
 // into the shard's store and swapped into memory. Every installed policy is
-// handed to the refresh pipeline so the replica's memoized solves re-warm.
+// queued for a refresh so the replica's memoized solves re-warm.
 func (c *Catalog) InstallShardSnapshot(i int, data []byte) error {
 	if i < 0 || i >= len(c.shards) {
 		return fmt.Errorf("catalog: install: no shard %d", i)
@@ -201,33 +168,23 @@ func (c *Catalog) InstallShardSnapshot(i int, data []byte) error {
 		return err
 	}
 	s := c.shards[i]
-	var jobs []refreshJob
-	err := func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return ErrClosed
-		}
-		if err := s.store.Compact(data); err != nil {
-			return fmt.Errorf("%w: %w", ErrStorage, err)
-		}
-		c.policies.Add(int64(len(tmp.pol) - len(s.pol)))
-		s.pol = tmp.pol
-		s.seq = tmp.seq
-		s.snapSeq = tmp.snapSeq
-		s.sinceSnap = 0
-		for _, p := range s.pol {
-			jobs = append(jobs, refreshJob{shard: s, pol: p, name: p.name, version: p.version, lat: p.lat, set: p.set})
-		}
-		c.count("catalog.snapshot_installs")
-		c.shardGauge(s)
-		return nil
-	}()
-	if err != nil {
-		return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	for _, job := range jobs {
-		c.enqueueRefresh(job)
+	if err := s.store.Compact(data); err != nil {
+		return fmt.Errorf("%w: %w", ErrStorage, err)
 	}
+	c.policies.Add(int64(len(tmp.pol) - len(s.pol)))
+	s.pol = tmp.pol
+	s.seq = tmp.seq
+	s.snapSeq = tmp.snapSeq
+	s.sinceSnap = 0
+	for name := range s.pol {
+		c.enqueue(s, name)
+	}
+	c.count("catalog.snapshot_installs")
+	c.shardGauge(s)
 	return nil
 }

@@ -16,13 +16,12 @@ import (
 )
 
 // TestCatalogSoak drives a durable catalog with a long generated mutation
-// stream, interleaving solves so appends exercise the warm
-// incremental-repair path and cache hits at scale, then checks three
-// properties: every surviving policy's served solution satisfies its
-// constraint set AND is minimal (repair never trades minimality for
-// speed), the counters prove both repair and cache paths actually ran,
-// and a reopen of the data directory reproduces the state byte-exactly
-// through snapshot + WAL recovery.
+// stream, interleaving solves so reads race the refresh workers and hit
+// the cache at scale, then checks three properties: every surviving
+// policy's served solution satisfies its constraint set AND is minimal,
+// the counters prove both the refresh and cache paths actually ran, and a
+// reopen of the data directory reproduces the state byte-exactly through
+// snapshot + WAL recovery.
 func TestCatalogSoak(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -53,8 +52,8 @@ func TestCatalogSoak(t *testing.T) {
 			t.Fatalf("mutation %d (%s %s): %v", i, m.Op, m.Name, err)
 		}
 		// Solve the policy just touched (and again, for a guaranteed cache
-		// hit) every few mutations, so later appends find a memoized
-		// solution to repair instead of falling back to cold solves.
+		// hit) every few mutations, so reads race the refresh of the
+		// version they find.
 		if i%3 == 0 && m.Op != workload.OpDelete {
 			if _, err := c.Solve(ctx, m.Name); err != nil {
 				t.Fatalf("solve %s after mutation %d: %v", m.Name, i, err)
@@ -106,10 +105,9 @@ func TestCatalogSoak(t *testing.T) {
 		if !set.Satisfies(asn) {
 			t.Fatalf("%s: served solution violates constraints: %v", info.Name, set.Violations(asn))
 		}
-		// Complex constraints admit multiple incomparable minimal solutions
-		// (the repair may settle on a different one than a fresh solve
-		// would), so the check is minimality itself, not equality with an
-		// independent solve.
+		// Complex constraints admit multiple incomparable minimal
+		// solutions, so the check is minimality itself; equality with an
+		// independent solve is TestOneAnswerPerVersion's.
 		minimal, w, err := core.ProbeMinimality(set, asn)
 		if err != nil {
 			t.Fatalf("probing %s: %v", info.Name, err)
@@ -122,7 +120,7 @@ func TestCatalogSoak(t *testing.T) {
 
 	snap := reg.Snapshot()
 	for _, name := range []string{
-		"catalog.repairs", "catalog.cache_hits", "catalog.snapshots",
+		"catalog.refresh.solves", "catalog.cache_hits", "catalog.snapshots",
 		"catalog.refresh.enqueued", "catalog.refresh.completed",
 	} {
 		if snap.Counters[name] == 0 {
@@ -197,7 +195,7 @@ func TestCrossShardConcurrentSoak(t *testing.T) {
 					errs[g] = fmt.Errorf("writer %d mutation %d (%s %s): %w", g, i, m.Op, name, err)
 					return
 				}
-				// Interleave reads so appends find warm caches to repair.
+				// Interleave reads so they race the refresh workers.
 				if i%5 == 0 && m.Op != workload.OpDelete {
 					if _, err := c.Solve(ctx, name); err != nil {
 						errs[g] = fmt.Errorf("writer %d solve %s: %w", g, name, err)

@@ -88,7 +88,7 @@ func (s *Set) Lattice() lattice.Lattice { return s.lat }
 // lattice. Mutating the clone never affects the original, which makes it
 // the staging area for speculative mutations: the policy catalog parses
 // appended constraint text into a clone and swaps it in only after the
-// parse and the incremental repair both succeed.
+// parse and the solvability check both succeed.
 func (s *Set) Clone() *Set {
 	c := &Set{
 		lat:   s.lat,

@@ -28,8 +28,8 @@ import (
 //
 // Repair and RepairContext take the extended Set and compile a snapshot of
 // it per call; RepairCompiled takes that snapshot, so a caller that also
-// keeps the snapshot (the policy catalog installs it for later solves)
-// compiles the version once. All three run in pooled sessions.
+// keeps the snapshot for later solves compiles the version once. All three
+// run in pooled sessions.
 
 // RepairOptions tunes Repair.
 type RepairOptions struct {

@@ -51,8 +51,8 @@ type FlightRecord struct {
 	Policy  string `json:"policy,omitempty"`
 	Shard   int    `json:"shard,omitempty"`
 	Version uint64 `json:"version,omitempty"`
-	// Outcome is the refresh disposition: completed, repaired, stale,
-	// failed, or panic.
+	// Outcome is the refresh disposition: completed, stale, failed, or
+	// panic.
 	Outcome string `json:"outcome,omitempty"`
 
 	Start       time.Time `json:"start"`

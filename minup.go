@@ -68,7 +68,6 @@ import (
 	"time"
 
 	"minup/internal/baseline"
-	"minup/internal/bus"
 	"minup/internal/catalog"
 	"minup/internal/cluster"
 	"minup/internal/constraint"
@@ -647,11 +646,11 @@ func SolveSAT(numVars int, clauses []SATClause) (assignment []bool, ok bool) {
 // /policies API. A catalog holds named, monotonically versioned policies
 // (lattice + constraint set) hashed across independent shards, each with
 // its own storage backend (CatalogStore) and lock. Mutations return once
-// the record is durable and the in-memory maps are updated; the solver
-// work (one compile per version, memoized solve, incremental repair
-// against that compile) runs on per-shard background workers fed by an
-// event bus, unless the caller opts into waiting
-// (PolicyMutateOptions{Wait: true}).
+// the record is durable and the in-memory maps are updated, and queue the
+// policy's name on its shard; each shard's background worker compiles the
+// name's current version once and solves it cold, unless the caller opts
+// into waiting (PolicyMutateOptions{Wait: true}), which runs that same
+// refresh inline.
 type (
 	// PolicyCatalog is the store itself; construct with OpenCatalog. Safe
 	// for concurrent use.
@@ -667,8 +666,8 @@ type (
 	// refresh inline so the response reflects a warm cache.
 	PolicyMutateOptions = catalog.MutateOptions
 	// PolicyAppendResult reports an Append: the new PolicyInfo plus
-	// whether the memoized solution was repaired inline (and how) or the
-	// refresh is still pending on a shard worker.
+	// whether the version's refresh (compile and cold solve) is still
+	// pending on a shard worker.
 	PolicyAppendResult = catalog.AppendResult
 	// PolicySolveResult is a served solution: assignment, solve stats, and
 	// whether it came from the memoized cache.
@@ -686,33 +685,9 @@ type (
 	CatalogStore = catalog.Store
 	// CatalogLoadStats summarizes one CatalogStore.Load.
 	CatalogLoadStats = catalog.LoadStats
-	// CatalogMutationEvent is the payload published on
-	// CatalogTopicMutations after every durable mutation.
-	CatalogMutationEvent = catalog.MutationEvent
-	// CatalogRefreshEvent is the payload published on
-	// CatalogTopicRefreshed when a shard worker finishes (or fails) a
-	// solver refresh.
-	CatalogRefreshEvent = catalog.RefreshEvent
-	// EventBus is the catalog's internal publish/subscribe bus, reachable
-	// via (*PolicyCatalog).Bus for observing pipeline activity.
-	EventBus = bus.Bus
-	// BusEvent is one delivered bus message (topic, sequence, payload).
-	BusEvent = bus.Event
-	// BusSubscription receives events for one topic on channel C.
-	BusSubscription = bus.Subscription
 	// WALSyncPolicy selects when the catalog's write-ahead log calls
 	// fsync.
 	WALSyncPolicy = wal.SyncPolicy
-)
-
-// Bus topics the catalog publishes on; subscribe via (*PolicyCatalog).Bus.
-const (
-	// CatalogTopicMutations carries a CatalogMutationEvent per durable
-	// put, append, and delete.
-	CatalogTopicMutations = catalog.TopicMutations
-	// CatalogTopicRefreshed carries a CatalogRefreshEvent per finished
-	// solver refresh.
-	CatalogTopicRefreshed = catalog.TopicRefreshed
 )
 
 // NewCatalogMemStore creates an empty in-memory CatalogStore. It survives

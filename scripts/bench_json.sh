@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Run the solve-path benchmark family — the fresh/compiled split, the
 # policy catalog's memoized serve path, the policy-text parse every put,
-# append and replay pays, and the compile and compile + repair every
-# refreshed version pays — and write the measurements as
-# machine-readable JSON (default BENCH_solve.json), seeding the perf
-# trajectory CI keeps as an artifact.
+# append and replay pays, the compile and compile + cold solve every
+# refreshed version pays, and compile + repair of the same version — and
+# write the measurements as machine-readable JSON (default
+# BENCH_solve.json), seeding the perf trajectory CI keeps as an artifact.
 #
 # Usage: scripts/bench_json.sh [outfile]
 set -eu
@@ -17,7 +17,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
   -benchmem -count 1 . | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
@@ -37,7 +37,7 @@ END { print "\n}" }' "$tmp" > "$out"
 for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe \
             BenchmarkSolveSuppress BenchmarkSolveDepinf \
             BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf \
-            BenchmarkCompile BenchmarkRefresh; do
+            BenchmarkCompile BenchmarkRefresh BenchmarkRepairCompiled; do
   if ! grep -q "\"$want\"" "$out"; then
     echo "bench_json: $want missing from $out" >&2
     exit 1

@@ -13,9 +13,9 @@
 # exposition. Each of those requests reads a fresh un-waited policy, whose
 # version no refresh has warmed yet, so it runs the guarded cold solve. A
 # third instance runs the durable sharded policy catalog: create a policy
-# with a waited mutation, append a constraint through the inline
-# incremental repair (?wait=1), solve twice (the second solve must be a
-# cache hit), check the /policies index and per-shard metrics, SIGTERM,
+# with a waited mutation, append a constraint with ?wait=1 (answered warm
+# at version 2), solve twice (the second solve must be a cache hit), check
+# the /policies index, per-shard and refresh metrics, SIGTERM,
 # restart on the same -data-dir WITHOUT -shards (the directory's pinned
 # count must win), and assert the policy survived.
 #
@@ -228,8 +228,8 @@ echo "smoke: http_shed and solve_degraded counters ok (shed=$shed degraded=$degr
 
 # --- Policy catalog: durability across restart ----------------------------
 # A durable catalog server, sharded two ways: create a
-# policy, append a constraint through the inline incremental-repair path
-# (?wait=1), solve twice asserting the second solve is a memoized cache
+# policy, append a constraint with ?wait=1 (its refresh runs inline),
+# solve twice asserting the second solve is a memoized cache
 # hit, then SIGTERM and restart on the same data directory — with no
 # -shards flag, so recovery must honor the shard count pinned in the
 # directory's meta file — and assert the policy state survived.
@@ -260,8 +260,7 @@ request() {
   fi
 }
 
-# ?wait=1 warms the memoized solve inline, so the append below finds a
-# warm cache to repair deterministically.
+# ?wait=1 warms the memoized solve inline, deterministically.
 code="$(request PUT "http://$addr3/policies/smoke?wait=1" \
   '{"lattice":"chain mil\nlevels U C S TS\n","constraints":"attrs salary rank\nsalary >= rank\nrank >= S\n"}' \
   /tmp/smoke-policy.json)"
@@ -280,8 +279,12 @@ if [ "$code" != "200" ]; then
   cat /tmp/smoke-append.json >&2 || true
   exit 1
 fi
-grep -q '"repaired": true' /tmp/smoke-append.json
-echo "smoke: constraint appended through the inline repair (version 2)"
+if ! grep -q '"version": 2,' /tmp/smoke-append.json || ! grep -q '"solved": true' /tmp/smoke-append.json; then
+  echo "smoke: waited append did not answer version 2 solved" >&2
+  cat /tmp/smoke-append.json >&2 || true
+  exit 1
+fi
+echo "smoke: constraint appended and solved inline (version 2)"
 
 fetch "http://$addr3/policies" /tmp/smoke-index.json
 grep -q '"name": "smoke"' /tmp/smoke-index.json
@@ -305,12 +308,12 @@ if ! grep -q '^catalog_shard_' /tmp/smoke-metrics3.txt; then
   echo "smoke: no per-shard catalog_shard_* series in /metrics" >&2
   exit 1
 fi
-published="$(awk '/^bus_published /{print $2}' /tmp/smoke-metrics3.txt)"
-if [ -z "$published" ] || [ "$published" -le 0 ]; then
-  echo "smoke: bus_published missing or zero (got '${published:-absent}')" >&2
+completed="$(awk '/^catalog_refresh_completed /{print $2}' /tmp/smoke-metrics3.txt)"
+if [ -z "$completed" ] || [ "$completed" -le 0 ]; then
+  echo "smoke: catalog_refresh_completed missing or zero (got '${completed:-absent}')" >&2
   exit 1
 fi
-echo "smoke: per-shard gauges and bus counters exported (bus_published=$published)"
+echo "smoke: per-shard gauges and refresh counters exported (catalog_refresh_completed=$completed)"
 
 # --- Problem frontends: compile-and-store through /problems ---------------
 # The frontend routes compile a source-problem instance (here a Kao-style
