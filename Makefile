@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci bench bench-json bench-stats bench-trend smoke slo-smoke load-smoke cluster-smoke chaos fuzz-smoke shard-matrix
+.PHONY: all build test race vet fmt-check ci bench bench-json bench-trend smoke slo-smoke load-smoke cluster-smoke chaos fuzz-smoke shard-matrix
 
 all: build
 
@@ -33,11 +33,6 @@ bench:
 # to BENCH_solve.json (CI uploads it as an artifact).
 bench-json:
 	sh scripts/bench_json.sh
-
-# bench-json plus the per-instance solver stats matrix (tries, collapses,
-# lattice ops, durations, qian baseline rows). CI uploads the result.
-bench-stats:
-	$(GO) run ./cmd/benchtab -solverjson BENCH_solver.json -stats
 
 # Bench-trend regression gate: rerun the solve-path benchmarks and compare
 # against the committed BENCH_solve.json baseline with cmd/benchtrend.

@@ -620,7 +620,11 @@ func BenchmarkSolveSuppress(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	compiled := Compile(c.Set)
+	set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled := Compile(set)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -645,7 +649,11 @@ func BenchmarkSolveDepinf(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	compiled := Compile(c.Set)
+	set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled := Compile(set)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -656,26 +664,58 @@ func BenchmarkSolveDepinf(b *testing.B) {
 	}
 }
 
+// coldCreateProblems returns the frontend instances of perfbench's
+// cold_create workload: a 20x21 suppress grid and a 504-attribute depinf
+// DAG.
+func coldCreateProblems(b *testing.B) (*suppress.Table, *depinf.Relation) {
+	tab, err := suppress.Generate(suppress.GenSpec{Seed: 1, Rows: 20, Cols: 21})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tab, rel
+}
+
+// BenchmarkFrontendCompile measures what a problem create runs before the
+// catalog sees it: the frontend's Compile, which validates the instance
+// and writes its lattice and constraint texts, on perfbench's cold_create
+// instances.
+func BenchmarkFrontendCompile(b *testing.B) {
+	tab, rel := coldCreateProblems(b)
+	for _, tc := range []struct {
+		name string
+		fe   ProblemFrontend
+		inst ProblemInstance
+	}{
+		{"suppress", suppress.Frontend{}, tab},
+		{"depinf", depinf.Frontend{}, rel},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.fe.Compile(tc.inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkParsePolicy measures building a policy from its source texts
 // the way the catalog does on every put, append, follower apply and WAL
-// replay: lattice.Parse, NewSet and ParseString. The shapes and sizes are
-// those of perfbench's cold_create workload: a 402-attribute paper set, a
-// 20x21 suppress grid and a 504-attribute depinf DAG, the last two as the
-// texts their frontends compile to.
+// replay, with constraint.ParsePolicy. The shapes and sizes are those of
+// perfbench's cold_create workload: a 402-attribute paper set and the
+// texts coldCreateProblems' instances compile to.
 func BenchmarkParsePolicy(b *testing.B) {
 	paper, err := workload.GenerateFamily("paper", 1, 67)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, err := suppress.Generate(suppress.GenSpec{Seed: 1, Rows: 20, Cols: 21})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tab, rel := coldCreateProblems(b)
 	sup, err := suppress.Frontend{}.Compile(tab)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -691,11 +731,7 @@ func BenchmarkParsePolicy(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				lat, err := lattice.Parse(strings.NewReader(tc.lattice))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := constraint.NewSet(lat).ParseString(tc.constraints); err != nil {
+				if _, err := constraint.ParsePolicy(tc.lattice, tc.constraints); err != nil {
 					b.Fatal(err)
 				}
 			}

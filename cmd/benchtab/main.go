@@ -1,4 +1,4 @@
-// Command benchtab regenerates the reproduction experiment tables E1–E10
+// Command benchtab regenerates the reproduction experiment tables E1–E12
 // described in DESIGN.md and recorded in EXPERIMENTS.md: the Figure 2
 // worked example, the Theorem 5.2 scaling measurements, the §5 lattice-
 // encoding costs, the baseline comparisons, the Theorem 6.1 NP-hardness
@@ -8,18 +8,7 @@
 //
 //	benchtab                          # run every experiment
 //	benchtab -exp E3,E7               # run selected experiments
-//	benchtab -solverjson BENCH_solver.json  # solver micro-benchmarks as JSON
-//	benchtab -solverjson BENCH_solver.json -stats  # + per-instance stats matrix
-//
-// -solverjson runs the compile/solve-split micro-benchmarks (one-shot
-// Solve vs Compile-once + SolveContext, over acyclic, cyclic, and
-// upper-bound instance shapes) and writes machine-readable results to the
-// named file instead of running the experiment tables. Adding -stats
-// attaches each instance's solver operation counts (tries, collapses,
-// lattice ops, duration) to its rows and emits qian baseline rows, so the
-// JSON trajectories can correlate wall time with Try counts across shapes.
-// -trace-out profiles one instrumented compile+solve per shape and writes
-// the span trees as Chrome trace-event JSON for Perfetto.
+//	benchtab -list                    # list experiment ids
 package main
 
 import (
@@ -34,29 +23,10 @@ import (
 func main() {
 	expFlag := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and titles, then exit")
-	solverJSON := flag.String("solverjson", "", "write solver fresh-vs-compiled benchmark results as JSON to this file, then exit")
-	withStats := flag.Bool("stats", false, "with -solverjson: include per-instance solver operation counts and qian baseline rows")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON profile of one instrumented compile+solve per benchmark shape to this file, then exit (combinable with -solverjson)")
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
-	}
-	if *traceOut != "" {
-		if err := writeSolverTrace(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		if *solverJSON == "" {
-			return
-		}
-	}
-	if *solverJSON != "" {
-		if err := writeSolverBench(*solverJSON, *withStats); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

@@ -12,9 +12,10 @@
 //
 // -list prints the registered families. -gen writes a seeded instance in
 // the family's round-trippable JSON format to stdout. -in reads and
-// compiles an instance file (use "-" for stdin); then -emit prints the
-// compiled lattice and constraint texts (valid minupd policy source),
-// -stats the compiled constraint-set shape, -solve the minimal
+// compiles an instance file (use "-" for stdin) to its lattice and
+// constraint texts (valid minupd policy source) and parses them with
+// constraint.ParsePolicy into the set minupd's catalog would serve; then
+// -emit prints the texts, -stats the set's shape, -solve the minimal
 // classification, and -check re-verifies the solved assignment with the
 // engine verifier, the engine minimality probe, and the frontend's own
 // source-problem oracle.
@@ -30,6 +31,7 @@ import (
 	"syscall"
 
 	"minup"
+	"minup/internal/constraint"
 )
 
 func main() {
@@ -110,27 +112,31 @@ func main() {
 		fmt.Print(c.LatticeText)
 		fmt.Print(c.ConstraintText)
 	}
+	set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
+	if err != nil {
+		fatal(err)
+	}
 	if *stats {
-		fmt.Fprintln(os.Stderr, "minfront:", c.Set.Stats())
+		fmt.Fprintln(os.Stderr, "minfront:", set.Stats())
 	}
 	if !*solve && !*check {
 		if !*emit && !*stats {
 			fmt.Fprintf(os.Stderr, "minfront: %s instance %q compiles to %d attrs, %d constraints (add -emit, -solve, or -check)\n",
-				*family, inst.InstanceName(), c.Set.NumAttrs(), len(c.Set.Constraints()))
+				*family, inst.InstanceName(), set.NumAttrs(), len(set.Constraints()))
 		}
 		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	compiled := c.Set.CompileContext(ctx)
+	compiled := set.CompileContext(ctx)
 	res, err := minup.SolveContext(ctx, compiled, minup.Options{})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(c.Set.FormatAssignment(res.Assignment))
+	fmt.Println(set.FormatAssignment(res.Assignment))
 	if *check {
-		if err := minup.Verify(c.Set, res.Assignment); err != nil {
+		if err := minup.Verify(set, res.Assignment); err != nil {
 			fatal(fmt.Errorf("engine verify: %w", err))
 		}
 		minimal, w, err := minup.ProbeMinimalityContext(ctx, compiled, res.Assignment)
@@ -139,13 +145,13 @@ func main() {
 		}
 		if !minimal {
 			fatal(fmt.Errorf("engine minimality probe: %s lowerable to %s",
-				c.Set.AttrName(w.Attr), c.Lattice.FormatLevel(w.To)))
+				set.AttrName(w.Attr), set.Lattice().FormatLevel(w.To)))
 		}
-		if err := fe.Oracle(c, res.Assignment); err != nil {
+		if err := fe.Oracle(inst, set, res.Assignment); err != nil {
 			fatal(fmt.Errorf("source oracle: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "minfront: verified %d constraints, engine minimality, and the %s source oracle\n",
-			len(c.Set.Constraints()), *family)
+			len(set.Constraints()), *family)
 	}
 }
 

@@ -218,11 +218,22 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry both "lattice" and "constraints" text`, http.StatusBadRequest)
 		return
 	}
+	s.putPolicy(w, r, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion,
+		func(info minup.PolicyInfo) any { return info })
+}
+
+// putPolicy stores a policy's source texts under name once the request
+// that carries them has passed its own checks; PUT /policies/{name} and
+// POST /problems/{family} share it. With ?wait=1 the version is compiled
+// and solved inline, so the put passes the same admission gate and solve
+// budget as solves and appends. It answers every failure itself, and on
+// success writes body(info) under the version's ETag: 201 for a new
+// policy, 200 for a replaced one.
+func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, latticeText, constraintText string,
+	ifVersion int64, body func(minup.PolicyInfo) any) {
 	opts := mutateOptionsFrom(r)
 	ctx := r.Context()
 	if opts.Wait {
-		// ?wait=1 compiles and solves inline, so it passes the same
-		// admission gate and solve budget as solves and appends.
 		release, ok := s.admit(w, r)
 		if !ok {
 			return
@@ -233,13 +244,13 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	if ri := infoFrom(r.Context()); ri != nil {
-		ri.policy = r.PathValue("name")
+		ri.policy = name
 	}
 	var seq uint64
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
 	}
-	info, err := s.cat.Put(ctx, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion, opts)
+	info, err := s.cat.Put(ctx, name, latticeText, constraintText, ifVersion, opts)
 	if err != nil {
 		s.policyError(w, r, err)
 		return
@@ -255,7 +266,7 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 	if info.Version == 1 {
 		status = http.StatusCreated
 	}
-	writeJSONStatus(w, status, info)
+	writeJSONStatus(w, status, body(info))
 }
 
 func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {

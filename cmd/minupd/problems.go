@@ -1,15 +1,17 @@
 // The /problems surface: source-problem ingestion through the problem
 // frontends. POST /problems/{family} accepts a frontend's JSON instance
 // format (a suppress cross-tab table, a depinf relation), compiles it to
-// policy source texts, and stores it through the ordinary catalog Put —
-// so sharding, replication, memoized solves, flight records, and SLO
-// gates all apply to compiled problems exactly as to hand-written
-// policies. The response carries the stored PolicyInfo plus the compiled
-// shape, and the policy is then served by the normal /policies routes.
+// policy source texts, and stores the texts through the same path as
+// PUT /policies/{name} — so sharding, replication, memoized solves,
+// flight records, and SLO gates all apply to compiled problems exactly as
+// to hand-written policies, and the catalog's parse is the only
+// constraint set built for the problem. The response carries the stored
+// PolicyInfo, whose counts describe that set, plus the family and the
+// instance name; the policy is then served by the normal /policies
+// routes.
 package main
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -30,13 +32,11 @@ type problemListResponse struct {
 }
 
 // problemResponse reports a stored compiled problem: the catalog row it
-// became plus the compiled constraint shape.
+// became plus the family and instance it came from.
 type problemResponse struct {
 	minup.PolicyInfo
-	Family      string `json:"family"`
-	Instance    string `json:"instance"`
-	Attrs       int    `json:"attrs"`
-	Constraints int    `json:"constraints"`
+	Family   string `json:"family"`
+	Instance string `json:"instance"`
 }
 
 func (s *server) handleProblemList(w http.ResponseWriter, _ *http.Request) {
@@ -87,49 +87,8 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("name"); q != "" {
 		name = q
 	}
-	opts := mutateOptionsFrom(r)
-	ctx := r.Context()
-	if opts.Wait {
-		// ?wait=1 solves inline, so it passes the same admission gate and
-		// solve budget as policy solves and mutations.
-		release, ok := s.admit(w, r)
-		if !ok {
-			return
-		}
-		defer release()
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r.URL.Query()))
-		defer cancel()
-	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.policy = name
-	}
-	var seq uint64
-	if s.cfg.cluster.node != nil {
-		opts.SeqOut = &seq
-	}
-	info, err := s.cat.Put(ctx, name, c.LatticeText, c.ConstraintText, ifVersion, opts)
-	if err != nil {
-		s.policyError(w, r, err)
-		return
-	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.shard = info.Shard
-	}
-	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
-		return
-	}
-	s.reg.Counter("problems." + family + ".created").Inc()
-	w.Header().Set("ETag", etag(info.Version))
-	status := http.StatusOK
-	if info.Version == 1 {
-		status = http.StatusCreated
-	}
-	writeJSONStatus(w, status, problemResponse{
-		PolicyInfo:  info,
-		Family:      family,
-		Instance:    inst.InstanceName(),
-		Attrs:       c.Set.NumAttrs(),
-		Constraints: len(c.Set.Constraints()),
+	s.putPolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion, func(info minup.PolicyInfo) any {
+		s.reg.Counter("problems." + family + ".created").Inc()
+		return problemResponse{PolicyInfo: info, Family: family, Instance: inst.InstanceName()}
 	})
 }

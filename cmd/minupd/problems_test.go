@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"minup"
+	"minup/internal/constraint"
 )
 
 // problemPost posts a raw instance body to /problems/{family}.
@@ -101,19 +102,27 @@ func TestProblemCreateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := make(minup.Assignment, c.Set.NumAttrs())
+		set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if created.Attrs != set.NumAttrs() || created.Constraints != len(set.Constraints()) {
+			t.Fatalf("%s: created %d attrs, %d constraints; the texts parse to %d, %d",
+				family, created.Attrs, created.Constraints, set.NumAttrs(), len(set.Constraints()))
+		}
+		m := make(minup.Assignment, set.NumAttrs())
 		for name, levelText := range solved.Assignment {
-			a, ok := c.Set.AttrByName(name)
+			a, ok := set.AttrByName(name)
 			if !ok {
 				t.Fatalf("%s: served assignment names unknown attribute %q", family, name)
 			}
-			lvl, err := c.Lattice.ParseLevel(levelText)
+			lvl, err := set.Lattice().ParseLevel(levelText)
 			if err != nil {
 				t.Fatalf("%s: served level %q: %v", family, levelText, err)
 			}
 			m[a] = lvl
 		}
-		if err := fe.Oracle(c, m); err != nil {
+		if err := fe.Oracle(inst, set, m); err != nil {
 			t.Fatalf("%s: served assignment fails the source oracle: %v", family, err)
 		}
 	}

@@ -532,19 +532,15 @@ func buildPolicy(name, latticeText, constraintsText string) (*policy, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	lat, err := lattice.Parse(strings.NewReader(latticeText))
+	set, err := constraint.ParsePolicy(latticeText, constraintsText)
 	if err != nil {
-		return nil, fmt.Errorf("catalog: policy %q lattice: %w", name, err)
-	}
-	set := constraint.NewSet(lat)
-	if err := set.ParseString(constraintsText); err != nil {
-		return nil, fmt.Errorf("catalog: policy %q constraints: %w", name, err)
+		return nil, fmt.Errorf("catalog: policy %q %w", name, err)
 	}
 	return &policy{
 		name:        name,
 		latticeText: latticeText,
 		consTexts:   []string{constraintsText},
-		lat:         lat,
+		lat:         set.Lattice(),
 		set:         set,
 	}, nil
 }

@@ -127,6 +127,26 @@ func TestPutGetSolveLifecycle(t *testing.T) {
 // TestSolveWithBaseline: the baseline answers only cold versions, is never
 // memoized, and fails honestly where Qian propagation cannot run (upper
 // bounds). Every compile is canceled here, so versions stay cold.
+// TestPutParseErrorsNameTheText pins the error of a put whose source does
+// not parse: it names the policy and the text at fault, and stores
+// nothing.
+func TestPutParseErrorsNameTheText(t *testing.T) {
+	c := mustOpen(t, Options{})
+	ctx := context.Background()
+	for _, tc := range []struct{ lattice, cons, want string }{
+		{"nonsense", testCons, `catalog: policy "hr" lattice: line 1: unknown directive "nonsense"`},
+		{testLattice, "salary >=", `catalog: policy "hr" constraints: line 1: constraint "salary >=" has an empty side`},
+	} {
+		_, err := c.Put(ctx, "hr", tc.lattice, tc.cons, Unconditional)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Put error = %v, want %s", err, tc.want)
+		}
+	}
+	if _, err := c.Get("hr"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after failed puts = %v, want ErrNotFound", err)
+	}
+}
+
 func TestSolveWithBaseline(t *testing.T) {
 	reg := obs.NewRegistry()
 	inj := fault.New(1)

@@ -41,7 +41,6 @@ type Compiled struct {
 	ub          Assignment // §6 firm bounds; nil when the set has no upper bounds
 	ubConflicts []string   // non-nil when the upper bounds are inconsistent
 	cstats      CompileStats
-	sink        obs.EventSink // default event sink for solves of this snapshot
 }
 
 // CompileStats reports the one-time work performed by Compile/Snapshot —
@@ -162,21 +161,6 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 // compilation that produced this snapshot, including the §6 upper-bound
 // fixpoint's work (the instrumentation behind DeriveUpperBounds).
 func (c *Compiled) CompileStats() CompileStats { return c.cstats }
-
-// WithSink returns a view of the snapshot carrying sink as its default
-// event sink: every solve run against the view streams its solver events
-// (assign / try / try-failed / lower / collapse / done) into sink unless
-// the per-solve options install their own. The view shares all compiled
-// data with c; since one view may serve many concurrent solves, the sink
-// must be safe for concurrent use.
-func (c *Compiled) WithSink(sink obs.EventSink) *Compiled {
-	cc := *c
-	cc.sink = sink
-	return &cc
-}
-
-// EventSink returns the default event sink attached by WithSink, or nil.
-func (c *Compiled) EventSink() obs.EventSink { return c.sink }
 
 // Set returns a read-only view of the compiled constraints with the full
 // Set query API (AttrName, Format, Violations, ...). The view is frozen:

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"minup/internal/lattice"
 )
 
 // ParseInto reads constraints in a small line-oriented text format into the
@@ -55,6 +57,31 @@ func (s *Set) ParseInto(r io.Reader) error {
 // ParseString is ParseInto over an in-memory description.
 func (s *Set) ParseString(text string) error {
 	return s.ParseInto(strings.NewReader(text))
+}
+
+// ParsePolicy builds the set a policy's two source texts describe: the
+// lattice text through lattice.Parse, then the constraint text into a new
+// set over that lattice. It is the one way a set is made from policy text,
+// so the catalog and everything that checks what it serves see the same
+// set. An error names the text at fault with a "lattice: " or
+// "constraints: " prefix.
+func ParsePolicy(latticeText, constraintText string) (*Set, error) {
+	// One call, so ParsePolicy inlines like NewSet, and a caller that
+	// drops the set keeps it off the heap.
+	return new(Set).parsePolicy(latticeText, constraintText)
+}
+
+// parsePolicy fills s from the two texts and returns it.
+func (s *Set) parsePolicy(latticeText, constraintText string) (*Set, error) {
+	lat, err := lattice.Parse(strings.NewReader(latticeText))
+	if err != nil {
+		return nil, fmt.Errorf("lattice: %w", err)
+	}
+	*s = *NewSet(lat)
+	if err := s.ParseString(constraintText); err != nil {
+		return nil, fmt.Errorf("constraints: %w", err)
+	}
+	return s, nil
 }
 
 // parseConstraintLine parses one constraint line, collecting its left-hand

@@ -41,7 +41,7 @@
 // behavior. Result.Stats always carries the per-solve operation counts
 // (they are plain field increments, always on). Richer telemetry is
 // strictly opt-in and zero-cost when off: an obs.EventSink — installed via
-// Options.Sink, Options.RecordTrace, or Compiled.WithSink — receives one
+// Options.Sink or Options.RecordTrace — receives one
 // value-typed event per step (a single nil check on the hot path when no
 // sink is installed); Options.CollectLatticeOps wraps the lattice in a
 // counting forwarder (no wrapper at all otherwise); Options.Metrics
@@ -88,10 +88,8 @@ type Options struct {
 	CollapseSimpleCycles bool
 
 	// Sink receives the solver's event stream (assign / try / try-failed /
-	// lower / collapse / done). It is combined with the trace and with any
-	// sink attached to the compiled snapshot by WithSink. When no sink is
-	// installed from any source, event emission costs one nil check per
-	// step.
+	// lower / collapse / done). It is combined with the trace. When
+	// neither is installed, event emission costs one nil check per step.
 	Sink obs.EventSink
 
 	// CollectLatticeOps counts the primitive lattice operations (lub, glb,
@@ -487,7 +485,6 @@ func acquireSession(ctx context.Context, c *constraint.Compiled, opt Options) *s
 		sv.trace = &Trace{set: sv.set}
 		sv.sink = sv.trace
 	}
-	sv.sink = combineSinks(sv.sink, c.EventSink())
 	sv.sink = combineSinks(sv.sink, opt.Sink)
 	sv.lastFailure = -1
 	sv.ops = 0

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -105,15 +106,22 @@ func (r *Relation) lat() (lattice.Lattice, error) {
 
 // Validate implements frontend.Instance.
 func (r *Relation) Validate() error {
+	_, err := r.validate()
+	return err
+}
+
+// validate is Validate returning the lattice it parsed, which Compile
+// formats the floors' levels with.
+func (r *Relation) validate() (lattice.Lattice, error) {
 	if r.Name == "" {
-		return fmt.Errorf("depinf: instance has no name")
+		return nil, fmt.Errorf("depinf: instance has no name")
 	}
 	if len(r.Attrs) < 2 || len(r.Attrs) > maxAttrs {
-		return fmt.Errorf("depinf: need 2..%d attributes, have %d", maxAttrs, len(r.Attrs))
+		return nil, fmt.Errorf("depinf: need 2..%d attributes, have %d", maxAttrs, len(r.Attrs))
 	}
 	lat, err := r.lat()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	index := make(map[string]bool, len(r.Attrs))
 	for _, a := range r.Attrs {
@@ -124,48 +132,48 @@ func (r *Relation) Validate() error {
 		// cut at its first ">=".
 		if a == "" || a == "attrs" || strings.HasPrefix(a, "#") || strings.Contains(a, ">=") ||
 			strings.ContainsAny(a, "(),") || strings.ContainsFunc(a, unicode.IsSpace) {
-			return fmt.Errorf("depinf: invalid attribute name %q", a)
+			return nil, fmt.Errorf("depinf: invalid attribute name %q", a)
 		}
 		if index[a] {
-			return fmt.Errorf("depinf: duplicate attribute %q", a)
+			return nil, fmt.Errorf("depinf: duplicate attribute %q", a)
 		}
 		if _, err := lat.ParseLevel(a); err == nil {
-			return fmt.Errorf("depinf: attribute %q collides with a level of the lattice", a)
+			return nil, fmt.Errorf("depinf: attribute %q collides with a level of the lattice", a)
 		}
 		index[a] = true
 	}
 	if len(r.Sensitive) == 0 {
-		return fmt.Errorf("depinf: no sensitive attributes")
+		return nil, fmt.Errorf("depinf: no sensitive attributes")
 	}
 	for a, l := range r.Sensitive {
 		if !index[a] {
-			return fmt.Errorf("depinf: sensitive attribute %q not declared", a)
+			return nil, fmt.Errorf("depinf: sensitive attribute %q not declared", a)
 		}
 		lvl, err := lat.ParseLevel(l)
 		if err != nil {
-			return fmt.Errorf("depinf: sensitive attribute %q: %w", a, err)
+			return nil, fmt.Errorf("depinf: sensitive attribute %q: %w", a, err)
 		}
 		if lvl == lat.Bottom() {
-			return fmt.Errorf("depinf: sensitive attribute %q required at the bottom level %q (no protection demanded)", a, l)
+			return nil, fmt.Errorf("depinf: sensitive attribute %q required at the bottom level %q (no protection demanded)", a, l)
 		}
 	}
 	if len(r.Deps) > maxDeps {
-		return fmt.Errorf("depinf: %d dependencies exceed the %d cap", len(r.Deps), maxDeps)
+		return nil, fmt.Errorf("depinf: %d dependencies exceed the %d cap", len(r.Deps), maxDeps)
 	}
 	for i, d := range r.Deps {
 		if len(d.From) == 0 || len(d.From) > maxFanout {
-			return fmt.Errorf("depinf: dependency %d: need 1..%d premises, have %d", i, maxFanout, len(d.From))
+			return nil, fmt.Errorf("depinf: dependency %d: need 1..%d premises, have %d", i, maxFanout, len(d.From))
 		}
 		if !index[d.To] {
-			return fmt.Errorf("depinf: dependency %d: unknown consequent %q", i, d.To)
+			return nil, fmt.Errorf("depinf: dependency %d: unknown consequent %q", i, d.To)
 		}
 		for _, f := range d.From {
 			if !index[f] {
-				return fmt.Errorf("depinf: dependency %d: unknown premise %q", i, f)
+				return nil, fmt.Errorf("depinf: dependency %d: unknown premise %q", i, f)
 			}
 		}
 	}
-	return nil
+	return lat, nil
 }
 
 // GenSpec shapes a seeded random relation. Zero fields take defaults. The
@@ -306,65 +314,53 @@ func (Frontend) Generate(seed int64, size int) (frontend.Instance, error) {
 
 // Compile implements frontend.Frontend: floors for sensitive attributes
 // (in sorted order, so compilation is deterministic despite the map) and
-// one inference constraint per dependency. Self-dependencies (To among
-// From) are trivially satisfied and dropped, as mlsdb does.
+// one inference constraint per dependency, its premises deduplicated in
+// first-seen order. Self-dependencies (To among From) are trivially
+// satisfied and dropped, as mlsdb does.
 func (Frontend) Compile(inst frontend.Instance) (*frontend.Compiled, error) {
 	r, ok := inst.(*Relation)
 	if !ok {
 		return nil, fmt.Errorf("depinf: cannot compile %T", inst)
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	lat, err := r.lat()
+	lat, err := r.validate()
 	if err != nil {
 		return nil, err
 	}
-	set := constraint.NewSet(lat)
-	attrs := make(map[string]constraint.Attr, len(r.Attrs))
-	for _, name := range r.Attrs {
-		a, err := set.AddAttr(name)
-		if err != nil {
-			return nil, err
-		}
-		attrs[name] = a
-	}
-	sens := make([]string, 0, len(r.Sensitive))
-	for a := range r.Sensitive {
-		sens = append(sens, a)
-	}
-	sort.Strings(sens)
-	for _, name := range sens {
-		lvl, err := lat.ParseLevel(r.Sensitive[name])
-		if err != nil {
-			return nil, err
-		}
-		if err := set.Add([]constraint.Attr{attrs[name]}, constraint.LevelRHS(lvl)); err != nil {
-			return nil, err
-		}
+	size := len("attrs\n")
+	for _, a := range r.Attrs {
+		size += len(a) + 1
 	}
 	for _, d := range r.Deps {
-		from := make([]constraint.Attr, len(d.From))
-		for i, f := range d.From {
-			from[i] = attrs[f]
+		size += len(d.To) + len("lub() >= \n")
+		for _, f := range d.From {
+			size += len(f) + len(", ")
 		}
-		if _, err := set.AddIgnoreTrivial(from, constraint.AttrRHS(attrs[d.To])); err != nil {
+	}
+	var b strings.Builder
+	b.Grow(size)
+	frontend.WriteAttrs(&b, r.Attrs)
+	for _, pair := range sortedSensitive(r) {
+		lvl, err := lat.ParseLevel(pair[1])
+		if err != nil {
 			return nil, err
 		}
+		frontend.WriteConstraint(&b, []string{pair[0]}, lat.FormatLevel(lvl))
 	}
-	consText, err := frontend.ConstraintString(set)
-	if err != nil {
-		return nil, err
+	var from []string
+deps:
+	for _, d := range r.Deps {
+		from = from[:0]
+		for _, f := range d.From {
+			if f == d.To {
+				continue deps
+			}
+			if !slices.Contains(from, f) {
+				from = append(from, f)
+			}
+		}
+		frontend.WriteConstraint(&b, from, d.To)
 	}
-	return &frontend.Compiled{
-		Family:         FamilyName,
-		Name:           r.Name,
-		Instance:       r,
-		Lattice:        lat,
-		Set:            set,
-		LatticeText:    r.Lattice,
-		ConstraintText: consText,
-	}, nil
+	return &frontend.Compiled{LatticeText: r.Lattice, ConstraintText: b.String()}, nil
 }
 
 // secure checks the source-level security condition: sensitive floors
@@ -434,37 +430,41 @@ func sortedSensitive(r *Relation) [][2]string {
 // dependency chain reaches anything hidden, in particular no sensitive
 // attribute below its level) plus the one-step declassification sweep for
 // minimality, all stated without reference to the compiled constraints.
-func (Frontend) Oracle(c *frontend.Compiled, m constraint.Assignment) error {
-	r, ok := c.Instance.(*Relation)
+func (Frontend) Oracle(inst frontend.Instance, set *constraint.Set, m constraint.Assignment) error {
+	r, ok := inst.(*Relation)
 	if !ok {
-		return fmt.Errorf("depinf: oracle on %T", c.Instance)
+		return fmt.Errorf("depinf: oracle on %T", inst)
 	}
-	lat := c.Lattice
-	if len(m) != c.Set.NumAttrs() {
-		return fmt.Errorf("depinf: assignment covers %d of %d attributes", len(m), c.Set.NumAttrs())
+	lat := set.Lattice()
+	enum, ok := lat.(lattice.Enumerable)
+	if !ok {
+		return fmt.Errorf("depinf: oracle needs an enumerable lattice")
 	}
-	attrOf := func(name string) constraint.Attr {
-		a, ok := c.Set.AttrByName(name)
+	if len(m) != set.NumAttrs() {
+		return fmt.Errorf("depinf: assignment covers %d of %d attributes", len(m), set.NumAttrs())
+	}
+	ids := make(map[string]constraint.Attr, len(r.Attrs))
+	for _, name := range r.Attrs {
+		a, ok := set.AttrByName(name)
 		if !ok {
-			panic(fmt.Sprintf("depinf: compiled set missing attribute %q", name))
+			return fmt.Errorf("depinf: set has no attribute %q", name)
 		}
-		return a
+		ids[name] = a
 	}
-	level := func(name string) lattice.Level { return m[attrOf(name)] }
+	level := func(name string) lattice.Level { return m[ids[name]] }
 	if err := secure(r, lat, level); err != nil {
 		return err
 	}
-	enum := lat.(lattice.Enumerable)
 	lowered := m.Clone()
 	for _, name := range r.Attrs {
-		a := attrOf(name)
+		a := ids[name]
 		own := m[a]
 		for _, lower := range enum.Elements() {
 			if lower == own || !lat.Dominates(own, lower) {
 				continue
 			}
 			lowered[a] = lower
-			err := secure(r, lat, func(n string) lattice.Level { return lowered[attrOf(n)] })
+			err := secure(r, lat, func(n string) lattice.Level { return lowered[ids[n]] })
 			lowered[a] = own
 			if err == nil {
 				return fmt.Errorf("depinf: not minimal: attribute %q can be lowered %s -> %s without enabling any inference",

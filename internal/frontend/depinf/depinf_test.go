@@ -130,22 +130,38 @@ func TestDepinfRejectsNamesThePolicyTextMisreads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse rejected attribute name %q: %v", name, err)
 		}
-		c, err := fe.Compile(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat, err := lattice.Parse(strings.NewReader(c.LatticeText))
-		if err != nil {
-			t.Fatal(err)
-		}
-		set := constraint.NewSet(lat)
-		if err := set.ParseString(c.ConstraintText); err != nil {
-			t.Fatalf("%q: %v", name, err)
-		}
-		if set.NumAttrs() != 2 || !reflect.DeepEqual(set.Constraints(), c.Set.Constraints()) {
-			t.Errorf("%q: policy text reads back as a different set:\n%s", name, c.ConstraintText)
+		if set := compile(t, inst.(*depinf.Relation)); set.NumAttrs() != 2 || len(set.Constraints()) != 3 {
+			t.Errorf("%q: policy text reads back as a different set", name)
 		}
 	}
+}
+
+// TestDepinfCompileEdgeCases pins the writer where a dependency is not
+// one lub line: a duplicated premise is written once, so two copies of
+// one premise give the simple form, and a self-dependency writes no line.
+// The floor's level is written as the lattice formats it, and the text is
+// canonical (compile checks that).
+func TestDepinfCompileEdgeCases(t *testing.T) {
+	rel := &depinf.Relation{
+		Name:      "edges",
+		Lattice:   "explicit e\nelements U S\ncover S U\n",
+		Attrs:     []string{"x", "y", "z"},
+		Sensitive: map[string]string{"y": " S"},
+		Deps: []depinf.Dependency{
+			{From: []string{"x", "x"}, To: "y"},
+			{From: []string{"z", "y"}, To: "y"},
+			{From: []string{"z", "x", "z"}, To: "y"},
+		},
+	}
+	c, err := depinf.Frontend{}.Compile(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "attrs x y z\ny >= S\nx >= y\nlub(z, x) >= y\n"
+	if c.ConstraintText != want {
+		t.Fatalf("constraint text\n%s\nwant\n%s", c.ConstraintText, want)
+	}
+	compile(t, rel)
 }
 
 // TestDepinfOracleSweep is the property test the issue demands: across a
@@ -168,18 +184,15 @@ func TestDepinfOracleSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		c, err := fe.Compile(rel)
-		if err != nil {
-			t.Fatalf("seed %d: compile: %v", seed, err)
-		}
-		res, err := core.Solve(c.Set, core.Options{})
+		set := compile(t, rel)
+		res, err := core.Solve(set, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: solve: %v", seed, err)
 		}
-		if err := core.Verify(c.Set, res.Assignment); err != nil {
+		if err := core.Verify(set, res.Assignment); err != nil {
 			t.Fatalf("seed %d: engine verify: %v", seed, err)
 		}
-		if err := fe.Oracle(c, res.Assignment); err != nil {
+		if err := fe.Oracle(rel, set, res.Assignment); err != nil {
 			t.Fatalf("seed %d: source oracle rejected the solved relation: %v", seed, err)
 		}
 	}
@@ -192,16 +205,14 @@ func TestDepinfOracleRejectsTampered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := fe.Compile(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Solve(c.Set, core.Options{})
+	set := compile(t, rel)
+	lat := set.Lattice()
+	res, err := core.Solve(set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	attrOf := func(name string) constraint.Attr {
-		a, ok := c.Set.AttrByName(name)
+		a, ok := set.AttrByName(name)
 		if !ok {
 			t.Fatalf("missing attribute %q", name)
 		}
@@ -215,17 +226,17 @@ func TestDepinfOracleRejectsTampered(t *testing.T) {
 		break
 	}
 	low := res.Assignment.Clone()
-	low[attrOf(sensAttr)] = c.Lattice.Bottom()
-	if err := fe.Oracle(c, low); err == nil {
+	low[attrOf(sensAttr)] = lat.Bottom()
+	if err := fe.Oracle(rel, set, low); err == nil {
 		t.Fatal("oracle accepted a sensitive attribute below its floor")
 	}
 
 	// Raising a layer-0 attribute (never a dependency consequent, so never
 	// derivable) keeps the relation secure but is not minimal.
-	enum := c.Lattice.(lattice.Enumerable)
+	enum := lat.(lattice.Enumerable)
 	top := enum.Elements()[0]
 	for _, l := range enum.Elements() {
-		if c.Lattice.Dominates(l, top) {
+		if lat.Dominates(l, top) {
 			top = l
 		}
 	}
@@ -248,7 +259,7 @@ func TestDepinfOracleRejectsTampered(t *testing.T) {
 	if !found {
 		t.Fatal("no non-consequent attribute below top to tamper with")
 	}
-	err = fe.Oracle(c, raised)
+	err = fe.Oracle(rel, set, raised)
 	if err == nil {
 		t.Fatal("oracle accepted a gratuitous upgrade")
 	}
@@ -271,31 +282,51 @@ func TestDepinfChainPropagation(t *testing.T) {
 			{From: []string{"b"}, To: "c"},
 		},
 	}
-	fe := depinf.Frontend{}
-	c, err := fe.Compile(rel)
+	set := compile(t, rel)
+	res, err := core.Solve(set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(c.Set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.Oracle(c, res.Assignment); err != nil {
+	if err := (depinf.Frontend{}).Oracle(rel, set, res.Assignment); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	// a derives b derives c, so all three must be secret: a U-cleared
 	// viewer seeing a would close the whole chain.
-	s, err := c.Lattice.ParseLevel("S")
+	lat := set.Lattice()
+	s, err := lat.ParseLevel("S")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range rel.Attrs {
-		a, ok := c.Set.AttrByName(name)
+		a, ok := set.AttrByName(name)
 		if !ok {
 			t.Fatalf("missing attribute %q", name)
 		}
 		if res.Assignment[a] != s {
-			t.Fatalf("attribute %q should be S, is %s", name, c.Lattice.FormatLevel(res.Assignment[a]))
+			t.Fatalf("attribute %q should be S, is %s", name, lat.FormatLevel(res.Assignment[a]))
 		}
 	}
+}
+
+// compile compiles rel and parses its texts into the set the catalog
+// would serve for it. The constraint text must be canonical: the set
+// writes it back byte for byte.
+func compile(t testing.TB, rel *depinf.Relation) *constraint.Set {
+	t.Helper()
+	c, err := depinf.Frontend{}.Compile(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if _, err := set.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != c.ConstraintText {
+		t.Fatalf("constraint text is not canonical:\n%s\nwrites back as\n%s", c.ConstraintText, b.String())
+	}
+	return set
 }

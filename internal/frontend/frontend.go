@@ -4,15 +4,17 @@
 // shapes the paper-shaped workload generator never produces.
 //
 // A Frontend owns one source-problem family. It parses a round-trippable
-// JSON instance format, compiles an instance into a security lattice plus
-// a constraint.Set (ready for Compile/Solve or for the catalog as policy
-// source text), generates seeded random instances, and — the part that
-// keeps the reductions honest — checks a solved assignment against a
-// source-level oracle: security and minimality stated in the vocabulary of
-// the source problem, not of the constraint engine. Property tests sweep
-// seeded instances through compile → solve → oracle, so a bug in a
-// reduction cannot hide behind the engine's own (constraint-level)
-// minimality guarantee.
+// JSON instance format, compiles an instance straight to policy source
+// text (a lattice text and a constraint text, the two halves of a catalog
+// Put), generates seeded random instances, and — the part that keeps the
+// reductions honest — checks a solved assignment against a source-level
+// oracle: security and minimality stated in the vocabulary of the source
+// problem, not of the constraint engine. Every consumer that needs a
+// constraint set, the catalog included, parses the texts with
+// constraint.ParsePolicy, so the oracle judges the very set the catalog
+// serves. Property tests sweep seeded instances through compile → parse →
+// solve → oracle, so a bug in a reduction cannot hide behind the engine's
+// own (constraint-level) minimality guarantee.
 //
 // Two frontends register themselves here:
 //
@@ -40,7 +42,6 @@ import (
 	"sync"
 
 	"minup/internal/constraint"
-	"minup/internal/lattice"
 	"minup/internal/workload"
 )
 
@@ -58,21 +59,13 @@ type Instance interface {
 	Validate() error
 }
 
-// Compiled is the engine-ready form of a source instance: the lattice and
-// constraint set Algorithm 3.1 runs on, plus their textual forms in the
-// catalog's policy source grammar, so a compiled instance can be stored
-// with an ordinary catalog Put and inherit sharding, replication, memoized
-// solves, flight records, and SLO gates unchanged.
+// Compiled is a source instance compiled to the catalog's policy source
+// grammar: the two texts POST /problems/{family} stores with an ordinary
+// catalog Put, so a compiled instance inherits sharding, replication,
+// memoized solves, flight records, and SLO gates unchanged.
+// constraint.ParsePolicy turns the texts into the set Algorithm 3.1 runs
+// on.
 type Compiled struct {
-	Family   string
-	Name     string
-	Instance Instance
-	Lattice  lattice.Lattice
-	Set      *constraint.Set
-	// LatticeText and ConstraintText round-trip through lattice.Parse and
-	// constraint.ParseInto into an equivalent instance (identical attribute
-	// ids), which is exactly what POST /problems/{family} hands to the
-	// catalog.
 	LatticeText    string
 	ConstraintText string
 }
@@ -93,14 +86,16 @@ type Frontend interface {
 	// roughly linearly in each dimension (frontends expose richer spec
 	// types for fine control).
 	Generate(seed int64, size int) (Instance, error)
-	// Compile maps a source instance onto the engine: a lattice, a
-	// constraint set, and their catalog source texts.
+	// Compile validates a source instance and writes its lattice and
+	// constraint texts.
 	Compile(inst Instance) (*Compiled, error)
-	// Oracle checks a solved assignment in source-problem terms: the
-	// instance's security condition holds, required levels are met, and no
-	// single element can be declassified one step without breaking either
-	// — minimality stated without reference to the compiled constraints.
-	Oracle(c *Compiled, m constraint.Assignment) error
+	// Oracle checks a solved assignment of set, the parse of inst's
+	// compiled texts, in source-problem terms: the instance's security
+	// condition holds, required levels are met, and no single element can
+	// be declassified one step without breaking either — minimality stated
+	// without reference to the compiled constraints. It takes attribute ids
+	// and the lattice from set.
+	Oracle(inst Instance, set *constraint.Set, m constraint.Assignment) error
 }
 
 var (
@@ -191,12 +186,36 @@ func LatticeString(name string, bottomUp []string) string {
 	return b.String()
 }
 
-// ConstraintString renders a constraint set in the catalog's policy
-// source grammar via its WriteTo round-trip form.
-func ConstraintString(s *constraint.Set) (string, error) {
-	var b strings.Builder
-	if _, err := s.WriteTo(&b); err != nil {
-		return "", err
+// WriteAttrs and WriteConstraint write the lines of a compiled constraint
+// text exactly as constraint.Set.WriteTo writes them, so the text is the
+// canonical form of the set it parses to.
+
+// WriteAttrs writes the attrs line declaring names, in order.
+func WriteAttrs(b *strings.Builder, names []string) {
+	b.WriteString("attrs")
+	for _, n := range names {
+		b.WriteByte(' ')
+		b.WriteString(n)
 	}
-	return b.String(), nil
+	b.WriteByte('\n')
+}
+
+// WriteConstraint writes the constraint lhs >= rhs: a simple constraint
+// for one lhs name, lub(a, b, ...) for several.
+func WriteConstraint(b *strings.Builder, lhs []string, rhs string) {
+	if len(lhs) == 1 {
+		b.WriteString(lhs[0])
+	} else {
+		b.WriteString("lub(")
+		for i, n := range lhs {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(n)
+		}
+		b.WriteByte(')')
+	}
+	b.WriteString(" >= ")
+	b.WriteString(rhs)
+	b.WriteByte('\n')
 }

@@ -1,14 +1,18 @@
 package frontend_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"sort"
 	"strings"
 	"testing"
 
 	"minup/internal/constraint"
+	"minup/internal/core"
 	"minup/internal/frontend"
-	_ "minup/internal/frontend/depinf"
-	_ "minup/internal/frontend/suppress"
+	"minup/internal/frontend/depinf"
+	"minup/internal/frontend/suppress"
 	"minup/internal/lattice"
 	"minup/internal/workload"
 )
@@ -53,7 +57,7 @@ func (s stubFrontend) Generate(int64, int) (frontend.Instance, error) {
 func (s stubFrontend) Compile(frontend.Instance) (*frontend.Compiled, error) {
 	return nil, nil
 }
-func (s stubFrontend) Oracle(*frontend.Compiled, constraint.Assignment) error {
+func (s stubFrontend) Oracle(frontend.Instance, *constraint.Set, constraint.Assignment) error {
 	return nil
 }
 
@@ -127,31 +131,86 @@ func TestWorkloadMirrorMatchesFrontend(t *testing.T) {
 	}
 }
 
-// TestCompiledTextsAreValidPolicySource checks every frontend's emitted
-// lattice and constraint texts parse through the same path the catalog
-// uses for stored policies.
+// TestCompiledTextsAreValidPolicySource checks, over seeds 0–49 of every
+// frontend, that the emitted texts parse through the catalog's own path,
+// that the set they describe solves to an assignment the engine verifier
+// accepts, and that the constraint text is canonical: the parsed set
+// writes it back byte for byte, so text and set cannot disagree.
 func TestCompiledTextsAreValidPolicySource(t *testing.T) {
 	for _, name := range frontend.Families() {
 		fe, _ := frontend.Lookup(name)
-		inst, err := fe.Generate(7, 4)
+		for seed := int64(0); seed < 50; seed++ {
+			inst, err := fe.Generate(seed, 2+int(seed%6))
+			if err != nil {
+				t.Fatalf("%s seed %d: generate: %v", name, seed, err)
+			}
+			c, err := fe.Compile(inst)
+			if err != nil {
+				t.Fatalf("%s seed %d: compile: %v", name, seed, err)
+			}
+			set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
+			if err != nil {
+				t.Fatalf("%s seed %d: texts do not parse: %v", name, seed, err)
+			}
+			res, err := core.Solve(set, core.Options{})
+			if err != nil {
+				t.Fatalf("%s seed %d: solve: %v", name, seed, err)
+			}
+			if err := core.Verify(set, res.Assignment); err != nil {
+				t.Fatalf("%s seed %d: engine verify: %v", name, seed, err)
+			}
+			var b strings.Builder
+			if _, err := set.WriteTo(&b); err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != c.ConstraintText {
+				t.Fatalf("%s seed %d: constraint text is not canonical:\n%s\nwrites back as\n%s", name, seed, c.ConstraintText, b.String())
+			}
+		}
+	}
+}
+
+// TestCompiledTextsDigest pins the texts both frontends compile to over a
+// 4 000-instance sweep: 400 seeds of six suppress grid shapes and four
+// depinf relation shapes, among them perfbench's cold_create shapes. The
+// catalog, its WAL and its replicas keep a compiled problem only as these
+// texts, so a writer change that moves one byte must be deliberate and
+// update the digest.
+func TestCompiledTextsDigest(t *testing.T) {
+	h := sha256.New()
+	add := func(fe frontend.Frontend, inst frontend.Instance, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("%s.Generate: %v", name, err)
+			t.Fatal(err)
 		}
 		c, err := fe.Compile(inst)
 		if err != nil {
-			t.Fatalf("%s.Compile: %v", name, err)
+			t.Fatal(err)
 		}
-		lat, err := lattice.Parse(strings.NewReader(c.LatticeText))
-		if err != nil {
-			t.Fatalf("%s: lattice text does not reparse: %v", name, err)
+		io.WriteString(h, c.LatticeText)
+		h.Write([]byte{0})
+		io.WriteString(h, c.ConstraintText)
+		h.Write([]byte{0})
+	}
+	for seed := int64(0); seed < 400; seed++ {
+		for _, shape := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {5, 6}, {7, 7}, {20, 21}} {
+			tab, err := suppress.Generate(suppress.GenSpec{Seed: seed, Rows: shape[0], Cols: shape[1], Levels: 2 + int(seed%7)})
+			add(suppress.Frontend{}, tab, err)
 		}
-		set := constraint.NewSet(lat)
-		if err := set.ParseString(c.ConstraintText); err != nil {
-			t.Fatalf("%s: constraint text does not reparse: %v", name, err)
+		for _, spec := range []depinf.GenSpec{
+			{},
+			{Depth: 3, Width: 2, Fanout: 1, Levels: 6, Extra: 5},
+			{Depth: 8, Width: 5, Fanout: 3, Levels: 4, Extra: 12},
+			{Depth: 24, Width: 21, Fanout: 4, Extra: 128},
+		} {
+			spec.Seed = seed
+			rel, err := depinf.Generate(spec)
+			add(depinf.Frontend{}, rel, err)
 		}
-		if set.NumAttrs() != c.Set.NumAttrs() {
-			t.Fatalf("%s: reparsed set has %d attrs, compiled has %d", name, set.NumAttrs(), c.Set.NumAttrs())
-		}
+	}
+	const want = "577815b63ef9861e1812e81f5ba166063009eb0c9379180f76c26a660a3a4435"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("compiled texts digest %s, want %s", got, want)
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -113,6 +114,11 @@ func (t *Table) Validate() error {
 		if seenLevel[l] {
 			return fmt.Errorf("suppress: duplicate level %q", l)
 		}
+		// A level named like a cell would make that cell's attribute name
+		// read back as a level from the stored constraint text.
+		if i, j, ok := cellOf(l); ok && i < t.Rows && j < t.Cols {
+			return fmt.Errorf("suppress: level %q has the name of cell (%d,%d)", l, i, j)
+		}
 		seenLevel[l] = true
 	}
 	if len(t.Sensitive) == 0 {
@@ -137,8 +143,16 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// cellName is the attribute name of cell (i,j) in the compiled set.
-func cellName(i, j int) string { return fmt.Sprintf("r%dc%d", i, j) }
+// cellName is the attribute name of cell (i,j) in the compiled text.
+func cellName(i, j int) string { return "r" + strconv.Itoa(i) + "c" + strconv.Itoa(j) }
+
+// cellOf reports the cell whose attribute name s is, if s is one.
+func cellOf(s string) (i, j int, ok bool) {
+	if n, _ := fmt.Sscanf(s, "r%dc%d", &i, &j); n != 2 || i < 0 || j < 0 {
+		return 0, 0, false
+	}
+	return i, j, cellName(i, j) == s
+}
 
 // GenSpec shapes a seeded random table. Zero fields take defaults.
 type GenSpec struct {
@@ -246,62 +260,37 @@ func (Frontend) Compile(inst frontend.Instance) (*frontend.Compiled, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	lat, err := lattice.NewChain("suppress", t.Levels...)
-	if err != nil {
-		return nil, fmt.Errorf("suppress: building level chain: %w", err)
-	}
-	set := constraint.NewSet(lat)
-	attrs := make([][]constraint.Attr, t.Rows)
-	for i := range attrs {
-		attrs[i] = make([]constraint.Attr, t.Cols)
-		for j := range attrs[i] {
-			a, err := set.AddAttr(cellName(i, j))
-			if err != nil {
-				return nil, fmt.Errorf("suppress: cell (%d,%d): %w", i, j, err)
-			}
-			attrs[i][j] = a
-		}
-	}
-	for _, c := range t.Sensitive {
-		lvl, err := lat.ParseLevel(c.Level)
-		if err != nil {
-			return nil, fmt.Errorf("suppress: cell (%d,%d): %w", c.Row, c.Col, err)
-		}
-		cell := attrs[c.Row][c.Col]
-		if err := set.Add([]constraint.Attr{cell}, constraint.LevelRHS(lvl)); err != nil {
-			return nil, err
-		}
-		rowMates := make([]constraint.Attr, 0, t.Cols-1)
+	// Each cell's name, once, in row-major and in column-major order, so
+	// every row and every column is one window.
+	rows := make([]string, t.Rows*t.Cols)
+	cols := make([]string, t.Rows*t.Cols)
+	size := len("attrs\n")
+	for i := 0; i < t.Rows; i++ {
 		for j := 0; j < t.Cols; j++ {
-			if j != c.Col {
-				rowMates = append(rowMates, attrs[c.Row][j])
-			}
-		}
-		if err := set.Add(rowMates, constraint.AttrRHS(cell)); err != nil {
-			return nil, err
-		}
-		colMates := make([]constraint.Attr, 0, t.Rows-1)
-		for i := 0; i < t.Rows; i++ {
-			if i != c.Row {
-				colMates = append(colMates, attrs[i][c.Col])
-			}
-		}
-		if err := set.Add(colMates, constraint.AttrRHS(cell)); err != nil {
-			return nil, err
+			n := cellName(i, j)
+			rows[i*t.Cols+j] = n
+			cols[j*t.Rows+i] = n
+			size += len(n) + 1
 		}
 	}
-	consText, err := frontend.ConstraintString(set)
-	if err != nil {
-		return nil, err
+	var b strings.Builder
+	// A sensitive cell's lines name about one row and one column of cells.
+	b.Grow(size + len(t.Sensitive)*(size/t.Rows+size/t.Cols)*3/2)
+	frontend.WriteAttrs(&b, rows)
+	mates := make([]string, 0, max(t.Rows, t.Cols))
+	for _, c := range t.Sensitive {
+		k := c.Row*t.Cols + c.Col
+		frontend.WriteConstraint(&b, rows[k:k+1], c.Level)
+		row := rows[c.Row*t.Cols : (c.Row+1)*t.Cols]
+		mates = append(append(mates[:0], row[:c.Col]...), row[c.Col+1:]...)
+		frontend.WriteConstraint(&b, mates, rows[k])
+		col := cols[c.Col*t.Rows : (c.Col+1)*t.Rows]
+		mates = append(append(mates[:0], col[:c.Row]...), col[c.Row+1:]...)
+		frontend.WriteConstraint(&b, mates, rows[k])
 	}
 	return &frontend.Compiled{
-		Family:         FamilyName,
-		Name:           t.Name,
-		Instance:       t,
-		Lattice:        lat,
-		Set:            set,
 		LatticeText:    frontend.LatticeString("suppress", t.Levels),
-		ConstraintText: consText,
+		ConstraintText: b.String(),
 	}, nil
 }
 
@@ -359,23 +348,26 @@ func secure(t *Table, lat lattice.Lattice, level func(i, j int) lattice.Level) e
 // minimality demands that lowering any single cell to any strictly lower
 // level breaks security — i.e. every upgrade the solver kept is load-
 // bearing as a complementary suppression or a required floor.
-func (Frontend) Oracle(c *frontend.Compiled, m constraint.Assignment) error {
-	t, ok := c.Instance.(*Table)
+func (Frontend) Oracle(inst frontend.Instance, set *constraint.Set, m constraint.Assignment) error {
+	t, ok := inst.(*Table)
 	if !ok {
-		return fmt.Errorf("suppress: oracle on %T", c.Instance)
+		return fmt.Errorf("suppress: oracle on %T", inst)
 	}
-	lat := c.Lattice
-	if len(m) != c.Set.NumAttrs() {
-		return fmt.Errorf("suppress: assignment covers %d of %d cells", len(m), c.Set.NumAttrs())
+	lat := set.Lattice()
+	if len(m) != set.NumAttrs() {
+		return fmt.Errorf("suppress: assignment covers %d of %d cells", len(m), set.NumAttrs())
 	}
-	attrOf := func(i, j int) constraint.Attr {
-		a, ok := c.Set.AttrByName(cellName(i, j))
-		if !ok {
-			panic(fmt.Sprintf("suppress: compiled set missing cell (%d,%d)", i, j))
+	ids := make([]constraint.Attr, t.Rows*t.Cols)
+	for i := 0; i < t.Rows; i++ {
+		for j := 0; j < t.Cols; j++ {
+			a, ok := set.AttrByName(cellName(i, j))
+			if !ok {
+				return fmt.Errorf("suppress: set has no attribute for cell (%d,%d)", i, j)
+			}
+			ids[i*t.Cols+j] = a
 		}
-		return a
 	}
-	level := func(i, j int) lattice.Level { return m[attrOf(i, j)] }
+	level := func(i, j int) lattice.Level { return m[ids[i*t.Cols+j]] }
 	if err := secure(t, lat, level); err != nil {
 		return err
 	}
@@ -385,14 +377,14 @@ func (Frontend) Oracle(c *frontend.Compiled, m constraint.Assignment) error {
 	lowered := m.Clone()
 	for i := 0; i < t.Rows; i++ {
 		for j := 0; j < t.Cols; j++ {
-			a := attrOf(i, j)
+			a := ids[i*t.Cols+j]
 			own := m[a]
 			for _, lower := range enum.Elements() {
 				if lower == own || !lat.Dominates(own, lower) {
 					continue
 				}
 				lowered[a] = lower
-				err := secure(t, lat, func(ri, rj int) lattice.Level { return lowered[attrOf(ri, rj)] })
+				err := secure(t, lat, func(ri, rj int) lattice.Level { return lowered[ids[ri*t.Cols+rj]] })
 				lowered[a] = own
 				if err == nil {
 					return fmt.Errorf("suppress: not minimal: cell (%d,%d) can be lowered %s -> %s without exposing any sensitive cell",

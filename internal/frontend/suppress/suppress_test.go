@@ -10,7 +10,6 @@ import (
 	"minup/internal/core"
 	"minup/internal/frontend"
 	"minup/internal/frontend/suppress"
-	"minup/internal/lattice"
 )
 
 func TestSuppressRoundTrip(t *testing.T) {
@@ -103,10 +102,13 @@ func TestSuppressValidateRejects(t *testing.T) {
 // is split with strings.Fields. A level "top\u00a0secret" would come back
 // as two levels, its floor line would name an unknown level and so
 // declare a fifth attribute, and the sensitive cell would be served at
-// the bottom level. Validate must refuse white space of any kind.
+// the bottom level. Validate must refuse white space of any kind. It must
+// also refuse a level named like a cell of the table, such as "r1c1":
+// that cell's attribute would read back as the level. Names no cell of
+// the table takes stay valid and read back as the four cells.
 func TestSuppressRejectsLevelsThePolicyTextSplits(t *testing.T) {
 	fe := suppress.Frontend{}
-	for _, level := range []string{"top\u00a0secret", "top\vsecret", "top\u2003secret", "top\u0085secret", "top\u3000"} {
+	table := func(level string) []byte {
 		raw, err := frontend.Marshal(&suppress.Table{
 			Name:      "t",
 			Levels:    []string{"open", level},
@@ -117,8 +119,20 @@ func TestSuppressRejectsLevelsThePolicyTextSplits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fe.Parse(raw); err == nil {
+		return raw
+	}
+	for _, level := range []string{"top\u00a0secret", "top\vsecret", "top\u2003secret", "top\u0085secret", "top\u3000", "r1c1", "r0c0"} {
+		if _, err := fe.Parse(table(level)); err == nil {
 			t.Errorf("Parse accepted level name %q", level)
+		}
+	}
+	for _, level := range []string{"r2c0", "r0c2", "r01c1", "r-1c0", "r1c1x"} {
+		inst, err := fe.Parse(table(level))
+		if err != nil {
+			t.Fatalf("Parse rejected level name %q: %v", level, err)
+		}
+		if set := compile(t, inst.(*suppress.Table)); set.NumAttrs() != 4 {
+			t.Errorf("level %q: policy text reads back with %d attributes, want 4", level, set.NumAttrs())
 		}
 	}
 }
@@ -142,18 +156,15 @@ func TestSuppressOracleSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		c, err := fe.Compile(tab)
-		if err != nil {
-			t.Fatalf("seed %d: compile: %v", seed, err)
-		}
-		res, err := core.Solve(c.Set, core.Options{})
+		set := compile(t, tab)
+		res, err := core.Solve(set, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: solve: %v", seed, err)
 		}
-		if err := core.Verify(c.Set, res.Assignment); err != nil {
+		if err := core.Verify(set, res.Assignment); err != nil {
 			t.Fatalf("seed %d: engine verify: %v", seed, err)
 		}
-		if err := fe.Oracle(c, res.Assignment); err != nil {
+		if err := fe.Oracle(tab, set, res.Assignment); err != nil {
 			t.Fatalf("seed %d: source oracle rejected the solved table: %v", seed, err)
 		}
 	}
@@ -167,16 +178,14 @@ func TestSuppressOracleRejectsTampered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := fe.Compile(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Solve(c.Set, core.Options{})
+	set := compile(t, tab)
+	lat := set.Lattice()
+	res, err := core.Solve(set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	attrOf := func(i, j int) constraint.Attr {
-		a, ok := c.Set.AttrByName(fmt.Sprintf("r%dc%d", i, j))
+		a, ok := set.AttrByName(fmt.Sprintf("r%dc%d", i, j))
 		if !ok {
 			t.Fatalf("missing cell (%d,%d)", i, j)
 		}
@@ -186,13 +195,13 @@ func TestSuppressOracleRejectsTampered(t *testing.T) {
 	// Dropping a sensitive cell to the published level violates its floor.
 	low := res.Assignment.Clone()
 	s0 := tab.Sensitive[0]
-	low[attrOf(s0.Row, s0.Col)] = c.Lattice.Bottom()
-	if err := fe.Oracle(c, low); err == nil {
+	low[attrOf(s0.Row, s0.Col)] = lat.Bottom()
+	if err := fe.Oracle(tab, set, low); err == nil {
 		t.Fatal("oracle accepted a sensitive cell at the published level")
 	}
 
 	// Raising a non-sensitive published cell is secure but not minimal.
-	top, err := c.Lattice.ParseLevel(tab.Levels[len(tab.Levels)-1])
+	top, err := lat.ParseLevel(tab.Levels[len(tab.Levels)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +213,7 @@ func TestSuppressOracleRejectsTampered(t *testing.T) {
 	found := false
 	for i := 0; i < tab.Rows && !found; i++ {
 		for j := 0; j < tab.Cols && !found; j++ {
-			if !sens[[2]int{i, j}] && raised[attrOf(i, j)] == c.Lattice.Bottom() {
+			if !sens[[2]int{i, j}] && raised[attrOf(i, j)] == lat.Bottom() {
 				raised[attrOf(i, j)] = top
 				found = true
 			}
@@ -213,7 +222,7 @@ func TestSuppressOracleRejectsTampered(t *testing.T) {
 	if !found {
 		t.Fatal("no published non-sensitive cell to tamper with")
 	}
-	err = fe.Oracle(c, raised)
+	err = fe.Oracle(tab, set, raised)
 	if err == nil {
 		t.Fatal("oracle accepted a gratuitous upgrade")
 	}
@@ -234,21 +243,17 @@ func TestSuppressComplementaryCount(t *testing.T) {
 		Cols:      3,
 		Sensitive: []suppress.Cell{{Row: 0, Col: 0, Level: "secret"}},
 	}
-	fe := suppress.Frontend{}
-	c, err := fe.Compile(tab)
+	set := compile(t, tab)
+	res, err := core.Solve(set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Solve(c.Set, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.Oracle(c, res.Assignment); err != nil {
+	if err := (suppress.Frontend{}).Oracle(tab, set, res.Assignment); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	hidden := 0
 	for _, l := range res.Assignment {
-		if l != c.Lattice.Bottom() {
+		if l != set.Lattice().Bottom() {
 			hidden++
 		}
 	}
@@ -262,11 +267,27 @@ func TestSuppressComplementaryCount(t *testing.T) {
 	if hidden < 3 || hidden > 4 {
 		t.Fatalf("expected 3-4 suppressed cells for one sensitive corner cell, got %d", hidden)
 	}
-	lat, err := lattice.Parse(strings.NewReader(c.LatticeText))
+}
+
+// compile compiles tab and parses its texts into the set the catalog
+// would serve for it. The constraint text must be canonical: the set
+// writes it back byte for byte.
+func compile(t testing.TB, tab *suppress.Table) *constraint.Set {
+	t.Helper()
+	c, err := suppress.Frontend{}.Compile(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := lat.Name(), c.Lattice.Name(); got != want {
-		t.Fatalf("lattice text names %q, compiled lattice is %q", got, want)
+	set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var b strings.Builder
+	if _, err := set.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != c.ConstraintText {
+		t.Fatalf("constraint text is not canonical:\n%s\nwrites back as\n%s", c.ConstraintText, b.String())
+	}
+	return set
 }

@@ -205,7 +205,7 @@ type (
 	// SolveEventKind classifies a SolveEvent.
 	SolveEventKind = obs.EventKind
 	// EventSink receives the solver's event stream; install one with
-	// Options.Sink or CompiledSet.WithSink.
+	// Options.Sink.
 	EventSink = obs.EventSink
 	// SinkFunc adapts a function to the EventSink interface.
 	SinkFunc = obs.SinkFunc
@@ -765,15 +765,15 @@ func MutationStream(spec PolicyMutationSpec) ([]PolicyMutation, error) {
 
 type (
 	// ProblemFrontend compiles one source-problem family (cell-suppression
-	// tables, dependency-laden relations) into a lattice plus constraint
-	// set, and checks solved assignments against a source-level security
-	// and minimality oracle.
+	// tables, dependency-laden relations) to policy source texts, and
+	// checks a solved assignment of the set those texts parse to against a
+	// source-level security and minimality oracle.
 	ProblemFrontend = frontend.Frontend
 	// ProblemInstance is one parsed source-problem instance with a
 	// round-trippable JSON form.
 	ProblemInstance = frontend.Instance
-	// ProblemCompiled is the engine-ready form of a source instance,
-	// including catalog policy source texts.
+	// ProblemCompiled is a source instance compiled to its two catalog
+	// policy source texts, a lattice text and a constraint text.
 	ProblemCompiled = frontend.Compiled
 )
 

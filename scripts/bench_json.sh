@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Run the solve-path benchmark family — the fresh/compiled split, the
-# policy catalog's memoized serve path, the policy-text parse every put,
-# append and replay pays, the compile and compile + cold solve every
-# refreshed version pays, and compile + repair of the same version — and
+# policy catalog's memoized serve path, the problem frontends' compile to
+# policy text, the policy-text parse every put, append and replay pays,
+# the compile and compile + cold solve every refreshed version pays, and
+# compile + repair of the same version — and
 # write the measurements as machine-readable JSON (default
 # BENCH_solve.json), seeding the perf trajectory CI keeps as an artifact.
 #
@@ -17,7 +18,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
   -benchmem -count 1 . | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
@@ -36,6 +37,7 @@ END { print "\n}" }' "$tmp" > "$out"
 # Guard against a silently empty run (e.g. a benchmark regex typo).
 for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe \
             BenchmarkSolveSuppress BenchmarkSolveDepinf \
+            BenchmarkFrontendCompile/suppress BenchmarkFrontendCompile/depinf \
             BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf \
             BenchmarkCompile BenchmarkRefresh BenchmarkRepairCompiled; do
   if ! grep -q "\"$want\"" "$out"; then

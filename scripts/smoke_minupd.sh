@@ -19,6 +19,12 @@
 # restart on the same -data-dir WITHOUT -shards (the directory's pinned
 # count must win), and assert the policy survived.
 #
+# Before any instance starts, cmd/minfront makes a round trip for each
+# problem family: -gen writes a seeded instance to a file, and -in FILE
+# -emit -check compiles it, prints its policy texts, parses them into the
+# set minupd would serve, solves it, and checks the answer with the engine
+# verifier, the minimality probe and the family's source oracle.
+#
 # The first two instances also expose the loopback debug listener so the
 # flight recorder's /debug/requests view and the SLO burn-rate gauges can be
 # asserted: issued solves must appear in the JSON view, the chaos instance's
@@ -42,6 +48,19 @@ cd "$repo_root"
 mkdir -p artifacts
 
 go build -o /tmp/minupd ./cmd/minupd
+go build -o /tmp/minfront ./cmd/minfront
+
+for family in suppress depinf; do
+  /tmp/minfront -family "$family" -gen -seed 3 -size 4 > "/tmp/smoke-$family.json"
+  if ! /tmp/minfront -family "$family" -in "/tmp/smoke-$family.json" -emit -check \
+      > "/tmp/smoke-$family.out" 2>&1; then
+    echo "smoke: minfront -family $family -in FILE -emit -check failed" >&2
+    cat "/tmp/smoke-$family.out" >&2
+    exit 1
+  fi
+  grep -q '^attrs ' "/tmp/smoke-$family.out"
+  echo "smoke: minfront $family round trip ok"
+done
 
 # The Figure 2(a) policy: the two fixture files as one PUT body.
 fig2_body="$(jq -n --rawfile l testdata/lattice_fig1b.txt \
