@@ -490,7 +490,7 @@ func BenchmarkSolveFresh(b *testing.B) {
 // BenchmarkSolveCompiled measures the compile/solve split: compilation is
 // paid once outside the loop and each iteration runs a pooled session
 // against the immutable snapshot. Its allocs/op is the zero-cost-telemetry
-// guard: with no sink installed it must not move when the instrumentation
+// guard: with no event log passed it must not move when the instrumentation
 // changes.
 func BenchmarkSolveCompiled(b *testing.B) {
 	set := solveBenchSet(b)
@@ -740,19 +740,24 @@ func BenchmarkParsePolicy(b *testing.B) {
 }
 
 // BenchmarkSolveCompiledStats measures the fully observed compiled path —
-// lattice op counting, a counting event sink, and registry aggregation all
-// enabled — the upper bound a telemetry-heavy deployment pays relative to
-// BenchmarkSolveCompiled.
+// lattice op counting, an event log, and registry aggregation all enabled —
+// the upper bound a telemetry-heavy deployment pays relative to
+// BenchmarkSolveCompiled. The log is reused, and grown by one solve before
+// the timer starts, so it allocates nothing in the loop; it is unstamped,
+// so it reads no clock.
 func BenchmarkSolveCompiledStats(b *testing.B) {
 	set := solveBenchSet(b)
 	compiled := Compile(set)
 	reg := NewMetricsRegistry()
 	opt := Options{
-		Sink:              NewCountingSink(reg, "bench.events"),
+		Events:            new(EventLog),
 		CollectLatticeOps: true,
 		Metrics:           reg,
 	}
 	ctx := context.Background()
+	if _, err := SolveContext(ctx, compiled, opt); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -763,8 +768,8 @@ func BenchmarkSolveCompiledStats(b *testing.B) {
 }
 
 // BenchmarkSolveCompiledTraced measures the span-instrumented path: a root
-// span travels in the context, so every solver event becomes a leaf span
-// under per-SCC children. The gap to BenchmarkSolveCompiled is the full
+// span travels in the context, so the solve logs stamped events and every
+// one becomes a leaf span under per-SCC children. The gap to BenchmarkSolveCompiled is the full
 // price of request-scoped tracing; the untraced number itself must not
 // move (see that benchmark's doc comment).
 func BenchmarkSolveCompiledTraced(b *testing.B) {
@@ -782,9 +787,9 @@ func BenchmarkSolveCompiledTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveCompiledTrace measures the delta-based trace: per-step
-// deltas instead of full assignment clones keep tracing linear in the
-// number of level changes.
+// BenchmarkSolveCompiledTrace measures the Figure 2(b) trace: the solve's
+// events instead of full assignment clones keep tracing linear in the
+// number of events.
 func BenchmarkSolveCompiledTrace(b *testing.B) {
 	set := solveBenchSet(b)
 	compiled := Compile(set)

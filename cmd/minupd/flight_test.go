@@ -87,7 +87,7 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
 	// Metadata + the request slice at minimum; the fault spec delays solver
-	// steps, so the cold solve's capture sink saw events before the
+	// steps, so the cold solve's event log saw events before the
 	// deadline hit.
 	if len(dump.TraceEvents) < 3 {
 		t.Fatalf("dump traceEvents = %d entries, want the request plus solver events", len(dump.TraceEvents))

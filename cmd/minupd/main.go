@@ -128,8 +128,8 @@
 // An always-on flight recorder (DESIGN.md §8) keeps one compact record per
 // request and per async catalog refresh in a bounded ring (-flight-size).
 // Anomalous work — panicked, degraded, errored, or slower than -flight-slow
-// — additionally dumps its span tree and the solver event stream captured
-// from the request's cold solve as a Perfetto-loadable JSON file under
+// — additionally dumps its span tree and the solver event log of the
+// request's cold solve as a Perfetto-loadable JSON file under
 // -flight-dump-dir ("auto" resolves to <data-dir>/anomalies or
 // artifacts/anomalies; empty disables), rotated to stay under
 // -flight-dump-cap bytes. A graceful shutdown writes a final recorder
@@ -221,112 +221,43 @@ func defaultConfig() config {
 }
 
 func main() {
-	dataDir := flag.String("data-dir", "", "policy-catalog data directory; empty keeps the catalog in memory only")
-	fsyncPolicy := flag.String("fsync", "always", "catalog WAL fsync policy: always|never")
-	shards := flag.Int("shards", 0, "policy-catalog shard count (0 = GOMAXPROCS); an existing data directory's count always wins")
-	addr := flag.String("addr", ":8080", "service listen address")
-	debugAddr := flag.String("debug-addr", "127.0.0.1:6060", "debug listen address for /debug/vars and /debug/pprof (empty to disable)")
-	def := defaultConfig()
-	maxInflight := flag.Int("max-inflight", def.maxInflight, "max concurrent gated requests (policy solves and traces, appends, ?wait=1 writes) before queueing")
-	maxQueue := flag.Int("max-queue", def.maxQueue, "max requests waiting for a solve slot; beyond this, shed with 503")
-	queueWait := flag.Duration("queue-wait", def.queueWait, "max time a queued request waits for a slot before being shed")
-	solveTimeout := flag.Duration("solve-timeout", def.solveTimeout, "per-request solve budget (ceiling for ?timeout_ms=)")
-	degrade := flag.Bool("degrade", def.degrade, "answer a cold policy version with the Qian-baseline assignment when its minimal solve misses its deadline or the server is overloaded")
-	faultSpec := flag.String("fault", "", "chaos-testing fault spec, e.g. 'solve.step:delay:%1:5ms;pool.get:panic:3' (see internal/fault)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault rules")
-	faultAdmin := flag.Bool("fault-admin", false, "expose POST/GET /debug/fault on the debug listener to rearm the injector at runtime (chaos testing; implies an installed, initially unarmed injector)")
-	flightSize := flag.Int("flight-size", 256, "flight-recorder ring capacity (records kept for /debug/requests)")
-	flightDumpDir := flag.String("flight-dump-dir", "auto", "anomaly dump directory; 'auto' puts it under -data-dir (or artifacts/), empty disables dumps")
-	flightDumpCap := flag.Int64("flight-dump-cap", 32<<20, "max total bytes of anomaly dumps before the oldest are pruned")
-	flightSlow := flag.Duration("flight-slow", time.Second, "duration past which a request is dumped as a slow anomaly (0 disables the slow trigger)")
-	sloSpec := flag.String("slo", defaultSLOSpec, "per-route SLOs, 'route:p99=<dur>,avail=<pct>;...' (empty disables SLO tracking)")
-	sloInterval := flag.Duration("slo-interval", 10*time.Second, "runtime-collector sampling interval (burn rates, goroutines, heap, GC, WAL fsync p99)")
-	var cf clusterFlags
-	flag.IntVar(&cf.nodeID, "cluster-node", 0, "this node's id within -cluster-peers (cluster mode)")
-	flag.StringVar(&cf.listen, "cluster-listen", "", "replication listen address; empty uses this node's -cluster-peers entry")
-	flag.StringVar(&cf.peers, "cluster-peers", "", "full cluster membership as 'id=host:port,...' including this node (enables cluster mode)")
-	flag.StringVar(&cf.httpAddr, "cluster-http", "", "this node's advertised HTTP base URL for write redirects, e.g. http://127.0.0.1:8080")
-	flag.DurationVar(&cf.tick, "cluster-tick", 50*time.Millisecond, "replication heartbeat cadence")
-	flag.DurationVar(&cf.lease, "cluster-lease", 0, "leader lease (0 = 8 ticks)")
-	maxReplicaLag := flag.Int64("max-replica-lag", 1024, "frames a follower may trail the leader before /readyz answers 503 (negative disables the check)")
-	flag.Parse()
-
-	cfg := config{
-		maxInflight:  *maxInflight,
-		maxQueue:     *maxQueue,
-		queueWait:    *queueWait,
-		solveTimeout: *solveTimeout,
-		degrade:      *degrade,
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *faultSpec != "" {
-		var err error
-		cfg.fault, err = minup.ParseFaultSpec(*faultSpec, *faultSeed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "minupd: CHAOS fault injection armed: %s\n", *faultSpec)
-	} else if *faultAdmin {
-		// An installed-but-unarmed injector costs one atomic load per fault
-		// point, so -fault-admin can keep it resident for later rearming.
-		cfg.fault = minup.NewFaultInjector(*faultSeed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "minupd:", err)
+		os.Exit(2)
 	}
-	if *faultAdmin {
-		http.Handle("/debug/fault", faultAdminHandler(cfg.fault))
+	if o.faultSpec != "" {
+		fmt.Fprintf(os.Stderr, "minupd: CHAOS fault injection armed: %s\n", o.faultSpec)
+	}
+	if o.faultAdmin {
+		http.Handle("/debug/fault", faultAdminHandler(o.fault))
 		fmt.Fprintf(os.Stderr, "minupd: CHAOS fault admin enabled on the debug listener (/debug/fault)\n")
 	}
-	if *sloSpec != "" {
-		specs, err := minup.ParseSLOSpecs(*sloSpec)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.slo = minup.NewSLOTracker(specs...)
-	}
-	dumpDir := *flightDumpDir
-	if dumpDir == "auto" {
-		if *dataDir != "" {
-			dumpDir = filepath.Join(*dataDir, "anomalies")
-		} else {
-			dumpDir = filepath.Join("artifacts", "anomalies")
-		}
-	}
-	cfg.flight = minup.NewFlightRecorder(minup.FlightOptions{
-		Size:          *flightSize,
-		DumpDir:       dumpDir,
-		DumpCapBytes:  *flightDumpCap,
-		SlowThreshold: *flightSlow,
-		SLO:           cfg.slo,
-	})
 	reg := minup.NewMetricsRegistry()
 	reg.Publish("minup")
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	// /debug/requests lives on the loopback debug listener next to
 	// /debug/vars and /debug/pprof: live + recent requests, per-route
 	// latency, anomalies with their dump files, SLO burn rates.
-	http.Handle("/debug/requests", cfg.flight)
-	collector := minup.NewRuntimeCollector(reg, cfg.slo, *sloInterval)
+	http.Handle("/debug/requests", o.flight)
+	collector := minup.NewRuntimeCollector(reg, o.slo, o.sloInterval)
 	collector.Start()
 
-	var walSync minup.WALSyncPolicy
-	switch *fsyncPolicy {
-	case "always":
-		walSync = minup.WALSyncAlways
-	case "never":
-		walSync = minup.WALSyncNever
-	default:
-		fatal(fmt.Errorf("unknown -fsync policy %q (want always or never)", *fsyncPolicy))
-	}
 	catOpts := minup.CatalogOptions{
-		Dir:     *dataDir,
-		Sync:    walSync,
+		Dir:     o.dataDir,
+		Sync:    o.walSync,
 		Metrics: reg,
-		Fault:   cfg.fault,
-		Shards:  *shards,
-		Flight:  cfg.flight,
+		Fault:   o.fault,
+		Shards:  o.shards,
+		Flight:  o.flight,
 	}
 	// Cluster mode: the record ring must observe every durable append, so
 	// it is wired in before the catalog opens.
 	var ring *minup.ClusterRecordLog
-	if cf.enabled() {
+	if o.peers.enabled() {
 		ring = minup.NewClusterRecordLog(0)
 		catOpts.OnRecord = ring.Append
 	}
@@ -334,22 +265,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if cf.enabled() {
-		node, err := openCluster(cat, ring, cf, clusterDeps{dir: *dataDir, reg: reg, logger: logger, fault: cfg.fault})
+	if o.peers.enabled() {
+		node, err := openCluster(cat, ring, o.peers, clusterDeps{dir: o.dataDir, reg: reg, logger: logger, fault: o.fault})
 		if err != nil {
 			fatal(err)
 		}
-		cfg.cluster.node = node
-		cfg.cluster.maxReplicaLag = *maxReplicaLag
+		o.cluster.node = node
 		fmt.Fprintf(os.Stderr, "minupd: cluster node %d replicating on %s (peers %s, advertised %s)\n",
-			cf.nodeID, node.Addr(), cf.peers, cf.httpAddr)
-	} else {
-		cfg.cluster.maxReplicaLag = *maxReplicaLag
+			o.peers.nodeID, node.Addr(), o.peers.peers, o.peers.httpAddr)
 	}
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		ri := cat.RecoveryInfo()
 		fmt.Fprintf(os.Stderr, "minupd: catalog recovered from %s: %d policies over %d shards (snapshot %d, WAL records %d, torn tail %v) in %s\n",
-			*dataDir, cat.Len(), ri.Shards, ri.SnapshotPolicies, ri.WALRecords, ri.TornTail, ri.Duration)
+			o.dataDir, cat.Len(), ri.Shards, ri.SnapshotPolicies, ri.WALRecords, ri.TornTail, ri.Duration)
 	}
 
 	// build_info is the constant-1 info gauge joins dashboards key on:
@@ -361,7 +289,7 @@ func main() {
 		"start_time": time.Now().UTC().Format(time.RFC3339),
 	})
 
-	srv := newServer(cat, reg, cfg)
+	srv := newServer(cat, reg, o.config)
 	mux := srv.routes(logger)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -372,12 +300,12 @@ func main() {
 	// write timeout is generous because /debug/pprof/profile streams for
 	// ?seconds= (default 30).
 	var dbg *http.Server
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		// expvar and net/http/pprof register on the default mux; serving it
 		// on a dedicated listener keeps the runtime surface off the service
 		// port.
 		dbg = &http.Server{
-			Addr:              *debugAddr,
+			Addr:              o.debugAddr,
 			Handler:           http.DefaultServeMux,
 			ReadHeaderTimeout: 5 * time.Second,
 			ReadTimeout:       10 * time.Second,
@@ -385,7 +313,7 @@ func main() {
 			IdleTimeout:       2 * time.Minute,
 		}
 		go func() {
-			fmt.Fprintf(os.Stderr, "minupd: debug listener on %s (/debug/vars, /debug/pprof)\n", *debugAddr)
+			fmt.Fprintf(os.Stderr, "minupd: debug listener on %s (/debug/vars, /debug/pprof)\n", o.debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "minupd: debug listener: %v\n", err)
 			}
@@ -393,7 +321,7 @@ func main() {
 	}
 
 	main := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -429,7 +357,7 @@ func main() {
 		close(shutdownDone)
 	}()
 	fmt.Fprintf(os.Stderr, "minupd: serving the policy catalog on %s (max-inflight=%d queue=%d solve-timeout=%s degrade=%v)\n",
-		*addr, cfg.maxInflight, cfg.maxQueue, cfg.solveTimeout, cfg.degrade)
+		o.addr, o.maxInflight, o.maxQueue, o.solveTimeout, o.degrade)
 	err = main.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
@@ -441,8 +369,8 @@ func main() {
 	}
 	// The cluster node goes first: its peer and server loops read the
 	// catalog, so they must stop before the catalog releases its stores.
-	if cfg.cluster.node != nil {
-		if err := cfg.cluster.node.Close(); err != nil {
+	if o.cluster.node != nil {
+		if err := o.cluster.node.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "minupd: closing cluster node: %v\n", err)
 		}
 	}
@@ -455,10 +383,10 @@ func main() {
 	collector.Stop()
 	// Preserve the last moments before the shutdown on disk: the final dump
 	// carries the recent ring, the anomaly ring, and per-route latency.
-	if name, err := cfg.flight.FinalDump("shutdown"); err != nil {
+	if name, err := o.flight.FinalDump("shutdown"); err != nil {
 		fmt.Fprintf(os.Stderr, "minupd: final flight dump: %v\n", err)
 	} else if name != "" {
-		fmt.Fprintf(os.Stderr, "minupd: final flight dump written: %s\n", filepath.Join(dumpDir, name))
+		fmt.Fprintf(os.Stderr, "minupd: final flight dump written: %s\n", filepath.Join(o.dumpDir, name))
 	}
 }
 
@@ -539,22 +467,16 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // solveBudget resolves a request's solve deadline from its query: the
 // -solve-timeout flag, tightened by ?timeout_ms= and clamped to [1ms, flag]
 // so a client can only shrink its own budget, never grow it past the
-// server's policy.
+// server's policy. The count is compared in milliseconds before it becomes
+// a duration, so a huge one cannot overflow.
 func (s *server) solveBudget(query url.Values) time.Duration {
-	budget := s.cfg.solveTimeout
 	if q := query.Get("timeout_ms"); q != "" {
-		if ms, err := strconv.ParseInt(q, 10, 64); err == nil {
-			d := time.Duration(ms) * time.Millisecond
-			if d < time.Millisecond {
-				d = time.Millisecond
-			}
-			if d > s.cfg.solveTimeout {
-				d = s.cfg.solveTimeout
-			}
-			budget = d
+		ms, err := strconv.ParseInt(q, 10, 64)
+		if ms = max(ms, 1); err == nil && ms <= int64(s.cfg.solveTimeout/time.Millisecond) {
+			return time.Duration(ms) * time.Millisecond
 		}
 	}
-	return budget
+	return s.cfg.solveTimeout
 }
 
 // flightStatsOf compresses the solver stats block into the flight record's

@@ -35,19 +35,6 @@ type requestInfo struct {
 	shard         int
 	errText       string
 	stats         minup.FlightStats
-	// capture is the flight's solver-event buffer, armed by the first event
-	// of the request's cold solve (see Event).
-	capture minup.EventSink
-}
-
-// Event makes the record the solver-event sink of the request's cold solve:
-// the first event arms the flight's pooled capture buffer, so a memo hit,
-// which runs no solver, never takes one.
-func (ri *requestInfo) Event(e minup.SolveEvent) {
-	if ri.capture == nil {
-		ri.capture = ri.flight.CaptureSink()
-	}
-	ri.capture.Event(e)
 }
 
 type requestInfoKey struct{}

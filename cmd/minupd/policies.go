@@ -351,9 +351,9 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 // Algorithm 3.1, and that solve carries the request's guards: under soft
 // overload (with -degrade) the Qian baseline answers in its place, a missed
 // deadline falls back to the baseline on a fresh budget, and its solver
-// events go to the flight recorder's capture buffer. ?trace=1 runs the
-// request under a root span whose trace ID the response reports; a cold
-// solve hangs its span tree under it.
+// events go to the flight's event log. ?trace=1 runs the request under a
+// root span whose trace ID the response reports; a cold solve hangs under
+// it the span tree rendered from that log.
 func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -373,7 +373,9 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	if ri != nil {
 		ri.policy = name
 		if ri.flight != nil {
-			opt.Sink = ri
+			// The flight's log takes its pooled buffer on the first event,
+			// so a memo hit, which runs no solver, never takes one.
+			opt.Events = ri.flight.Events()
 		}
 	}
 	var root *minup.Span

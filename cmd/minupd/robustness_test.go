@@ -268,6 +268,14 @@ func TestSolveTimeoutQueryClamped(t *testing.T) {
 	if got := srv.solveBudget(req.URL.Query()); got != 7*time.Millisecond {
 		t.Fatalf("budget = %s, want 7ms", got)
 	}
+	// Counts whose duration overflows int64 nanoseconds clamp to the flag
+	// too, instead of wrapping negative and flooring at 1ms.
+	for _, q := range []string{"10000000000000", "9223372036854775807"} {
+		req = httptest.NewRequest(http.MethodGet, "/policies/p/solve?timeout_ms="+q, nil)
+		if got := srv.solveBudget(req.URL.Query()); got != 50*time.Millisecond {
+			t.Fatalf("timeout_ms=%s: budget = %s, want clamp to 50ms", q, got)
+		}
+	}
 }
 
 func TestDeadlineWithoutDegradeIs504(t *testing.T) {

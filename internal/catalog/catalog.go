@@ -865,8 +865,8 @@ type SolveResult struct {
 // SolveOptions tunes how SolveWith answers a cold version; a warm one is
 // the memoized answer whatever they say.
 type SolveOptions struct {
-	// Sink, when non-nil, receives the cold solve's event stream.
-	Sink obs.EventSink
+	// Events, when non-nil, logs the cold solve's event stream.
+	Events *obs.EventLog
 	// Baseline answers a cold version with the verified Qian least
 	// fixpoint (§4 of the paper) instead of running Algorithm 3.1, and
 	// memoizes nothing. It runs outside the shard lock.
@@ -926,7 +926,7 @@ func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) 
 	res, err := core.SolveContext(ctx, p.compiled, core.Options{
 		Metrics: c.opt.Metrics,
 		Fault:   c.opt.Fault,
-		Sink:    opt.Sink,
+		Events:  opt.Events,
 	})
 	if err != nil {
 		return SolveResult{}, err

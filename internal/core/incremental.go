@@ -172,20 +172,18 @@ func RepairCompiled(ctx context.Context, c *constraint.Compiled, baseCount int, 
 	// (restricted) priority order. The compiled priority structure is
 	// reused — restricted to the affected attributes it is a valid
 	// evaluation order for the sub-instance.
-	popt := Options{}
-	var psink *spanSink
-	if sp := obs.SpanFromContext(ctx); sp != nil {
-		psink = newSpanSink(sp.Child("partial-solve"), c)
-		popt.Sink = psink
-	}
-	sv := acquireSession(ctx, c, popt)
+	sv := acquireSession(ctx, c, Options{})
 	defer sv.release()
-	defer func() {
-		if psink != nil {
-			psink.close()
-			psink.root.End()
-		}
-	}()
+	// Tracing: the partial solve logs its events into the session's own
+	// log, and its span tree is rendered from the log under a
+	// "partial-solve" span once it is over.
+	var psp *obs.Span
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		psp = sp.Child("partial-solve")
+		sv.log = &sv.ownLog
+		sv.log.Start(psp.StartTime(), psp.Tracer().Now)
+		defer psp.End()
+	}
 	lat := c.Lattice()
 	sv.lambda = base.Clone()
 	for a := 0; a < s.NumAttrs(); a++ {
@@ -207,23 +205,17 @@ func RepairCompiled(ctx context.Context, c *constraint.Compiled, baseCount int, 
 		}
 		sv.unlabeled[ci] = n
 	}
-	for p := sv.pr.Max; p >= 1; p-- {
-		if sv.ctx.Err() != nil {
-			return nil, stats, canceled(sv.ctx)
-		}
-		for _, node := range sv.pr.Sets[p] {
-			if affected[node] {
-				if err := sv.processAttr(constraint.Attr(node)); err != nil {
-					return nil, stats, err
-				}
-			}
+	err := sv.partialSolve(affected)
+	if psp != nil {
+		renderSpans(psp, sv.log, c)
+		if err == nil {
+			annotate(psp, &sv.stats, sv.log, nil)
 		}
 	}
-
+	if err != nil {
+		return nil, stats, err
+	}
 	stats.Solve = sv.stats
-	if psink != nil {
-		psink.annotate(&sv.stats, nil)
-	}
 	if v := s.Violations(sv.lambda); v != nil {
 		return nil, stats, fmt.Errorf("core: internal error: repair produced violations (%s)", v[0])
 	}
@@ -243,4 +235,21 @@ func RepairCompiled(ctx context.Context, c *constraint.Compiled, baseCount int, 
 		}
 	}
 	return sv.lambda, stats, nil
+}
+
+// partialSolve runs BigLoop over the affected attributes only.
+func (sv *session) partialSolve(affected []bool) error {
+	for p := sv.pr.Max; p >= 1; p-- {
+		if sv.ctx.Err() != nil {
+			return canceled(sv.ctx)
+		}
+		for _, node := range sv.pr.Sets[p] {
+			if affected[node] {
+				if err := sv.processAttr(constraint.Attr(node)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -34,32 +34,37 @@ func TestStatsMatchTrace(t *testing.T) {
 	}
 }
 
-// TestEventStreamMatchesStats feeds the event stream into a counting sink
-// and checks it is consistent with the per-solve stats block.
+// countKinds tallies a log's events by kind.
+func countKinds(log *obs.EventLog) map[obs.EventKind]int {
+	n := make(map[obs.EventKind]int)
+	for _, e := range log.Events() {
+		n[e.Kind]++
+	}
+	return n
+}
+
+// TestEventStreamMatchesStats tallies the event log by kind and checks it
+// is consistent with the per-solve stats block.
 func TestEventStreamMatchesStats(t *testing.T) {
 	f := constraint.NewFigure2()
-	reg := obs.NewRegistry()
-	sink := obs.NewCountingSink(reg, "ev")
-	res := MustSolve(f.Set, Options{Sink: sink})
+	log := new(obs.EventLog)
+	res := MustSolve(f.Set, Options{Events: log})
+	n := countKinds(log)
 
-	try := reg.Counter("ev.try").Value()
-	tryFailed := reg.Counter("ev.try_failed").Value()
-	if int(try+tryFailed) != res.Stats.Tries {
+	try, tryFailed := n[obs.EventTry], n[obs.EventTryFailed]
+	if try+tryFailed != res.Stats.Tries {
 		t.Errorf("try events %d + failed %d != Stats.Tries %d", try, tryFailed, res.Stats.Tries)
 	}
-	if int(tryFailed) != res.Stats.FailedTries {
+	if tryFailed != res.Stats.FailedTries {
 		t.Errorf("try_failed events = %d, Stats.FailedTries = %d", tryFailed, res.Stats.FailedTries)
 	}
-	assign := reg.Counter("ev.assign").Value()
-	done := reg.Counter("ev.done").Value()
-	collapse := reg.Counter("ev.collapse").Value()
-	if int(assign+done+collapse) != res.Stats.AttrsProcessed {
+	assign, done, collapse := n[obs.EventAssign], n[obs.EventDone], n[obs.EventCollapse]
+	if assign+done+collapse != res.Stats.AttrsProcessed {
 		t.Errorf("assign %d + done %d + collapse %d != AttrsProcessed %d",
 			assign, done, collapse, res.Stats.AttrsProcessed)
 	}
 	// Every successful try lowers at least the tried attribute.
-	lower := reg.Counter("ev.lower").Value()
-	if lower < try {
+	if lower := n[obs.EventLower]; lower < try {
 		t.Errorf("lower events %d < successful tries %d", lower, try)
 	}
 }
@@ -70,41 +75,41 @@ func TestEventCarriesSCC(t *testing.T) {
 	f := constraint.NewFigure2()
 	compiled := f.Set.Compile()
 	pr := compiled.Priorities()
+	log := new(obs.EventLog)
+	if _, err := SolveContext(context.Background(), compiled, Options{Events: log}); err != nil {
+		t.Fatal(err)
+	}
 	bad := 0
-	sink := obs.SinkFunc(func(e obs.Event) {
+	for _, e := range log.Events() {
 		if e.Attr < 0 || int(e.SCC) != pr.Priority[e.Attr] {
 			bad++
 		}
-	})
-	if _, err := SolveContext(context.Background(), compiled, Options{Sink: sink}); err != nil {
-		t.Fatal(err)
 	}
 	if bad != 0 {
 		t.Errorf("%d events carried a wrong SCC id", bad)
 	}
 }
 
-// TestSinkIsPerSolve checks that Options.Sink observes exactly the solve
-// it is passed to: that solve streams at least one event per try and per
+// TestSinkIsPerSolve checks that Options.Events logs exactly the solve it
+// is passed to: that solve logs at least one event per try and per
 // processed attribute, and a later solve of the same snapshot without a
-// sink, which reuses the pooled session, emits nothing into it.
+// log, which reuses the pooled session, appends nothing to it.
 func TestSinkIsPerSolve(t *testing.T) {
 	compiled := constraint.NewFigure2().Set.Compile()
-	var events int
-	sink := obs.SinkFunc(func(obs.Event) { events++ })
-	res, err := SolveContext(context.Background(), compiled, Options{Sink: sink})
+	log := new(obs.EventLog)
+	res, err := SolveContext(context.Background(), compiled, Options{Events: log})
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := len(log.Events())
 	if events < res.Stats.Tries+res.Stats.AttrsProcessed {
 		t.Errorf("only %d events for %d tries + %d attrs", events, res.Stats.Tries, res.Stats.AttrsProcessed)
 	}
-	seen := events
 	if _, err := SolveContext(context.Background(), compiled, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if events != seen {
-		t.Errorf("solve without a sink emitted %d events into the previous solve's sink", events-seen)
+	if n := len(log.Events()); n != events {
+		t.Errorf("solve without a log appended %d events to the previous solve's log", n-events)
 	}
 }
 

@@ -40,12 +40,15 @@
 // Every step of the algorithm can be observed without changing its
 // behavior. Result.Stats always carries the per-solve operation counts
 // (they are plain field increments, always on). Richer telemetry is
-// strictly opt-in and zero-cost when off: an obs.EventSink — installed via
-// Options.Sink or Options.RecordTrace — receives one
-// value-typed event per step (a single nil check on the hot path when no
-// sink is installed); Options.CollectLatticeOps wraps the lattice in a
-// counting forwarder (no wrapper at all otherwise); Options.Metrics
-// aggregates each solve's Stats into a shared obs.Registry after the run.
+// strictly opt-in and zero-cost when off. An instrumented solve appends one
+// value-typed event per step to a single obs.EventLog — the caller's
+// (Options.Events), or one SolveContext makes when Options.RecordTrace is
+// set or the context carries a span — and the Figure 2(b) Trace and the
+// solve span tree are rendered from that log after the solve; with no log
+// the hot path pays a single nil check per step. Options.CollectLatticeOps
+// wraps the lattice in a counting forwarder (no wrapper at all otherwise);
+// Options.Metrics aggregates each solve's Stats into a shared obs.Registry
+// after the run.
 package core
 
 import (
@@ -67,9 +70,9 @@ import (
 
 // Options tunes the solver. The zero value is ready to use.
 type Options struct {
-	// RecordTrace captures a step-by-step execution trace (the Figure 2(b)
-	// table). The trace stores per-step deltas, so its memory cost is
-	// linear in the number of level changes, not steps×attributes.
+	// RecordTrace renders a step-by-step execution trace (the Figure 2(b)
+	// table) from the solve's event log into Result.Trace. Its memory cost
+	// is linear in the number of events, not steps×attributes.
 	RecordTrace bool
 
 	// DisableMinComplement turns off the footnote-4 closed form for
@@ -87,10 +90,12 @@ type Options struct {
 	// BenchmarkSimpleCycleCollapse).
 	CollapseSimpleCycles bool
 
-	// Sink receives the solver's event stream (assign / try / try-failed /
-	// lower / collapse / done). It is combined with the trace. When
-	// neither is installed, event emission costs one nil check per step.
-	Sink obs.EventSink
+	// Events, when non-nil, logs the solve's event stream (assign / try /
+	// try-failed / lower / collapse / done / try_step); the solve resets it
+	// first. The trace and the span tree are rendered from this log when
+	// asked for; without any of the three, event logging costs one nil
+	// check per step.
+	Events *obs.EventLog
 
 	// CollectLatticeOps counts the primitive lattice operations (lub, glb,
 	// dominance, covers) performed by the solve into Result.Stats.
@@ -191,7 +196,7 @@ func SolveContext(ctx context.Context, c *constraint.Compiled, opt Options) (res
 	// invariants are unknown, so returning it to the pool could corrupt a
 	// later solve. Non-panic exits release the session normally.
 	var sv *session
-	var ssink *spanSink
+	var sp *obs.Span
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -206,23 +211,35 @@ func SolveContext(ctx context.Context, c *constraint.Compiled, opt Options) (res
 		if opt.Metrics != nil {
 			opt.Metrics.Counter(MetricSolvePanics).Inc()
 		}
-		if ssink != nil {
-			ssink.root.End()
+		if sp != nil && sv != nil {
+			// Render what was logged up to the panic, so no span is left
+			// open and the solve span says why it ended.
+			endSolveSpan(sp, sv.log, c, &sv.stats, ie)
 		}
 		res, err = nil, ie
 	}()
 	if ferr := opt.Fault.Hit("pool.get"); ferr != nil {
 		return nil, ferr
 	}
-	// Tracing: when the context carries a span, reconstruct a solve span
-	// tree from the event stream. Uninstrumented contexts take the nil
-	// branch and pay nothing further.
 	if parent := obs.SpanFromContext(ctx); parent != nil {
-		ssink = newSpanSink(parent.Child("solve"), c)
-		opt.Sink = combineSinks(ssink, opt.Sink)
+		sp = parent.Child("solve")
 	}
 	start := time.Now()
 	sv = acquireSession(ctx, c, opt)
+	// One event log per instrumented solve: the caller's, or the session's
+	// own, which keeps its buffer across solves, for the trace or the
+	// context's span. A span needs stamped events, so an unstamped log
+	// starts against the tracer's clock at the solve span. Uninstrumented
+	// solves take the nil branches and pay nothing further.
+	if sv.log == nil && (sp != nil || opt.RecordTrace) {
+		sv.log = &sv.ownLog
+		sv.log.Start(time.Time{}, nil)
+	}
+	if sp != nil && !sv.log.Stamped() {
+		sv.log.Start(sp.StartTime(), sp.Tracer().Now)
+	} else if sv.log != nil {
+		sv.log.Reset()
+	}
 	if c.HasUpperBounds() {
 		ub, conflicts := c.UpperBoundFixpoint()
 		if conflicts != nil {
@@ -236,10 +253,8 @@ func SolveContext(ctx context.Context, c *constraint.Compiled, opt Options) (res
 		err = sv.run()
 	}
 	sv.stats.Duration = time.Since(start)
-	if ssink != nil {
-		ssink.close()
-		ssink.annotate(&sv.stats, err)
-		ssink.root.End()
+	if sp != nil {
+		endSolveSpan(sp, sv.log, c, &sv.stats, err)
 	}
 	if opt.Metrics != nil {
 		sv.stats.Record(opt.Metrics, err)
@@ -247,13 +262,24 @@ func SolveContext(ctx context.Context, c *constraint.Compiled, opt Options) (res
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
+	res = &Result{
 		Assignment:  sv.lambda,
 		Priorities:  sv.pr,
 		UpperBounds: sv.start,
-		Trace:       sv.trace,
 		Stats:       sv.stats,
-	}, nil
+	}
+	if opt.RecordTrace {
+		res.Trace = newTrace(sv.set, sv.start, sv.log)
+	}
+	return res, nil
+}
+
+// endSolveSpan renders a solve's span tree from its log, annotates the
+// solve span and ends it.
+func endSolveSpan(sp *obs.Span, log *obs.EventLog, c *constraint.Compiled, st *Stats, err error) {
+	renderSpans(sp, log, c)
+	annotate(sp, st, log, err)
+	sp.End()
 }
 
 // MustSolve is Solve that panics on error, for fixtures built from
@@ -295,11 +321,11 @@ type session struct {
 	// may start below ⊤ (§6 upper bounds).
 	eagerMinlevel bool
 
-	trace *Trace
-	// sink is the combined event sink (trace, compiled-set sink, and
-	// Options.Sink); nil when no observer is installed, which is the
-	// zero-cost path.
-	sink obs.EventSink
+	// log is the solve's event log: Options.Events, or ownLog when the
+	// solve logs only for its own trace or span tree; nil on the zero-cost
+	// path.
+	log    *obs.EventLog
+	ownLog obs.EventLog
 	// counted is the lattice op-counting wrapper, embedded in the session
 	// so enabling CollectLatticeOps performs no per-solve allocation.
 	counted lattice.Counted
@@ -430,21 +456,6 @@ func logPanic(ie *InternalError) {
 	}
 }
 
-// combineSinks fans two optional sinks into one, avoiding the tee wrapper
-// unless both are present.
-func combineSinks(a, b obs.EventSink) obs.EventSink {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if t, ok := a.(obs.TeeSink); ok {
-		return append(t, b)
-	}
-	return obs.TeeSink{a, b}
-}
-
 // acquireSession checks a session out of the pool and points it at the
 // compiled set, resizing (not reallocating, when capacity allows) its
 // scratch buffers.
@@ -479,13 +490,7 @@ func acquireSession(ctx context.Context, c *constraint.Compiled, opt Options) *s
 	sv.lambda = nil
 	sv.start = nil
 	sv.eagerMinlevel = false
-	sv.trace = nil
-	sv.sink = nil
-	if opt.RecordTrace {
-		sv.trace = &Trace{set: sv.set}
-		sv.sink = sv.trace
-	}
-	sv.sink = combineSinks(sv.sink, opt.Sink)
+	sv.log = opt.Events
 	sv.lastFailure = -1
 	sv.ops = 0
 	sv.done = resizeBools(sv.done, c.NumAttrs())
@@ -510,8 +515,7 @@ func (sv *session) release() {
 	sv.minComp = nil
 	sv.lambda = nil
 	sv.start = nil
-	sv.trace = nil
-	sv.sink = nil
+	sv.log = nil
 	sv.fault = nil
 	sv.counted = lattice.Counted{}
 	sessionPool.Put(sv)
@@ -552,14 +556,14 @@ func (sv *session) poll() error {
 	return nil
 }
 
-// emit streams one event to the installed sink. Callers guard with a
-// sv.sink != nil check so the uninstrumented path pays only that check.
+// emit logs one event. Callers guard with a sv.log != nil check so the
+// uninstrumented path pays only that check.
 func (sv *session) emit(kind obs.EventKind, a constraint.Attr, l lattice.Level) {
 	scc := int32(-1)
 	if a >= 0 {
 		scc = int32(sv.pr.Priority[a])
 	}
-	sv.sink.Event(obs.Event{Kind: kind, Attr: int32(a), Level: uint64(l), SCC: scc})
+	sv.log.Append(obs.Event{Kind: kind, Attr: int32(a), Level: uint64(l), SCC: scc})
 }
 
 // run executes Main's initialization plus BigLoop.
@@ -577,9 +581,6 @@ func (sv *session) run() error {
 		if !c.Simple() {
 			sv.unlabeled[i] = len(c.LHS)
 		}
-	}
-	if sv.trace != nil {
-		sv.trace.begin(sv.lambda)
 	}
 	return sv.bigloop()
 }
@@ -655,7 +656,7 @@ func (sv *session) collapseSet(nodes []int) (bool, error) {
 		sv.stats.AttrsProcessed++
 		// No unlabeled counters to maintain: eligibility guarantees no
 		// member sits on a complex left-hand side.
-		if sv.sink != nil {
+		if sv.log != nil {
 			sv.emit(obs.EventCollapse, a, l)
 		}
 	}
@@ -700,7 +701,7 @@ func (sv *session) processAttr(a constraint.Attr) error {
 	if aDone {
 		sv.lambda[a] = l
 		sv.done[a] = true
-		if sv.sink != nil {
+		if sv.log != nil {
 			sv.emit(obs.EventAssign, a, l)
 		}
 		return nil
@@ -720,20 +721,20 @@ func (sv *session) processAttr(a constraint.Attr) error {
 			sv.stats.Tries++
 			if !ok {
 				sv.stats.FailedTries++
-				if sv.sink != nil {
+				if sv.log != nil {
 					sv.emit(obs.EventTryFailed, a, cand)
 				}
 				continue
 			}
-			if sv.sink == nil {
+			if sv.log == nil {
 				for _, lw := range lower {
 					sv.lambda[lw.attr] = lw.level
 				}
 			} else {
 				// The try row first, then one lower event per propagated
-				// change (including a itself) so sinks see the deltas that
-				// belong to it, in sorted attribute order so instrumented
-				// runs (traces, goldens) are deterministic.
+				// change (including a itself) so renderers see the deltas
+				// that belong to it, in sorted attribute order so
+				// instrumented runs (traces, goldens) are deterministic.
 				sv.emit(obs.EventTry, a, cand)
 				slices.SortFunc(lower, func(x, y lowering) int { return cmp.Compare(x.attr, y.attr) })
 				for _, lw := range lower {
@@ -746,7 +747,7 @@ func (sv *session) processAttr(a constraint.Attr) error {
 		}
 	}
 	sv.done[a] = true
-	if sv.sink != nil {
+	if sv.log != nil {
 		sv.emit(obs.EventDone, a, sv.lambda[a])
 	}
 	return nil
@@ -844,9 +845,9 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) ([]lowering, bool, er
 		for _, ci := range sv.constr[cur] {
 			c := sv.cons[ci]
 			sv.stats.TrySteps++
-			if sv.sink != nil {
+			if sv.log != nil {
 				// One try_step event per constraint check — the unit the
-				// span sink turns into a "descent" leaf, so a traced
+				// span tree renders as a "descent" leaf, so a traced
 				// solve's descent-span count equals Stats.TrySteps.
 				sv.emit(obs.EventTryStep, cur, curLvl)
 			}

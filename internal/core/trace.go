@@ -14,38 +14,66 @@ import (
 // assignment, Try call, completion), with the full assignment after the
 // action and a failure marker for failed Try calls.
 //
-// Trace is an obs.EventSink: the solver streams its step events into it and
-// the trace stores only the per-step deltas (attribute, old level, new
-// level) plus one clone of the initial assignment, so memory is linear in
-// the number of level changes instead of the steps×attributes quadratic
-// cost of snapshotting the assignment at every step. The full per-step
-// assignments of Table(), Final(), and Steps() are reconstructed lazily by
-// replaying the deltas.
+// Trace is rendered from the solve's event log: it keeps one clone of the
+// initial assignment and the logged events other than try steps, so its
+// memory is linear in the number of events instead of the steps×attributes
+// quadratic cost of snapshotting the assignment at every step. The full
+// per-step assignments of Table(), Final(), and Steps() are reconstructed
+// lazily by replaying the events.
 type Trace struct {
 	set     *constraint.Set
-	initial constraint.Assignment // clone of the assignment before step one
-	current constraint.Assignment // running assignment, advanced per delta
-	steps   []traceStep
+	initial constraint.Assignment // the assignment before step one
+	events  []obs.Event
 }
 
 // traceKindInitial marks the synthetic first row; it never appears in the
 // solver's event stream.
 const traceKindInitial = obs.EventKind(0xff)
 
-// traceStep is one recorded row: its kind, the attribute acted on, the
-// level named by the action (the tried/assigned level), and the level
-// changes the action caused.
-type traceStep struct {
-	kind   obs.EventKind
-	attr   constraint.Attr
-	level  lattice.Level
-	deltas []traceDelta
+// newTrace renders the trace of one solve from its log. start is the
+// solve's initial assignment (the §6 upper bounds), nil when every
+// attribute started at ⊤.
+func newTrace(set *constraint.Set, start constraint.Assignment, log *obs.EventLog) *Trace {
+	t := &Trace{set: set, initial: start.Clone()}
+	if start == nil {
+		t.initial = make(constraint.Assignment, set.NumAttrs())
+		for i := range t.initial {
+			t.initial[i] = set.Lattice().Top()
+		}
+	}
+	n := 0
+	for _, e := range log.Events() {
+		if e.Kind != obs.EventTryStep {
+			n++
+		}
+	}
+	t.events = make([]obs.Event, 0, n)
+	for _, e := range log.Events() {
+		if e.Kind != obs.EventTryStep {
+			t.events = append(t.events, e.Event)
+		}
+	}
+	return t
 }
 
-// traceDelta is one attribute level change within a step.
-type traceDelta struct {
-	attr     constraint.Attr
-	old, new lattice.Level
+// replay calls fn once per row, in order, with the event that opened the
+// row (kind traceKindInitial for the first) and the assignment after it:
+// assign/try/try-failed/collapse/done events open a row, and the lower
+// events that follow a try are its level changes. after is reused across
+// calls.
+func (t *Trace) replay(fn func(row obs.Event, after constraint.Assignment)) {
+	cur := t.initial.Clone()
+	row := obs.Event{Kind: traceKindInitial, Attr: -1}
+	for _, e := range t.events {
+		if e.Kind != obs.EventLower {
+			fn(row, cur)
+			row = e
+		}
+		if e.Kind == obs.EventLower || e.Kind == obs.EventAssign || e.Kind == obs.EventCollapse {
+			cur[e.Attr] = lattice.Level(e.Level)
+		}
+	}
+	fn(row, cur)
 }
 
 // Step is one materialized solver action, as produced by Steps.
@@ -61,81 +89,55 @@ type Step struct {
 	After constraint.Assignment
 }
 
-// begin records the initial assignment (one clone) and the "initial" row.
-func (t *Trace) begin(m constraint.Assignment) {
-	t.initial = m.Clone()
-	t.current = m.Clone()
-	t.steps = append(t.steps, traceStep{kind: traceKindInitial, attr: -1})
-}
-
-// Event implements obs.EventSink: assign/try/try-failed/collapse/done
-// events open a new row; lower events append their delta to the row of the
-// try that caused them.
-func (t *Trace) Event(e obs.Event) {
-	a := constraint.Attr(e.Attr)
-	l := lattice.Level(e.Level)
-	switch e.Kind {
-	case obs.EventLower:
-		if len(t.steps) == 0 {
-			return // defensive: lower outside any step
-		}
-		t.applyDelta(&t.steps[len(t.steps)-1], a, l)
-	case obs.EventAssign, obs.EventCollapse:
-		t.steps = append(t.steps, traceStep{kind: e.Kind, attr: a, level: l})
-		t.applyDelta(&t.steps[len(t.steps)-1], a, l)
-	case obs.EventTry, obs.EventTryFailed, obs.EventDone:
-		t.steps = append(t.steps, traceStep{kind: e.Kind, attr: a, level: l})
-	}
-}
-
-func (t *Trace) applyDelta(st *traceStep, a constraint.Attr, l lattice.Level) {
-	st.deltas = append(st.deltas, traceDelta{attr: a, old: t.current[a], new: l})
-	t.current[a] = l
-}
-
-// label renders a step's row label in the style of Figure 2(b).
-func (t *Trace) label(st traceStep) string {
-	switch st.kind {
-	case traceKindInitial:
+// label renders a row's label in the style of Figure 2(b).
+func (t *Trace) label(row obs.Event) string {
+	if row.Kind == traceKindInitial {
 		return "initial"
+	}
+	name := t.set.AttrName(constraint.Attr(row.Attr))
+	switch row.Kind {
 	case obs.EventAssign:
-		return t.set.AttrName(st.attr) + " assign"
+		return name + " assign"
 	case obs.EventCollapse:
-		return t.set.AttrName(st.attr) + " collapse"
+		return name + " collapse"
 	case obs.EventDone:
-		return t.set.AttrName(st.attr) + " done"
+		return name + " done"
 	case obs.EventTry:
-		return fmt.Sprintf("try(%s,%s)", t.set.AttrName(st.attr), t.set.Lattice().FormatLevel(st.level))
+		return fmt.Sprintf("try(%s,%s)", name, t.set.Lattice().FormatLevel(lattice.Level(row.Level)))
 	case obs.EventTryFailed:
-		return fmt.Sprintf("try(%s,%s) F", t.set.AttrName(st.attr), t.set.Lattice().FormatLevel(st.level))
+		return fmt.Sprintf("try(%s,%s) F", name, t.set.Lattice().FormatLevel(lattice.Level(row.Level)))
 	}
 	return "unknown"
 }
 
 // Len returns the number of recorded steps, including the initial row.
-func (t *Trace) Len() int { return len(t.steps) }
+func (t *Trace) Len() int {
+	n := 1
+	for _, e := range t.events {
+		if e.Kind != obs.EventLower {
+			n++
+		}
+	}
+	return n
+}
 
 // Steps materializes the trace as one Step per row, each carrying a full
 // assignment clone — the eager representation earlier versions stored.
 // Cost is steps×attributes; prefer Table()/Tries()/Final() on large runs.
 func (t *Trace) Steps() []Step {
-	out := make([]Step, 0, len(t.steps))
-	cur := t.initial.Clone()
-	for _, st := range t.steps {
-		for _, d := range st.deltas {
-			cur[d.attr] = d.new
-		}
-		action := t.label(st)
-		failed := st.kind == obs.EventTryFailed
+	var out []Step
+	t.replay(func(row obs.Event, after constraint.Assignment) {
+		action := t.label(row)
+		failed := row.Kind == obs.EventTryFailed
 		if failed {
 			action = strings.TrimSuffix(action, " F")
-		} else if st.kind != traceKindInitial && st.kind != obs.EventTry {
+		} else if row.Kind != traceKindInitial && row.Kind != obs.EventTry {
 			// Match the historical Action strings: bare verbs for
 			// assign/collapse/done, the full "try(A,l)" for tries.
-			action = strings.TrimPrefix(action, t.set.AttrName(st.attr)+" ")
+			action = strings.TrimPrefix(action, t.set.AttrName(constraint.Attr(row.Attr))+" ")
 		}
-		out = append(out, Step{Attr: st.attr, Action: action, Failed: failed, After: cur.Clone()})
-	}
+		out = append(out, Step{Attr: constraint.Attr(row.Attr), Action: action, Failed: failed, After: after.Clone()})
+	})
 	return out
 }
 
@@ -143,9 +145,9 @@ func (t *Trace) Steps() []Step {
 // e.g. "try(B,L5)" and "try(F,L2) F".
 func (t *Trace) Tries() []string {
 	var out []string
-	for _, st := range t.steps {
-		if st.kind == obs.EventTry || st.kind == obs.EventTryFailed {
-			out = append(out, t.label(st))
+	for _, e := range t.events {
+		if e.Kind == obs.EventTry || e.Kind == obs.EventTryFailed {
+			out = append(out, t.label(e))
 		}
 	}
 	return out
@@ -154,7 +156,7 @@ func (t *Trace) Tries() []string {
 // Table renders the trace as a text table in the style of Figure 2(b):
 // one column per attribute (in declaration order), one row per step, the
 // level of every attribute after each step, and "F" marking failed tries.
-// The per-step assignments are reconstructed by replaying the deltas.
+// The per-step assignments are reconstructed by replaying the events.
 func (t *Trace) Table() string {
 	s := t.set
 	lat := s.Lattice()
@@ -166,18 +168,14 @@ func (t *Trace) Table() string {
 		header = append(header, s.AttrName(a))
 	}
 	rows := [][]string{header}
-	cur := t.initial.Clone()
-	for _, st := range t.steps {
-		for _, d := range st.deltas {
-			cur[d.attr] = d.new
-		}
+	t.replay(func(step obs.Event, after constraint.Assignment) {
 		row := make([]string, 0, len(attrs)+1)
-		row = append(row, t.label(st))
+		row = append(row, t.label(step))
 		for _, a := range attrs {
-			row = append(row, lat.FormatLevel(cur[a]))
+			row = append(row, lat.FormatLevel(after[a]))
 		}
 		rows = append(rows, row)
-	}
+	})
 
 	// Column widths.
 	width := make([]int, len(header))
@@ -214,8 +212,7 @@ func (t *Trace) Table() string {
 
 // Final returns the assignment after the last step.
 func (t *Trace) Final() constraint.Assignment {
-	if len(t.steps) == 0 {
-		return nil
-	}
-	return t.current.Clone()
+	var final constraint.Assignment
+	t.replay(func(_ obs.Event, after constraint.Assignment) { final = after })
+	return final
 }

@@ -2,107 +2,75 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"minup/internal/constraint"
 	"minup/internal/lattice"
 	"minup/internal/obs"
 )
 
-// spanSink reconstructs a span tree from the solver's event stream. Solver
-// events report work *after* it happened, so every span is opened
-// retroactively at the previous event's timestamp and closed at the current
-// one: consecutive events partition the solve's wall time into leaf spans.
+// renderSpans builds the span tree of one solve under sp (its "solve" or
+// "partial-solve" span) from the solve's event log, once the solve is over.
+// Solver events report work *after* it happened, so every span starts at
+// the previous event's time and ends at its own: consecutive events
+// partition the solve's wall time into leaf spans.
 //
 // The tree mirrors the paper's cost model (Theorem 5.2 is a product of
-// per-SCC work and lattice-op cost): one child of the solve span per
-// priority set ("scc <p>", in condensation order — BigLoop visits priority
-// sets in strictly descending order and Try propagation never leaves the
-// current set, so SCC event runs are contiguous), with the per-step leaves
-// nested inside. Each EventTryStep becomes a "descent" span, so the number
-// of descent spans in the tree equals Stats.TrySteps.
-//
-// A spanSink is used by one solve session at a time and needs no locking of
-// its own.
-type spanSink struct {
-	root *obs.Span // the solve span
-	set  *constraint.Set
-	lat  lattice.Lattice
-
-	scc     *obs.Span // open per-SCC span, nil before the first event
-	sccID   int32
-	last    time.Time // timestamp of the previous event
-	current *obs.Span // parent for leaf spans (scc, or root when SCC unknown)
-}
-
-func newSpanSink(root *obs.Span, c *constraint.Compiled) *spanSink {
-	return &spanSink{
-		root: root,
-		set:  c.Set(),
-		lat:  c.Lattice(),
-		last: root.StartTime(),
-	}
-}
-
-// Event turns one solver event into a leaf span [previous event, now].
-func (s *spanSink) Event(e obs.Event) {
-	now := s.root.Tracer().Now
-	var t time.Time
-	if now != nil {
-		t = now()
-	} else {
-		t = time.Now()
-	}
-	parent := s.root
-	if e.SCC >= 0 {
-		if s.scc == nil || e.SCC != s.sccID {
-			if s.scc != nil {
-				s.scc.EndAt(s.last)
+// per-SCC work and lattice-op cost): one child of sp per priority set
+// ("scc <p>", in condensation order — BigLoop visits priority sets in
+// strictly descending order and Try propagation never leaves the current
+// set, so SCC event runs are contiguous), with the per-step leaves nested
+// inside. Each EventTryStep becomes a "descent" span, so the number of
+// descent spans in the tree equals Stats.TrySteps. The spans are created in
+// event order, so their IDs are those a live reconstruction would mint.
+func renderSpans(sp *obs.Span, log *obs.EventLog, c *constraint.Compiled) {
+	set, lat := c.Set(), c.Lattice()
+	last := sp.StartTime()
+	var scc *obs.Span
+	var sccID int32
+	for _, e := range log.Events() {
+		t := log.StartTime().Add(e.At)
+		parent := sp
+		if e.SCC >= 0 {
+			if scc == nil || e.SCC != sccID {
+				if scc != nil {
+					scc.EndAt(last)
+				}
+				scc = sp.ChildAt("scc "+strconv.Itoa(int(e.SCC)), last)
+				sccID = e.SCC
 			}
-			s.scc = s.root.ChildAt(sccName(e.SCC), s.last)
-			s.sccID = e.SCC
+			parent = scc
 		}
-		parent = s.scc
+		name := e.Kind.String()
+		if e.Kind == obs.EventTryStep {
+			// The per-minlevel-descent unit: one constraint check inside Try.
+			name = "descent"
+		}
+		leaf := parent.ChildAt(name, last)
+		if e.Attr >= 0 {
+			leaf.SetAttrStr("attr", set.AttrName(constraint.Attr(e.Attr)))
+		}
+		leaf.SetAttrStr("level", lat.FormatLevel(lattice.Level(e.Level)))
+		leaf.EndAt(t)
+		last = t
 	}
-	leaf := parent.ChildAt(s.leafName(e), s.last)
-	if e.Attr >= 0 {
-		leaf.SetAttrStr("attr", s.set.AttrName(constraint.Attr(e.Attr)))
-	}
-	leaf.SetAttrStr("level", s.lat.FormatLevel(lattice.Level(e.Level)))
-	leaf.EndAt(t)
-	s.last = t
-}
-
-// close ends the open SCC span at the last event's timestamp. The solve
-// span itself is ended by SolveContext.
-func (s *spanSink) close() {
-	if s.scc != nil {
-		s.scc.EndAt(s.last)
-		s.scc = nil
+	if scc != nil {
+		scc.EndAt(last)
 	}
 }
 
-func (s *spanSink) leafName(e obs.Event) string {
-	if e.Kind == obs.EventTryStep {
-		// The per-minlevel-descent unit: one constraint check inside Try.
-		return "descent"
+// annotate records the solve's headline stats on its span, with the count
+// of events a capped log dropped and the solve's error, if any.
+func annotate(sp *obs.Span, st *Stats, log *obs.EventLog, err error) {
+	sp.SetAttr("tries", int64(st.Tries))
+	sp.SetAttr("failed_tries", int64(st.FailedTries))
+	sp.SetAttr("try_steps", int64(st.TrySteps))
+	sp.SetAttr("minlevel_calls", int64(st.MinlevelCalls))
+	sp.SetAttr("attrs_processed", int64(st.AttrsProcessed))
+	sp.SetAttr("collapses", int64(st.Collapses))
+	if n := log.Dropped(); n > 0 {
+		sp.SetAttr("dropped_events", int64(n))
 	}
-	return e.Kind.String()
-}
-
-func sccName(p int32) string {
-	return "scc " + strconv.Itoa(int(p))
-}
-
-// annotate records the solve's headline stats on the solve span.
-func (s *spanSink) annotate(st *Stats, err error) {
-	s.root.SetAttr("tries", int64(st.Tries))
-	s.root.SetAttr("failed_tries", int64(st.FailedTries))
-	s.root.SetAttr("try_steps", int64(st.TrySteps))
-	s.root.SetAttr("minlevel_calls", int64(st.MinlevelCalls))
-	s.root.SetAttr("attrs_processed", int64(st.AttrsProcessed))
-	s.root.SetAttr("collapses", int64(st.Collapses))
 	if err != nil {
-		s.root.SetAttrStr("error", err.Error())
+		sp.SetAttrStr("error", err.Error())
 	}
 }

@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"minup/internal/constraint"
+	"minup/internal/fault"
+	"minup/internal/lattice"
 	"minup/internal/obs"
+	"minup/internal/workload"
 )
 
 // fakeClock advances one microsecond per call from a fixed epoch.
@@ -129,19 +133,17 @@ func TestSolveSpanTreeFigure2(t *testing.T) {
 // TestSolveSpanTreeMatchesEventStream cross-checks the span reconstruction
 // against a raw event count: every event becomes exactly one leaf span.
 func TestSolveSpanTreeMatchesEventStream(t *testing.T) {
-	events := 0
 	f := constraint.NewFigure2()
 	c := f.Set.Compile()
 	tr := &obs.Tracer{Now: fakeClock()}
 	root := tr.Start("request")
 	ctx := obs.ContextWithSpan(context.Background(), root)
-	_, err := SolveContext(ctx, c, Options{
-		Sink: obs.SinkFunc(func(obs.Event) { events++ }),
-	})
-	if err != nil {
+	log := new(obs.EventLog)
+	if _, err := SolveContext(ctx, c, Options{Events: log}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
+	events := len(log.Events())
 
 	leaves := 0
 	root.Walk(func(s *obs.Span) {
@@ -155,7 +157,7 @@ func TestSolveSpanTreeMatchesEventStream(t *testing.T) {
 }
 
 // TestUntracedContextAddsNoSpans pins the zero-cost contract at the API
-// level: solving with a plain context must not install the span sink.
+// level: solving with a plain context must not add any span.
 func TestUntracedContextAddsNoSpans(t *testing.T) {
 	f := constraint.NewFigure2()
 	c := f.Set.Compile()
@@ -226,18 +228,102 @@ func TestRepairSpanTree(t *testing.T) {
 func TestTryStepEventCountMatchesStats(t *testing.T) {
 	f := constraint.NewFigure2()
 	c := f.Set.Compile()
-	steps := 0
-	res, err := SolveContext(context.Background(), c, Options{
-		Sink: obs.SinkFunc(func(e obs.Event) {
-			if e.Kind == obs.EventTryStep {
-				steps++
-			}
-		}),
-	})
+	log := new(obs.EventLog)
+	res, err := SolveContext(context.Background(), c, Options{Events: log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != res.Stats.TrySteps {
+	if steps := countKinds(log)[obs.EventTryStep]; steps != res.Stats.TrySteps {
 		t.Fatalf("saw %d try_step events, Stats.TrySteps = %d", steps, res.Stats.TrySteps)
+	}
+}
+
+// TestTracedSolvePanicEndsEverySpan checks that a traced solve which
+// panics still renders the span tree of what it logged: no span is left
+// open and the solve span carries the error.
+func TestTracedSolvePanicEndsEverySpan(t *testing.T) {
+	inj, err := fault.ParseSpec("solve.step:panic:4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := constraint.NewFigure2().Set.Compile()
+	tr := &obs.Tracer{Now: fakeClock()}
+	root := tr.Start("request")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	if _, err := SolveContext(ctx, c, Options{Fault: inj}); !errors.Is(err, ErrInternal) {
+		t.Fatalf("panicking solve returned %v, want an internal error", err)
+	}
+	root.End()
+
+	kids := root.Children()
+	if len(kids) != 1 || kids[0].Name() != "solve" {
+		t.Fatalf("request children = %v, want one solve span", kids)
+	}
+	solve := kids[0]
+	if len(solve.Children()) == 0 {
+		t.Fatal("no spans rendered for the events logged before the panic")
+	}
+	solve.Walk(func(s *obs.Span) {
+		if s.EndTime().IsZero() {
+			t.Errorf("span %q (id %d) left open", s.Name(), s.ID())
+		}
+	})
+	var errAttr string
+	for _, a := range solve.Attrs() {
+		if a.Key == "error" {
+			errAttr = a.Value
+		}
+	}
+	if !strings.Contains(errAttr, "panic") {
+		t.Fatalf("solve span error attribute = %q, want the recovered panic", errAttr)
+	}
+}
+
+// TestSpanTreeFromCappedLog checks a traced solve that logs into a flight
+// recorder's capped log: the span tree renders the events the log kept,
+// and the solve span carries the count it dropped.
+func TestSpanTreeFromCappedLog(t *testing.T) {
+	spec := concurrentSpec(11, true)
+	spec.NumAttrs, spec.NumConstraints = 200, 600
+	c := workload.MustConstraints(lattice.MustChain("c", "U", "C", "S", "TS"), spec).Compile()
+	full := new(obs.EventLog)
+	if _, err := SolveContext(context.Background(), c, Options{Events: full}); err != nil {
+		t.Fatal(err)
+	}
+
+	flight := obs.NewFlightRecorder(obs.FlightOptions{})
+	a := flight.Begin("policy.solve", "GET", "req")
+	defer flight.End(a, obs.FlightRecord{Status: 200})
+	capped := a.Events()
+	root := obs.NewTracer().Start("request")
+	if _, err := SolveContext(obs.ContextWithSpan(context.Background(), root), c, Options{Events: capped}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	kept, dropped := len(capped.Events()), capped.Dropped()
+	if dropped == 0 {
+		t.Fatalf("the solve logs %d events, not enough to overflow a flight's log", len(full.Events()))
+	}
+	if kept+dropped != len(full.Events()) {
+		t.Fatalf("capped log kept %d and dropped %d of %d events", kept, dropped, len(full.Events()))
+	}
+	solve := root.Children()[0]
+	leaves := 0
+	solve.Walk(func(s *obs.Span) {
+		if len(s.Children()) == 0 && s != solve {
+			leaves++
+		}
+	})
+	if leaves != kept {
+		t.Fatalf("span tree has %d leaves, the log kept %d events", leaves, kept)
+	}
+	var got string
+	for _, attr := range solve.Attrs() {
+		if attr.Key == "dropped_events" {
+			got = attr.Value
+		}
+	}
+	if got != strconv.Itoa(dropped) {
+		t.Fatalf("solve span dropped_events = %q, want %d", got, dropped)
 	}
 }

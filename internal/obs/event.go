@@ -1,5 +1,10 @@
 package obs
 
+import (
+	"sync"
+	"time"
+)
+
 // EventKind classifies one solver step.
 type EventKind uint8
 
@@ -27,15 +32,15 @@ const (
 	EventDone
 	// EventTryStep reports one constraint check inside a Try call's
 	// minlevel descent — the finest-grained unit of solver work, matching
-	// Stats.TrySteps. Emitted only when a sink is attached, like every
-	// other kind.
+	// Stats.TrySteps. Logged only when the solve has an event log, like
+	// every other kind.
 	EventTryStep
 
 	numEventKinds = int(EventTryStep) + 1
 )
 
-// String returns the kind's canonical short name, used as the counter
-// suffix by CountingSink.
+// String returns the kind's canonical short name, as the span tree and the
+// flight dump name the event.
 func (k EventKind) String() string {
 	switch k {
 	case EventAssign:
@@ -56,12 +61,12 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is one solver step, passed to sinks by value so that streaming
-// events performs no allocation. Fields are plain integers: Attr is the
-// dense attribute index of the solve's constraint set, Level is the opaque
-// lattice level handle after the step, and SCC is the §4 priority (one per
-// strongly connected component) of the attribute, or -1 when no attribute
-// is involved.
+// Event is one solver step, stored by value in an EventLog so that logging
+// it allocates nothing once the log's buffer has grown. Fields are plain
+// integers: Attr is the dense attribute index of the solve's constraint
+// set, Level is the opaque lattice level handle after the step, and SCC is
+// the §4 priority (one per strongly connected component) of the attribute,
+// or -1 when no attribute is involved.
 type Event struct {
 	Kind  EventKind
 	Attr  int32
@@ -69,50 +74,77 @@ type Event struct {
 	SCC   int32
 }
 
-// EventSink receives the solver's event stream. Implementations must be
-// cheap — they run inside the solve loop — and must be safe for concurrent
-// use if the sink is attached to a compiled snapshot that is solved from
-// several goroutines. A sink must not block.
-type EventSink interface {
-	Event(Event)
+// LoggedEvent is one event of an EventLog. At is its offset from the log's
+// start, or zero when the log was not started against a clock.
+type LoggedEvent struct {
+	Event
+	At time.Duration
 }
 
-// SinkFunc adapts a function to the EventSink interface.
-type SinkFunc func(Event)
-
-// Event calls f(e).
-func (f SinkFunc) Event(e Event) { f(e) }
-
-// CountingSink is an EventSink that tallies events by kind into registry
-// counters named <prefix>.<kind> (e.g. "solver.events.try_failed"). It
-// resolves the counters once at construction, so each event costs one
-// atomic add and no allocation; it is safe for concurrent use.
-type CountingSink struct {
-	byKind [numEventKinds]*Counter
+// EventLog holds one solve's event stream: it is the solver's only event
+// destination, and the Figure 2(b) trace, the solve span tree and the
+// flight recorder's dump lane are rendered from it after the solve. The
+// zero value is an unbounded log that stamps no times; Start makes it
+// stamp each event with its offset from a start time. A flight's log
+// (ActiveFlight.Events) is capped at 4096 events and counts the rest as
+// dropped. A log is filled by one solve at a time and is not safe for
+// concurrent use.
+type EventLog struct {
+	events  []LoggedEvent
+	dropped int
+	start   time.Time        // zero: events are not stamped
+	now     func() time.Time // nil: time.Since(start)
+	// bufs is set on a flight's log: its buffer, of flightEvents events,
+	// comes from the recorder's pool on the first event, so a request
+	// whose solve logs nothing takes none.
+	bufs *sync.Pool
 }
 
-// NewCountingSink registers one counter per event kind under prefix in r.
-func NewCountingSink(r *Registry, prefix string) *CountingSink {
-	s := &CountingSink{}
-	for k := 0; k < numEventKinds; k++ {
-		s.byKind[k] = r.Counter(prefix + "." + EventKind(k).String())
+// Start empties the log and stamps each event that follows with its
+// offset from start, read from now (nil means time.Now). A zero start
+// stamps nothing.
+func (l *EventLog) Start(start time.Time, now func() time.Time) {
+	l.Reset()
+	l.start, l.now = start, now
+}
+
+// Reset empties the log for the next solve, keeping its buffer, its cap
+// and its clock.
+func (l *EventLog) Reset() {
+	l.events = l.events[:0]
+	l.dropped = 0
+}
+
+// Append logs one event. A full capped log counts it as dropped instead.
+func (l *EventLog) Append(e Event) {
+	if len(l.events) == cap(l.events) && l.bufs != nil {
+		if l.events != nil {
+			l.dropped++
+			return
+		}
+		l.events = l.bufs.Get().(*flightBuf)[:0]
 	}
-	return s
-}
-
-// Event counts the event.
-func (s *CountingSink) Event(e Event) {
-	if int(e.Kind) < len(s.byKind) {
-		s.byKind[e.Kind].Inc()
+	var at time.Duration
+	if !l.start.IsZero() {
+		if l.now != nil {
+			at = l.now().Sub(l.start)
+		} else {
+			at = time.Since(l.start)
+		}
 	}
+	l.events = append(l.events, LoggedEvent{Event: e, At: at})
 }
 
-// TeeSink fans one event stream out to several sinks, in order.
-type TeeSink []EventSink
+// Events returns the logged events in solver order, valid until the log
+// is next reset.
+func (l *EventLog) Events() []LoggedEvent { return l.events }
 
-// Event forwards e to every sink.
-func (t TeeSink) Event(e Event) {
-	for _, s := range t {
-		s.Event(e)
-	}
-}
+// Dropped returns how many events a capped log could not keep.
+func (l *EventLog) Dropped() int { return l.dropped }
+
+// StartTime returns the time the event offsets count from; zero when the
+// log does not stamp events.
+func (l *EventLog) StartTime() time.Time { return l.start }
+
+// Stamped reports whether the log was started against a clock.
+func (l *EventLog) Stamped() bool { return !l.start.IsZero() }

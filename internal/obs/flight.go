@@ -1,15 +1,16 @@
 // The flight recorder: an always-on, bounded-memory ring of one compact
 // record per served request and per async catalog refresh, plus an anomaly
-// path that snapshots the full solver event stream (and span tree, when the
+// path that writes the request's solver event log (and span tree, when the
 // request was traced) of slow/errored/degraded/panicked work to a rotating,
 // size-capped dump directory for post-hoc Perfetto analysis.
 //
 // Cost model: Begin/End on the happy path are one small allocation (the
-// ActiveFlight handle), two short critical sections on the recorder mutex,
-// and one histogram observe — no per-event work unless the handler arms a
-// capture sink, and capture buffers are pooled so steady-state capture
-// allocates nothing. Everything heavier (JSON encoding, file writes, dump
-// rotation) happens only on the anomaly branch.
+// ActiveFlight handle, which embeds the request's event log), two short
+// critical sections on the recorder mutex, and one histogram observe. The
+// log takes a pooled buffer on its first event, so a request that runs no
+// solve takes none and steady-state capture allocates nothing. Everything
+// heavier (JSON encoding, file writes, dump rotation) happens only on the
+// anomaly branch.
 package obs
 
 import (
@@ -93,19 +94,25 @@ type FlightOptions struct {
 	// SlowThreshold marks a request anomalous on duration alone (0
 	// disables the slow trigger; errors/degradation/panics still fire).
 	SlowThreshold time.Duration
-	// CaptureEvents caps the solver events captured per request (default
-	// 4096); the overflow is counted, not stored.
-	CaptureEvents int
-	// AnomalyKeep is the capacity of the separate recent-anomalies ring
-	// (default 64), so a burst of healthy traffic cannot evict the one
-	// record being triaged.
-	AnomalyKeep int
 	// SLO, when non-nil, is rendered by the /debug/requests handler
 	// alongside the recorder's own state.
 	SLO *SLOTracker
 	// Now replaces time.Now for record timestamps (tests).
 	Now func() time.Time
 }
+
+const (
+	// flightEvents caps the solver events a flight logs; the overflow is
+	// counted, not stored.
+	flightEvents = 4096
+	// anomalyKeep is the capacity of the separate recent-anomalies ring,
+	// so a burst of healthy traffic cannot evict the one record being
+	// triaged.
+	anomalyKeep = 64
+)
+
+// flightBuf is the pooled buffer of a flight's event log.
+type flightBuf [flightEvents]LoggedEvent
 
 // FlightRecorder is the ring. Construct with NewFlightRecorder; all methods
 // are safe for concurrent use.
@@ -117,11 +124,11 @@ type FlightRecorder struct {
 	ring      []FlightRecord // capacity opt.Size; index total%Size
 	total     uint64
 	active    map[uint64]*ActiveFlight
-	anomalies []FlightRecord // capacity opt.AnomalyKeep
+	anomalies []FlightRecord // capacity anomalyKeep
 	anomTotal uint64
 	routes    map[string]*Histogram
 
-	pool sync.Pool // *CaptureBuffer
+	bufs sync.Pool // *flightBuf
 
 	dumpMu       sync.Mutex
 	dumpsWritten atomic.Uint64
@@ -138,22 +145,14 @@ func NewFlightRecorder(opt FlightOptions) *FlightRecorder {
 	if opt.DumpCapBytes <= 0 {
 		opt.DumpCapBytes = 32 << 20
 	}
-	if opt.CaptureEvents <= 0 {
-		opt.CaptureEvents = 4096
-	}
-	if opt.AnomalyKeep <= 0 {
-		opt.AnomalyKeep = 64
-	}
 	f := &FlightRecorder{
 		opt:       opt,
 		ring:      make([]FlightRecord, opt.Size),
 		active:    make(map[uint64]*ActiveFlight),
-		anomalies: make([]FlightRecord, opt.AnomalyKeep),
+		anomalies: make([]FlightRecord, anomalyKeep),
 		routes:    make(map[string]*Histogram),
 	}
-	f.pool.New = func() any {
-		return &CaptureBuffer{events: make([]CapturedEvent, 0, opt.CaptureEvents)}
-	}
+	f.bufs.New = func() any { return new(flightBuf) }
 	return f
 }
 
@@ -165,91 +164,43 @@ func (f *FlightRecorder) now() time.Time {
 }
 
 // ---------------------------------------------------------------------------
-// Capture: the per-request solver event buffer.
-
-// CapturedEvent is one solver event with a timestamp relative to the
-// request start, microseconds.
-type CapturedEvent struct {
-	Kind  EventKind `json:"kind"`
-	Attr  int32     `json:"attr"`
-	Level uint64    `json:"level"`
-	SCC   int32     `json:"scc"`
-	TUS   int64     `json:"t_us"`
-}
-
-// CaptureBuffer records a solver event stream with bounded memory. It is an
-// EventSink; buffers come from the recorder's pool, so arming capture on
-// every request allocates only until the pool warms.
-type CaptureBuffer struct {
-	start     time.Time
-	events    []CapturedEvent
-	truncated int
-}
-
-// Event appends one solver event, dropping (and counting) past capacity.
-func (b *CaptureBuffer) Event(e Event) {
-	if len(b.events) == cap(b.events) {
-		b.truncated++
-		return
-	}
-	b.events = append(b.events, CapturedEvent{
-		Kind: e.Kind, Attr: e.Attr, Level: e.Level, SCC: e.SCC,
-		TUS: time.Since(b.start).Microseconds(),
-	})
-}
-
-func (b *CaptureBuffer) reset() {
-	b.events = b.events[:0]
-	b.truncated = 0
-	b.start = time.Time{}
-}
-
-// ---------------------------------------------------------------------------
 // Recording.
 
 // ActiveFlight is one in-flight request's handle: created by Begin, carried
 // through the request context, completed by End. Fields are immutable after
-// Begin except the capture buffer and span, which belong to the request's
-// own goroutine until End.
+// Begin except the event log and span, which belong to the request's own
+// goroutine until End.
 type ActiveFlight struct {
-	fr      *FlightRecorder
-	seq     uint64
-	route   string
-	method  string
-	id      string
-	start   time.Time
-	capture *CaptureBuffer
-	span    *Span
+	seq    uint64
+	route  string
+	method string
+	id     string
+	start  time.Time
+	log    EventLog
+	span   *Span
 }
 
 // Begin opens a flight for one HTTP request and registers it as active.
 func (f *FlightRecorder) Begin(route, method, id string) *ActiveFlight {
 	a := &ActiveFlight{
-		fr:     f,
 		seq:    f.seq.Add(1),
 		route:  route,
 		method: method,
 		id:     id,
 		start:  f.now(),
 	}
+	a.log = EventLog{start: a.start, now: f.opt.Now, bufs: &f.bufs}
 	f.mu.Lock()
 	f.active[a.seq] = a
 	f.mu.Unlock()
 	return a
 }
 
-// CaptureSink arms solver-event capture for this flight and returns the
-// sink to pass as core.Options.Sink. The buffer is pooled; if the flight
+// Events returns the flight's event log, to pass as core.Options.Events:
+// capped at 4096 events, stamped from the request's start. If the flight
 // ends healthy the events are discarded, if it ends anomalous they go into
 // the dump.
-func (a *ActiveFlight) CaptureSink() EventSink {
-	if a.capture == nil {
-		b := a.fr.pool.Get().(*CaptureBuffer)
-		b.start = a.start
-		a.capture = b
-	}
-	return a.capture
-}
+func (a *ActiveFlight) Events() *EventLog { return &a.log }
 
 // SetSpan attaches the request's root span; an anomalous flight dumps the
 // finished span tree alongside the event stream.
@@ -257,8 +208,8 @@ func (a *ActiveFlight) SetSpan(sp *Span) { a.span = sp }
 
 // End completes the flight: rec's identity fields are filled from the
 // flight, the record enters the ring, and — when the record trips an
-// anomaly trigger — the captured event stream and span tree are written to
-// the dump directory. The capture buffer returns to the pool either way.
+// anomaly trigger — the logged events and span tree are written to the
+// dump directory. The log's buffer returns to the pool either way.
 func (f *FlightRecorder) End(a *ActiveFlight, rec FlightRecord) {
 	if a == nil {
 		return
@@ -277,20 +228,12 @@ func (f *FlightRecorder) End(a *ActiveFlight, rec FlightRecord) {
 		rec.DurationUS = f.now().Sub(a.start).Microseconds()
 	}
 
-	capture := a.capture
-	a.capture = nil
 	if f.isAnomaly(&rec) {
-		var events []CapturedEvent
-		truncated := 0
-		if capture != nil {
-			events = capture.events
-			truncated = capture.truncated
-		}
-		rec.Dump = f.writeDump(&rec, events, truncated, a.span)
+		rec.Dump = f.writeDump(&rec, &a.log, a.span)
 	}
-	if capture != nil {
-		capture.reset()
-		f.pool.Put(capture)
+	if a.log.events != nil {
+		f.bufs.Put((*flightBuf)(a.log.events[:flightEvents]))
+		a.log.events = nil
 	}
 
 	f.mu.Lock()
@@ -308,7 +251,7 @@ func (f *FlightRecorder) Record(rec FlightRecord) {
 		rec.Start = f.now()
 	}
 	if f.isAnomaly(&rec) {
-		rec.Dump = f.writeDump(&rec, nil, 0, nil)
+		rec.Dump = f.writeDump(&rec, nil, nil)
 	}
 	f.mu.Lock()
 	f.push(rec)
@@ -361,8 +304,8 @@ func (f *FlightRecorder) isAnomaly(rec *FlightRecord) bool {
 
 // flightDump is the on-disk shape of one anomaly: a Chrome trace-event
 // object (Perfetto loads it directly; the extra keys are ignored) carrying
-// the flight record, the captured solver events as slices, and the span
-// tree when the request was traced.
+// the flight record, the logged solver events as slices, and the span tree
+// when the request was traced.
 type flightDump struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
@@ -374,7 +317,7 @@ type flightDump struct {
 // writeDump serializes one anomaly to the dump directory and prunes old
 // dumps past the byte cap. Returns the file name, or "" when dumping is
 // disabled or failed (the record still enters the ring).
-func (f *FlightRecorder) writeDump(rec *FlightRecord, events []CapturedEvent, truncated int, span *Span) string {
+func (f *FlightRecorder) writeDump(rec *FlightRecord, log *EventLog, span *Span) string {
 	if f.opt.DumpDir == "" {
 		return ""
 	}
@@ -387,7 +330,6 @@ func (f *FlightRecorder) writeDump(rec *FlightRecord, events []CapturedEvent, tr
 	dump := flightDump{
 		DisplayTimeUnit: "ms",
 		Record:          *rec,
-		TruncatedEvents: truncated,
 	}
 	dump.TraceEvents = append(dump.TraceEvents, chromeEvent{
 		Name: "process_name", Ph: "M", PID: 1,
@@ -418,14 +360,18 @@ func (f *FlightRecorder) writeDump(rec *FlightRecord, events []CapturedEvent, tr
 			})
 		})
 	}
+	var events []LoggedEvent
+	if log != nil {
+		events, dump.TruncatedEvents = log.Events(), log.Dropped()
+	}
 	for i, e := range events {
 		// Each event becomes a slice from the previous event's timestamp:
 		// the stream reads as contiguous solver work in Perfetto.
 		ts := int64(0)
 		if i > 0 {
-			ts = events[i-1].TUS
+			ts = events[i-1].At.Microseconds()
 		}
-		dur := e.TUS - ts
+		dur := e.At.Microseconds() - ts
 		dump.TraceEvents = append(dump.TraceEvents, chromeEvent{
 			Name: e.Kind.String(), Ph: "X", TS: ts, Dur: &dur, PID: 1, TID: 3,
 			Args: map[string]string{

@@ -40,7 +40,7 @@ func TestFlightRingBounded(t *testing.T) {
 }
 
 func TestFlightAnomalyRingSurvivesHealthyTraffic(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Size: 4, AnomalyKeep: 4})
+	f := NewFlightRecorder(FlightOptions{Size: 4})
 	a := f.Begin("solve", "GET", "bad-one")
 	f.End(a, FlightRecord{Status: 500, Err: "boom"})
 	// A burst of healthy traffic laps the main ring several times over.
@@ -91,12 +91,13 @@ func TestFlightAnomalyTriggers(t *testing.T) {
 
 func TestFlightDumpWriteAndCapture(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(FlightOptions{DumpDir: dir, CaptureEvents: 2})
+	f := NewFlightRecorder(FlightOptions{DumpDir: dir})
 	a := f.Begin("solve", "GET", "req-1")
-	sink := a.CaptureSink()
-	sink.Event(Event{Kind: EventTry, Attr: 1, Level: 3})
-	sink.Event(Event{Kind: EventAssign, Attr: 1, Level: 2})
-	sink.Event(Event{Kind: EventCollapse, Attr: 2}) // over CaptureEvents: truncated
+	log := a.Events()
+	for i := 0; i < flightEvents; i++ {
+		log.Append(Event{Kind: EventTry, Attr: 1, Level: 3})
+	}
+	log.Append(Event{Kind: EventCollapse, Attr: 2}) // over flightEvents: truncated
 	f.End(a, FlightRecord{Status: 200, Degraded: true, DegradeReason: "deadline"})
 
 	snap := f.Snapshot()
@@ -118,9 +119,9 @@ func TestFlightDumpWriteAndCapture(t *testing.T) {
 	if err := json.Unmarshal(data, &dump); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
-	// Metadata + request slice + 2 captured solver events.
-	if len(dump.TraceEvents) != 4 {
-		t.Fatalf("traceEvents = %d entries, want 4", len(dump.TraceEvents))
+	// Metadata + request slice + the kept solver events.
+	if len(dump.TraceEvents) != 2+flightEvents {
+		t.Fatalf("traceEvents = %d entries, want %d", len(dump.TraceEvents), 2+flightEvents)
 	}
 	if dump.Record.ID != "req-1" || !dump.Record.Degraded {
 		t.Fatalf("dump record = %+v", dump.Record)
@@ -245,8 +246,7 @@ func TestFlightConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				a := f.Begin("solve", "GET", fmt.Sprintf("w%d-%d", w, i))
-				sink := a.CaptureSink()
-				sink.Event(Event{Kind: EventTry})
+				a.Events().Append(Event{Kind: EventTry})
 				f.End(a, FlightRecord{Status: 200})
 				if i%50 == 0 {
 					f.Record(FlightRecord{Kind: "refresh", Route: "catalog.refresh", Outcome: "completed"})

@@ -1,17 +1,17 @@
 // Package obs is the stdlib-only telemetry layer for the solver service:
 // atomic counters, fixed-bucket histograms, a registry that snapshots to a
-// stable JSON shape, and the non-allocating event-sink interface the solver
-// session streams into.
+// stable JSON shape, spans, the flight recorder, and the event log a solve
+// records its steps into.
 //
 // The package deliberately depends on nothing but the standard library and
 // knows nothing about lattices or constraints: solver events carry plain
 // integers (attribute index, level handle, SCC id), so any package can
-// implement a sink without importing the solver's types and the solver can
-// emit events without allocation.
+// read an event log without importing the solver's types and the solver
+// can log events without allocation.
 //
-// Cost model: when no sink is installed and no registry is passed, the
-// solver's hot path pays a single nil check per step — nothing here runs at
-// all. Counters and histograms are single atomic adds, safe for unlimited
+// Cost model: when no event log is passed and no registry is configured,
+// the solver's hot path pays a single nil check per step — nothing here
+// runs at all. Counters and histograms are single atomic adds, safe for unlimited
 // concurrent use; Registry lookups take a read lock and are intended to be
 // amortized once per solve, not once per step.
 package obs

@@ -121,34 +121,28 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-func TestCountingSink(t *testing.T) {
-	r := NewRegistry()
-	s := NewCountingSink(r, "ev")
-	s.Event(Event{Kind: EventTry})
-	s.Event(Event{Kind: EventTry})
-	s.Event(Event{Kind: EventTryFailed})
-	if got := r.Counter("ev.try").Value(); got != 2 {
-		t.Errorf("ev.try = %d, want 2", got)
+func TestEventLog(t *testing.T) {
+	var l EventLog
+	l.Append(Event{Kind: EventTry})
+	if l.Stamped() || len(l.Events()) != 1 || l.Events()[0].At != 0 {
+		t.Fatalf("zero log: stamped=%v events=%+v, want one unstamped event", l.Stamped(), l.Events())
 	}
-	if got := r.Counter("ev.try_failed").Value(); got != 1 {
-		t.Errorf("ev.try_failed = %d, want 1", got)
+	start := time.Unix(1_000_000, 0)
+	tick := start
+	l.Start(start, func() time.Time { tick = tick.Add(time.Microsecond); return tick })
+	l.Append(Event{Kind: EventAssign, Attr: 2, Level: 5, SCC: 1})
+	l.Append(Event{Kind: EventDone, Attr: 2, Level: 5, SCC: 1})
+	ev := l.Events()
+	if !l.Stamped() || len(ev) != 2 || !l.StartTime().Equal(start) {
+		t.Fatalf("started log: stamped=%v events=%+v start=%v", l.Stamped(), ev, l.StartTime())
 	}
-	if got := r.Counter("ev.assign").Value(); got != 0 {
-		t.Errorf("ev.assign = %d, want 0", got)
+	if ev[0].At != time.Microsecond || ev[1].At != 2*time.Microsecond || ev[1].Attr != 2 || ev[1].Kind != EventDone {
+		t.Fatalf("stamped events = %+v, want offsets 1µs and 2µs", ev)
 	}
-}
-
-func TestTeeAndFuncSinks(t *testing.T) {
-	var a, b []EventKind
-	tee := TeeSink{
-		SinkFunc(func(e Event) { a = append(a, e.Kind) }),
-		SinkFunc(func(e Event) { b = append(b, e.Kind) }),
-	}
-	tee.Event(Event{Kind: EventAssign})
-	tee.Event(Event{Kind: EventDone})
-	want := []EventKind{EventAssign, EventDone}
-	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
-		t.Errorf("tee fan-out: a=%v b=%v want %v", a, b, want)
+	l.Reset()
+	l.Append(Event{Kind: EventLower})
+	if len(l.Events()) != 1 || l.Events()[0].At != 3*time.Microsecond || l.Dropped() != 0 {
+		t.Fatalf("after Reset: events=%+v dropped=%d, want one event on the kept clock", l.Events(), l.Dropped())
 	}
 }
 

@@ -160,8 +160,9 @@ type (
 	// Result is the outcome of Solve: the minimal classification, the
 	// priority structure, optional trace, and operation counts.
 	Result = core.Result
-	// Trace is a step-by-step record of the solver's execution, printable
-	// as the paper's Figure 2(b) table.
+	// Trace is a step-by-step record of the solver's execution, rendered
+	// from the solve's event log and printable as the paper's Figure 2(b)
+	// table.
 	Trace = core.Trace
 	// InconsistencyError reports that upper- and lower-bound constraints
 	// clash (§6).
@@ -180,8 +181,8 @@ type (
 	FaultRule = fault.Rule
 )
 
-// Observability types. Telemetry is strictly opt-in: with no sink installed
-// and no registry configured, a solve pays one nil check per step.
+// Observability types. Telemetry is strictly opt-in: with no event log and
+// no registry configured, a solve pays one nil check per step.
 type (
 	// SolveStats is the per-solve operation-count block of Result.Stats:
 	// tries, failed tries, collapses, attributes processed, lattice op
@@ -200,19 +201,14 @@ type (
 	// MetricsSnapshot is the point-in-time JSON shape of a MetricsRegistry.
 	MetricsSnapshot = obs.Snapshot
 	// SolveEvent is one solver step (kind, attribute, level, SCC id),
-	// streamed by value to an EventSink.
+	// stored by value in an EventLog.
 	SolveEvent = obs.Event
 	// SolveEventKind classifies a SolveEvent.
 	SolveEventKind = obs.EventKind
-	// EventSink receives the solver's event stream; install one with
-	// Options.Sink.
-	EventSink = obs.EventSink
-	// SinkFunc adapts a function to the EventSink interface.
-	SinkFunc = obs.SinkFunc
-	// TeeSink fans one event stream out to several sinks.
-	TeeSink = obs.TeeSink
-	// CountingSink tallies events by kind into registry counters.
-	CountingSink = obs.CountingSink
+	// EventLog holds one solve's event stream, each event stamped with its
+	// offset when the log was started against a clock; pass one as
+	// Options.Events. The trace and the span tree render from it.
+	EventLog = obs.EventLog
 	// MetricsGauge is an instantaneous signed value (in-flight requests,
 	// pool sizes); obtain one with MetricsRegistry.Gauge.
 	MetricsGauge = obs.Gauge
@@ -271,12 +267,6 @@ const (
 // Options.Metrics to aggregate solve stats under the "solve.*" names, call
 // its Publish method to expose it through expvar, and WriteJSON to dump it.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewCountingSink registers one counter per event kind under prefix in r
-// and returns the sink; each event costs one atomic add.
-func NewCountingSink(r *MetricsRegistry, prefix string) *CountingSink {
-	return obs.NewCountingSink(r, prefix)
-}
 
 // Default histogram bucket bounds shared by the solver's canonical metrics.
 var (
@@ -672,8 +662,8 @@ type (
 	// PolicySolveResult is a served solution: assignment, solve stats, and
 	// whether it came from the memoized cache.
 	PolicySolveResult = catalog.SolveResult
-	// PolicySolveOptions tunes how a cold version is answered: a
-	// solver-event sink for its solve, or the Qian baseline in its place.
+	// PolicySolveOptions tunes how a cold version is answered: an event
+	// log for its solve, or the Qian baseline in its place.
 	PolicySolveOptions = catalog.SolveOptions
 	// CatalogRecoveryInfo reports what OpenCatalog reconstructed from the
 	// data directory (snapshot policies, WAL records, torn tails, shards).

@@ -8,7 +8,9 @@
 #
 #   1. every request shows up in /debug/requests (JSON and HTML views);
 #   2. the degraded requests are in the anomaly ring with dump file names;
-#   3. the dumps exist on disk and are Perfetto-loadable trace JSON;
+#   3. the dumps exist on disk and are Perfetto-loadable trace JSON, and a
+#      traced read's dump renders its one solver-event log into both the
+#      span lane (tid 2) and the event lane (tid 3);
 #   4. the route's availability burn-rate gauges moved in the Prometheus
 #      exposition, alongside the runtime-collector series;
 #   5. a SIGTERM drain writes the final-state dump.
@@ -61,23 +63,30 @@ fetch() {
 # Every cold solve blows the 20ms budget through the 30ms step delay, while
 # the policy's own refresh needs a few hundred ms: each read of a fresh
 # policy degrades to the baseline. Five requests, five availability-budget
-# burns.
+# burns, and a sixth read with ?trace=1.
 fig2_body="$(jq -n --rawfile l testdata/lattice_fig1b.txt \
   --rawfile c testdata/constraints_fig2.txt '{lattice:$l,constraints:$c}')"
-n=0
-while [ "$n" -lt 5 ]; do
+put_fig2() {
   code="$(curl -sS -o /tmp/slo-smoke-put.json -w '%{http_code}' -X PUT \
-    -d "$fig2_body" "http://$addr/policies/fig2-$n")"
+    -d "$fig2_body" "http://$addr/policies/$1")"
   if [ "$code" != "201" ]; then
-    echo "slo-smoke: PUT /policies/fig2-$n returned $code" >&2
+    echo "slo-smoke: PUT /policies/$1 returned $code" >&2
     cat /tmp/slo-smoke-put.json >&2 || true
     exit 1
   fi
+}
+n=0
+while [ "$n" -lt 5 ]; do
+  put_fig2 "fig2-$n"
   fetch "http://$addr/policies/fig2-$n/solve" /tmp/slo-smoke-solve.json
   grep -q '"degraded": true' /tmp/slo-smoke-solve.json
   n=$((n + 1))
 done
-echo "slo-smoke: 5 forced-degraded solves served"
+put_fig2 fig2-traced
+fetch "http://$addr/policies/fig2-traced/solve?trace=1" /tmp/slo-smoke-traced.json
+grep -q '"degraded": true' /tmp/slo-smoke-traced.json
+trace_id="$(jq -r '.trace_id' /tmp/slo-smoke-traced.json)"
+echo "slo-smoke: 6 forced-degraded solves served (trace $trace_id)"
 
 # (1)+(2) The live view lists them, and they are anomalies with dumps.
 fetch "http://$dbg/debug/requests?format=json" /tmp/slo-smoke-flight.json
@@ -99,6 +108,23 @@ for f in "$dump_dir"/anomaly-*.json; do
   grep -q '"traceEvents"' "$f"
 done
 echo "slo-smoke: $count Perfetto-loadable anomaly dumps in $dump_dir"
+# The traced read's span tree and its event lane come from one event log.
+traced_dump="$(jq -r --arg id "$trace_id" \
+  '[.recent[] | select(.trace_id == $id)][0].dump // empty' /tmp/slo-smoke-flight.json)"
+if [ -z "$traced_dump" ]; then
+  echo "slo-smoke: no anomaly dump for the traced read (trace $trace_id)" >&2
+  exit 1
+fi
+if ! jq -e '[.traceEvents[] | select(.tid == 2 and .name == "solve")] | length >= 1' \
+    "$dump_dir/$traced_dump" >/dev/null; then
+  echo "slo-smoke: $traced_dump has no solve span on tid 2" >&2
+  exit 1
+fi
+if ! jq -e '[.traceEvents[] | select(.tid == 3)] | length >= 1' "$dump_dir/$traced_dump" >/dev/null; then
+  echo "slo-smoke: $traced_dump has no solver events on tid 3" >&2
+  exit 1
+fi
+echo "slo-smoke: traced dump $traced_dump has the solve span and its solver events"
 
 # (4) The burn gauges moved: 100% degraded traffic against a 99.9% target
 # is a 1000x burn (1000000 milli); accept anything clearly non-zero.
