@@ -4,9 +4,9 @@
 // Each stage mixes catalog mutations (seeded workload.MutationStreams),
 // policy solves, policy traces, and problem-frontend creates across
 // concurrent clients, records client-side latency histograms and outcome counts,
-// scrapes /metrics?format=prometheus between stages, and writes per-stage
-// JSON plus a summary into the result directory. Any failed stage gate
-// exits nonzero.
+// decodes the server's metrics registry snapshot (GET /metrics) between
+// stages, and writes per-stage JSON plus a summary into the result
+// directory. Any failed stage gate exits nonzero.
 //
 // Usage:
 //

@@ -87,22 +87,22 @@ func TestMetricsBuildInfoAndUptime(t *testing.T) {
 		"version":    buildVersion(),
 		"go_version": "go-test",
 	})
-	rec := get(t, h, "/metrics?format=prometheus")
+	rec := get(t, h, "/metrics")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", rec.Code)
 	}
-	m, err := minup.ParsePrometheus(strings.NewReader(rec.Body.String()))
-	if err != nil {
+	var snap minup.MetricsSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	labels, ok := m.Labels("build_info")
+	labels, ok := snap.Infos["build_info"]
 	if !ok {
 		t.Fatal("no build_info in scrape")
 	}
 	if labels["go_version"] != "go-test" || labels["version"] == "" {
 		t.Fatalf("build_info labels: %+v", labels)
 	}
-	if _, ok := m.Value("process_uptime_seconds"); !ok {
-		t.Fatal("no process_uptime_seconds in scrape")
+	if _, ok := snap.Gauges["process.uptime_seconds"]; !ok {
+		t.Fatal("no process.uptime_seconds in scrape")
 	}
 }

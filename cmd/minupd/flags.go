@@ -16,11 +16,10 @@ type options struct {
 	config
 	dataDir, addr, debugAddr, faultSpec, dumpDir string
 
-	walSync     minup.WALSyncPolicy
-	shards      int
-	faultAdmin  bool
-	sloInterval time.Duration
-	peers       clusterFlags
+	walSync    minup.WALSyncPolicy
+	shards     int
+	faultAdmin bool
+	peers      clusterFlags
 }
 
 // parseFlags declares minupd's flags on their own set, parses args, and
@@ -38,7 +37,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.maxQueue, "max-queue", def.maxQueue, "max requests waiting for a solve slot; beyond this, shed with 503")
 	fs.DurationVar(&o.queueWait, "queue-wait", def.queueWait, "max time a queued request waits for a slot before being shed")
 	fs.DurationVar(&o.solveTimeout, "solve-timeout", def.solveTimeout, "per-request solve budget (ceiling for ?timeout_ms=)")
-	fs.BoolVar(&o.degrade, "degrade", def.degrade, "answer a cold policy version with the Qian-baseline assignment when its minimal solve misses its deadline or the server is overloaded")
 	fs.StringVar(&o.faultSpec, "fault", "", "chaos-testing fault spec, e.g. 'solve.step:delay:%1:5ms;pool.get:panic:3' (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for probabilistic fault rules")
 	fs.BoolVar(&o.faultAdmin, "fault-admin", false, "expose POST/GET /debug/fault on the debug listener to rearm the injector at runtime (chaos testing; implies an installed, initially unarmed injector)")
@@ -47,7 +45,6 @@ func parseFlags(args []string) (options, error) {
 	flightDumpCap := fs.Int64("flight-dump-cap", 32<<20, "max total bytes of anomaly dumps before the oldest are pruned")
 	flightSlow := fs.Duration("flight-slow", time.Second, "duration past which a request is dumped as a slow anomaly (0 disables the slow trigger)")
 	sloSpec := fs.String("slo", defaultSLOSpec, "per-route SLOs, 'route:p99=<dur>,avail=<pct>;...' (empty disables SLO tracking)")
-	fs.DurationVar(&o.sloInterval, "slo-interval", 10*time.Second, "runtime-collector sampling interval (burn rates, goroutines, heap, GC, WAL fsync p99)")
 	fs.IntVar(&o.peers.nodeID, "cluster-node", 0, "this node's id within -cluster-peers (cluster mode)")
 	fs.StringVar(&o.peers.listen, "cluster-listen", "", "replication listen address; empty uses this node's -cluster-peers entry")
 	fs.StringVar(&o.peers.peers, "cluster-peers", "", "full cluster membership as 'id=host:port,...' including this node (enables cluster mode)")

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"minup"
 )
@@ -21,6 +20,7 @@ func TestParseFlags(t *testing.T) {
 		{name: "defaults"},
 		{name: "unknown fsync", args: []string{"-fsync", "sometimes"}, wantErr: "-fsync"},
 		{name: "bad slo", args: []string{"-slo", "policy.solve:p99=soon"}, wantErr: "p99"},
+		{name: "repeated slo route", args: []string{"-slo", "policy.solve:p99=250ms;policy.solve:avail=99.9"}, wantErr: `"policy.solve"`},
 		{name: "bad fault", args: []string{"-fault", "solve.step:explode:1"}, wantErr: "explode"},
 		{name: "zero solve timeout", args: []string{"-solve-timeout", "0"}, wantErr: "-solve-timeout"},
 	}
@@ -37,12 +37,11 @@ func TestParseFlags(t *testing.T) {
 				t.Fatal(err)
 			}
 			if o.maxInflight != def.maxInflight || o.maxQueue != def.maxQueue || o.queueWait != def.queueWait ||
-				o.solveTimeout != def.solveTimeout || o.degrade != def.degrade ||
-				o.cluster.maxReplicaLag != def.cluster.maxReplicaLag {
+				o.solveTimeout != def.solveTimeout || o.cluster.maxReplicaLag != def.cluster.maxReplicaLag {
 				t.Fatalf("serving knobs %+v differ from defaultConfig %+v", o.config, def)
 			}
 			if o.addr != ":8080" || o.debugAddr != "127.0.0.1:6060" || o.walSync != minup.WALSyncAlways ||
-				o.dumpDir != filepath.Join("artifacts", "anomalies") || o.sloInterval != 10*time.Second {
+				o.dumpDir != filepath.Join("artifacts", "anomalies") {
 				t.Fatalf("process wiring = %+v", o)
 			}
 			if o.fault != nil || o.slo == nil || o.flight == nil || o.peers.enabled() {

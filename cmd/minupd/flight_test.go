@@ -111,8 +111,8 @@ func TestDegradedSolveFlightRecordAndSLOBurn(t *testing.T) {
 		t.Fatalf("availability burn did not move: %+v", *solveSLO)
 	}
 
-	// The burn gauges reach the Prometheus scrape (handleMetrics republishes
-	// eagerly, so no collector tick is needed).
+	// The burn gauges reach the Prometheus scrape (handleMetrics samples
+	// them on every read).
 	body := get(t, h, "/metrics?format=prometheus").Body.String()
 	found := false
 	for _, line := range strings.Split(body, "\n") {

@@ -8,9 +8,9 @@
 //	minupd [-data-dir dir] [-fsync always|never] [-shards n] \
 //	       [-addr :8080] [-debug-addr 127.0.0.1:6060] \
 //	       [-max-inflight 64] [-max-queue 128] [-queue-wait 100ms] \
-//	       [-solve-timeout 2s] [-degrade] [-fault spec] [-fault-seed n] \
+//	       [-solve-timeout 2s] [-fault spec] [-fault-seed n] \
 //	       [-flight-size 256] [-flight-dump-dir auto] [-flight-dump-cap n] \
-//	       [-flight-slow 1s] [-slo spec] [-slo-interval 10s]
+//	       [-flight-slow 1s] [-slo spec]
 //
 // # Policy catalog
 //
@@ -103,8 +103,7 @@
 // satisfies every secrecy, inference, and association constraint by
 // construction and merely over-classifies. Degraded responses carry
 // "degraded": true, the reason, and the number of upgraded attributes;
-// each is counted under solve.degraded and none is memoized. Disable with
-// -degrade=false to get plain 504/503 errors instead.
+// each is counted under solve.degraded and none is memoized.
 //
 // Solver panics never kill the process: the solver converts them to typed
 // internal errors (returned as 500, counted as solve.panics), and a
@@ -136,12 +135,13 @@
 // snapshot there too.
 //
 // The -slo flag ("route:p99=250ms,avail=99.9;...") arms per-route
-// objectives; a background collector (every -slo-interval) publishes
-// 5-minute and 1-hour burn-rate gauges ("slo.<route>.*_milli") plus runtime
-// samples (goroutines, heap, GC pause, WAL fsync p99) into the registry,
-// and /metrics republishes the burn gauges on every scrape. Degraded
-// responses count against availability: the client got a safe answer, not
-// the minimal one it asked for.
+// objectives. Every GET /metrics first samples the derived gauges into the
+// registry: 5-minute and 1-hour burn rates ("slo.<route>.*_milli"), the Go
+// runtime (goroutines, heap, GC pause), the WAL fsync p99, the solver
+// session pool, recovered solver panics and uptime. Nothing samples them in
+// the background, so /debug/vars shows them as of the last /metrics read.
+// Degraded responses count against availability: the client got a safe
+// answer, not the minimal one it asked for.
 //
 // The debug listener serves the live introspection view /debug/requests
 // (active flights, SLO burn rates, per-route latency, recent anomalies
@@ -185,7 +185,6 @@ type config struct {
 	maxQueue     int
 	queueWait    time.Duration
 	solveTimeout time.Duration
-	degrade      bool
 	fault        *minup.FaultInjector
 	// flight and slo are the always-on observability layer: the flight
 	// recorder behind /debug/requests and the per-route burn-rate tracker.
@@ -213,7 +212,6 @@ func defaultConfig() config {
 		maxQueue:     128,
 		queueWait:    100 * time.Millisecond,
 		solveTimeout: 2 * time.Second,
-		degrade:      true,
 		slo:          tracker,
 		flight:       minup.NewFlightRecorder(minup.FlightOptions{SLO: tracker}),
 		cluster:      clusterConfig{maxReplicaLag: 1024},
@@ -243,8 +241,6 @@ func main() {
 	// /debug/vars and /debug/pprof: live + recent requests, per-route
 	// latency, anomalies with their dump files, SLO burn rates.
 	http.Handle("/debug/requests", o.flight)
-	collector := minup.NewRuntimeCollector(reg, o.slo, o.sloInterval)
-	collector.Start()
 
 	catOpts := minup.CatalogOptions{
 		Dir:     o.dataDir,
@@ -356,8 +352,8 @@ func main() {
 		wg.Wait()
 		close(shutdownDone)
 	}()
-	fmt.Fprintf(os.Stderr, "minupd: serving the policy catalog on %s (max-inflight=%d queue=%d solve-timeout=%s degrade=%v)\n",
-		o.addr, o.maxInflight, o.maxQueue, o.solveTimeout, o.degrade)
+	fmt.Fprintf(os.Stderr, "minupd: serving the policy catalog on %s (max-inflight=%d queue=%d solve-timeout=%s)\n",
+		o.addr, o.maxInflight, o.maxQueue, o.solveTimeout)
 	err = main.ListenAndServe()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
@@ -380,7 +376,6 @@ func main() {
 	if err := cat.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "minupd: closing catalog: %v\n", err)
 	}
-	collector.Stop()
 	// Preserve the last moments before the shutdown on disk: the final dump
 	// carries the recent ring, the anomaly ring, and per-route latency.
 	if name, err := o.flight.FinalDump("shutdown"); err != nil {
@@ -498,15 +493,27 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
+// handleMetrics serves the registry as JSON or, with ?format=prometheus,
+// as text exposition. It first sets every gauge derived from process state
+// rather than recorded by traffic, so a read sees them as of itself.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// The pool gauge is sampled at scrape time: sessions are created on
-	// demand, so this tracks peak solve concurrency. The panic gauge
-	// counts solver sessions discarded by the recovery guard. SLO burn
-	// gauges are republished here too, so a scrape never reads values a
-	// full collector interval old.
+	// Sessions are created on demand, so the pool gauge tracks peak solve
+	// concurrency; the panic gauge counts sessions discarded by the
+	// recovery guard.
 	s.reg.Gauge("solve.pool.sessions").Set(minup.SessionsAllocated())
 	s.reg.Gauge("solve.panics_recovered").Set(minup.PanicsRecovered())
 	s.reg.Gauge("process.uptime_seconds").Set(int64(time.Since(s.start).Seconds()))
+	s.reg.Gauge("runtime.goroutines").Set(int64(runtime.NumGoroutine()))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s.reg.Gauge("runtime.heap_alloc_bytes").Set(int64(ms.HeapAlloc))
+	s.reg.Gauge("runtime.heap_sys_bytes").Set(int64(ms.HeapSys))
+	s.reg.Gauge("runtime.gc_pause_total_us").Set(int64(ms.PauseTotalNs / 1000))
+	s.reg.Gauge("runtime.gc_cycles").Set(int64(ms.NumGC))
+	// Only a durable catalog records fsyncs.
+	if h := s.reg.LookupHistogram("wal.fsync.duration_us"); h != nil {
+		s.reg.Gauge("wal.fsync.p99_us").Set(int64(h.Snapshot().Quantile(0.99)))
+	}
 	s.cfg.slo.Publish(s.reg)
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

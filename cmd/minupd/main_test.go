@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -237,6 +238,55 @@ func TestMetricsPreRegisteredBeforeTraffic(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("pre-traffic scrape missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsSamplesDerivedGauges: GET /metrics sets every derived gauge
+// itself, with nothing sampling in the background. On a durable catalog,
+// after one waited PUT, both formats carry the runtime, process, session
+// pool, WAL fsync and SLO series.
+func TestMetricsSamplesDerivedGauges(t *testing.T) {
+	cfg := defaultConfig()
+	reg := minup.NewMetricsRegistry()
+	cat, err := minup.OpenCatalog(minup.CatalogOptions{Dir: t.TempDir(), Metrics: reg, Flight: cfg.flight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	h := newServer(cat, reg, cfg).routes(slog.New(slog.NewJSONHandler(io.Discard, nil)))
+	putWarm(t, h, "fig2")
+
+	var snap minup.MetricsSnapshot
+	if err := json.Unmarshal(get(t, h, "/metrics").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	series := []string{
+		"runtime.goroutines", "runtime.heap_alloc_bytes", "runtime.heap_sys_bytes",
+		"runtime.gc_pause_total_us", "runtime.gc_cycles", "process.uptime_seconds",
+		"solve.pool.sessions", "wal.fsync.p99_us", "slo.policy.solve.avail_burn_5m_milli",
+	}
+	for _, name := range series {
+		if _, ok := snap.Gauges[name]; !ok {
+			t.Errorf("GET /metrics did not sample gauge %s", name)
+		}
+	}
+	if snap.Gauges["runtime.goroutines"] <= 0 || snap.Gauges["runtime.heap_alloc_bytes"] <= 0 {
+		t.Errorf("runtime gauges not set: %v", snap.Gauges)
+	}
+	if got := snap.Gauges["wal.fsync.p99_us"]; got <= 0 {
+		t.Errorf("wal.fsync.p99_us = %d after a durable PUT", got)
+	}
+	body := get(t, h, "/metrics?format=prometheus").Body.String()
+	for _, name := range series {
+		if prom := strings.ReplaceAll(name, ".", "_"); !strings.Contains(body, "\n"+prom+" ") {
+			t.Errorf("?format=prometheus has no %s sample", prom)
+		}
+	}
+
+	// An in-memory catalog records no fsync, so it gets no fsync p99.
+	_, mem, _ := newTestServer(t)
+	if body := get(t, mem, "/metrics").Body.String(); strings.Contains(body, "wal.fsync.p99_us") {
+		t.Error("wal.fsync.p99_us published without a WAL")
 	}
 }
 

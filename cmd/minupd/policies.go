@@ -349,11 +349,11 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 // is the memoized answer, whatever the load: it costs no solve. Only a cold
 // version — the first read of a version no refresh has warmed yet — runs
 // Algorithm 3.1, and that solve carries the request's guards: under soft
-// overload (with -degrade) the Qian baseline answers in its place, a missed
-// deadline falls back to the baseline on a fresh budget, and its solver
-// events go to the flight's event log. ?trace=1 runs the request under a
-// root span whose trace ID the response reports; a cold solve hangs under
-// it the span tree rendered from that log.
+// overload the Qian baseline answers in its place, a missed deadline falls
+// back to the baseline on a fresh budget, and its solver events go to the
+// flight's event log. ?trace=1 runs the request under a root span whose
+// trace ID the response reports; a cold solve hangs under it the span tree
+// rendered from that log.
 func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -367,7 +367,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Soft overload: the queue behind us is filling. A cold version gets
 	// the secure baseline at once instead of burning a full solve budget.
-	opt := minup.PolicySolveOptions{Baseline: s.cfg.degrade && s.gate.overloaded()}
+	opt := minup.PolicySolveOptions{Baseline: s.gate.overloaded()}
 	reason := "overload"
 	ri := infoFrom(r.Context())
 	if ri != nil {
@@ -393,7 +393,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	res, err := s.cat.SolveWith(ctx, name, opt)
-	if err != nil && s.cfg.degrade && !opt.Baseline && r.Context().Err() == nil &&
+	if err != nil && !opt.Baseline && r.Context().Err() == nil &&
 		(errors.Is(err, minup.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// The cold solve missed its deadline: answer with the baseline on a
 		// fresh budget, still abandoned if the client disconnects.

@@ -278,17 +278,6 @@ func TestSolveTimeoutQueryClamped(t *testing.T) {
 	}
 }
 
-func TestDeadlineWithoutDegradeIs504(t *testing.T) {
-	cfg := slowCfg(t, 30*time.Millisecond, 10*time.Millisecond)
-	cfg.degrade = false
-	srv, h, _ := newTestServerCfg(t, cfg)
-	putCold(t, srv, h, "fig2")
-	rec := get(t, h, "/policies/fig2/solve")
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("deadline with -degrade=false = %d: %s", rec.Code, rec.Body.String())
-	}
-}
-
 func TestSolverPanicAnswers500(t *testing.T) {
 	// A fault-injected solver panic must surface as an opaque 500 (the
 	// recovery guard in core converts it to a typed internal error), never

@@ -14,11 +14,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"minup/internal/obs"
 )
 
 // fakeServer emulates just enough of minupd's surface for the runner:
-// policy CRUD with real liveness, memoized solves and traces, a Prometheus
-// endpoint, and per-request behavior knobs (shed, degrade).
+// policy CRUD with real liveness, memoized solves and traces, a /metrics
+// registry snapshot, and per-request behavior knobs (shed, degrade).
 type fakeServer struct {
 	mu       sync.Mutex
 	policies map[string]bool
@@ -37,7 +39,7 @@ type fakeServer struct {
 	shedFirstPut bool
 	// degradeSolves answers policy solves with "degraded": true.
 	degradeSolves atomic.Bool
-	// burnMilli is exposed as slo_policy_solve_avail_burn_5m_milli.
+	// burnMilli is exposed as slo.policy.solve.avail_burn_5m_milli.
 	burnMilli atomic.Int64
 	// noProblems makes the /problems routes 404 (pre-frontend server).
 	noProblems bool
@@ -71,11 +73,11 @@ func newFakeServer() *fakeServer {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "# TYPE build_info gauge\nbuild_info{version=\"vtest\",go_version=\"gotest\"} 1\n")
-		fmt.Fprintf(w, "# TYPE http_requests counter\nhttp_requests %d\n", f.requests.Load())
-		fmt.Fprintf(w, "# TYPE catalog_mutations counter\ncatalog_mutations %d\n", f.mutations.Load())
-		fmt.Fprintf(w, "# TYPE runtime_goroutines gauge\nruntime_goroutines 12\n")
-		fmt.Fprintf(w, "# TYPE slo_policy_solve_avail_burn_5m_milli gauge\nslo_policy_solve_avail_burn_5m_milli %d\n", f.burnMilli.Load())
+		json.NewEncoder(w).Encode(obs.Snapshot{
+			Counters: map[string]uint64{"http.requests": f.requests.Load(), "catalog.mutations": f.mutations.Load()},
+			Gauges:   map[string]int64{"runtime.goroutines": 12, "slo.policy.solve.avail_burn_5m_milli": f.burnMilli.Load()},
+			Infos:    map[string]map[string]string{"build_info": {"version": "vtest", "go_version": "gotest"}},
+		})
 	})
 	mux.HandleFunc("/problems", func(w http.ResponseWriter, r *http.Request) {
 		if f.noProblems {
@@ -253,10 +255,10 @@ func TestRunnerAgainstFakeServer(t *testing.T) {
 		if st.Server == nil {
 			t.Fatalf("stage %s: no server sample", st.Name)
 		}
-		if st.Server.CounterDeltas["http_requests"] <= 0 {
-			t.Fatalf("stage %s: http_requests delta missing: %+v", st.Name, st.Server.CounterDeltas)
+		if st.Server.CounterDeltas["http.requests"] <= 0 {
+			t.Fatalf("stage %s: http.requests delta missing: %+v", st.Name, st.Server.CounterDeltas)
 		}
-		if st.Server.Gauges["runtime_goroutines"] != 12 {
+		if st.Server.Gauges["runtime.goroutines"] != 12 {
 			t.Fatalf("stage %s: gauges not sampled: %+v", st.Name, st.Server.Gauges)
 		}
 	}

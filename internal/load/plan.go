@@ -6,9 +6,9 @@
 // minupd.
 //
 // Each stage records client-side latency histograms (obs.Histogram) and
-// success/degraded/shed/error counts, scrapes the server's
-// /metrics?format=prometheus between stages (obs.ParsePrometheus) to
-// capture counter deltas and SLO burn gauges, and is judged by per-stage
+// success/degraded/shed/error counts, decodes the server's registry
+// snapshot (GET /metrics, an obs.Snapshot) between stages to capture
+// counter deltas and SLO burn gauges, and is judged by per-stage
 // gates: minimum success rate, maximum error/shed/degraded rates, maximum
 // client-side p99, and a maximum server-side availability burn rate. The
 // per-stage results are written as JSON into a result directory, and any
@@ -73,8 +73,8 @@ type Gates struct {
 	// MaxP99MS caps the client-observed p99 latency in milliseconds.
 	MaxP99MS float64 `json:"max_p99_ms,omitempty"`
 	// MaxAvailBurn5m caps the server's worst per-route 5-minute
-	// availability burn rate (scraped slo_*_avail_burn_5m_milli / 1000;
-	// 1.0 burns the error budget exactly at its sustainable rate).
+	// availability burn rate (scraped slo.<route>.avail_burn_5m_milli /
+	// 1000; 1.0 burns the error budget exactly at its sustainable rate).
 	MaxAvailBurn5m float64 `json:"max_avail_burn_5m,omitempty"`
 }
 

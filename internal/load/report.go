@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -81,51 +80,41 @@ type OpResult struct {
 
 // ServerSample is what the between-stage metrics scrapes say the server did
 // during a stage: deltas of every counter that moved, plus the current SLO
-// burn-rate and runtime gauges.
+// burn-rate and runtime gauges. Keys are registry names.
 type ServerSample struct {
 	// CounterDeltas maps counter name to its increase across the stage;
 	// zero-delta counters are omitted.
-	CounterDeltas map[string]float64 `json:"counter_deltas,omitempty"`
-	// Gauges holds the post-stage values of the slo_*, runtime_*, and
-	// process_* gauges.
-	Gauges map[string]float64 `json:"gauges,omitempty"`
-	// MaxAvailBurn5m is the worst per-route slo_*_avail_burn_5m_milli,
+	CounterDeltas map[string]int64 `json:"counter_deltas,omitempty"`
+	// Gauges holds the post-stage values of the slo.*, runtime.*, and
+	// process.* gauges.
+	Gauges map[string]int64 `json:"gauges,omitempty"`
+	// MaxAvailBurn5m is the worst per-route slo.<route>.avail_burn_5m_milli,
 	// rescaled to a plain burn rate (1.0 = burning budget exactly at the
 	// sustainable rate).
 	MaxAvailBurn5m float64 `json:"max_avail_burn_5m"`
 }
 
-// serverSample diffs two scrapes. Counters are recognized by their exposed
-// TYPE; everything typed gauge is sampled at its after-value.
-func serverSample(before, after *obs.PromMetrics) *ServerSample {
+// serverSample diffs two registry snapshots: counters by their change,
+// gauges at their after-value.
+func serverSample(before, after *obs.Snapshot) *ServerSample {
 	s := &ServerSample{
-		CounterDeltas: make(map[string]float64),
-		Gauges:        make(map[string]float64),
+		CounterDeltas: make(map[string]int64),
+		Gauges:        make(map[string]int64),
 	}
-	prev := make(map[string]float64, len(before.Samples))
-	for _, smp := range before.Samples {
-		if len(smp.Labels) == 0 {
-			prev[smp.Name] = smp.Value
+	for n, v := range after.Counters {
+		// A restarted server's counters fall; the conversion keeps the
+		// difference signed.
+		if d := int64(v - before.Counters[n]); d != 0 {
+			s.CounterDeltas[n] = d
 		}
 	}
-	for _, smp := range after.Samples {
-		if len(smp.Labels) != 0 {
-			continue
+	for n, v := range after.Gauges {
+		if strings.HasPrefix(n, "slo.") || strings.HasPrefix(n, "runtime.") || strings.HasPrefix(n, "process.") {
+			s.Gauges[n] = v
 		}
-		switch after.Types[smp.Name] {
-		case "counter":
-			if d := smp.Value - prev[smp.Name]; d != 0 {
-				s.CounterDeltas[smp.Name] = d
-			}
-		case "gauge":
-			n := smp.Name
-			if strings.HasPrefix(n, "slo_") || strings.HasPrefix(n, "runtime_") || strings.HasPrefix(n, "process_") {
-				s.Gauges[n] = smp.Value
-			}
-			if strings.HasPrefix(n, "slo_") && strings.HasSuffix(n, "_avail_burn_5m_milli") {
-				if burn := smp.Value / 1000; burn > s.MaxAvailBurn5m {
-					s.MaxAvailBurn5m = burn
-				}
+		if strings.HasPrefix(n, "slo.") && strings.HasSuffix(n, ".avail_burn_5m_milli") {
+			if burn := float64(v) / 1000; burn > s.MaxAvailBurn5m {
+				s.MaxAvailBurn5m = burn
 			}
 		}
 	}
@@ -157,9 +146,9 @@ type StageResult struct {
 	GatePassed      bool                `json:"gate_passed"`
 	GateFailures    []string            `json:"gate_failures,omitempty"`
 
-	// scrapedAfter carries the raw post-stage scrape to the next stage as
+	// scrapedAfter carries the post-stage snapshot to the next stage as
 	// its baseline; not serialized.
-	scrapedAfter *obs.PromMetrics
+	scrapedAfter *obs.Snapshot
 }
 
 func (r *StageResult) summaryLine() string {
@@ -253,15 +242,4 @@ func writeSummaryFile(dir string, rep *Report) error {
 		return err
 	}
 	return writeJSONFile(filepath.Join(dir, "summary.json"), rep)
-}
-
-// SortedGaugeNames is a small helper for deterministic test output and
-// debug printing.
-func (s *ServerSample) SortedGaugeNames() []string {
-	names := make([]string, 0, len(s.Gauges))
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -326,16 +326,11 @@ func (r *Runner) Run(ctx context.Context, plan Plan) (*Report, error) {
 		StartedAt: time.Now().UTC(),
 		Passed:    true,
 	}
-	if m, err := r.scrape(ctx); err == nil {
-		if labels, ok := m.Labels("build_info"); ok {
-			report.BuildInfo = labels
-		}
-	}
-
 	before, err := r.scrape(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("load: initial metrics scrape: %w", err)
 	}
+	report.BuildInfo = before.Infos["build_info"]
 	for i, st := range plan.Stages {
 		res, err := r.runStage(ctx, st, clients[:st.Clients], before)
 		if err != nil {
@@ -494,7 +489,7 @@ func (r *Runner) rankReadTargets(ctx context.Context) []string {
 	return out
 }
 
-func (r *Runner) runStage(ctx context.Context, st Stage, clients []*client, before *obs.PromMetrics) (*StageResult, error) {
+func (r *Runner) runStage(ctx context.Context, st Stage, clients []*client, before *obs.Snapshot) (*StageResult, error) {
 	if st.Fault != "" {
 		if err := r.armFault(ctx, st.Fault); err != nil {
 			return nil, fmt.Errorf("load: stage %q: arming fault spec: %w", st.Name, err)
@@ -793,11 +788,11 @@ func (r *Runner) armFault(ctx context.Context, spec string) error {
 	return nil
 }
 
-// scrape fetches and parses the server's Prometheus exposition.
-func (r *Runner) scrape(ctx context.Context) (*obs.PromMetrics, error) {
+// scrape fetches and decodes the server's registry snapshot.
+func (r *Runner) scrape(ctx context.Context) (*obs.Snapshot, error) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), r.RequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/metrics?format=prometheus", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -809,7 +804,11 @@ func (r *Runner) scrape(ctx context.Context) (*obs.PromMetrics, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics: %d", resp.StatusCode)
 	}
-	return obs.ParsePrometheus(io.LimitReader(resp.Body, 8<<20))
+	var snap obs.Snapshot
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("GET /metrics: %w", err)
+	}
+	return &snap, nil
 }
 
 // drain consumes and closes a response body so the connection is reused.

@@ -206,37 +206,3 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 		t.Fatalf("final count = %d, want %d", s.Count, workers*per)
 	}
 }
-
-func TestCollectorTickAndStop(t *testing.T) {
-	r := NewRegistry()
-	tr := NewSLOTracker(SLOSpec{Route: "solve", Availability: 0.999})
-	c := NewCollector(r, tr, time.Hour)
-	c.Start()
-	c.Start() // idempotent
-	snap := r.Snapshot()
-	for _, name := range []string{
-		"runtime.goroutines", "runtime.heap_alloc_bytes", "runtime.heap_sys_bytes",
-		"runtime.gc_pause_total_us", "runtime.gc_cycles",
-	} {
-		if _, ok := snap.Gauges[name]; !ok {
-			t.Errorf("gauge %s not sampled by Start's immediate tick", name)
-		}
-	}
-	if _, ok := snap.Gauges["slo.solve.avail_burn_5m_milli"]; !ok {
-		t.Error("SLO gauges not republished by the collector tick")
-	}
-	// The fsync gauge appears only once the WAL histogram exists.
-	if _, ok := snap.Gauges["wal.fsync.p99_us"]; ok {
-		t.Error("wal.fsync.p99_us published without a WAL histogram")
-	}
-	r.Histogram("wal.fsync.duration_us", DurationBucketsUS).Observe(250)
-	c.Tick()
-	if got := r.Snapshot().Gauges["wal.fsync.p99_us"]; got == 0 {
-		t.Errorf("wal.fsync.p99_us = %d after an observed fsync", got)
-	}
-	c.Stop()
-	c.Stop() // idempotent
-
-	// Stop without Start must not hang.
-	NewCollector(r, nil, time.Hour).Stop()
-}

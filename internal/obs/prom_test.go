@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -65,108 +64,6 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("two writes of the same registry differ")
-	}
-}
-
-func TestWritePrometheusRoundTrip(t *testing.T) {
-	// The round trip through the exported parser: everything the writer
-	// emits must come back intact, which is exactly what the load harness
-	// relies on when it scrapes /metrics between stages.
-	var buf bytes.Buffer
-	if err := buildPromRegistry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ParsePrometheus(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := m.Types["solve_count"]; got != "counter" {
-		t.Fatalf("solve_count type %q", got)
-	}
-	if got := m.Types["http_in_flight"]; got != "gauge" {
-		t.Fatalf("http_in_flight type %q", got)
-	}
-	if got := m.Types["solve_duration_us"]; got != "histogram" {
-		t.Fatalf("solve_duration_us type %q", got)
-	}
-	if got := m.Types["build_info"]; got != "gauge" {
-		t.Fatalf("build_info type %q", got)
-	}
-	if _, ok := m.Types["weird_name_with_dots"]; !ok {
-		t.Fatalf("sanitized name missing from types %v", m.Types)
-	}
-
-	if v, ok := m.Value("solve_count"); !ok || v != 7 {
-		t.Fatalf("solve_count = %v ok=%v", v, ok)
-	}
-	if v, ok := m.Value("solve_pool_sessions"); !ok || v != -2 {
-		t.Fatalf("solve_pool_sessions = %v ok=%v", v, ok)
-	}
-
-	// The info metric round-trips through its labels.
-	labels, ok := m.Labels("build_info")
-	if !ok || labels["version"] != "v1.2.3" || labels["go_version"] != "go1.99" {
-		t.Fatalf("build_info labels %v ok=%v", labels, ok)
-	}
-	if v, _ := m.Value("build_info"); v != 1 {
-		t.Fatalf("build_info value %v, want 1", v)
-	}
-
-	// Histogram series: buckets are cumulative, capped by +Inf == _count.
-	wantBuckets := map[string]float64{"10": 2, "100": 3, "1000": 4, "+Inf": 5}
-	buckets := m.ValuesByLabel("solve_duration_us_bucket", "le")
-	var prev float64
-	for _, le := range []string{"10", "100", "1000", "+Inf"} {
-		v, ok := buckets[le]
-		if !ok {
-			t.Fatalf("missing bucket le=%s", le)
-		}
-		if v != wantBuckets[le] {
-			t.Fatalf("bucket le=%s = %v, want %v", le, v, wantBuckets[le])
-		}
-		if v < prev {
-			t.Fatalf("buckets not cumulative at le=%s", le)
-		}
-		prev = v
-	}
-	if v, ok := m.Value("solve_duration_us_sum"); !ok || v != 5+5+50+500+5000 {
-		t.Fatalf("_sum = %v ok=%v", v, ok)
-	}
-	if v, ok := m.Value("solve_duration_us_count"); !ok || v != 5 {
-		t.Fatalf("_count = %v ok=%v", v, ok)
-	}
-
-	// The reconstructed histogram matches the source snapshot exactly.
-	snap, err := m.Histogram("solve_duration_us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := HistogramSnapshot{
-		Bounds: []uint64{10, 100, 1000},
-		Counts: []uint64{2, 1, 1, 1},
-		Count:  5,
-		Sum:    5 + 5 + 50 + 500 + 5000,
-	}
-	if !reflect.DeepEqual(snap, want) {
-		t.Fatalf("reconstructed histogram %+v, want %+v", snap, want)
-	}
-	if got := snap.Quantile(0.99); got != 1000 {
-		t.Fatalf("reconstructed p99 = %d, want 1000", got)
-	}
-
-	// Stable ordering: names must appear sorted.
-	var names []string
-	for _, s := range m.Samples {
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(s.Name, "_bucket"), "_sum"), "_count")
-		if len(names) == 0 || names[len(names)-1] != base {
-			names = append(names, base)
-		}
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatalf("metric order not sorted: %v", names)
-		}
 	}
 }
 

@@ -39,7 +39,8 @@ type SLOSpec struct {
 
 // ParseSLOSpecs parses the -slo flag grammar: semicolon-separated
 // "route:key=value,key=value" entries with keys p99 (a Go duration) and
-// avail (a percentage, e.g. 99.9).
+// avail (a percentage, e.g. 99.9). Each route appears in one entry, which
+// carries all of its objectives.
 //
 //	solve:p99=100ms,avail=99.9;policy.solve:p99=50ms,avail=99.99
 func ParseSLOSpecs(s string) ([]SLOSpec, error) {
@@ -52,6 +53,11 @@ func ParseSLOSpecs(s string) ([]SLOSpec, error) {
 		route, rest, ok := strings.Cut(entry, ":")
 		if !ok || route == "" {
 			return nil, fmt.Errorf("obs: SLO entry %q: want route:key=value,...", entry)
+		}
+		for _, prev := range specs {
+			if prev.Route == route {
+				return nil, fmt.Errorf("obs: SLO route %q appears twice; list all its objectives in one entry", route)
+			}
 		}
 		spec := SLOSpec{Route: route}
 		for _, kv := range strings.Split(rest, ",") {

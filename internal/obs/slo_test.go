@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,6 +36,12 @@ func TestParseSLOSpecs(t *testing.T) {
 		if _, err := ParseSLOSpecs(bad); err == nil {
 			t.Errorf("ParseSLOSpecs(%q) accepted", bad)
 		}
+	}
+	// A repeated route is refused by name: a tracker keeps one spec per
+	// route, so the second entry's objectives would be dropped silently.
+	if _, err := ParseSLOSpecs("policy.solve:p99=250ms;policy.solve:avail=99.9"); err == nil ||
+		!strings.Contains(err.Error(), `"policy.solve"`) {
+		t.Fatalf("repeated route: err = %v, want one naming \"policy.solve\"", err)
 	}
 	if specs, err := ParseSLOSpecs(""); err != nil || specs != nil {
 		t.Fatalf("empty spec = %v, %v", specs, err)

@@ -65,7 +65,6 @@ package minup
 import (
 	"context"
 	"io"
-	"time"
 
 	"minup/internal/baseline"
 	"minup/internal/catalog"
@@ -242,14 +241,6 @@ type (
 	SLOSpec = obs.SLOSpec
 	// SLOStatus is one route's burn-rate readout.
 	SLOStatus = obs.SLOStatus
-	// RuntimeCollector periodically samples process health (goroutines,
-	// heap, GC pause, WAL fsync p99) and SLO burn gauges into a registry.
-	RuntimeCollector = obs.Collector
-	// PromMetrics is a parsed Prometheus text-format scrape; see
-	// ParsePrometheus.
-	PromMetrics = obs.PromMetrics
-	// PromSample is one sample line of a PromMetrics.
-	PromSample = obs.PromSample
 )
 
 // Solver event kinds, mirroring the steps of Algorithm 3.1.
@@ -286,19 +277,6 @@ func ParseSLOSpecs(s string) ([]SLOSpec, error) { return obs.ParseSLOSpecs(s) }
 
 // NewSLOTracker builds a burn-rate tracker for the given objectives.
 func NewSLOTracker(specs ...SLOSpec) *SLOTracker { return obs.NewSLOTracker(specs...) }
-
-// ParsePrometheus parses text-exposition-format metrics (the output of
-// WritePrometheus, or any 0.0.4 scrape) into a queryable PromMetrics:
-// sample lookup by name and labels, and reconstruction of cumulative
-// _bucket series back into HistogramSnapshots. Load harnesses and smoke
-// tests use it to assert on a live server's /metrics?format=prometheus.
-func ParsePrometheus(r io.Reader) (*PromMetrics, error) { return obs.ParsePrometheus(r) }
-
-// NewRuntimeCollector builds the periodic runtime/SLO sampler (interval
-// <= 0 defaults to 10s). Call Start, and Stop on drain.
-func NewRuntimeCollector(reg *MetricsRegistry, slo *SLOTracker, interval time.Duration) *RuntimeCollector {
-	return obs.NewCollector(reg, slo, interval)
-}
 
 // SessionsAllocated reports how many pooled solver sessions the process has
 // ever allocated — an upper bound on the session pool's current size and a

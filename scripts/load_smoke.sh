@@ -21,10 +21,7 @@ mkdir -p "$out_dir"
 go build -o /tmp/minupd ./cmd/minupd
 go build -o /tmp/minload ./cmd/minload
 
-/tmp/minupd \
-  -addr "$addr" -debug-addr "$dbg" \
-  -fault-admin \
-  -slo-interval 1s &
+/tmp/minupd -addr "$addr" -debug-addr "$dbg" -fault-admin &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true' EXIT INT TERM
 
@@ -67,6 +64,14 @@ done
 grep -q '"gate_passed": true' "$out_dir/stage-00-ramp.json"
 grep -q '"passed": true' "$out_dir/summary.json"
 grep -q '"build_info"' "$out_dir/summary.json"
+# The server sample is the decoded registry snapshot, keyed by registry name:
+# the ramp's solves moved the 2xx counter and /metrics sampled the runtime.
+if ! jq -e '.server.counter_deltas["http.policy.solve.status.2xx"] > 0 and
+    .server.gauges["runtime.goroutines"] > 0' "$out_dir/stage-00-ramp.json" >/dev/null; then
+  echo "load-smoke: ramp stage lacks its scraped server sample" >&2
+  jq '.server' "$out_dir/stage-00-ramp.json" >&2 || true
+  exit 1
+fi
 echo "load-smoke: per-stage JSON artifacts written to $out_dir"
 
 # The chaos stage must leave the injector disarmed.

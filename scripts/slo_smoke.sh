@@ -12,7 +12,7 @@
 #      traced read's dump renders its one solver-event log into both the
 #      span lane (tid 2) and the event lane (tid 3);
 #   4. the route's availability burn-rate gauges moved in the Prometheus
-#      exposition, alongside the runtime-collector series;
+#      exposition, alongside the runtime gauges /metrics samples;
 #   5. a SIGTERM drain writes the final-state dump.
 #
 # The dump directory is left in place (artifacts/ is gitignored) so CI can
@@ -37,7 +37,7 @@ go build -o /tmp/minupd ./cmd/minupd
   -solve-timeout 20ms \
   -fault 'solve.step:delay:%1:30ms' \
   -flight-dump-dir "$dump_dir" -flight-dump-cap 1048576 \
-  -slo 'policy.solve:p99=10ms,avail=99.9' -slo-interval 1s &
+  -slo 'policy.solve:p99=10ms,avail=99.9' &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true' EXIT INT TERM
 

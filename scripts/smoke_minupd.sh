@@ -143,8 +143,8 @@ fetch "http://$dbg1/debug/requests" /tmp/smoke-flight.html
 grep -q '/debug/requests' /tmp/smoke-flight.html
 echo "smoke: /debug/requests ok (JSON and HTML)"
 
-# The SLO burn-rate gauges are part of the Prometheus exposition from the
-# first scrape (the runtime collector publishes them eagerly).
+# The SLO burn-rate and runtime gauges are part of the Prometheus exposition
+# from the first scrape (/metrics samples them on every read).
 fetch "http://$addr/metrics?format=prometheus" /tmp/smoke-metrics-slo.txt
 grep -q '^# TYPE slo_policy_solve_avail_burn_5m_milli gauge' /tmp/smoke-metrics-slo.txt
 grep -q '^slo_policy_solve_latency_burn_1h_milli ' /tmp/smoke-metrics-slo.txt
@@ -164,7 +164,9 @@ dump_dir="$(mktemp -d)"
   -flight-dump-dir "$dump_dir" \
   -fault 'solve.step:delay:%1:30ms' &
 pid2=$!
-trap 'kill "$pid" "$pid2" 2>/dev/null || true; rm -rf "$dump_dir"' EXIT INT TERM
+# The traps wait for the killed servers before removing their directories:
+# a SIGTERMed minupd drains and then writes its final flight dump there.
+trap 'kill "$pid" "$pid2" 2>/dev/null || true; wait "$pid" "$pid2" 2>/dev/null || true; rm -rf "$dump_dir"' EXIT INT TERM
 
 i=0
 until curl -fsS "http://$addr2/healthz" >/dev/null 2>&1; do
@@ -255,7 +257,7 @@ echo "smoke: http_shed and solve_degraded counters ok (shed=$shed degraded=$degr
 data_dir="$(mktemp -d)"
 /tmp/minupd -addr "$addr3" -debug-addr "" -data-dir "$data_dir" -shards 2 &
 pid3=$!
-trap 'kill "$pid" "$pid2" "$pid3" 2>/dev/null || true; rm -rf "$data_dir" "$dump_dir"' EXIT INT TERM
+trap 'kill "$pid" "$pid2" "$pid3" 2>/dev/null || true; wait "$pid" "$pid2" "$pid3" 2>/dev/null || true; rm -rf "$data_dir" "$dump_dir"' EXIT INT TERM
 
 wait_healthy() {
   i=0
