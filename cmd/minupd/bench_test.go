@@ -1,0 +1,55 @@
+package main
+
+import (
+	"context"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"minup"
+)
+
+// BenchmarkHTTPPolicySolve measures a memo hit of GET
+// /policies/{name}/solve through the service's own handler: the mux, the
+// middleware (request ID, flight record, latency histogram, SLO, an access
+// log line into io.Discard), admission, the catalog's memoized serve and
+// writing the answer. It is the rung of the layer ladder above
+// BenchmarkCatalogServe, on the 48-attribute paper-shaped policy
+// GeneratePolicyFamily("paper", 1, 8) builds.
+func BenchmarkHTTPPolicySolve(b *testing.B) {
+	fi, err := minup.GeneratePolicyFamily("paper", 1, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := defaultConfig()
+	reg := minup.NewMetricsRegistry()
+	cat, err := minup.OpenCatalog(minup.CatalogOptions{Metrics: reg, Flight: cfg.flight})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cat.Close()
+	h := newServer(cat, reg, cfg).routes(slog.New(slog.NewJSONHandler(io.Discard, nil)))
+	// A waited Put leaves the version solved, so every read is a hit.
+	if _, err := cat.Put(context.Background(), "bench", fi.Lattice, fi.Constraints,
+		minup.PolicyUnconditional, minup.PolicyMutateOptions{Wait: true}); err != nil {
+		b.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/policies/bench/solve", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cache_hit": true`) {
+		b.Fatalf("warm read = %d: %.200s", rec.Code, rec.Body.String())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("read = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+}

@@ -28,7 +28,8 @@
 // Mutations return once durable; compiling and solving the new version
 // happens on per-shard background workers unless the request carries
 // ?wait=1 to run that same refresh inline (the response then shows a warm
-// cache).
+// cache). A mutation's answer describes the new version without its
+// source texts, which only GET /policies/{name} returns.
 //
 //	GET    /policies                    index: name, version, etag, shard,
 //	                                    and cache state per policy
@@ -45,7 +46,9 @@
 //	                                    solves it in background
 //	GET    /policies/{name}/solve       minimal classification, memoized:
 //	                                    an unchanged policy is served with
-//	                                    zero compiles and zero solves
+//	                                    zero compiles and zero solves, and
+//	                                    its answer is encoded once per
+//	                                    version
 //	                                    (POST works too; ?trace=1 runs the
 //	                                    request under a tracer and reports
 //	                                    its trace ID, ?timeout_ms=N tightens
@@ -155,6 +158,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -486,11 +490,31 @@ func flightStatsOf(st minup.SolveStats) minup.FlightStats {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+// encodeJSON is the service's one JSON encoding: two-space indentation and
+// a trailing newline. Every JSON body minupd builds from a value goes
+// through it, so a memo hit's stored bytes are exactly what encoding the
+// same answer per request would write.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		// Every response type is plain strings, numbers, bools and maps of
+		// them, which always encode.
+		panic("minupd: encoding response: " + err.Error())
+	}
+	return buf.Bytes()
+}
+
+func writeJSON(w http.ResponseWriter, v any) { writeBody(w, http.StatusOK, encodeJSON(v)) }
+
+// writeBody writes an encoded JSON body with its length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // handleMetrics serves the registry as JSON or, with ?format=prometheus,

@@ -7,7 +7,9 @@
 // compiles the current version once and solves it cold. Add ?wait=1 to a
 // PUT or append to run that same refresh inline instead: the response then
 // reflects a warm cache. Without it, an append answers
-// "refresh_pending": true.
+// "refresh_pending": true. Mutation answers describe the version without
+// its source texts; GET /policies/{name} is the one route that returns
+// them.
 //
 // Optimistic concurrency is plain HTTP: every response carrying policy
 // state sets an ETag holding the version; writers send If-Match with the
@@ -266,7 +268,7 @@ func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, lattice
 	if info.Version == 1 {
 		status = http.StatusCreated
 	}
-	writeJSONStatus(w, status, body(info))
+	writeBody(w, status, encodeJSON(body(info)))
 }
 
 func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
@@ -441,7 +443,16 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		ri.degraded, ri.degradeReason = out.Degraded, out.DegradeReason
 	}
 	w.Header().Set("ETag", etag(res.Info.Version))
-	writeJSON(w, out)
+	encode := func() []byte { return encodeJSON(out) }
+	if traceID != "" {
+		// The trace ID belongs to this request, so its body must never be
+		// the version's stored one.
+		writeBody(w, http.StatusOK, encode())
+		return
+	}
+	// A hit's body depends on its version alone: the first hit encodes it,
+	// and every later hit of the version writes the same bytes.
+	writeBody(w, http.StatusOK, res.EncodeOnce(encode))
 }
 
 // handlePolicyTrace serves GET /policies/{name}/trace: one fully
@@ -488,15 +499,6 @@ func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
 	}
-}
-
-// writeJSONStatus is writeJSON with an explicit status code.
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // newSolveStats maps the solver's stats block to its JSON shape.

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"minup"
 )
 
 const (
@@ -442,5 +446,142 @@ func TestPolicyETagRace(t *testing.T) {
 				t.Fatalf("appended line %q appears %d times, want exactly 1 (lost or duplicated update)", line, n)
 			}
 		}
+	}
+}
+
+// TestPolicySolveHitBytes: a memo hit's body is, byte for byte, the
+// per-request encoding of the same answer, and it goes out with its
+// Content-Type, ETag and Content-Length. The first hit fills the stored
+// bytes and the second writes them, so both are checked.
+func TestPolicySolveHitBytes(t *testing.T) {
+	srv, h, _ := newTestServer(t)
+	putWarm(t, h, "fig2")
+	res, err := srv.cat.Solve(context.Background(), "fig2")
+	if err != nil || !res.CacheHit {
+		t.Fatalf("catalog Solve: hit=%v err=%v", res.CacheHit, err)
+	}
+	want := encodeJSON(policySolveResponse{
+		Name:       "fig2",
+		Version:    1,
+		CacheHit:   true,
+		Assignment: res.Assignment,
+		Stats:      newSolveStats(res.Stats),
+	})
+	for i := 0; i < 2; i++ {
+		rec := get(t, h, "/policies/fig2/solve")
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("hit %d = %d:\n%s\nwant:\n%s", i, rec.Code, rec.Body.Bytes(), want)
+		}
+		hdr := rec.Header()
+		if hdr.Get("Content-Type") != "application/json" || hdr.Get("ETag") != `"1"` ||
+			hdr.Get("Content-Length") != strconv.Itoa(len(want)) {
+			t.Fatalf("hit %d headers = %v", i, hdr)
+		}
+	}
+}
+
+// TestPolicySolveHitAfterMutation: the stored bytes die with their
+// version. After an append, and after delete + recreate — where the
+// version is 1 again — a hit serves the new version's answer.
+func TestPolicySolveHitAfterMutation(t *testing.T) {
+	_, h, _ := newTestServer(t)
+	hit := func(wantVersion uint64) policySolveResponse {
+		t.Helper()
+		out := decodeSolve(t, get(t, h, "/policies/p/solve"))
+		if !out.CacheHit || out.Version != wantVersion {
+			t.Fatalf("solve: hit=%v version=%d, want a hit of version %d", out.CacheHit, out.Version, wantVersion)
+		}
+		return out
+	}
+	mutate := func(method, path string, body *policyRequest, want int) {
+		t.Helper()
+		if rec := policyReq(t, h, method, path, body, nil); rec.Code != want {
+			t.Fatalf("%s %s = %d: %s", method, path, rec.Code, rec.Body.String())
+		}
+	}
+	mutate(http.MethodPut, "/policies/p?wait=1", &policyRequest{Lattice: testPolicyLattice, Constraints: testPolicyCons}, http.StatusCreated)
+	if out := hit(1); out.Assignment["rank"] != "S" {
+		t.Fatalf("version 1 assignment = %v", out.Assignment)
+	}
+	mutate(http.MethodPost, "/policies/p/constraints?wait=1", &policyRequest{Constraints: "rank >= TS\n"}, http.StatusOK)
+	if out := hit(2); out.Assignment["rank"] != "TS" {
+		t.Fatalf("version 2 assignment = %v, want rank TS", out.Assignment)
+	}
+	mutate(http.MethodDelete, "/policies/p", nil, http.StatusNoContent)
+	mutate(http.MethodPut, "/policies/p?wait=1", &policyRequest{Lattice: testPolicyLattice, Constraints: "attrs x\nx >= C\n"}, http.StatusCreated)
+	if out := hit(1); len(out.Assignment) != 1 || out.Assignment["x"] != "C" {
+		t.Fatalf("recreated version 1 assignment = %v, want only x = C", out.Assignment)
+	}
+}
+
+// TestPolicySolveTracedHit: a traced hit carries its own trace ID, and its
+// body is never stored as the version's: plain hits before and after it
+// carry none.
+func TestPolicySolveTracedHit(t *testing.T) {
+	_, h, _ := newTestServer(t)
+	putWarm(t, h, "fig2")
+	traced := func() {
+		t.Helper()
+		if out := decodeSolve(t, get(t, h, "/policies/fig2/solve?trace=1")); !out.CacheHit || out.TraceID == "" {
+			t.Fatalf("traced hit: hit=%v trace_id=%q", out.CacheHit, out.TraceID)
+		}
+	}
+	traced()
+	plain := get(t, h, "/policies/fig2/solve")
+	if strings.Contains(plain.Body.String(), "trace_id") {
+		t.Fatalf("plain hit after a traced one carries a trace ID:\n%s", plain.Body.String())
+	}
+	traced()
+	if again := get(t, h, "/policies/fig2/solve"); !bytes.Equal(again.Body.Bytes(), plain.Body.Bytes()) {
+		t.Fatalf("plain hits differ:\n%s\n%s", plain.Body.String(), again.Body.String())
+	}
+}
+
+// TestPolicyAcksCarryNoSourceText: PUT, append and problem-create acks
+// describe the version without its lattice and constraint texts, waited or
+// not; GET /policies/{name} still serves both.
+func TestPolicyAcksCarryNoSourceText(t *testing.T) {
+	_, h, _ := newTestServer(t)
+	noTexts := func(what string, rec *httptest.ResponseRecorder, wantCode int) {
+		t.Helper()
+		var keys map[string]json.RawMessage
+		if rec.Code != wantCode {
+			t.Fatalf("%s = %d: %s", what, rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := keys["version"]; !ok {
+			t.Fatalf("%s ack has no version: %s", what, rec.Body.String())
+		}
+		for _, k := range []string{"lattice", "constraints_text"} {
+			if _, ok := keys[k]; ok {
+				t.Fatalf("%s ack carries %q: %s", what, k, rec.Body.String())
+			}
+		}
+	}
+	body := &policyRequest{Lattice: testPolicyLattice, Constraints: testPolicyCons}
+	noTexts("PUT", policyReq(t, h, http.MethodPut, "/policies/a", body, nil), http.StatusCreated)
+	noTexts("waited PUT", policyReq(t, h, http.MethodPut, "/policies/b?wait=1", body, nil), http.StatusCreated)
+	appended := &policyRequest{Constraints: "rank >= TS\n"}
+	noTexts("append", policyReq(t, h, http.MethodPost, "/policies/a/constraints", appended, nil), http.StatusOK)
+	noTexts("waited append", policyReq(t, h, http.MethodPost, "/policies/b/constraints?wait=1", appended, nil), http.StatusOK)
+	fe, _ := minup.LookupProblemFrontend("suppress")
+	inst, err := fe.Generate(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := minup.MarshalProblemInstance(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTexts("problem create", problemPost(t, h, "/problems/suppress?wait=1", raw, nil), http.StatusCreated)
+
+	var full minup.PolicyInfo
+	if err := json.Unmarshal(get(t, h, "/policies/b").Body.Bytes(), &full); err != nil {
+		t.Fatal(err)
+	}
+	if full.Lattice != testPolicyLattice || full.ConstraintText != testPolicyCons+"\nrank >= TS\n" {
+		t.Fatalf("GET /policies/b = %+v, want both source texts", full)
 	}
 }

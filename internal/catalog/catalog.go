@@ -38,9 +38,10 @@
 //     deterministic tests and shutdown.
 //
 // Serving an unchanged policy performs zero compiles and zero solves
-// ("catalog.cache_hits"); optimistic concurrency (If-Match versions) keeps
-// its linear history per name because each name lives on exactly one shard
-// and every mutation holds that shard's write lock.
+// ("catalog.cache_hits"), and a caller that encodes the answer does so once
+// per version (SolveResult.EncodeOnce). Optimistic concurrency (If-Match
+// versions) keeps its linear history per name because each name lives on
+// exactly one shard and every mutation holds that shard's write lock.
 package catalog
 
 import (
@@ -182,11 +183,22 @@ type policy struct {
 	lat         lattice.Lattice
 	set         *constraint.Set
 	// compiled is the one snapshot of the current version, built lazily or
-	// by the refresh worker; solved memoizes the minimal solution (and its
-	// stats) for the current version. Both are dropped on every mutation.
-	compiled    *constraint.Compiled
-	solved      constraint.Assignment
-	solvedStats core.Stats
+	// by the refresh worker; memo holds the current version's answer once
+	// it is solved. Both are dropped on every mutation.
+	compiled *constraint.Compiled
+	memo     *memo
+}
+
+// memo is one version's memoized answer: the minimal solution and the
+// stats of the solve that found it, installed once per version, plus the
+// answer's encoded form, filled by the first EncodeOnce of a hit. The memo
+// dies with its version, so its bytes can never describe another one —
+// not even after delete + recreate, where versions restart at 1.
+type memo struct {
+	solved constraint.Assignment
+	stats  core.Stats
+	once   sync.Once
+	body   []byte
 }
 
 // shard is one hash partition: its own policies, its own Store, its own
@@ -567,8 +579,7 @@ func (p *policy) extend(ns *constraint.Set, text string) {
 	p.consTexts = append(p.consTexts, text)
 	p.version++
 	p.compiled = nil
-	p.solved = nil
-	p.solvedStats = core.Stats{}
+	p.memo = nil
 }
 
 func (s *shard) applyPut(name, latticeText, constraintsText string) error {
@@ -757,14 +768,15 @@ type PolicyInfo struct {
 	Solved   bool `json:"solved"`
 	// Lattice and ConstraintText are the policy's source texts; the
 	// constraint text is the Put batch followed by every appended batch.
-	// Only Get and mutation results fill them.
+	// Only Get fills them: List, solve results and mutation results are
+	// sized to the answer, not to the policy.
 	Lattice        string `json:"lattice,omitempty"`
 	ConstraintText string `json:"constraints_text,omitempty"`
 }
 
-// info describes p without its source texts; fullInfo adds them, for the
-// places that serve them (Get and mutation results). Joining the texts
-// costs an allocation per batch, which a memo hit must not pay.
+// info describes p without its source texts, which only Get adds: joining
+// them costs an allocation per batch, which a memo hit or a mutation ack
+// must not pay.
 func (p *policy) info() PolicyInfo {
 	return PolicyInfo{
 		Name:        p.name,
@@ -774,15 +786,8 @@ func (p *policy) info() PolicyInfo {
 		UpperBounds: len(p.set.UpperBounds()),
 		Shard:       p.shard,
 		Compiled:    p.compiled != nil,
-		Solved:      p.solved != nil,
+		Solved:      p.memo != nil,
 	}
-}
-
-func (p *policy) fullInfo() PolicyInfo {
-	info := p.info()
-	info.Lattice = p.latticeText
-	info.ConstraintText = strings.Join(p.consTexts, "\n")
-	return info
 }
 
 // checkVersion enforces the optimistic-concurrency precondition against
@@ -821,7 +826,10 @@ func (c *Catalog) Get(name string) (PolicyInfo, error) {
 	if p == nil {
 		return PolicyInfo{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return p.fullInfo(), nil
+	info := p.info()
+	info.Lattice = p.latticeText
+	info.ConstraintText = strings.Join(p.consTexts, "\n")
+	return info, nil
 }
 
 // List returns every policy's description (without the source texts),
@@ -860,6 +868,30 @@ type SolveResult struct {
 	// attributes classified above lattice bottom.
 	Baseline      bool
 	UpgradedAttrs int
+
+	// memo is the served version's memo on a hit, nil otherwise.
+	memo *memo
+}
+
+// EncodeOnce returns the encoded form of this answer, as enc produces it.
+// On a cache hit enc runs at most once per version, outside every catalog
+// lock, and every later hit of that version returns the same stored bytes,
+// which callers must not modify; the bytes are dropped with the version.
+// On any other result — a cold solve, a baseline — EncodeOnce returns
+// enc(). The catalog never encodes on its own, so a caller that never asks
+// pays nothing. enc must depend only on the answer, never on the request.
+func (r SolveResult) EncodeOnce(enc func() []byte) []byte {
+	m := r.memo
+	if m == nil {
+		return enc()
+	}
+	m.once.Do(func() { m.body = enc() })
+	if m.body == nil {
+		// The first enc panicked inside the Once, which then counts as
+		// done: encode per call rather than serve nothing.
+		return enc()
+	}
+	return m.body
 }
 
 // SolveOptions tunes how SolveWith answers a cold version; a warm one is
@@ -891,8 +923,8 @@ func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) 
 	s := c.shardFor(name)
 	s.mu.RLock()
 	p := s.pol[name]
-	if p != nil && p.solved != nil {
-		res := solveResult(p, true)
+	if p != nil && p.memo != nil {
+		res := hitResult(p)
 		s.mu.RUnlock()
 		c.count("catalog.cache_hits")
 		return res, nil
@@ -914,9 +946,9 @@ func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) 
 	if p == nil {
 		return SolveResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if p.solved != nil {
+	if p.memo != nil {
 		c.count("catalog.cache_hits")
-		return solveResult(p, true), nil
+		return hitResult(p), nil
 	}
 	c.count("catalog.cache_misses")
 	if err := c.compile(p); err != nil {
@@ -931,9 +963,12 @@ func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) 
 	if err != nil {
 		return SolveResult{}, err
 	}
-	p.solved = res.Assignment
-	p.solvedStats = res.Stats
-	return solveResult(p, false), nil
+	p.memo = &memo{solved: res.Assignment, stats: res.Stats}
+	return SolveResult{
+		Info:       p.info(),
+		Assignment: formatAssignment(p.set, p.lat, res.Assignment),
+		Stats:      res.Stats,
+	}, nil
 }
 
 // Compiled returns the description and compiled snapshot of the policy's
@@ -989,14 +1024,15 @@ func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set, l
 	}, nil
 }
 
-// solveResult snapshots the memoized answer; caller holds at least the
-// shard's read lock.
-func solveResult(p *policy, hit bool) SolveResult {
+// hitResult serves p's memoized answer; caller holds at least the shard's
+// read lock.
+func hitResult(p *policy) SolveResult {
 	return SolveResult{
 		Info:       p.info(),
-		Assignment: formatAssignment(p.set, p.lat, p.solved),
-		Stats:      p.solvedStats,
-		CacheHit:   hit,
+		Assignment: formatAssignment(p.set, p.lat, p.memo.solved),
+		Stats:      p.memo.stats,
+		CacheHit:   true,
+		memo:       p.memo,
 	}
 }
 

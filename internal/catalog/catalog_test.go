@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,5 +457,154 @@ func TestSnapshotCompaction(t *testing.T) {
 	// And the catalog must still append correctly past the stale tail.
 	if inf, err := c3.Put(ctx, "d", testLattice, testCons, MustNotExist); err != nil || inf.Version != 1 {
 		t.Fatalf("post-crash-window Put = %+v, %v", inf, err)
+	}
+}
+
+// TestMutationAcksCarryNoSourceText: what Put and Append return describes
+// the version without its source texts, waited or not; Get still serves
+// them.
+func TestMutationAcksCarryNoSourceText(t *testing.T) {
+	c := mustOpen(t, Options{})
+	ctx := context.Background()
+	noTexts := func(what string, info PolicyInfo) {
+		t.Helper()
+		if info.Lattice != "" || info.ConstraintText != "" {
+			t.Fatalf("%s ack carries source texts: %+v", what, info)
+		}
+	}
+	info, err := c.Put(ctx, "a", testLattice, testCons, MustNotExist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTexts("Put", info)
+	info, err = c.Put(ctx, "b", testLattice, testCons, MustNotExist, MutateOptions{Wait: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTexts("waited Put", info)
+	if !info.Solved || info.Attrs != 2 {
+		t.Fatalf("waited Put ack = %+v, want a solved 2-attribute version", info)
+	}
+	ar, err := c.Append(ctx, "a", "rank >= TS\n", Unconditional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTexts("Append", ar.Info)
+	ar, err = c.Append(ctx, "b", "rank >= TS\n", Unconditional, MutateOptions{Wait: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTexts("waited Append", ar.Info)
+	full, err := c.Get("b")
+	if err != nil || full.Lattice != testLattice || full.ConstraintText != testCons+"\nrank >= TS\n" {
+		t.Fatalf("Get = %+v, %v; want both source texts", full, err)
+	}
+}
+
+// TestEncodeOnceFirstHitsConcurrent: concurrent first hits of one version
+// run enc once between them and all get the same bytes; a hit of the next
+// version encodes again, and results that are not hits never store.
+func TestEncodeOnceFirstHitsConcurrent(t *testing.T) {
+	c := mustOpen(t, Options{})
+	ctx := context.Background()
+	if _, err := c.Put(ctx, "p", testLattice, testCons, MustNotExist, MutateOptions{Wait: true}); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	enc := func(res SolveResult) func() []byte {
+		return func() []byte {
+			calls.Add(1)
+			return []byte(fmt.Sprintf("v%d %v", res.Info.Version, res.Assignment))
+		}
+	}
+	const readers = 16
+	bodies := make([][]byte, readers)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := c.Solve(ctx, "p")
+			if err != nil || !res.CacheHit {
+				t.Errorf("Solve: hit=%v err=%v", res.CacheHit, err)
+				return
+			}
+			bodies[i] = res.EncodeOnce(enc(res))
+		}(i)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d first hits ran enc %d times, want once", readers, n)
+	}
+	for i := range bodies {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("hit %d got %q, hit 0 got %q", i, bodies[i], bodies[0])
+		}
+	}
+
+	if _, err := c.Append(ctx, "p", "rank >= TS\n", Unconditional, MutateOptions{Wait: true}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Solve(ctx, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.EncodeOnce(enc(res)); calls.Load() != 2 || bytes.Equal(got, bodies[0]) {
+		t.Fatalf("hit of version 2 served %q after %d encodes; version 1 was %q", got, calls.Load(), bodies[0])
+	}
+
+	// A baseline answer of a cold version is not a hit: it encodes on
+	// every call.
+	inj := fault.New(1)
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Cancel, Every: 1})
+	cold := mustOpen(t, Options{Fault: inj})
+	if _, err := cold.Put(ctx, "p", testLattice, testCons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, cold)
+	calls.Store(0)
+	for i := 0; i < 2; i++ {
+		res, err := cold.SolveWith(ctx, "p", SolveOptions{Baseline: true})
+		if err != nil || !res.Baseline {
+			t.Fatalf("baseline solve = %+v, %v", res, err)
+		}
+		res.EncodeOnce(enc(res))
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("two baseline answers ran enc %d times, want 2", n)
+	}
+}
+
+// TestSolveNeverEncodes: the catalog encodes nothing by itself. After cold
+// solves and hits through Solve alone, the version's memo holds no bytes,
+// and the first EncodeOnce is what fills it.
+func TestSolveNeverEncodes(t *testing.T) {
+	c := mustOpen(t, Options{})
+	ctx := context.Background()
+	if _, err := c.Put(ctx, "p", testLattice, testCons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Solve(ctx, "p"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustFlush(t, c)
+	memoBody := func() []byte {
+		s := c.shardFor("p")
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.pol["p"].memo.body
+	}
+	if b := memoBody(); b != nil {
+		t.Fatalf("Solve alone stored %q", b)
+	}
+	res, err := c.Solve(ctx, "p")
+	if err != nil || !res.CacheHit {
+		t.Fatalf("Solve: hit=%v err=%v", res.CacheHit, err)
+	}
+	res.EncodeOnce(func() []byte { return []byte("answer") })
+	if b := memoBody(); string(b) != "answer" {
+		t.Fatalf("memo after the first EncodeOnce holds %q", b)
 	}
 }

@@ -52,7 +52,7 @@ type refreshJob struct {
 // job's version, and no read has solved that version yet. Caller holds the
 // shard lock.
 func (j refreshJob) current(p *policy) bool {
-	return p != nil && p == j.pol && p.version == j.version && p.solved == nil
+	return p != nil && p == j.pol && p.version == j.version && p.memo == nil
 }
 
 // ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ func (c *Catalog) Put(ctx context.Context, name, latticeText, constraintsText st
 		if s.install(staged) {
 			c.policies.Add(1)
 		}
-		info = staged.fullInfo()
+		info = staged.info()
 		if opt.SeqOut != nil {
 			*opt.SeqOut = s.seq
 		}
@@ -171,7 +171,7 @@ func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVe
 			return err
 		}
 		p.extend(ns, constraintsText)
-		res.Info = p.fullInfo()
+		res.Info = p.info()
 		if opt.SeqOut != nil {
 			*opt.SeqOut = s.seq
 		}
@@ -319,12 +319,18 @@ func (c *Catalog) safeRefresh(job refreshJob) {
 
 // refreshNow is the Wait path of a mutation: it runs job's refresh inline
 // under the caller's ctx (so the solve honors cancellation and the HTTP
-// solve budget) and returns the policy's description afterwards, or info
-// when the policy has already moved past it.
+// solve budget) and returns the description of the job's version
+// afterwards, or info when the policy has already moved past it. Like
+// refreshJob.current it matches the *policy, not the name: after delete +
+// recreate the name's version 1 is another policy, which the ack of this
+// one must not describe.
 func (c *Catalog) refreshNow(ctx context.Context, job refreshJob, info PolicyInfo) PolicyInfo {
 	c.runRefresh(ctx, job)
-	if cur, err := c.Get(job.name); err == nil && cur.Version == info.Version {
-		return cur
+	s := job.shard
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if p := s.pol[job.name]; p == job.pol && p.version == job.version {
+		return p.info()
 	}
 	return info
 }
@@ -401,7 +407,7 @@ func (c *Catalog) doRefresh(ctx context.Context, job refreshJob) (outcome, errTe
 		c.count("catalog.refresh.stale")
 		return "stale", ""
 	}
-	p.compiled, p.solved, p.solvedStats = compiled, res.Assignment, res.Stats
+	p.compiled, p.memo = compiled, &memo{solved: res.Assignment, stats: res.Stats}
 	c.count("catalog.refresh.completed")
 	return "completed", ""
 }

@@ -207,6 +207,42 @@ func TestRefreshStaleAcrossRecreate(t *testing.T) {
 	}
 }
 
+// TestWaitedAckAcrossRecreate: a waited Put's ack describes the policy it
+// put, even when a delete + recreate replaced it while its refresh ran.
+// The recreated policy is at version 1 too, so matching the name and the
+// version alone would answer with the other policy's description.
+func TestWaitedAckAcrossRecreate(t *testing.T) {
+	inj := fault.New(1)
+	// Hold the waited Put's inline refresh in its compile.
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Delay, Nth: 1, Dur: 200 * time.Millisecond})
+	c := mustOpen(t, Options{Shards: 1, Fault: inj})
+	ctx := context.Background()
+
+	type ack struct {
+		info PolicyInfo
+		err  error
+	}
+	first := make(chan ack, 1)
+	go func() {
+		info, err := c.Put(ctx, "re", testLattice, "attrs a b c\na >= b\nb >= c\nc >= S\n", MustNotExist, MutateOptions{Wait: true})
+		first <- ack{info, err}
+	}()
+	waitHits(t, inj, "catalog.compile", 1)
+	if err := c.Delete(ctx, "re", Unconditional); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Put(ctx, "re", testLattice, "attrs x\nx >= TS\n", MustNotExist, MutateOptions{Wait: true}); err != nil {
+		t.Fatal(err)
+	}
+	got := <-first
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.info.Version != 1 || got.info.Attrs != 3 {
+		t.Fatalf("first Put acked %+v; want its own 3-attribute version 1", got.info)
+	}
+}
+
 // waitHits polls until the injector has counted n hits of point. A Delay
 // rule counts its hit before it sleeps, so this returns while the delayed
 // caller is held.

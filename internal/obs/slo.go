@@ -8,6 +8,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +41,7 @@ type SLOSpec struct {
 // ParseSLOSpecs parses the -slo flag grammar: semicolon-separated
 // "route:key=value,key=value" entries with keys p99 (a Go duration) and
 // avail (a percentage, e.g. 99.9). Each route appears in one entry, which
-// carries all of its objectives.
+// carries all of its objectives, each at most once.
 //
 //	solve:p99=100ms,avail=99.9;policy.solve:p99=50ms,avail=99.99
 func ParseSLOSpecs(s string) ([]SLOSpec, error) {
@@ -60,11 +61,16 @@ func ParseSLOSpecs(s string) ([]SLOSpec, error) {
 			}
 		}
 		spec := SLOSpec{Route: route}
+		var seen []string
 		for _, kv := range strings.Split(rest, ",") {
 			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 			if !ok {
 				return nil, fmt.Errorf("obs: SLO entry %q: bad objective %q", entry, kv)
 			}
+			if slices.Contains(seen, key) {
+				return nil, fmt.Errorf("obs: SLO entry %q: objective %q appears twice", entry, key)
+			}
+			seen = append(seen, key)
 			switch key {
 			case "p99":
 				d, err := time.ParseDuration(val)

@@ -43,6 +43,12 @@ func TestParseSLOSpecs(t *testing.T) {
 		!strings.Contains(err.Error(), `"policy.solve"`) {
 		t.Fatalf("repeated route: err = %v, want one naming \"policy.solve\"", err)
 	}
+	// So is a repeated objective within one entry: keeping the last value
+	// would let a typo loosen p99 from 250ms to 5s without a word.
+	if _, err := ParseSLOSpecs("policy.solve:p99=250ms,p99=5s"); err == nil ||
+		!strings.Contains(err.Error(), `"p99"`) {
+		t.Fatalf("repeated objective: err = %v, want one naming \"p99\"", err)
+	}
 	if specs, err := ParseSLOSpecs(""); err != nil || specs != nil {
 		t.Fatalf("empty spec = %v, %v", specs, err)
 	}

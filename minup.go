@@ -628,7 +628,8 @@ type (
 	// shard count, storage hook).
 	CatalogOptions = catalog.Options
 	// PolicyInfo describes one policy version (name, version, shard,
-	// sizes, source texts, cache state).
+	// sizes, cache state); only PolicyCatalog.Get adds the source texts,
+	// so mutation results and solve results are sized to the answer.
 	PolicyInfo = catalog.PolicyInfo
 	// PolicyMutateOptions tunes one mutation: Wait forces the solver
 	// refresh inline so the response reflects a warm cache.
@@ -638,7 +639,8 @@ type (
 	// pending on a shard worker.
 	PolicyAppendResult = catalog.AppendResult
 	// PolicySolveResult is a served solution: assignment, solve stats, and
-	// whether it came from the memoized cache.
+	// whether it came from the memoized cache. Its EncodeOnce encodes a
+	// hit at most once per version and returns the stored bytes.
 	PolicySolveResult = catalog.SolveResult
 	// PolicySolveOptions tunes how a cold version is answered: an event
 	// log for its solve, or the Qian baseline in its place.

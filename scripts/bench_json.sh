@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Run the solve-path benchmark family — the fresh/compiled split, the
-# policy catalog's memoized serve path, the problem frontends' compile to
+# policy catalog's memoized serve path and the HTTP handler above it
+# (cmd/minupd), the problem frontends' compile to
 # policy text, the policy-text parse every put, append and replay pays,
 # the compile and compile + cold solve every refreshed version pays, and
 # compile + repair of the same version — and
@@ -18,8 +19,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
-  -benchmem -count 1 . | tee "$tmp"
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkHTTPPolicySolve|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
+  -benchmem -count 1 . ./cmd/minupd | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
 # `go test -bench` lines are "Name-N  iters  ns/op  B/op  allocs/op".
@@ -36,7 +37,7 @@ END { print "\n}" }' "$tmp" > "$out"
 
 # Guard against a silently empty run (e.g. a benchmark regex typo).
 for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe \
-            BenchmarkSolveSuppress BenchmarkSolveDepinf \
+            BenchmarkHTTPPolicySolve BenchmarkSolveSuppress BenchmarkSolveDepinf \
             BenchmarkFrontendCompile/suppress BenchmarkFrontendCompile/depinf \
             BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf \
             BenchmarkCompile BenchmarkRefresh BenchmarkRepairCompiled; do

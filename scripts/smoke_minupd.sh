@@ -14,7 +14,9 @@
 # version no refresh has warmed yet, so it runs the guarded cold solve. A
 # third instance runs the durable sharded policy catalog: create a policy
 # with a waited mutation, append a constraint with ?wait=1 (answered warm
-# at version 2), solve twice (the second solve must be a cache hit), check
+# at version 2; neither ack echoes the source texts, which GET still
+# serves), solve twice (both reads are hits of version 2, so their bodies
+# are the version's one encoding and must be identical), check
 # the /policies index, per-shard and refresh metrics, SIGTERM,
 # restart on the same -data-dir WITHOUT -shards (the directory's pinned
 # count must win), and assert the policy survived.
@@ -291,6 +293,11 @@ if [ "$code" != "201" ]; then
   exit 1
 fi
 grep -q '"solved": true' /tmp/smoke-policy.json
+if grep -q '"constraints_text"' /tmp/smoke-policy.json; then
+  echo "smoke: the PUT ack echoes the constraint text" >&2
+  cat /tmp/smoke-policy.json >&2
+  exit 1
+fi
 echo "smoke: policy created with a warm cache"
 
 code="$(request POST "http://$addr3/policies/smoke/constraints?wait=1" \
@@ -305,7 +312,14 @@ if ! grep -q '"version": 2,' /tmp/smoke-append.json || ! grep -q '"solved": true
   cat /tmp/smoke-append.json >&2 || true
   exit 1
 fi
-echo "smoke: constraint appended and solved inline (version 2)"
+if grep -q '"constraints_text"' /tmp/smoke-append.json; then
+  echo "smoke: the append ack echoes the constraint text" >&2
+  cat /tmp/smoke-append.json >&2
+  exit 1
+fi
+fetch "http://$addr3/policies/smoke" /tmp/smoke-get.json
+grep -q '"constraints_text"' /tmp/smoke-get.json
+echo "smoke: constraint appended and solved inline (version 2); only GET carries the texts"
 
 fetch "http://$addr3/policies" /tmp/smoke-index.json
 grep -q '"name": "smoke"' /tmp/smoke-index.json
@@ -318,6 +332,10 @@ fetch "http://$addr3/policies/smoke/solve" /tmp/smoke-psolve1.json
 grep -q '"assignment"' /tmp/smoke-psolve1.json
 fetch "http://$addr3/policies/smoke/solve" /tmp/smoke-psolve2.json
 grep -q '"cache_hit": true' /tmp/smoke-psolve2.json
+if ! cmp /tmp/smoke-psolve1.json /tmp/smoke-psolve2.json; then
+  echo "smoke: two hits of version 2 answered different bodies" >&2
+  exit 1
+fi
 fetch "http://$addr3/metrics?format=prometheus" /tmp/smoke-metrics3.txt
 hits="$(awk '/^catalog_cache_hits /{print $2}' /tmp/smoke-metrics3.txt)"
 if [ -z "$hits" ] || [ "$hits" -le 0 ]; then
