@@ -332,19 +332,19 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
 	}
-	res, err := s.cat.Append(ctx, r.PathValue("name"), req.Constraints, ifVersion, opts)
+	info, err := s.cat.Append(ctx, r.PathValue("name"), req.Constraints, ifVersion, opts)
 	if err != nil {
 		s.policyError(w, r, err)
 		return
 	}
 	if ri := infoFrom(r.Context()); ri != nil {
-		ri.shard = res.Info.Shard
+		ri.shard = info.Shard
 	}
-	if !s.clusterBarrier(r.Context(), w, r, res.Info.Shard, seq) {
+	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
 		return
 	}
-	w.Header().Set("ETag", etag(res.Info.Version))
-	writeJSON(w, policyAppendResponse{PolicyInfo: res.Info, RefreshPending: res.Pending})
+	w.Header().Set("ETag", etag(info.Version))
+	writeJSON(w, policyAppendResponse{PolicyInfo: info, RefreshPending: !opts.Wait})
 }
 
 // handlePolicySolve serves GET/POST /policies/{name}/solve. A warm version

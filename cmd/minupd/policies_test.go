@@ -585,3 +585,19 @@ func TestPolicyAcksCarryNoSourceText(t *testing.T) {
 		t.Fatalf("GET /policies/b = %+v, want both source texts", full)
 	}
 }
+
+// TestPolicyRefusesUnwritableNames: a PUT or append whose text declares an
+// attribute name the policy text form cannot carry is a bad request.
+func TestPolicyRefusesUnwritableNames(t *testing.T) {
+	_, h, _ := newTestServer(t)
+	if rec := policyReq(t, h, http.MethodPut, "/policies/p", &policyRequest{Lattice: testPolicyLattice, Constraints: testPolicyCons}, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT = %d: %s", rec.Code, rec.Body.String())
+	}
+	const cons = "salary >= x\u00a0y\n"
+	if rec := policyReq(t, h, http.MethodPut, "/policies/q", &policyRequest{Lattice: testPolicyLattice, Constraints: cons}, nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("PUT declaring an unwritable name = %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := policyReq(t, h, http.MethodPost, "/policies/p/constraints", &policyRequest{Constraints: cons}, nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("append declaring an unwritable name = %d: %s", rec.Code, rec.Body.String())
+	}
+}

@@ -138,6 +138,26 @@ func TestSolveDegradesOnDeadline(t *testing.T) {
 	}
 }
 
+// TestSolveDegradesWhileVersionSolves: a read whose budget runs out while
+// another caller holds the version's solve does not wait the solve out; it
+// answers with the baseline, degraded for its deadline.
+func TestSolveDegradesWhileVersionSolves(t *testing.T) {
+	cfg := faultCfg(t, "catalog.compile:delay:2:300ms")
+	srv, h, _ := newTestServerCfg(t, cfg)
+	putCold(t, srv, h, "fig2")
+	held := make(chan error, 1)
+	go func() { _, err := srv.cat.Solve(context.Background(), "fig2"); held <- err }()
+	for deadline := time.Now().Add(time.Minute); cfg.fault.Hits("catalog.compile") < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held solve never reached its compile")
+		}
+	}
+	decodeDegraded(t, get(t, h, "/policies/fig2/solve?timeout_ms=20"), "deadline")
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSolveDegradesOnOverload(t *testing.T) {
 	srv, h, _ := newTestServerCfg(t, faultCfg(t, ""))
 	putCold(t, srv, h, "fig2")

@@ -22,22 +22,26 @@
 //   - Sharding (this file). Policies are partitioned across N shards by an
 //     FNV-1a hash of the policy name. Each shard owns its own Store (its
 //     own WAL file, snapshot, and compaction counter) and its own RWMutex,
-//     so mutations and cache fills on unrelated policies never contend; a
-//     cache-hit read takes only a read lock. Recovery runs concurrently,
-//     one goroutine per shard. The shard count is pinned by a meta file in
-//     the data directory — membership depends on N, so an existing
-//     directory's count always wins over the Options value.
+//     so mutations on unrelated policies never contend; a cache-hit read
+//     takes only a read lock, and no compile or solve ever holds the lock.
+//     Recovery runs concurrently, one goroutine per shard. The shard count
+//     is pinned by a meta file in the data directory — membership depends
+//     on N, so an existing directory's count always wins over the Options
+//     value.
 //
 //   - Mutation pipeline (pipeline.go). Ingest is decoupled from
 //     compile/solve: a mutation returns once its WAL append is durable and
-//     the in-memory maps are updated, and queues the policy's name on its
+//     the new version is swapped in, and queues the policy's name on its
 //     shard. The queue holds each name at most once; the shard's worker
-//     drains it, compiling the name's current version once and solving it
-//     cold with core.SolveContext. MutateOptions.Wait runs that same
-//     refresh inline instead, and Flush drains the queues for
-//     deterministic tests and shutdown.
+//     drains it, solving the name's current version cold. MutateOptions.Wait
+//     runs that same refresh inline instead, and Flush drains the queues
+//     for deterministic tests and shutdown.
 //
-// Serving an unchanged policy performs zero compiles and zero solves
+// Each policy version is an immutable value, and a mutation — live,
+// replicated or replayed — stages the next one and commits it (stage,
+// commit). Every cold solve, whether a read's, the refresh worker's or a
+// waited mutation's, goes through fill, once per version. Serving an
+// unchanged policy performs zero compiles and zero solves
 // ("catalog.cache_hits"), and a caller that encodes the answer does so once
 // per version (SolveResult.EncodeOnce). Optimistic concurrency (If-Match
 // versions) keeps its linear history per name because each name lives on
@@ -170,21 +174,22 @@ type RecoveryInfo struct {
 	Duration time.Duration
 }
 
-// policy is one named catalog entry. All fields are guarded by the owning
-// shard's lock. The set and compiled values are immutable once installed —
-// mutations clone-and-swap — so the refresh pipeline may read them outside
-// the lock.
+// policy is one version of a named policy, an immutable value: its name,
+// shard, version, texts and set are fixed when stage builds it, and a
+// mutation builds the next version instead of editing this one, so a
+// version's identity is its pointer. Only compiled and memo change, each
+// filled at most once by the caller holding the version's turn and stored
+// under the owning shard's write lock; reading them takes the read lock.
 type policy struct {
 	name        string
 	shard       int
 	version     uint64
 	latticeText string
-	consTexts   []string // the Put text followed by each appended batch
-	lat         lattice.Lattice
+	consTexts   []string // the Put text followed by each appended batch; never appended to in place
 	set         *constraint.Set
-	// compiled is the one snapshot of the current version, built lazily or
-	// by the refresh worker; memo holds the current version's answer once
-	// it is solved. Both are dropped on every mutation.
+	// turn holds a token while one caller compiles or solves the version
+	// (take, release).
+	turn     chan struct{}
 	compiled *constraint.Compiled
 	memo     *memo
 }
@@ -404,15 +409,21 @@ func (s *shard) loadSnapshot(data []byte) error {
 		if len(sp.Constraints) == 0 {
 			return fmt.Errorf("%w: shard %d: policy %q has no constraint text", ErrSnapshotCorrupt, s.id, sp.Name)
 		}
-		if err := s.applyPut(sp.Name, sp.Lattice, sp.Constraints[0]); err != nil {
-			return fmt.Errorf("%w: shard %d: policy %q: %w", ErrSnapshotCorrupt, s.id, sp.Name, err)
-		}
-		for _, batch := range sp.Constraints[1:] {
-			if err := s.applyAppend(sp.Name, batch); err != nil {
+		// Stage the put and each appended batch in turn; only the last
+		// version, numbered as the snapshot says, is swapped in.
+		var p *policy
+		for i, text := range sp.Constraints {
+			rec := walRecord{Op: "append", Name: sp.Name, Constraints: text}
+			if i == 0 {
+				rec.Op, rec.Lattice = "put", sp.Lattice
+			}
+			var err error
+			if p, err = s.stage(p, rec, nil); err != nil {
 				return fmt.Errorf("%w: shard %d: policy %q: %w", ErrSnapshotCorrupt, s.id, sp.Name, err)
 			}
 		}
-		s.pol[sp.Name].version = sp.Version
+		p.version = sp.Version
+		s.swap(sp.Name, p)
 	}
 	s.seq = snap.LastSeq
 	s.snapSeq = snap.LastSeq
@@ -451,20 +462,11 @@ func (s *shard) replayRecord(payload []byte) error {
 	if rec.Seq <= s.snapSeq {
 		return nil
 	}
-	var err error
-	switch rec.Op {
-	case "put":
-		err = s.applyPut(rec.Name, rec.Lattice, rec.Constraints)
-	case "append":
-		err = s.applyAppend(rec.Name, rec.Constraints)
-	case "delete":
-		err = s.applyDelete(rec.Name)
-	default:
-		err = fmt.Errorf("unknown op %q", rec.Op)
-	}
+	p, err := s.stage(s.pol[rec.Name], rec, nil)
 	if err != nil {
 		return fmt.Errorf("catalog: WAL record seq %d (%s %q): %w", rec.Seq, rec.Op, rec.Name, err)
 	}
+	s.swap(rec.Name, p)
 	s.seq = rec.Seq
 	s.walRecords++
 	return nil
@@ -515,10 +517,9 @@ func (c *Catalog) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// In-memory apply functions: the side of a mutation shared by the live path
-// and recovery replay. They validate, parse, and swap state, but never
-// touch the store, never solve, and never check preconditions (a record in
-// the log already passed them).
+// Versions: every mutation — live, replicated or replayed — is a walRecord,
+// and stage builds the version it makes. Live and replicated mutations then
+// commit it; recovery, whose records are already in the store, only swaps.
 
 func validName(name string) error {
 	if name == "" || len(name) > 128 {
@@ -538,9 +539,8 @@ func validName(name string) error {
 	return nil
 }
 
-// buildPolicy parses lattice and constraint text into a fresh policy value
-// (version and shard unset).
-func buildPolicy(name, latticeText, constraintsText string) (*policy, error) {
+// parsePut checks a put's policy name and parses its two texts.
+func parsePut(name, latticeText, constraintsText string) (*constraint.Set, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
@@ -548,81 +548,103 @@ func buildPolicy(name, latticeText, constraintsText string) (*policy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("catalog: policy %q %w", name, err)
 	}
+	return set, nil
+}
+
+// stage builds the version that rec makes of cur, the version now under
+// rec.Name (nil when there is none), numbered after cur. A put parses its
+// texts, unless set holds them already parsed (a live Put parses before it
+// takes the lock); an append parses its batch into a clone of cur's set; a
+// delete checks that cur exists and yields nil. Nothing is published.
+func (s *shard) stage(cur *policy, rec walRecord, set *constraint.Set) (*policy, error) {
+	var latticeText string
+	var texts []string
+	switch rec.Op {
+	case "put":
+		if set == nil {
+			var err error
+			if set, err = parsePut(rec.Name, rec.Lattice, rec.Constraints); err != nil {
+				return nil, err
+			}
+		}
+		latticeText, texts = rec.Lattice, []string{rec.Constraints}
+	case "append":
+		if cur == nil {
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, rec.Name)
+		}
+		set = cur.set.Clone()
+		if err := set.ParseString(rec.Constraints); err != nil {
+			return nil, fmt.Errorf("catalog: policy %q append: %w", rec.Name, err)
+		}
+		n := len(cur.consTexts)
+		latticeText, texts = cur.latticeText, append(cur.consTexts[:n:n], rec.Constraints)
+	case "delete":
+		if cur == nil {
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, rec.Name)
+		}
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("catalog: unknown op %q", rec.Op)
+	}
+	version := uint64(1)
+	if cur != nil {
+		version = cur.version + 1
+	}
 	return &policy{
-		name:        name,
+		name:        rec.Name,
+		shard:       s.id,
+		version:     version,
 		latticeText: latticeText,
-		consTexts:   []string{constraintsText},
-		lat:         set.Lattice(),
+		consTexts:   texts,
 		set:         set,
+		turn:        make(chan struct{}, 1),
 	}, nil
 }
 
-// install puts p under its name on s, continuing the version sequence of
-// the policy it replaces (or starting at 1), and reports whether the name
-// was new. Caller holds s's write lock.
-func (s *shard) install(p *policy) bool {
-	p.shard = s.id
-	old := s.pol[p.name]
-	p.version = 1
-	if old != nil {
-		p.version = old.version + 1
+// checkLive refuses a staged set that a live mutation may not commit: one
+// that declares, from attribute from on, a name the policy text form cannot
+// carry (constraint.TextName), or one that is unsolvable (§6). Replay,
+// replicated applies and snapshot loads skip it: their records passed it
+// on the node that logged them, or were logged before names were checked.
+func checkLive(rec walRecord, set *constraint.Set, from int) error {
+	for a := from; a < set.NumAttrs(); a++ {
+		if name := set.AttrName(constraint.Attr(a)); !constraint.TextName(name) {
+			return fmt.Errorf("catalog: policy %q %s declares attribute %q, which policy text cannot carry", rec.Name, rec.Op, name)
+		}
 	}
-	s.pol[p.name] = p
-	return old == nil
-}
-
-// extend installs ns — a clone of p's set with text parsed into it — as
-// p's next version, dropping the previous version's memoized artifacts.
-// Caller holds the owning shard's write lock.
-func (p *policy) extend(ns *constraint.Set, text string) {
-	p.set = ns
-	p.consTexts = append(p.consTexts, text)
-	p.version++
-	p.compiled = nil
-	p.memo = nil
-}
-
-func (s *shard) applyPut(name, latticeText, constraintsText string) error {
-	p, err := buildPolicy(name, latticeText, constraintsText)
-	if err != nil {
-		return err
+	if err := core.CheckSolvable(set); err != nil {
+		return fmt.Errorf("catalog: policy %q %s is unsolvable: %w", rec.Name, rec.Op, err)
 	}
-	s.install(p)
 	return nil
 }
 
-func (s *shard) applyAppend(name, constraintsText string) error {
-	p := s.pol[name]
+// swap makes p the version under name, or removes name when p is nil, and
+// returns how the shard's policy count changed. Caller holds s's write
+// lock, or owns s outright (recovery).
+func (s *shard) swap(name string, p *policy) int64 {
+	n := len(s.pol)
 	if p == nil {
-		return ErrNotFound
+		delete(s.pol, name)
+	} else {
+		s.pol[name] = p
 	}
-	ns := p.set.Clone()
-	if err := ns.ParseString(constraintsText); err != nil {
-		return fmt.Errorf("catalog: policy %q append: %w", name, err)
-	}
-	p.extend(ns, constraintsText)
-	return nil
+	return int64(len(s.pol) - n)
 }
 
-func (s *shard) applyDelete(name string) error {
-	if s.pol[name] == nil {
-		return ErrNotFound
-	}
-	delete(s.pol, name)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Durability helpers. All called under the owning shard's write lock.
-
-// logRecord writes one record to the shard's store. Write-ahead ordering:
-// the caller applies the mutation in memory only after logRecord returns
-// nil, so a crash at any point leaves memory ⊆ disk, never ahead of it.
-func (c *Catalog) logRecord(s *shard, rec walRecord) error {
-	rec.Seq = s.seq + 1
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("catalog: encoding WAL record: %w", err)
+// commit makes p, the version rec staged (nil for a delete), durable and
+// current, in write-ahead order: it appends the record to the store —
+// payload when that is the leader's exact bytes, else rec encoded at the
+// shard's next sequence number — advances seq and sinceSnap and calls
+// OnRecord, swaps p in, updates the policy count and gauges, and compacts
+// if due. A failed append changes nothing, so memory never runs ahead of
+// the store. Caller holds s's write lock.
+func (c *Catalog) commit(s *shard, rec walRecord, payload []byte, p *policy) error {
+	if payload == nil {
+		rec.Seq = s.seq + 1
+		var err error
+		if payload, err = json.Marshal(rec); err != nil {
+			return fmt.Errorf("catalog: encoding WAL record: %w", err)
+		}
 	}
 	if err := s.store.Append(payload); err != nil {
 		return fmt.Errorf("%w: %w", ErrStorage, err)
@@ -632,6 +654,11 @@ func (c *Catalog) logRecord(s *shard, rec walRecord) error {
 	if c.opt.OnRecord != nil {
 		c.opt.OnRecord(RecordEvent{Shard: s.id, Seq: rec.Seq, Payload: payload})
 	}
+	if d := s.swap(rec.Name, p); d != 0 {
+		c.policies.Add(d)
+		c.shardGauge(s)
+	}
+	c.maybeCompact(s)
 	return nil
 }
 
@@ -653,11 +680,7 @@ func (c *Catalog) maybeCompact(s *shard) {
 // covers, so a crash between the two steps merely replays records the
 // snapshot already contains — replay skips them by sequence number.
 func (c *Catalog) compactShard(s *shard) error {
-	pols := make([]snapshotPolicy, 0, len(s.pol))
-	for _, p := range s.pol {
-		pols = append(pols, snapshotPolicyOf(p))
-	}
-	data, err := encodeSnapshot(s.seq, pols)
+	data, err := encodeSnapshot(s.seq, s.snapshotPolicies(make([]snapshotPolicy, 0, len(s.pol))))
 	if err != nil {
 		return err
 	}
@@ -670,21 +693,19 @@ func (c *Catalog) compactShard(s *shard) error {
 	return nil
 }
 
-// snapshotPolicyOf copies one policy's durable fields into its snapshot
-// shape. Caller holds at least the owning shard's read lock: the copy is
-// what makes it safe to marshal after the lock is released, while appends
-// keep mutating the *policy in place under the write lock.
-func snapshotPolicyOf(p *policy) snapshotPolicy {
-	return snapshotPolicy{
-		Name:        p.name,
-		Version:     p.version,
-		Lattice:     p.latticeText,
-		Constraints: append([]string(nil), p.consTexts...),
+// snapshotPolicies appends the snapshot shape of each of s's versions to
+// pols. Caller holds at least s's read lock. The shapes share the
+// versions' text lists, which nothing modifies, so they may be marshaled
+// after the lock is released.
+func (s *shard) snapshotPolicies(pols []snapshotPolicy) []snapshotPolicy {
+	for _, p := range s.pol {
+		pols = append(pols, snapshotPolicy{Name: p.name, Version: p.version, Lattice: p.latticeText, Constraints: p.consTexts})
 	}
+	return pols
 }
 
-// encodeSnapshot serializes already-copied policies deterministically:
-// sorted by name, stable JSON field order, trailing newline.
+// encodeSnapshot serializes policies deterministically: sorted by name,
+// stable JSON field order, trailing newline.
 func encodeSnapshot(lastSeq uint64, pols []snapshotPolicy) ([]byte, error) {
 	sort.Slice(pols, func(i, j int) bool { return pols[i].Name < pols[j].Name })
 	snap := snapshotFile{LastSeq: lastSeq, Policies: pols}
@@ -701,15 +722,12 @@ func encodeSnapshot(lastSeq uint64, pols []snapshotPolicy) ([]byte, error) {
 // state — the equality the crash-recovery chaos tests assert. Sequence
 // numbers and the shard count are deliberately excluded: they describe the
 // history's framing and its partitioning, not the state, so fingerprints
-// compare across different shard counts. Policy fields are copied under
-// each shard's read lock; only the copies are marshaled afterwards.
+// compare across different shard counts.
 func (c *Catalog) Fingerprint() []byte {
 	pols := make([]snapshotPolicy, 0, c.policies.Load())
 	for _, s := range c.shards {
 		s.mu.RLock()
-		for _, p := range s.pol {
-			pols = append(pols, snapshotPolicyOf(p))
-		}
+		pols = s.snapshotPolicies(pols)
 		s.mu.RUnlock()
 	}
 	data, err := encodeSnapshot(0, pols)
@@ -790,12 +808,11 @@ func (p *policy) info() PolicyInfo {
 	}
 }
 
-// checkVersion enforces the optimistic-concurrency precondition against
-// the current state of name on shard s. ifVersion: Unconditional (-1)
-// accepts any state; MustNotExist (0) requires absence; a positive value
-// requires the policy to exist at exactly that version.
-func checkVersion(s *shard, name string, ifVersion int64, mustExist bool) error {
-	p := s.pol[name]
+// checkVersion enforces the optimistic-concurrency precondition against p,
+// the version now under name (nil when there is none). ifVersion:
+// Unconditional (-1) accepts any state; MustNotExist (0) requires absence;
+// a positive value requires the policy to exist at exactly that version.
+func checkVersion(p *policy, name string, ifVersion int64, mustExist bool) error {
 	switch {
 	case ifVersion == Unconditional:
 		if p == nil && mustExist {
@@ -901,7 +918,7 @@ type SolveOptions struct {
 	Events *obs.EventLog
 	// Baseline answers a cold version with the verified Qian least
 	// fixpoint (§4 of the paper) instead of running Algorithm 3.1, and
-	// memoizes nothing. It runs outside the shard lock.
+	// memoizes nothing.
 	Baseline bool
 }
 
@@ -915,10 +932,10 @@ func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
 // Warm policies are served from the memoized cache ("catalog.cache_hits")
 // under only the shard's read lock, with no compile and no solve. A cold
 // version — the refresh pipeline hasn't caught up, or its refresh failed —
-// is answered with the baseline when opt asks for it, and is
-// otherwise filled here under the shard's write lock: compiling the
-// snapshot (at most once per version, see compile) and running one cold
-// solve ("solve.cold", "catalog.cache_misses"), then memoizing.
+// is answered with the baseline when opt asks for it, and is otherwise
+// solved by fill outside the shard lock ("catalog.cache_misses",
+// "solve.cold") and memoized. The answer is that of the version the call
+// looked up, even when a mutation replaces it meanwhile.
 func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) (SolveResult, error) {
 	s := c.shardFor(name)
 	s.mu.RLock()
@@ -930,83 +947,139 @@ func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) 
 		return res, nil
 	}
 	if p != nil && opt.Baseline {
-		// The set is immutable once installed (mutations clone-and-swap), so
-		// the baseline can run after the lock is dropped.
-		info, set, lat := p.info(), p.set, p.lat
+		info := p.info()
 		s.mu.RUnlock()
-		return baselineResult(ctx, info, set, lat)
+		return baselineResult(ctx, info, p.set)
 	}
 	s.mu.RUnlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Double-check under the write lock: the policy may have been mutated,
-	// deleted, or warmed since the read lock was dropped.
-	p = s.pol[name]
 	if p == nil {
 		return SolveResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if p.memo != nil {
-		c.count("catalog.cache_hits")
-		return hitResult(p), nil
-	}
-	c.count("catalog.cache_misses")
-	if err := c.compile(p); err != nil {
-		return SolveResult{}, err
-	}
-	c.count("solve.cold")
-	res, err := core.SolveContext(ctx, p.compiled, core.Options{
-		Metrics: c.opt.Metrics,
-		Fault:   c.opt.Fault,
-		Events:  opt.Events,
-	})
+	solved, err := c.fill(ctx, s, p, opt.Events, true)
 	if err != nil {
 		return SolveResult{}, err
 	}
+	s.mu.RLock()
+	res := hitResult(p)
+	s.mu.RUnlock()
+	if !solved {
+		// Another caller solved the version while this one waited.
+		c.count("catalog.cache_hits")
+		return res, nil
+	}
+	res.CacheHit, res.memo = false, nil
+	return res, nil
+}
+
+// fill is the one cold-solve body: reads, the refresh worker and waited
+// mutations all call it. It compiles p, reusing a snapshot Compiled built,
+// and solves it with core.SolveContext outside the shard lock, then stores
+// the snapshot and the answer on p under the write lock; it reports whether
+// this call ran the solve. Callers take p's turn, each waiting only while
+// its ctx is live, so a version is compiled once and solved into one
+// answer: a caller whose turn comes after another stored the answer solves
+// nothing. read selects a read's counters (a cache miss, then
+// "solve.cold") over a refresh's ("catalog.refresh.solves").
+func (c *Catalog) fill(ctx context.Context, s *shard, p *policy, events *obs.EventLog, read bool) (solved bool, err error) {
+	if err := p.take(ctx); err != nil {
+		return false, err
+	}
+	defer p.release()
+	s.mu.RLock()
+	warm := p.memo != nil
+	s.mu.RUnlock()
+	if warm {
+		return false, nil
+	}
+	if read {
+		c.count("catalog.cache_misses")
+	}
+	compiled, err := c.snapshot(s, p)
+	if err != nil {
+		return false, err
+	}
+	if read {
+		c.count("solve.cold")
+	}
+	res, err := core.SolveContext(ctx, compiled, core.Options{
+		Metrics: c.opt.Metrics,
+		Fault:   c.opt.Fault,
+		Events:  events,
+	})
+	if err != nil {
+		return false, err
+	}
+	if !read {
+		c.count("catalog.refresh.solves")
+	}
+	s.mu.Lock()
 	p.memo = &memo{solved: res.Assignment, stats: res.Stats}
-	return SolveResult{
-		Info:       p.info(),
-		Assignment: formatAssignment(p.set, p.lat, res.Assignment),
-		Stats:      res.Stats,
-	}, nil
+	s.mu.Unlock()
+	return true, nil
 }
 
 // Compiled returns the description and compiled snapshot of the policy's
-// current version, building the snapshot if no read or refresh has yet.
-// The memoized solution is left untouched.
+// current version, building the snapshot outside the shard lock if no read
+// or refresh has yet. The memoized solution is left untouched.
 func (c *Catalog) Compiled(name string) (PolicyInfo, *constraint.Compiled, error) {
 	s := c.shardFor(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
 	p := s.pol[name]
+	s.mu.RUnlock()
 	if p == nil {
 		return PolicyInfo{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if err := c.compile(p); err != nil {
+	_ = p.take(context.Background()) // a context that never ends: take waits for the turn and cannot fail
+	defer p.release()
+	compiled, err := c.snapshot(s, p)
+	if err != nil {
 		return PolicyInfo{}, nil, err
 	}
-	return p.info(), p.compiled, nil
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return p.info(), compiled, nil
 }
 
-// compile builds p's compiled snapshot at most once per version
-// ("catalog.compiles", fault point "catalog.compile"); mutations drop it.
-// Caller holds the shard's write lock.
-func (c *Catalog) compile(p *policy) error {
-	if p.compiled != nil {
+// take waits for p's turn to compile or solve it for as long as ctx is
+// live; a caller that gives up gets the solver's cancellation error, so it
+// is handled like a solve that ran out of budget.
+func (p *policy) take(ctx context.Context) error {
+	select {
+	case p.turn <- struct{}{}:
 		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
+	}
+}
+
+// release ends the caller's turn.
+func (p *policy) release() { <-p.turn }
+
+// snapshot returns p's compiled snapshot, building it outside the shard
+// lock ("catalog.compiles", fault point "catalog.compile") and storing it on
+// p if no caller has yet. Caller holds p's turn.
+func (c *Catalog) snapshot(s *shard, p *policy) (*constraint.Compiled, error) {
+	s.mu.RLock()
+	compiled := p.compiled
+	s.mu.RUnlock()
+	if compiled != nil {
+		return compiled, nil
 	}
 	if err := c.opt.Fault.Hit("catalog.compile"); err != nil {
-		return fmt.Errorf("catalog: compiling %q: %w", p.name, err)
+		return nil, fmt.Errorf("catalog: compiling %q: %w", p.name, err)
 	}
-	p.compiled = p.set.Snapshot()
+	compiled = p.set.Snapshot()
 	c.count("catalog.compiles")
-	return nil
+	s.mu.Lock()
+	p.compiled = compiled
+	s.mu.Unlock()
+	return compiled, nil
 }
 
 // baselineResult answers one version with the Qian least fixpoint. The
 // assignment is checked against every constraint before it is served; a
 // failed check is an internal error, never an answer.
-func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set, lat lattice.Lattice) (SolveResult, error) {
+func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set) (SolveResult, error) {
 	start := time.Now()
 	m, err := baseline.QianContext(ctx, set)
 	if err != nil {
@@ -1017,7 +1090,7 @@ func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set, l
 	}
 	return SolveResult{
 		Info:          info,
-		Assignment:    formatAssignment(set, lat, m),
+		Assignment:    formatAssignment(set, set.Lattice(), m),
 		Stats:         core.Stats{Duration: time.Since(start)},
 		Baseline:      true,
 		UpgradedAttrs: baseline.CountUpgraded(set, m),
@@ -1029,7 +1102,7 @@ func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set, l
 func hitResult(p *policy) SolveResult {
 	return SolveResult{
 		Info:       p.info(),
-		Assignment: formatAssignment(p.set, p.lat, p.memo.solved),
+		Assignment: formatAssignment(p.set, p.set.Lattice(), p.memo.solved),
 		Stats:      p.memo.stats,
 		CacheHit:   true,
 		memo:       p.memo,

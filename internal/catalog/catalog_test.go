@@ -298,11 +298,11 @@ func TestAppendRepairsAndMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if ar.Pending || ar.Info.Version != 2 {
-		t.Fatalf("AppendResult = %+v, want warm (not pending) at version 2", ar)
+	if ar.Version != 2 {
+		t.Fatalf("Append = %+v, want version 2", ar)
 	}
-	if !ar.Info.Solved || !ar.Info.Compiled {
-		t.Fatalf("wait-mode append left cache flags cold: %+v", ar.Info)
+	if !ar.Solved || !ar.Compiled {
+		t.Fatalf("wait-mode append left cache flags cold: %+v", ar)
 	}
 	res, err := c.Solve(ctx, "hr")
 	if err != nil || !res.CacheHit {
@@ -345,11 +345,11 @@ func TestAppendRepairsAndMemoizes(t *testing.T) {
 		t.Fatalf("cache lost after failed append: hit=%v err=%v", res.CacheHit, err)
 	}
 
-	// Async append: returns immediately with Pending set; the shard worker
-	// solves the new version in the background.
+	// Async append: returns immediately; the shard worker solves the new
+	// version in the background.
 	ar, err = c.Append(ctx, "hr", "salary >= TS\n", Unconditional)
-	if err != nil || !ar.Pending {
-		t.Fatalf("async Append = %+v, %v (want pending)", ar, err)
+	if err != nil || ar.Version != 4 {
+		t.Fatalf("async Append = %+v, %v (want version 4)", ar, err)
 	}
 	mustFlush(t, c)
 	res, err = c.Solve(ctx, "hr")
@@ -489,12 +489,12 @@ func TestMutationAcksCarryNoSourceText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noTexts("Append", ar.Info)
+	noTexts("Append", ar)
 	ar, err = c.Append(ctx, "b", "rank >= TS\n", Unconditional, MutateOptions{Wait: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noTexts("waited Append", ar.Info)
+	noTexts("waited Append", ar)
 	full, err := c.Get("b")
 	if err != nil || full.Lattice != testLattice || full.ConstraintText != testCons+"\nrank >= TS\n" {
 		t.Fatalf("Get = %+v, %v; want both source texts", full, err)
@@ -606,5 +606,38 @@ func TestSolveNeverEncodes(t *testing.T) {
 	res.EncodeOnce(func() []byte { return []byte("answer") })
 	if b := memoBody(); string(b) != "answer" {
 		t.Fatalf("memo after the first EncodeOnce holds %q", b)
+	}
+}
+
+// unwritableCons are policy texts that declare an attribute whose name the
+// policy text form cannot carry: an NBSP, an EM SPACE or a vertical tab
+// inside it, a leading '#', or the keyword attrs.
+var unwritableCons = []string{
+	"attrs a\na >= x\u00a0y\n",
+	"attrs a\nlub(a, x\u2003y) >= S\n",
+	"attrs a\na >= x\vy\n",
+	"lub(#x) >= S\n",
+	"lub(attrs) >= S\n",
+}
+
+// TestLiveMutationsRefuseUnwritableNames: a put or append that declares a
+// name the policy text form cannot carry is refused and stores nothing.
+func TestLiveMutationsRefuseUnwritableNames(t *testing.T) {
+	c := mustOpen(t, Options{})
+	ctx := context.Background()
+	if _, err := c.Put(ctx, "p", testLattice, testCons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Fingerprint()
+	for _, cons := range unwritableCons {
+		if _, err := c.Put(ctx, "q", testLattice, cons, Unconditional); err == nil {
+			t.Errorf("Put accepted %q", cons)
+		}
+		if _, err := c.Append(ctx, "p", cons, Unconditional, MutateOptions{Wait: true}); err == nil {
+			t.Errorf("Append accepted %q", cons)
+		}
+	}
+	if !bytes.Equal(before, c.Fingerprint()) {
+		t.Fatalf("refused mutations changed the catalog:\n%s", c.Fingerprint())
 	}
 }

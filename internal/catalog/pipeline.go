@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"minup/internal/constraint"
-	"minup/internal/core"
 	"minup/internal/obs"
 )
 
@@ -33,33 +32,20 @@ func mutateOpts(opts []MutateOptions) MutateOptions {
 	return opts[0]
 }
 
-// refreshJob is one refresh: the version of one policy it rebuilds.
+// refreshJob is one refresh: the version of one policy it solves (pol is
+// nil when the name was already gone).
 type refreshJob struct {
 	shard *shard
-	// pol is the *policy whose version the job rebuilds (nil when the name
-	// was already gone). The install guard requires pointer identity in
-	// addition to the version: versions restart at 1 after delete+recreate,
-	// so (name, version) alone could match a different policy's lifetime
-	// and install artifacts built from the old constraint set onto the new
-	// policy.
-	pol     *policy
-	name    string
-	version uint64
-}
-
-// current reports whether the job may still install its artifacts on p,
-// the policy now under its name: p is the job's very *policy, still at the
-// job's version, and no read has solved that version yet. Caller holds the
-// shard lock.
-func (j refreshJob) current(p *policy) bool {
-	return p != nil && p == j.pol && p.version == j.version && p.memo == nil
+	name  string
+	pol   *policy
 }
 
 // ---------------------------------------------------------------------------
 // Mutations.
 
 // Put creates or replaces a policy from lattice and constraint text,
-// validating both (including §6 solvability) before anything is persisted.
+// validating both (including §6 solvability, and that every attribute name
+// can be written back as policy text) before anything is persisted.
 // ifVersion carries the optimistic-concurrency precondition (Unconditional,
 // MustNotExist, or an exact current version). A created policy starts at
 // version 1; a replaced one continues its predecessor's version sequence,
@@ -69,163 +55,101 @@ func (j refreshJob) current(p *policy) bool {
 // solving the new version happens on the shard's refresh worker unless
 // MutateOptions.Wait is set (see MutateOptions).
 func (c *Catalog) Put(ctx context.Context, name, latticeText, constraintsText string, ifVersion int64, opts ...MutateOptions) (PolicyInfo, error) {
-	opt := mutateOpts(opts)
-	staged, err := buildPolicy(name, latticeText, constraintsText)
+	rec := walRecord{Op: "put", Name: name, Lattice: latticeText, Constraints: constraintsText}
+	set, err := parsePut(name, latticeText, constraintsText)
 	if err != nil {
 		return PolicyInfo{}, err
 	}
-	if err := core.CheckSolvable(staged.set); err != nil {
-		return PolicyInfo{}, fmt.Errorf("catalog: policy %q is unsolvable: %w", name, err)
-	}
-	if err := ctx.Err(); err != nil {
+	if err := checkLive(rec, set, 0); err != nil {
 		return PolicyInfo{}, err
 	}
-
-	s := c.shardFor(name)
-	var info PolicyInfo
-	// The locked section runs in a closure with a deferred unlock so that
-	// an injected panic (chaos tests crash mid-append) never leaves the
-	// shard mutex held.
-	err = func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return ErrClosed
-		}
-		if err := checkVersion(s, name, ifVersion, false); err != nil {
-			return err
-		}
-		if err := c.logRecord(s, walRecord{Op: "put", Name: name, Lattice: latticeText, Constraints: constraintsText}); err != nil {
-			return err
-		}
-		if s.install(staged) {
-			c.policies.Add(1)
-		}
-		info = staged.info()
-		if opt.SeqOut != nil {
-			*opt.SeqOut = s.seq
-		}
-		if !opt.Wait {
-			c.enqueue(s, name)
-		}
-		c.count("catalog.puts")
-		c.shardGauge(s)
-		c.maybeCompact(s)
-		return nil
-	}()
-	if err != nil {
-		return PolicyInfo{}, err
-	}
-	if opt.Wait {
-		info = c.refreshNow(ctx, refreshJob{shard: s, pol: staged, name: name, version: info.Version}, info)
-	}
-	return info, nil
-}
-
-// AppendResult reports what an Append did beyond the new PolicyInfo.
-type AppendResult struct {
-	Info PolicyInfo
-	// Pending is true when the refresh (compile + solve) was left to the
-	// shard's background worker: the mutation is durable and visible, but
-	// the memoized answer is not warm yet. Call Flush — or just Solve — to
-	// force it.
-	Pending bool
+	return c.mutate(ctx, rec, set, ifVersion, mutateOpts(opts))
 }
 
 // Append parses additional constraint text into the policy. The appended
-// set is validated (§6 solvability) and made durable synchronously — a
-// failed append leaves the policy untouched — while computing the new
-// version's memoized answer is left to the shard's refresh worker, or run
-// inline with MutateOptions.Wait. ifVersion as in Put (MustNotExist is an
-// error here).
-func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVersion int64, opts ...MutateOptions) (AppendResult, error) {
-	opt := mutateOpts(opts)
-	s := c.shardFor(name)
-	var res AppendResult
-	var job refreshJob
-	// Locked section in a closure with a deferred unlock: an injected panic
-	// (chaos tests crash mid-append) must not leave the shard mutex held.
-	err := func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return ErrClosed
-		}
-		if ifVersion == MustNotExist {
-			return fmt.Errorf("%w: append requires an existing policy", ErrVersionMismatch)
-		}
-		if err := checkVersion(s, name, ifVersion, true); err != nil {
-			return err
-		}
-		p := s.pol[name]
-		ns := p.set.Clone()
-		if err := ns.ParseString(constraintsText); err != nil {
-			return fmt.Errorf("catalog: policy %q append: %w", name, err)
-		}
-		// Reject an append that makes the policy unsolvable now: once the
-		// WAL record is durable there is no caller left to refuse.
-		if err := core.CheckSolvable(ns); err != nil {
-			return fmt.Errorf("catalog: policy %q append rejected: %w", name, err)
-		}
-		if err := c.logRecord(s, walRecord{Op: "append", Name: name, Constraints: constraintsText}); err != nil {
-			return err
-		}
-		p.extend(ns, constraintsText)
-		res.Info = p.info()
-		if opt.SeqOut != nil {
-			*opt.SeqOut = s.seq
-		}
-		if opt.Wait {
-			job = refreshJob{shard: s, pol: p, name: name, version: p.version}
-		} else {
-			c.enqueue(s, name)
-			res.Pending = true
-		}
-		c.count("catalog.appends")
-		c.maybeCompact(s)
-		return nil
-	}()
-	if err != nil {
-		return AppendResult{}, err
-	}
-	if opt.Wait {
-		res.Info = c.refreshNow(ctx, job, res.Info)
-	}
-	return res, nil
+// set is validated (§6 solvability, and the names the batch declares) and
+// made durable synchronously — a failed append leaves the policy untouched
+// — while computing the new version's memoized answer is left to the
+// shard's refresh worker, or run inline with MutateOptions.Wait. ifVersion
+// as in Put (MustNotExist is an error here).
+func (c *Catalog) Append(ctx context.Context, name, constraintsText string, ifVersion int64, opts ...MutateOptions) (PolicyInfo, error) {
+	return c.mutate(ctx, walRecord{Op: "append", Name: name, Constraints: constraintsText}, nil, ifVersion, mutateOpts(opts))
 }
 
 // Delete removes a policy. Always synchronous — there is nothing to
 // refresh. ifVersion as in Put (MustNotExist is an error). Of the
 // MutateOptions only SeqOut applies; Wait is meaningless here.
 func (c *Catalog) Delete(ctx context.Context, name string, ifVersion int64, opts ...MutateOptions) error {
+	_, err := c.mutate(ctx, walRecord{Op: "delete", Name: name}, nil, ifVersion, mutateOpts(opts))
+	return err
+}
+
+// mutationCounters names the counter each live mutation op moves.
+var mutationCounters = map[string]string{"put": "catalog.puts", "append": "catalog.appends", "delete": "catalog.deletes"}
+
+// mutate is the body Put, Append and Delete share. Under the shard's write
+// lock it checks that the catalog is open and the precondition holds,
+// stages the version rec makes (an append's set must pass checkLive there;
+// a put arrives parsed in set and checked), commits it and sets SeqOut.
+// It then queues the version for the shard's worker or, with opt.Wait,
+// refreshes it inline once the lock is released. It returns the committed
+// version's description, which is empty for a delete.
+func (c *Catalog) mutate(ctx context.Context, rec walRecord, set *constraint.Set, ifVersion int64, opt MutateOptions) (PolicyInfo, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return PolicyInfo{}, err
 	}
-	opt := mutateOpts(opts)
-	s := c.shardFor(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	s := c.shardFor(rec.Name)
+	var p *policy
+	var info PolicyInfo
+	// The locked section runs in a closure with a deferred unlock so that
+	// an injected panic (chaos tests crash mid-append) never leaves the
+	// shard mutex held.
+	err := func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed {
+			return ErrClosed
+		}
+		if rec.Op != "put" && ifVersion == MustNotExist {
+			return fmt.Errorf("%w: %s requires an existing policy", ErrVersionMismatch, rec.Op)
+		}
+		cur := s.pol[rec.Name]
+		if err := checkVersion(cur, rec.Name, ifVersion, rec.Op != "put"); err != nil {
+			return err
+		}
+		var err error
+		if p, err = s.stage(cur, rec, set); err != nil {
+			return err
+		}
+		if rec.Op == "append" {
+			// Refuse the append now: once its record is durable there is no
+			// caller left to refuse.
+			if err := checkLive(rec, p.set, cur.set.NumAttrs()); err != nil {
+				return err
+			}
+		}
+		if err := c.commit(s, rec, nil, p); err != nil {
+			return err
+		}
+		if opt.SeqOut != nil {
+			*opt.SeqOut = s.seq
+		}
+		if p != nil {
+			info = p.info()
+			if !opt.Wait {
+				c.enqueue(s, rec.Name)
+			}
+		}
+		c.count(mutationCounters[rec.Op])
+		return nil
+	}()
+	if err != nil || p == nil || !opt.Wait {
+		return info, err
 	}
-	if ifVersion == MustNotExist {
-		return fmt.Errorf("%w: delete requires an existing policy", ErrVersionMismatch)
-	}
-	if err := checkVersion(s, name, ifVersion, true); err != nil {
-		return err
-	}
-	if err := c.logRecord(s, walRecord{Op: "delete", Name: name}); err != nil {
-		return err
-	}
-	delete(s.pol, name)
-	c.policies.Add(-1)
-	if opt.SeqOut != nil {
-		*opt.SeqOut = s.seq
-	}
-	c.count("catalog.deletes")
-	c.shardGauge(s)
-	c.maybeCompact(s)
-	return nil
+	c.runRefresh(ctx, refreshJob{shard: s, name: rec.Name, pol: p})
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return p.info(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -270,10 +194,7 @@ func (s *shard) next() (refreshJob, bool) {
 			name := s.queue[0]
 			s.queue = s.queue[1:]
 			delete(s.queued, name)
-			job := refreshJob{shard: s, name: name}
-			if p := s.pol[name]; p != nil {
-				job.pol, job.version = p, p.version
-			}
+			job := refreshJob{shard: s, name: name, pol: s.pol[name]}
 			s.mu.Unlock()
 			return job, true
 		}
@@ -317,24 +238,6 @@ func (c *Catalog) safeRefresh(job refreshJob) {
 	c.runRefresh(context.Background(), job)
 }
 
-// refreshNow is the Wait path of a mutation: it runs job's refresh inline
-// under the caller's ctx (so the solve honors cancellation and the HTTP
-// solve budget) and returns the description of the job's version
-// afterwards, or info when the policy has already moved past it. Like
-// refreshJob.current it matches the *policy, not the name: after delete +
-// recreate the name's version 1 is another policy, which the ack of this
-// one must not describe.
-func (c *Catalog) refreshNow(ctx context.Context, job refreshJob, info PolicyInfo) PolicyInfo {
-	c.runRefresh(ctx, job)
-	s := job.shard
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if p := s.pol[job.name]; p == job.pol && p.version == job.version {
-		return p.info()
-	}
-	return info
-}
-
 // runRefresh runs one refresh and files its flight record.
 func (c *Catalog) runRefresh(ctx context.Context, job refreshJob) {
 	start := time.Now()
@@ -350,12 +253,16 @@ func (c *Catalog) recordRefresh(job refreshJob, start time.Time, outcome, errTex
 	if c.opt.Flight == nil {
 		return
 	}
+	var version uint64
+	if job.pol != nil {
+		version = job.pol.version
+	}
 	c.opt.Flight.Record(obs.FlightRecord{
 		Kind:       "refresh",
 		Route:      "catalog.refresh",
 		Policy:     job.name,
 		Shard:      job.shard.id,
-		Version:    job.version,
+		Version:    version,
 		Outcome:    outcome,
 		Err:        errText,
 		Start:      start,
@@ -363,53 +270,34 @@ func (c *Catalog) recordRefresh(job refreshJob, start time.Time, outcome, errTex
 	})
 }
 
-// doRefresh compiles the job's version once and solves it cold, then
-// installs the snapshot and the answer iff job.current still holds. All
-// solver work happens outside the shard lock; only the install takes it.
-// It reports how the job ended for the flight record: "stale", "failed"
-// or "completed".
+// doRefresh solves the job's version through fill, the body cold reads
+// use, unless the version is no longer its name's current one. It reports
+// how the job ended for the flight record: "completed" when it solved a
+// version that is still current, "stale" when the version was replaced or
+// another caller had already solved it, and "failed".
 func (c *Catalog) doRefresh(ctx context.Context, job refreshJob) (outcome, errText string) {
-	s := job.shard
-	// Bail before any solver work if the version is gone or already solved:
-	// a solved version's answer has been served, and replacing it would let
-	// two reads of one ETag differ. The set is immutable once installed
-	// (appends clone and swap), so it is safe to compile outside the lock.
-	var set *constraint.Set
-	s.mu.RLock()
-	if p := s.pol[job.name]; job.current(p) {
-		set = p.set
-	}
-	s.mu.RUnlock()
-	if set == nil {
+	if !job.shard.holds(job.name, job.pol) {
 		c.count("catalog.refresh.stale")
 		return "stale", ""
 	}
-	if err := c.opt.Fault.Hit("catalog.compile"); err != nil {
+	solved, err := c.fill(ctx, job.shard, job.pol, nil, false)
+	switch {
+	case err != nil:
 		c.count("catalog.refresh.failures")
 		return "failed", err.Error()
-	}
-	compiled := set.Snapshot()
-	c.count("catalog.compiles")
-	res, err := core.SolveContext(ctx, compiled, core.Options{
-		Metrics: c.opt.Metrics,
-		Fault:   c.opt.Fault,
-	})
-	if err != nil {
-		c.count("catalog.refresh.failures")
-		return "failed", err.Error()
-	}
-	c.count("catalog.refresh.solves")
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.pol[job.name]
-	if !job.current(p) {
+	case !solved || !job.shard.holds(job.name, job.pol):
 		c.count("catalog.refresh.stale")
 		return "stale", ""
 	}
-	p.compiled, p.memo = compiled, &memo{solved: res.Assignment, stats: res.Stats}
 	c.count("catalog.refresh.completed")
 	return "completed", ""
+}
+
+// holds reports whether p is the version now under name; a nil p never is.
+func (s *shard) holds(name string, p *policy) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return p != nil && s.pol[name] == p
 }
 
 // Flush blocks until every refresh queued before the call has finished.

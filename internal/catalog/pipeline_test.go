@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -469,9 +470,9 @@ func TestOneAnswerPerVersion(t *testing.T) {
 	}
 }
 
-// TestFingerprintConcurrentMutation: Fingerprint copies policy state under
+// TestFingerprintConcurrentMutation: Fingerprint collects policy state under
 // the shard read locks before marshaling, so it is safe against appends
-// mutating the same policies in place. Meaningful under -race.
+// swapping in new versions of the same policies. Meaningful under -race.
 func TestFingerprintConcurrentMutation(t *testing.T) {
 	c := mustOpen(t, Options{Shards: 2})
 	ctx := context.Background()
@@ -577,5 +578,274 @@ func TestRefreshKeepsServedAnswer(t *testing.T) {
 	}
 	if enq, acc := refreshAccounting(reg); enq != acc {
 		t.Fatalf("refresh accounting leak: enqueued %d, accounted %d", enq, acc)
+	}
+}
+
+// coldPolicy puts name without waiting and drains the pipeline; the caller
+// has armed a rule that cancels the refresh's compile, so the version stays
+// cold for the next reader.
+func coldPolicy(t *testing.T, c *Catalog, name, cons string) {
+	t.Helper()
+	if _, err := c.Put(context.Background(), name, testLattice, cons, MustNotExist); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, c)
+	if info, err := c.Get(name); err != nil || info.Solved || info.Compiled {
+		t.Fatalf("%s after its canceled refresh: %+v, %v; want a cold version", name, info, err)
+	}
+}
+
+// timedHit returns how long a memo hit of name took.
+func timedHit(t *testing.T, c *Catalog, name string) time.Duration {
+	t.Helper()
+	start := time.Now()
+	res, err := c.Solve(context.Background(), name)
+	if err != nil || !res.CacheHit {
+		t.Fatalf("Solve %s: hit=%v err=%v", name, res.CacheHit, err)
+	}
+	return time.Since(start)
+}
+
+// TestFaultColdWorkLeavesHitsAlone: on a one-shard catalog, a memo hit of
+// a warm policy does not wait for another policy's cold read or Compiled,
+// each held 200 ms in its compile: no compile or solve holds the shard
+// lock.
+func TestFaultColdWorkLeavesHitsAlone(t *testing.T) {
+	inj := fault.New(1)
+	c := mustOpen(t, Options{Shards: 1, Fault: inj})
+	if _, err := c.Put(context.Background(), "warm", testLattice, testCons, MustNotExist, MutateOptions{Wait: true}); err != nil {
+		t.Fatal(err)
+	}
+	// Compiles from here on: each cold policy's refresh (canceled), then
+	// the cold work under test (held).
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Cancel, Nth: 1})
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Delay, Nth: 2, Dur: 200 * time.Millisecond})
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Cancel, Nth: 3})
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Delay, Nth: 4, Dur: 200 * time.Millisecond})
+	for i, cold := range []struct {
+		name string
+		work func(name string) error
+	}{
+		{"cold-read", func(name string) error { _, err := c.Solve(context.Background(), name); return err }},
+		{"cold-compiled", func(name string) error { _, _, err := c.Compiled(name); return err }},
+	} {
+		coldPolicy(t, c, cold.name, testCons)
+		done := make(chan error, 1)
+		go func() { done <- cold.work(cold.name) }()
+		waitHits(t, inj, "catalog.compile", uint64(2*i+2))
+		if d := timedHit(t, c, "warm"); d > 50*time.Millisecond {
+			t.Errorf("a hit of warm took %v behind %s's held compile", d, cold.name)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", cold.name, err)
+		}
+	}
+}
+
+// TestFaultBudgetWhileVersionSolves: a read whose 20 ms budget runs out
+// while another caller holds the version's solve gives up with the
+// solver's cancellation error instead of waiting the solve out; the held
+// solve still memoizes its answer.
+func TestFaultBudgetWhileVersionSolves(t *testing.T) {
+	inj := fault.New(1)
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Cancel, Nth: 1})
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Delay, Nth: 2, Dur: 300 * time.Millisecond})
+	c := mustOpen(t, Options{Shards: 1, Fault: inj})
+	coldPolicy(t, c, "p", testCons)
+	held := make(chan error, 1)
+	go func() { _, err := c.Solve(context.Background(), "p"); held <- err }()
+	waitHits(t, inj, "catalog.compile", 2)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Solve(ctx, "p")
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("the 20 ms read returned after %v", d)
+	}
+	if !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("the 20 ms read: %v, want core.ErrCanceled and context.DeadlineExceeded", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Solve(context.Background(), "p"); err != nil || !res.CacheHit {
+		t.Fatalf("after the held solve: hit=%v err=%v", res.CacheHit, err)
+	}
+}
+
+// TestFaultConcurrentColdReadsSolveOnce: eight first reads of a cold
+// version run one solve between them and serve one answer.
+func TestFaultConcurrentColdReadsSolveOnce(t *testing.T) {
+	const readers = 8
+	reg := obs.NewRegistry()
+	inj := fault.New(1)
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Cancel, Nth: 1})
+	// Hold the first reader's compile so the others arrive while it runs.
+	inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Delay, Nth: 2, Dur: 100 * time.Millisecond})
+	c := mustOpen(t, Options{Shards: 1, Metrics: reg, Fault: inj})
+	coldPolicy(t, c, "p", "attrs a b c d\nlub(a, b) >= TS\nc >= a\nd >= c\nlub(c, d) >= S\n")
+
+	answers := make([]map[string]string, readers)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := c.Solve(context.Background(), "p")
+			if err != nil {
+				t.Errorf("reader %d: %v", i, err)
+				return
+			}
+			answers[i] = res.Assignment
+		}(i)
+	}
+	wg.Wait()
+	snap := reg.Snapshot()
+	if snap.Counters["solve.cold"] != 1 || snap.Counters["catalog.compiles"] != 1 {
+		t.Fatalf("%d first reads ran %d cold solves and %d compiles, want 1 and 1",
+			readers, snap.Counters["solve.cold"], snap.Counters["catalog.compiles"])
+	}
+	if hits := snap.Counters["catalog.cache_hits"]; hits != readers-1 {
+		t.Fatalf("catalog.cache_hits = %d, want %d", hits, readers-1)
+	}
+	for i := range answers {
+		if !reflect.DeepEqual(answers[i], answers[0]) {
+			t.Fatalf("reader %d got %v, reader 0 got %v", i, answers[i], answers[0])
+		}
+	}
+}
+
+// TestChaosOneAnswerPerVersion is TestOneAnswerPerVersion with readers
+// racing the mutation stream: goroutines read random names while one
+// mutator applies the stream, and randomly delayed compiles widen the
+// windows between lookup, solve and store. Every version read more than
+// once serves one answer. Versions restart at 1 when a name is deleted and
+// put again, so a read counts only when the name's incarnation is known:
+// the mutator bumps it after each delete, and a read that saw it change is
+// dropped.
+func TestChaosOneAnswerPerVersion(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			muts, err := workload.MutationStream(workload.MutationSpec{
+				Seed:             seed,
+				NumPolicies:      4,
+				NumMutations:     150,
+				PutFraction:      0.1,
+				DeleteFraction:   0.05,
+				AttrsPerPolicy:   12,
+				ConsPerPut:       24,
+				ConsPerAppend:    3,
+				LevelRHSFraction: 0.35,
+				NewAttrFraction:  0.1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := fault.New(seed)
+			inj.MustAdd(fault.Rule{Point: "catalog.compile", Act: fault.Delay, Prob: 0.3, Dur: time.Millisecond})
+			reg := obs.NewRegistry()
+			c := mustOpen(t, Options{Metrics: reg, Fault: inj})
+			ctx := context.Background()
+			incarnation := map[string]*atomic.Int64{}
+			var names []string
+			for _, m := range muts {
+				if incarnation[m.Name] == nil {
+					incarnation[m.Name] = new(atomic.Int64)
+					names = append(names, m.Name)
+				}
+			}
+			type key struct {
+				name        string
+				incarnation int64
+				version     uint64
+			}
+			var mu sync.Mutex
+			seen := map[key]map[string]string{}
+			reads := 0
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed*10 + int64(r)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						name := names[rng.Intn(len(names))]
+						before := incarnation[name].Load()
+						res, err := c.Solve(ctx, name)
+						if errors.Is(err, ErrNotFound) {
+							continue
+						}
+						if err != nil {
+							t.Errorf("read %s: %v", name, err)
+							return
+						}
+						if incarnation[name].Load() != before {
+							continue
+						}
+						k := key{name, before, res.Info.Version}
+						mu.Lock()
+						reads++
+						if prev, ok := seen[k]; ok && !reflect.DeepEqual(prev, res.Assignment) {
+							t.Errorf("%s incarnation %d version %d read as %v and as %v", name, before, k.version, prev, res.Assignment)
+						}
+						seen[k] = res.Assignment
+						mu.Unlock()
+					}
+				}(r)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			waited := uint64(0)
+			for i, m := range muts {
+				opt := MutateOptions{Wait: m.Op != workload.OpDelete && rng.Intn(2) == 0}
+				if opt.Wait {
+					waited++
+				}
+				if err := func() error {
+					switch m.Op {
+					case workload.OpPut:
+						_, err := c.Put(ctx, m.Name, m.Lattice, m.Constraints, Unconditional, opt)
+						return err
+					case workload.OpAppend:
+						_, err := c.Append(ctx, m.Name, m.Constraints, Unconditional, opt)
+						return err
+					}
+					err := c.Delete(ctx, m.Name, Unconditional)
+					incarnation[m.Name].Add(1)
+					return err
+				}(); err != nil {
+					t.Fatalf("mutation %d (%s %s): %v", i, m.Op, m.Name, err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			mustFlush(t, c)
+			if reads == 0 {
+				t.Fatal("no read completed during the stream")
+			}
+			for _, info := range c.List() {
+				res, err := c.Solve(ctx, info.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := answerJSON(t, res.Assignment)
+				if want := coldAnswer(t, c, info.Name); !bytes.Equal(got, want) {
+					t.Errorf("%s version %d serves %s, core.SolveContext of it gives %s", info.Name, res.Info.Version, got, want)
+				}
+				k := key{info.Name, incarnation[info.Name].Load(), res.Info.Version}
+				if prev, ok := seen[k]; ok && !reflect.DeepEqual(prev, res.Assignment) {
+					t.Errorf("%s version %d: read %v during the stream, %v after", info.Name, k.version, prev, res.Assignment)
+				}
+			}
+			if enq, acc := refreshAccounting(reg); enq+waited != acc {
+				t.Errorf("refresh accounting: enqueued %d + waited %d != accounted %d", enq, waited, acc)
+			}
+		})
 	}
 }

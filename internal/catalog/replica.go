@@ -8,9 +8,9 @@ import (
 
 // This file is the catalog's follower-apply surface: what the cluster
 // replication layer (internal/cluster) needs to mirror a leader's per-shard
-// WAL onto a replica. A follower applies each replicated record exactly the
-// way the live mutation path does — durable store append first, in-memory
-// install second, refresh queued third — so two catalogs that
+// WAL onto a replica. A follower applies each replicated record through the
+// live mutation path's stage and commit — durable store append first, the
+// new version swapped in second, refresh queued third — so two catalogs that
 // applied the same record sequence hold byte-identical WALs and equal
 // Fingerprints. Lagging or new followers skip the record stream entirely
 // and install a whole-shard snapshot (InstallShardSnapshot), the same bytes
@@ -49,12 +49,12 @@ func (c *Catalog) ShardSeqs() []uint64 {
 
 // ApplyRecord applies one replicated WAL record payload to shard shardID,
 // returning the shard's sequence number afterwards. The payload must be the
-// leader's exact record bytes (seq and all); it is validated, appended
-// durably to the shard's own store and applied in memory, and a put or
-// append queues the policy for the shard's refresh worker — the same
-// WAL-first ordering as an async live mutation, minus the precondition
-// checks the leader already enforced. A record that is not exactly the
-// shard's next sequence number returns ErrOutOfOrder and changes nothing.
+// leader's exact record bytes (seq and all); it is staged, committed with
+// those bytes, and a put or append queues the policy for the shard's
+// refresh worker — an async live mutation minus the precondition and
+// checkLive checks the leader already enforced. A record that is not
+// exactly the shard's next sequence number returns ErrOutOfOrder and
+// changes nothing.
 func (c *Catalog) ApplyRecord(shardID int, payload []byte) (uint64, error) {
 	if shardID < 0 || shardID >= len(c.shards) {
 		return 0, fmt.Errorf("catalog: apply: no shard %d", shardID)
@@ -72,64 +72,18 @@ func (c *Catalog) ApplyRecord(shardID int, payload []byte) (uint64, error) {
 	if rec.Seq != s.seq+1 {
 		return s.seq, fmt.Errorf("%w: shard %d at seq %d got record seq %d", ErrOutOfOrder, shardID, s.seq, rec.Seq)
 	}
-	switch rec.Op {
-	case "put":
-		staged, err := buildPolicy(rec.Name, rec.Lattice, rec.Constraints)
-		if err != nil {
-			return s.seq, fmt.Errorf("catalog: replicated put: %w", err)
-		}
-		if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
-			return s.seq, err
-		}
-		if s.install(staged) {
-			c.policies.Add(1)
-		}
+	p, err := s.stage(s.pol[rec.Name], rec, nil)
+	if err != nil {
+		return s.seq, fmt.Errorf("catalog: replicated %s: %w", rec.Op, err)
+	}
+	if err := c.commit(s, rec, payload, p); err != nil {
+		return s.seq, err
+	}
+	if p != nil {
 		c.enqueue(s, rec.Name)
-	case "append":
-		p := s.pol[rec.Name]
-		if p == nil {
-			return s.seq, fmt.Errorf("catalog: replicated append: %w: %q", ErrNotFound, rec.Name)
-		}
-		ns := p.set.Clone()
-		if err := ns.ParseString(rec.Constraints); err != nil {
-			return s.seq, fmt.Errorf("catalog: replicated append %q: %w", rec.Name, err)
-		}
-		if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
-			return s.seq, err
-		}
-		p.extend(ns, rec.Constraints)
-		c.enqueue(s, rec.Name)
-	case "delete":
-		if s.pol[rec.Name] == nil {
-			return s.seq, fmt.Errorf("catalog: replicated delete: %w: %q", ErrNotFound, rec.Name)
-		}
-		if err := c.appendReplicated(s, rec.Seq, payload); err != nil {
-			return s.seq, err
-		}
-		delete(s.pol, rec.Name)
-		c.policies.Add(-1)
-	default:
-		return s.seq, fmt.Errorf("catalog: replicated record: unknown op %q", rec.Op)
 	}
 	c.count("catalog.replica.applied")
-	c.shardGauge(s)
-	c.maybeCompact(s)
 	return s.seq, nil
-}
-
-// appendReplicated durably appends a replicated record and advances the
-// shard's bookkeeping; called under the shard's write lock with the seq
-// contiguity already checked.
-func (c *Catalog) appendReplicated(s *shard, seq uint64, payload []byte) error {
-	if err := s.store.Append(payload); err != nil {
-		return fmt.Errorf("%w: %w", ErrStorage, err)
-	}
-	s.seq = seq
-	s.sinceSnap++
-	if c.opt.OnRecord != nil {
-		c.opt.OnRecord(RecordEvent{Shard: s.id, Seq: seq, Payload: payload})
-	}
-	return nil
 }
 
 // ShardSnapshot serializes shard i's live state in the exact format of its
@@ -141,10 +95,7 @@ func (c *Catalog) ShardSnapshot(i int) (data []byte, seq uint64, err error) {
 	}
 	s := c.shards[i]
 	s.mu.RLock()
-	pols := make([]snapshotPolicy, 0, len(s.pol))
-	for _, p := range s.pol {
-		pols = append(pols, snapshotPolicyOf(p))
-	}
+	pols := s.snapshotPolicies(make([]snapshotPolicy, 0, len(s.pol)))
 	seq = s.seq
 	s.mu.RUnlock()
 	data, err = encodeSnapshot(seq, pols)

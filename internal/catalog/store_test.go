@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -135,8 +136,7 @@ func TestMemStoreReopen(t *testing.T) {
 		t.Fatalf("reopened state differs:\n%s\nwant:\n%s", got, want)
 	}
 
-	// Recovered policies come back cold: the first read takes the
-	// write-lock fill path and cold-solves.
+	// Recovered policies come back cold: the first read cold-solves.
 	info, err := re.Get("a")
 	if err != nil || info.Version != 2 || info.Solved || info.Compiled {
 		t.Fatalf("recovered policy = %+v, %v (want cold at version 2)", info, err)
@@ -155,8 +155,8 @@ func TestMemStoreReopen(t *testing.T) {
 		t.Fatal("cold Append accepted an unsolvable upper bound")
 	}
 	ar, err := re.Append(ctx, "a", "salary >= TS\n", Unconditional)
-	if err != nil || !ar.Pending {
-		t.Fatalf("cold async Append = %+v, %v", ar, err)
+	if err != nil || ar.Version != 3 {
+		t.Fatalf("cold async Append = %+v, %v (want version 3)", ar, err)
 	}
 	mustFlush(t, re)
 	if res, err := re.Solve(ctx, "a"); err != nil || !res.CacheHit || res.Assignment["salary"] != "TS" {
@@ -229,5 +229,39 @@ func TestMetaPinsShardCount(t *testing.T) {
 	}
 	if got := re.Fingerprint(); !bytes.Equal(got, want) {
 		t.Fatal("reopen under pinned shard count lost state")
+	}
+}
+
+// TestReplayKeepsUnwritableNames: a put record logged before live
+// mutations checked names still replays, applies on a follower and
+// serves, and a live append may use the name it declared; only names an
+// append adds are checked.
+func TestReplayKeepsUnwritableNames(t *testing.T) {
+	ctx := context.Background()
+	const cons = "attrs a\na >= x\u00a0y\nx\u00a0y >= C\n"
+	payload, err := json.Marshal(walRecord{Seq: 1, Op: "put", Name: "old", Lattice: testLattice, Constraints: cons})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemStore()
+	if err := store.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, Options{Shards: 1, OpenStore: func(int) (Store, error) { return store, nil }})
+	follower := mustOpen(t, Options{Shards: 1})
+	if _, err := follower.ApplyRecord(0, payload); err != nil {
+		t.Fatalf("ApplyRecord: %v", err)
+	}
+	for _, cat := range []*Catalog{c, follower} {
+		res, err := cat.Solve(ctx, "old")
+		if err != nil || res.Assignment["x\u00a0y"] != "C" || res.Assignment["a"] != "C" {
+			t.Fatalf("serving the replayed policy: %+v, %v", res, err)
+		}
+	}
+	if _, err := c.Append(ctx, "old", "x\u00a0y >= S\n", Unconditional); err != nil {
+		t.Fatalf("append naming the stored attribute: %v", err)
+	}
+	if _, err := c.Append(ctx, "old", "a >= z\u00a0w\n", Unconditional); err == nil {
+		t.Fatal("append adding a new unwritable name was accepted")
 	}
 }

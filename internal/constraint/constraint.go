@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 
 	"minup/internal/graph"
 	"minup/internal/lattice"
@@ -126,6 +127,19 @@ func (s *Set) AddAttr(name string) (Attr, error) {
 		return a, nil
 	}
 	return s.declare(name, true)
+}
+
+// TextName reports whether the policy text form carries name as one
+// attribute, so that a set declaring it reads back from WriteTo as the same
+// set: an attrs line is split at white space of any kind, a line starting
+// with '#' is a comment and one starting with "attrs " a declaration, a
+// constraint line is cut at its first ">=", and "(", ")" and "," delimit
+// lub members. AddAttr refuses only some of these names, so that text
+// already stored with the others still parses; producers of new text check
+// TextName.
+func TextName(name string) bool {
+	return name != "" && name != "attrs" && !strings.HasPrefix(name, "#") && !strings.Contains(name, ">=") &&
+		!strings.ContainsAny(name, "(),") && !strings.ContainsFunc(name, unicode.IsSpace)
 }
 
 // declare adds a name that is not declared yet as a new attribute.

@@ -122,3 +122,40 @@ func TestDiffAssignments(t *testing.T) {
 		t.Error("lowering format")
 	}
 }
+
+// TestTextName: TextName accepts exactly the declarable names whose set
+// reads back from WriteTo as the same set, with the name on each side of a
+// simple constraint and inside a lub.
+func TestTextName(t *testing.T) {
+	lat := chain4(t)
+	for _, name := range []string{
+		"salary", "x_1", "ü", "a.b", "lub", "attrsX", "x#", "a>", "=a", ">",
+		"x\u00a0y", "x\u2003y", "x\vy", "x\u0085y", "#x", "attrs", "a>=b", "x>=",
+	} {
+		s := NewSet(lat)
+		a := s.MustAttr(name)
+		b := s.MustAttr("b")
+		s.MustAdd([]Attr{a}, LevelRHS(lat.Top()))
+		s.MustAdd([]Attr{b}, AttrRHS(a))
+		s.MustAdd([]Attr{a, b}, LevelRHS(lat.Top()))
+		var text strings.Builder
+		if _, err := s.WriteTo(&text); err != nil {
+			t.Fatal(err)
+		}
+		var again strings.Builder
+		back := NewSet(lat)
+		roundTrips := back.ParseString(text.String()) == nil
+		if roundTrips {
+			back.WriteTo(&again)
+			roundTrips = again.String() == text.String()
+		}
+		if got := TextName(name); got != roundTrips {
+			t.Errorf("TextName(%q) = %v, but the set round-trips: %v\n%s", name, got, roundTrips, text.String())
+		}
+	}
+	for _, name := range []string{"", "a b", "a\tb", "f(x)", "a,b"} {
+		if TextName(name) {
+			t.Errorf("TextName(%q) = true for a name AddAttr refuses", name)
+		}
+	}
+}

@@ -37,7 +37,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"unicode"
 
 	"minup/internal/constraint"
 	"minup/internal/frontend"
@@ -126,12 +125,8 @@ func (r *Relation) validate() (lattice.Lattice, error) {
 	index := make(map[string]bool, len(r.Attrs))
 	for _, a := range r.Attrs {
 		// The stored policy text must read every name back as that one
-		// attribute: its attrs line is split with strings.Fields (white
-		// space of any kind), a line starting with '#' is a comment, one
-		// starting with "attrs " a declaration, and a constraint line is
-		// cut at its first ">=".
-		if a == "" || a == "attrs" || strings.HasPrefix(a, "#") || strings.Contains(a, ">=") ||
-			strings.ContainsAny(a, "(),") || strings.ContainsFunc(a, unicode.IsSpace) {
+		// attribute.
+		if !constraint.TextName(a) {
 			return nil, fmt.Errorf("depinf: invalid attribute name %q", a)
 		}
 		if index[a] {

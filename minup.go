@@ -614,7 +614,7 @@ func SolveSAT(numVars int, clauses []SATClause) (assignment []bool, ok bool) {
 // /policies API. A catalog holds named, monotonically versioned policies
 // (lattice + constraint set) hashed across independent shards, each with
 // its own storage backend (CatalogStore) and lock. Mutations return once
-// the record is durable and the in-memory maps are updated, and queue the
+// the record is durable and the new version is swapped in, and queue the
 // policy's name on its shard; each shard's background worker compiles the
 // name's current version once and solves it cold, unless the caller opts
 // into waiting (PolicyMutateOptions{Wait: true}), which runs that same
@@ -634,10 +634,6 @@ type (
 	// PolicyMutateOptions tunes one mutation: Wait forces the solver
 	// refresh inline so the response reflects a warm cache.
 	PolicyMutateOptions = catalog.MutateOptions
-	// PolicyAppendResult reports an Append: the new PolicyInfo plus
-	// whether the version's refresh (compile and cold solve) is still
-	// pending on a shard worker.
-	PolicyAppendResult = catalog.AppendResult
 	// PolicySolveResult is a served solution: assignment, solve stats, and
 	// whether it came from the memoized cache. Its EncodeOnce encodes a
 	// hit at most once per version and returns the stored bytes.

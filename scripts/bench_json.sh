@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Run the solve-path benchmark family — the fresh/compiled split, the
 # policy catalog's memoized serve path and the HTTP handler above it
-# (cmd/minupd), the problem frontends' compile to
+# (cmd/minupd), a waited put and append through the catalog, the problem
+# frontends' compile to
 # policy text, the policy-text parse every put, append and replay pays,
 # the compile and compile + cold solve every refreshed version pays, and
 # compile + repair of the same version — and
@@ -19,7 +20,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkHTTPPolicySolve|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
   -benchmem -count 1 . ./cmd/minupd | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
@@ -36,7 +37,7 @@ BEGIN { print "{"; first = 1 }
 END { print "\n}" }' "$tmp" > "$out"
 
 # Guard against a silently empty run (e.g. a benchmark regex typo).
-for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe \
+for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe BenchmarkCatalogMutate \
             BenchmarkHTTPPolicySolve BenchmarkSolveSuppress BenchmarkSolveDepinf \
             BenchmarkFrontendCompile/suppress BenchmarkFrontendCompile/depinf \
             BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf \
