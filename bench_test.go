@@ -769,6 +769,39 @@ func BenchmarkParsePolicy(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendStage measures what staging an append costs on every
+// node before the solver starts: clone the current version's set and parse
+// the appended line into the clone. The set has replicated_write's shape, a
+// size-20 paper policy plus 8 appended batches, so its constraints come
+// from nine parses.
+func BenchmarkAppendStage(b *testing.B) {
+	fi, err := workload.GenerateFamily("paper", 1, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := constraint.ParsePolicy(fi.Lattice, fi.Constraints)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	fresh := 0
+	for i := 0; i < 8; i++ {
+		set = set.Clone()
+		if err := set.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const line = "lub(a000, a001) >= a002\n"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next := set.Clone()
+		if err := next.ParseString(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveCompiledStats measures the fully observed compiled path —
 // lattice op counting, an event log, and registry aggregation all enabled —
 // the upper bound a telemetry-heavy deployment pays relative to

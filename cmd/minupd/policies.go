@@ -136,16 +136,27 @@ func preconditionFrom(r *http.Request) (int64, error) {
 	return int64(v), nil
 }
 
-// decodePolicyBody reads a bounded JSON body into dst, answering 400
-// itself on failure.
+// decodePolicyBody reads a bounded JSON body into dst, answering the
+// failure itself (bodyError).
 func decodePolicyBody(w http.ResponseWriter, r *http.Request, dst *policyRequest) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPolicyBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		http.Error(w, "decoding body: "+err.Error(), http.StatusBadRequest)
+		bodyError(w, "decoding body: ", err)
 		return false
 	}
 	return true
+}
+
+// bodyError answers a request body that could not be read or decoded: 413
+// when it ran past maxPolicyBody, else 400. The text is what, then err.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, what+err.Error(), status)
 }
 
 // policyError maps a catalog error to its status: 404 unknown name, 409

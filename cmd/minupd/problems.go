@@ -12,7 +12,7 @@
 package main
 
 import (
-	"io"
+	"bytes"
 	"net/http"
 	"strings"
 
@@ -52,6 +52,20 @@ func (s *server) handleProblemList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, problemListResponse{Count: len(entries), Families: entries})
 }
 
+// readBody reads r's body, capped at maxPolicyBody. A body whose
+// Content-Length is within the cap is read into a buffer of that size; any
+// other body, chunked or too long, into one that grows as it reads.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var size int64
+	if n := r.ContentLength; n > 0 && n <= maxPolicyBody {
+		size = n
+	}
+	// MinRead more, so that ReadFrom meets EOF without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxPolicyBody))
+	return buf.Bytes(), err
+}
+
 func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	family := r.PathValue("family")
 	fe, ok := minup.LookupProblemFrontend(family)
@@ -68,9 +82,9 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBody))
+	body, err := readBody(w, r)
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		bodyError(w, "reading body: ", err)
 		return
 	}
 	inst, err := fe.Parse(body)

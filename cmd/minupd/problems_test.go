@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,5 +194,65 @@ func TestProblemCreateNameAndPreconditions(t *testing.T) {
 	rec = problemPost(t, h, "/problems/suppress?name=renamed", raw, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("unconditional re-post = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestOversizedBodyIs413: a body one byte over maxPolicyBody answers 413
+// on each route that caps its body, not 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, h, _ := newTestServer(t)
+	// pad fills a JSON body with a comment line to exactly maxPolicyBody+1
+	// bytes, so a decoder has to read past the cap to finish it.
+	pad := func(prefix string) string {
+		const suffix = `"}`
+		return prefix + strings.Repeat("#", maxPolicyBody+1-len(prefix)-len(suffix)) + suffix
+	}
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPut, "/policies/big", pad(`{"lattice":"chain mil\nlevels U C S TS\n","constraints":"`)},
+		{http.MethodPost, "/policies/big/constraints", pad(`{"constraints":"`)},
+		{http.MethodPost, "/problems/suppress", strings.Repeat(" ", maxPolicyBody+1)},
+	} {
+		if len(tc.body) != maxPolicyBody+1 {
+			t.Fatalf("%s %s: body is %d bytes", tc.method, tc.path, len(tc.body))
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with %d bytes = %d, want 413: %.200s", tc.method, tc.path, len(tc.body), rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestProblemCreateChunked: a problem body sent chunked, so without a
+// Content-Length to size its buffer from, is read whole.
+func TestProblemCreateChunked(t *testing.T) {
+	_, h, _ := newTestServer(t)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	fe, _ := minup.LookupProblemFrontend("depinf")
+	inst, err := fe.Generate(5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := minup.MarshalProblemInstance(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A reader of unknown length makes the client send the body chunked.
+	resp, err := ts.Client().Post(ts.URL+"/problems/depinf", "application/json", io.MultiReader(bytes.NewReader(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("chunked POST /problems/depinf = %d: %s", resp.StatusCode, out)
+	}
+	var created problemResponse
+	if err := json.Unmarshal(out, &created); err != nil {
+		t.Fatal(err)
+	}
+	if created.Name != inst.InstanceName() || created.Constraints == 0 {
+		t.Fatalf("chunked create stored %+v", created)
 	}
 }

@@ -18,6 +18,8 @@ package constraint
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -69,11 +71,20 @@ type UpperBound struct {
 // Compile freezes the set (mutators return ErrFrozen) and yields an
 // immutable Compiled snapshot safe for concurrent solving.
 type Set struct {
-	lat    lattice.Lattice
-	names  []string
-	index  map[string]Attr
-	cons   []Constraint
-	upper  []UpperBound
+	lat   lattice.Lattice
+	names []string
+	index map[string]Attr
+	cons  []Constraint
+	upper []UpperBound
+	// arena holds the left-hand sides Add stores, each a window capped at
+	// its length. Add writes only past len(arena) and starts a new array
+	// when the spare room is short, so a stored window is never moved or
+	// overwritten; ParseString reserves room for its whole text first.
+	arena []Attr
+	// mark and epoch deduplicate wide left-hand sides in linear time: a
+	// member is seen in the current Add when its mark equals epoch.
+	mark   []uint32
+	epoch  uint32
 	frozen bool
 }
 
@@ -85,26 +96,24 @@ func NewSet(lat lattice.Lattice) *Set {
 // Lattice returns the security lattice the constraints are stated over.
 func (s *Set) Lattice() lattice.Lattice { return s.lat }
 
-// Clone returns a deep, unfrozen copy of the set over the same (immutable)
-// lattice. Mutating the clone never affects the original, which makes it
-// the staging area for speculative mutations: the policy catalog parses
-// appended constraint text into a clone and swaps it in only after the
-// parse and the solvability check both succeed.
+// Clone returns an unfrozen copy of the set over the same (immutable)
+// lattice. The copy shares the original's attribute names, constraints,
+// upper bounds and left-hand sides, each capped at its length, and copies
+// only the name index, so its cost grows with the attributes and not with
+// the constraints. This is sound because mutators only append: an append
+// to either set copies the shared array instead of writing into the other,
+// so mutating the clone never affects the original, and the reverse. That
+// makes it the staging area for speculative mutations: the policy catalog
+// parses appended constraint text into a clone and swaps it in only after
+// the parse and the solvability check both succeed.
 func (s *Set) Clone() *Set {
-	c := &Set{
+	return &Set{
 		lat:   s.lat,
-		names: append([]string(nil), s.names...),
-		index: make(map[string]Attr, len(s.index)),
-		cons:  make([]Constraint, len(s.cons)),
-		upper: append([]UpperBound(nil), s.upper...),
+		names: slices.Clip(s.names),
+		index: maps.Clone(s.index),
+		cons:  slices.Clip(s.cons),
+		upper: slices.Clip(s.upper),
 	}
-	for name, a := range s.index {
-		c.index[name] = a
-	}
-	for i, cn := range s.cons {
-		c.cons[i] = Constraint{LHS: append([]Attr(nil), cn.LHS...), RHS: cn.RHS}
-	}
-	return c
 }
 
 // NumAttrs returns the number of declared attributes.
@@ -206,6 +215,7 @@ func (s *Set) checkAttr(a Attr) {
 // per the paper's standing assumption a constraint whose right-hand side
 // attribute also appears on the left is trivially satisfied and therefore
 // rejected here (use AddIgnoreTrivial to drop such constraints silently).
+// The stored left-hand side is a copy in the set's arena; lhs is not kept.
 func (s *Set) Add(lhs []Attr, rhs RHS) error {
 	if s.frozen {
 		return fmt.Errorf("%w: cannot add constraint", ErrFrozen)
@@ -213,27 +223,60 @@ func (s *Set) Add(lhs []Attr, rhs RHS) error {
 	if len(lhs) == 0 {
 		return fmt.Errorf("constraint: empty left-hand side")
 	}
-	seen := make(map[Attr]bool, len(lhs))
-	clean := make([]Attr, 0, len(lhs))
-	for _, a := range lhs {
-		s.checkAttr(a)
-		if !seen[a] {
-			seen[a] = true
-			clean = append(clean, a)
-		}
+	arena := s.arena
+	if cap(arena)-len(arena) < len(lhs) {
+		// Earlier windows keep the old array; nothing is copied.
+		arena = make([]Attr, 0, max(len(lhs), 2*cap(arena)))
 	}
+	win := slices.Clip(s.dedup(arena[len(arena):len(arena)], lhs))
 	if rhs.IsLevel {
 		if !s.lat.Contains(rhs.Level) {
 			return fmt.Errorf("constraint: rhs level not in lattice %q", s.lat.Name())
 		}
 	} else {
 		s.checkAttr(rhs.Attr)
-		if seen[rhs.Attr] {
+		if slices.Contains(win, rhs.Attr) {
 			return fmt.Errorf("constraint: rhs attribute %q also on lhs (trivially satisfied)", s.AttrName(rhs.Attr))
 		}
 	}
-	s.cons = append(s.cons, Constraint{LHS: clean, RHS: rhs})
+	s.arena = arena[:len(arena)+len(win)]
+	s.cons = append(s.cons, Constraint{LHS: win, RHS: rhs})
 	return nil
+}
+
+// pairwiseLHS is the widest left-hand side dedup checks member against
+// member; wider ones use the set's marks.
+const pairwiseLHS = 16
+
+// dedup appends the members of lhs to out, each once and in order, and
+// returns out; out has room for all of lhs, so it is never reallocated.
+// Its cost is linear in len(lhs).
+func (s *Set) dedup(out, lhs []Attr) []Attr {
+	if len(lhs) <= pairwiseLHS {
+		for _, a := range lhs {
+			s.checkAttr(a)
+			if !slices.Contains(out, a) {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	if n := len(s.names); len(s.mark) < n {
+		// Marks past len(s.mark) were never written, so they are zero.
+		s.mark = slices.Grow(s.mark, n-len(s.mark))[:n]
+	}
+	if s.epoch++; s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 1
+	}
+	for _, a := range lhs {
+		s.checkAttr(a)
+		if s.mark[a] != s.epoch {
+			s.mark[a] = s.epoch
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // AddIgnoreTrivial is Add, except that constraints whose right-hand side

@@ -72,6 +72,15 @@ func TestAddValidation(t *testing.T) {
 	if len(last.LHS) != 2 {
 		t.Errorf("lhs not deduped: %v", last.LHS)
 	}
+	// A failed Add leaves the arena as it found it, also when the left-hand
+	// side did not fit in the arena's spare room.
+	arena := fmt.Sprintf("%p len %d cap %d", s.arena, len(s.arena), cap(s.arena))
+	if err := s.Add([]Attr{b, a, b, a}, AttrRHS(a)); err == nil {
+		t.Error("rhs on a longer lhs accepted")
+	}
+	if got := fmt.Sprintf("%p len %d cap %d", s.arena, len(s.arena), cap(s.arena)); got != arena {
+		t.Errorf("a failed Add moved the arena from %s to %s", arena, got)
+	}
 }
 
 func TestTotalSize(t *testing.T) {

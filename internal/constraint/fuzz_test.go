@@ -1,7 +1,9 @@
 package constraint
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"minup/internal/lattice"
@@ -15,7 +17,11 @@ import (
 // declared attributes before asking the lattice, which is only sound if no
 // declared name parses as a level; every accepted input checks that, and
 // that re-parsing each constraint's Format resolves to the same attributes
-// without declaring any. Run the seeds under plain `go test`; run
+// without declaring any. ParseInto must read the input as ParseString
+// does, to the same error text and the same set. A clone and its original
+// share their arrays, so after each input one more line is parsed into a
+// clone, then another into the original, and each must leave the other
+// set as it was. Run the seeds under plain `go test`; run
 // `go test -fuzz=FuzzParseString` to explore.
 func FuzzParseString(f *testing.F) {
 	for _, seed := range []string{
@@ -62,8 +68,31 @@ func FuzzParseString(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		for _, lat := range lats {
 			s := NewSet(lat)
-			if err := s.ParseString(input); err != nil {
+			err := s.ParseString(input)
+			r := NewSet(lat)
+			rerr := r.ParseInto(strings.NewReader(input))
+			if fmt.Sprint(rerr) != fmt.Sprint(err) {
+				t.Fatalf("ParseInto error %v, ParseString error %v (from %q over %s)", rerr, err, input, lat.Name())
+			}
+			if got, want := stateOf(t, r).text, stateOf(t, s).text; got != want {
+				t.Fatalf("ParseInto read\n%s\nParseString read\n%s\n(from %q over %s)", got, want, input, lat.Name())
+			}
+			if err != nil {
 				continue
+			}
+			// r is a second copy of s to extend, and a clone of it. Each
+			// extension must leave the other set as it was whether or not
+			// its line parses, so its error is not checked.
+			orig := stateOf(t, r)
+			ext := r.Clone()
+			_ = ext.ParseString("lub(fz0, fz1) >= fz2\n")
+			if got := stateOf(t, r); !reflect.DeepEqual(got, orig) {
+				t.Fatalf("extending a clone changed its original from\n%s\nto\n%s\n(from %q over %s)", orig.text, got.text, input, lat.Name())
+			}
+			cloned := stateOf(t, ext)
+			_ = r.ParseString("lub(fz3, fz1) >= fz0\n")
+			if got := stateOf(t, ext); !reflect.DeepEqual(got, cloned) {
+				t.Fatalf("extending the original changed its clone from\n%s\nto\n%s\n(from %q over %s)", cloned.text, got.text, input, lat.Name())
 			}
 			for _, c := range s.Constraints() {
 				if len(c.LHS) == 0 {

@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"minup/internal/lattice"
 )
+
+// maxLine bounds the length of one line of constraint text.
+const maxLine = 4 * 1024 * 1024
 
 // ParseInto reads constraints in a small line-oriented text format into the
 // set. Blank lines and '#' comments are ignored. Each remaining line is
@@ -23,23 +27,45 @@ import (
 //	Secret >= salary              §6 upper bound (lhs is a level)
 //
 // Tokens that parse as levels of the set's lattice are levels; all other
-// identifiers are attributes and are declared on first use.
+// identifiers are attributes and are declared on first use. A line of
+// 4 MiB or more is refused with bufio.ErrTooLong. ParseInto reads all of r
+// before it parses anything, then parses the text as ParseString does.
 func (s *Set) ParseInto(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	// Lines may be up to 4 MiB; the buffer starts small and grows only
-	// for long ones.
-	sc.Buffer(nil, 4*1024*1024)
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return err
+	}
+	return s.ParseString(b.String())
+}
+
+// ParseString is ParseInto over an in-memory description. It reads the
+// text in place: the names it declares are substrings of text and share
+// its memory.
+func (s *Set) ParseString(text string) error {
+	if !s.frozen {
+		s.reserve(text)
+	}
 	// lhs is scratch reused across lines: Add copies what it keeps.
-	var lhs []Attr
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
+	var buf [8]Attr
+	lhs := buf[:0]
+	for lineno, rest := 1, text; rest != ""; lineno++ {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if len(line) >= maxLine {
+			return bufio.ErrTooLong
+		}
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "attrs "); ok {
-			for _, name := range strings.Fields(rest) {
+		if names, ok := strings.CutPrefix(line, "attrs "); ok {
+			fields := strings.Fields(names)
+			if !s.frozen {
+				// Room for the whole line in one step: on a new set that is
+				// exact, so the names its clones share carry no slack.
+				s.names = slices.Grow(s.names, len(fields))
+			}
+			for _, name := range fields {
 				if _, err := s.AddAttr(name); err != nil {
 					return fmt.Errorf("line %d: %w", lineno, err)
 				}
@@ -51,12 +77,19 @@ func (s *Set) ParseInto(r io.Reader) error {
 			return fmt.Errorf("line %d: %w", lineno, err)
 		}
 	}
-	return sc.Err()
+	return nil
 }
 
-// ParseString is ParseInto over an in-memory description.
-func (s *Set) ParseString(text string) error {
-	return s.ParseInto(strings.NewReader(text))
+// reserve makes room for what text can add, so that neither the constraint
+// list nor the arena grows while it is parsed: one constraint per ">=",
+// and one left-hand-side member per ">=" or comma. Counting ">=" rather
+// than lines keeps blank lines and declarations from reserving anything.
+func (s *Set) reserve(text string) {
+	cons := strings.Count(text, ">=")
+	s.cons = slices.Grow(s.cons, cons)
+	if members := cons + strings.Count(text, ","); cap(s.arena)-len(s.arena) < members {
+		s.arena = make([]Attr, 0, members)
+	}
 }
 
 // ParsePolicy builds the set a policy's two source texts describe: the

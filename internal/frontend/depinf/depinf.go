@@ -31,6 +31,7 @@
 package depinf
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -284,7 +285,7 @@ func (Frontend) Describe() string {
 // Parse implements frontend.Frontend.
 func (Frontend) Parse(data []byte) (frontend.Instance, error) {
 	var r Relation
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("depinf: decoding instance: %w", err)

@@ -37,6 +37,7 @@
 package suppress
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -226,7 +227,7 @@ func (Frontend) Describe() string {
 // Parse implements frontend.Frontend.
 func (Frontend) Parse(data []byte) (frontend.Instance, error) {
 	var t Table
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("suppress: decoding instance: %w", err)

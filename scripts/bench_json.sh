@@ -4,6 +4,7 @@
 # (cmd/minupd), a waited put and append through the catalog, the problem
 # frontends' compile to
 # policy text, the policy-text parse every put, append and replay pays,
+# the clone and one-line parse every append stages on every node,
 # the compile and compile + cold solve every refreshed version pays, and
 # compile + repair of the same version — and
 # write the measurements as machine-readable JSON (default
@@ -20,7 +21,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
   -benchmem -count 1 . ./cmd/minupd | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
@@ -40,7 +41,7 @@ END { print "\n}" }' "$tmp" > "$out"
 for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe BenchmarkCatalogMutate \
             BenchmarkHTTPPolicySolve BenchmarkSolveSuppress BenchmarkSolveDepinf \
             BenchmarkFrontendCompile/suppress BenchmarkFrontendCompile/depinf \
-            BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf \
+            BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf BenchmarkAppendStage \
             BenchmarkCompile BenchmarkRefresh BenchmarkRepairCompiled; do
   if ! grep -q "\"$want\"" "$out"; then
     echo "bench_json: $want missing from $out" >&2
