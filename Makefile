@@ -85,6 +85,8 @@ chaos:
 		./internal/frontend/suppress ./internal/frontend/depinf
 
 # Short fuzz of every fuzz target (go fuzzes one target per invocation).
+# FuzzDepinfParse and FuzzSolveBody are differential: depinf's one-pass
+# instance reader and minupd's solve-body writer against encoding/json.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lattice
@@ -94,3 +96,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSuppressCompile$$' -fuzztime $(FUZZTIME) ./internal/frontend/suppress
 	$(GO) test -run '^$$' -fuzz '^FuzzDepinfCompile$$' -fuzztime $(FUZZTIME) ./internal/frontend/depinf
+	$(GO) test -run '^$$' -fuzz '^FuzzDepinfParse$$' -fuzztime $(FUZZTIME) ./internal/frontend/depinf
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveBody$$' -fuzztime $(FUZZTIME) ./cmd/minupd

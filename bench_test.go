@@ -506,11 +506,11 @@ func BenchmarkSolveCompiled(b *testing.B) {
 }
 
 // BenchmarkCatalogServe measures the policy catalog's serve path on the
-// same instance as BenchmarkSolveCompiled: a warm (memoized) solve per
+// same instance as BenchmarkSolveCompiled: a warm (memoized) Serve per
 // iteration — the steady state of GET /policies/{name}/solve on an
 // unchanged policy, which must perform zero compiles and zero full solves.
-// The gap to BenchmarkSolveCompiled is the price of the catalog lookup
-// plus formatting the assignment by name.
+// A hit formats nothing: what is left is the catalog lookup and copying
+// the version's pointers.
 func BenchmarkCatalogServe(b *testing.B) {
 	set := solveBenchSet(b)
 	var text strings.Builder
@@ -526,13 +526,13 @@ func BenchmarkCatalogServe(b *testing.B) {
 	if _, err := cat.Put(ctx, "bench", "chain mil\nlevels U C S TS\n", text.String(), PolicyUnconditional, PolicyMutateOptions{Wait: true}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := cat.Solve(ctx, "bench"); err != nil {
+	if _, err := cat.Serve(ctx, "bench", PolicySolveOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := cat.Solve(ctx, "bench")
+		res, err := cat.Serve(ctx, "bench", PolicySolveOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -727,6 +727,34 @@ func BenchmarkFrontendCompile(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := tc.fe.Compile(tc.inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkProblemParse measures the first step of a problem create: the
+// frontend's Parse of the instance JSON, Marshal's output for
+// coldCreateProblems' instances, decoded and validated.
+func BenchmarkProblemParse(b *testing.B) {
+	tab, rel := coldCreateProblems(b)
+	for _, tc := range []struct {
+		name string
+		fe   ProblemFrontend
+		inst ProblemInstance
+	}{
+		{"suppress", suppress.Frontend{}, tab},
+		{"depinf", depinf.Frontend{}, rel},
+	} {
+		raw, err := MarshalProblemInstance(tc.inst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.fe.Parse(raw); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"minup"
+	"minup/internal/frontend/depinf"
 )
 
 // BenchmarkHTTPPolicySolve measures a memo hit of GET
@@ -53,3 +54,41 @@ func BenchmarkHTTPPolicySolve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveBody measures what the first hit of a version runs to
+// write the body every later hit serves: Pairs' sort of the names plus
+// solveBody, on the answer of perfbench's cold_create depinf instance, a
+// 504-attribute dependency DAG.
+func BenchmarkSolveBody(b *testing.B) {
+	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := depinf.Frontend{}.Compile(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat, err := minup.OpenCatalog(minup.CatalogOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cat.Close()
+	ctx := context.Background()
+	if _, err := cat.Put(ctx, rel.Name, c.LatticeText, c.ConstraintText,
+		minup.PolicyUnconditional, minup.PolicyMutateOptions{Wait: true}); err != nil {
+		b.Fatal(err)
+	}
+	res, err := cat.Serve(ctx, rel.Name, minup.PolicySolveOptions{})
+	if err != nil || res.Info.Attrs != 504 {
+		b.Fatalf("serve: %d attributes, err %v", res.Info.Attrs, err)
+	}
+	a := solveAnswer{name: res.Info.Name, version: res.Info.Version, cacheHit: true, stats: newSolveStats(res.Stats)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bodySink = solveBody(a, res.Pairs())
+	}
+}
+
+// bodySink keeps BenchmarkSolveBody's result live.
+var bodySink []byte

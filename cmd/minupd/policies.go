@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -60,38 +61,6 @@ type policyListResponse struct {
 type policyAppendResponse struct {
 	minup.PolicyInfo
 	RefreshPending bool `json:"refresh_pending,omitempty"`
-}
-
-// policySolveResponse is the JSON answer of GET/POST /policies/{name}/solve.
-// The fields after Stats are omitted from a plain memo answer.
-type policySolveResponse struct {
-	Name       string            `json:"name"`
-	Version    uint64            `json:"version"`
-	CacheHit   bool              `json:"cache_hit"`
-	Assignment map[string]string `json:"assignment"`
-	Stats      solveStats        `json:"stats"`
-	TraceID    string            `json:"trace_id,omitempty"`
-
-	// Degraded marks an answer produced by the Qian baseline instead of
-	// the minimal solver: still satisfying every constraint, but
-	// over-classified. DegradeReason is "deadline" or "overload", and
-	// UpgradedAttrs the number of attributes classified above lattice
-	// bottom.
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradeReason string `json:"degrade_reason,omitempty"`
-	UpgradedAttrs int    `json:"upgraded_attrs,omitempty"`
-}
-
-type solveStats struct {
-	Tries          int   `json:"tries"`
-	FailedTries    int   `json:"failed_tries"`
-	Collapses      int   `json:"collapses"`
-	AttrsProcessed int   `json:"attrs_processed"`
-	MinlevelCalls  int   `json:"minlevel_calls"`
-	TrySteps       int   `json:"try_steps"`
-	DescentSteps   int   `json:"descent_steps"`
-	PoolHit        bool  `json:"pool_hit"`
-	DurationUS     int64 `json:"duration_us"`
 }
 
 // traceResponse is the JSON answer of GET /policies/{name}/trace: one fully
@@ -137,15 +106,26 @@ func preconditionFrom(r *http.Request) (int64, error) {
 }
 
 // decodePolicyBody reads a bounded JSON body into dst, answering the
-// failure itself (bodyError).
+// failure itself (bodyError). The body is one JSON object and nothing
+// after it but white space.
 func decodePolicyBody(w http.ResponseWriter, r *http.Request, dst *policyRequest) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPolicyBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		bodyError(w, "decoding body: ", err)
-		return false
+	err := dec.Decode(dst)
+	if err == nil {
+		// Only the end of the body may follow: a token or a syntax error
+		// is data after the value.
+		var syntax *json.SyntaxError
+		_, err = dec.Token()
+		switch {
+		case err == io.EOF:
+			return true
+		case err == nil || errors.As(err, &syntax):
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return true
+	bodyError(w, "decoding body: ", err)
+	return false
 }
 
 // bodyError answers a request body that could not be read or decoded: 413
@@ -405,7 +385,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	res, err := s.cat.SolveWith(ctx, name, opt)
+	res, err := s.cat.Serve(ctx, name, opt)
 	if err != nil && !opt.Baseline && r.Context().Err() == nil &&
 		(errors.Is(err, minup.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// The cold solve missed its deadline: answer with the baseline on a
@@ -414,7 +394,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		opt = minup.PolicySolveOptions{Baseline: true}
 		bctx, bcancel := context.WithTimeout(r.Context(), budget)
 		defer bcancel()
-		res, err = s.cat.SolveWith(bctx, name, opt)
+		res, err = s.cat.Serve(bctx, name, opt)
 	}
 	if root != nil {
 		root.End()
@@ -434,34 +414,33 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		s.policyError(w, r, err)
 		return
 	}
-	out := policySolveResponse{
-		Name:       res.Info.Name,
-		Version:    res.Info.Version,
-		CacheHit:   res.CacheHit,
-		Assignment: res.Assignment,
-		Stats:      newSolveStats(res.Stats),
-		TraceID:    traceID,
+	out := solveAnswer{
+		name:     res.Info.Name,
+		version:  res.Info.Version,
+		cacheHit: res.CacheHit,
+		stats:    newSolveStats(res.Stats),
+		traceID:  traceID,
 	}
 	if res.Baseline {
 		s.reg.Counter("solve.degraded").Inc()
 		s.reg.Counter("solve.degraded." + reason).Inc()
-		out.Degraded, out.DegradeReason, out.UpgradedAttrs = true, reason, res.UpgradedAttrs
+		out.degraded, out.degradeReason, out.upgradedAttrs = true, reason, res.UpgradedAttrs
 	}
 	if ri != nil {
 		ri.shard = res.Info.Shard
 		ri.cacheHit = res.CacheHit
 		ri.stats = flightStatsOf(res.Stats)
-		ri.degraded, ri.degradeReason = out.Degraded, out.DegradeReason
+		ri.degraded, ri.degradeReason = out.degraded, out.degradeReason
 	}
 	w.Header().Set("ETag", etag(res.Info.Version))
-	encode := func() []byte { return encodeJSON(out) }
+	encode := func() []byte { return solveBody(out, res.Pairs()) }
 	if traceID != "" {
 		// The trace ID belongs to this request, so its body must never be
 		// the version's stored one.
 		writeBody(w, http.StatusOK, encode())
 		return
 	}
-	// A hit's body depends on its version alone: the first hit encodes it,
+	// A hit's body depends on its version alone: the first hit writes it,
 	// and every later hit of the version writes the same bytes.
 	writeBody(w, http.StatusOK, res.EncodeOnce(encode))
 }

@@ -601,3 +601,46 @@ func TestPolicyRefusesUnwritableNames(t *testing.T) {
 		t.Fatalf("append declaring an unwritable name = %d: %s", rec.Code, rec.Body.String())
 	}
 }
+
+// TestPolicyBodyRefusesTrailingData: a PUT or append body is one JSON
+// object; garbage or a second object after it answers 400 and stores
+// nothing, while trailing white space is still accepted.
+func TestPolicyBodyRefusesTrailingData(t *testing.T) {
+	_, h, _ := newTestServer(t)
+	send := func(method, path, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	put, err := json.Marshal(policyRequest{Lattice: testPolicyLattice, Constraints: testPolicyCons})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appendBody = `{"constraints":"rank >= TS\n"}`
+	for _, trailer := range []string{" trailing garbage", `{"lattice":"x","constraints":"y"}`, "}"} {
+		rec := send(http.MethodPut, "/policies/p", string(put)+trailer)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "data after the JSON value") {
+			t.Fatalf("PUT with %q after the body = %d: %s", trailer, rec.Code, rec.Body.String())
+		}
+		if rec := get(t, h, "/policies/p"); rec.Code != http.StatusNotFound {
+			t.Fatalf("refused PUT stored the policy: GET = %d", rec.Code)
+		}
+	}
+	if rec := send(http.MethodPut, "/policies/p", string(put)+"\n"); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT with a trailing newline = %d: %s", rec.Code, rec.Body.String())
+	}
+	for _, trailer := range []string{" trailing garbage", appendBody} {
+		rec := send(http.MethodPost, "/policies/p/constraints", appendBody+trailer)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "data after the JSON value") {
+			t.Fatalf("append with %q after the body = %d: %s", trailer, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := send(http.MethodPost, "/policies/p/constraints", appendBody+"\r\n"); rec.Code != http.StatusOK {
+		t.Fatalf("append with a trailing newline = %d: %s", rec.Code, rec.Body.String())
+	}
+	var info minup.PolicyInfo
+	if err := json.Unmarshal(get(t, h, "/policies/p").Body.Bytes(), &info); err != nil || info.Version != 2 {
+		t.Fatalf("policy after one accepted append: version %d, err %v", info.Version, err)
+	}
+}

@@ -146,6 +146,25 @@ func TestProblemCreateErrors(t *testing.T) {
 		t.Fatalf("bad body = %d, want 400", rec.Code)
 	}
 
+	// An instance body is one JSON object, in both families.
+	for _, family := range []string{"suppress", "depinf"} {
+		fe, _ := minup.LookupProblemFrontend(family)
+		inst, err := fe.Generate(3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := minup.MarshalProblemInstance(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, trailer := range []string{" trailing garbage", string(raw)} {
+			rec = problemPost(t, h, "/problems/"+family, append(raw[:len(raw):len(raw)], trailer...), nil)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "data after the instance") {
+				t.Fatalf("%s instance followed by %.20q = %d: %s", family, trailer, rec.Code, rec.Body.String())
+			}
+		}
+	}
+
 	// Structurally valid JSON, semantically invalid instance.
 	rec = problemPost(t, h, "/problems/suppress",
 		[]byte(`{"name":"x","levels":["open"],"rows":2,"cols":2,"sensitive":[{"row":0,"col":0,"level":"open"}]}`), nil)

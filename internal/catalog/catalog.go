@@ -56,6 +56,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -867,11 +868,13 @@ func (c *Catalog) List() []PolicyInfo {
 // Len returns the number of policies across all shards.
 func (c *Catalog) Len() int { return int(c.policies.Load()) }
 
-// SolveResult is the answer of Catalog.Solve.
+// SolveResult is the answer of Catalog.Serve, Solve and SolveWith.
 type SolveResult struct {
 	// Info describes the served version, without its source texts.
 	Info PolicyInfo
-	// Assignment maps attribute names to formatted level names.
+	// Assignment maps attribute names to formatted level names. Solve and
+	// SolveWith fill it; Serve leaves it nil, and Pairs lists the same
+	// pairs without building it.
 	Assignment map[string]string
 	// Stats are the operation counts of the solve that produced the
 	// memoized answer (a cache hit returns the original solve's stats).
@@ -886,8 +889,41 @@ type SolveResult struct {
 	Baseline      bool
 	UpgradedAttrs int
 
-	// memo is the served version's memo on a hit, nil otherwise.
-	memo *memo
+	// set and levels are the served version's constraint set and the
+	// answer's level per attribute; memo is the version's memo on a hit,
+	// nil otherwise.
+	set    *constraint.Set
+	levels constraint.Assignment
+	memo   *memo
+}
+
+// Pairs returns the answer's attribute names and formatted levels without
+// building the Assignment map. It sorts the names when called.
+func (r SolveResult) Pairs() Pairs {
+	set := r.set
+	order := set.Attrs()
+	slices.SortFunc(order, func(a, b constraint.Attr) int {
+		return strings.Compare(set.AttrName(a), set.AttrName(b))
+	})
+	return Pairs{set: set, levels: r.levels, order: order}
+}
+
+// Pairs lists an answer's attribute names and formatted levels in name
+// order, the order encoding/json writes a map's keys in.
+type Pairs struct {
+	set    *constraint.Set
+	levels constraint.Assignment
+	order  []constraint.Attr
+}
+
+// Len returns the number of attributes.
+func (p Pairs) Len() int { return len(p.order) }
+
+// At returns the name and formatted level of the i-th attribute in name
+// order.
+func (p Pairs) At(i int) (name, level string) {
+	a := p.order[i]
+	return p.set.AttrName(a), p.set.Lattice().FormatLevel(p.levels[a])
 }
 
 // EncodeOnce returns the encoded form of this answer, as enc produces it.
@@ -911,8 +947,8 @@ func (r SolveResult) EncodeOnce(enc func() []byte) []byte {
 	return m.body
 }
 
-// SolveOptions tunes how SolveWith answers a cold version; a warm one is
-// the memoized answer whatever they say.
+// SolveOptions tunes how Serve and SolveWith answer a cold version; a warm
+// one is the memoized answer whatever they say.
 type SolveOptions struct {
 	// Events, when non-nil, logs the cold solve's event stream.
 	Events *obs.EventLog
@@ -928,15 +964,26 @@ func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
 	return c.SolveWith(ctx, name, SolveOptions{})
 }
 
-// SolveWith returns the classification for the policy's current version.
-// Warm policies are served from the memoized cache ("catalog.cache_hits")
-// under only the shard's read lock, with no compile and no solve. A cold
-// version — the refresh pipeline hasn't caught up, or its refresh failed —
-// is answered with the baseline when opt asks for it, and is otherwise
-// solved by fill outside the shard lock ("catalog.cache_misses",
-// "solve.cold") and memoized. The answer is that of the version the call
-// looked up, even when a mutation replaces it meanwhile.
+// SolveWith is Serve with the answer's Assignment map filled.
 func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) (SolveResult, error) {
+	res, err := c.Serve(ctx, name, opt)
+	if err == nil {
+		res.Assignment = formatAssignment(res.set, res.set.Lattice(), res.levels)
+	}
+	return res, err
+}
+
+// Serve returns the classification for the policy's current version,
+// without the Assignment map: Pairs lists it. Warm policies are
+// served from the memoized cache ("catalog.cache_hits"): under the shard's
+// read lock a hit only copies the version's pointers, with no compile, no
+// solve and no formatting. A cold version — the refresh pipeline hasn't
+// caught up, or its refresh failed — is answered with the baseline when
+// opt asks for it, and is otherwise solved by fill outside the shard lock
+// ("catalog.cache_misses", "solve.cold") and memoized. The answer is that
+// of the version the call looked up, even when a mutation replaces it
+// meanwhile.
+func (c *Catalog) Serve(ctx context.Context, name string, opt SolveOptions) (SolveResult, error) {
 	s := c.shardFor(name)
 	s.mu.RLock()
 	p := s.pol[name]
@@ -1090,10 +1137,11 @@ func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set) (
 	}
 	return SolveResult{
 		Info:          info,
-		Assignment:    formatAssignment(set, set.Lattice(), m),
 		Stats:         core.Stats{Duration: time.Since(start)},
 		Baseline:      true,
 		UpgradedAttrs: baseline.CountUpgraded(set, m),
+		set:           set,
+		levels:        m,
 	}, nil
 }
 
@@ -1101,11 +1149,12 @@ func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set) (
 // read lock.
 func hitResult(p *policy) SolveResult {
 	return SolveResult{
-		Info:       p.info(),
-		Assignment: formatAssignment(p.set, p.set.Lattice(), p.memo.solved),
-		Stats:      p.memo.stats,
-		CacheHit:   true,
-		memo:       p.memo,
+		Info:     p.info(),
+		Stats:    p.memo.stats,
+		CacheHit: true,
+		set:      p.set,
+		levels:   p.memo.solved,
+		memo:     p.memo,
 	}
 }
 

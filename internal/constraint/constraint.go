@@ -165,7 +165,7 @@ func (s *Set) declare(name string, checkLevel bool) (Attr, error) {
 		return 0, fmt.Errorf("constraint: attribute name %q contains reserved characters", name)
 	}
 	if checkLevel {
-		if _, err := s.lat.ParseLevel(name); err == nil {
+		if _, ok := s.lat.Lookup(name); ok {
 			return 0, fmt.Errorf("constraint: attribute name %q collides with a level of lattice %q", name, s.lat.Name())
 		}
 	}

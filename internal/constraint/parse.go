@@ -180,7 +180,7 @@ func (s *Set) parseOperand(tok string) (RHS, error) {
 	if a, ok := s.index[tok]; ok {
 		return AttrRHS(a), nil
 	}
-	if lvl, err := s.lat.ParseLevel(tok); err == nil {
+	if lvl, ok := s.lat.Lookup(tok); ok {
 		return LevelRHS(lvl), nil
 	}
 	a, err := s.declare(tok, false)

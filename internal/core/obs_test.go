@@ -132,6 +132,11 @@ func TestCollectLatticeOps(t *testing.T) {
 }
 
 // TestSolveDurationAndPool sanity-checks the wall-time and pool fields.
+// The second of two sequential solves reuses the first one's pooled
+// session. Under the race detector sync.Pool drops a quarter of the values
+// it is given, on purpose, so there a hit is only required within 16
+// sequential solves after the first: missing all of them has probability
+// 4^-16.
 func TestSolveDurationAndPool(t *testing.T) {
 	f := constraint.NewFigure2()
 	compiled := f.Set.Compile()
@@ -139,15 +144,23 @@ func TestSolveDurationAndPool(t *testing.T) {
 	if _, err := SolveContext(context.Background(), compiled, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveContext(context.Background(), compiled, Options{})
-	if err != nil {
-		t.Fatal(err)
+	tries := 1
+	if raceEnabled {
+		tries = 16
 	}
-	if !res.Stats.PoolHit {
-		t.Error("second sequential solve did not reuse a pooled session")
+	hit := false
+	for i := 0; i < tries && !hit; i++ {
+		res, err := SolveContext(context.Background(), compiled, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit = res.Stats.PoolHit
+		if res.Stats.Duration <= 0 {
+			t.Errorf("Duration = %v, want > 0", res.Stats.Duration)
+		}
 	}
-	if res.Stats.Duration <= 0 {
-		t.Errorf("Duration = %v, want > 0", res.Stats.Duration)
+	if !hit {
+		t.Errorf("%d sequential solves after the first reused no pooled session", tries)
 	}
 }
 

@@ -31,8 +31,6 @@
 package depinf
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -133,7 +131,7 @@ func (r *Relation) validate() (lattice.Lattice, error) {
 		if index[a] {
 			return nil, fmt.Errorf("depinf: duplicate attribute %q", a)
 		}
-		if _, err := lat.ParseLevel(a); err == nil {
+		if _, ok := lat.Lookup(a); ok {
 			return nil, fmt.Errorf("depinf: attribute %q collides with a level of the lattice", a)
 		}
 		index[a] = true
@@ -282,18 +280,18 @@ func (Frontend) Describe() string {
 	return "relation with denial-style data dependencies over sensitive attributes (Pappachan et al.): dependency closure as inference constraints"
 }
 
-// Parse implements frontend.Frontend.
+// Parse implements frontend.Frontend. It reads the instance in one pass
+// (decode.go): the fields Marshal writes, each at most once and spelled
+// exactly so, and nothing but white space after the object.
 func (Frontend) Parse(data []byte) (frontend.Instance, error) {
-	var r Relation
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("depinf: decoding instance: %w", err)
+	r, err := decode(string(data))
+	if err != nil {
+		return nil, err
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
 }
 
 // Generate implements frontend.Frontend: size scales the chain depth.

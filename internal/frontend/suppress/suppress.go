@@ -224,13 +224,17 @@ func (Frontend) Describe() string {
 	return "2-D cross-tab cell suppression with published marginals (Kao): complementary suppression as connectivity constraints"
 }
 
-// Parse implements frontend.Frontend.
+// Parse implements frontend.Frontend. The instance is one JSON object and
+// nothing after it but white space.
 func (Frontend) Parse(data []byte) (frontend.Instance, error) {
 	var t Table
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("suppress: decoding instance: %w", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("suppress: decoding instance: offset %d: data after the instance", len(data)-len(rest))
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -109,10 +109,16 @@ func (c *Chain) FormatLevel(l Level) string { c.check(l); return c.names[l] }
 
 // ParseLevel implements Lattice.
 func (c *Chain) ParseLevel(s string) (Level, error) {
-	if i, ok := c.index[s]; ok {
-		return Level(i), nil
+	if l, ok := c.Lookup(s); ok {
+		return l, nil
 	}
 	return 0, &levelError{"chain %q: unknown level %q", c.name, s}
+}
+
+// Lookup implements Lattice.
+func (c *Chain) Lookup(s string) (Level, bool) {
+	i, ok := c.index[s]
+	return Level(i), ok
 }
 
 // MinComplement implements ComplementMinimizer: in a total order the

@@ -106,3 +106,6 @@ func (w *Counted) FormatLevel(l Level) string { return w.L.FormatLevel(l) }
 
 // ParseLevel forwards to the underlying lattice.
 func (w *Counted) ParseLevel(s string) (Level, error) { return w.L.ParseLevel(s) }
+
+// Lookup forwards to the underlying lattice.
+func (w *Counted) Lookup(s string) (Level, bool) { return w.L.Lookup(s) }

@@ -328,10 +328,16 @@ func (e *Explicit) FormatLevel(l Level) string {
 
 // ParseLevel implements Lattice.
 func (e *Explicit) ParseLevel(s string) (Level, error) {
-	if i, ok := e.index[strings.TrimSpace(s)]; ok {
-		return Level(i), nil
+	if l, ok := e.Lookup(s); ok {
+		return l, nil
 	}
 	return 0, &levelError{"lattice %q: unknown level %q", e.name, s}
+}
+
+// Lookup implements Lattice.
+func (e *Explicit) Lookup(s string) (Level, bool) {
+	i, ok := e.index[strings.TrimSpace(s)]
+	return Level(i), ok
 }
 
 func (e *Explicit) check(l Level) {

@@ -78,12 +78,18 @@ type Lattice interface {
 
 	// ParseLevel parses the textual form produced by FormatLevel.
 	ParseLevel(s string) (Level, error)
+
+	// Lookup is ParseLevel without the error: it reports whether s names
+	// a level. Callers asking about names that are usually not levels —
+	// every identifier a constraint text declares — use it, because
+	// building the error costs an allocation.
+	Lookup(s string) (Level, bool)
 }
 
 // levelError is a failed level lookup. It keeps the lattice name and the
-// input and formats the message only when read: the constraint parser asks
-// the lattice about every identifier it declares, and nearly every answer
-// is "not a level", so the message is almost never wanted.
+// input and formats the message only when read, since a caller probing
+// whether a name is a level rarely wants it (the hottest of them, the
+// constraint parser, calls Lookup and builds no error at all).
 type levelError struct {
 	format string // two %q verbs: the lattice name, then the input
 	name   string

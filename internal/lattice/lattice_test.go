@@ -622,3 +622,31 @@ func TestParseLevelErrorText(t *testing.T) {
 		t.Errorf("LevelOf error = %v", err)
 	}
 }
+
+// TestLookupAgreesWithParseLevel: Lookup reports exactly the inputs
+// ParseLevel accepts, with the same level, on every lattice kind — every
+// formatted level, the forms ParseLevel also reads, and names that are
+// not levels.
+func TestLookupAgreesWithParseLevel(t *testing.T) {
+	ch := MustChain("c", "lo", "hi")
+	ps := MustPowerset("p", "x", "y")
+	mls := FigureOneA()
+	lats := []Lattice{ch, FigureOneB(), mls, ps, MustProduct("c×p", ch, ps), &Counted{L: ch}}
+	inputs := []string{"", "mid", " L9\t", " L1 ", "C", "TS", "<TS,{Army,Navy}>", "<S,{}", "{x, z}", "{}", "(hi,{x})", "(hi{x})", "a b"}
+	for _, lat := range lats {
+		in := inputs
+		if enum, ok := lat.(Enumerable); ok {
+			for _, l := range enum.Elements() {
+				in = append(in, lat.FormatLevel(l))
+			}
+		}
+		in = append(in, lat.FormatLevel(lat.Top()), lat.FormatLevel(lat.Bottom()))
+		for _, s := range in {
+			want, err := lat.ParseLevel(s)
+			got, ok := lat.Lookup(s)
+			if ok != (err == nil) || (ok && got != want) {
+				t.Errorf("%s: Lookup(%q) = %v, %v; ParseLevel = %v, %v", lat.Name(), s, got, ok, want, err)
+			}
+		}
+	}
+}

@@ -275,6 +275,12 @@ func (m *MLS) ParseLevel(s string) (Level, error) {
 	return m.LevelOf(cl, cats...)
 }
 
+// Lookup implements Lattice through ParseLevel.
+func (m *MLS) Lookup(s string) (Level, bool) {
+	l, err := m.ParseLevel(s)
+	return l, err == nil
+}
+
 // MinComplement implements ComplementMinimizer with the closed form of
 // footnote 4: the minimal level l with Lub(l, others) ≽ rhs has
 // classification rhs_l when others_l < rhs_l (⊥'s classification

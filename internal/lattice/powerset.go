@@ -169,6 +169,12 @@ func (p *Powerset) ParseLevel(s string) (Level, error) {
 	return p.LevelOf(cats...)
 }
 
+// Lookup implements Lattice through ParseLevel.
+func (p *Powerset) Lookup(s string) (Level, bool) {
+	l, err := p.ParseLevel(s)
+	return l, err == nil
+}
+
 // MinComplement implements ComplementMinimizer: the unique minimal set
 // whose union with others includes rhs is the set difference rhs − others.
 func (p *Powerset) MinComplement(others, rhs Level) Level {

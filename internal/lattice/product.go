@@ -164,3 +164,9 @@ func (p *Product) ParseLevel(s string) (Level, error) {
 	}
 	return 0, fmt.Errorf("product %q: level %q missing component separator", p.name, s)
 }
+
+// Lookup implements Lattice through ParseLevel.
+func (p *Product) Lookup(s string) (Level, bool) {
+	l, err := p.ParseLevel(s)
+	return l, err == nil
+}

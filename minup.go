@@ -635,8 +635,11 @@ type (
 	// refresh inline so the response reflects a warm cache.
 	PolicyMutateOptions = catalog.MutateOptions
 	// PolicySolveResult is a served solution: assignment, solve stats, and
-	// whether it came from the memoized cache. Its EncodeOnce encodes a
-	// hit at most once per version and returns the stored bytes.
+	// whether it came from the memoized cache. PolicyCatalog.Solve and
+	// SolveWith fill its Assignment map; Serve, the path minupd answers
+	// with, leaves it nil, and Pairs lists the same names and levels in
+	// name order without building a map. Its EncodeOnce encodes a hit at
+	// most once per version and returns the stored bytes.
 	PolicySolveResult = catalog.SolveResult
 	// PolicySolveOptions tunes how a cold version is answered: an event
 	// log for its solve, or the Qian baseline in its place.

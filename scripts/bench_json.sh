@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Run the solve-path benchmark family — the fresh/compiled split, the
 # policy catalog's memoized serve path and the HTTP handler above it
-# (cmd/minupd), a waited put and append through the catalog, the problem
-# frontends' compile to
+# (cmd/minupd), the solve-body writer a version's first hit runs, a waited
+# put and append through the catalog, the problem frontends' instance
+# parse and compile to
 # policy text, the policy-text parse every put, append and replay pays,
 # the clone and one-line parse every append stages on every node,
 # the compile and compile + cold solve every refreshed version pays, and
@@ -21,7 +22,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
   -benchmem -count 1 . ./cmd/minupd | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
@@ -39,8 +40,9 @@ END { print "\n}" }' "$tmp" > "$out"
 
 # Guard against a silently empty run (e.g. a benchmark regex typo).
 for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledStats BenchmarkCatalogServe BenchmarkCatalogMutate \
-            BenchmarkHTTPPolicySolve BenchmarkSolveSuppress BenchmarkSolveDepinf \
+            BenchmarkHTTPPolicySolve BenchmarkSolveBody BenchmarkSolveSuppress BenchmarkSolveDepinf \
             BenchmarkFrontendCompile/suppress BenchmarkFrontendCompile/depinf \
+            BenchmarkProblemParse/suppress BenchmarkProblemParse/depinf \
             BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf BenchmarkAppendStage \
             BenchmarkCompile BenchmarkRefresh BenchmarkRepairCompiled; do
   if ! grep -q "\"$want\"" "$out"; then

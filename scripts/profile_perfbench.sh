@@ -2,14 +2,19 @@
 # Takes one CPU profile of every minupd process while a perfbench workload
 # runs its timed sequence, and writes each profile with its
 # `go tool pprof -top -cum` summary under .bench_build/perfbench/profiles/.
+# For the same window it also writes each server's allocations: the heap
+# profile (/debug/pprof/allocs) is fetched when the CPU window starts and
+# when it ends, and `go tool pprof -base <start> -sample_index=alloc_objects
+# -top` of the two is the .allocs.top.txt summary.
 #
 # Usage: scripts/profile_perfbench.sh <workload> [seconds] [seed]
 #
 # seconds (default 25) is perfbench's --seconds: it sets the length of the
-# fixed op sequence, not its duration. Each profile lasts seconds/2, so
-# the timed part outlasts it. An untraced run sets up three times, each on
-# new minupd processes with a new data directory, and only the last
-# set-up runs the sequence. The script waits until the set of servers has
+# fixed op sequence, not its duration. Each profile lasts seconds/4, so
+# the timed part outlasts it: on a 2-vCPU host cold_create runs the timed
+# part of its 20-second sequence in about 7 s. An untraced run sets up
+# three times, each on new minupd processes with a new data directory, and
+# only the last set-up runs the sequence. The script waits until the set of servers has
 # been replaced twice, then profiles every server of that last set in
 # parallel through its loopback -debug-addr pprof endpoint. It counts
 # replacements by the run's set-up directories rather than by polling
@@ -33,7 +38,7 @@ out=.bench_build/perfbench/profiles
 mkdir -p "$out"
 tag=$workload-s$seed
 bin=$root/.bench_build/perfbench/minupd
-dur=$((seconds / 2))
+dur=$((seconds / 4))
 ((dur >= 1)) || dur=1
 
 bash perfbench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
@@ -73,7 +78,12 @@ for p in $procs; do
 	dbg=$(sed -n 's/.* -debug-addr \([^ ]*\).*/\1/p' <<<"$args")
 	role=$(curl -s "http://$addr/cluster" | grep -o '"role": *"[a-z]*"' | sed 's/.*"\([a-z]*\)"$/\1/' || true)
 	prof=$out/$tag-node$i${role:+-$role}.pprof
-	curl -s -o "$prof" "http://$dbg/debug/pprof/profile?seconds=$dur" &
+	base=${prof%.pprof}
+	curl -s -o "$base.allocs-start.pb.gz" "http://$dbg/debug/pprof/allocs"
+	{
+		curl -s -o "$prof" "http://$dbg/debug/pprof/profile?seconds=$dur"
+		curl -s -o "$base.allocs-end.pb.gz" "http://$dbg/debug/pprof/allocs"
+	} &
 	curls+=($!)
 	profs+=("$prof")
 	i=$((i + 1))
@@ -81,8 +91,11 @@ done
 wait "${curls[@]}"
 
 for prof in "${profs[@]}"; do
-	go tool pprof -top -cum "$bin" "$prof" >"${prof%.pprof}.top.txt" 2>/dev/null
-	echo "profile_perfbench: $prof (summary ${prof%.pprof}.top.txt)"
+	base=${prof%.pprof}
+	go tool pprof -top -cum "$bin" "$prof" >"$base.top.txt" 2>/dev/null
+	go tool pprof -sample_index=alloc_objects -top -base "$base.allocs-start.pb.gz" \
+		"$bin" "$base.allocs-end.pb.gz" >"$base.allocs.top.txt" 2>/dev/null
+	echo "profile_perfbench: $prof (summaries $base.top.txt, $base.allocs.top.txt)"
 done
 wait "$run" || true
 trap - EXIT
