@@ -85,8 +85,11 @@ chaos:
 		./internal/frontend/suppress ./internal/frontend/depinf
 
 # Short fuzz of every fuzz target (go fuzzes one target per invocation).
-# FuzzDepinfParse and FuzzSolveBody are differential: depinf's one-pass
-# instance reader and minupd's solve-body writer against encoding/json.
+# The jsoncodec targets are differential against encoding/json: FuzzDecoder
+# the reader, FuzzAppendString the string writer, and FuzzWALRecord the
+# WAL record's bytes and round trip. FuzzDepinfParse and FuzzSolveBody
+# check depinf's instance layout and minupd's solve-body layout on top of
+# that codec.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lattice
@@ -98,3 +101,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDepinfCompile$$' -fuzztime $(FUZZTIME) ./internal/frontend/depinf
 	$(GO) test -run '^$$' -fuzz '^FuzzDepinfParse$$' -fuzztime $(FUZZTIME) ./internal/frontend/depinf
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveBody$$' -fuzztime $(FUZZTIME) ./cmd/minupd
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/jsoncodec
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime $(FUZZTIME) ./internal/jsoncodec
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/catalog

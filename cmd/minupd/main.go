@@ -180,6 +180,7 @@ import (
 	"time"
 
 	"minup"
+	"minup/internal/obs"
 )
 
 // config carries the serving-policy knobs from flags to newServer, so
@@ -397,6 +398,9 @@ type server struct {
 	draining atomic.Bool
 	// start anchors the process.uptime_seconds gauge.
 	start time.Time
+	// problemsCreated holds each problem family's
+	// problems.<family>.created counter.
+	problemsCreated map[string]*obs.Counter
 }
 
 // newServer wires a server the way main does, so tests share the exact
@@ -408,6 +412,10 @@ func newServer(cat *minup.PolicyCatalog, reg *minup.MetricsRegistry, cfg config)
 	// series before the first overload.
 	reg.Counter("solve.degraded")
 	s.reg.Counter("http.panics")
+	s.problemsCreated = make(map[string]*obs.Counter)
+	for _, family := range minup.ProblemFamilies() {
+		s.problemsCreated[family] = reg.Counter("problems." + family + ".created")
+	}
 	return s
 }
 

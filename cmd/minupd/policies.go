@@ -19,15 +19,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"minup"
+	"minup/internal/jsoncodec"
 )
 
 // maxPolicyBody bounds PUT/POST request bodies; policy source texts are
@@ -105,27 +104,41 @@ func preconditionFrom(r *http.Request) (int64, error) {
 	return int64(v), nil
 }
 
+// policyFields names policyRequest's fields as its body spells them.
+var policyFields = []string{"lattice", "constraints"}
+
 // decodePolicyBody reads a bounded JSON body into dst, answering the
-// failure itself (bodyError). The body is one JSON object and nothing
-// after it but white space.
+// failure itself (bodyError).
 func decodePolicyBody(w http.ResponseWriter, r *http.Request, dst *policyRequest) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPolicyBody))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
+	body, err := readBody(w, r)
 	if err == nil {
-		// Only the end of the body may follow: a token or a syntax error
-		// is data after the value.
-		var syntax *json.SyntaxError
-		_, err = dec.Token()
-		switch {
-		case err == io.EOF:
-			return true
-		case err == nil || errors.As(err, &syntax):
-			err = errors.New("data after the JSON value")
+		err = decodePolicy(body, dst)
+	}
+	if err != nil {
+		bodyError(w, "decoding body: ", err)
+		return false
+	}
+	return true
+}
+
+// decodePolicy reads a policy body into dst. The body is one JSON object
+// and nothing after it but white space; a field given twice or spelled in
+// another letter case is refused. Each text is a copy that owns exactly
+// its bytes, so the policy that keeps it does not keep the body.
+func decodePolicy(body []byte, dst *policyRequest) error {
+	d := jsoncodec.NewCopyingDecoder(body)
+	if !d.Null() {
+		err := d.Object(policyFields, func(i int) error {
+			if i == 0 {
+				return d.OptStr(&dst.Lattice)
+			}
+			return d.OptStr(&dst.Constraints)
+		})
+		if err != nil {
+			return err
 		}
 	}
-	bodyError(w, "decoding body: ", err)
-	return false
+	return d.Finish("JSON value")
 }
 
 // bodyError answers a request body that could not be read or decoded: 413

@@ -102,7 +102,7 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 		name = q
 	}
 	s.putPolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion, func(info minup.PolicyInfo) any {
-		s.reg.Counter("problems." + family + ".created").Inc()
+		s.problemsCreated[family].Inc()
 		return problemResponse{PolicyInfo: info, Family: family, Instance: inst.InstanceName()}
 	})
 }

@@ -2,7 +2,8 @@ package main
 
 import (
 	"strconv"
-	"unicode/utf8"
+
+	"minup/internal/jsoncodec"
 )
 
 // solveAnswer is what the body of GET/POST /policies/{name}/solve says
@@ -61,7 +62,7 @@ func solveBody(a solveAnswer, pairs levelPairs) []byte {
 	size := len(head) + len(tail)
 	for i := range n {
 		name, level := pairs.At(i)
-		size += len(",\n    ") + quotedLen(name) + len(": ") + quotedLen(level)
+		size += len(",\n    ") + jsoncodec.StringLen(name) + len(": ") + jsoncodec.StringLen(level)
 	}
 	if n > 0 {
 		size += len("\n  ") - len(",")
@@ -74,9 +75,9 @@ func solveBody(a solveAnswer, pairs levelPairs) []byte {
 		}
 		name, level := pairs.At(i)
 		b = append(b, "\n    "...)
-		b = appendQuoted(b, name)
+		b = jsoncodec.AppendString(b, name)
 		b = append(b, ": "...)
-		b = appendQuoted(b, level)
+		b = jsoncodec.AppendString(b, level)
 	}
 	if n > 0 {
 		b = append(b, "\n  "...)
@@ -87,7 +88,7 @@ func solveBody(a solveAnswer, pairs levelPairs) []byte {
 // appendSolveHead writes the body up to the assignment's opening brace.
 func appendSolveHead(b []byte, a solveAnswer) []byte {
 	b = append(b, "{\n  \"name\": "...)
-	b = appendQuoted(b, a.name)
+	b = jsoncodec.AppendString(b, a.name)
 	b = append(b, ",\n  \"version\": "...)
 	b = strconv.AppendUint(b, a.version, 10)
 	b = append(b, ",\n  \"cache_hit\": "...)
@@ -119,105 +120,18 @@ func appendSolveTail(b []byte, a solveAnswer) []byte {
 	b = append(b, "\n  }"...)
 	if a.traceID != "" {
 		b = append(b, ",\n  \"trace_id\": "...)
-		b = appendQuoted(b, a.traceID)
+		b = jsoncodec.AppendString(b, a.traceID)
 	}
 	if a.degraded {
 		b = append(b, ",\n  \"degraded\": true"...)
 	}
 	if a.degradeReason != "" {
 		b = append(b, ",\n  \"degrade_reason\": "...)
-		b = appendQuoted(b, a.degradeReason)
+		b = jsoncodec.AppendString(b, a.degradeReason)
 	}
 	if a.upgradedAttrs != 0 {
 		b = append(b, ",\n  \"upgraded_attrs\": "...)
 		b = strconv.AppendInt(b, int64(a.upgradedAttrs), 10)
 	}
 	return append(b, "\n}\n"...)
-}
-
-const hexDigits = "0123456789abcdef"
-
-// jsonSafe reports whether encoding/json writes the ASCII byte c as itself
-// with HTML escaping on, its default.
-func jsonSafe(c byte) bool {
-	return c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
-
-// appendQuoted writes s as a JSON string as encoding/json does: \" and \\,
-// \b \f \n \r \t, other control bytes and < > & as \u00XX, U+2028 and
-// U+2029 as \u2028 and \u2029, and each byte of invalid UTF-8 as \ufffd.
-func appendQuoted(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if jsonSafe(c) {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
-// quotedLen is the length appendQuoted writes for s.
-func quotedLen(s string) int {
-	n := len(`""`) + len(s)
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			switch {
-			case jsonSafe(c):
-			case c == '"', c == '\\', c == '\b', c == '\f', c == '\n', c == '\r', c == '\t':
-				n++
-			default:
-				n += len(`\u00XX`) - 1
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			n += len(`\ufffd`) - 1
-		case r == '\u2028' || r == '\u2029':
-			n += len(`\u2028`) - size
-		}
-		i += size
-	}
-	return n
 }

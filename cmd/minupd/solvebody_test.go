@@ -52,7 +52,9 @@ func (p mapPairs) At(i int) (string, string) { return p.keys[i], p.m[p.keys[i]] 
 
 // FuzzSolveBody checks solveBody against encoding/json over arbitrary
 // names, levels, stats and omitempty fields: the bytes must be equal, and
-// the body must fill exactly the slice it was allocated in. Names and
+// the body must fill exactly the slice it was allocated in. The string
+// escaping it uses is fuzzed on its own by jsoncodec's FuzzAppendString;
+// this target checks the body's layout around it. Names and
 // levels are the fields of the input split at NUL bytes, taken in pairs.
 func FuzzSolveBody(f *testing.F) {
 	f.Add("p", uint64(1), true, []byte("salary\x00S\x00rank\x00TS"), 3, int64(12), "", false, "", 0)

@@ -243,15 +243,6 @@ type Catalog struct {
 	recovery RecoveryInfo
 }
 
-// walRecord is the JSON payload of one store record.
-type walRecord struct {
-	Seq         uint64 `json:"seq"`
-	Op          string `json:"op"` // "put" | "append" | "delete"
-	Name        string `json:"name"`
-	Lattice     string `json:"lattice,omitempty"`
-	Constraints string `json:"constraints,omitempty"`
-}
-
 // snapshotFile is the JSON shape of one shard's compacted snapshot (and,
 // with LastSeq zeroed, of the catalog-wide Fingerprint).
 type snapshotFile struct {
@@ -456,8 +447,8 @@ func (c *Catalog) recoverShard(s *shard) error {
 // written" and "WAL reset"; they are already reflected in the snapshot and
 // are skipped.
 func (s *shard) replayRecord(payload []byte) error {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return fmt.Errorf("catalog: decoding WAL record: %w", err)
 	}
 	if rec.Seq <= s.snapSeq {
@@ -633,20 +624,12 @@ func (s *shard) swap(name string, p *policy) int64 {
 }
 
 // commit makes p, the version rec staged (nil for a delete), durable and
-// current, in write-ahead order: it appends the record to the store —
-// payload when that is the leader's exact bytes, else rec encoded at the
-// shard's next sequence number — advances seq and sinceSnap and calls
-// OnRecord, swaps p in, updates the policy count and gauges, and compacts
-// if due. A failed append changes nothing, so memory never runs ahead of
-// the store. Caller holds s's write lock.
+// current, in write-ahead order: it appends payload, rec's bytes at the
+// shard's next sequence number rec.Seq, to the store, advances seq and
+// sinceSnap and calls OnRecord, swaps p in, updates the policy count and
+// gauges, and compacts if due. A failed append changes nothing, so memory
+// never runs ahead of the store. Caller holds s's write lock.
 func (c *Catalog) commit(s *shard, rec walRecord, payload []byte, p *policy) error {
-	if payload == nil {
-		rec.Seq = s.seq + 1
-		var err error
-		if payload, err = json.Marshal(rec); err != nil {
-			return fmt.Errorf("catalog: encoding WAL record: %w", err)
-		}
-	}
 	if err := s.store.Append(payload); err != nil {
 		return fmt.Errorf("%w: %w", ErrStorage, err)
 	}

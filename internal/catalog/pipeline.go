@@ -99,6 +99,9 @@ func (c *Catalog) mutate(ctx context.Context, rec walRecord, set *constraint.Set
 		return PolicyInfo{}, err
 	}
 	s := c.shardFor(rec.Name)
+	// The record is encoded before the lock; only its sequence number is
+	// written under it.
+	buf := encodeRecord(rec)
 	var p *policy
 	var info PolicyInfo
 	// The locked section runs in a closure with a deferred unlock so that
@@ -128,7 +131,8 @@ func (c *Catalog) mutate(ctx context.Context, rec walRecord, set *constraint.Set
 				return err
 			}
 		}
-		if err := c.commit(s, rec, nil, p); err != nil {
+		rec.Seq = s.seq + 1
+		if err := c.commit(s, rec, sequenced(buf, rec.Seq), p); err != nil {
 			return err
 		}
 		if opt.SeqOut != nil {

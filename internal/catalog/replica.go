@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -59,8 +58,8 @@ func (c *Catalog) ApplyRecord(shardID int, payload []byte) (uint64, error) {
 	if shardID < 0 || shardID >= len(c.shards) {
 		return 0, fmt.Errorf("catalog: apply: no shard %d", shardID)
 	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return 0, fmt.Errorf("catalog: apply: decoding record: %w", err)
 	}
 	s := c.shards[shardID]

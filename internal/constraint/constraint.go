@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"minup/internal/graph"
 	"minup/internal/lattice"
@@ -147,9 +148,50 @@ func (s *Set) AddAttr(name string) (Attr, error) {
 // already stored with the others still parses; producers of new text check
 // TextName.
 func TextName(name string) bool {
-	return name != "" && name != "attrs" && !strings.HasPrefix(name, "#") && !strings.Contains(name, ">=") &&
-		!strings.ContainsAny(name, "(),") && !strings.ContainsFunc(name, unicode.IsSpace)
+	if name == "" || name == "attrs" || name[0] == '#' {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case nameClass[c]&nameBreak != 0:
+			return false
+		case c == '>' && i+1 < len(name) && name[i+1] == '=':
+			return false
+		case nameClass[c]&nameSpaceLead != 0:
+			if r, _ := utf8.DecodeRuneInString(name[i:]); unicode.IsSpace(r) {
+				return false
+			}
+		}
+	}
+	return true
 }
+
+// The classes of a name's bytes, so that TextName and declare check a name
+// in one pass.
+const (
+	// nameReserved marks the bytes declare refuses: ( ) , space and tab.
+	nameReserved = 1 << iota
+	// nameBreak marks the ASCII bytes the policy text cannot carry inside
+	// a name: ( ) , and the ASCII white space.
+	nameBreak
+	// nameSpaceLead marks the first byte of every non-ASCII rune that
+	// unicode.IsSpace accepts: 0xC2 (U+0085, U+00A0), 0xE1 (U+1680), 0xE2
+	// (U+2000 to U+205F) and 0xE3 (U+3000).
+	nameSpaceLead
+)
+
+var nameClass = func() (t [256]uint8) {
+	for _, c := range []byte("(), \t") {
+		t[c] |= nameReserved
+	}
+	for _, c := range []byte("(),\t\n\v\f\r ") {
+		t[c] |= nameBreak
+	}
+	for _, c := range []byte{0xc2, 0xe1, 0xe2, 0xe3} {
+		t[c] |= nameSpaceLead
+	}
+	return t
+}()
 
 // declare adds a name that is not declared yet as a new attribute.
 // checkLevel is false only when the caller has just failed to parse name
@@ -161,8 +203,10 @@ func (s *Set) declare(name string, checkLevel bool) (Attr, error) {
 	if name == "" {
 		return 0, fmt.Errorf("constraint: empty attribute name")
 	}
-	if strings.ContainsAny(name, "(), \t") {
-		return 0, fmt.Errorf("constraint: attribute name %q contains reserved characters", name)
+	for i := 0; i < len(name); i++ {
+		if nameClass[name[i]]&nameReserved != 0 {
+			return 0, fmt.Errorf("constraint: attribute name %q contains reserved characters", name)
+		}
 	}
 	if checkLevel {
 		if _, ok := s.lat.Lookup(name); ok {

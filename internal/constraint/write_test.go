@@ -3,6 +3,7 @@ package constraint
 import (
 	"strings"
 	"testing"
+	"unicode"
 
 	"minup/internal/lattice"
 )
@@ -156,6 +157,41 @@ func TestTextName(t *testing.T) {
 	for _, name := range []string{"", "a b", "a\tb", "f(x)", "a,b"} {
 		if TextName(name) {
 			t.Errorf("TextName(%q) = true for a name AddAttr refuses", name)
+		}
+	}
+}
+
+// textNameBefore is TextName as it was written before its byte table.
+func textNameBefore(name string) bool {
+	return name != "" && name != "attrs" && !strings.HasPrefix(name, "#") && !strings.Contains(name, ">=") &&
+		!strings.ContainsAny(name, "(),") && !strings.ContainsFunc(name, unicode.IsSpace)
+}
+
+// TestTextNameMatchesStringsForm: TextName's one pass over its byte table
+// accepts exactly what the strings functions accepted, on ASCII and
+// non-ASCII white space, invalid UTF-8, a leading '#', ">=" and "attrs",
+// and on every rune between two letters; declare refuses exactly the names
+// holding one of "(), \t".
+func TestTextNameMatchesStringsForm(t *testing.T) {
+	names := []string{
+		"", "a", "attrs", "attrs2", "#", "#a", "a#", ">=", "a>=b", "a>", ">", "=", "a=>b", "a>b=",
+		"a b", "a\tb", "a\nb", "a\vb", "a\fb", "a\rb", "(", ")", ",", "a(b", "a)b", "a,b",
+		"a\xc2\x85b", "a\xc2\xa0b", "a\xe2\x80\xa8b", "a\xe3\x80\x80b", "a\xe1\x9a\x80b", "\xe2\x80\x8a",
+		"a\xc2b", "a\xc2", "\xc2\x85", "\x85", "a\xe2\x80b", "\xe2\x80", "\xff", "a\xed\xa0\x80b", "\xc3\xa9",
+	}
+	lat := chain4(t)
+	for _, name := range names {
+		if got, want := TextName(name), textNameBefore(name); got != want {
+			t.Errorf("TextName(%q) = %v, the strings form says %v", name, got, want)
+		}
+		_, err := NewSet(lat).declare(name, false)
+		if refused, want := err != nil, name == "" || strings.ContainsAny(name, "(), \t"); refused != want {
+			t.Errorf("declare(%q) refused: %v, want %v (%v)", name, refused, want, err)
+		}
+	}
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if name := "a" + string(r) + "b"; TextName(name) != textNameBefore(name) {
+			t.Errorf("TextName(%q) = %v, the strings form says otherwise", name, TextName(name))
 		}
 	}
 }

@@ -76,7 +76,10 @@ func FuzzDepinfCompile(f *testing.F) {
 
 // FuzzDepinfParse checks Parse's one-pass reader against encoding/json,
 // the decoder it replaced: a Decoder with DisallowUnknownFields into a
-// Relation, then Validate. Whatever Parse accepts, the reference accepts
+// Relation, then Validate. The codec under the reader, strings and escapes
+// included, is fuzzed on its own by jsoncodec's FuzzDecoder; this target
+// checks the instance's layout on top of it: its fields, nulls, nesting
+// and the premises' shared slice. Whatever Parse accepts, the reference accepts
 // too, as an equal instance. Whatever the reference accepts, Parse accepts
 // as well unless the input uses one of the reader's two deliberate
 // refusals: a key given twice in one object or a field spelled other than

@@ -37,8 +37,6 @@
 package suppress
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -47,6 +45,7 @@ import (
 
 	"minup/internal/constraint"
 	"minup/internal/frontend"
+	"minup/internal/jsoncodec"
 	"minup/internal/lattice"
 )
 
@@ -147,9 +146,52 @@ func (t *Table) Validate() error {
 // cellName is the attribute name of cell (i,j) in the compiled text.
 func cellName(i, j int) string { return "r" + strconv.Itoa(i) + "c" + strconv.Itoa(j) }
 
-// cellOf reports the cell whose attribute name s is, if s is one.
+// cellNameLen is len(cellName(i, j)).
+func cellNameLen(i, j int) int { return len("rc") + digits(i) + digits(j) }
+
+// digits is the length of the decimal form of n >= 0.
+func digits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
+}
+
+// cellNames is every cell name of a rows×cols table, row-major, in one
+// string.
+func cellNames(rows, cols int) string {
+	size := 0
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			size += cellNameLen(i, j)
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var name [2*20 + len("rc")]byte
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			n := strconv.AppendInt(append(name[:0], 'r'), int64(i), 10)
+			b.Write(strconv.AppendInt(append(n, 'c'), int64(j), 10))
+		}
+	}
+	return b.String()
+}
+
+// cellOf reports the cell whose attribute name s is, if s is one: s is
+// cellName(i, j) for some i, j >= 0.
 func cellOf(s string) (i, j int, ok bool) {
-	if n, _ := fmt.Sscanf(s, "r%dc%d", &i, &j); n != 2 || i < 0 || j < 0 {
+	rest, found := strings.CutPrefix(s, "r")
+	row, col, found2 := strings.Cut(rest, "c")
+	if !found || !found2 {
+		return 0, 0, false
+	}
+	i, err := strconv.Atoi(row)
+	if err != nil || i < 0 {
+		return 0, 0, false
+	}
+	if j, err = strconv.Atoi(col); err != nil || j < 0 {
 		return 0, 0, false
 	}
 	return i, j, cellName(i, j) == s
@@ -224,22 +266,85 @@ func (Frontend) Describe() string {
 	return "2-D cross-tab cell suppression with published marginals (Kao): complementary suppression as connectivity constraints"
 }
 
+var (
+	tableFields = []string{"name", "levels", "rows", "cols", "sensitive"}
+	cellFields  = []string{"row", "col", "level"}
+)
+
 // Parse implements frontend.Frontend. The instance is one JSON object and
-// nothing after it but white space.
+// nothing after it but white space, read with internal/jsoncodec: a field
+// it does not name, or one given twice or spelled in another letter case,
+// is refused, and null is taken wherever encoding/json takes it. The
+// levels are substrings of one copy of data; the name, which a stored
+// policy may keep, is copied out on its own.
 func (Frontend) Parse(data []byte) (frontend.Instance, error) {
-	var t Table
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
+	t := new(Table)
+	d := jsoncodec.NewDecoder(string(data))
+	var err error
+	if !d.Null() {
+		err = decodeTable(&d, t)
+	}
+	if err == nil {
+		err = d.Finish("instance")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("suppress: decoding instance: %w", err)
 	}
-	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
-		return nil, fmt.Errorf("suppress: decoding instance: offset %d: data after the instance", len(data)-len(rest))
-	}
+	t.Name = strings.Clone(t.Name)
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return &t, nil
+	return t, nil
+}
+
+// decodeTable reads the instance object into t.
+func decodeTable(d *jsoncodec.Decoder, t *Table) error {
+	return d.Object(tableFields, func(i int) (err error) {
+		if d.Null() {
+			return nil
+		}
+		switch i {
+		case 0:
+			t.Name, err = d.Str()
+		case 1:
+			t.Levels, err = d.Strings(nil)
+		case 2:
+			t.Rows, err = d.Int()
+		case 3:
+			t.Cols, err = d.Int()
+		default:
+			t.Sensitive = []Cell{}
+			err = d.Array(func() error {
+				var c Cell
+				if !d.Null() {
+					if err := decodeCell(d, &c); err != nil {
+						return err
+					}
+				}
+				t.Sensitive = append(t.Sensitive, c)
+				return nil
+			})
+		}
+		return err
+	})
+}
+
+// decodeCell reads one sensitive cell's object into c.
+func decodeCell(d *jsoncodec.Decoder, c *Cell) error {
+	return d.Object(cellFields, func(i int) (err error) {
+		if d.Null() {
+			return nil
+		}
+		switch i {
+		case 0:
+			c.Row, err = d.Int()
+		case 1:
+			c.Col, err = d.Int()
+		default:
+			c.Level, err = d.Str()
+		}
+		return err
+	})
 }
 
 // Generate implements frontend.Frontend: size scales the grid (size×size+1
@@ -266,18 +371,20 @@ func (Frontend) Compile(inst frontend.Instance) (*frontend.Compiled, error) {
 		return nil, err
 	}
 	// Each cell's name, once, in row-major and in column-major order, so
-	// every row and every column is one window.
+	// every row and every column is one window. The names are substrings
+	// of one string holding them all, row-major.
+	names := cellNames(t.Rows, t.Cols)
 	rows := make([]string, t.Rows*t.Cols)
 	cols := make([]string, t.Rows*t.Cols)
-	size := len("attrs\n")
-	for i := 0; i < t.Rows; i++ {
+	for i, at := 0, 0; i < t.Rows; i++ {
 		for j := 0; j < t.Cols; j++ {
-			n := cellName(i, j)
+			n := names[at : at+cellNameLen(i, j)]
+			at += len(n)
 			rows[i*t.Cols+j] = n
 			cols[j*t.Rows+i] = n
-			size += len(n) + 1
 		}
 	}
+	size := len("attrs\n") + len(names) + len(rows)
 	var b strings.Builder
 	// A sensitive cell's lines name about one row and one column of cells.
 	b.Grow(size + len(t.Sensitive)*(size/t.Rows+size/t.Cols)*3/2)

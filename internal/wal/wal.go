@@ -44,6 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"minup/internal/fault"
@@ -67,12 +68,14 @@ var ErrFrameCorrupt = errors.New("wal: corrupt frame")
 // followed by the payload) and returns the framed bytes. The same encoding
 // backs Log.Append and the cluster replication stream, so a frame produced
 // here is byte-identical to one on disk.
-func EncodeFrame(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf
+func EncodeFrame(payload []byte) []byte { return appendFrame(nil, payload) }
+
+// appendFrame appends payload's frame to dst, growing it at most once.
+func appendFrame(dst, payload []byte) []byte {
+	dst = slices.Grow(dst, headerSize+len(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // WriteFrame frames payload and writes it to w in a single Write call,
@@ -173,7 +176,14 @@ type Log struct {
 	path string
 	opt  Options
 	size int64 // current valid end offset
+	// frame is the buffer Append frames each record in, kept across
+	// appends up to maxKeptFrame bytes.
+	frame []byte
 }
+
+// maxKeptFrame bounds the frame buffer a Log keeps between appends, so one
+// outsized record does not stay allocated for the life of the log.
+const maxKeptFrame = 1 << 20
 
 // Open opens (creating if absent) the log at path, replays every intact
 // record through apply in write order, truncates any torn tail, and leaves
@@ -264,7 +274,10 @@ func (l *Log) Append(rec []byte) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	start := time.Now()
-	buf := EncodeFrame(rec)
+	buf := appendFrame(l.frame[:0], rec)
+	if cap(buf) <= maxKeptFrame {
+		l.frame = buf
+	}
 	if _, err := l.f.Write(buf); err != nil {
 		// Best effort: cut back to the last known-good frame so a partial
 		// write does not poison later appends.

@@ -277,3 +277,24 @@ func TestWriteAtomic(t *testing.T) {
 		t.Fatalf("directory has %d entries, want 1", len(entries))
 	}
 }
+
+// TestAppendReusesFrameBuffer: once its frame buffer has grown, Append
+// frames each record in it and allocates nothing.
+func TestAppendReusesFrameBuffer(t *testing.T) {
+	l, _, err := Open(filepath.Join(t.TempDir(), "log"), Options{Sync: SyncNever}, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := bytes.Repeat([]byte(`{"seq":1}`), 100)
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append allocates %v times per record, want 0", n)
+	}
+}

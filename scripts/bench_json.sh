@@ -6,8 +6,9 @@
 # parse and compile to
 # policy text, the policy-text parse every put, append and replay pays,
 # the clone and one-line parse every append stages on every node,
-# the compile and compile + cold solve every refreshed version pays, and
-# compile + repair of the same version — and
+# the compile and compile + cold solve every refreshed version pays,
+# compile + repair of the same version, and the JSON codec's rungs: a PUT
+# body's read and decode, and a WAL record's encode and decode — and
 # write the measurements as machine-readable JSON (default
 # BENCH_solve.json), seeding the perf trajectory CI keeps as an artifact.
 #
@@ -22,8 +23,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled)$' \
-  -benchmem -count 1 . ./cmd/minupd | tee "$tmp"
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled|BenchmarkPolicyBody|BenchmarkWALRecord)$' \
+  -benchmem -count 1 . ./cmd/minupd ./internal/catalog | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
 # `go test -bench` lines are "Name-N  iters  ns/op  B/op  allocs/op".
@@ -44,7 +45,9 @@ for want in BenchmarkSolveFresh BenchmarkSolveCompiled BenchmarkSolveCompiledSta
             BenchmarkFrontendCompile/suppress BenchmarkFrontendCompile/depinf \
             BenchmarkProblemParse/suppress BenchmarkProblemParse/depinf \
             BenchmarkParsePolicy/paper BenchmarkParsePolicy/suppress BenchmarkParsePolicy/depinf BenchmarkAppendStage \
-            BenchmarkCompile BenchmarkRefresh BenchmarkRepairCompiled; do
+            BenchmarkCompile BenchmarkRefresh BenchmarkRepairCompiled BenchmarkPolicyBody \
+            BenchmarkWALRecord/encode/paper BenchmarkWALRecord/encode/suppress BenchmarkWALRecord/encode/depinf \
+            BenchmarkWALRecord/decode/paper BenchmarkWALRecord/decode/suppress BenchmarkWALRecord/decode/depinf; do
   if ! grep -q "\"$want\"" "$out"; then
     echo "bench_json: $want missing from $out" >&2
     exit 1
