@@ -1,4 +1,9 @@
-# Developer entry points. `make ci` is what the CI workflow runs.
+# Developer entry points. `make ci` runs the CI test job's vet, format,
+# race-detector, shuffled-order and perfbench-module steps. It leaves out
+# that job's shard matrix (`make shard-matrix`), one-iteration benchmark
+# smoke and `make bench-json`, and the chaos, fuzz-smoke, slo-smoke,
+# smoke, load-smoke, cluster-smoke and bench-trend jobs, which each have a
+# target below.
 
 GO ?= go
 
@@ -23,7 +28,10 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench is its own module, which `./...` never builds.
 ci: vet fmt-check race
+	$(GO) test -shuffle=on ./...
+	cd perfbench && $(GO) vet . && $(GO) test -short .
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -24,12 +24,14 @@ import (
 	"testing"
 
 	"minup/internal/baseline"
+	"minup/internal/catalog"
 	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/frontend/depinf"
 	"minup/internal/frontend/suppress"
 	"minup/internal/lattice"
 	"minup/internal/poset"
+	"minup/internal/wal"
 	"minup/internal/workload"
 )
 
@@ -171,7 +173,7 @@ func BenchmarkVsQian(b *testing.B) {
 	})
 	b.Run("qian", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := baseline.Qian(s); err != nil {
+			if _, err := baseline.Qian(context.Background(), s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -517,22 +519,22 @@ func BenchmarkCatalogServe(b *testing.B) {
 	if _, err := set.WriteTo(&text); err != nil {
 		b.Fatal(err)
 	}
-	cat, err := OpenCatalog(CatalogOptions{})
+	cat, err := catalog.Open(catalog.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
 	// A waited Put leaves the cache warm deterministically.
-	if _, err := cat.Put(ctx, "bench", "chain mil\nlevels U C S TS\n", text.String(), PolicyUnconditional, PolicyMutateOptions{Wait: true}); err != nil {
+	if _, err := cat.Put(ctx, "bench", "chain mil\nlevels U C S TS\n", text.String(), catalog.Unconditional, catalog.MutateOptions{Wait: true}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := cat.Serve(ctx, "bench", PolicySolveOptions{}); err != nil {
+	if _, err := cat.Serve(ctx, "bench", catalog.SolveOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := cat.Serve(ctx, "bench", PolicySolveOptions{})
+		res, err := cat.Serve(ctx, "bench", catalog.SolveOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -553,20 +555,20 @@ func BenchmarkCatalogMutate(b *testing.B) {
 		benchLat  = "chain mil\nlevels U C S TS\n"
 		benchCons = "attrs salary rank\nsalary >= rank\nrank >= S\n"
 	)
-	cat, err := OpenCatalog(CatalogOptions{Shards: 1, SnapshotEvery: -1})
+	cat, err := catalog.Open(catalog.Options{Shards: 1, SnapshotEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cat.Close()
 	ctx := context.Background()
-	wait := PolicyMutateOptions{Wait: true}
+	wait := catalog.MutateOptions{Wait: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cat.Put(ctx, "bench", benchLat, benchCons, PolicyUnconditional, wait); err != nil {
+		if _, err := cat.Put(ctx, "bench", benchLat, benchCons, catalog.Unconditional, wait); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cat.Append(ctx, "bench", "bonus >= salary\n", PolicyUnconditional, wait); err != nil {
+		if _, err := cat.Append(ctx, "bench", "bonus >= salary\n", catalog.Unconditional, wait); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -588,9 +590,9 @@ func BenchmarkCatalogMutateParallel(b *testing.B) {
 	)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cat, err := OpenCatalog(CatalogOptions{
+			cat, err := catalog.Open(catalog.Options{
 				Dir:           b.TempDir(),
-				Sync:          WALSyncNever,
+				Sync:          wal.SyncNever,
 				Shards:        shards,
 				SnapshotEvery: -1,
 			})
@@ -609,18 +611,18 @@ func BenchmarkCatalogMutateParallel(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				name := fmt.Sprintf("w%03d", ids.Add(1))
-				if _, err := cat.Put(ctx, name, benchLat, benchCons, PolicyUnconditional); err != nil {
+				if _, err := cat.Put(ctx, name, benchLat, benchCons, catalog.Unconditional); err != nil {
 					b.Fatal(err)
 				}
 				for i := 0; pb.Next(); i++ {
 					if i%32 == 31 {
-						if _, err := cat.Put(ctx, name, benchLat, benchCons, PolicyUnconditional); err != nil {
+						if _, err := cat.Put(ctx, name, benchLat, benchCons, catalog.Unconditional); err != nil {
 							b.Fatal(err)
 						}
 						continue
 					}
 					line := fmt.Sprintf("x%02d >= C\n", i%32)
-					if _, err := cat.Append(ctx, name, line, PolicyUnconditional); err != nil {
+					if _, err := cat.Append(ctx, name, line, catalog.Unconditional); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"minup"
+	"minup/internal/obs"
 )
 
 // Admission control for the solve-serving routes: a bounded-concurrency
@@ -39,14 +39,14 @@ type gate struct {
 	queued    atomic.Int64
 	wait      time.Duration
 	draining  *atomic.Bool
-	reg       *minup.MetricsRegistry
+	reg       *obs.Registry
 }
 
 // newGate sizes the admission gate. maxInflight is clamped to at least 1;
 // maxQueue may be 0 (no waiting — excess load sheds instantly). The shed
 // counter and queue gauge are registered eagerly so a scrape sees them
 // before the first overload.
-func newGate(maxInflight, maxQueue int, wait time.Duration, draining *atomic.Bool, reg *minup.MetricsRegistry) *gate {
+func newGate(maxInflight, maxQueue int, wait time.Duration, draining *atomic.Bool, reg *obs.Registry) *gate {
 	if maxInflight < 1 {
 		maxInflight = 1
 	}

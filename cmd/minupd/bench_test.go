@@ -11,8 +11,10 @@ import (
 	"strings"
 	"testing"
 
-	"minup"
+	"minup/internal/catalog"
 	"minup/internal/frontend/depinf"
+	"minup/internal/obs"
+	"minup/internal/workload"
 )
 
 // BenchmarkHTTPPolicySolve measures a memo hit of GET
@@ -23,13 +25,13 @@ import (
 // BenchmarkCatalogServe, on the 48-attribute paper-shaped policy
 // GeneratePolicyFamily("paper", 1, 8) builds.
 func BenchmarkHTTPPolicySolve(b *testing.B) {
-	fi, err := minup.GeneratePolicyFamily("paper", 1, 8)
+	fi, err := workload.GenerateFamily("paper", 1, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := defaultConfig()
-	reg := minup.NewMetricsRegistry()
-	cat, err := minup.OpenCatalog(minup.CatalogOptions{Metrics: reg, Flight: cfg.flight})
+	reg := obs.NewRegistry()
+	cat, err := catalog.Open(catalog.Options{Metrics: reg, Flight: cfg.flight})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func BenchmarkHTTPPolicySolve(b *testing.B) {
 	h := newServer(cat, reg, cfg).routes(slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	// A waited Put leaves the version solved, so every read is a hit.
 	if _, err := cat.Put(context.Background(), "bench", fi.Lattice, fi.Constraints,
-		minup.PolicyUnconditional, minup.PolicyMutateOptions{Wait: true}); err != nil {
+		catalog.Unconditional, catalog.MutateOptions{Wait: true}); err != nil {
 		b.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/policies/bench/solve", nil)
@@ -70,17 +72,17 @@ func BenchmarkSolveBody(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cat, err := minup.OpenCatalog(minup.CatalogOptions{})
+	cat, err := catalog.Open(catalog.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer cat.Close()
 	ctx := context.Background()
 	if _, err := cat.Put(ctx, rel.Name, c.LatticeText, c.ConstraintText,
-		minup.PolicyUnconditional, minup.PolicyMutateOptions{Wait: true}); err != nil {
+		catalog.Unconditional, catalog.MutateOptions{Wait: true}); err != nil {
 		b.Fatal(err)
 	}
-	res, err := cat.Serve(ctx, rel.Name, minup.PolicySolveOptions{})
+	res, err := cat.Serve(ctx, rel.Name, catalog.SolveOptions{})
 	if err != nil || res.Info.Attrs != 504 {
 		b.Fatalf("serve: %d attributes, err %v", res.Info.Attrs, err)
 	}
@@ -99,7 +101,7 @@ var bodySink []byte
 // texts: decodePolicyBody's bounded read and decode of the body, on
 // perfbench's cold_create paper policy (402 attributes, a 35 KB body).
 func BenchmarkPolicyBody(b *testing.B) {
-	fi, err := minup.GeneratePolicyFamily("paper", 1, 67)
+	fi, err := workload.GenerateFamily("paper", 1, 67)
 	if err != nil {
 		b.Fatal(err)
 	}

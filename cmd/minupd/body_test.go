@@ -8,7 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"minup"
+	"minup/internal/catalog"
 )
 
 // TestPolicyBodyStringsOwnTheirBytes: the texts a PUT decodes become the
@@ -33,12 +33,12 @@ func TestPolicyBodyStringsOwnTheirBytes(t *testing.T) {
 		if !strings.Contains(req.Lattice, "\n") {
 			continue
 		}
-		cat, err := minup.OpenCatalog(minup.CatalogOptions{})
+		cat, err := catalog.Open(catalog.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cat.Close()
-		if _, err := cat.Put(context.Background(), "p", req.Lattice, req.Constraints, minup.PolicyUnconditional); err != nil {
+		if _, err := cat.Put(context.Background(), "p", req.Lattice, req.Constraints, catalog.Unconditional); err != nil {
 			t.Fatal(err)
 		}
 		info, err := cat.Get("p")

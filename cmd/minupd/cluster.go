@@ -23,17 +23,20 @@ import (
 	"strings"
 	"time"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/cluster"
+	"minup/internal/fault"
+	"minup/internal/obs"
 )
 
 // clusterConfig carries the -cluster-* flags into the server.
 type clusterConfig struct {
-	node          *minup.ClusterNode
+	node          *cluster.Node
 	maxReplicaLag int64 // /readyz threshold; negative disables the check
 }
 
 // parseClusterPeers parses "1=127.0.0.1:7001,2=127.0.0.1:7002" into the
-// peer map handed to OpenClusterNode.
+// peer map handed to cluster.Open.
 func parseClusterPeers(spec string) (map[int]string, error) {
 	peers := make(map[int]string)
 	for _, part := range strings.Split(spec, ",") {
@@ -72,7 +75,7 @@ func (s *server) clusterWriteGate(w http.ResponseWriter, r *http.Request) bool {
 	switch {
 	case err == nil:
 		return true
-	case errors.Is(err, minup.ErrClusterNotLeader) && leaderHTTP != "":
+	case errors.Is(err, cluster.ErrNotLeader) && leaderHTTP != "":
 		s.reg.Counter("cluster.http.redirects").Inc()
 		w.Header().Set("X-Cluster-Leader", leaderHTTP)
 		http.Redirect(w, r, leaderHTTP+r.URL.RequestURI(), http.StatusTemporaryRedirect)
@@ -102,12 +105,12 @@ func (s *server) clusterBarrier(ctx context.Context, w http.ResponseWriter, r *h
 		ri.errText = err.Error()
 	}
 	switch {
-	case errors.Is(err, minup.ErrClusterNoQuorum):
+	case errors.Is(err, cluster.ErrNoQuorum):
 		w.Header().Set("X-Cluster-State", "no-quorum")
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "mutation durable on the leader but not yet replicated to a majority: "+err.Error(),
 			http.StatusServiceUnavailable)
-	case errors.Is(err, minup.ErrClusterNotLeader), errors.Is(err, minup.ErrClusterNoLeader):
+	case errors.Is(err, cluster.ErrNotLeader), errors.Is(err, cluster.ErrNoLeader):
 		// Leadership was lost between the local append and the ack; the
 		// record either commits via the next leader or is overwritten by its
 		// snapshot. Either way this node cannot vouch for it.
@@ -155,7 +158,7 @@ type clusterLoadHints struct {
 // (role, term, lease, per-peer lag, catalog fingerprint) plus the local
 // load hints.
 type clusterStatusResponse struct {
-	minup.ClusterStatus
+	cluster.Status
 	Load clusterLoadHints `json:"load"`
 }
 
@@ -169,7 +172,7 @@ func (s *server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, clusterStatusResponse{
-		ClusterStatus: node.Status(),
+		Status: node.Status(),
 		Load: clusterLoadHints{
 			Inflight:    s.gate.inflight(),
 			MaxInflight: s.gate.capacity(),
@@ -181,7 +184,7 @@ func (s *server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 // openCluster boots the replication node from the -cluster-* flag values.
 // Called by main after the catalog is open; the record ring must already be
 // wired into the catalog's OnRecord hook.
-func openCluster(cat *minup.PolicyCatalog, ring *minup.ClusterRecordLog, cf clusterFlags, deps clusterDeps) (*minup.ClusterNode, error) {
+func openCluster(cat *catalog.Catalog, ring *cluster.RecordLog, cf clusterFlags, deps clusterDeps) (*cluster.Node, error) {
 	peers, err := parseClusterPeers(cf.peers)
 	if err != nil {
 		return nil, fmt.Errorf("-cluster-peers: %w", err)
@@ -193,7 +196,7 @@ func openCluster(cat *minup.PolicyCatalog, ring *minup.ClusterRecordLog, cf clus
 	if addr == "" {
 		addr = peers[cf.nodeID]
 	}
-	return minup.OpenClusterNode(minup.ClusterOptions{
+	return cluster.Open(cluster.Options{
 		ID:       cf.nodeID,
 		Addr:     addr,
 		Peers:    peers,
@@ -226,7 +229,7 @@ func (cf clusterFlags) enabled() bool { return cf.peers != "" || cf.listen != ""
 // into openCluster.
 type clusterDeps struct {
 	dir    string
-	reg    *minup.MetricsRegistry
+	reg    *obs.Registry
 	logger *slog.Logger
-	fault  *minup.FaultInjector
+	fault  *fault.Injector
 }

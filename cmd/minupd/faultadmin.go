@@ -7,7 +7,7 @@ import (
 	"net/http"
 	"strings"
 
-	"minup"
+	"minup/internal/fault"
 )
 
 // faultAdminHandler serves /debug/fault on the loopback debug listener
@@ -17,7 +17,7 @@ import (
 // under live traffic — unarmed fault points cost one atomic load — which is
 // what lets cmd/minload's chaos stages switch faults on and off around a
 // stage without restarting the server.
-func faultAdminHandler(inj *minup.FaultInjector) http.Handler {
+func faultAdminHandler(inj *fault.Injector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:

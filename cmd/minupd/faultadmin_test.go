@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"minup"
+	"minup/internal/fault"
+	"minup/internal/obs"
 )
 
 func faultAdminDo(t *testing.T, h http.Handler, method, body string) *httptest.ResponseRecorder {
@@ -24,7 +25,7 @@ func faultAdminDo(t *testing.T, h http.Handler, method, body string) *httptest.R
 }
 
 func TestFaultAdminRearmAndSnapshot(t *testing.T) {
-	inj := minup.NewFaultInjector(1)
+	inj := fault.New(1)
 	h := faultAdminHandler(inj)
 
 	// Fresh injector: unarmed, no rules.
@@ -91,7 +92,7 @@ func TestMetricsBuildInfoAndUptime(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", rec.Code)
 	}
-	var snap minup.MetricsSnapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}

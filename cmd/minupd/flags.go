@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"minup"
+	"minup/internal/fault"
+	"minup/internal/obs"
+	"minup/internal/wal"
 )
 
 // options is what main runs with: the serving config newServer takes, plus
@@ -16,7 +18,7 @@ type options struct {
 	config
 	dataDir, addr, debugAddr, faultSpec, dumpDir string
 
-	walSync    minup.WALSyncPolicy
+	walSync    wal.SyncPolicy
 	shards     int
 	faultAdmin bool
 	peers      clusterFlags
@@ -58,9 +60,9 @@ func parseFlags(args []string) (options, error) {
 
 	switch *fsyncPolicy {
 	case "always":
-		o.walSync = minup.WALSyncAlways
+		o.walSync = wal.SyncAlways
 	case "never":
-		o.walSync = minup.WALSyncNever
+		o.walSync = wal.SyncNever
 	default:
 		return options{}, fmt.Errorf("unknown -fsync policy %q (want always or never)", *fsyncPolicy)
 	}
@@ -71,20 +73,20 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.faultSpec != "" {
 		var err error
-		if o.fault, err = minup.ParseFaultSpec(o.faultSpec, *faultSeed); err != nil {
+		if o.fault, err = fault.ParseSpec(o.faultSpec, *faultSeed); err != nil {
 			return options{}, err
 		}
 	} else if o.faultAdmin {
 		// An installed-but-unarmed injector costs one atomic load per fault
 		// point, so -fault-admin can keep it resident for later rearming.
-		o.fault = minup.NewFaultInjector(*faultSeed)
+		o.fault = fault.New(*faultSeed)
 	}
 	if *sloSpec != "" {
-		specs, err := minup.ParseSLOSpecs(*sloSpec)
+		specs, err := obs.ParseSLOSpecs(*sloSpec)
 		if err != nil {
 			return options{}, err
 		}
-		o.slo = minup.NewSLOTracker(specs...)
+		o.slo = obs.NewSLOTracker(specs...)
 	}
 	if o.dumpDir == "auto" {
 		o.dumpDir = filepath.Join("artifacts", "anomalies")
@@ -92,7 +94,7 @@ func parseFlags(args []string) (options, error) {
 			o.dumpDir = filepath.Join(o.dataDir, "anomalies")
 		}
 	}
-	o.flight = minup.NewFlightRecorder(minup.FlightOptions{
+	o.flight = obs.NewFlightRecorder(obs.FlightOptions{
 		Size:          *flightSize,
 		DumpDir:       o.dumpDir,
 		DumpCapBytes:  *flightDumpCap,

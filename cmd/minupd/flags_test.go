@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"minup"
+	"minup/internal/wal"
 )
 
 // TestParseFlags covers minupd's command line: no arguments give today's
@@ -40,7 +40,7 @@ func TestParseFlags(t *testing.T) {
 				o.solveTimeout != def.solveTimeout || o.cluster.maxReplicaLag != def.cluster.maxReplicaLag {
 				t.Fatalf("serving knobs %+v differ from defaultConfig %+v", o.config, def)
 			}
-			if o.addr != ":8080" || o.debugAddr != "127.0.0.1:6060" || o.walSync != minup.WALSyncAlways ||
+			if o.addr != ":8080" || o.debugAddr != "127.0.0.1:6060" || o.walSync != wal.SyncAlways ||
 				o.dumpDir != filepath.Join("artifacts", "anomalies") {
 				t.Fatalf("process wiring = %+v", o)
 			}

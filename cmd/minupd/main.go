@@ -179,7 +179,11 @@ import (
 	"syscall"
 	"time"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/cluster"
+	"minup/internal/core"
+	"minup/internal/fault"
+	"minup/internal/frontend"
 	"minup/internal/obs"
 )
 
@@ -190,13 +194,13 @@ type config struct {
 	maxQueue     int
 	queueWait    time.Duration
 	solveTimeout time.Duration
-	fault        *minup.FaultInjector
+	fault        *fault.Injector
 	// flight and slo are the always-on observability layer: the flight
 	// recorder behind /debug/requests and the per-route burn-rate tracker.
 	// Either may be nil (single-handler unit tests), which just disables
 	// that layer.
-	flight *minup.FlightRecorder
-	slo    *minup.SLOTracker
+	flight *obs.FlightRecorder
+	slo    *obs.SLOTracker
 	// cluster is the replication wiring (-cluster-* flags): nil node when
 	// minupd runs standalone.
 	cluster clusterConfig
@@ -207,18 +211,18 @@ type config struct {
 const defaultSLOSpec = "policy.solve:p99=250ms,avail=99.9"
 
 func defaultConfig() config {
-	slo, err := minup.ParseSLOSpecs(defaultSLOSpec)
+	slo, err := obs.ParseSLOSpecs(defaultSLOSpec)
 	if err != nil {
 		panic("minupd: default SLO spec does not parse: " + err.Error())
 	}
-	tracker := minup.NewSLOTracker(slo...)
+	tracker := obs.NewSLOTracker(slo...)
 	return config{
 		maxInflight:  64,
 		maxQueue:     128,
 		queueWait:    100 * time.Millisecond,
 		solveTimeout: 2 * time.Second,
 		slo:          tracker,
-		flight:       minup.NewFlightRecorder(minup.FlightOptions{SLO: tracker}),
+		flight:       obs.NewFlightRecorder(obs.FlightOptions{SLO: tracker}),
 		cluster:      clusterConfig{maxReplicaLag: 1024},
 	}
 }
@@ -239,7 +243,7 @@ func main() {
 		http.Handle("/debug/fault", faultAdminHandler(o.fault))
 		fmt.Fprintf(os.Stderr, "minupd: CHAOS fault admin enabled on the debug listener (/debug/fault)\n")
 	}
-	reg := minup.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	reg.Publish("minup")
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	// /debug/requests lives on the loopback debug listener next to
@@ -247,7 +251,7 @@ func main() {
 	// latency, anomalies with their dump files, SLO burn rates.
 	http.Handle("/debug/requests", o.flight)
 
-	catOpts := minup.CatalogOptions{
+	catOpts := catalog.Options{
 		Dir:     o.dataDir,
 		Sync:    o.walSync,
 		Metrics: reg,
@@ -257,12 +261,12 @@ func main() {
 	}
 	// Cluster mode: the record ring must observe every durable append, so
 	// it is wired in before the catalog opens.
-	var ring *minup.ClusterRecordLog
+	var ring *cluster.RecordLog
 	if o.peers.enabled() {
-		ring = minup.NewClusterRecordLog(0)
+		ring = cluster.NewRecordLog(0)
 		catOpts.OnRecord = ring.Append
 	}
-	cat, err := minup.OpenCatalog(catOpts)
+	cat, err := catalog.Open(catOpts)
 	if err != nil {
 		fatal(err)
 	}
@@ -391,8 +395,8 @@ func main() {
 }
 
 type server struct {
-	cat      *minup.PolicyCatalog
-	reg      *minup.MetricsRegistry
+	cat      *catalog.Catalog
+	reg      *obs.Registry
 	cfg      config
 	gate     *gate
 	draining atomic.Bool
@@ -405,7 +409,7 @@ type server struct {
 
 // newServer wires a server the way main does, so tests share the exact
 // production admission/degradation path.
-func newServer(cat *minup.PolicyCatalog, reg *minup.MetricsRegistry, cfg config) *server {
+func newServer(cat *catalog.Catalog, reg *obs.Registry, cfg config) *server {
 	s := &server{cat: cat, reg: reg, cfg: cfg, start: time.Now()}
 	s.gate = newGate(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, &s.draining, reg)
 	// Register the degradation counters eagerly so a scrape sees the
@@ -413,7 +417,7 @@ func newServer(cat *minup.PolicyCatalog, reg *minup.MetricsRegistry, cfg config)
 	reg.Counter("solve.degraded")
 	s.reg.Counter("http.panics")
 	s.problemsCreated = make(map[string]*obs.Counter)
-	for _, family := range minup.ProblemFamilies() {
+	for _, family := range frontend.Families() {
 		s.problemsCreated[family] = reg.Counter("problems." + family + ".created")
 	}
 	return s
@@ -488,8 +492,8 @@ func (s *server) solveBudget(query url.Values) time.Duration {
 
 // flightStatsOf compresses the solver stats block into the flight record's
 // compact shape.
-func flightStatsOf(st minup.SolveStats) minup.FlightStats {
-	return minup.FlightStats{
+func flightStatsOf(st core.Stats) obs.FlightStats {
+	return obs.FlightStats{
 		Tries:       st.Tries,
 		FailedTries: st.FailedTries,
 		Collapses:   st.Collapses,
@@ -532,8 +536,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Sessions are created on demand, so the pool gauge tracks peak solve
 	// concurrency; the panic gauge counts sessions discarded by the
 	// recovery guard.
-	s.reg.Gauge("solve.pool.sessions").Set(minup.SessionsAllocated())
-	s.reg.Gauge("solve.panics_recovered").Set(minup.PanicsRecovered())
+	s.reg.Gauge("solve.pool.sessions").Set(core.SessionsAllocated())
+	s.reg.Gauge("solve.panics_recovered").Set(core.PanicsRecovered())
 	s.reg.Gauge("process.uptime_seconds").Set(int64(time.Since(s.start).Seconds()))
 	s.reg.Gauge("runtime.goroutines").Set(int64(runtime.NumGoroutine()))
 	var ms runtime.MemStats

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/fault"
+	"minup/internal/obs"
 )
 
 // newTestServer builds a catalog server with the full middleware stack and
@@ -26,8 +28,8 @@ func newTestServer(t *testing.T) (*server, http.Handler, *strings.Builder) {
 // config's fault injector and flight recorder.
 func newTestServerCfg(t *testing.T, cfg config) (*server, http.Handler, *strings.Builder) {
 	t.Helper()
-	reg := minup.NewMetricsRegistry()
-	cat, err := minup.OpenCatalog(minup.CatalogOptions{Metrics: reg, Flight: cfg.flight, Fault: cfg.fault})
+	reg := obs.NewRegistry()
+	cat, err := catalog.Open(catalog.Options{Metrics: reg, Flight: cfg.flight, Fault: cfg.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ const coldRule = "catalog.compile:cancel:1"
 // and the given extra rules.
 func faultCfg(t *testing.T, rules string) config {
 	t.Helper()
-	inj, err := minup.ParseFaultSpec(coldRule+";"+rules, 1)
+	inj, err := fault.ParseSpec(coldRule+";"+rules, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	var snap minup.MetricsSnapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +249,8 @@ func TestMetricsPreRegisteredBeforeTraffic(t *testing.T) {
 // pool, WAL fsync and SLO series.
 func TestMetricsSamplesDerivedGauges(t *testing.T) {
 	cfg := defaultConfig()
-	reg := minup.NewMetricsRegistry()
-	cat, err := minup.OpenCatalog(minup.CatalogOptions{Dir: t.TempDir(), Metrics: reg, Flight: cfg.flight})
+	reg := obs.NewRegistry()
+	cat, err := catalog.Open(catalog.Options{Dir: t.TempDir(), Metrics: reg, Flight: cfg.flight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestMetricsSamplesDerivedGauges(t *testing.T) {
 	h := newServer(cat, reg, cfg).routes(slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	putWarm(t, h, "fig2")
 
-	var snap minup.MetricsSnapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal(get(t, h, "/metrics").Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"runtime/debug"
 	"time"
 
-	"minup"
+	"minup/internal/obs"
 )
 
 // requestInfo is the per-request mutable record shared between the
@@ -23,7 +23,7 @@ type requestInfo struct {
 	id      string
 	traceID string
 
-	flight *minup.ActiveFlight
+	flight *obs.ActiveFlight
 
 	queueWait     time.Duration
 	shed          bool
@@ -34,7 +34,7 @@ type requestInfo struct {
 	policy        string
 	shard         int
 	errText       string
-	stats         minup.FlightStats
+	stats         obs.FlightStats
 }
 
 type requestInfoKey struct{}
@@ -51,10 +51,10 @@ func infoFrom(ctx context.Context) *requestInfo {
 // recorder and SLO tracker (both optional — nil just disables that layer,
 // which is what unit tests exercising a single handler want).
 type httpObs struct {
-	reg    *minup.MetricsRegistry
+	reg    *obs.Registry
 	logger *slog.Logger
-	flight *minup.FlightRecorder
-	slo    *minup.SLOTracker
+	flight *obs.FlightRecorder
+	slo    *obs.SLOTracker
 }
 
 // statusWriter captures the status code a handler writes so the middleware
@@ -120,7 +120,7 @@ func statusClass(code int) string {
 // Several method patterns may share one route name; the eager registration
 // is get-or-create, so the series are shared too.
 func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
-	hist := o.reg.Histogram("http."+route+".duration_us", minup.DurationBucketsUS)
+	hist := o.reg.Histogram("http."+route+".duration_us", obs.DurationBucketsUS)
 	o.reg.Counter("http." + route + ".status.2xx")
 	inFlight := o.reg.Gauge("http.in_flight")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -145,7 +145,7 @@ func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 				// of this defer.
 				inFlight.Dec()
 				if ri.flight != nil {
-					o.flight.End(ri.flight, minup.FlightRecord{
+					o.flight.End(ri.flight, obs.FlightRecord{
 						Status: 499, Err: "response aborted",
 					})
 				}
@@ -175,7 +175,7 @@ func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 			hist.Observe(uint64(dur.Microseconds()))
 			o.reg.Counter("http." + route + ".status." + statusClass(sw.status)).Inc()
 			if ri.flight != nil {
-				o.flight.End(ri.flight, minup.FlightRecord{
+				o.flight.End(ri.flight, obs.FlightRecord{
 					Status:        sw.status,
 					DurationUS:    dur.Microseconds(),
 					QueueWaitUS:   ri.queueWait.Microseconds(),

@@ -25,8 +25,10 @@ import (
 	"strconv"
 	"strings"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/core"
 	"minup/internal/jsoncodec"
+	"minup/internal/obs"
 )
 
 // maxPolicyBody bounds PUT/POST request bodies; policy source texts are
@@ -44,7 +46,7 @@ type policyRequest struct {
 // cache state plus its version rendered as the ETag a conditional writer
 // would send back.
 type policyIndexEntry struct {
-	minup.PolicyInfo
+	catalog.PolicyInfo
 	ETag string `json:"etag"`
 }
 
@@ -58,15 +60,15 @@ type policyListResponse struct {
 // version, plus refresh_pending when its compile and solve were left to a
 // shard worker (an append without ?wait=1).
 type policyAppendResponse struct {
-	minup.PolicyInfo
+	catalog.PolicyInfo
 	RefreshPending bool `json:"refresh_pending,omitempty"`
 }
 
 // traceResponse is the JSON answer of GET /policies/{name}/trace: one fully
 // instrumented solve and its reconstructed span tree.
 type traceResponse struct {
-	TraceID string         `json:"trace_id"`
-	Spans   minup.SpanNode `json:"spans"`
+	TraceID string       `json:"trace_id"`
+	Spans   obs.SpanNode `json:"spans"`
 }
 
 // etag formats a policy version as a strong entity tag.
@@ -74,12 +76,12 @@ func etag(version uint64) string { return `"` + strconv.FormatUint(version, 10) 
 
 // mutateOptionsFrom reads the ?wait=1 query knob: wait forces the solver
 // refresh to run inline on this request instead of a shard worker.
-func mutateOptionsFrom(r *http.Request) minup.PolicyMutateOptions {
+func mutateOptionsFrom(r *http.Request) catalog.MutateOptions {
 	switch r.URL.Query().Get("wait") {
 	case "1", "true":
-		return minup.PolicyMutateOptions{Wait: true}
+		return catalog.MutateOptions{Wait: true}
 	}
-	return minup.PolicyMutateOptions{}
+	return catalog.MutateOptions{}
 }
 
 // preconditionFrom maps the request's conditional headers to a catalog
@@ -91,11 +93,11 @@ func preconditionFrom(r *http.Request) (int64, error) {
 		if inm != "*" {
 			return 0, fmt.Errorf("If-None-Match only supports *, got %q", inm)
 		}
-		return minup.PolicyMustNotExist, nil
+		return catalog.MustNotExist, nil
 	}
 	im := strings.TrimSpace(r.Header.Get("If-Match"))
 	if im == "" || im == "*" {
-		return minup.PolicyUnconditional, nil
+		return catalog.Unconditional, nil
 	}
 	v, err := strconv.ParseUint(strings.Trim(im, `"`), 10, 63)
 	if err != nil || v == 0 {
@@ -161,23 +163,23 @@ func (s *server) policyError(w http.ResponseWriter, r *http.Request, err error) 
 		ri.errText = err.Error()
 	}
 	switch {
-	case errors.Is(err, minup.ErrPolicyNotFound):
+	case errors.Is(err, catalog.ErrNotFound):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, minup.ErrPolicyExists):
+	case errors.Is(err, catalog.ErrExists):
 		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, minup.ErrPolicyVersionMismatch):
+	case errors.Is(err, catalog.ErrVersionMismatch):
 		http.Error(w, err.Error(), http.StatusPreconditionFailed)
-	case errors.Is(err, minup.ErrUnsolvable):
+	case errors.Is(err, core.ErrUnsolvable):
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-	case errors.Is(err, minup.ErrPolicyStorage):
+	case errors.Is(err, catalog.ErrStorage):
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-	case errors.Is(err, minup.ErrPolicyClosed):
+	case errors.Is(err, catalog.ErrClosed):
 		// The catalog only closes during shutdown; tell the client to go
 		// elsewhere rather than blaming the request.
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, minup.ErrInternal):
+	case errors.Is(err, core.ErrInternal):
 		http.Error(w, "internal solver error", http.StatusInternalServerError)
-	case errors.Is(err, minup.ErrCanceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, core.ErrCanceled), errors.Is(err, context.DeadlineExceeded):
 		if r.Context().Err() != nil {
 			http.Error(w, err.Error(), http.StatusRequestTimeout)
 			return
@@ -225,7 +227,7 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.putPolicy(w, r, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion,
-		func(info minup.PolicyInfo) any { return info })
+		func(info catalog.PolicyInfo) any { return info })
 }
 
 // putPolicy stores a policy's source texts under name once the request
@@ -236,7 +238,7 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 // success writes body(info) under the version's ETag: 201 for a new
 // policy, 200 for a replaced one.
 func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, latticeText, constraintText string,
-	ifVersion int64, body func(minup.PolicyInfo) any) {
+	ifVersion int64, body func(catalog.PolicyInfo) any) {
 	opts := mutateOptionsFrom(r)
 	ctx := r.Context()
 	if opts.Wait {
@@ -284,7 +286,7 @@ func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var opts minup.PolicyMutateOptions
+	var opts catalog.MutateOptions
 	var seq uint64
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
@@ -373,7 +375,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Soft overload: the queue behind us is filling. A cold version gets
 	// the secure baseline at once instead of burning a full solve budget.
-	opt := minup.PolicySolveOptions{Baseline: s.gate.overloaded()}
+	opt := catalog.SolveOptions{Baseline: s.gate.overloaded()}
 	reason := "overload"
 	ri := infoFrom(r.Context())
 	if ri != nil {
@@ -384,13 +386,13 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 			opt.Events = ri.flight.Events()
 		}
 	}
-	var root *minup.Span
+	var root *obs.Span
 	var traceID string
 	if query.Get("trace") == "1" {
-		tr := minup.NewTracer()
+		tr := obs.NewTracer()
 		root = tr.Start("request")
 		traceID = tr.TraceID()
-		ctx = minup.ContextWithSpan(ctx, root)
+		ctx = obs.ContextWithSpan(ctx, root)
 		if ri != nil {
 			ri.traceID = traceID
 			if ri.flight != nil {
@@ -400,11 +402,11 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.cat.Serve(ctx, name, opt)
 	if err != nil && !opt.Baseline && r.Context().Err() == nil &&
-		(errors.Is(err, minup.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)) {
+		(errors.Is(err, core.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// The cold solve missed its deadline: answer with the baseline on a
 		// fresh budget, still abandoned if the client disconnects.
 		reason = "deadline"
-		opt = minup.PolicySolveOptions{Baseline: true}
+		opt = catalog.SolveOptions{Baseline: true}
 		bctx, bcancel := context.WithTimeout(r.Context(), budget)
 		defer bcancel()
 		res, err = s.cat.Serve(bctx, name, opt)
@@ -414,7 +416,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		if opt.Baseline && r.Context().Err() == nil &&
-			!errors.Is(err, minup.ErrPolicyNotFound) && !errors.Is(err, minup.ErrInternal) {
+			!errors.Is(err, catalog.ErrNotFound) && !errors.Is(err, core.ErrInternal) {
 			// No minimal answer and no baseline either (Qian does not
 			// support upper bounds): shed honestly.
 			if ri != nil {
@@ -477,7 +479,7 @@ func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
 		s.policyError(w, r, err)
 		return
 	}
-	tr := minup.NewTracer()
+	tr := obs.NewTracer()
 	root := tr.Start("request")
 	if ri != nil {
 		ri.shard = info.Shard
@@ -485,7 +487,7 @@ func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r.URL.Query()))
 	defer cancel()
-	_, err = minup.SolveContext(minup.ContextWithSpan(ctx, root), compiled, minup.Options{Metrics: s.reg, Fault: s.cfg.fault})
+	_, err = core.SolveContext(obs.ContextWithSpan(ctx, root), compiled, core.Options{Metrics: s.reg, Fault: s.cfg.fault})
 	root.End()
 	if err != nil {
 		s.policyError(w, r, err)
@@ -495,17 +497,17 @@ func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Query().Get("format") {
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		minup.WriteChromeTrace(w, root)
+		obs.WriteChromeTrace(w, root)
 	case "flame":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		minup.WriteFlameSummary(w, root)
+		obs.WriteFlameSummary(w, root)
 	default:
 		writeJSON(w, traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
 	}
 }
 
 // newSolveStats maps the solver's stats block to its JSON shape.
-func newSolveStats(st minup.SolveStats) solveStats {
+func newSolveStats(st core.Stats) solveStats {
 	return solveStats{
 		Tries:          st.Tries,
 		FailedTries:    st.FailedTries,

@@ -12,7 +12,8 @@ import (
 	"sync"
 	"testing"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/frontend"
 )
 
 const (
@@ -566,18 +567,18 @@ func TestPolicyAcksCarryNoSourceText(t *testing.T) {
 	appended := &policyRequest{Constraints: "rank >= TS\n"}
 	noTexts("append", policyReq(t, h, http.MethodPost, "/policies/a/constraints", appended, nil), http.StatusOK)
 	noTexts("waited append", policyReq(t, h, http.MethodPost, "/policies/b/constraints?wait=1", appended, nil), http.StatusOK)
-	fe, _ := minup.LookupProblemFrontend("suppress")
+	fe, _ := frontend.Lookup("suppress")
 	inst, err := fe.Generate(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := minup.MarshalProblemInstance(inst)
+	raw, err := frontend.Marshal(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noTexts("problem create", problemPost(t, h, "/problems/suppress?wait=1", raw, nil), http.StatusCreated)
 
-	var full minup.PolicyInfo
+	var full catalog.PolicyInfo
 	if err := json.Unmarshal(get(t, h, "/policies/b").Body.Bytes(), &full); err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +640,7 @@ func TestPolicyBodyRefusesTrailingData(t *testing.T) {
 	if rec := send(http.MethodPost, "/policies/p/constraints", appendBody+"\r\n"); rec.Code != http.StatusOK {
 		t.Fatalf("append with a trailing newline = %d: %s", rec.Code, rec.Body.String())
 	}
-	var info minup.PolicyInfo
+	var info catalog.PolicyInfo
 	if err := json.Unmarshal(get(t, h, "/policies/p").Body.Bytes(), &info); err != nil || info.Version != 2 {
 		t.Fatalf("policy after one accepted append: version %d, err %v", info.Version, err)
 	}

@@ -16,7 +16,11 @@ import (
 	"net/http"
 	"strings"
 
-	"minup"
+	"minup/internal/catalog"
+	"minup/internal/frontend"
+	// The families register themselves with frontend on import.
+	_ "minup/internal/frontend/depinf"
+	_ "minup/internal/frontend/suppress"
 )
 
 // problemFamilyEntry is one row of GET /problems.
@@ -34,16 +38,16 @@ type problemListResponse struct {
 // problemResponse reports a stored compiled problem: the catalog row it
 // became plus the family and instance it came from.
 type problemResponse struct {
-	minup.PolicyInfo
+	catalog.PolicyInfo
 	Family   string `json:"family"`
 	Instance string `json:"instance"`
 }
 
 func (s *server) handleProblemList(w http.ResponseWriter, _ *http.Request) {
-	families := minup.ProblemFamilies()
+	families := frontend.Families()
 	entries := make([]problemFamilyEntry, 0, len(families))
 	for _, name := range families {
-		fe, ok := minup.LookupProblemFrontend(name)
+		fe, ok := frontend.Lookup(name)
 		if !ok {
 			continue
 		}
@@ -68,9 +72,9 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 
 func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	family := r.PathValue("family")
-	fe, ok := minup.LookupProblemFrontend(family)
+	fe, ok := frontend.Lookup(family)
 	if !ok {
-		http.Error(w, "unknown problem family "+family+" (have "+strings.Join(minup.ProblemFamilies(), ", ")+")",
+		http.Error(w, "unknown problem family "+family+" (have "+strings.Join(frontend.Families(), ", ")+")",
 			http.StatusNotFound)
 		return
 	}
@@ -101,7 +105,7 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("name"); q != "" {
 		name = q
 	}
-	s.putPolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion, func(info minup.PolicyInfo) any {
+	s.putPolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion, func(info catalog.PolicyInfo) any {
 		s.problemsCreated[family].Inc()
 		return problemResponse{PolicyInfo: info, Family: family, Instance: inst.InstanceName()}
 	})

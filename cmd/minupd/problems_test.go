@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"minup"
 	"minup/internal/constraint"
+	"minup/internal/frontend"
 )
 
 // problemPost posts a raw instance body to /problems/{family}.
@@ -56,7 +56,7 @@ func TestProblemList(t *testing.T) {
 func TestProblemCreateRoundTrip(t *testing.T) {
 	_, h, _ := newTestServer(t)
 	for _, family := range []string{"suppress", "depinf"} {
-		fe, ok := minup.LookupProblemFrontend(family)
+		fe, ok := frontend.Lookup(family)
 		if !ok {
 			t.Fatalf("frontend %q not registered", family)
 		}
@@ -64,7 +64,7 @@ func TestProblemCreateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := minup.MarshalProblemInstance(inst)
+		raw, err := frontend.Marshal(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestProblemCreateRoundTrip(t *testing.T) {
 			t.Fatalf("%s: created %d attrs, %d constraints; the texts parse to %d, %d",
 				family, created.Attrs, created.Constraints, set.NumAttrs(), len(set.Constraints()))
 		}
-		m := make(minup.Assignment, set.NumAttrs())
+		m := make(constraint.Assignment, set.NumAttrs())
 		for name, levelText := range solved.Assignment {
 			a, ok := set.AttrByName(name)
 			if !ok {
@@ -148,12 +148,12 @@ func TestProblemCreateErrors(t *testing.T) {
 
 	// An instance body is one JSON object, in both families.
 	for _, family := range []string{"suppress", "depinf"} {
-		fe, _ := minup.LookupProblemFrontend(family)
+		fe, _ := frontend.Lookup(family)
 		inst, err := fe.Generate(3, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := minup.MarshalProblemInstance(inst)
+		raw, err := frontend.Marshal(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,12 +177,12 @@ func TestProblemCreateErrors(t *testing.T) {
 // name, and the conditional-write headers behave as on policy PUT.
 func TestProblemCreateNameAndPreconditions(t *testing.T) {
 	_, h, _ := newTestServer(t)
-	fe, _ := minup.LookupProblemFrontend("suppress")
+	fe, _ := frontend.Lookup("suppress")
 	inst, err := fe.Generate(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := minup.MarshalProblemInstance(inst)
+	raw, err := frontend.Marshal(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +248,12 @@ func TestProblemCreateChunked(t *testing.T) {
 	_, h, _ := newTestServer(t)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	fe, _ := minup.LookupProblemFrontend("depinf")
+	fe, _ := frontend.Lookup("depinf")
 	inst, err := fe.Generate(5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := minup.MarshalProblemInstance(inst)
+	raw, err := frontend.Marshal(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

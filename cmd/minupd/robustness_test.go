@@ -12,8 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"minup"
 	"minup/internal/constraint"
+	"minup/internal/core"
+	"minup/internal/obs"
 )
 
 // slowCfg returns a faultCfg whose every solver step sleeps, so a solve
@@ -114,7 +115,7 @@ func decodeDegraded(t *testing.T, rec *httptest.ResponseRecorder, reason string)
 	// served levels back and check.
 	set := constraint.NewFigure2().Set
 	lat := set.Lattice()
-	m := make(minup.Assignment, len(out.Assignment))
+	m := make(constraint.Assignment, len(out.Assignment))
 	for _, a := range set.Attrs() {
 		lvl, err := lat.ParseLevel(out.Assignment[set.AttrName(a)])
 		if err != nil {
@@ -122,7 +123,7 @@ func decodeDegraded(t *testing.T, rec *httptest.ResponseRecorder, reason string)
 		}
 		m[a] = lvl
 	}
-	if err := minup.Verify(set, m); err != nil {
+	if err := core.Verify(set, m); err != nil {
 		t.Fatalf("degraded assignment does not verify: %v", err)
 	}
 	return out
@@ -316,13 +317,13 @@ func TestSolverPanicAnswers500(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("solve after panic = %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := minup.PanicsRecovered(); got < 1 {
+	if got := core.PanicsRecovered(); got < 1 {
 		t.Fatalf("PanicsRecovered = %d, want >= 1", got)
 	}
 }
 
 func TestMiddlewarePanicRecovery(t *testing.T) {
-	reg := minup.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	logBuf := &strings.Builder{}
 	logger := slog.New(slog.NewJSONHandler(logBuf, nil))
 	h := instrument("boom", httpObs{reg: reg, logger: logger}, func(http.ResponseWriter, *http.Request) {

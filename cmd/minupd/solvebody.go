@@ -39,7 +39,7 @@ type solveStats struct {
 }
 
 // levelPairs is an answer's assignment, its attribute names and levels in
-// name order, as minup.PolicySolveResult.Pairs lists it.
+// name order, as catalog.SolveResult.Pairs lists it.
 type levelPairs interface {
 	Len() int
 	At(i int) (name, level string)

@@ -40,7 +40,7 @@ func referenceBody(a solveAnswer, assignment map[string]string) []byte {
 	})
 }
 
-// mapPairs lists a map in key order, as PolicySolveResult.Pairs lists an
+// mapPairs lists a map in key order, as catalog.SolveResult.Pairs lists an
 // answer.
 type mapPairs struct {
 	keys []string

@@ -27,35 +27,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"minup/internal/constraint"
 	"minup/internal/lattice"
 	"minup/internal/obs"
 )
-
-// Stats reports the work performed by one baseline run, the counterpart of
-// the solver's core.Stats for the comparison algorithms (experiments E5/E6
-// and cmd/benchtab's stats matrix).
-type Stats struct {
-	// Steps counts the algorithm's basic iterations: worklist pops for
-	// Qian, fixpoint sweeps for Backtracking, satisfiability checks for
-	// the enumeration oracles.
-	Steps int
-	// Upgrades counts attribute level raises performed.
-	Upgrades int
-	// Vectors counts complete assignments or choice vectors examined by
-	// the exponential oracles.
-	Vectors int
-	// Duration is the wall time of the run.
-	Duration time.Duration
-}
-
-// timed starts the run's clock and returns the stop function to defer.
-func (st *Stats) timed() func() {
-	start := time.Now()
-	return func() { st.Duration = time.Since(start) }
-}
 
 // EnumLimit guards the exponential oracles: enumerating more than this many
 // assignments returns an error instead of running forever.
@@ -67,8 +43,8 @@ const EnumLimit = 20_000_000
 var (
 	ErrLimit = errors.New("baseline: enumeration limit exceeded")
 
-	// ErrCanceled reports that a Context variant stopped because its
-	// context was canceled; the wrapped cause also satisfies
+	// ErrCanceled reports that Qian stopped because its context was
+	// canceled; the wrapped cause also satisfies
 	// errors.Is(err, context.Canceled) / context.DeadlineExceeded.
 	ErrCanceled = errors.New("baseline: canceled")
 
@@ -77,29 +53,14 @@ var (
 	ErrUnsatisfiable = errors.New("baseline: no satisfying assignment")
 )
 
-// cancelStride is how many enumeration steps pass between context polls in
-// the exponential oracles.
+// cancelStride is how many worklist pops pass between Qian's context
+// polls.
 const cancelStride = 8192
 
 // BruteForce enumerates every assignment over the (enumerable) lattice and
 // returns all pointwise-minimal satisfying assignments. The search space is
 // |L|^|A|; callers must keep instances tiny.
 func BruteForce(s *constraint.Set) ([]constraint.Assignment, error) {
-	return BruteForceContext(context.Background(), s)
-}
-
-// BruteForceContext is BruteForce with cancellation: the walk polls the
-// context periodically and aborts with an error satisfying
-// errors.Is(err, ErrCanceled).
-func BruteForceContext(ctx context.Context, s *constraint.Set) ([]constraint.Assignment, error) {
-	return BruteForceWithStats(ctx, s, &Stats{})
-}
-
-// BruteForceWithStats is BruteForceContext recording its work into st:
-// Vectors counts assignments enumerated, Steps counts satisfiability
-// checks (equal here), and Duration the wall time.
-func BruteForceWithStats(ctx context.Context, s *constraint.Set, st *Stats) ([]constraint.Assignment, error) {
-	defer st.timed()()
 	lat, ok := s.Lattice().(lattice.Enumerable)
 	if !ok {
 		return nil, fmt.Errorf("baseline: brute force requires an enumerable lattice, have %T", s.Lattice())
@@ -112,21 +73,9 @@ func BruteForceWithStats(ctx context.Context, s *constraint.Set, st *Stats) ([]c
 
 	var sols []constraint.Assignment
 	cur := make(constraint.Assignment, n)
-	steps := 0
-	var walkErr error
 	var walk func(i int)
 	walk = func(i int) {
-		if walkErr != nil {
-			return
-		}
 		if i == n {
-			steps++
-			st.Vectors++
-			st.Steps++
-			if steps%cancelStride == 0 && ctx.Err() != nil {
-				walkErr = fmt.Errorf("baseline: %w: %w", ErrCanceled, context.Cause(ctx))
-				return
-			}
 			if s.Satisfies(cur) {
 				sols = append(sols, cur.Clone())
 			}
@@ -138,9 +87,6 @@ func BruteForceWithStats(ctx context.Context, s *constraint.Set, st *Stats) ([]c
 		}
 	}
 	walk(0)
-	if walkErr != nil {
-		return nil, walkErr
-	}
 
 	// Keep the minimal ones.
 	var minimal []constraint.Assignment
@@ -165,18 +111,6 @@ func BruteForceWithStats(ctx context.Context, s *constraint.Set, st *Stats) ([]c
 // exponential but far cheaper than full brute force and usable on slightly
 // larger instances.
 func IsMinimal(s *constraint.Set, m constraint.Assignment) (bool, error) {
-	return IsMinimalContext(context.Background(), s, m)
-}
-
-// IsMinimalContext is IsMinimal with cancellation.
-func IsMinimalContext(ctx context.Context, s *constraint.Set, m constraint.Assignment) (bool, error) {
-	return IsMinimalWithStats(ctx, s, m, &Stats{})
-}
-
-// IsMinimalWithStats is IsMinimalContext recording its down-set enumeration
-// into st.
-func IsMinimalWithStats(ctx context.Context, s *constraint.Set, m constraint.Assignment, st *Stats) (bool, error) {
-	defer st.timed()()
 	if !s.Satisfies(m) {
 		return false, nil
 	}
@@ -200,21 +134,12 @@ func IsMinimalWithStats(ctx context.Context, s *constraint.Set, m constraint.Ass
 	}
 	cur := make(constraint.Assignment, n)
 	var found bool
-	steps := 0
-	var walkErr error
 	var walk func(i int)
 	walk = func(i int) {
-		if found || walkErr != nil {
+		if found {
 			return
 		}
 		if i == n {
-			steps++
-			st.Vectors++
-			st.Steps++
-			if steps%cancelStride == 0 && ctx.Err() != nil {
-				walkErr = fmt.Errorf("baseline: %w: %w", ErrCanceled, context.Cause(ctx))
-				return
-			}
 			if !cur.Equal(m) && s.Satisfies(cur) {
 				found = true
 			}
@@ -226,9 +151,6 @@ func IsMinimalWithStats(ctx context.Context, s *constraint.Set, m constraint.Ass
 		}
 	}
 	walk(0)
-	if walkErr != nil {
-		return false, walkErr
-	}
 	return !found, nil
 }
 
@@ -240,27 +162,19 @@ func IsMinimalWithStats(ctx context.Context, s *constraint.Set, m constraint.Ass
 // upgrades every member of each association, so it typically classifies
 // strictly above Algorithm 3.1's answer; experiment E5 measures by how
 // much. Upper-bound constraints are not supported.
-func Qian(s *constraint.Set) (constraint.Assignment, error) {
-	return QianContext(context.Background(), s)
-}
-
-// QianContext is Qian with cancellation: the worklist polls the context
-// periodically.
-func QianContext(ctx context.Context, s *constraint.Set) (constraint.Assignment, error) {
-	return QianWithStats(ctx, s, &Stats{})
-}
-
-// QianWithStats is QianContext recording its work into st: Steps counts
-// worklist pops and Upgrades counts attribute raises.
-func QianWithStats(ctx context.Context, s *constraint.Set, st *Stats) (constraint.Assignment, error) {
-	defer st.timed()()
+//
+// The worklist polls ctx periodically and stops with an error satisfying
+// errors.Is(err, ErrCanceled) once ctx is done.
+func Qian(ctx context.Context, s *constraint.Set) (constraint.Assignment, error) {
+	// steps counts worklist pops and upgrades attribute raises.
+	var steps, upgrades int
 	// Tracing: the baseline is instrumented like SolveContext so E5-style
 	// comparisons can be profiled side by side in one trace.
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		sp := parent.Child("qian")
 		defer func() {
-			sp.SetAttr("steps", int64(st.Steps))
-			sp.SetAttr("upgrades", int64(st.Upgrades))
+			sp.SetAttr("steps", int64(steps))
+			sp.SetAttr("upgrades", int64(upgrades))
 			sp.End()
 		}()
 	}
@@ -288,10 +202,8 @@ func QianWithStats(ctx context.Context, s *constraint.Set, st *Stats) (constrain
 	for ci := range cons {
 		push(ci)
 	}
-	steps := 0
 	for len(queue) > 0 {
 		steps++
-		st.Steps++
 		if steps%cancelStride == 0 && ctx.Err() != nil {
 			return nil, fmt.Errorf("baseline: %w: %w", ErrCanceled, context.Cause(ctx))
 		}
@@ -309,7 +221,7 @@ func QianWithStats(ctx context.Context, s *constraint.Set, st *Stats) (constrain
 				continue
 			}
 			m[a] = up
-			st.Upgrades++
+			upgrades++
 			// Re-examine constraints where a appears on either side.
 			for _, dep := range onLHS[a] {
 				push(dep)
@@ -336,20 +248,6 @@ func QianWithStats(ctx context.Context, s *constraint.Set, st *Stats) (constrain
 // right-hand side rather than the complement of its peers, so the result
 // can overclassify relative to Algorithm 3.1; on total orders it is exact.
 func Backtracking(s *constraint.Set, maxVectors int) (constraint.Assignment, int, error) {
-	return BacktrackingContext(context.Background(), s, maxVectors)
-}
-
-// BacktrackingContext is Backtracking with cancellation: the context is
-// polled once per choice vector.
-func BacktrackingContext(ctx context.Context, s *constraint.Set, maxVectors int) (constraint.Assignment, int, error) {
-	return BacktrackingWithStats(ctx, s, maxVectors, &Stats{})
-}
-
-// BacktrackingWithStats is BacktrackingContext recording its work into st:
-// Vectors counts choice vectors explored, Steps counts fixpoint sweeps,
-// and Upgrades counts attribute raises across all fixpoints.
-func BacktrackingWithStats(ctx context.Context, s *constraint.Set, maxVectors int, st *Stats) (constraint.Assignment, int, error) {
-	defer st.timed()()
 	if len(s.UpperBounds()) > 0 {
 		return nil, 0, fmt.Errorf("baseline: backtracking solver does not support upper bounds")
 	}
@@ -372,12 +270,8 @@ func BacktrackingWithStats(ctx context.Context, s *constraint.Set, maxVectors in
 	var best constraint.Assignment
 	explored := 0
 	for {
-		if explored%64 == 0 && ctx.Err() != nil {
-			return nil, explored, fmt.Errorf("baseline: %w: %w", ErrCanceled, context.Cause(ctx))
-		}
 		explored++
-		st.Vectors++
-		m := leastFixpoint(s, complex, choice, st)
+		m := leastFixpoint(s, complex, choice)
 		if best == nil || (best.Dominates(lat, m) && !best.Equal(m)) {
 			best = m
 		}
@@ -400,7 +294,7 @@ func BacktrackingWithStats(ctx context.Context, s *constraint.Set, maxVectors in
 // leastFixpoint computes the least assignment in which every simple
 // constraint is satisfied by upgrading its lhs attribute and every complex
 // constraint by upgrading its chosen carrier.
-func leastFixpoint(s *constraint.Set, complex []int, choice []int, st *Stats) constraint.Assignment {
+func leastFixpoint(s *constraint.Set, complex []int, choice []int) constraint.Assignment {
 	lat := s.Lattice()
 	carrier := make(map[int]constraint.Attr, len(complex))
 	for i, ci := range complex {
@@ -413,7 +307,6 @@ func leastFixpoint(s *constraint.Set, complex []int, choice []int, st *Stats) co
 	}
 	for changed := true; changed; {
 		changed = false
-		st.Steps++
 		for ci, c := range s.Constraints() {
 			rhs := s.RHSLevel(m, c.RHS)
 			if lat.Dominates(s.LubLHS(m, c.LHS), rhs) {
@@ -426,7 +319,6 @@ func leastFixpoint(s *constraint.Set, complex []int, choice []int, st *Stats) co
 			up := lat.Lub(m[target], rhs)
 			if up != m[target] {
 				m[target] = up
-				st.Upgrades++
 				changed = true
 			}
 		}
@@ -455,22 +347,7 @@ func CountUpgraded(s *constraint.Set, m constraint.Assignment) int {
 // determined by exhaustive enumeration (the NP-hard optimal-upgrading
 // problem of [16,17]; tiny instances only).
 func CheapestUpgrade(s *constraint.Set, cost CostFunc) (constraint.Assignment, error) {
-	return CheapestUpgradeContext(context.Background(), s, cost)
-}
-
-// CheapestUpgradeContext is CheapestUpgrade with cancellation.
-func CheapestUpgradeContext(ctx context.Context, s *constraint.Set, cost CostFunc) (constraint.Assignment, error) {
-	return CheapestUpgradeWithStats(ctx, s, cost, &Stats{})
-}
-
-// CheapestUpgradeWithStats is CheapestUpgradeContext recording the
-// underlying brute-force enumeration into st.
-func CheapestUpgradeWithStats(ctx context.Context, s *constraint.Set, cost CostFunc, st *Stats) (constraint.Assignment, error) {
-	defer st.timed()()
-	inner := &Stats{}
-	minimal, err := BruteForceWithStats(ctx, s, inner)
-	st.Steps += inner.Steps
-	st.Vectors += inner.Vectors
+	minimal, err := BruteForce(s)
 	if err != nil {
 		return nil, err
 	}

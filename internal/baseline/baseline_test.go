@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"minup/internal/constraint"
@@ -98,7 +99,7 @@ func TestQianOverclassifies(t *testing.T) {
 	s := constraint.NewSet(lat)
 	a, b := s.MustAttr("a"), s.MustAttr("b")
 	s.MustAdd([]constraint.Attr{a, b}, constraint.LevelRHS(lat.Top()))
-	q, err := Qian(s)
+	q, err := Qian(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestQianOverclassifies(t *testing.T) {
 	}
 
 	s.MustAddUpper(a, lat.Bottom())
-	if _, err := Qian(s); err == nil {
+	if _, err := Qian(context.Background(), s); err == nil {
 		t.Error("Qian accepted upper bounds")
 	}
 }
@@ -127,7 +128,7 @@ func TestQianSatisfiesRandom(t *testing.T) {
 			Seed: seed, NumAttrs: 8, NumConstraints: 16, MaxLHS: 3,
 			LevelRHSFraction: 0.3, Cyclic: true,
 		})
-		q, err := Qian(s)
+		q, err := Qian(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -851,13 +851,13 @@ func (c *Catalog) List() []PolicyInfo {
 // Len returns the number of policies across all shards.
 func (c *Catalog) Len() int { return int(c.policies.Load()) }
 
-// SolveResult is the answer of Catalog.Serve, Solve and SolveWith.
+// SolveResult is the answer of Catalog.Serve and Solve.
 type SolveResult struct {
 	// Info describes the served version, without its source texts.
 	Info PolicyInfo
-	// Assignment maps attribute names to formatted level names. Solve and
-	// SolveWith fill it; Serve leaves it nil, and Pairs lists the same
-	// pairs without building it.
+	// Assignment maps attribute names to formatted level names. Solve
+	// fills it; Serve leaves it nil, and Pairs lists the same pairs
+	// without building it.
 	Assignment map[string]string
 	// Stats are the operation counts of the solve that produced the
 	// memoized answer (a cache hit returns the original solve's stats).
@@ -930,8 +930,8 @@ func (r SolveResult) EncodeOnce(enc func() []byte) []byte {
 	return m.body
 }
 
-// SolveOptions tunes how Serve and SolveWith answer a cold version; a warm
-// one is the memoized answer whatever they say.
+// SolveOptions tunes how Serve answers a cold version; a warm one is the
+// memoized answer whatever they say.
 type SolveOptions struct {
 	// Events, when non-nil, logs the cold solve's event stream.
 	Events *obs.EventLog
@@ -942,14 +942,9 @@ type SolveOptions struct {
 }
 
 // Solve returns the minimal classification for the policy's current
-// version; it is SolveWith with no options.
+// version: Serve with no options and the answer's Assignment map filled.
 func (c *Catalog) Solve(ctx context.Context, name string) (SolveResult, error) {
-	return c.SolveWith(ctx, name, SolveOptions{})
-}
-
-// SolveWith is Serve with the answer's Assignment map filled.
-func (c *Catalog) SolveWith(ctx context.Context, name string, opt SolveOptions) (SolveResult, error) {
-	res, err := c.Serve(ctx, name, opt)
+	res, err := c.Serve(ctx, name, SolveOptions{})
 	if err == nil {
 		res.Assignment = formatAssignment(res.set, res.set.Lattice(), res.levels)
 	}
@@ -1111,7 +1106,7 @@ func (c *Catalog) snapshot(s *shard, p *policy) (*constraint.Compiled, error) {
 // failed check is an internal error, never an answer.
 func baselineResult(ctx context.Context, info PolicyInfo, set *constraint.Set) (SolveResult, error) {
 	start := time.Now()
-	m, err := baseline.QianContext(ctx, set)
+	m, err := baseline.Qian(ctx, set)
 	if err != nil {
 		return SolveResult{}, fmt.Errorf("catalog: baseline for %q: %w", info.Name, err)
 	}

@@ -127,9 +127,6 @@ func TestPutGetSolveLifecycle(t *testing.T) {
 	}
 }
 
-// TestSolveWithBaseline: the baseline answers only cold versions, is never
-// memoized, and fails honestly where Qian propagation cannot run (upper
-// bounds). Every compile is canceled here, so versions stay cold.
 // TestPutParseErrorsNameTheText pins the error of a put whose source does
 // not parse: it names the policy and the text at fault, and stores
 // nothing.
@@ -150,6 +147,9 @@ func TestPutParseErrorsNameTheText(t *testing.T) {
 	}
 }
 
+// TestSolveWithBaseline: the baseline answers only cold versions, is never
+// memoized, and fails honestly where Qian propagation cannot run (upper
+// bounds). Every compile is canceled here, so versions stay cold.
 func TestSolveWithBaseline(t *testing.T) {
 	reg := obs.NewRegistry()
 	inj := fault.New(1)
@@ -161,11 +161,11 @@ func TestSolveWithBaseline(t *testing.T) {
 	}
 	mustFlush(t, c)
 
-	res, err := c.SolveWith(ctx, "hr", SolveOptions{Baseline: true})
+	res, err := c.Serve(ctx, "hr", SolveOptions{Baseline: true})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	if !res.Baseline || res.CacheHit || res.UpgradedAttrs != 2 || res.Assignment["salary"] != "S" {
+	if !res.Baseline || res.CacheHit || res.UpgradedAttrs != 2 || formatAssignment(res.set, res.set.Lattice(), res.levels)["salary"] != "S" {
 		t.Fatalf("baseline result = %+v", res)
 	}
 	if info, _ := c.Get("hr"); info.Solved {
@@ -185,10 +185,10 @@ func TestSolveWithBaseline(t *testing.T) {
 	if _, err := c.Put(ctx, "ub", testLattice, "attrs salary\nS >= salary\n", MustNotExist); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SolveWith(ctx, "ub", SolveOptions{Baseline: true}); err == nil {
+	if _, err := c.Serve(ctx, "ub", SolveOptions{Baseline: true}); err == nil {
 		t.Fatal("baseline of an upper-bounded policy succeeded")
 	}
-	if _, err := c.SolveWith(ctx, "nope", SolveOptions{Baseline: true}); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Serve(ctx, "nope", SolveOptions{Baseline: true}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("baseline of an unknown policy: %v", err)
 	}
 }
@@ -564,7 +564,7 @@ func TestEncodeOnceFirstHitsConcurrent(t *testing.T) {
 	mustFlush(t, cold)
 	calls.Store(0)
 	for i := 0; i < 2; i++ {
-		res, err := cold.SolveWith(ctx, "p", SolveOptions{Baseline: true})
+		res, err := cold.Serve(ctx, "p", SolveOptions{Baseline: true})
 		if err != nil || !res.Baseline {
 			t.Fatalf("baseline solve = %+v, %v", res, err)
 		}

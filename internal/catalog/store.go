@@ -33,7 +33,9 @@ import (
 // walStore is the durable reference implementation (WAL + snapshot file);
 // MemStore is the in-memory implementation for tests and memory-only
 // catalogs. Implementations do not need to be safe for concurrent use: the
-// owning shard serializes every call under its lock.
+// owning shard serializes every call under its lock. Callers do not modify
+// a slice after handing it to Append or Compact, so a Store may keep it
+// without copying.
 type Store interface {
 	Load(snapshot func(data []byte) error, record func(rec []byte) error) (LoadStats, error)
 	Append(rec []byte) error
@@ -174,14 +176,14 @@ func (m *MemStore) Load(snapshot func([]byte) error, record func([]byte) error) 
 func (m *MemStore) Append(rec []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.records = append(m.records, append([]byte(nil), rec...))
+	m.records = append(m.records, rec)
 	return nil
 }
 
 func (m *MemStore) Compact(snapshot []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.snapshot = append([]byte(nil), snapshot...)
+	m.snapshot = snapshot
 	m.records = nil
 	return nil
 }

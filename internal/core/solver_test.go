@@ -198,7 +198,7 @@ func TestSimpleOnlyMatchesQian(t *testing.T) {
 			LevelRHSFraction: 0.4, Cyclic: true,
 		})
 		res := MustSolve(s, Options{})
-		q, err := baseline.Qian(s)
+		q, err := baseline.Qian(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestQianDominatesInTotal(t *testing.T) {
 			LevelRHSFraction: 0.4, Cyclic: true,
 		})
 		res := MustSolve(s, Options{})
-		q, err := baseline.Qian(s)
+		q, err := baseline.Qian(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}

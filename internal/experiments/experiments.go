@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -408,7 +409,7 @@ func E5VsQian() (*Table, error) {
 		elo := timeIt(func() { ours = core.MustSolve(s, core.Options{}).Assignment })
 		var qian constraint.Assignment
 		elq := timeIt(func() {
-			q, err := baseline.Qian(s)
+			q, err := baseline.Qian(context.Background(), s)
 			if err != nil {
 				panic(err)
 			}

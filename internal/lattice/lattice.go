@@ -25,7 +25,6 @@ package lattice
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Level is an opaque handle naming one element of a specific Lattice.
@@ -181,19 +180,6 @@ func Branching(l Enumerable) int {
 	return b
 }
 
-// DownBranching returns the maximum number of immediate descendants
-// (Covers) over all elements. Algorithm 3.1's descent steps fan out by this
-// quantity.
-func DownBranching(l Enumerable) int {
-	b := 0
-	for _, e := range l.Elements() {
-		if n := len(l.Covers(e)); n > b {
-			b = n
-		}
-	}
-	return b
-}
-
 // PathSumM returns the paper's M: the maximum, over all maximal chains from
 // ⊤ to ⊥, of the sum of the (downward) branching factors of the chain's
 // elements. M ≤ B·H and M ≤ |L| + |cover relation|.
@@ -309,12 +295,4 @@ func Check(l Enumerable) error {
 		}
 	}
 	return nil
-}
-
-// SortLevels sorts a slice of levels by their formatted name, for stable
-// human-facing output.
-func SortLevels(l Lattice, levels []Level) {
-	sort.Slice(levels, func(i, j int) bool {
-		return l.FormatLevel(levels[i]) < l.FormatLevel(levels[j])
-	})
 }

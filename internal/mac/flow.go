@@ -40,13 +40,9 @@ func NewFlowSim(mon *Monitor, levels map[string]lattice.Level) *FlowSim {
 
 // Actor is a session plus its accumulated read taint.
 type Actor struct {
-	sess   *Session
-	seen   map[string]bool
-	denied int
+	sess *Session
+	seen map[string]bool
 }
-
-// Denied returns how many of the actor's attempts the monitor refused.
-func (a *Actor) Denied() int { return a.denied }
 
 // NewActor wraps a session for the simulation.
 func (f *FlowSim) NewActor(sess *Session) *Actor {
@@ -61,7 +57,6 @@ func (f *FlowSim) Read(a *Actor, object string) bool {
 		panic(fmt.Sprintf("mac: unknown object %q", object))
 	}
 	if !f.mon.CheckRead(a.sess, object, lvl).Allowed {
-		a.denied++
 		return false
 	}
 	for src := range f.taint[object] {
@@ -78,7 +73,6 @@ func (f *FlowSim) Write(a *Actor, object string) bool {
 		panic(fmt.Sprintf("mac: unknown object %q", object))
 	}
 	if !f.mon.CheckWrite(a.sess, object, lvl).Allowed {
-		a.denied++
 		return false
 	}
 	for src := range a.seen {

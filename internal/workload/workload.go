@@ -11,7 +11,6 @@
 package workload
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -47,13 +46,6 @@ type ConstraintSpec struct {
 
 // Constraints generates a random constraint set over the lattice.
 func Constraints(lat lattice.Lattice, spec ConstraintSpec) (*constraint.Set, error) {
-	return ConstraintsContext(context.Background(), lat, spec)
-}
-
-// ConstraintsContext is Constraints with cancellation: generation of large
-// instances polls the context and aborts with its error when canceled
-// (errors.Is(err, context.Canceled) / DeadlineExceeded).
-func ConstraintsContext(ctx context.Context, lat lattice.Lattice, spec ConstraintSpec) (*constraint.Set, error) {
 	if spec.NumAttrs < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 attributes, have %d", spec.NumAttrs)
 	}
@@ -83,10 +75,7 @@ func ConstraintsContext(ctx context.Context, lat lattice.Lattice, spec Constrain
 		}
 	}
 
-	for gen := 0; len(s.Constraints()) < spec.NumConstraints; gen++ {
-		if gen%4096 == 0 && ctx.Err() != nil {
-			return nil, fmt.Errorf("workload: generation canceled: %w", context.Cause(ctx))
-		}
+	for len(s.Constraints()) < spec.NumConstraints {
 		width := 1 + rng.Intn(spec.MaxLHS)
 		if width > spec.NumAttrs-1 {
 			width = spec.NumAttrs - 1

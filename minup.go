@@ -59,7 +59,13 @@
 // Algorithm 3.1 itself with optional execution traces, §6 upper-bound
 // support with inconsistency detection, a multilevel relational schema
 // layer that generates constraints from keys, foreign keys, and data
-// dependencies, and the Theorem 6.1 min-poset machinery.
+// dependencies, and the Theorem 6.1 min-poset machinery. Beside them it
+// offers verification and minimality probes, the Qian baseline (§4), the
+// Bell–LaPadula monitor, the Kao suppression and Pappachan dependency
+// inference problem frontends, and the telemetry Options takes (metrics
+// registry, event log, fault injector, spans). The policy catalog, its
+// replication, and the service's flight recorder and SLO tracker are not
+// part of the library: cmd/minupd imports them from their own packages.
 package minup
 
 import (
@@ -67,8 +73,6 @@ import (
 	"io"
 
 	"minup/internal/baseline"
-	"minup/internal/catalog"
-	"minup/internal/cluster"
 	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/fault"
@@ -80,8 +84,6 @@ import (
 	"minup/internal/mlsdb"
 	"minup/internal/obs"
 	"minup/internal/poset"
-	"minup/internal/wal"
-	"minup/internal/workload"
 )
 
 // Lattice types.
@@ -220,27 +222,6 @@ type (
 	SpanAttr = obs.SpanAttr
 	// SpanNode is the serializable JSON tree shape of a finished Span.
 	SpanNode = obs.SpanNode
-	// FlightRecorder is the bounded-memory ring of per-request and
-	// per-refresh flight records with anomaly dumping; minupd serves it as
-	// /debug/requests.
-	FlightRecorder = obs.FlightRecorder
-	// FlightOptions tunes a FlightRecorder.
-	FlightOptions = obs.FlightOptions
-	// FlightRecord is one completed request's or refresh job's compact
-	// record.
-	FlightRecord = obs.FlightRecord
-	// FlightStats is the compact solver-work summary on a FlightRecord.
-	FlightStats = obs.FlightStats
-	// FlightSnapshot is the JSON shape of a recorder's state.
-	FlightSnapshot = obs.FlightSnapshot
-	// ActiveFlight is one in-flight request's recording handle.
-	ActiveFlight = obs.ActiveFlight
-	// SLOTracker computes per-route multi-window burn rates.
-	SLOTracker = obs.SLOTracker
-	// SLOSpec is one route's objectives (p99 latency, availability).
-	SLOSpec = obs.SLOSpec
-	// SLOStatus is one route's burn-rate readout.
-	SLOStatus = obs.SLOStatus
 )
 
 // Solver event kinds, mirroring the steps of Algorithm 3.1.
@@ -266,27 +247,6 @@ var (
 	// SizeBuckets spans 1–100k for operation-count histograms.
 	SizeBuckets = obs.SizeBuckets
 )
-
-// NewFlightRecorder builds a flight recorder; see FlightOptions for the
-// ring size, anomaly dump directory, and triggers.
-func NewFlightRecorder(opt FlightOptions) *FlightRecorder { return obs.NewFlightRecorder(opt) }
-
-// ParseSLOSpecs parses the -slo flag grammar, e.g.
-// "solve:p99=100ms,avail=99.9;policy.solve:p99=50ms".
-func ParseSLOSpecs(s string) ([]SLOSpec, error) { return obs.ParseSLOSpecs(s) }
-
-// NewSLOTracker builds a burn-rate tracker for the given objectives.
-func NewSLOTracker(specs ...SLOSpec) *SLOTracker { return obs.NewSLOTracker(specs...) }
-
-// SessionsAllocated reports how many pooled solver sessions the process has
-// ever allocated — an upper bound on the session pool's current size and a
-// proxy for peak solve concurrency. Servers export it as a gauge.
-func SessionsAllocated() int64 { return core.SessionsAllocated() }
-
-// PanicsRecovered reports how many solver panics the process has recovered
-// from (each converted to an *InternalError and its session discarded).
-// Servers export it as a gauge next to the pool size.
-func PanicsRecovered() int64 { return core.PanicsRecovered() }
 
 // NewFaultInjector returns an empty chaos-testing injector whose
 // probabilistic rules draw from a PRNG seeded with seed.
@@ -494,13 +454,13 @@ func Verify(set *ConstraintSet, m Assignment) error { return core.Verify(set, m)
 // minimal solve cannot finish inside its budget. Upper-bound constraint
 // sets are not supported.
 func QianBaseline(ctx context.Context, set *ConstraintSet) (Assignment, error) {
-	return baseline.QianContext(ctx, set)
+	return baseline.Qian(ctx, set)
 }
 
 // CountUpgraded returns the number of attributes classified strictly above
 // lattice bottom — the over-classification cost measure of the
 // optimal-upgrading literature, reported by degraded minupd responses as
-// the delta against the last minimal solve.
+// upgraded_attrs.
 func CountUpgraded(set *ConstraintSet, m Assignment) int {
 	return baseline.CountUpgraded(set, m)
 }
@@ -610,122 +570,6 @@ func SolveSAT(numVars int, clauses []SATClause) (assignment []bool, ok bool) {
 	return poset.SolveSAT(numVars, clauses)
 }
 
-// Policy-catalog types: the durable multi-tenant store behind minupd's
-// /policies API. A catalog holds named, monotonically versioned policies
-// (lattice + constraint set) hashed across independent shards, each with
-// its own storage backend (CatalogStore) and lock. Mutations return once
-// the record is durable and the new version is swapped in, and queue the
-// policy's name on its shard; each shard's background worker compiles the
-// name's current version once and solves it cold, unless the caller opts
-// into waiting (PolicyMutateOptions{Wait: true}), which runs that same
-// refresh inline.
-type (
-	// PolicyCatalog is the store itself; construct with OpenCatalog. Safe
-	// for concurrent use.
-	PolicyCatalog = catalog.Catalog
-	// CatalogOptions configures OpenCatalog (data directory, WAL fsync
-	// policy, metrics registry, fault injector, compaction threshold,
-	// shard count, storage hook).
-	CatalogOptions = catalog.Options
-	// PolicyInfo describes one policy version (name, version, shard,
-	// sizes, cache state); only PolicyCatalog.Get adds the source texts,
-	// so mutation results and solve results are sized to the answer.
-	PolicyInfo = catalog.PolicyInfo
-	// PolicyMutateOptions tunes one mutation: Wait forces the solver
-	// refresh inline so the response reflects a warm cache.
-	PolicyMutateOptions = catalog.MutateOptions
-	// PolicySolveResult is a served solution: assignment, solve stats, and
-	// whether it came from the memoized cache. PolicyCatalog.Solve and
-	// SolveWith fill its Assignment map; Serve, the path minupd answers
-	// with, leaves it nil, and Pairs lists the same names and levels in
-	// name order without building a map. Its EncodeOnce encodes a hit at
-	// most once per version and returns the stored bytes.
-	PolicySolveResult = catalog.SolveResult
-	// PolicySolveOptions tunes how a cold version is answered: an event
-	// log for its solve, or the Qian baseline in its place.
-	PolicySolveOptions = catalog.SolveOptions
-	// CatalogRecoveryInfo reports what OpenCatalog reconstructed from the
-	// data directory (snapshot policies, WAL records, torn tails, shards).
-	CatalogRecoveryInfo = catalog.RecoveryInfo
-	// CatalogStore is the per-shard storage contract (append a record,
-	// load snapshot + replay, compact, close). The built-in backends are
-	// the durable WAL store (CatalogOptions.Dir) and NewCatalogMemStore;
-	// CatalogOptions.OpenStore installs a custom one per shard.
-	CatalogStore = catalog.Store
-	// CatalogLoadStats summarizes one CatalogStore.Load.
-	CatalogLoadStats = catalog.LoadStats
-	// WALSyncPolicy selects when the catalog's write-ahead log calls
-	// fsync.
-	WALSyncPolicy = wal.SyncPolicy
-)
-
-// NewCatalogMemStore creates an empty in-memory CatalogStore. It survives
-// Close, so tests can hand the same instance to successive catalogs via
-// CatalogOptions.OpenStore to exercise recovery without a disk.
-func NewCatalogMemStore() *catalog.MemStore { return catalog.NewMemStore() }
-
-// WAL fsync policies for CatalogOptions.Sync.
-const (
-	// WALSyncAlways fsyncs after every appended record (the durable
-	// default).
-	WALSyncAlways = wal.SyncAlways
-	// WALSyncNever leaves flushing to the OS; a crash may lose the most
-	// recent records but recovery still yields a consistent prefix.
-	WALSyncNever = wal.SyncNever
-)
-
-// Version preconditions for the catalog's mutating calls.
-const (
-	// PolicyUnconditional skips the optimistic-concurrency check.
-	PolicyUnconditional = catalog.Unconditional
-	// PolicyMustNotExist makes a Put create-only (HTTP If-None-Match: *).
-	PolicyMustNotExist = catalog.MustNotExist
-)
-
-// Catalog errors. Match with errors.Is; minupd maps them to 404, 409, 412,
-// and 500.
-var (
-	// ErrPolicyNotFound reports a name with no policy behind it.
-	ErrPolicyNotFound = catalog.ErrNotFound
-	// ErrPolicyExists reports a create-only Put against an existing
-	// policy.
-	ErrPolicyExists = catalog.ErrExists
-	// ErrPolicyVersionMismatch reports a failed version precondition.
-	ErrPolicyVersionMismatch = catalog.ErrVersionMismatch
-	// ErrPolicyStorage reports a WAL write failure; the mutation was not
-	// applied.
-	ErrPolicyStorage = catalog.ErrStorage
-	// ErrPolicySnapshotCorrupt reports a shard snapshot that failed
-	// validation during recovery; OpenCatalog refuses the directory
-	// rather than serving partial state.
-	ErrPolicySnapshotCorrupt = catalog.ErrSnapshotCorrupt
-	// ErrPolicyClosed reports a mutation against a closed catalog.
-	ErrPolicyClosed = catalog.ErrClosed
-)
-
-// OpenCatalog creates a policy catalog. With CatalogOptions.Dir set it
-// recovers the persisted state (per-shard snapshot plus WAL replay,
-// shards recovered concurrently, torn final frames truncated); the
-// directory's own shard count always wins over CatalogOptions.Shards.
-// With an empty Dir and no OpenStore hook the catalog is memory-only.
-func OpenCatalog(opt CatalogOptions) (*PolicyCatalog, error) { return catalog.Open(opt) }
-
-// PolicyMutation is one step of a generated catalog workload (a put,
-// constraint append, or delete with source texts attached).
-type PolicyMutation = workload.Mutation
-
-// PolicyMutationSpec shapes a MutationStream: op mix, policy-name pool,
-// constraint-text sizes, and the fresh-attribute rate.
-type PolicyMutationSpec = workload.MutationSpec
-
-// MutationStream generates a deterministic seeded sequence of policy
-// catalog mutations in which every step is valid against the state its
-// predecessors produced — the driver behind the catalog soak and
-// crash-recovery chaos tests.
-func MutationStream(spec PolicyMutationSpec) ([]PolicyMutation, error) {
-	return workload.MutationStream(spec)
-}
-
 // ---------------------------------------------------------------------------
 // Problem frontends (internal/frontend): adjacent problem classes compiled
 // into the constraint engine. Importing the façade registers the suppress
@@ -757,71 +601,3 @@ func ProblemFamilies() []string { return frontend.Families() }
 // MarshalProblemInstance serializes an instance into the JSON format its
 // frontend's Parse accepts.
 func MarshalProblemInstance(inst ProblemInstance) ([]byte, error) { return frontend.Marshal(inst) }
-
-// PolicyFamilyInstance is one generated instance of a registered workload
-// instance family: catalog-ready policy source texts plus (for
-// frontend-backed families) the source-problem JSON document.
-type PolicyFamilyInstance = workload.FamilyInstance
-
-// PolicyFamilyNames returns the registered workload instance families
-// ("paper" plus one per problem frontend), sorted.
-func PolicyFamilyNames() []string { return workload.FamilyNames() }
-
-// GeneratePolicyFamily generates one seeded instance of a registered
-// workload instance family.
-func GeneratePolicyFamily(name string, seed int64, size int) (PolicyFamilyInstance, error) {
-	return workload.GenerateFamily(name, seed, size)
-}
-
-// ---------------------------------------------------------------------------
-// Cluster replication (internal/cluster): leader/follower catalog
-// replication over the per-shard WAL record stream.
-
-type (
-	// ClusterNode is one replication cluster member: a term- and
-	// lease-based leader streams WAL record frames to followers and acks a
-	// mutation only after a majority has durably appended it. Construct
-	// with OpenClusterNode.
-	ClusterNode = cluster.Node
-	// ClusterOptions configures OpenClusterNode (node id, listen address,
-	// peer map, advertised HTTP address, catalog, record ring, timings).
-	ClusterOptions = cluster.Options
-	// ClusterStatus is one node's view of the cluster — the GET /cluster
-	// payload (role, term, lease expiry, per-peer lag, fingerprints).
-	ClusterStatus = cluster.Status
-	// ClusterPeerStatus is the leader's replication view of one peer.
-	ClusterPeerStatus = cluster.PeerStatus
-	// ClusterRecordLog is the in-memory per-shard tail of WAL records the
-	// leader replays to followers; wire it into the catalog via
-	// CatalogOptions.OnRecord = log.Append.
-	ClusterRecordLog = cluster.RecordLog
-	// CatalogRecordEvent is the payload of CatalogOptions.OnRecord: one
-	// durably appended WAL record (shard, sequence number, payload bytes).
-	CatalogRecordEvent = catalog.RecordEvent
-)
-
-// Cluster errors. Match with errors.Is; minupd maps them onto the write
-// path (307 redirect, 503).
-var (
-	// ErrClusterNotLeader reports a mutation sent to a follower; redirect
-	// to the leader returned alongside it.
-	ErrClusterNotLeader = cluster.ErrNotLeader
-	// ErrClusterNoLeader reports that no leader is currently known (an
-	// election is in progress, or this node is partitioned).
-	ErrClusterNoLeader = cluster.ErrNoLeader
-	// ErrClusterNoQuorum reports a mutation that is locally durable but
-	// was not acknowledged by a majority within the commit timeout.
-	ErrClusterNoQuorum = cluster.ErrNoQuorum
-	// ErrClusterClosed reports an operation on a closed cluster node.
-	ErrClusterClosed = cluster.ErrClosed
-)
-
-// NewClusterRecordLog creates the replication record ring (0 uses the
-// default window of 1024 records per shard).
-func NewClusterRecordLog(size int) *ClusterRecordLog { return cluster.NewRecordLog(size) }
-
-// OpenClusterNode starts a replication cluster member over an open
-// catalog. The catalog must have been opened with CatalogOptions.OnRecord
-// feeding the same ClusterRecordLog passed here, or followers can only
-// catch up by snapshot.
-func OpenClusterNode(opt ClusterOptions) (*ClusterNode, error) { return cluster.Open(opt) }

@@ -3,6 +3,10 @@ package minup_test
 import (
 	"errors"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -158,6 +162,47 @@ func TestFacadeTrace(t *testing.T) {
 	}
 	if res.Trace == nil || !strings.Contains(res.Trace.Table(), "L3") {
 		t.Fatal("trace missing or empty")
+	}
+}
+
+// TestFacadeImports pins the facade's scope: the package presents the
+// paper's library, and minupd runs on the service packages directly, so
+// no service type has a second name in the facade.
+func TestFacadeImports(t *testing.T) {
+	imports := func(path string) []string {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, spec := range f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
+		}
+		return out
+	}
+	for _, p := range imports("minup.go") {
+		switch p {
+		case "minup/internal/catalog", "minup/internal/cluster", "minup/internal/wal", "minup/internal/workload":
+			t.Errorf("minup.go imports %s, a service package", p)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("cmd", "minupd", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no minupd sources: %v", err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		for _, p := range imports(file) {
+			if p == "minup" {
+				t.Errorf("%s imports the minup facade", file)
+			}
+		}
 	}
 }
 

@@ -20,7 +20,10 @@
 # replacements by the run's set-up directories rather than by polling
 # PIDs: a cold_create set-up lives for about 20 ms, too short to be seen
 # reliably. Profile on an otherwise idle machine: the servers share its
-# cores with the load generator.
+# cores with the load generator. A fetch that fails, most often because the
+# timed part ended inside the window, ends the script with an error that
+# names the server; the run's earlier outputs are deleted first, so no
+# summary of an older run is left to be read as this one's.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 3 ]]; then
@@ -37,6 +40,7 @@ command -v go >/dev/null || PATH=$PATH:/usr/local/go/bin
 out=.bench_build/perfbench/profiles
 mkdir -p "$out"
 tag=$workload-s$seed
+rm -f "$out/$tag".* "$out/$tag"-node*
 bin=$root/.bench_build/perfbench/minupd
 dur=$((seconds / 4))
 ((dur >= 1)) || dur=1
@@ -69,6 +73,14 @@ if [[ -z $procs ]]; then
 	exit 1
 fi
 
+# fetch saves one pprof endpoint of the server at $3 to $1.
+fetch() {
+	if ! curl -sf -o "$1" "$2"; then
+		echo "profile_perfbench: fetching $2 from minupd $3 failed: the ${dur}s profile window outlasted the workload's timed part; rerun with a larger seconds than $seconds" >&2
+		return 1
+	fi
+}
+
 i=0
 profs=()
 curls=()
@@ -79,16 +91,21 @@ for p in $procs; do
 	role=$(curl -s "http://$addr/cluster" | grep -o '"role": *"[a-z]*"' | sed 's/.*"\([a-z]*\)"$/\1/' || true)
 	prof=$out/$tag-node$i${role:+-$role}.pprof
 	base=${prof%.pprof}
-	curl -s -o "$base.allocs-start.pb.gz" "http://$dbg/debug/pprof/allocs"
+	fetch "$base.allocs-start.pb.gz" "http://$dbg/debug/pprof/allocs" "$addr"
 	{
-		curl -s -o "$prof" "http://$dbg/debug/pprof/profile?seconds=$dur"
-		curl -s -o "$base.allocs-end.pb.gz" "http://$dbg/debug/pprof/allocs"
+		fetch "$prof" "http://$dbg/debug/pprof/profile?seconds=$dur" "$addr" &&
+			fetch "$base.allocs-end.pb.gz" "http://$dbg/debug/pprof/allocs" "$addr"
 	} &
 	curls+=($!)
 	profs+=("$prof")
 	i=$((i + 1))
 done
-wait "${curls[@]}"
+# wait with several PIDs reports only the last one's status.
+failed=0
+for c in "${curls[@]}"; do
+	wait "$c" || failed=1
+done
+((failed == 0)) || exit 1
 
 for prof in "${profs[@]}"; do
 	base=${prof%.pprof}
