@@ -86,11 +86,9 @@ func (g *gate) acquire(ctx context.Context) (release func(), err error) {
 	g.reg.Gauge("http.queue_depth").Set(g.queued.Load())
 	waitStart := time.Now()
 	defer func() {
-		// Report the time spent queued back to the request record, however
-		// the wait ended — the access log and flight record carry it.
-		if ri := infoFrom(ctx); ri != nil {
-			ri.queueWait = time.Since(waitStart)
-		}
+		// Report the time spent queued in the request's flight record,
+		// however the wait ended: the access log carries it too.
+		flightOf(ctx).QueueWaitUS = time.Since(waitStart).Microseconds()
 		g.queued.Add(-1)
 		g.reg.Gauge("http.queue_depth").Set(g.queued.Load())
 	}()
@@ -150,14 +148,12 @@ func (g *gate) queueDepth() int64 { return g.queued.Load() }
 
 // writeShed answers a shed request: 503 with Retry-After so well-behaved
 // clients back off instead of hammering an overloaded server. The shed
-// disposition is marked on the request record for the access log and the
-// flight recorder (where a shed is an expected overload response, not an
-// anomaly).
+// disposition is marked on the request's flight record, which the access
+// log is written from (and where a shed is an expected overload response,
+// not an anomaly).
 func writeShed(w http.ResponseWriter, r *http.Request, reason error) {
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.shed = true
-		ri.errText = reason.Error()
-	}
+	fl := flightOf(r.Context())
+	fl.Shed, fl.Err = true, reason.Error()
 	w.Header().Set("Retry-After", "1")
 	http.Error(w, "service unavailable: "+reason.Error(), http.StatusServiceUnavailable)
 }

@@ -101,9 +101,7 @@ func (s *server) clusterBarrier(ctx context.Context, w http.ResponseWriter, r *h
 	if err == nil {
 		return true
 	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.errText = err.Error()
-	}
+	flightOf(r.Context()).Err = err.Error()
 	switch {
 	case errors.Is(err, cluster.ErrNoQuorum):
 		w.Header().Set("X-Cluster-State", "no-quorum")

@@ -171,6 +171,31 @@ func TestShedRequestRecordedNotDumped(t *testing.T) {
 	}
 }
 
+// TestClientErrorsNotDumped: a 4xx is the client's mistake, whatever error
+// text the handler attached, so reads of a missing policy are recorded with
+// that text but write no anomaly dump.
+func TestClientErrorsNotDumped(t *testing.T) {
+	cfg := defaultConfig()
+	dumpDir := t.TempDir()
+	cfg.flight = obs.NewFlightRecorder(obs.FlightOptions{DumpDir: dumpDir, SLO: cfg.slo})
+	_, h, _ := newTestServerCfg(t, cfg)
+	for i := 0; i < 5; i++ {
+		if rec := get(t, h, "/policies/missing/solve"); rec.Code != http.StatusNotFound {
+			t.Fatalf("GET of a missing policy = %d, want 404", rec.Code)
+		}
+	}
+	snap, _ := debugRequestsJSON(t, cfg.flight)
+	if snap.Total != 5 || snap.Recent[0].Err == "" || snap.Recent[0].Status != http.StatusNotFound {
+		t.Fatalf("flight total = %d, newest = %+v: want five 404s with their error text", snap.Total, snap.Recent[0])
+	}
+	if len(snap.RecentAnomalies) != 0 || snap.DumpsWritten != 0 {
+		t.Fatalf("client errors treated as anomalies: %d anomalies, %d dumps", len(snap.RecentAnomalies), snap.DumpsWritten)
+	}
+	if entries, err := os.ReadDir(dumpDir); err != nil || len(entries) != 0 {
+		t.Fatalf("dump dir not empty after 404s: %v, %v", entries, err)
+	}
+}
+
 // TestRefreshRecordsInFlightRing checks the async side of the recorder: a
 // policy write's background refresh lands in the ring as a "refresh" record
 // with the policy identity and a terminal outcome.

@@ -117,10 +117,12 @@
 // fault points, e.g. -fault 'solve.step:delay:%1:5ms' to slow every solver
 // step.
 //
-// Every route runs behind a middleware stack: per-route latency histograms
-// ("http.<route>.duration_us"), status-class counters, an in-flight gauge,
-// request IDs (X-Request-Id echoed or generated), panic recovery, and one
-// slog JSON access log line per request carrying the request ID, the
+// Every route runs behind a middleware stack: request IDs (X-Request-Id
+// echoed or generated), panic recovery, an in-flight gauge, and one flight
+// record per request, which handlers fill and which is the request's only
+// record. From it the middleware writes the per-route latency histogram
+// ("http.<route>.duration_us"), the status-class counter, the SLO outcome
+// and one slog JSON access log line carrying the request ID, the
 // shed/degraded disposition, and the queue wait (plus the trace ID for
 // instrumented solves). Every solve records into a shared metrics registry
 // under the "solve.*" names.
@@ -129,13 +131,13 @@
 //
 // An always-on flight recorder (DESIGN.md §8) keeps one compact record per
 // request and per async catalog refresh in a bounded ring (-flight-size).
-// Anomalous work — panicked, degraded, errored, or slower than -flight-slow
-// — additionally dumps its span tree and the solver event log of the
-// request's cold solve as a Perfetto-loadable JSON file under
-// -flight-dump-dir ("auto" resolves to <data-dir>/anomalies or
-// artifacts/anomalies; empty disables), rotated to stay under
-// -flight-dump-cap bytes. A graceful shutdown writes a final recorder
-// snapshot there too.
+// Anomalous work — panicked, degraded, a server error, or slower than
+// -flight-slow, but never a 4xx or a shed request — additionally dumps its
+// span tree and the solver event log of the request's cold solve as a
+// Perfetto-loadable JSON file under -flight-dump-dir ("auto" resolves to
+// <data-dir>/anomalies or artifacts/anomalies; empty disables), rotated to
+// stay under -flight-dump-cap bytes. A graceful shutdown writes a final
+// recorder snapshot there too.
 //
 // The -slo flag ("route:p99=250ms,avail=99.9;...") arms per-route
 // objectives. Every GET /metrics first samples the derived gauges into the
@@ -196,9 +198,8 @@ type config struct {
 	solveTimeout time.Duration
 	fault        *fault.Injector
 	// flight and slo are the always-on observability layer: the flight
-	// recorder behind /debug/requests and the per-route burn-rate tracker.
-	// Either may be nil (single-handler unit tests), which just disables
-	// that layer.
+	// recorder behind /debug/requests, which every request records into,
+	// and the per-route burn-rate tracker (nil when -slo is empty).
 	flight *obs.FlightRecorder
 	slo    *obs.SLOTracker
 	// cluster is the replication wiring (-cluster-* flags): nil node when

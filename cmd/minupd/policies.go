@@ -159,9 +159,7 @@ func bodyError(w http.ResponseWriter, what string, err error) {
 // or solver failure, 503 catalog closed (shutdown), 504 budget expiry, and
 // 400 for everything else (bad names, unparseable source text).
 func (s *server) policyError(w http.ResponseWriter, r *http.Request, err error) {
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.errText = err.Error()
-	}
+	flightOf(r.Context()).Err = err.Error()
 	switch {
 	case errors.Is(err, catalog.ErrNotFound):
 		http.Error(w, err.Error(), http.StatusNotFound)
@@ -251,9 +249,8 @@ func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, lattice
 		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r.URL.Query()))
 		defer cancel()
 	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.policy = name
-	}
+	fl := flightOf(r.Context())
+	fl.Policy = name
 	var seq uint64
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
@@ -263,9 +260,7 @@ func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, lattice
 		s.policyError(w, r, err)
 		return
 	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.shard = info.Shard
-	}
+	fl.Shard = info.Shard
 	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
 		return
 	}
@@ -330,22 +325,19 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r.URL.Query()))
 	defer cancel()
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.policy = r.PathValue("name")
-	}
+	fl := flightOf(r.Context())
+	fl.Policy = r.PathValue("name")
 	opts := mutateOptionsFrom(r)
 	var seq uint64
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
 	}
-	info, err := s.cat.Append(ctx, r.PathValue("name"), req.Constraints, ifVersion, opts)
+	info, err := s.cat.Append(ctx, fl.Policy, req.Constraints, ifVersion, opts)
 	if err != nil {
 		s.policyError(w, r, err)
 		return
 	}
-	if ri := infoFrom(r.Context()); ri != nil {
-		ri.shard = info.Shard
-	}
+	fl.Shard = info.Shard
 	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
 		return
 	}
@@ -373,32 +365,21 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	budget := s.solveBudget(query)
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
+	fl := flightOf(r.Context())
+	fl.Policy = name
 	// Soft overload: the queue behind us is filling. A cold version gets
 	// the secure baseline at once instead of burning a full solve budget.
-	opt := catalog.SolveOptions{Baseline: s.gate.overloaded()}
+	// The flight's log takes its pooled buffer on the first event, so a
+	// memo hit, which runs no solver, never takes one.
+	opt := catalog.SolveOptions{Baseline: s.gate.overloaded(), Events: fl.Events()}
 	reason := "overload"
-	ri := infoFrom(r.Context())
-	if ri != nil {
-		ri.policy = name
-		if ri.flight != nil {
-			// The flight's log takes its pooled buffer on the first event,
-			// so a memo hit, which runs no solver, never takes one.
-			opt.Events = ri.flight.Events()
-		}
-	}
 	var root *obs.Span
-	var traceID string
 	if query.Get("trace") == "1" {
 		tr := obs.NewTracer()
 		root = tr.Start("request")
-		traceID = tr.TraceID()
+		fl.TraceID = tr.TraceID()
+		fl.SetSpan(root)
 		ctx = obs.ContextWithSpan(ctx, root)
-		if ri != nil {
-			ri.traceID = traceID
-			if ri.flight != nil {
-				ri.flight.SetSpan(root)
-			}
-		}
 	}
 	res, err := s.cat.Serve(ctx, name, opt)
 	if err != nil && !opt.Baseline && r.Context().Err() == nil &&
@@ -419,9 +400,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 			!errors.Is(err, catalog.ErrNotFound) && !errors.Is(err, core.ErrInternal) {
 			// No minimal answer and no baseline either (Qian does not
 			// support upper bounds): shed honestly.
-			if ri != nil {
-				ri.errText = err.Error()
-			}
+			fl.Err = err.Error()
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "degraded solve failed: "+err.Error(), http.StatusServiceUnavailable)
 			return
@@ -434,22 +413,18 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		version:  res.Info.Version,
 		cacheHit: res.CacheHit,
 		stats:    newSolveStats(res.Stats),
-		traceID:  traceID,
+		traceID:  fl.TraceID,
 	}
 	if res.Baseline {
 		s.reg.Counter("solve.degraded").Inc()
 		s.reg.Counter("solve.degraded." + reason).Inc()
 		out.degraded, out.degradeReason, out.upgradedAttrs = true, reason, res.UpgradedAttrs
 	}
-	if ri != nil {
-		ri.shard = res.Info.Shard
-		ri.cacheHit = res.CacheHit
-		ri.stats = flightStatsOf(res.Stats)
-		ri.degraded, ri.degradeReason = out.degraded, out.degradeReason
-	}
+	fl.Shard, fl.CacheHit, fl.Stats = res.Info.Shard, res.CacheHit, flightStatsOf(res.Stats)
+	fl.Degraded, fl.DegradeReason = out.degraded, out.degradeReason
 	w.Header().Set("ETag", etag(res.Info.Version))
 	encode := func() []byte { return solveBody(out, res.Pairs()) }
-	if traceID != "" {
+	if fl.TraceID != "" {
 		// The trace ID belongs to this request, so its body must never be
 		// the version's stored one.
 		writeBody(w, http.StatusOK, encode())
@@ -470,21 +445,16 @@ func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ri := infoFrom(r.Context())
-	if ri != nil {
-		ri.policy = r.PathValue("name")
-	}
-	info, compiled, err := s.cat.Compiled(r.PathValue("name"))
+	fl := flightOf(r.Context())
+	fl.Policy = r.PathValue("name")
+	info, compiled, err := s.cat.Compiled(fl.Policy)
 	if err != nil {
 		s.policyError(w, r, err)
 		return
 	}
 	tr := obs.NewTracer()
 	root := tr.Start("request")
-	if ri != nil {
-		ri.shard = info.Shard
-		ri.traceID = tr.TraceID()
-	}
+	fl.Shard, fl.TraceID = info.Shard, tr.TraceID()
 	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r.URL.Query()))
 	defer cancel()
 	_, err = core.SolveContext(obs.ContextWithSpan(ctx, root), compiled, core.Options{Metrics: s.reg, Fault: s.cfg.fault})
@@ -502,7 +472,7 @@ func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		obs.WriteFlameSummary(w, root)
 	default:
-		writeJSON(w, traceResponse{TraceID: tr.TraceID(), Spans: root.Node(root.StartTime())})
+		writeJSON(w, traceResponse{TraceID: fl.TraceID, Spans: root.Node(root.StartTime())})
 	}
 }
 

@@ -326,7 +326,8 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 	reg := obs.NewRegistry()
 	logBuf := &strings.Builder{}
 	logger := slog.New(slog.NewJSONHandler(logBuf, nil))
-	h := instrument("boom", httpObs{reg: reg, logger: logger}, func(http.ResponseWriter, *http.Request) {
+	o := httpObs{reg: reg, logger: logger, flight: obs.NewFlightRecorder(obs.FlightOptions{})}
+	h := instrument("boom", o, func(http.ResponseWriter, *http.Request) {
 		panic("handler exploded")
 	})
 	rec := httptest.NewRecorder()
@@ -347,6 +348,9 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 	log := logBuf.String()
 	if !strings.Contains(log, "handler panic") || !strings.Contains(log, "handler exploded") {
 		t.Fatalf("panic not logged:\n%s", log)
+	}
+	if recent := o.flight.Snapshot().Recent; len(recent) != 1 || !recent[0].Panicked || recent[0].Status != 500 {
+		t.Fatalf("flight records = %+v, want one panicked 500", recent)
 	}
 }
 

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"os"
@@ -104,9 +105,9 @@ func TestParentWALReplays(t *testing.T) {
 		if filepath.Ext(e.Name()) != ".wal" {
 			continue
 		}
-		fr := wal.NewFrameReader(bytes.NewReader(data))
+		br := bufio.NewReader(bytes.NewReader(data))
 		for {
-			payload, err := fr.Next()
+			payload, err := wal.ReadFrame(br)
 			if err != nil {
 				break
 			}

@@ -718,19 +718,44 @@ func (n *Node) IsLeader() bool {
 func (n *Node) ReplicaLag() (frames uint64, known bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.replicaLagLocked()
+}
+
+// replicaLagLocked is ReplicaLag, computed from the leader's last
+// heartbeat and this node's own per-shard positions. The /readyz check,
+// the cluster.replica.lag_frames gauge and GET /cluster all read it.
+// Caller holds n.mu.
+func (n *Node) replicaLagLocked() (frames uint64, known bool) {
 	if n.role == RoleLeader {
 		return 0, true
 	}
 	if n.leaderSeqs == nil || time.Since(n.lastHeartbeat) > 2*n.opt.Lease {
 		return 0, false
 	}
-	var lag uint64
 	for i, ls := range n.leaderSeqs {
 		if i < len(n.ownSeq) && ls > n.ownSeq[i] {
-			lag += ls - n.ownSeq[i]
+			frames += ls - n.ownSeq[i]
 		}
 	}
-	return lag, true
+	return frames, true
+}
+
+// peerLagLocked is how far peer p trails this node: frames summed over
+// shards, and the bytes of those frames still in the record ring. The
+// cluster.peer.<id>.lag_* gauges and GET /cluster both read it. Caller
+// holds n.mu.
+func (n *Node) peerLagLocked(p *peer) (frames uint64, bytes int64) {
+	for s, own := range n.ownSeq {
+		var match uint64
+		if s < len(p.match) {
+			match = p.match[s]
+		}
+		if own > match {
+			frames += own - match
+			bytes += n.opt.Records.pendingBytes(s, match)
+		}
+	}
+	return frames, bytes
 }
 
 // ---------------------------------------------------------------------------

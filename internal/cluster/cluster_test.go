@@ -428,6 +428,52 @@ func TestStatusShape(t *testing.T) {
 	}
 }
 
+// TestLagOneSource: /readyz, GET /cluster and the lag gauges read one
+// follower lag and one peer lag, both from the node's own per-shard
+// positions. The node here has noted records its catalog does not hold, so
+// a reader of the catalog's positions would disagree with the others.
+func TestLagOneSource(t *testing.T) {
+	cat, err := catalog.Open(catalog.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	reg := obs.NewRegistry()
+	ring := NewRecordLog(0)
+	for seq := uint64(1); seq <= 3; seq++ {
+		ring.Append(catalog.RecordEvent{Shard: 0, Seq: seq, Payload: []byte("rec")})
+	}
+	p := &peer{id: 1}
+	n := &Node{
+		cat:           cat,
+		opt:           Options{Lease: time.Minute, Metrics: reg, Records: ring},
+		role:          RoleFollower,
+		ownSeq:        []uint64{3, 1},
+		leaderSeqs:    []uint64{5, 4},
+		lastHeartbeat: time.Now(),
+		peers:         map[int]*peer{1: p},
+	}
+	n.noteReply(p, reply{OK: true, Seqs: []uint64{1, 0}}, -1, 0)
+
+	lag, known := n.ReplicaLag()
+	st := n.Status()
+	if !known || lag != 5 {
+		t.Fatalf("ReplicaLag = (%d, %v), want (5, true)", lag, known)
+	}
+	if st.ReplicaLag != lag || !st.ReplicaLagKnown {
+		t.Fatalf("Status lag = (%d, %v), ReplicaLag = (%d, %v)", st.ReplicaLag, st.ReplicaLagKnown, lag, known)
+	}
+	ps := st.Peers[0]
+	g := reg.Snapshot().Gauges
+	if ps.LagFrames != 3 || ps.LagBytes != 6 {
+		t.Fatalf("peer lag = %d frames, %d bytes, want 3 and 6", ps.LagFrames, ps.LagBytes)
+	}
+	if g["cluster.peer.1.lag_frames"] != int64(ps.LagFrames) || g["cluster.peer.1.lag_bytes"] != ps.LagBytes {
+		t.Fatalf("peer gauges = %d frames, %d bytes, Status = %d, %d",
+			g["cluster.peer.1.lag_frames"], g["cluster.peer.1.lag_bytes"], ps.LagFrames, ps.LagBytes)
+	}
+}
+
 // TestBarrierNoQuorum: a leader that cannot replicate must refuse to ack.
 func TestBarrierNoQuorum(t *testing.T) {
 	ctx := context.Background()

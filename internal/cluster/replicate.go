@@ -306,18 +306,7 @@ func (n *Node) noteReply(p *peer, rep reply, confirmShard int, confirmSeq uint64
 		n.recomputeCommitLocked(-1)
 	}
 	if n.opt.Metrics != nil {
-		var lagFrames uint64
-		var lagBytes int64
-		for s := range n.ownSeq {
-			var match uint64
-			if s < len(p.match) {
-				match = p.match[s]
-			}
-			if n.ownSeq[s] > match {
-				lagFrames += n.ownSeq[s] - match
-				lagBytes += n.opt.Records.pendingBytes(s, match)
-			}
-		}
+		lagFrames, lagBytes := n.peerLagLocked(p)
 		n.opt.Metrics.Gauge(fmt.Sprintf("cluster.peer.%d.lag_frames", p.id)).Set(int64(lagFrames))
 		n.opt.Metrics.Gauge(fmt.Sprintf("cluster.peer.%d.lag_bytes", p.id)).Set(lagBytes)
 	}

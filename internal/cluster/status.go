@@ -75,18 +75,10 @@ func (n *Node) Status() Status {
 		st.LeaderHTTP = n.opt.HTTPAddr
 		st.LeaseExpiry = n.leaseUntil
 		st.Commit = append([]uint64(nil), n.commit...)
-		st.ReplicaLagKnown = true
 	} else {
 		st.LeaseExpiry = n.lastHeartbeat.Add(n.opt.Lease)
-		if n.leaderSeqs != nil && time.Since(n.lastHeartbeat) <= 2*n.opt.Lease {
-			st.ReplicaLagKnown = true
-			for i, ls := range n.leaderSeqs {
-				if i < len(seqs) && ls > seqs[i] {
-					st.ReplicaLag += ls - seqs[i]
-				}
-			}
-		}
 	}
+	st.ReplicaLag, st.ReplicaLagKnown = n.replicaLagLocked()
 	for i, d := range n.dirty {
 		if d {
 			st.DirtyShards = append(st.DirtyShards, i)
@@ -106,16 +98,7 @@ func (n *Node) Status() Status {
 		if p.known {
 			ps.MatchSeqs = append([]uint64(nil), p.match...)
 			ps.ConfirmedSeqs = append([]uint64(nil), p.confirmed...)
-			for s := range seqs {
-				var match uint64
-				if s < len(p.match) {
-					match = p.match[s]
-				}
-				if seqs[s] > match {
-					ps.LagFrames += seqs[s] - match
-					ps.LagBytes += n.opt.Records.pendingBytes(s, match)
-				}
-			}
+			ps.LagFrames, ps.LagBytes = n.peerLagLocked(p)
 		}
 		st.Peers = append(st.Peers, ps)
 	}

@@ -285,12 +285,7 @@ func (n *Node) adoptLeader(msg message) (uint64, bool) {
 	if msg.Kind == msgHeartbeat && msg.Seqs != nil {
 		n.leaderSeqs = msg.Seqs
 		if n.opt.Metrics != nil {
-			var lag uint64
-			for i, ls := range msg.Seqs {
-				if i < len(n.ownSeq) && ls > n.ownSeq[i] {
-					lag += ls - n.ownSeq[i]
-				}
-			}
+			lag, _ := n.replicaLagLocked()
 			n.opt.Metrics.Gauge("cluster.replica.lag_frames").Set(int64(lag))
 		}
 	}

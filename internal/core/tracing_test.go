@@ -293,7 +293,8 @@ func TestSpanTreeFromCappedLog(t *testing.T) {
 
 	flight := obs.NewFlightRecorder(obs.FlightOptions{})
 	a := flight.Begin("policy.solve", "GET", "req")
-	defer flight.End(a, obs.FlightRecord{Status: 200})
+	a.Status = 200
+	defer flight.End(a)
 	capped := a.Events()
 	root := obs.NewTracer().Start("request")
 	if _, err := SolveContext(obs.ContextWithSpan(context.Background(), root), c, Options{Events: capped}); err != nil {

@@ -76,18 +76,6 @@ func CheckSolvable(s *constraint.Set) error {
 	return err
 }
 
-// CheckSolvableCompiled is CheckSolvable against a compiled snapshot; it
-// performs no work beyond reading the compile-time fixpoint.
-func CheckSolvableCompiled(c *constraint.Compiled) error {
-	if c == nil {
-		return ErrNotCompiled
-	}
-	if _, conflicts := c.UpperBoundFixpoint(); conflicts != nil {
-		return &InconsistencyError{Conflicts: conflicts}
-	}
-	return nil
-}
-
 // SemiLatticeDiagnosis interprets a solve over a lattice completed from a
 // semi-lattice by lattice.CompleteToLattice (§6): attributes pinned at the
 // injected dummy ⊤ have unsatisfiable requirements (no real level is high

@@ -4,13 +4,13 @@
 // request was traced) of slow/errored/degraded/panicked work to a rotating,
 // size-capped dump directory for post-hoc Perfetto analysis.
 //
-// Cost model: Begin/End on the happy path are one small allocation (the
-// ActiveFlight handle, which embeds the request's event log), two short
-// critical sections on the recorder mutex, and one histogram observe. The
-// log takes a pooled buffer on its first event, so a request that runs no
-// solve takes none and steady-state capture allocates nothing. Everything
-// heavier (JSON encoding, file writes, dump rotation) happens only on the
-// anomaly branch.
+// Cost model: Begin/End on the happy path are one allocation (the
+// ActiveFlight, which holds the request's record and its event log), two
+// short critical sections on the recorder mutex, and one histogram
+// observe. The log takes a pooled buffer on its first event, so a request
+// that runs no solve takes none and steady-state capture allocates
+// nothing. Everything heavier (JSON encoding, file writes, dump rotation)
+// happens only on the anomaly branch.
 package obs
 
 import (
@@ -166,32 +166,27 @@ func (f *FlightRecorder) now() time.Time {
 // ---------------------------------------------------------------------------
 // Recording.
 
-// ActiveFlight is one in-flight request's handle: created by Begin, carried
-// through the request context, completed by End. Fields are immutable after
-// Begin except the event log and span, which belong to the request's own
-// goroutine until End.
+// ActiveFlight is one in-flight request's record, opened by Begin, carried
+// through the request context and completed by End. Begin writes the
+// record's identity (Seq, Kind, ID, Route, Method, Start), which
+// /debug/requests reads while the request runs; the request's own goroutine
+// writes every other field, the event log and the span until End. Writing
+// an identity field, or the whole record, after Begin races with that
+// reader.
 type ActiveFlight struct {
-	seq    uint64
-	route  string
-	method string
-	id     string
-	start  time.Time
-	log    EventLog
-	span   *Span
+	FlightRecord
+	log  EventLog
+	span *Span
 }
 
 // Begin opens a flight for one HTTP request and registers it as active.
 func (f *FlightRecorder) Begin(route, method, id string) *ActiveFlight {
-	a := &ActiveFlight{
-		seq:    f.seq.Add(1),
-		route:  route,
-		method: method,
-		id:     id,
-		start:  f.now(),
-	}
-	a.log = EventLog{start: a.start, now: f.opt.Now, bufs: &f.bufs}
+	a := &ActiveFlight{FlightRecord: FlightRecord{
+		Seq: f.seq.Add(1), Kind: "http", ID: id, Route: route, Method: method, Start: f.now(),
+	}}
+	a.log = EventLog{start: a.Start, now: f.opt.Now, bufs: &f.bufs}
 	f.mu.Lock()
-	f.active[a.seq] = a
+	f.active[a.Seq] = a
 	f.mu.Unlock()
 	return a
 }
@@ -206,30 +201,13 @@ func (a *ActiveFlight) Events() *EventLog { return &a.log }
 // finished span tree alongside the event stream.
 func (a *ActiveFlight) SetSpan(sp *Span) { a.span = sp }
 
-// End completes the flight: rec's identity fields are filled from the
-// flight, the record enters the ring, and — when the record trips an
-// anomaly trigger — the logged events and span tree are written to the
-// dump directory. The log's buffer returns to the pool either way.
-func (f *FlightRecorder) End(a *ActiveFlight, rec FlightRecord) {
-	if a == nil {
-		return
-	}
-	rec.Seq = a.seq
-	rec.Kind = "http"
-	rec.Route = a.route
-	if rec.Method == "" {
-		rec.Method = a.method
-	}
-	if rec.ID == "" {
-		rec.ID = a.id
-	}
-	rec.Start = a.start
-	if rec.DurationUS == 0 {
-		rec.DurationUS = f.now().Sub(a.start).Microseconds()
-	}
-
-	if f.isAnomaly(&rec) {
-		rec.Dump = f.writeDump(&rec, &a.log, a.span)
+// End completes the flight: its record enters the ring, and — when the
+// record trips an anomaly trigger — the logged events and span tree are
+// written to the dump directory. The log's buffer returns to the pool
+// either way.
+func (f *FlightRecorder) End(a *ActiveFlight) {
+	if f.isAnomaly(&a.FlightRecord) {
+		a.Dump = f.writeDump(&a.FlightRecord, &a.log, a.span)
 	}
 	if a.log.events != nil {
 		f.bufs.Put((*flightBuf)(a.log.events[:flightEvents]))
@@ -237,8 +215,8 @@ func (f *FlightRecorder) End(a *ActiveFlight, rec FlightRecord) {
 	}
 
 	f.mu.Lock()
-	delete(f.active, a.seq)
-	f.push(rec)
+	delete(f.active, a.Seq)
+	f.push(a.FlightRecord)
 	f.mu.Unlock()
 }
 
@@ -275,28 +253,22 @@ func (f *FlightRecorder) push(rec FlightRecord) {
 	h.Observe(uint64(rec.DurationUS))
 }
 
-// isAnomaly implements the capture triggers: panicked, degraded, errored
-// (5xx or explicit error text, or a failed refresh outcome), or slower than
-// the threshold. A shed request is recorded but deliberately not anomalous:
-// shedding is the designed overload posture, and an overload storm must not
-// thrash the dump directory.
+// isAnomaly implements the capture triggers: panicked, degraded, a 5xx,
+// error text on a request that did not end in a 4xx, a failed refresh, or
+// slower than the threshold. A 4xx is the client's mistake whatever its
+// text says, and a shed request is the designed overload posture: both are
+// recorded but not anomalous, so neither a client's bad requests nor an
+// overload storm thrash the dump directory.
 func (f *FlightRecorder) isAnomaly(rec *FlightRecord) bool {
-	if rec.Shed {
+	switch {
+	case rec.Shed:
 		return false
-	}
-	if rec.Panicked || rec.Degraded || rec.Err != "" {
+	case rec.Panicked, rec.Degraded, rec.Status >= 500, rec.Outcome == "failed", rec.Outcome == "panic":
+		return true
+	case f.opt.SlowThreshold > 0 && rec.DurationUS > f.opt.SlowThreshold.Microseconds():
 		return true
 	}
-	if rec.Status >= 500 {
-		return true
-	}
-	if rec.Outcome == "failed" || rec.Outcome == "panic" {
-		return true
-	}
-	if f.opt.SlowThreshold > 0 && rec.DurationUS > f.opt.SlowThreshold.Microseconds() {
-		return true
-	}
-	return false
+	return rec.Err != "" && rec.Status < 400
 }
 
 // ---------------------------------------------------------------------------
@@ -509,10 +481,12 @@ func (f *FlightRecorder) Snapshot() FlightSnapshot {
 		DumpErrors:      f.dumpErrors.Load(),
 	}
 	for _, a := range f.active {
+		// Only the fields Begin wrote: the request's goroutine is writing
+		// the others.
 		snap.Active = append(snap.Active, FlightRecord{
-			Seq: a.seq, Kind: "http", ID: a.id, Route: a.route,
-			Method: a.method, Start: a.start,
-			DurationUS: now.Sub(a.start).Microseconds(), Active: true,
+			Seq: a.Seq, Kind: a.Kind, ID: a.ID, Route: a.Route,
+			Method: a.Method, Start: a.Start,
+			DurationUS: now.Sub(a.Start).Microseconds(), Active: true,
 		})
 	}
 	for route, h := range f.routes {

@@ -18,7 +18,8 @@ func TestFlightRingBounded(t *testing.T) {
 	const n = 10 * size
 	for i := 0; i < n; i++ {
 		a := f.Begin("solve", "GET", fmt.Sprintf("req-%d", i))
-		f.End(a, FlightRecord{Status: 200, DurationUS: int64(i)})
+		a.Status, a.DurationUS = 200, int64(i)
+		f.End(a)
 	}
 	snap := f.Snapshot()
 	if snap.Total != n {
@@ -42,10 +43,13 @@ func TestFlightRingBounded(t *testing.T) {
 func TestFlightAnomalyRingSurvivesHealthyTraffic(t *testing.T) {
 	f := NewFlightRecorder(FlightOptions{Size: 4})
 	a := f.Begin("solve", "GET", "bad-one")
-	f.End(a, FlightRecord{Status: 500, Err: "boom"})
+	a.Status, a.Err = 500, "boom"
+	f.End(a)
 	// A burst of healthy traffic laps the main ring several times over.
 	for i := 0; i < 32; i++ {
-		f.End(f.Begin("solve", "GET", "ok"), FlightRecord{Status: 200})
+		a := f.Begin("solve", "GET", "ok")
+		a.Status = 200
+		f.End(a)
 	}
 	snap := f.Snapshot()
 	for _, rec := range snap.Recent {
@@ -70,6 +74,8 @@ func TestFlightAnomalyTriggers(t *testing.T) {
 	}{
 		{"healthy", FlightRecord{Status: 200}, false},
 		{"client error", FlightRecord{Status: 404}, false},
+		// A 4xx is the client's mistake, whatever its text says.
+		{"client error with text", FlightRecord{Status: 404, Err: `catalog: policy "missing" not found`}, false},
 		{"server error", FlightRecord{Status: 500}, true},
 		{"explicit err", FlightRecord{Status: 200, Err: "x"}, true},
 		{"degraded", FlightRecord{Status: 200, Degraded: true}, true},
@@ -98,7 +104,8 @@ func TestFlightDumpWriteAndCapture(t *testing.T) {
 		log.Append(Event{Kind: EventTry, Attr: 1, Level: 3})
 	}
 	log.Append(Event{Kind: EventCollapse, Attr: 2}) // over flightEvents: truncated
-	f.End(a, FlightRecord{Status: 200, Degraded: true, DegradeReason: "deadline"})
+	a.Status, a.Degraded, a.DegradeReason = 200, true, "deadline"
+	f.End(a)
 
 	snap := f.Snapshot()
 	if snap.DumpsWritten != 1 {
@@ -203,8 +210,12 @@ func TestFlightRefreshRecord(t *testing.T) {
 
 func TestFlightServeHTTP(t *testing.T) {
 	f := NewFlightRecorder(FlightOptions{SLO: NewSLOTracker(SLOSpec{Route: "solve", P99: time.Second, Availability: 0.999})})
-	f.End(f.Begin("solve", "GET", "ok-req"), FlightRecord{Status: 200})
-	f.End(f.Begin("solve", "GET", "bad-req"), FlightRecord{Status: 500, Err: "exploded"})
+	ok := f.Begin("solve", "GET", "ok-req")
+	ok.Status = 200
+	f.End(ok)
+	bad := f.Begin("solve", "GET", "bad-req")
+	bad.Status, bad.Err = 500, "exploded"
+	f.End(bad)
 
 	rec := httptest.NewRecorder()
 	f.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/requests", nil))
@@ -236,7 +247,8 @@ func TestFlightServeHTTP(t *testing.T) {
 }
 
 // TestFlightConcurrent hammers Begin/End/Record/Snapshot from many
-// goroutines under -race: the ring stays bounded and nothing tears.
+// goroutines under -race, each writing its flight's record while snapshots
+// list it as active: the ring stays bounded and nothing tears.
 func TestFlightConcurrent(t *testing.T) {
 	f := NewFlightRecorder(FlightOptions{Size: 32})
 	var wg sync.WaitGroup
@@ -247,7 +259,8 @@ func TestFlightConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				a := f.Begin("solve", "GET", fmt.Sprintf("w%d-%d", w, i))
 				a.Events().Append(Event{Kind: EventTry})
-				f.End(a, FlightRecord{Status: 200})
+				a.Status, a.Policy = 200, "p"
+				f.End(a)
 				if i%50 == 0 {
 					f.Record(FlightRecord{Kind: "refresh", Route: "catalog.refresh", Outcome: "completed"})
 				}

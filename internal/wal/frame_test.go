@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -20,7 +21,8 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // TestFrameStreamRoundTrip writes frames with WriteFrame and reads them back
-// with a FrameReader, including an empty payload and a large one.
+// with ReadFrame on a buffered reader, including an empty payload and a
+// large one.
 func TestFrameStreamRoundTrip(t *testing.T) {
 	want := [][]byte{[]byte("one"), []byte(""), bytes.Repeat([]byte{0xCD}, 9000)}
 	var buf bytes.Buffer
@@ -29,9 +31,9 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
-	fr := NewFrameReader(&buf)
+	br := bufio.NewReader(&buf)
 	for i, p := range want {
-		got, err := fr.Next()
+		got, err := ReadFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -39,7 +41,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got %q want %q", i, got, p)
 		}
 	}
-	if _, err := fr.Next(); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrame(br); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of stream: got %v, want io.EOF", err)
 	}
 }

@@ -36,7 +36,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,17 +114,6 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	}
 	return payload, nil
 }
-
-// A FrameReader decodes a stream of WAL frames from r, buffering reads.
-type FrameReader struct {
-	br *bufio.Reader
-}
-
-// NewFrameReader wraps r in a buffered frame decoder.
-func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{br: bufio.NewReader(r)} }
-
-// Next returns the next frame's payload, with ReadFrame's error contract.
-func (fr *FrameReader) Next() ([]byte, error) { return ReadFrame(fr.br) }
 
 // SyncPolicy says when the log fsyncs.
 type SyncPolicy uint8
@@ -338,9 +326,6 @@ func (l *Log) Reset() error {
 	}
 	return nil
 }
-
-// Size returns the current valid length of the log in bytes.
-func (l *Log) Size() int64 { return l.size }
 
 // Close syncs and closes the underlying file. Under SyncNever the appends
 // since the last sync are still sitting in the kernel page cache, so Close

@@ -181,8 +181,8 @@ func TestResetEmptiesLog(t *testing.T) {
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 0 {
-		t.Fatalf("Size after Reset = %d", l.Size())
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("file after Reset: %v, %v; want 0 bytes", fi, err)
 	}
 	l.Append([]byte("c"))
 	l.Close()
