@@ -39,13 +39,14 @@ type gate struct {
 	queued    atomic.Int64
 	wait      time.Duration
 	draining  *atomic.Bool
-	reg       *obs.Registry
+	shedTotal *obs.Counter // http.shed
+	depth     *obs.Gauge   // http.queue_depth
 }
 
 // newGate sizes the admission gate. maxInflight is clamped to at least 1;
 // maxQueue may be 0 (no waiting — excess load sheds instantly). The shed
-// counter and queue gauge are registered eagerly so a scrape sees them
-// before the first overload.
+// counter and queue gauge are registered here, so a scrape sees them
+// before the first overload and the gate never looks them up by name.
 func newGate(maxInflight, maxQueue int, wait time.Duration, draining *atomic.Bool, reg *obs.Registry) *gate {
 	if maxInflight < 1 {
 		maxInflight = 1
@@ -53,78 +54,76 @@ func newGate(maxInflight, maxQueue int, wait time.Duration, draining *atomic.Boo
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
-	reg.Counter("http.shed")
-	reg.Gauge("http.queue_depth")
 	return &gate{
 		sem:       make(chan struct{}, maxInflight),
 		maxQueue:  int64(maxQueue),
 		softQueue: int64((maxQueue + 1) / 2),
 		wait:      wait,
 		draining:  draining,
-		reg:       reg,
+		shedTotal: reg.Counter("http.shed"),
+		depth:     reg.Gauge("http.queue_depth"),
 	}
 }
 
-// acquire admits the request or sheds it. On admission it returns a
-// release function the caller must invoke exactly once (defer it). On shed
-// it returns one of the errShed* reasons after bumping the http.shed
-// counter; a nil release with a context error means the client went away
-// while queued.
-func (g *gate) acquire(ctx context.Context) (release func(), err error) {
+// acquire admits the request or sheds it. On admission it returns nil, and
+// the caller must call release exactly once (defer it). On shed it returns
+// one of the errShed* reasons after bumping the http.shed counter; a
+// context error means the client went away while queued.
+func (g *gate) acquire(ctx context.Context) error {
 	if g.draining.Load() {
-		return nil, g.shed(errShedDraining)
+		return g.shed(errShedDraining)
 	}
 	select {
 	case g.sem <- struct{}{}:
-		return g.release, nil
+		return nil
 	default:
 	}
 	if g.queued.Add(1) > g.maxQueue {
 		g.queued.Add(-1)
-		return nil, g.shed(errShedQueueFull)
+		return g.shed(errShedQueueFull)
 	}
-	g.reg.Gauge("http.queue_depth").Set(g.queued.Load())
+	g.depth.Set(g.queued.Load())
 	waitStart := time.Now()
 	defer func() {
 		// Report the time spent queued in the request's flight record,
 		// however the wait ended: the access log carries it too.
 		flightOf(ctx).QueueWaitUS = time.Since(waitStart).Microseconds()
 		g.queued.Add(-1)
-		g.reg.Gauge("http.queue_depth").Set(g.queued.Load())
+		g.depth.Set(g.queued.Load())
 	}()
 	t := time.NewTimer(g.wait)
 	defer t.Stop()
 	select {
 	case g.sem <- struct{}{}:
-		return g.release, nil
+		return nil
 	case <-t.C:
-		return nil, g.shed(errShedWait)
+		return g.shed(errShedWait)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
 func (g *gate) release() { <-g.sem }
 
 // admit passes a request through the gate. When the request is shed, or its
-// client went away while queued, admit answers it and returns ok false;
-// otherwise the caller must invoke release exactly once.
-func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	release, err := s.gate.acquire(r.Context())
+// client went away while queued, admit answers it and returns false;
+// otherwise the caller must call s.gate.release exactly once.
+func (s *server) admit(w http.ResponseWriter, r *http.Request) bool {
+	err := s.gate.acquire(r.Context())
 	switch {
 	case err == nil:
-		return release, true
+		return true
 	case r.Context().Err() != nil:
 		http.Error(w, "client gone while queued", http.StatusRequestTimeout)
 	default:
 		writeShed(w, r, err)
 	}
-	return nil, false
+	return false
 }
 
 // shed counts and passes the reason through.
 func (g *gate) shed(reason error) error {
-	g.reg.Counter("http.shed").Inc()
+	g.shedTotal.Inc()
 	return reason
 }
 

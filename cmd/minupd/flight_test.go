@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -193,6 +194,42 @@ func TestClientErrorsNotDumped(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(dumpDir); err != nil || len(entries) != 0 {
 		t.Fatalf("dump dir not empty after 404s: %v, %v", entries, err)
+	}
+}
+
+// TestPolicyGetDeleteFlightIdentity: a GET and a DELETE of a policy leave
+// flight records that name the policy and its shard, as its solves and
+// writes do, so /debug/requests and the dumps show whose requests they
+// were.
+func TestPolicyGetDeleteFlightIdentity(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.flight = obs.NewFlightRecorder(obs.FlightOptions{})
+	srv, h, _ := newTestServerCfg(t, cfg)
+	// Off shard 0 when there are several, so an unset shard shows.
+	name := "p0"
+	for i := 1; srv.cat.Shards() > 1 && srv.cat.ShardOf(name) == 0; i++ {
+		name = "p" + strconv.Itoa(i)
+	}
+	putWarm(t, h, name)
+	if rec := get(t, h, "/policies/"+name); rec.Code != http.StatusOK {
+		t.Fatalf("GET /policies/%s = %d", name, rec.Code)
+	}
+	if rec := policyReq(t, h, http.MethodDelete, "/policies/"+name, nil, nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE /policies/%s = %d: %s", name, rec.Code, rec.Body.String())
+	}
+	snap, _ := debugRequestsJSON(t, cfg.flight)
+	seen := map[string]bool{}
+	for _, fr := range snap.Recent {
+		if fr.Kind != "http" || (fr.Method != http.MethodGet && fr.Method != http.MethodDelete) {
+			continue
+		}
+		seen[fr.Method] = true
+		if fr.Policy != name || fr.Shard != srv.cat.ShardOf(name) {
+			t.Errorf("%s record = %+v, want policy %q on shard %d", fr.Method, fr, name, srv.cat.ShardOf(name))
+		}
+	}
+	if !seen[http.MethodGet] || !seen[http.MethodDelete] {
+		t.Fatalf("flight ring lacks the GET or the DELETE: %+v", snap.Recent)
 	}
 }
 

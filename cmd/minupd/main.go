@@ -406,6 +406,10 @@ type server struct {
 	// problemsCreated holds each problem family's
 	// problems.<family>.created counter.
 	problemsCreated map[string]*obs.Counter
+	// degraded counts every degraded answer (solve.degraded), and
+	// degradedBy each reason's share (solve.degraded.<reason>).
+	degraded   *obs.Counter
+	degradedBy map[string]*obs.Counter
 }
 
 // newServer wires a server the way main does, so tests share the exact
@@ -415,8 +419,11 @@ func newServer(cat *catalog.Catalog, reg *obs.Registry, cfg config) *server {
 	s.gate = newGate(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, &s.draining, reg)
 	// Register the degradation counters eagerly so a scrape sees the
 	// series before the first overload.
-	reg.Counter("solve.degraded")
-	s.reg.Counter("http.panics")
+	s.degraded = reg.Counter("solve.degraded")
+	s.degradedBy = make(map[string]*obs.Counter)
+	for _, reason := range []string{"overload", "deadline"} {
+		s.degradedBy[reason] = reg.Counter("solve.degraded." + reason)
+	}
 	s.problemsCreated = make(map[string]*obs.Counter)
 	for _, family := range frontend.Families() {
 		s.problemsCreated[family] = reg.Counter("problems." + family + ".created")

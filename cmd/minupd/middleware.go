@@ -17,10 +17,11 @@ import (
 type flightKey struct{}
 
 // flightOf returns the flight the middleware opened for the request. Its
-// record is the request's only record: handlers set its fields (policy
-// identity, trace ID, shed and degraded disposition, queue wait, solver
-// stats, error text), and the middleware writes the access-log line, the
-// status counter and the SLO outcome from it.
+// record is the request's only record: the middleware names its policy
+// from the route's {name}, handlers set its other fields (shard, trace ID,
+// shed and degraded disposition, queue wait, solver stats, error text),
+// and the middleware writes the access-log line, the status counter and
+// the SLO outcome from it.
 func flightOf(ctx context.Context) *obs.ActiveFlight {
 	return ctx.Value(flightKey{}).(*obs.ActiveFlight)
 }
@@ -81,11 +82,11 @@ func newRequestID() string {
 // timed, logged, and flight-recorded like any other before the recovery
 // answers it.
 //
-// The histogram and the four status-class counters are resolved at wrap
-// time, so a Prometheus scrape sees the route's series before its first
-// request and a request looks none of them up. Several method patterns may
-// share one route name; registration is get-or-create, so the series are
-// shared too.
+// The histogram, the four status-class counters, the in-flight gauge and
+// the panic counter are resolved at wrap time, so a Prometheus scrape sees
+// the route's series before its first request and a request looks none of
+// them up. Several method patterns may share one route name; registration
+// is get-or-create, so the series are shared too.
 func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 	hist := o.reg.Histogram("http."+route+".duration_us", obs.DurationBucketsUS)
 	var byClass [4]*obs.Counter // 2xx, 3xx, 4xx, 5xx
@@ -93,6 +94,7 @@ func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 		byClass[i] = o.reg.Counter("http." + route + ".status." + strconv.Itoa(i+2) + "xx")
 	}
 	inFlight := o.reg.Gauge("http.in_flight")
+	panics := o.reg.Counter("http.panics")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {
@@ -100,6 +102,7 @@ func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 		}
 		w.Header().Set("X-Request-Id", id)
 		fl := o.flight.Begin(route, r.Method, id)
+		fl.Policy = r.PathValue("name") // empty on routes without {name}
 		sw := &statusWriter{ResponseWriter: w, rec: &fl.FlightRecord}
 		inFlight.Inc()
 		start := time.Now()
@@ -119,7 +122,7 @@ func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 			}
 			if rec != nil {
 				fl.Panicked = true
-				o.reg.Counter("http.panics").Inc()
+				panics.Inc()
 				o.logger.Error("handler panic",
 					slog.String("path", r.URL.Path),
 					slog.String("request_id", id),

@@ -198,11 +198,13 @@ func (s *server) handlePolicyList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
-	info, err := s.cat.Get(r.PathValue("name"))
+	fl := flightOf(r.Context())
+	info, err := s.cat.Get(fl.Policy)
 	if err != nil {
 		s.policyError(w, r, err)
 		return
 	}
+	fl.Shard = info.Shard
 	w.Header().Set("ETag", etag(info.Version))
 	writeJSON(w, info)
 }
@@ -240,11 +242,10 @@ func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, lattice
 	opts := mutateOptionsFrom(r)
 	ctx := r.Context()
 	if opts.Wait {
-		release, ok := s.admit(w, r)
-		if !ok {
+		if !s.admit(w, r) {
 			return
 		}
-		defer release()
+		defer s.gate.release()
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.solveBudget(r.URL.Query()))
 		defer cancel()
@@ -286,12 +287,13 @@ func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.cluster.node != nil {
 		opts.SeqOut = &seq
 	}
-	name := r.PathValue("name")
-	if err := s.cat.Delete(r.Context(), name, ifVersion, opts); err != nil {
+	fl := flightOf(r.Context())
+	fl.Shard = s.cat.ShardOf(fl.Policy)
+	if err := s.cat.Delete(r.Context(), fl.Policy, ifVersion, opts); err != nil {
 		s.policyError(w, r, err)
 		return
 	}
-	if !s.clusterBarrier(r.Context(), w, r, s.cat.ShardOf(name), seq) {
+	if !s.clusterBarrier(r.Context(), w, r, fl.Shard, seq) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -318,15 +320,13 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry "constraints" text`, http.StatusBadRequest)
 		return
 	}
-	release, ok := s.admit(w, r)
-	if !ok {
+	if !s.admit(w, r) {
 		return
 	}
-	defer release()
+	defer s.gate.release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.solveBudget(r.URL.Query()))
 	defer cancel()
 	fl := flightOf(r.Context())
-	fl.Policy = r.PathValue("name")
 	opts := mutateOptionsFrom(r)
 	var seq uint64
 	if s.cfg.cluster.node != nil {
@@ -355,18 +355,15 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 // trace ID the response reports; a cold solve hangs under it the span tree
 // rendered from that log.
 func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
+	if !s.admit(w, r) {
 		return
 	}
-	defer release()
-	name := r.PathValue("name")
+	defer s.gate.release()
 	query := r.URL.Query()
 	budget := s.solveBudget(query)
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 	fl := flightOf(r.Context())
-	fl.Policy = name
 	// Soft overload: the queue behind us is filling. A cold version gets
 	// the secure baseline at once instead of burning a full solve budget.
 	// The flight's log takes its pooled buffer on the first event, so a
@@ -381,7 +378,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		fl.SetSpan(root)
 		ctx = obs.ContextWithSpan(ctx, root)
 	}
-	res, err := s.cat.Serve(ctx, name, opt)
+	res, err := s.cat.Serve(ctx, fl.Policy, opt)
 	if err != nil && !opt.Baseline && r.Context().Err() == nil &&
 		(errors.Is(err, core.ErrCanceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// The cold solve missed its deadline: answer with the baseline on a
@@ -390,7 +387,7 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		opt = catalog.SolveOptions{Baseline: true}
 		bctx, bcancel := context.WithTimeout(r.Context(), budget)
 		defer bcancel()
-		res, err = s.cat.Serve(bctx, name, opt)
+		res, err = s.cat.Serve(bctx, fl.Policy, opt)
 	}
 	if root != nil {
 		root.End()
@@ -416,8 +413,8 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		traceID:  fl.TraceID,
 	}
 	if res.Baseline {
-		s.reg.Counter("solve.degraded").Inc()
-		s.reg.Counter("solve.degraded." + reason).Inc()
+		s.degraded.Inc()
+		s.degradedBy[reason].Inc()
 		out.degraded, out.degradeReason, out.upgradedAttrs = true, reason, res.UpgradedAttrs
 	}
 	fl.Shard, fl.CacheHit, fl.Stats = res.Info.Shard, res.CacheHit, flightStatsOf(res.Stats)
@@ -440,13 +437,11 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 // same gate and budget as a solve, rendered as a span tree
 // (?format=json|chrome|flame). The memoized answer is left untouched.
 func (s *server) handlePolicyTrace(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
+	if !s.admit(w, r) {
 		return
 	}
-	defer release()
+	defer s.gate.release()
 	fl := flightOf(r.Context())
-	fl.Policy = r.PathValue("name")
 	info, compiled, err := s.cat.Compiled(fl.Policy)
 	if err != nil {
 		s.policyError(w, r, err)

@@ -123,12 +123,11 @@ type Options struct {
 	Fault   *fault.Injector
 	// Tick is the heartbeat/replication cadence (default 50ms); Lease the
 	// leader lease (default 8 ticks); CommitTimeout bounds the majority-
-	// ack wait on the write path (default 2s); CallTimeout bounds one
-	// peer RPC (default 4 ticks, min 100ms).
+	// ack wait on the write path (default 2s). One peer RPC is bounded by
+	// 4 ticks, at least 100ms.
 	Tick          time.Duration
 	Lease         time.Duration
 	CommitTimeout time.Duration
-	CallTimeout   time.Duration
 }
 
 // stateFile is the persisted election state.
@@ -156,6 +155,9 @@ type Node struct {
 	cat    *catalog.Catalog
 	logger *slog.Logger
 	ln     net.Listener
+	// callTimeout bounds one peer RPC and one reply write: 4 ticks, at
+	// least 100ms.
+	callTimeout time.Duration
 
 	mu            sync.Mutex
 	role          Role
@@ -200,12 +202,6 @@ func Open(opt Options) (*Node, error) {
 	if opt.CommitTimeout <= 0 {
 		opt.CommitTimeout = 2 * time.Second
 	}
-	if opt.CallTimeout <= 0 {
-		opt.CallTimeout = 4 * opt.Tick
-		if opt.CallTimeout < 100*time.Millisecond {
-			opt.CallTimeout = 100 * time.Millisecond
-		}
-	}
 	if opt.Logger == nil {
 		opt.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -213,17 +209,18 @@ func Open(opt Options) (*Node, error) {
 		opt.Records = NewRecordLog(0)
 	}
 	n := &Node{
-		opt:      opt,
-		cat:      opt.Catalog,
-		logger:   opt.Logger.With("component", "cluster", "node", opt.ID),
-		votedFor: -1,
-		leaderID: -1,
-		ownSeq:   opt.Catalog.ShardSeqs(),
-		dirty:    make([]bool, opt.Catalog.Shards()),
-		commit:   make([]uint64, opt.Catalog.Shards()),
-		peers:    make(map[int]*peer),
-		conns:    make(map[net.Conn]struct{}),
-		stopCh:   make(chan struct{}),
+		opt:         opt,
+		cat:         opt.Catalog,
+		logger:      opt.Logger.With("component", "cluster", "node", opt.ID),
+		callTimeout: max(4*opt.Tick, 100*time.Millisecond),
+		votedFor:    -1,
+		leaderID:    -1,
+		ownSeq:      opt.Catalog.ShardSeqs(),
+		dirty:       make([]bool, opt.Catalog.Shards()),
+		commit:      make([]uint64, opt.Catalog.Shards()),
+		peers:       make(map[int]*peer),
+		conns:       make(map[net.Conn]struct{}),
+		stopCh:      make(chan struct{}),
 	}
 	if err := n.loadState(); err != nil {
 		return nil, err
@@ -242,7 +239,7 @@ func Open(opt Options) (*Node, error) {
 			id:     id,
 			addr:   addr,
 			wake:   make(chan struct{}, 1),
-			client: &rpcClient{addr: addr, fault: opt.Fault, timeout: opt.CallTimeout},
+			client: &rpcClient{addr: addr, fault: opt.Fault, timeout: n.callTimeout},
 		}
 	}
 	opt.Records.setNotify(n.noteAppend)

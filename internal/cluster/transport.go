@@ -165,7 +165,7 @@ func (c *rpcClient) call(msg message) (reply, error) {
 }
 
 // deadlineFor sizes the RPC deadline to the message. Heartbeats, appends,
-// and votes finish within the tick-scaled CallTimeout, but a snapshot reply
+// and votes finish within the tick-scaled call timeout, but a snapshot reply
 // only arrives after the follower has decoded and rebuilt every policy in
 // the shard, which scales with the payload; holding multi-MB transfers to
 // the heartbeat deadline would time out and re-ship them forever even
@@ -174,7 +174,7 @@ func (c *rpcClient) deadlineFor(msg message) time.Duration {
 	if msg.Kind != msgSnapshot {
 		return c.timeout
 	}
-	// 2s floor plus ~1s per MiB of payload, never below CallTimeout.
+	// 2s floor plus ~1s per MiB of payload, never below the call timeout.
 	d := 2*time.Second + time.Duration(len(msg.Payload)>>20)*time.Second
 	if d < c.timeout {
 		d = c.timeout
@@ -237,7 +237,7 @@ func (n *Node) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		conn.SetWriteDeadline(time.Now().Add(n.opt.CallTimeout))
+		conn.SetWriteDeadline(time.Now().Add(n.callTimeout))
 		if err := wal.WriteFrame(conn, out); err != nil {
 			return
 		}

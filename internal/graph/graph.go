@@ -1,8 +1,10 @@
 // Package graph provides generic directed-graph utilities shared by the
-// constraint and poset machinery: adjacency storage, depth-first search,
-// strongly connected component computation (both the two-pass Kosaraju
-// variant the paper's Main procedure uses and Tarjan's one-pass algorithm as
-// a differential-testing oracle), topological sorting, and reachability.
+// constraint, lattice and poset machinery: adjacency storage, depth-first
+// search, strongly connected component computation (both the two-pass
+// Kosaraju variant the paper's Main procedure uses and Tarjan's one-pass
+// algorithm as a differential-testing oracle), topological sorting,
+// reachability, and the reflexive-transitive closure of a partial order as
+// node bitsets (Closure), which explicit lattices and posets both build on.
 //
 // Nodes are dense non-negative integers assigned by the caller; this keeps
 // the hot paths allocation-free and lets higher layers map attributes and
@@ -12,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -385,6 +388,101 @@ func TopoSort(g *Digraph) (order []int, ok bool) {
 		}
 	}
 	return order, len(order) == n
+}
+
+// Closure returns a topological order of an acyclic graph together with
+// every node's reflexive-transitive up-set and down-set. Edges point
+// downward, as a Hasse diagram's covers do: up[v] holds v and every node
+// with a path to v, down[u] holds u and every node reachable from u. It
+// reports ok=false, with nil sets, when the graph contains a cycle.
+func Closure(g *Digraph) (order []int, up, down []Bits, ok bool) {
+	order, ok = TopoSort(g)
+	if !ok {
+		return order, nil, nil, false
+	}
+	n := g.N()
+	up, down = make([]Bits, n), make([]Bits, n)
+	for u := range up {
+		up[u], down[u] = NewBits(n), NewBits(n)
+		up[u].Set(u)
+		down[u].Set(u)
+	}
+	// A node's predecessors all precede it in order, and its successors
+	// all follow it.
+	for _, u := range order {
+		for _, v := range g.succ[u] {
+			up[v].Or(up[u])
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		u := order[i]
+		for _, v := range g.succ[u] {
+			down[u].Or(down[v])
+		}
+	}
+	return order, up, down, true
+}
+
+// Bits is a set of nodes 0..n-1, one bit per node packed into 64-bit
+// words. Binary operations take sets of the same width.
+type Bits []uint64
+
+// NewBits returns the empty set over n nodes.
+func NewBits(n int) Bits { return make(Bits, (n+63)/64) }
+
+// Set adds node i.
+func (b Bits) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
+
+// Has reports whether node i is in the set.
+func (b Bits) Has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+
+// Or adds every member of o to b.
+func (b Bits) Or(o Bits) {
+	for i := range b {
+		b[i] |= o[i]
+	}
+}
+
+// And returns a new set holding the members common to b and o.
+func (b Bits) And(o Bits) Bits {
+	c := make(Bits, len(b))
+	for i := range b {
+		c[i] = b[i] & o[i]
+	}
+	return c
+}
+
+// SubsetOf reports whether every member of b is in o.
+func (b Bits) SubsetOf(o Bits) bool {
+	for i := range b {
+		if b[i]&^o[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Empty reports whether b has no members.
+func (b Bits) Empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// All yields the members of b in ascending order.
+func (b Bits) All() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for wi, w := range b {
+			for ; w != 0; w &= w - 1 {
+				if !yield(wi*64 + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // IsAcyclic reports whether the graph has no directed cycle.

@@ -425,3 +425,103 @@ func TestFromEdgesMatchesAddEdge(t *testing.T) {
 		}
 	}
 }
+
+// TestClosureMatchesReachable checks Closure against Reachable, the
+// reference, on seeded random DAGs whose edges follow a shuffled node
+// order (so index order is not a topological order) and whose sizes cross
+// a word boundary, then checks that one back edge makes Closure report the
+// cycle.
+func TestClosureMatchesReachable(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(150)
+		perm := rng.Perm(n)
+		g := New(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(n) < 2 {
+					g.AddEdge(perm[i], perm[j])
+				}
+			}
+		}
+		order, up, down, ok := Closure(g)
+		if !ok {
+			t.Fatalf("trial %d: Closure reported a cycle on a DAG", trial)
+		}
+		pos := make([]int, n)
+		for i, u := range order {
+			pos[u] = i
+		}
+		for u := 0; u < n; u++ {
+			for _, v := range g.Succ(u) {
+				if pos[u] >= pos[v] {
+					t.Fatalf("trial %d: edge %d->%d violates order %v", trial, u, v, order)
+				}
+			}
+			reach := Reachable(g, u)
+			for v := 0; v < n; v++ {
+				if down[u].Has(v) != reach[v] || up[v].Has(u) != reach[v] {
+					t.Fatalf("trial %d: %d reaches %d = %v, but down has it %v and up %v",
+						trial, u, v, reach[v], down[u].Has(v), up[v].Has(u))
+				}
+			}
+		}
+		if n < 2 {
+			continue
+		}
+		g.AddEdge(perm[n-1], perm[0])
+		g.AddEdge(perm[0], perm[n-1])
+		if _, up, down, ok := Closure(g); ok || up != nil || down != nil {
+			t.Fatalf("trial %d: Closure accepted a cycle (ok=%v)", trial, ok)
+		}
+	}
+}
+
+// TestBits checks the set operations against a map on random sets that
+// span two words.
+func TestBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 100
+	random := func() (Bits, map[int]bool) {
+		b, m := NewBits(n), map[int]bool{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				b.Set(i)
+				m[i] = true
+			}
+		}
+		return b, m
+	}
+	for trial := 0; trial < 50; trial++ {
+		a, am := random()
+		b, bm := random()
+		var members []int
+		for x := range a.All() {
+			members = append(members, x)
+		}
+		if len(members) != len(am) || !sort.IntsAreSorted(members) {
+			t.Fatalf("All() = %v, want the %d members ascending", members, len(am))
+		}
+		c := a.And(b)
+		sub, empty := true, true
+		for i := 0; i < n; i++ {
+			if a.Has(i) != am[i] || c.Has(i) != (am[i] && bm[i]) {
+				t.Fatalf("member %d: Has=%v And=%v", i, a.Has(i), c.Has(i))
+			}
+			sub = sub && (!am[i] || bm[i])
+			empty = empty && !(am[i] && bm[i])
+		}
+		if a.SubsetOf(b) != sub || !c.SubsetOf(a) || c.Empty() != empty {
+			t.Fatalf("trial %d: SubsetOf or Empty disagrees", trial)
+		}
+		a.Or(b)
+		for i := 0; i < n; i++ {
+			if a.Has(i) != (am[i] || bm[i]) {
+				t.Fatalf("Or: member %d = %v", i, a.Has(i))
+			}
+		}
+	}
+	if !NewBits(n).Empty() {
+		t.Fatal("a new set is not empty")
+	}
+}

@@ -4,24 +4,26 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+
+	"minup/internal/graph"
 )
 
 // Explicit is an arbitrary finite lattice defined by its Hasse diagram.
-// Construction computes the reflexive-transitive closure of the cover
-// relation as bitsets, giving O(|L|/64)-word dominance tests, and
-// materializes lub/glb tables so that the lattice-operation cost factor c
-// of Theorem 5.2 is a constant, as §5 of the paper argues is achievable
-// through lattice encoding. Use NaiveOps to get the un-encoded comparison
-// point for the encoding experiments.
+// Construction takes the reflexive-transitive closure of the cover
+// relation from graph.Closure as node bitsets, giving O(|L|/64)-word
+// dominance tests, and materializes lub/glb tables so that the
+// lattice-operation cost factor c of Theorem 5.2 is a constant, as §5 of
+// the paper argues is achievable through lattice encoding. Use NaiveOps to
+// get the un-encoded comparison point for the encoding experiments.
 type Explicit struct {
 	name    string
 	names   []string
 	index   map[string]int
-	covers  [][]Level // covers[i]: immediate descendants, declaration order
-	covered [][]Level // covered[i]: immediate ancestors
-	up      []bitset  // up[i]: the up-set {j : j ≽ i}, including i
-	lub     []Level   // lub[i*n+j]
-	glb     []Level   // glb[i*n+j]
+	covers  [][]Level    // covers[i]: immediate descendants, declaration order
+	covered [][]Level    // covered[i]: immediate ancestors
+	up      []graph.Bits // up[i]: the up-set {j : j ≽ i}, including i
+	lub     []Level      // lub[i*n+j]
+	glb     []Level      // glb[i*n+j]
 	top     Level
 	bottom  Level
 	height  int
@@ -31,38 +33,6 @@ type Explicit struct {
 var (
 	_ Enumerable = (*Explicit)(nil)
 )
-
-// bitset is a fixed-width bitset over element indices.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) or(o bitset) {
-	for i := range b {
-		b[i] |= o[i]
-	}
-}
-
-// subset reports whether b ⊆ o.
-func (b bitset) subset(o bitset) bool {
-	for i := range b {
-		if b[i]&^o[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (b bitset) and(o bitset) bitset {
-	c := make(bitset, len(b))
-	for i := range b {
-		c[i] = b[i] & o[i]
-	}
-	return c
-}
 
 // NewExplicit builds a lattice from named elements and a cover relation.
 // covers maps each element name to the names of its immediate descendants
@@ -83,7 +53,6 @@ func NewExplicit(name string, names []string, covers map[string][]string) (*Expl
 		index:   make(map[string]int, n),
 		covers:  make([][]Level, n),
 		covered: make([][]Level, n),
-		up:      make([]bitset, n),
 		elems:   make([]Level, n),
 	}
 	for i, nm := range names {
@@ -96,6 +65,7 @@ func NewExplicit(name string, names []string, covers map[string][]string) (*Expl
 		e.index[nm] = i
 		e.elems[i] = Level(i)
 	}
+	g := graph.New(n) // edges point downward, from each element to those it covers
 	for from, tos := range covers {
 		i, ok := e.index[from]
 		if !ok {
@@ -111,57 +81,24 @@ func NewExplicit(name string, names []string, covers map[string][]string) (*Expl
 			}
 			e.covers[i] = append(e.covers[i], Level(j))
 			e.covered[j] = append(e.covered[j], Level(i))
+			g.AddEdge(i, j)
 		}
 	}
-	if err := e.finish(); err != nil {
+	if err := e.finish(g); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// finish computes closures, identifies top/bottom, validates the lattice
-// property, and fills the lub/glb tables.
-func (e *Explicit) finish() error {
+// finish takes the closure of the cover digraph g, identifies top/bottom,
+// validates the lattice property, and fills the lub/glb tables.
+func (e *Explicit) finish(g *graph.Digraph) error {
 	n := len(e.names)
-	// Topological order over the cover DAG (edges point downward).
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for _, j := range e.covers[i] {
-			indeg[j]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range e.covers[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, int(v))
-			}
-		}
-	}
-	if len(order) != n {
+	order, up, down, ok := graph.Closure(g)
+	if !ok {
 		return fmt.Errorf("lattice %q: cover relation is cyclic", e.name)
 	}
-	// Up-sets: walk in reverse topological order of the *upward* direction:
-	// process tops first so each node can union its ancestors' sets.
-	for i := range e.up {
-		e.up[i] = newBitset(n)
-		e.up[i].set(i)
-	}
-	for _, u := range order { // order has ancestors before descendants
-		for _, v := range e.covers[u] {
-			e.up[v].or(e.up[u])
-		}
-	}
+	e.up = up
 	// Unique top: exactly one element with no ancestors; unique bottom:
 	// exactly one with no descendants.
 	var tops, bottoms []int
@@ -183,7 +120,8 @@ func (e *Explicit) finish() error {
 	}
 	e.top, e.bottom = Level(tops[0]), Level(bottoms[0])
 
-	// Height: longest downward path from top.
+	// Height: longest downward path from top. order has ancestors before
+	// descendants.
 	depth := make([]int, n)
 	for _, u := range order {
 		for _, v := range e.covers[u] {
@@ -201,63 +139,39 @@ func (e *Explicit) finish() error {
 	// Lub/glb tables. For each pair, the common upper bounds are
 	// up[i] ∩ up[j]; their least element u is the one every member
 	// dominates, i.e. the unique u with (up[i] ∩ up[j]) ⊆ up[u].
-	// Symmetrically for glb with down-sets (j ∈ down[i] iff i ∈ up[j]).
-	down := make([]bitset, n)
-	for i := 0; i < n; i++ {
-		down[i] = newBitset(n)
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if e.up[j].has(i) { // i ≽ j? up[j] = {i : i ≽ j}; so i in up[j] means i ≽ j, i.e. j ∈ down[i].
-				down[i].set(j)
-			}
-		}
-	}
+	// Symmetrically for glb with down-sets.
 	e.lub = make([]Level, n*n)
 	e.glb = make([]Level, n*n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			ub := e.up[i].and(e.up[j])
-			u, ok := leastOf(ub, e.up)
+			u, ok := boundOf(up[i].And(up[j]), up)
 			if !ok {
 				return fmt.Errorf("lattice %q: elements %q and %q have no least upper bound",
 					e.name, e.names[i], e.names[j])
 			}
-			lb := down[i].and(down[j])
-			g, ok := greatestOf(lb, down)
+			l, ok := boundOf(down[i].And(down[j]), down)
 			if !ok {
 				return fmt.Errorf("lattice %q: elements %q and %q have no greatest lower bound",
 					e.name, e.names[i], e.names[j])
 			}
 			e.lub[i*n+j], e.lub[j*n+i] = Level(u), Level(u)
-			e.glb[i*n+j], e.glb[j*n+i] = Level(g), Level(g)
+			e.glb[i*n+j], e.glb[j*n+i] = Level(l), Level(l)
 		}
 	}
 	return nil
 }
 
-// leastOf returns the unique element u of set such that every member of set
-// dominates u, i.e. set ⊆ up[u].
-func leastOf(set bitset, up []bitset) (int, bool) {
+// boundOf returns the unique member x of set whose closure row holds all
+// of set: with up-sets as rows, the least element of set; with down-sets,
+// the greatest. It walks set's words itself rather than ranging over
+// set.All(): it runs twice for every pair of elements, and the iterator
+// made a 512-element NewExplicit about an eighth slower.
+func boundOf(set graph.Bits, rows []graph.Bits) (int, bool) {
 	for wi, w := range set {
 		for ; w != 0; w &= w - 1 {
-			u := wi*64 + bits.TrailingZeros64(w)
-			if set.subset(up[u]) {
-				return u, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// greatestOf returns the unique element g of set such that g dominates
-// every member, i.e. set ⊆ down[g].
-func greatestOf(set bitset, down []bitset) (int, bool) {
-	for wi, w := range set {
-		for ; w != 0; w &= w - 1 {
-			g := wi*64 + bits.TrailingZeros64(w)
-			if set.subset(down[g]) {
-				return g, true
+			x := wi*64 + bits.TrailingZeros64(w)
+			if set.SubsetOf(rows[x]) {
+				return x, true
 			}
 		}
 	}
@@ -288,7 +202,7 @@ func (e *Explicit) Bottom() Level { return e.bottom }
 func (e *Explicit) Dominates(a, b Level) bool {
 	e.check(a)
 	e.check(b)
-	return e.up[b].has(int(a))
+	return e.up[b].Has(int(a))
 }
 
 // Lub implements Lattice via the precomputed table.

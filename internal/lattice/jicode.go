@@ -3,13 +3,16 @@ package lattice
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+
+	"minup/internal/graph"
 )
 
 // JICode is a compact lattice encoding in the style of Aït-Kaci, Boyer,
 // Lincoln and Nasr ("Efficient implementation of lattice operations",
 // TOPLAS 1989 — reference [1] of the paper's §5): every element is coded
-// by the set of join-irreducible elements it dominates, packed into a few
-// machine words. Then
+// by the set of join-irreducible elements it dominates, a graph.Bits over
+// the irreducibles that packs into a few machine words. Then
 //
 //	a ≽ b          ⇔  code(b) ⊆ code(a)
 //	code(a ⊓ b)    =  code(a) ∩ code(b)      (after normalization)
@@ -25,23 +28,12 @@ type JICode struct {
 	base   *Explicit
 	irr    []Level // the join-irreducible elements, in index order
 	bitOf  map[Level]int
-	codes  []jiBits // codes[element]
+	codes  []graph.Bits // codes[element]: bit bitOf[ir] per irreducible ir below it
 	decode map[string]Level
-	words  int
 }
 
-type jiBits []uint64
-
-func (b jiBits) subset(o jiBits) bool {
-	for i := range b {
-		if b[i]&^o[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (b jiBits) key() string { // map key for decode lookups
+// codeKey turns a code into a map key for decode lookups.
+func codeKey(b graph.Bits) string {
 	buf := make([]byte, 0, len(b)*8)
 	for _, w := range b {
 		for s := 0; s < 64; s += 8 {
@@ -62,23 +54,20 @@ func NewJICode(base *Explicit) (*JICode, error) {
 			j.irr = append(j.irr, e)
 		}
 	}
-	// Degenerate but legal: a one-element lattice has no irreducibles.
-	j.words = (len(j.irr) + 63) / 64
-	if j.words == 0 {
-		j.words = 1
-	}
-	j.codes = make([]jiBits, len(elems))
+	// Degenerate but legal: a one-element lattice has no irreducibles, and
+	// its code still takes one word.
+	width := max(len(j.irr), 1)
+	j.codes = make([]graph.Bits, len(elems))
 	j.decode = make(map[string]Level, len(elems))
 	for _, e := range elems {
-		code := make(jiBits, j.words)
+		code := graph.NewBits(width)
 		for _, ir := range j.irr {
 			if base.Dominates(e, ir) {
-				bit := j.bitOf[ir]
-				code[bit/64] |= 1 << (uint(bit) % 64)
+				code.Set(j.bitOf[ir])
 			}
 		}
 		j.codes[e] = code
-		key := code.key()
+		key := codeKey(code)
 		if prev, dup := j.decode[key]; dup {
 			// Cannot happen in a lattice: every element is the join of
 			// the irreducibles below it, so codes are unique.
@@ -103,26 +92,23 @@ func MustJICode(base *Explicit) *JICode {
 func (j *JICode) NumIrreducibles() int { return len(j.irr) }
 
 // CodeWords returns the number of 64-bit words per element code.
-func (j *JICode) CodeWords() int { return j.words }
+func (j *JICode) CodeWords() int { return len(j.codes[0]) }
 
 // SpaceBits returns the total encoding size in bits (elements × words ×
 // 64), for comparison with the |L|² closure representation.
-func (j *JICode) SpaceBits() int { return len(j.codes) * j.words * 64 }
+func (j *JICode) SpaceBits() int { return len(j.codes) * j.CodeWords() * 64 }
 
 // Dominates answers a ≽ b via subset testing on the codes.
 func (j *JICode) Dominates(a, b Level) bool {
-	return j.codes[b].subset(j.codes[a])
+	return j.codes[b].SubsetOf(j.codes[a])
 }
 
 // Lub returns a ⊔ b: the union of the codes, closed upward to the nearest
 // actual element code. The closure walk is bounded by the lattice height.
 func (j *JICode) Lub(a, b Level) Level {
-	u := make(jiBits, j.words)
-	ca, cb := j.codes[a], j.codes[b]
-	for i := range u {
-		u[i] = ca[i] | cb[i]
-	}
-	if e, ok := j.decode[u.key()]; ok {
+	u := slices.Clone(j.codes[a])
+	u.Or(j.codes[b])
+	if e, ok := j.decode[codeKey(u)]; ok {
 		return e
 	}
 	// The union is not itself a code (non-distributive join): the lub is
@@ -132,7 +118,7 @@ func (j *JICode) Lub(a, b Level) Level {
 	for {
 		moved := false
 		for _, c := range j.base.Covers(cur) {
-			if u.subset(j.codes[c]) {
+			if u.SubsetOf(j.codes[c]) {
 				cur = c
 				moved = true
 				break
@@ -150,12 +136,7 @@ func (j *JICode) Lub(a, b Level) Level {
 // code(a) ∩ code(b) = code(a ⊓ b) in every lattice and the decode lookup
 // cannot miss.
 func (j *JICode) Glb(a, b Level) Level {
-	u := make(jiBits, j.words)
-	ca, cb := j.codes[a], j.codes[b]
-	for i := range u {
-		u[i] = ca[i] & cb[i]
-	}
-	e, ok := j.decode[u.key()]
+	e, ok := j.decode[codeKey(j.codes[a].And(j.codes[b]))]
 	if !ok {
 		panic(fmt.Sprintf("lattice: JI glb code missing for %s ⊓ %s (not a lattice?)",
 			j.base.FormatLevel(a), j.base.FormatLevel(b)))
@@ -166,9 +147,7 @@ func (j *JICode) Glb(a, b Level) Level {
 // Code returns a copy of an element's code bits, mostly for inspection
 // and tests.
 func (j *JICode) Code(a Level) []uint64 {
-	out := make([]uint64, j.words)
-	copy(out, j.codes[a])
-	return out
+	return slices.Clone(j.codes[a])
 }
 
 // PopCount returns the number of irreducibles below a — the rank used in

@@ -31,20 +31,11 @@ func CompleteToLattice(name string, names []string, covers map[string][]string) 
 			return nil, comp, fmt.Errorf("lattice %q: element name %q is reserved", name, nm)
 		}
 	}
+	// An undeclared name in covers is NewExplicit's error to report.
 	hasIncoming := make(map[string]bool, len(names))
 	hasOutgoing := make(map[string]bool, len(names))
-	declared := make(map[string]bool, len(names))
-	for _, nm := range names {
-		declared[nm] = true
-	}
 	for from, tos := range covers {
-		if !declared[from] {
-			return nil, comp, fmt.Errorf("lattice %q: cover source %q not declared", name, from)
-		}
 		for _, to := range tos {
-			if !declared[to] {
-				return nil, comp, fmt.Errorf("lattice %q: cover target %q not declared", name, to)
-			}
 			hasOutgoing[from] = true
 			hasIncoming[to] = true
 		}

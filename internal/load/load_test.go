@@ -41,8 +41,6 @@ type fakeServer struct {
 	degradeSolves atomic.Bool
 	// burnMilli is exposed as slo.policy.solve.avail_burn_5m_milli.
 	burnMilli atomic.Int64
-	// noProblems makes the /problems routes 404 (pre-frontend server).
-	noProblems bool
 	// noLeader answers every mutation 503 + X-Cluster-State: no-leader,
 	// emulating an election window.
 	noLeader atomic.Bool
@@ -79,18 +77,7 @@ func newFakeServer() *fakeServer {
 			Infos:    map[string]map[string]string{"build_info": {"version": "vtest", "go_version": "gotest"}},
 		})
 	})
-	mux.HandleFunc("/problems", func(w http.ResponseWriter, r *http.Request) {
-		if f.noProblems {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprintln(w, `{"families":[{"name":"suppress"},{"name":"depinf"}]}`)
-	})
 	mux.HandleFunc("/problems/", func(w http.ResponseWriter, r *http.Request) {
-		if f.noProblems {
-			http.NotFound(w, r)
-			return
-		}
 		if f.count(w, r) {
 			return
 		}
@@ -529,28 +516,6 @@ func TestRunnerProblemCreates(t *testing.T) {
 	}
 	if f.problems.Load() == 0 {
 		t.Fatal("no problem create reached the server")
-	}
-}
-
-func TestRunnerProblemFallback(t *testing.T) {
-	// Against a server without the /problems routes (pre-frontend build),
-	// problem draws fall back to mutations instead of racking up 404 errors.
-	f := newFakeServer()
-	defer f.srv.Close()
-	f.noProblems = true
-	r := &Runner{BaseURL: f.srv.URL}
-	plan := smokePlan()
-	plan.Stages = plan.Stages[:1]
-	plan.Stages[0].Gates = Gates{MaxErrorRate: 0.01}
-	rep, err := r.Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Passed {
-		t.Fatalf("fallback run failed: %v", rep.Stages[0].GateFailures)
-	}
-	if res, ok := rep.Stages[0].PerOp[opProblem]; ok && res.Counts.Attempts > 0 {
-		t.Fatal("problem creates attempted against a server without /problems")
 	}
 }
 

@@ -88,11 +88,7 @@ type Runner struct {
 	// Logf, when set, receives one progress line per stage.
 	Logf func(format string, args ...any)
 
-	// hasProblems reports whether the target serves the problem-frontend
-	// routes; older servers answer 404 on GET /problems, and problem draws
-	// then fall back to mutations.
-	hasProblems bool
-	targets     []string
+	targets []string
 	// readTargets is the preflight's load-balanced ordering of targets for
 	// read traffic: leader and fresh followers first, lag-unknown or
 	// badly lagging members excluded (falls back to all targets when the
@@ -178,11 +174,10 @@ func (c *client) markDead(name string) {
 	delete(c.liveAt, name)
 }
 
-// pickOp draws a request kind from the stage mix, resolving fallbacks: no
-// /problems routes turn problem draws into mutations, and a cached or trace
-// draw with no live policy becomes a mutation (whose stream is guaranteed to
-// start with a put).
-func (c *client) pickOp(mix Mix, hasProblems bool) string {
+// pickOp draws a request kind from the stage mix, resolving the fallback:
+// a cached or trace draw with no live policy becomes a mutation (whose
+// stream is guaranteed to start with a put).
+func (c *client) pickOp(mix Mix) string {
 	r := c.rng.Float64() * mix.total()
 	var op string
 	switch {
@@ -194,9 +189,6 @@ func (c *client) pickOp(mix Mix, hasProblems bool) string {
 		op = opTrace
 	default:
 		op = opProblem
-	}
-	if op == opProblem && !hasProblems {
-		op = opMutate
 	}
 	if (op == opCached || op == opTrace) && len(c.live) == 0 {
 		op = opMutate
@@ -363,9 +355,8 @@ func (r *Runner) Run(ctx context.Context, plan Plan) (*Report, error) {
 	return report, nil
 }
 
-// preflight verifies every target is alive and discovers whether the
-// /problems frontend routes exist (decides the problem-op fallback), then
-// ranks the targets for read traffic.
+// preflight verifies every target is alive, then ranks the targets for
+// read traffic.
 func (r *Runner) preflight(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, r.RequestTimeout)
 	defer cancel()
@@ -382,19 +373,6 @@ func (r *Runner) preflight(ctx context.Context) error {
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("load: %s/healthz answered %d", target, resp.StatusCode)
 		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/problems", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.Client.Do(req)
-	if err != nil {
-		return fmt.Errorf("load: probing /problems: %w", err)
-	}
-	drain(resp)
-	r.hasProblems = resp.StatusCode == http.StatusOK
-	if !r.hasProblems {
-		r.logf("target has no problem frontends; problem draws fall back to mutations")
 	}
 	r.readTargets = r.rankReadTargets(ctx)
 	return nil
@@ -591,7 +569,7 @@ func (r *Runner) clientLoop(ctx context.Context, st Stage, c *client, rec *stage
 				nextAt = time.Now().Add(interval)
 			}
 		}
-		op := c.pickOp(st.Mix, r.hasProblems)
+		op := c.pickOp(st.Mix)
 		outcome, d, hops, err := r.execute(ctx, c, op)
 		if err != nil && ctx.Err() != nil {
 			return // stage ended mid-request; not the server's fault

@@ -8,6 +8,7 @@ import (
 	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/lattice"
+	"minup/internal/workload"
 )
 
 // latticeAsPoset rebuilds an enumerable lattice as a Poset with the same
@@ -28,6 +29,34 @@ func latticeAsPoset(t *testing.T, l lattice.Enumerable) *Poset {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestDominatesMatchesGE builds explicit lattices' covers into Posets too
+// and checks that Explicit.Dominates and Poset.GE agree on every pair:
+// Figure 1(b) and seeded random sublattices of a powerset, some wider than
+// one 64-bit word.
+func TestDominatesMatchesGE(t *testing.T) {
+	lats := []*lattice.Explicit{lattice.FigureOneB()}
+	for seed := int64(1); seed <= 12; seed++ {
+		l, err := workload.RandomSublattice(seed, 8, 4+int(seed)*2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lats = append(lats, l)
+	}
+	for _, lat := range lats {
+		p := latticeAsPoset(t, lat)
+		for _, a := range lat.Elements() {
+			pa, _ := p.ElemByName(lat.FormatLevel(a))
+			for _, b := range lat.Elements() {
+				pb, _ := p.ElemByName(lat.FormatLevel(b))
+				if lat.Dominates(a, b) != p.GE(pa, pb) {
+					t.Fatalf("%s: %s ≽ %s is %v, but GE says %v", lat.Name(),
+						lat.FormatLevel(a), lat.FormatLevel(b), lat.Dominates(a, b), p.GE(pa, pb))
+				}
+			}
+		}
+	}
 }
 
 // TestBridgeLatticeInstances differentially tests the min-poset solver

@@ -89,13 +89,13 @@ func (in *Instance) satisfied(c MPConstraint, m []Elem) bool {
 	// it.
 	ub := p.up[m[c.LHS[0]]]
 	for _, a := range c.LHS[1:] {
-		ub = ub.and(p.up[m[a]])
+		ub = ub.And(p.up[m[a]])
 	}
-	if ub.empty() {
+	if ub.Empty() {
 		return false
 	}
-	for _, u := range ub.elems() {
-		if !p.GE(u, rhs) {
+	for u := range ub.All() {
+		if !p.GE(Elem(u), rhs) {
 			return false
 		}
 	}

@@ -9,57 +9,32 @@ package poset
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
+
+	"minup/internal/graph"
 )
 
 // Elem identifies one element of a Poset (a dense index).
 type Elem int
 
 // Poset is a finite partial order given by its cover relation, with the
-// reflexive-transitive closure precomputed as bitsets for O(n/64)
-// dominance tests.
+// reflexive-transitive closure taken from graph.Closure as node bitsets
+// for O(n/64) dominance tests.
 type Poset struct {
 	name   string
 	names  []string
 	index  map[string]int
-	covers [][]Elem // covers[i]: elements immediately below i
-	above  [][]Elem // above[i]: elements immediately above i
-	up     []pbits  // up[i] = {j : j ≥ i}
-	down   []pbits  // down[i] = {j : i ≥ j}
+	covers [][]Elem     // covers[i]: elements immediately below i
+	above  [][]Elem     // above[i]: elements immediately above i
+	up     []graph.Bits // up[i] = {j : j ≥ i}
+	down   []graph.Bits // down[i] = {j : i ≥ j}
 }
 
-type pbits []uint64
-
-func newPbits(n int) pbits     { return make(pbits, (n+63)/64) }
-func (b pbits) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b pbits) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-func (b pbits) or(o pbits) {
-	for i := range b {
-		b[i] |= o[i]
-	}
-}
-func (b pbits) and(o pbits) pbits {
-	c := make(pbits, len(b))
-	for i := range b {
-		c[i] = b[i] & o[i]
-	}
-	return c
-}
-func (b pbits) empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-func (b pbits) elems() []Elem {
+// elemsOf lists the members of b in ascending order.
+func elemsOf(b graph.Bits) []Elem {
 	var out []Elem
-	for wi, w := range b {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, Elem(wi*64+bits.TrailingZeros64(w)))
-		}
+	for x := range b.All() {
+		out = append(out, Elem(x))
 	}
 	return out
 }
@@ -79,8 +54,6 @@ func FromCovers(name string, names []string, covers map[string][]string) (*Poset
 		index:  make(map[string]int, n),
 		covers: make([][]Elem, n),
 		above:  make([][]Elem, n),
-		up:     make([]pbits, n),
-		down:   make([]pbits, n),
 	}
 	for i, nm := range names {
 		if nm == "" {
@@ -91,6 +64,7 @@ func FromCovers(name string, names []string, covers map[string][]string) (*Poset
 		}
 		p.index[nm] = i
 	}
+	g := graph.New(n) // edges point downward, from each element to those it covers
 	for from, tos := range covers {
 		i, ok := p.index[from]
 		if !ok {
@@ -106,52 +80,12 @@ func FromCovers(name string, names []string, covers map[string][]string) (*Poset
 			}
 			p.covers[i] = append(p.covers[i], Elem(j))
 			p.above[j] = append(p.above[j], Elem(i))
+			g.AddEdge(i, j)
 		}
 	}
-	// Topological order (top first) for closure computation.
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for range p.above[i] {
-			indeg[i]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	var order []int
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range p.covers[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, int(v))
-			}
-		}
-	}
-	if len(order) != n {
+	var ok bool
+	if _, p.up, p.down, ok = graph.Closure(g); !ok {
 		return nil, fmt.Errorf("poset %q: cover relation is cyclic", name)
-	}
-	for i := 0; i < n; i++ {
-		p.up[i] = newPbits(n)
-		p.up[i].set(i)
-	}
-	for _, u := range order {
-		for _, v := range p.covers[u] {
-			p.up[v].or(p.up[u])
-		}
-	}
-	for i := 0; i < n; i++ {
-		p.down[i] = newPbits(n)
-	}
-	for j := 0; j < n; j++ {
-		for _, w := range p.up[j].elems() {
-			p.down[w].set(j)
-		}
 	}
 	return p, nil
 }
@@ -172,7 +106,7 @@ func (p *Poset) Name() string { return p.name }
 func (p *Poset) Size() int { return len(p.names) }
 
 // GE reports a ≥ b.
-func (p *Poset) GE(a, b Elem) bool { return p.up[b].has(int(a)) }
+func (p *Poset) GE(a, b Elem) bool { return p.up[b].Has(int(a)) }
 
 // ElemName returns the name of an element.
 func (p *Poset) ElemName(e Elem) string { return p.names[e] }
@@ -189,9 +123,9 @@ func (p *Poset) Covers(e Elem) []Elem { return p.covers[e] }
 // Below returns all elements strictly below e.
 func (p *Poset) Below(e Elem) []Elem {
 	var out []Elem
-	for _, x := range p.down[e].elems() {
-		if x != e {
-			out = append(out, x)
+	for x := range p.down[e].All() {
+		if Elem(x) != e {
+			out = append(out, Elem(x))
 		}
 	}
 	return out
@@ -199,7 +133,7 @@ func (p *Poset) Below(e Elem) []Elem {
 
 // UpperBounds returns the common upper bounds of a and b.
 func (p *Poset) UpperBounds(a, b Elem) []Elem {
-	return p.up[a].and(p.up[b]).elems()
+	return elemsOf(p.up[a].And(p.up[b]))
 }
 
 // MinimalUpperBounds returns the minimal elements among the common upper
@@ -264,7 +198,7 @@ func (p *Poset) IsPartialLattice() bool {
 // MaximalLowerBounds returns the maximal elements among the common lower
 // bounds of a and b.
 func (p *Poset) MaximalLowerBounds(a, b Elem) []Elem {
-	lbs := p.down[a].and(p.down[b]).elems()
+	lbs := elemsOf(p.down[a].And(p.down[b]))
 	var out []Elem
 	for _, u := range lbs {
 		maximal := true
