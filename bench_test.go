@@ -799,11 +799,14 @@ func BenchmarkParsePolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendStage measures what staging an append costs on every
-// node before the solver starts: clone the current version's set and parse
-// the appended line into the clone. The set has replicated_write's shape, a
-// size-20 paper policy plus 8 appended batches, so its constraints come
-// from nine parses.
+// BenchmarkAppendStage measures re-staging an append onto a version whose
+// spare room an earlier stage already took, as every node does when it
+// retries after a refused append: clone the version's set, which gets its
+// arrays capped at their lengths, and parse the appended line into the
+// clone, which copies the constraint list once. The set has
+// replicated_write's shape, a size-20 paper policy plus 8 appended batches,
+// so its constraints come from nine parses. BenchmarkAppendChain measures
+// the common case, a stage onto the version the last stage made.
 func BenchmarkAppendStage(b *testing.B) {
 	fi, err := workload.GenerateFamily("paper", 1, 20)
 	if err != nil {
@@ -829,6 +832,54 @@ func BenchmarkAppendStage(b *testing.B) {
 		if err := next.ParseString(line); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// appendHistory is the number of batches perfbench's replicated_write
+// appends to a policy (its maxHistory) before a put replaces it.
+const appendHistory = 16
+
+// BenchmarkAppendChain measures what staging an append costs on every node
+// in the common case: each iteration clones the version the previous
+// iteration staged and parses a one-line append into the clone, which
+// appends into the spare room its predecessor lent, as the catalog stages a
+// stream of appends. Every appendHistory batches it starts over from a
+// replicated_write-shaped set (a size-20 paper policy plus 8 appended
+// batches) with no room to spare, as a put's freshly parsed set has none,
+// so the first stage after each restart copies the constraint list.
+func BenchmarkAppendChain(b *testing.B) {
+	fi, err := workload.GenerateFamily("paper", 1, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := constraint.ParsePolicy(fi.Lattice, fi.Constraints)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	fresh := 0
+	for i := 0; i < 8; i++ {
+		base = base.Clone()
+		if err := base.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first Clone takes base's room, so every restart below gets
+	// base's arrays capped at their lengths.
+	_ = base.Clone()
+	const line = "lub(a000, a001) >= a002\n"
+	var cur *constraint.Set
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%appendHistory == 0 {
+			cur = base.Clone()
+		}
+		next := cur.Clone()
+		if err := next.ParseString(line); err != nil {
+			b.Fatal(err)
+		}
+		cur = next
 	}
 }
 

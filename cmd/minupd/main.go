@@ -528,10 +528,14 @@ func encodeJSON(v any) []byte {
 
 func writeJSON(w http.ResponseWriter, v any) { writeBody(w, http.StatusOK, encodeJSON(v)) }
 
+// jsonContentType is the Content-Type value of every JSON body. Responses
+// share it, so no one may modify it.
+var jsonContentType = []string{"application/json"}
+
 // writeBody writes an encoded JSON body with its length.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)

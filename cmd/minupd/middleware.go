@@ -41,6 +41,9 @@ type httpObs struct {
 type statusWriter struct {
 	http.ResponseWriter
 	rec *obs.FlightRecord
+	// id backs the X-Request-Id header value, so that setting it allocates
+	// no slice of its own.
+	id [1]string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -62,7 +65,9 @@ func newRequestID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // instrument wraps one route with the minupd middleware stack: request IDs
@@ -100,10 +105,10 @@ func instrument(route string, o httpObs, next http.HandlerFunc) http.Handler {
 		if id == "" {
 			id = newRequestID()
 		}
-		w.Header().Set("X-Request-Id", id)
 		fl := o.flight.Begin(route, r.Method, id)
 		fl.Policy = r.PathValue("name") // empty on routes without {name}
-		sw := &statusWriter{ResponseWriter: w, rec: &fl.FlightRecord}
+		sw := &statusWriter{ResponseWriter: w, rec: &fl.FlightRecord, id: [1]string{id}}
+		w.Header()["X-Request-Id"] = sw.id[:]
 		inFlight.Inc()
 		start := time.Now()
 		defer func() {

@@ -361,14 +361,14 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.release()
 	query := r.URL.Query()
 	budget := s.solveBudget(query)
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-	fl := flightOf(r.Context())
+	ctx := r.Context()
+	fl := flightOf(ctx)
 	// Soft overload: the queue behind us is filling. A cold version gets
 	// the secure baseline at once instead of burning a full solve budget.
-	// The flight's log takes its pooled buffer on the first event, so a
-	// memo hit, which runs no solver, never takes one.
-	opt := catalog.SolveOptions{Baseline: s.gate.overloaded(), Events: fl.Events()}
+	// Serve starts the budget's deadline only for a cold version, and the
+	// flight's log takes its pooled buffer on the first event, so a memo
+	// hit, which runs no solver, creates no timer and takes no buffer.
+	opt := catalog.SolveOptions{Baseline: s.gate.overloaded(), Events: fl.Events(), Budget: budget}
 	reason := "overload"
 	var root *obs.Span
 	if query.Get("trace") == "1" {
@@ -384,10 +384,8 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 		// The cold solve missed its deadline: answer with the baseline on a
 		// fresh budget, still abandoned if the client disconnects.
 		reason = "deadline"
-		opt = catalog.SolveOptions{Baseline: true}
-		bctx, bcancel := context.WithTimeout(r.Context(), budget)
-		defer bcancel()
-		res, err = s.cat.Serve(bctx, fl.Policy, opt)
+		opt = catalog.SolveOptions{Baseline: true, Budget: budget}
+		res, err = s.cat.Serve(r.Context(), fl.Policy, opt)
 	}
 	if root != nil {
 		root.End()
@@ -419,17 +417,40 @@ func (s *server) handlePolicySolve(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Shard, fl.CacheHit, fl.Stats = res.Info.Shard, res.CacheHit, flightStatsOf(res.Stats)
 	fl.Degraded, fl.DegradeReason = out.degraded, out.degradeReason
-	w.Header().Set("ETag", etag(res.Info.Version))
-	encode := func() []byte { return solveBody(out, res.Pairs()) }
+	encode := func() answerBytes {
+		body := solveBody(out, res.Pairs())
+		return answerBytes{body: body, etag: []string{etag(res.Info.Version)}, length: []string{strconv.Itoa(len(body))}}
+	}
 	if fl.TraceID != "" {
 		// The trace ID belongs to this request, so its body must never be
 		// the version's stored one.
-		writeBody(w, http.StatusOK, encode())
+		encode().write(w)
 		return
 	}
 	// A hit's body depends on its version alone: the first hit writes it,
-	// and every later hit of the version writes the same bytes.
-	writeBody(w, http.StatusOK, res.EncodeOnce(encode))
+	// and every later hit of the version writes the same bytes and header
+	// values.
+	catalog.EncodeOnce(res, encode).write(w)
+}
+
+// answerBytes is a solve answer as a response carries it: the body and the
+// values of its ETag and Content-Length headers. A hit writes its version's
+// stored one, so the slices are shared and never modified.
+type answerBytes struct {
+	body         []byte
+	etag, length []string
+}
+
+// write sends a as a 200 response. It stores the header values under their
+// canonical keys rather than through Header.Set, which would allocate a
+// slice for each.
+func (a answerBytes) write(w http.ResponseWriter) {
+	h := w.Header()
+	h["Etag"] = a.etag
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = a.length
+	w.WriteHeader(http.StatusOK)
+	w.Write(a.body)
 }
 
 // handlePolicyTrace serves GET /policies/{name}/trace: one fully

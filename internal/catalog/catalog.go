@@ -43,7 +43,7 @@
 // waited mutation's, goes through fill, once per version. Serving an
 // unchanged policy performs zero compiles and zero solves
 // ("catalog.cache_hits"), and a caller that encodes the answer does so once
-// per version (SolveResult.EncodeOnce). Optimistic concurrency (If-Match
+// per version (EncodeOnce). Optimistic concurrency (If-Match
 // versions) keeps its linear history per name because each name lives on
 // exactly one shard and every mutation holds that shard's write lock.
 package catalog
@@ -198,13 +198,13 @@ type policy struct {
 // memo is one version's memoized answer: the minimal solution and the
 // stats of the solve that found it, installed once per version, plus the
 // answer's encoded form, filled by the first EncodeOnce of a hit. The memo
-// dies with its version, so its bytes can never describe another one —
+// dies with its version, so its encoding can never describe another one —
 // not even after delete + recreate, where versions restart at 1.
 type memo struct {
-	solved constraint.Assignment
-	stats  core.Stats
-	once   sync.Once
-	body   []byte
+	solved  constraint.Assignment
+	stats   core.Stats
+	once    sync.Once
+	encoded any
 }
 
 // shard is one hash partition: its own policies, its own Store, its own
@@ -909,25 +909,27 @@ func (p Pairs) At(i int) (name, level string) {
 	return p.set.AttrName(a), p.set.Lattice().FormatLevel(p.levels[a])
 }
 
-// EncodeOnce returns the encoded form of this answer, as enc produces it.
+// EncodeOnce returns the encoded form of r's answer, as enc produces it.
 // On a cache hit enc runs at most once per version, outside every catalog
-// lock, and every later hit of that version returns the same stored bytes,
-// which callers must not modify; the bytes are dropped with the version.
-// On any other result — a cold solve, a baseline — EncodeOnce returns
-// enc(). The catalog never encodes on its own, so a caller that never asks
-// pays nothing. enc must depend only on the answer, never on the request.
-func (r SolveResult) EncodeOnce(enc func() []byte) []byte {
+// lock, and every later hit of that version returns the same stored value,
+// whose contents callers must not modify; the value is dropped with the
+// version. On any other result — a cold solve, a baseline — EncodeOnce
+// returns enc(). The catalog never encodes on its own, so a caller that
+// never asks pays nothing. enc must depend only on the answer, never on the
+// request, and one program should encode every answer as one type T.
+func EncodeOnce[T any](r SolveResult, enc func() T) T {
 	m := r.memo
 	if m == nil {
 		return enc()
 	}
-	m.once.Do(func() { m.body = enc() })
-	if m.body == nil {
+	m.once.Do(func() { m.encoded = enc() })
+	v, ok := m.encoded.(T)
+	if !ok {
 		// The first enc panicked inside the Once, which then counts as
 		// done: encode per call rather than serve nothing.
 		return enc()
 	}
-	return m.body
+	return v
 }
 
 // SolveOptions tunes how Serve answers a cold version; a warm one is the
@@ -939,6 +941,11 @@ type SolveOptions struct {
 	// fixpoint (§4 of the paper) instead of running Algorithm 3.1, and
 	// memoizes nothing.
 	Baseline bool
+	// Budget, when positive, bounds the work a cold version costs: Serve
+	// derives a deadline that far ahead from ctx for the wait for the
+	// version's turn and for its solve or baseline. A hit needs none, so it
+	// creates no timer.
+	Budget time.Duration
 }
 
 // Solve returns the minimal classification for the policy's current
@@ -971,14 +978,21 @@ func (c *Catalog) Serve(ctx context.Context, name string, opt SolveOptions) (Sol
 		c.count("catalog.cache_hits")
 		return res, nil
 	}
+	var info PolicyInfo
 	if p != nil && opt.Baseline {
-		info := p.info()
-		s.mu.RUnlock()
-		return baselineResult(ctx, info, p.set)
+		info = p.info()
 	}
 	s.mu.RUnlock()
 	if p == nil {
 		return SolveResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	if opt.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opt.Budget)
+		defer cancel()
+	}
+	if opt.Baseline {
+		return baselineResult(ctx, info, p.set)
 	}
 	solved, err := c.fill(ctx, s, p, opt.Events, true)
 	if err != nil {

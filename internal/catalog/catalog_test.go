@@ -529,7 +529,7 @@ func TestEncodeOnceFirstHitsConcurrent(t *testing.T) {
 				t.Errorf("Solve: hit=%v err=%v", res.CacheHit, err)
 				return
 			}
-			bodies[i] = res.EncodeOnce(enc(res))
+			bodies[i] = EncodeOnce(res, enc(res))
 		}(i)
 	}
 	wg.Wait()
@@ -549,7 +549,7 @@ func TestEncodeOnceFirstHitsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.EncodeOnce(enc(res)); calls.Load() != 2 || bytes.Equal(got, bodies[0]) {
+	if got := EncodeOnce(res, enc(res)); calls.Load() != 2 || bytes.Equal(got, bodies[0]) {
 		t.Fatalf("hit of version 2 served %q after %d encodes; version 1 was %q", got, calls.Load(), bodies[0])
 	}
 
@@ -568,7 +568,7 @@ func TestEncodeOnceFirstHitsConcurrent(t *testing.T) {
 		if err != nil || !res.Baseline {
 			t.Fatalf("baseline solve = %+v, %v", res, err)
 		}
-		res.EncodeOnce(enc(res))
+		EncodeOnce(res, enc(res))
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("two baseline answers ran enc %d times, want 2", n)
@@ -594,7 +594,8 @@ func TestSolveNeverEncodes(t *testing.T) {
 		s := c.shardFor("p")
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return s.pol["p"].memo.body
+		b, _ := s.pol["p"].memo.encoded.([]byte)
+		return b
 	}
 	if b := memoBody(); b != nil {
 		t.Fatalf("Solve alone stored %q", b)
@@ -603,7 +604,7 @@ func TestSolveNeverEncodes(t *testing.T) {
 	if err != nil || !res.CacheHit {
 		t.Fatalf("Solve: hit=%v err=%v", res.CacheHit, err)
 	}
-	res.EncodeOnce(func() []byte { return []byte("answer") })
+	EncodeOnce(res, func() []byte { return []byte("answer") })
 	if b := memoBody(); string(b) != "answer" {
 		t.Fatalf("memo after the first EncodeOnce holds %q", b)
 	}

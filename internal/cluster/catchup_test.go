@@ -49,6 +49,10 @@ func TestSnapshotCatchup(t *testing.T) {
 // TestSnapshotCatchupCorrupt: a corrupted or truncated shipped snapshot is
 // detected by the follower, rejected, retried with clean bytes, and still
 // converges — the network-level half of the ErrSnapshotCorrupt matrix.
+// The straggler's restart may pass leadership on: a vote request with a
+// higher term deposes a leader, and the restarted node's election timer
+// can fire before the leader's first heartbeat reaches it. So every node
+// carries the fault rules, and the counts are summed over the nodes.
 func TestSnapshotCatchupCorrupt(t *testing.T) {
 	ctx := context.Background()
 	tc := newTestCluster(t, 3, 1, 4)
@@ -68,27 +72,38 @@ func TestSnapshotCatchupCorrupt(t *testing.T) {
 		}
 	}
 
-	// First snapshot send is bit-flipped, second truncated; the third goes
-	// out clean. The follower's checksum verification must reject both
-	// damaged copies and the retry loop must still converge.
-	if err := leader.inj.Rearm("cluster.snap.corrupt:cancel:1;cluster.snap.truncate:cancel:2"); err != nil {
-		t.Fatalf("rearm: %v", err)
+	// Each node's first snapshot send is bit-flipped, its second truncated;
+	// its third goes out clean. Whichever node leads, the follower's
+	// checksum verification must reject both damaged copies and the retry
+	// loop must still converge.
+	rearm := func(spec string) {
+		for _, tn := range tc.nodes {
+			if err := tn.inj.Rearm(spec); err != nil {
+				t.Fatalf("node %d: rearm %q: %v", tn.id, spec, err)
+			}
+		}
 	}
+	rearm("cluster.snap.corrupt:cancel:1;cluster.snap.truncate:cancel:2")
 	tc.restart(straggler)
 	tc.waitConverged(leader, 10*time.Second)
 
-	if got := leader.reg.Counter("cluster.catchup_retries").Value(); got < 2 {
-		t.Fatalf("leader retried %d damaged snapshots, want >= 2", got)
+	sum := func(counter string) uint64 {
+		var n uint64
+		for _, tn := range tc.nodes {
+			n += tn.reg.Counter(counter).Value()
+		}
+		return n
 	}
-	if got := straggler.reg.Counter("cluster.catchup_rejected").Value(); got < 2 {
-		t.Fatalf("straggler rejected %d damaged snapshots, want >= 2", got)
+	if got := sum("cluster.catchup_retries"); got < 2 {
+		t.Fatalf("leaders retried %d damaged snapshots, want >= 2", got)
+	}
+	if got := sum("cluster.catchup_rejected"); got < 2 {
+		t.Fatalf("followers rejected %d damaged snapshots, want >= 2", got)
 	}
 	if got := straggler.reg.Counter("cluster.catchups_installed").Value(); got == 0 {
 		t.Fatalf("straggler never installed the clean retry")
 	}
-	if err := leader.inj.Rearm(""); err != nil {
-		t.Fatalf("disarm: %v", err)
-	}
+	rearm("")
 	// The recovered replica serves reads.
 	if err := straggler.cat.Flush(ctx); err != nil {
 		t.Fatalf("flush: %v", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"minup/internal/graph"
@@ -103,13 +104,14 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 	}
 	// The copy shares the backing arrays: Set mutators only append (never
 	// overwrite), so the elements visible through these slice headers are
-	// immutable even if the source set later grows and reallocates.
+	// immutable even if the source set later grows and reallocates. They are
+	// capped, so a Clone of the view lends no room that s may lend too.
 	src := &Set{
 		lat:    s.lat,
-		names:  s.names,
+		names:  slices.Clip(s.names),
 		index:  s.index,
-		cons:   s.cons,
-		upper:  s.upper,
+		cons:   slices.Clip(s.cons),
+		upper:  slices.Clip(s.upper),
 		frozen: true,
 	}
 	if sp != nil {

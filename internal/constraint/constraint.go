@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 
@@ -87,6 +88,12 @@ type Set struct {
 	mark   []uint32
 	epoch  uint32
 	frozen bool
+	// lent is set by the first Clone, which takes the spare room of names,
+	// cons and upper with them; own clears it before the set writes again.
+	lent atomic.Bool
+	// sharedIndex reports that index is shared with a clone or an original,
+	// so declare copies it before its first write.
+	sharedIndex bool
 }
 
 // NewSet returns an empty constraint set over the given lattice.
@@ -98,22 +105,43 @@ func NewSet(lat lattice.Lattice) *Set {
 func (s *Set) Lattice() lattice.Lattice { return s.lat }
 
 // Clone returns an unfrozen copy of the set over the same (immutable)
-// lattice. The copy shares the original's attribute names, constraints,
-// upper bounds and left-hand sides, each capped at its length, and copies
-// only the name index, so its cost grows with the attributes and not with
-// the constraints. This is sound because mutators only append: an append
-// to either set copies the shared array instead of writing into the other,
-// so mutating the clone never affects the original, and the reverse. That
-// makes it the staging area for speculative mutations: the policy catalog
-// parses appended constraint text into a clone and swaps it in only after
-// the parse and the solvability check both succeed.
+// lattice, in time and space independent of the set's size: the copy shares
+// the original's names, constraints, upper bounds, left-hand sides and name
+// index. The first Clone of a set also takes the spare room of its names,
+// constraints and upper bounds, so a chain of clones, each extended by a
+// small batch, appends into one array and costs O(batch) per link; later
+// Clones get the arrays capped at their lengths, so their first append
+// copies them. Clone claims the room with a compare-and-swap, so concurrent
+// Clones of one set lend it once. A copy copies the shared index before it
+// declares an attribute, and an original that has lent its room clips its
+// arrays before its next write, so mutating the clone never affects the
+// original, and the reverse. That makes it the staging area for speculative
+// mutations: the policy catalog parses appended constraint text into a
+// clone and swaps it in only after the parse and the solvability check
+// both succeed.
 func (s *Set) Clone() *Set {
-	return &Set{
-		lat:   s.lat,
-		names: slices.Clip(s.names),
-		index: maps.Clone(s.index),
-		cons:  slices.Clip(s.cons),
-		upper: slices.Clip(s.upper),
+	c := &Set{
+		lat:         s.lat,
+		names:       slices.Clip(s.names),
+		index:       s.index,
+		sharedIndex: true,
+		cons:        slices.Clip(s.cons),
+		upper:       slices.Clip(s.upper),
+	}
+	if s.lent.CompareAndSwap(false, true) {
+		c.names, c.cons, c.upper = s.names, s.cons, s.upper
+	}
+	return c
+}
+
+// own takes back what s lent to its first clone before s writes again: it
+// clips names, cons and upper, so that the next append moves each to an
+// array of s's own, and marks the name index shared.
+func (s *Set) own() {
+	if s.lent.Load() {
+		s.names, s.cons, s.upper = slices.Clip(s.names), slices.Clip(s.cons), slices.Clip(s.upper)
+		s.sharedIndex = true
+		s.lent.Store(false)
 	}
 }
 
@@ -213,6 +241,10 @@ func (s *Set) declare(name string, checkLevel bool) (Attr, error) {
 			return 0, fmt.Errorf("constraint: attribute name %q collides with a level of lattice %q", name, s.lat.Name())
 		}
 	}
+	s.own()
+	if s.sharedIndex {
+		s.index, s.sharedIndex = maps.Clone(s.index), false
+	}
 	a := Attr(len(s.names))
 	s.names = append(s.names, name)
 	s.index[name] = a
@@ -283,6 +315,7 @@ func (s *Set) Add(lhs []Attr, rhs RHS) error {
 			return fmt.Errorf("constraint: rhs attribute %q also on lhs (trivially satisfied)", s.AttrName(rhs.Attr))
 		}
 	}
+	s.own()
 	s.arena = arena[:len(arena)+len(win)]
 	s.cons = append(s.cons, Constraint{LHS: win, RHS: rhs})
 	return nil
@@ -357,6 +390,7 @@ func (s *Set) AddUpper(a Attr, l lattice.Level) error {
 	if !s.lat.Contains(l) {
 		return fmt.Errorf("constraint: upper-bound level not in lattice %q", s.lat.Name())
 	}
+	s.own()
 	s.upper = append(s.upper, UpperBound{Attr: a, Level: l})
 	return nil
 }

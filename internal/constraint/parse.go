@@ -84,7 +84,9 @@ func (s *Set) ParseString(text string) error {
 // list nor the arena grows while it is parsed: one constraint per ">=",
 // and one left-hand-side member per ">=" or comma. Counting ">=" rather
 // than lines keeps blank lines and declarations from reserving anything.
+// It first takes back what s lent to a clone, so the room it makes is s's.
 func (s *Set) reserve(text string) {
+	s.own()
 	cons := strings.Count(text, ">=")
 	s.cons = slices.Grow(s.cons, cons)
 	if members := cons + strings.Count(text, ","); cap(s.arena)-len(s.arena) < members {
@@ -110,7 +112,7 @@ func (s *Set) parsePolicy(latticeText, constraintText string) (*Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lattice: %w", err)
 	}
-	*s = *NewSet(lat)
+	s.lat, s.index = lat, make(map[string]Attr)
 	if err := s.ParseString(constraintText); err != nil {
 		return nil, fmt.Errorf("constraints: %w", err)
 	}

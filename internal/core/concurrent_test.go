@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,99 @@ func ringSet(t *testing.T, n int) *constraint.Set {
 	}
 	s.MustAdd([]constraint.Attr{attrs[0]}, constraint.LevelRHS(ts))
 	return s
+}
+
+// TestSolveWhileSuccessorStages: a version's successor is staged into the
+// spare room of the version's arrays, as the policy catalog stages an
+// append, while readers solve the version's snapshot. Every reader must get
+// the version's sequential answer over the version's names, and under
+// -race no stage may write what a reader reads. Each reader solves the newest published version, so the
+// writer always stages into the room of a version being solved.
+func TestSolveWhileSuccessorStages(t *testing.T) {
+	lat := lattice.MustChain("c", "U", "C", "S", "TS")
+	type version struct {
+		c      *constraint.Compiled
+		want   string // the sequential answer, formatted
+		solves atomic.Int64
+	}
+	publish := func(s *constraint.Set) *version {
+		c := s.Snapshot()
+		res, err := SolveContext(context.Background(), c, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &version{c: c, want: c.Set().FormatAssignment(res.Assignment)}
+	}
+	set := workload.MustConstraints(lat, concurrentSpec(11, false))
+	var cur atomic.Pointer[version]
+	cur.Store(publish(set))
+
+	const readers = 4
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := cur.Load()
+				res, err := SolveContext(context.Background(), v.c, Options{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := v.c.Set().FormatAssignment(res.Assignment); got != v.want {
+					errs <- fmt.Errorf("a solve of a published version diverged from its sequential answer")
+					return
+				}
+				v.solves.Add(1)
+			}
+		}()
+	}
+	const stages = 40
+	inRoom := 0
+	for i := 0; i < stages; i++ {
+		// Stage only once readers are solving the current version.
+		for v := cur.Load(); v.solves.Load() == 0 && len(errs) == 0; {
+			runtime.Gosched()
+		}
+		next := set.Clone()
+		n := set.NumAttrs()
+		x, y, z := constraint.Attr(i%n), constraint.Attr((i+1)%n), constraint.Attr((i*7+3)%n)
+		if z == x || z == y {
+			z = constraint.Attr((int(y) + 1) % n)
+		}
+		line := fmt.Sprintf("lub(%s, %s) >= %s\n%s >= C\n", set.AttrName(x), set.AttrName(y), set.AttrName(z), set.AttrName(z))
+		if i%4 == 0 {
+			// A new attribute, as some appends declare.
+			line += fmt.Sprintf("lub(new%d, %s) >= S\n", i, set.AttrName(x))
+		}
+		if err := next.ParseString(line); err != nil {
+			t.Fatal(err)
+		}
+		if old, got := set.Constraints(), next.Constraints(); &old[0] == &got[0] {
+			inRoom++
+		}
+		set = next
+		cur.Store(publish(set))
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// The first stage copies the generated list, which has no room to
+	// spare; most later ones append into the room their predecessor lent.
+	if inRoom < stages/2 {
+		t.Fatalf("%d of %d stages appended into their predecessor's room, want at least %d", inRoom, stages, stages/2)
+	}
 }
 
 func TestSolveContextAlreadyCanceled(t *testing.T) {

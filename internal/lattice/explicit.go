@@ -144,12 +144,12 @@ func (e *Explicit) finish(g *graph.Digraph) error {
 	e.glb = make([]Level, n*n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			u, ok := boundOf(up[i].And(up[j]), up)
+			u, ok := boundOf(up[i], up[j], up)
 			if !ok {
 				return fmt.Errorf("lattice %q: elements %q and %q have no least upper bound",
 					e.name, e.names[i], e.names[j])
 			}
-			l, ok := boundOf(down[i].And(down[j]), down)
+			l, ok := boundOf(down[i], down[j], down)
 			if !ok {
 				return fmt.Errorf("lattice %q: elements %q and %q have no greatest lower bound",
 					e.name, e.names[i], e.names[j])
@@ -161,21 +161,33 @@ func (e *Explicit) finish(g *graph.Digraph) error {
 	return nil
 }
 
-// boundOf returns the unique member x of set whose closure row holds all
-// of set: with up-sets as rows, the least element of set; with down-sets,
-// the greatest. It walks set's words itself rather than ranging over
-// set.All(): it runs twice for every pair of elements, and the iterator
-// made a 512-element NewExplicit about an eighth slower.
-func boundOf(set graph.Bits, rows []graph.Bits) (int, bool) {
-	for wi, w := range set {
-		for ; w != 0; w &= w - 1 {
+// boundOf returns the unique member x of a ∩ b whose closure row holds all
+// of a ∩ b: with up-sets as rows, the least common upper bound of a's and
+// b's elements; with down-sets, the greatest common lower bound. It runs
+// twice for every pair of elements, so it reads the intersection word by
+// word from a and b instead of building it, and allocates nothing; it
+// walks the words itself rather than ranging over Bits.All, which made a
+// 512-element NewExplicit about an eighth slower.
+func boundOf(a, b graph.Bits, rows []graph.Bits) (int, bool) {
+	for wi := range a {
+		for w := a[wi] & b[wi]; w != 0; w &= w - 1 {
 			x := wi*64 + bits.TrailingZeros64(w)
-			if set.SubsetOf(rows[x]) {
+			if meetWithin(a, b, rows[x]) {
 				return x, true
 			}
 		}
 	}
 	return 0, false
+}
+
+// meetWithin reports whether a ∩ b ⊆ row.
+func meetWithin(a, b, row graph.Bits) bool {
+	for k := range a {
+		if a[k]&b[k]&^row[k] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func namesOf(e *Explicit, idx []int) []string {

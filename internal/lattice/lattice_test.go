@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -339,6 +340,48 @@ func TestExplicitErrors(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := NewExplicit(tc.name, tc.elems, tc.covers); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestNewExplicitAllocationsLinear: NewExplicit finds each pair's bounds
+// without building a set per pair, so on the 256 subsets of 8 categories
+// it allocates a fixed number of times per element and cover, far below
+// the 32 896 pairs its tables hold, and its tables are union and
+// intersection.
+func TestNewExplicitAllocationsLinear(t *testing.T) {
+	const k = 8
+	n := 1 << k
+	names := make([]string, n)
+	for x := range names {
+		names[x] = fmt.Sprintf("s%02x", x)
+	}
+	covers := make(map[string][]string)
+	for x := 0; x < n; x++ {
+		for b := 0; b < k; b++ {
+			if x&(1<<b) != 0 {
+				covers[names[x]] = append(covers[names[x]], names[x&^(1<<b)])
+			}
+		}
+	}
+	var e *Explicit
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if e, err = NewExplicit("subsets", names, covers); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 20 * n; allocs > float64(limit) {
+		t.Fatalf("NewExplicit of %d elements allocated %v times, want at most %d", n, allocs, limit)
+	}
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if got := e.Lub(Level(x), Level(y)); got != Level(x|y) {
+				t.Fatalf("lub(%s, %s) = %s", names[x], names[y], e.FormatLevel(got))
+			}
+			if got := e.Glb(Level(x), Level(y)); got != Level(x&y) {
+				t.Fatalf("glb(%s, %s) = %s", names[x], names[y], e.FormatLevel(got))
+			}
 		}
 	}
 }

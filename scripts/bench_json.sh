@@ -5,7 +5,9 @@
 # put and append through the catalog, the problem frontends' instance
 # parse and compile to
 # policy text, the policy-text parse every put, append and replay pays,
-# the clone and one-line parse every append stages on every node,
+# the clone and one-line parse every append stages on every node (onto
+# the version the last stage made, and again onto one whose spare room an
+# earlier stage took),
 # the compile and compile + cold solve every refreshed version pays,
 # compile + repair of the same version, and the JSON codec's rungs: a PUT
 # body's read and decode, and a WAL record's encode and decode — and
@@ -32,7 +34,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled|BenchmarkPolicyBody|BenchmarkWALRecord)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkAppendChain|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled|BenchmarkPolicyBody|BenchmarkWALRecord)$' \
   -benchmem -count 1 . ./cmd/minupd ./internal/catalog | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
