@@ -241,6 +241,9 @@ type Catalog struct {
 	closed   atomic.Bool
 	policies atomic.Int64 // live policy count across shards
 	recovery RecoveryInfo
+	// compileUS is "catalog.compile.duration_us", each version's compile
+	// time; nil without Options.Metrics.
+	compileUS *obs.Histogram
 }
 
 // snapshotFile is the JSON shape of one shard's compacted snapshot (and,
@@ -294,6 +297,7 @@ func Open(opt Options) (*Catalog, error) {
 	c := &Catalog{opt: opt}
 	if opt.Metrics != nil {
 		c.pending.gauge = opt.Metrics.Gauge("catalog.refresh.pending")
+		c.compileUS = opt.Metrics.Histogram("catalog.compile.duration_us", obs.DurationBucketsUS)
 	}
 	c.recovery.Shards = opt.Shards
 	for i := 0; i < opt.Shards; i++ {
@@ -1095,8 +1099,9 @@ func (p *policy) take(ctx context.Context) error {
 func (p *policy) release() { <-p.turn }
 
 // snapshot returns p's compiled snapshot, building it outside the shard
-// lock ("catalog.compiles", fault point "catalog.compile") and storing it on
-// p if no caller has yet. Caller holds p's turn.
+// lock ("catalog.compiles", "catalog.compile.duration_us", fault point
+// "catalog.compile") and storing it on p if no caller has yet. Caller holds
+// p's turn.
 func (c *Catalog) snapshot(s *shard, p *policy) (*constraint.Compiled, error) {
 	s.mu.RLock()
 	compiled := p.compiled
@@ -1109,6 +1114,9 @@ func (c *Catalog) snapshot(s *shard, p *policy) (*constraint.Compiled, error) {
 	}
 	compiled = p.set.Snapshot()
 	c.count("catalog.compiles")
+	if c.compileUS != nil {
+		c.compileUS.Observe(uint64(compiled.CompileStats().Duration.Microseconds()))
+	}
 	s.mu.Lock()
 	p.compiled = compiled
 	s.mu.Unlock()

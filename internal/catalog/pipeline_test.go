@@ -297,6 +297,40 @@ func TestRefreshPanicCountsAsFailure(t *testing.T) {
 	}
 }
 
+// TestCompileHistogram: every compile the catalog counts in
+// "catalog.compiles" is observed once in "catalog.compile.duration_us",
+// whichever caller ran it: the refresh worker, a read, or Compiled.
+func TestCompileHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := mustOpen(t, Options{Shards: 2, Metrics: reg})
+	ctx := context.Background()
+	for _, name := range []string{"h1", "h2"} {
+		if _, err := c.Put(ctx, name, testLattice, "attrs a b c\nlub(a, b) >= TS\nc >= a\n", MustNotExist); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []string{"b >= S\n", "d >= c\n", "lub(c, d) >= TS\n"} {
+			if _, err := c.Append(ctx, name, b, Unconditional); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Solve(ctx, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := c.Compiled(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustFlush(t, c)
+	snap := reg.Snapshot()
+	compiles := snap.Counters["catalog.compiles"]
+	if compiles == 0 {
+		t.Fatal("no compiles counted")
+	}
+	if got := snap.Histograms["catalog.compile.duration_us"].Count; got != compiles {
+		t.Fatalf("catalog.compile.duration_us counts %d compiles, catalog.compiles %d", got, compiles)
+	}
+}
+
 // TestRefreshCoalesces: while a policy's refresh runs, k more mutations of
 // it leave one entry in the queue, so the burst costs one more compile and
 // one more solve, of the newest version.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"minup/internal/graph"
@@ -18,13 +19,15 @@ import (
 // goroutines is safe. Use errors.Is(err, ErrFrozen) to detect it.
 var ErrFrozen = errors.New("constraint: set is frozen by Compile")
 
-// Compiled is an immutable snapshot of a constraint Set: the attribute
-// table, the constraint and upper-bound slices, the dependency digraph, its
-// SCC condensation with the §4 priority numbering, the Constr[A]
-// adjacency, and (when §6 upper bounds are present) the derived firm
-// per-attribute bounds. The digraph's lists (one array per direction),
-// Constr[A] and the SCC member lists are each windows of one flat array.
-// All of this is the one-time "compile" cost of Theorem 5.2's complexity
+// Compiled is an immutable snapshot of a constraint Set holding what a
+// solve reads: the attribute table, the constraint and upper-bound slices
+// (the set view), the Constr[A] adjacency, the §4 priority numbering of
+// the dependency digraph's SCCs, and (when §6 upper bounds are present) the
+// derived firm per-attribute bounds. Constr[A] is one flat array cut into
+// windows, and the priority sets are windows of the array that also holds
+// the numbering. The digraph and Kosaraju's working arrays live in storage
+// that compiles reuse, so a compile allocates only what it keeps. All of
+// this is the one-time "compile" cost of Theorem 5.2's complexity
 // argument; a Compiled value is safe for concurrent use by any number of
 // solver sessions.
 //
@@ -34,7 +37,6 @@ var ErrFrozen = errors.New("constraint: set is frozen by Compile")
 // the set concurrently with solves of the snapshot is a data race).
 type Compiled struct {
 	src         *Set // private frozen copy of the source set
-	g           *graph.Digraph
 	pr          *graph.PriorityResult
 	onLHS       [][]int
 	acyclic     bool
@@ -94,9 +96,27 @@ func (s *Set) Frozen() bool { return s.frozen }
 
 func (s *Set) snapshot() *Compiled { return s.snapshotSpan(nil) }
 
-// snapshotSpan compiles the set, emitting a "compile" span with per-phase
-// children under parent when non-nil.
+// compileWork is the storage a compile reuses: Constr[A]'s degree counts,
+// and the dependency digraph with Kosaraju's working arrays. Nothing a
+// Compiled keeps aliases it.
+type compileWork struct {
+	deg []int
+	scc graph.SCCWork
+}
+
+var compileWorkPool = sync.Pool{New: func() any { return new(compileWork) }}
+
+// snapshotSpan compiles the set in pooled working storage, emitting a
+// "compile" span with per-phase children under parent when non-nil.
 func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
+	w := compileWorkPool.Get().(*compileWork)
+	c := s.compile(parent, w)
+	compileWorkPool.Put(w)
+	return c
+}
+
+// compile is snapshotSpan with the working storage w.
+func (s *Set) compile(parent *obs.Span, w *compileWork) *Compiled {
 	start := time.Now()
 	var sp, ph *obs.Span
 	if parent != nil {
@@ -105,7 +125,11 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 	// The copy shares the backing arrays: Set mutators only append (never
 	// overwrite), so the elements visible through these slice headers are
 	// immutable even if the source set later grows and reallocates. They are
-	// capped, so a Clone of the view lends no room that s may lend too.
+	// capped, so a Clone of the view lends no room that s may lend too. The
+	// name index is shared as well, so s copies it before its next declare.
+	if !s.sharedIndex.Load() {
+		s.sharedIndex.Store(true)
+	}
 	src := &Set{
 		lat:    s.lat,
 		names:  slices.Clip(s.names),
@@ -117,20 +141,23 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 	if sp != nil {
 		ph = sp.Child("graph")
 	}
+	n := len(src.names)
+	w.deg = slices.Grow(w.deg[:0], n)[:n]
+	clear(w.deg)
 	c := &Compiled{
 		src:       src,
-		g:         src.Graph(),
-		onLHS:     src.ConstraintsOn(),
+		onLHS:     src.constraintsOn(w.deg),
 		totalSize: src.TotalSize(),
 	}
+	w.scc.Build(n, src.edges())
 	if ph != nil {
 		ph.End()
 		ph = sp.Child("scc")
 	}
-	c.pr = graph.PrioritySCC(c.g)
+	c.pr = w.scc.Priorities()
 	// Add refuses a right-hand side that is also on the left, so the graph
 	// has no self-loops: it is acyclic exactly when every SCC is one node.
-	c.acyclic = c.pr.Max == len(src.names)
+	c.acyclic = c.pr.Max == n
 	if ph != nil {
 		ph.End()
 	}
@@ -143,7 +170,7 @@ func (s *Set) snapshotSpan(parent *obs.Span) *Compiled {
 			ph.End()
 		}
 	}
-	c.cstats.Attrs = len(src.names)
+	c.cstats.Attrs = n
 	c.cstats.Constraints = len(src.cons)
 	c.cstats.UpperBoundCons = len(src.upper)
 	c.cstats.TotalSize = c.totalSize
@@ -186,9 +213,9 @@ func (c *Compiled) UpperBounds() []UpperBound { return c.src.upper }
 // HasUpperBounds reports whether the snapshot carries §6 upper bounds.
 func (c *Compiled) HasUpperBounds() bool { return len(c.src.upper) > 0 }
 
-// Graph returns the precomputed attribute dependency graph. The graph is
-// immutable and shared; callers must not add edges.
-func (c *Compiled) Graph() *graph.Digraph { return c.g }
+// Graph returns the attribute dependency graph. No solve reads it, so it
+// is not kept: each call builds it afresh from the snapshot's constraints.
+func (c *Compiled) Graph() *graph.Digraph { return c.src.Graph() }
 
 // Priorities returns the precomputed §4 priority structure. The result is
 // immutable and shared across all solves of this snapshot.

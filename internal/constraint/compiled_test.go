@@ -2,6 +2,8 @@ package constraint
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"minup/internal/lattice"
@@ -105,6 +107,92 @@ func TestSnapshotDoesNotFreeze(t *testing.T) {
 	if got := len(s.Snapshot().Constraints()); got != 3 {
 		t.Fatalf("fresh snapshot has %d constraints, want 3", got)
 	}
+}
+
+// TestSnapshotKeepsItsNameIndex: a snapshot's view shares its set's name
+// index, so the set must copy the index before it declares an attribute.
+// A declare that wrote the shared map would show the new name to the
+// snapshot as an attribute it does not have.
+func TestSnapshotKeepsItsNameIndex(t *testing.T) {
+	lat := lattice.MustChain("c", "U", "C", "S", "TS")
+	s := NewSet(lat)
+	s.MustAttr("a")
+	c := s.Snapshot()
+	b := s.MustAttr("b")
+	if a, ok := c.Set().AttrByName("b"); ok {
+		t.Fatalf("snapshot of a one-attribute set resolves %q, declared after it, to attribute %d", "b", a)
+	}
+	if a, ok := c.Set().AttrByName("a"); !ok || a != 0 || c.NumAttrs() != 1 {
+		t.Fatalf("snapshot resolves %q to %d (ok=%v) over %d attributes, want 0 over 1", "a", a, ok, c.NumAttrs())
+	}
+	if got, ok := s.AttrByName("b"); !ok || got != b {
+		t.Fatalf("set resolves %q to %d (ok=%v), want %d", "b", got, ok, b)
+	}
+	// A second snapshot, taken after the declare, shares the copy: the set
+	// copies it again before its next declare.
+	c2 := s.Snapshot()
+	s.MustAttr("c")
+	if _, ok := c2.Set().AttrByName("c"); ok {
+		t.Fatal("second snapshot resolves an attribute declared after it")
+	}
+}
+
+// TestConcurrentSnapshots: the one-shot shims snapshot one set from many
+// goroutines at once, so Snapshot must not write the set plainly (run
+// under -race).
+func TestConcurrentSnapshots(t *testing.T) {
+	s, _ := compiledTestSet(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c := s.Snapshot(); c.NumAttrs() != 2 {
+				t.Errorf("snapshot has %d attributes, want 2", c.NumAttrs())
+			}
+		}()
+	}
+	wg.Wait()
+	s.MustAttr("x")
+	if _, ok := s.Snapshot().Set().AttrByName("x"); !ok {
+		t.Fatal("a snapshot taken after a declare misses it")
+	}
+}
+
+// TestConcurrentCompiles: compiles running at once take their working
+// storage from one pool, so goroutines compiling sets of different sizes
+// must each get the numbering and Constr[A] a lone compile gives (run
+// under -race).
+func TestConcurrentCompiles(t *testing.T) {
+	sets := []*Set{bigCompileSet(t)}
+	for _, text := range []string{"a >= b\nb >= a\nc >= a\n", "lub(x, y) >= z\nz >= x\n", "p >= S\n"} {
+		s := NewSet(lattice.MustChain("mil", "U", "C", "S", "TS"))
+		if err := s.ParseString(text); err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, s)
+	}
+	want := make([]*Compiled, len(sets))
+	for i, s := range sets {
+		want[i] = s.Snapshot()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(sets)
+				c := sets[k].Snapshot()
+				if !reflect.DeepEqual(c.Priorities(), want[k].Priorities()) ||
+					!reflect.DeepEqual(c.ConstraintsOn(), want[k].ConstraintsOn()) {
+					t.Errorf("goroutine %d: compile of set %d differs from a lone compile", g, k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCompileCachesStructure(t *testing.T) {

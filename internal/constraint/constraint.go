@@ -18,6 +18,7 @@ package constraint
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -91,9 +92,11 @@ type Set struct {
 	// lent is set by the first Clone, which takes the spare room of names,
 	// cons and upper with them; own clears it before the set writes again.
 	lent atomic.Bool
-	// sharedIndex reports that index is shared with a clone or an original,
-	// so declare copies it before its first write.
-	sharedIndex bool
+	// sharedIndex reports that index is shared with a clone, an original or
+	// a snapshot's view, so declare copies it before its first write.
+	// Snapshot sets it with an atomic store, so concurrent Snapshots of one
+	// set do not race.
+	sharedIndex atomic.Bool
 }
 
 // NewSet returns an empty constraint set over the given lattice.
@@ -121,13 +124,13 @@ func (s *Set) Lattice() lattice.Lattice { return s.lat }
 // both succeed.
 func (s *Set) Clone() *Set {
 	c := &Set{
-		lat:         s.lat,
-		names:       slices.Clip(s.names),
-		index:       s.index,
-		sharedIndex: true,
-		cons:        slices.Clip(s.cons),
-		upper:       slices.Clip(s.upper),
+		lat:   s.lat,
+		names: slices.Clip(s.names),
+		index: s.index,
+		cons:  slices.Clip(s.cons),
+		upper: slices.Clip(s.upper),
 	}
+	c.sharedIndex.Store(true)
 	if s.lent.CompareAndSwap(false, true) {
 		c.names, c.cons, c.upper = s.names, s.cons, s.upper
 	}
@@ -140,7 +143,7 @@ func (s *Set) Clone() *Set {
 func (s *Set) own() {
 	if s.lent.Load() {
 		s.names, s.cons, s.upper = slices.Clip(s.names), slices.Clip(s.cons), slices.Clip(s.upper)
-		s.sharedIndex = true
+		s.sharedIndex.Store(true)
 		s.lent.Store(false)
 	}
 }
@@ -242,8 +245,9 @@ func (s *Set) declare(name string, checkLevel bool) (Attr, error) {
 		}
 	}
 	s.own()
-	if s.sharedIndex {
-		s.index, s.sharedIndex = maps.Clone(s.index), false
+	if s.sharedIndex.Load() {
+		s.index = maps.Clone(s.index)
+		s.sharedIndex.Store(false)
 	}
 	a := Attr(len(s.names))
 	s.names = append(s.names, name)
@@ -444,7 +448,14 @@ func (s *Set) Format(c Constraint) string {
 // hypernode). Level constants are omitted — they are always "done" and
 // never affect strong connectivity.
 func (s *Set) Graph() *graph.Digraph {
-	return graph.FromEdges(len(s.names), func(yield func(u, v int) bool) {
+	return graph.FromEdges(len(s.names), s.edges())
+}
+
+// edges yields the edges of Graph in constraint order: attribute a's
+// successors come out in the order of its Constr[A] list, with level
+// right-hand sides skipped.
+func (s *Set) edges() iter.Seq2[int, int] {
+	return func(yield func(u, v int) bool) {
 		for _, c := range s.cons {
 			if c.RHS.IsLevel {
 				continue
@@ -455,7 +466,7 @@ func (s *Set) Graph() *graph.Digraph {
 				}
 			}
 		}
-	})
+	}
 }
 
 // Priorities computes the paper's §4 priority structure: SCCs of Graph()
@@ -478,8 +489,13 @@ func (s *Set) Acyclic() bool {
 // array of Σ|lhs| indices, each capped at its length; an attribute on no
 // left-hand side has a nil list.
 func (s *Set) ConstraintsOn() [][]int {
+	return s.constraintsOn(make([]int, len(s.names)))
+}
+
+// constraintsOn is ConstraintsOn counting degrees into deg, which holds
+// len(s.names) zeros; the result does not alias deg.
+func (s *Set) constraintsOn(deg []int) [][]int {
 	out := make([][]int, len(s.names))
-	deg := make([]int, len(s.names))
 	total := 0
 	for _, c := range s.cons {
 		for _, a := range c.LHS {

@@ -3,9 +3,11 @@ package constraint
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"minup/internal/graph"
 	"minup/internal/lattice"
 )
 
@@ -21,8 +23,9 @@ import (
 // does, to the same error text and the same set. A clone and its original
 // share their arrays, so after each input one more line is parsed into a
 // clone, then another into the original, and each must leave the other
-// set as it was. Run the seeds under plain `go test`; run
-// `go test -fuzz=FuzzParseString` to explore.
+// set as it was. Every accepted set is also compiled in working storage
+// that a larger set has just used (checkCompiledInUsedWork). Run the seeds
+// under plain `go test`; run `go test -fuzz=FuzzParseString` to explore.
 func FuzzParseString(f *testing.F) {
 	for _, seed := range []string{
 		"a >= S",
@@ -57,6 +60,8 @@ func FuzzParseString(f *testing.F) {
 		"attrs U x\nx >= U\nlub(x, U) >= L1",
 		"a >= Army\nlub(Army, b) >= TS\nNuclear >= Army",
 		"attrs <S x\nlub(<S, x) >= C",
+		// No attributes: an empty compile.
+		" ",
 	} {
 		f.Add(seed)
 	}
@@ -65,6 +70,7 @@ func FuzzParseString(f *testing.F) {
 		lattice.FigureOneB(),
 		lattice.FigureOneA(),
 	}
+	big := bigCompileSet(f)
 	f.Fuzz(func(t *testing.T, input string) {
 		for _, lat := range lats {
 			s := NewSet(lat)
@@ -94,6 +100,7 @@ func FuzzParseString(f *testing.F) {
 			if got := stateOf(t, ext); !reflect.DeepEqual(got, cloned) {
 				t.Fatalf("extending the original changed its clone from\n%s\nto\n%s\n(from %q over %s)", cloned.text, got.text, input, lat.Name())
 			}
+			checkCompiledInUsedWork(t, big, s)
 			for _, c := range s.Constraints() {
 				if len(c.LHS) == 0 {
 					t.Fatalf("accepted constraint with empty lhs from %q over %s", input, lat.Name())
@@ -137,4 +144,71 @@ func FuzzParseString(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bigCompileSet returns a cyclic set of 96 attributes with level
+// right-hand sides and upper bounds, larger than any seed, whose compile
+// leaves working storage longer than the fuzzed sets need.
+func bigCompileSet(tb testing.TB) *Set {
+	tb.Helper()
+	const n = 96
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "b%d >= b%d\n", i, (i*7+3)%n)
+		fmt.Fprintf(&b, "lub(b%d, b%d) >= b%d\n", i, (i+1)%n, (i+5)%n)
+		if i%4 == 0 {
+			fmt.Fprintf(&b, "b%d >= S\nTS >= b%d\n", i, (i+2)%n)
+		}
+	}
+	s := NewSet(lattice.MustChain("mil", "U", "C", "S", "TS"))
+	if err := s.ParseString(b.String()); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// checkCompiledInUsedWork compiles s in working storage that big's compile
+// has just used, and checks the result: its priority sets are
+// graph.TarjanSCC's partition of s's digraph and its numbering is the one
+// a fresh compile gives, no edge goes from a higher priority to a lower
+// one, and its Constr[A] is Set.ConstraintsOn's. Compiling big again in the
+// same storage must leave all of that as it was, since nothing a Compiled
+// keeps may alias the storage.
+func checkCompiledInUsedWork(t *testing.T, big, s *Set) {
+	t.Helper()
+	var w compileWork
+	big.compile(nil, &w)
+	c := s.compile(nil, &w)
+	g := s.Graph()
+	pr := c.Priorities()
+	fresh := graph.PrioritySCC(g)
+	if !reflect.DeepEqual(pr, fresh) {
+		t.Fatalf("compile in used storage numbered %+v, a fresh one %+v", pr, fresh)
+	}
+	if got, want := partitionOf(pr.Sets[1:]), partitionOf(graph.TarjanSCC(g).Components); !reflect.DeepEqual(got, want) {
+		t.Fatalf("priority sets %v, Tarjan's components %v", got, want)
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Succ(u) {
+			if pr.Priority[u] > pr.Priority[v] {
+				t.Fatalf("edge %d -> %d goes from priority %d to %d", u, v, pr.Priority[u], pr.Priority[v])
+			}
+		}
+	}
+	on := s.ConstraintsOn()
+	if !reflect.DeepEqual(c.ConstraintsOn(), on) {
+		t.Fatalf("Compiled.ConstraintsOn() = %v, Set.ConstraintsOn() = %v", c.ConstraintsOn(), on)
+	}
+	big.compile(nil, &w)
+	if !reflect.DeepEqual(pr, fresh) || !reflect.DeepEqual(c.ConstraintsOn(), on) {
+		t.Fatal("compiling another set in the same storage changed an earlier result")
+	}
+}
+
+// partitionOf returns the member lists, each already sorted, ordered by
+// their least member, in a non-nil slice.
+func partitionOf(comps [][]int) [][]int {
+	out := append([][]int{}, comps...)
+	slices.SortFunc(out, func(a, b []int) int { return a[0] - b[0] })
+	return out
 }

@@ -1,10 +1,11 @@
 // Package graph provides generic directed-graph utilities shared by the
 // constraint, lattice and poset machinery: adjacency storage, depth-first
-// search, strongly connected component computation (both the two-pass
-// Kosaraju variant the paper's Main procedure uses and Tarjan's one-pass
-// algorithm as a differential-testing oracle), topological sorting,
-// reachability, and the reflexive-transitive closure of a partial order as
-// node bitsets (Closure), which explicit lattices and posets both build on.
+// search, strongly connected component computation (the two-pass Kosaraju
+// variant the paper's Main procedure uses, in reusable working storage, and
+// Tarjan's one-pass algorithm as a differential-testing oracle), topological
+// sorting, reachability, and the reflexive-transitive closure of a partial
+// order as node bitsets (Closure), which explicit lattices and posets both
+// build on.
 //
 // Nodes are dense non-negative integers assigned by the caller; this keeps
 // the hot paths allocation-free and lets higher layers map attributes and
@@ -127,114 +128,129 @@ func (g *Digraph) Reverse() *Digraph {
 	return r
 }
 
+// edges yields the graph's edges u -> v, node by node in increasing order
+// and each node's successors in list order.
+func (g *Digraph) edges() iter.Seq2[int, int] {
+	return func(yield func(u, v int) bool) {
+		for u, vs := range g.succ {
+			for _, v := range vs {
+				if !yield(u, v) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // PostOrder returns the nodes in DFS finish order (earliest-finished first),
 // visiting roots in increasing node order and successors in adjacency-list
 // order. This is the order the paper's dfs_visit records on its Stack
-// (Stack pops therefore consume the reverse of this slice).
+// (Stack pops therefore consume the reverse of this slice), and the first
+// pass of PrioritySCC.
 func (g *Digraph) PostOrder() []int {
-	n := g.N()
-	order := make([]int, 0, n)
-	seen := make([]bool, n)
-	// Iterative DFS with an explicit stack of (node, next-successor-index)
-	// frames so deep graphs cannot overflow the goroutine stack.
-	type frame struct {
-		u int
-		i int
-	}
-	stack := make([]frame, 0, 64)
-	for root := 0; root < n; root++ {
-		if seen[root] {
-			continue
-		}
-		seen[root] = true
-		stack = append(stack, frame{root, 0})
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			adv := false
-			for top.i < len(g.succ[top.u]) {
-				v := g.succ[top.u][top.i]
-				top.i++
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, frame{v, 0})
-					adv = true
-					break
-				}
-			}
-			if !adv && top.i >= len(g.succ[stack[len(stack)-1].u]) {
-				order = append(order, stack[len(stack)-1].u)
-				stack = stack[:len(stack)-1]
-			}
-		}
+	var w SCCWork
+	w.Build(g.N(), g.edges())
+	w.postOrder()
+	order := make([]int, len(w.post))
+	for i, u := range w.post {
+		order[i] = int(u)
 	}
 	return order
 }
 
-// SCCResult describes a partition of the nodes into strongly connected
-// components.
-type SCCResult struct {
-	// Comp maps each node to its component index.
-	Comp []int
-	// Components lists the members of each component, each sorted
-	// ascending. KosarajuSCC cuts them from one n-length array, each a
-	// window capped at its length.
-	Components [][]int
+// SCCWork is the working storage of PrioritySCC: a digraph's adjacency in
+// both directions in compressed sparse row form, and Kosaraju's DFS stack,
+// post order and seen flags. Build and Priorities reuse its arrays and grow
+// them only for a digraph larger than any before, so with a warm SCCWork
+// Priorities allocates only the arrays it returns, which never alias the
+// work's. The zero value is ready to use; an SCCWork serves one goroutine
+// at a time.
+type SCCWork struct {
+	n int
+	// soff and poff hold n+2 offsets: u's successors are
+	// succ[soff[u]:soff[u+1]] and its predecessors pred[poff[u]:poff[u+1]],
+	// each in edge order.
+	soff, poff []int32
+	succ, pred []int32
+	seen       []bool
+	post       []int32    // nodes in DFS finish order
+	stack      [][2]int32 // DFS path: node, position of its next successor
 }
 
-// NumComponents returns the number of strongly connected components.
-func (r *SCCResult) NumComponents() int { return len(r.Components) }
-
-// SameComponent reports whether u and v are mutually reachable.
-func (r *SCCResult) SameComponent(u, v int) bool { return r.Comp[u] == r.Comp[v] }
-
-// KosarajuSCC computes strongly connected components with the two-pass DFS
-// scheme the paper adapts in Main (dfs_visit / dfs_back_visit): a forward
-// DFS recording finish order, then a backward flood over nodes in decreasing
-// finish time. Components are discovered in topological order of the
-// condensation (source components first), so if component a can reach
-// component b (a != b) then a's index is smaller than b's.
-func KosarajuSCC(g *Digraph) *SCCResult {
-	n := g.N()
-	post := g.PostOrder()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+// Build stores the digraph over n nodes with the edges u -> v that edges
+// yields, replacing the one the work held. Like FromEdges it ranges over
+// edges twice, once to count every node's degrees and once to place the
+// edges, so edges must yield the same sequence both times.
+func (w *SCCWork) Build(n int, edges iter.Seq2[int, int]) {
+	if n < 0 {
+		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	// Each component's nodes form one contiguous run of members, runs in
-	// discovery order; the run being flooded doubles as its worklist.
-	members := make([]int, 0, n)
-	nc := 0
-	// Walk nodes in decreasing finish time; flood backward.
-	for i := n - 1; i >= 0; i-- {
-		root := post[i]
-		if comp[root] != -1 {
+	w.n = n
+	w.soff, w.poff = zeroed(w.soff, n+2), zeroed(w.poff, n+2)
+	// Counts go two places up, so that after the prefix sums soff[u+1] is
+	// u's first position and placing an edge advances it to u's end.
+	for u, v := range edges {
+		if uint(u) >= uint(n) || uint(v) >= uint(n) {
+			panic(fmt.Sprintf("graph: edge %d -> %d out of range [0,%d)", u, v, n))
+		}
+		w.soff[u+2]++
+		w.poff[v+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		w.soff[i] += w.soff[i-1]
+		w.poff[i] += w.poff[i-1]
+	}
+	m := int(w.soff[n+1])
+	w.succ, w.pred = slices.Grow(w.succ[:0], m)[:m], slices.Grow(w.pred[:0], m)[:m]
+	for u, v := range edges {
+		w.succ[w.soff[u+1]] = int32(v)
+		w.soff[u+1]++
+		w.pred[w.poff[v+1]] = int32(u)
+		w.poff[v+1]++
+	}
+}
+
+// zeroed returns b resized to n zeroed entries, reusing its array when it
+// is large enough.
+func zeroed[T any](b []T, n int) []T {
+	b = slices.Grow(b[:0], n)[:n]
+	clear(b)
+	return b
+}
+
+// postOrder fills w.post with the nodes in DFS finish order, visiting
+// roots in increasing node order and successors in edge order. The DFS
+// keeps an explicit stack, so deep graphs cannot overflow the goroutine
+// stack.
+func (w *SCCWork) postOrder() {
+	n := w.n
+	seen := zeroed(w.seen, n)
+	post := slices.Grow(w.post[:0], n)
+	stack := slices.Grow(w.stack[:0], n)
+	for root := range int32(n) {
+		if seen[root] {
 			continue
 		}
-		lo := len(members)
-		comp[root] = nc
-		members = append(members, root)
-		for j := lo; j < len(members); j++ {
-			for _, v := range g.pred[members[j]] {
-				if comp[v] == -1 {
-					comp[v] = nc
-					members = append(members, v)
-				}
+		seen[root] = true
+		stack = append(stack, [2]int32{root, w.soff[root]})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			end := w.soff[top[0]+1]
+			for top[1] < end && seen[w.succ[top[1]]] {
+				top[1]++
 			}
+			if top[1] == end {
+				post = append(post, top[0])
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			v := w.succ[top[1]]
+			top[1]++
+			seen[v] = true
+			stack = append(stack, [2]int32{v, w.soff[v]})
 		}
-		slices.Sort(members[lo:])
-		nc++
 	}
-	components := make([][]int, nc)
-	lo := 0
-	for id := range components {
-		hi := lo + 1
-		for hi < n && comp[members[hi]] == id {
-			hi++
-		}
-		components[id] = members[lo:hi:hi]
-		lo = hi
-	}
-	return &SCCResult{Comp: comp, Components: components}
+	w.seen, w.post, w.stack = seen, post, stack[:0]
 }
 
 // PrioritySCC computes SCCs together with the paper's priority numbering
@@ -245,42 +261,91 @@ func KosarajuSCC(g *Digraph) *SCCResult {
 // order. Priorities are 1-based as in the paper; Priority[u] gives node u's
 // priority and Sets[p] lists the nodes with priority p (Sets[0] is unused).
 func PrioritySCC(g *Digraph) *PriorityResult {
-	scc := KosarajuSCC(g)
-	// Kosaraju discovers components in topological order (sources first), so
-	// priority = discovery index + 1 makes every node's priority no greater
-	// than that of the nodes reachable from it (its dependencies), which is
-	// property (3). BigLoop then counts priorities downward, labeling sink
-	// components (which depend on nothing unlabeled) first — exactly the
-	// back-propagation order.
-	p := &PriorityResult{
-		SCC:      scc,
-		Priority: make([]int, g.N()),
-		Sets:     make([][]int, scc.NumComponents()+1),
-	}
-	for id, members := range scc.Components {
-		pr := id + 1
-		p.Sets[pr] = members
-		for _, u := range members {
-			p.Priority[u] = pr
-		}
-	}
-	p.Max = scc.NumComponents()
-	return p
+	var w SCCWork
+	w.Build(g.N(), g.edges())
+	return w.Priorities()
 }
 
-// PriorityResult carries SCCs plus the paper's 1-based priority numbering.
+// Priorities computes PrioritySCC of the digraph Build stored, with the
+// two-pass DFS scheme the paper adapts in Main (dfs_visit /
+// dfs_back_visit): a forward DFS recording finish order, then a backward
+// flood over nodes in decreasing finish time. The flood discovers the
+// components in topological order of the condensation (sources first), so
+// priority = discovery index + 1 makes every node's priority no greater
+// than that of the nodes reachable from it (its dependencies), which is
+// property (3). BigLoop then counts priorities downward, labeling sink
+// components (which depend on nothing unlabeled) first — exactly the
+// back-propagation order. The result takes three allocations: Priority and
+// the member lists share one array, each set a window of it capped at its
+// length and sorted ascending.
+func (w *SCCWork) Priorities() *PriorityResult {
+	n := w.n
+	w.postOrder()
+	buf := make([]int, 2*n)
+	// A node's priority stays 0 until the flood reaches it. Each
+	// component's nodes form one contiguous run of members, runs in
+	// discovery order; the run being flooded doubles as its worklist.
+	prio, members := buf[:n:n], buf[n:n]
+	p := 0
+	for i := n - 1; i >= 0; i-- {
+		root := w.post[i]
+		if prio[root] != 0 {
+			continue
+		}
+		p++
+		lo := len(members)
+		prio[root] = p
+		members = append(members, int(root))
+		for j := lo; j < len(members); j++ {
+			v := members[j]
+			for _, u := range w.pred[w.poff[v]:w.poff[v+1]] {
+				if prio[u] == 0 {
+					prio[u] = p
+					members = append(members, int(u))
+				}
+			}
+		}
+		slices.Sort(members[lo:])
+	}
+	sets := make([][]int, p+1)
+	lo := 0
+	for id := 1; id <= p; id++ {
+		hi := lo + 1
+		for hi < n && prio[members[hi]] == id {
+			hi++
+		}
+		sets[id] = members[lo:hi:hi]
+		lo = hi
+	}
+	return &PriorityResult{Priority: prio, Sets: sets, Max: p}
+}
+
+// PriorityResult is the paper's 1-based priority numbering of a digraph's
+// strongly connected components.
 type PriorityResult struct {
-	SCC      *SCCResult
 	Priority []int   // Priority[u] in 1..Max
 	Sets     [][]int // Sets[p] = nodes with priority p; Sets[0] unused
 	Max      int     // highest priority assigned
 }
 
+// SCCResult describes a partition of the nodes into strongly connected
+// components, as TarjanSCC finds them.
+type SCCResult struct {
+	// Comp maps each node to its component index.
+	Comp []int
+	// Components lists the members of each component, each sorted
+	// ascending.
+	Components [][]int
+}
+
+// SameComponent reports whether u and v are mutually reachable.
+func (r *SCCResult) SameComponent(u, v int) bool { return r.Comp[u] == r.Comp[v] }
+
 // TarjanSCC computes strongly connected components with Tarjan's one-pass
 // algorithm. Component indices are assigned in order of component
 // completion, which for Tarjan is reverse topological order of the
 // condensation (sinks first). It is used as a differential-testing oracle
-// for KosarajuSCC.
+// for PrioritySCC.
 func TarjanSCC(g *Digraph) *SCCResult {
 	n := g.N()
 	const unvisited = -1
@@ -512,15 +577,15 @@ func Reachable(g *Digraph, start int) []bool {
 }
 
 // CondensationEdges returns the edge set of the condensation (one node per
-// SCC), deduplicated and with self-loops removed, as pairs of component
-// indices.
-func CondensationEdges(g *Digraph, scc *SCCResult) [][2]int {
+// priority set), deduplicated and with self-loops removed, as pairs of
+// priorities.
+func CondensationEdges(g *Digraph, pr *PriorityResult) [][2]int {
 	seen := make(map[[2]int]bool)
 	var edges [][2]int
 	for u := 0; u < g.N(); u++ {
-		cu := scc.Comp[u]
+		cu := pr.Priority[u]
 		for _, v := range g.succ[u] {
-			cv := scc.Comp[v]
+			cv := pr.Priority[v]
 			if cu == cv {
 				continue
 			}

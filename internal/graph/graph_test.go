@@ -142,38 +142,42 @@ func TestReachable(t *testing.T) {
 	}
 }
 
-func sccCanonical(r *SCCResult) [][]int {
-	comps := make([][]int, len(r.Components))
-	for i, c := range r.Components {
+// partition returns a partition of the nodes as sorted member lists,
+// ordered by their least member.
+func partition(comps [][]int) [][]int {
+	out := make([][]int, len(comps))
+	for i, c := range comps {
 		cc := append([]int(nil), c...)
 		sort.Ints(cc)
-		comps[i] = cc
+		out[i] = cc
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
 }
 
 func TestSCCSimpleCycle(t *testing.T) {
 	g := buildGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
-	for name, r := range map[string]*SCCResult{
-		"kosaraju": KosarajuSCC(g),
-		"tarjan":   TarjanSCC(g),
-	} {
-		want := [][]int{{0, 1, 2}, {3}}
-		if got := sccCanonical(r); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: components = %v, want %v", name, got, want)
-		}
-		if !r.SameComponent(0, 2) || r.SameComponent(0, 3) {
-			t.Errorf("%s: SameComponent wrong", name)
-		}
+	want := [][]int{{0, 1, 2}, {3}}
+	pr := PrioritySCC(g)
+	if got := partition(pr.Sets[1:]); !reflect.DeepEqual(got, want) {
+		t.Errorf("kosaraju: components = %v, want %v", got, want)
+	}
+	if pr.Priority[0] != pr.Priority[2] || pr.Priority[0] == pr.Priority[3] {
+		t.Errorf("kosaraju: priorities %v put 0, 2 and 3 in the wrong sets", pr.Priority)
+	}
+	tr := TarjanSCC(g)
+	if got := partition(tr.Components); !reflect.DeepEqual(got, want) {
+		t.Errorf("tarjan: components = %v, want %v", got, want)
+	}
+	if !tr.SameComponent(0, 2) || tr.SameComponent(0, 3) {
+		t.Errorf("tarjan: SameComponent wrong")
 	}
 }
 
 func TestSCCDisconnected(t *testing.T) {
 	g := buildGraph(4, nil)
-	r := KosarajuSCC(g)
-	if r.NumComponents() != 4 {
-		t.Fatalf("4 isolated nodes give %d components", r.NumComponents())
+	if pr := PrioritySCC(g); pr.Max != 4 {
+		t.Fatalf("4 isolated nodes give %d components", pr.Max)
 	}
 }
 
@@ -249,19 +253,19 @@ func randomGraph(rng *rand.Rand, n, m int) *Digraph {
 }
 
 // TestKosarajuVsTarjan differentially tests the two SCC implementations on
-// random graphs: same partition, and Kosaraju's discovery order is a
-// topological order of the condensation.
+// random graphs: PrioritySCC's sets are Tarjan's partition, and its
+// numbering is a topological order of the condensation.
 func TestKosarajuVsTarjan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(30)
 		m := rng.Intn(3 * n)
 		g := randomGraph(rng, n, m)
-		k := KosarajuSCC(g)
+		k := PrioritySCC(g)
 		tr := TarjanSCC(g)
-		if !reflect.DeepEqual(sccCanonical(k), sccCanonical(tr)) {
+		if !reflect.DeepEqual(partition(k.Sets[1:]), partition(tr.Components)) {
 			t.Fatalf("trial %d: partitions differ\nkosaraju %v\ntarjan %v",
-				trial, k.Components, tr.Components)
+				trial, k.Sets[1:], tr.Components)
 		}
 		for _, e := range CondensationEdges(g, k) {
 			if e[0] >= e[1] {
@@ -351,19 +355,18 @@ func TestPostOrderProperty(t *testing.T) {
 
 func TestCondensationEdgesDedup(t *testing.T) {
 	g := buildGraph(4, [][2]int{{0, 1}, {1, 0}, {0, 2}, {1, 2}, {2, 3}, {2, 3}})
-	scc := KosarajuSCC(g)
-	edges := CondensationEdges(g, scc)
+	edges := CondensationEdges(g, PrioritySCC(g))
 	if len(edges) != 2 {
 		t.Fatalf("condensation edges = %v, want 2 deduped edges", edges)
 	}
 }
 
-func BenchmarkKosarajuSCC(b *testing.B) {
+func BenchmarkPrioritySCC(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(rng, 10000, 30000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KosarajuSCC(g)
+		PrioritySCC(g)
 	}
 }
 
@@ -523,5 +526,38 @@ func TestBits(t *testing.T) {
 	}
 	if !NewBits(n).Empty() {
 		t.Fatal("a new set is not empty")
+	}
+}
+
+// TestSCCWorkReuse: one SCCWork, reused from larger graphs to smaller ones
+// and back, numbers every graph as a fresh one does; what it returned
+// earlier is unchanged by its later runs; and once warm, Priorities
+// allocates only its three result arrays.
+func TestSCCWorkReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var w SCCWork
+	type run struct {
+		pr, want *PriorityResult
+	}
+	var runs []run
+	for trial := 0; trial < 100; trial++ {
+		n := []int{40, 1, 0, 25, 3}[trial%5] + rng.Intn(5)
+		g := randomGraph(rng, n, rng.Intn(3*n+1))
+		w.Build(n, g.edges())
+		pr, want := w.Priorities(), PrioritySCC(g)
+		if !reflect.DeepEqual(pr, want) {
+			t.Fatalf("trial %d: reused work numbered %v, a fresh one %v", trial, pr, want)
+		}
+		runs = append(runs, run{pr, want})
+	}
+	for i, r := range runs {
+		if !reflect.DeepEqual(r.pr, r.want) {
+			t.Fatalf("run %d changed after later runs to %v", i, r.pr)
+		}
+	}
+	g := randomGraph(rng, 200, 600)
+	w.Build(g.N(), g.edges())
+	if allocs := testing.AllocsPerRun(10, func() { w.Priorities() }); allocs != 3 {
+		t.Fatalf("warm Priorities allocated %.0f times, want 3", allocs)
 	}
 }

@@ -27,9 +27,8 @@ func TestConstraintsShapes(t *testing.T) {
 		Seed: 2, NumAttrs: 20, NumConstraints: 40, MaxLHS: 3,
 		LevelRHSFraction: 0.3, Cyclic: true, SingleSCC: true,
 	})
-	scc := graph.KosarajuSCC(s2.Graph())
-	if scc.NumComponents() != 1 {
-		t.Errorf("SingleSCC produced %d components", scc.NumComponents())
+	if pr := graph.PrioritySCC(s2.Graph()); pr.Max != 1 {
+		t.Errorf("SingleSCC produced %d components", pr.Max)
 	}
 
 	// MaxLHS respected.
