@@ -56,14 +56,6 @@ type policyListResponse struct {
 	Policies []policyIndexEntry `json:"policies"`
 }
 
-// policyAppendResponse reports an accepted constraint append: the new
-// version, plus refresh_pending when its compile and solve were left to a
-// shard worker (an append without ?wait=1).
-type policyAppendResponse struct {
-	catalog.PolicyInfo
-	RefreshPending bool `json:"refresh_pending,omitempty"`
-}
-
 // traceResponse is the JSON answer of GET /policies/{name}/trace: one fully
 // instrumented solve and its reconstructed span tree.
 type traceResponse struct {
@@ -206,7 +198,7 @@ func (s *server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Shard = info.Shard
 	w.Header().Set("ETag", etag(info.Version))
-	writeJSON(w, info)
+	writeBody(w, http.StatusOK, infoBody(info, infoTail{}))
 }
 
 func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
@@ -226,8 +218,7 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must carry both "lattice" and "constraints" text`, http.StatusBadRequest)
 		return
 	}
-	s.putPolicy(w, r, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion,
-		func(info catalog.PolicyInfo) any { return info })
+	s.putPolicy(w, r, r.PathValue("name"), req.Lattice, req.Constraints, ifVersion, infoTail{})
 }
 
 // putPolicy stores a policy's source texts under name once the request
@@ -235,15 +226,15 @@ func (s *server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 // POST /problems/{family} share it. With ?wait=1 the version is compiled
 // and solved inline, so the put passes the same admission gate and solve
 // budget as solves and appends. It answers every failure itself, and on
-// success writes body(info) under the version's ETag: 201 for a new
-// policy, 200 for a replaced one.
+// success writes infoBody(info, tail) under the version's ETag, 201 for a
+// new policy and 200 for a replaced one, and reports true.
 func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, latticeText, constraintText string,
-	ifVersion int64, body func(catalog.PolicyInfo) any) {
+	ifVersion int64, tail infoTail) bool {
 	opts := mutateOptionsFrom(r)
 	ctx := r.Context()
 	if opts.Wait {
 		if !s.admit(w, r) {
-			return
+			return false
 		}
 		defer s.gate.release()
 		var cancel context.CancelFunc
@@ -259,18 +250,19 @@ func (s *server) putPolicy(w http.ResponseWriter, r *http.Request, name, lattice
 	info, err := s.cat.Put(ctx, name, latticeText, constraintText, ifVersion, opts)
 	if err != nil {
 		s.policyError(w, r, err)
-		return
+		return false
 	}
 	fl.Shard = info.Shard
 	if !s.clusterBarrier(r.Context(), w, r, info.Shard, seq) {
-		return
+		return false
 	}
 	w.Header().Set("ETag", etag(info.Version))
 	status := http.StatusOK
 	if info.Version == 1 {
 		status = http.StatusCreated
 	}
-	writeBody(w, status, encodeJSON(body(info)))
+	writeBody(w, status, infoBody(info, tail))
+	return true
 }
 
 func (s *server) handlePolicyDelete(w http.ResponseWriter, r *http.Request) {
@@ -342,7 +334,7 @@ func (s *server) handlePolicyAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag(info.Version))
-	writeJSON(w, policyAppendResponse{PolicyInfo: info, RefreshPending: !opts.Wait})
+	writeBody(w, http.StatusOK, infoBody(info, infoTail{refreshPending: !opts.Wait}))
 }
 
 // handlePolicySolve serves GET/POST /policies/{name}/solve. A warm version

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"strings"
 
-	"minup/internal/catalog"
 	"minup/internal/frontend"
 	// The families register themselves with frontend on import.
 	_ "minup/internal/frontend/depinf"
@@ -33,14 +32,6 @@ type problemFamilyEntry struct {
 type problemListResponse struct {
 	Count    int                  `json:"count"`
 	Families []problemFamilyEntry `json:"families"`
-}
-
-// problemResponse reports a stored compiled problem: the catalog row it
-// became plus the family and instance it came from.
-type problemResponse struct {
-	catalog.PolicyInfo
-	Family   string `json:"family"`
-	Instance string `json:"instance"`
 }
 
 func (s *server) handleProblemList(w http.ResponseWriter, _ *http.Request) {
@@ -105,8 +96,8 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("name"); q != "" {
 		name = q
 	}
-	s.putPolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion, func(info catalog.PolicyInfo) any {
+	if s.putPolicy(w, r, name, c.LatticeText, c.ConstraintText, ifVersion,
+		infoTail{problem: true, family: family, instance: inst.InstanceName()}) {
 		s.problemsCreated[family].Inc()
-		return problemResponse{PolicyInfo: info, Family: family, Instance: inst.InstanceName()}
-	})
+	}
 }

@@ -107,7 +107,7 @@ func TestParentWALReplays(t *testing.T) {
 		}
 		br := bufio.NewReader(bytes.NewReader(data))
 		for {
-			payload, err := wal.ReadFrame(br)
+			payload, err := wal.ReadFrame(br, nil)
 			if err != nil {
 				break
 			}

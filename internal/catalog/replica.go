@@ -37,13 +37,13 @@ func (c *Catalog) ShardSeq(i int) uint64 {
 	return s.seq
 }
 
-// ShardSeqs returns every shard's last sequence number, indexed by shard.
-func (c *Catalog) ShardSeqs() []uint64 {
-	out := make([]uint64, len(c.shards))
+// AppendShardSeqs appends every shard's last sequence number to dst, in
+// shard order, so that a caller can keep the array it reads them into.
+func (c *Catalog) AppendShardSeqs(dst []uint64) []uint64 {
 	for i := range c.shards {
-		out[i] = c.ShardSeq(i)
+		dst = append(dst, c.ShardSeq(i))
 	}
-	return out
+	return dst
 }
 
 // ApplyRecord applies one replicated WAL record payload to shard shardID,

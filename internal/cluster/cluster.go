@@ -215,7 +215,7 @@ func Open(opt Options) (*Node, error) {
 		callTimeout: max(4*opt.Tick, 100*time.Millisecond),
 		votedFor:    -1,
 		leaderID:    -1,
-		ownSeq:      opt.Catalog.ShardSeqs(),
+		ownSeq:      opt.Catalog.AppendShardSeqs(nil),
 		dirty:       make([]bool, opt.Catalog.Shards()),
 		commit:      make([]uint64, opt.Catalog.Shards()),
 		peers:       make(map[int]*peer),
@@ -401,7 +401,7 @@ func (n *Node) run() {
 // from every peer in parallel, and either take leadership on a majority or
 // fall back to follower and wait out another timeout.
 func (n *Node) campaign() {
-	seqs := n.cat.ShardSeqs()
+	seqs := n.cat.AppendShardSeqs(nil)
 	n.mu.Lock()
 	if n.role == RoleLeader || n.closed.Load() {
 		n.mu.Unlock()
@@ -440,8 +440,8 @@ func (n *Node) campaign() {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			rep, err := p.client.call(msg)
-			if err != nil {
+			var rep reply
+			if err := p.client.call(&msg, &rep); err != nil {
 				return
 			}
 			if rep.Term > term {
@@ -580,8 +580,9 @@ func (n *Node) failWaitersLocked(err error) {
 // Caller holds n.mu.
 func (n *Node) recomputeCommitLocked(shard int) {
 	recompute := func(s int) {
-		vals := make([]uint64, 0, len(n.peers)+1)
-		vals = append(vals, n.ownSeq[s])
+		// Membership is a handful of nodes: the scratch array holds them all.
+		var scratch [8]uint64
+		vals := append(scratch[:0], n.ownSeq[s])
 		for _, p := range n.peers {
 			if p.known && s < len(p.confirmed) && !p.needSnap[s] {
 				vals = append(vals, p.confirmed[s])

@@ -453,7 +453,7 @@ func TestLagOneSource(t *testing.T) {
 		lastHeartbeat: time.Now(),
 		peers:         map[int]*peer{1: p},
 	}
-	n.noteReply(p, reply{OK: true, Seqs: []uint64{1, 0}}, -1, 0)
+	n.noteReply(p, &reply{OK: true, Seqs: []uint64{1, 0}}, -1, 0)
 
 	lag, known := n.ReplicaLag()
 	st := n.Status()

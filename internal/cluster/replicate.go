@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"minup/internal/catalog"
+	"minup/internal/obs"
 )
 
 // maxBurst bounds how many frames one syncPeer pass ships before yielding,
@@ -127,6 +128,15 @@ type peer struct {
 	addr   string
 	client *rpcClient
 	wake   chan struct{}
+	// lagFrames and lagBytes are the cluster.peer.<id>.lag_* gauges,
+	// looked up at the peer's first reply.
+	lagFrames, lagBytes *obs.Gauge
+
+	// rep and seqs belong to the peer's loop (syncPeer and the sends it
+	// makes): the reply each call reads, and the positions a heartbeat
+	// reports, both reused.
+	rep  reply
+	seqs []uint64
 
 	known     bool // a reply has reported the peer's positions
 	connected bool
@@ -284,7 +294,7 @@ func (n *Node) markSent(p *peer) {
 // confirmSeq, when confirmShard >= 0, record a position proven by a
 // successful append or snapshot in the current term — the only positions
 // the commit quorum counts.
-func (n *Node) noteReply(p *peer, rep reply, confirmShard int, confirmSeq uint64) {
+func (n *Node) noteReply(p *peer, rep *reply, confirmShard int, confirmSeq uint64) {
 	n.mu.Lock()
 	p.lastAck = time.Now()
 	p.connected = true
@@ -305,10 +315,14 @@ func (n *Node) noteReply(p *peer, rep reply, confirmShard int, confirmSeq uint64
 	if n.role == RoleLeader {
 		n.recomputeCommitLocked(-1)
 	}
-	if n.opt.Metrics != nil {
+	if m := n.opt.Metrics; m != nil {
+		if p.lagFrames == nil {
+			p.lagFrames = m.Gauge(fmt.Sprintf("cluster.peer.%d.lag_frames", p.id))
+			p.lagBytes = m.Gauge(fmt.Sprintf("cluster.peer.%d.lag_bytes", p.id))
+		}
 		lagFrames, lagBytes := n.peerLagLocked(p)
-		n.opt.Metrics.Gauge(fmt.Sprintf("cluster.peer.%d.lag_frames", p.id)).Set(int64(lagFrames))
-		n.opt.Metrics.Gauge(fmt.Sprintf("cluster.peer.%d.lag_bytes", p.id)).Set(lagBytes)
+		p.lagFrames.Set(int64(lagFrames))
+		p.lagBytes.Set(lagBytes)
 	}
 	n.mu.Unlock()
 }
@@ -323,12 +337,13 @@ func (n *Node) markDisconnected(p *peer) {
 // sendHeartbeat announces leadership and learns the peer's positions.
 func (n *Node) sendHeartbeat(p *peer, term uint64) bool {
 	n.markSent(p)
+	p.seqs = n.cat.AppendShardSeqs(p.seqs[:0])
 	msg := message{
 		Kind: msgHeartbeat, From: n.opt.ID, Term: term,
-		LeaderHTTP: n.opt.HTTPAddr, Shards: n.cat.Shards(), Seqs: n.cat.ShardSeqs(),
+		LeaderHTTP: n.opt.HTTPAddr, Shards: n.cat.Shards(), Seqs: p.seqs,
 	}
-	rep, err := p.client.call(msg)
-	if err != nil {
+	rep := &p.rep
+	if err := p.client.call(&msg, rep); err != nil {
 		n.markDisconnected(p)
 		return false
 	}
@@ -351,8 +366,8 @@ func (n *Node) sendAppend(p *peer, term uint64, shard int, seq uint64, payload [
 		Kind: msgAppend, From: n.opt.ID, Term: term, LeaderHTTP: n.opt.HTTPAddr,
 		Shard: shard, Seq: seq, Payload: payload,
 	}
-	rep, err := p.client.call(msg)
-	if err != nil {
+	rep := &p.rep
+	if err := p.client.call(&msg, rep); err != nil {
 		n.markDisconnected(p)
 		return false
 	}
@@ -399,8 +414,8 @@ func (n *Node) sendSnapshot(p *peer, term uint64, shard int) bool {
 		Kind: msgSnapshot, From: n.opt.ID, Term: term, LeaderHTTP: n.opt.HTTPAddr,
 		Shard: shard, Seq: seq, Payload: payload, CRC: sum,
 	}
-	rep, err := p.client.call(msg)
-	if err != nil {
+	rep := &p.rep
+	if err := p.client.call(&msg, rep); err != nil {
 		n.markDisconnected(p)
 		return false
 	}

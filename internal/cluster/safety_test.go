@@ -146,7 +146,8 @@ func TestVoteRefusedWhenPersistFails(t *testing.T) {
 		t.Fatalf("mkdir blocker: %v", err)
 	}
 	msg := message{Kind: msgVote, From: 1, Term: 5, LastLogTerm: 0, Seqs: []uint64{0}}
-	if rep := n.handleVote(msg); rep.Granted {
+	var rep reply
+	if n.handleVote(&msg, &rep); rep.Granted {
 		t.Fatalf("vote granted without durable state")
 	}
 	// Same candidate retries once persistence works again: the in-memory
@@ -154,7 +155,8 @@ func TestVoteRefusedWhenPersistFails(t *testing.T) {
 	if err := os.Remove(blocker); err != nil {
 		t.Fatalf("remove blocker: %v", err)
 	}
-	if rep := n.handleVote(msg); !rep.Granted {
+	rep = reply{}
+	if n.handleVote(&msg, &rep); !rep.Granted {
 		t.Fatalf("retry after persistence recovered was refused")
 	}
 	data, err := os.ReadFile(blocker)

@@ -57,7 +57,7 @@ type PeerStatus struct {
 // Status snapshots the node's cluster state.
 func (n *Node) Status() Status {
 	fp := sha256.Sum256(n.cat.Fingerprint())
-	seqs := n.cat.ShardSeqs()
+	seqs := n.cat.AppendShardSeqs(nil)
 
 	n.mu.Lock()
 	defer n.mu.Unlock()

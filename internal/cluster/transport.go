@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -16,10 +16,11 @@ import (
 )
 
 // The wire protocol: JSON messages wrapped in the WAL's length+CRC32 frame
-// format (wal.WriteFrame / wal.ReadFrame) over a persistent TCP connection,
-// one synchronous request/reply per frame pair. Replicated records travel
-// as the leader's exact WAL payload bytes, so a follower's log ends up
-// byte-identical to the leader's.
+// format (wal.SealFrame / wal.ReadFrame) over a persistent TCP
+// connection, one synchronous request/reply per frame pair. Replicated
+// records travel as the leader's exact WAL payload bytes, so a follower's
+// log ends up byte-identical to the leader's. envelope.go writes and reads
+// the JSON.
 
 const (
 	msgHeartbeat = "heartbeat"
@@ -81,7 +82,10 @@ type rpcClient struct {
 	timeout time.Duration
 	conn    net.Conn
 	br      *bufio.Reader
-	stash   []byte // a reorder-deferred frame, sent after the next one
+	// out and in hold the frame a call writes and the frame it reads,
+	// kept between calls (see kept).
+	out, in []byte
+	stash   []byte // a reorder-deferred frame, sent after the next one; a copy
 }
 
 func (c *rpcClient) closeConn() {
@@ -94,74 +98,77 @@ func (c *rpcClient) closeConn() {
 	c.mu.Unlock()
 }
 
-// call sends one message and waits for its reply.
-func (c *rpcClient) call(msg message) (reply, error) {
+// call sends one message and reads its reply into rep, whose arrays it
+// reuses (reply.read). Nothing rep holds afterwards shares the client's
+// buffers, so the caller reads it after the client has moved on.
+func (c *rpcClient) call(msg *message, rep *reply) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.fault.Hit("cluster.net.delay") // delay rules sleep inside Hit
 	if err := c.fault.Hit("cluster.net.drop"); err != nil {
 		c.resetLocked()
-		return reply{}, fmt.Errorf("%w: drop", errInjected)
+		return fmt.Errorf("%w: drop", errInjected)
 	}
-	out, err := json.Marshal(msg)
-	if err != nil {
-		return reply{}, err
+	out := appendMessage(wal.StartFrame(c.out), msg)
+	c.out = kept(out)
+	if err := wal.SealFrame(out); err != nil {
+		return err
 	}
 	if err := c.fault.Hit("cluster.net.reorder"); err != nil && c.stash == nil {
 		// Hold this frame back; it goes out *after* the next call's frame,
 		// arriving out of order (and the caller retries, so the receiver
-		// may also see it twice).
-		c.stash = out
-		return reply{}, fmt.Errorf("%w: reorder (deferred)", errInjected)
+		// may also see it twice). The next call writes over out.
+		c.stash = bytes.Clone(out)
+		return fmt.Errorf("%w: reorder (deferred)", errInjected)
 	}
 	if c.conn == nil {
 		conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 		if err != nil {
-			return reply{}, err
+			return err
 		}
 		c.conn = conn
 		c.br = bufio.NewReader(conn)
 	}
-	c.conn.SetDeadline(time.Now().Add(c.deadlineFor(msg)))
+	c.conn.SetDeadline(time.Now().Add(c.deadlineFor(*msg)))
 
 	frames := 1
-	if err := wal.WriteFrame(c.conn, out); err != nil {
+	if _, err := c.conn.Write(out); err != nil {
 		c.resetLocked()
-		return reply{}, err
+		return err
 	}
 	if c.stash != nil {
 		stash := c.stash
 		c.stash = nil
-		if err := wal.WriteFrame(c.conn, stash); err != nil {
+		if _, err := c.conn.Write(stash); err != nil {
 			c.resetLocked()
-			return reply{}, err
+			return err
 		}
 		frames++
 	}
 	if err := c.fault.Hit("cluster.net.dup"); err != nil {
-		if err := wal.WriteFrame(c.conn, out); err != nil {
+		if _, err := c.conn.Write(out); err != nil {
 			c.resetLocked()
-			return reply{}, err
+			return err
 		}
 		frames++
 	}
 	// The server answers every frame in order; the first reply is ours,
 	// the rest (stash, duplicate) are drained and discarded.
-	var rep reply
 	for i := 0; i < frames; i++ {
-		payload, err := wal.ReadFrame(c.br)
+		payload, err := wal.ReadFrame(c.br, c.in)
 		if err != nil {
 			c.resetLocked()
-			return reply{}, err
+			return err
 		}
+		c.in = kept(payload)
 		if i == 0 {
-			if err := json.Unmarshal(payload, &rep); err != nil {
+			if err := rep.read(payload); err != nil {
 				c.resetLocked()
-				return reply{}, err
+				return err
 			}
 		}
 	}
-	return rep, nil
+	return nil
 }
 
 // deadlineFor sizes the RPC deadline to the message. Heartbeats, appends,
@@ -217,56 +224,70 @@ func (n *Node) handleConn(conn net.Conn) {
 		n.connMu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
+	// The connection reads its frames into in and writes its replies from
+	// out, both kept between frames (see kept); msg and rep are read and
+	// filled in place, keeping their arrays.
+	var (
+		in, out []byte
+		msg     message
+		rep     reply
+	)
 	for {
-		payload, err := wal.ReadFrame(br)
+		payload, err := wal.ReadFrame(br, in)
 		if err != nil {
 			return
 		}
+		in = kept(payload)
 		if err := n.opt.Fault.Hit("cluster.net.recv.drop"); err != nil {
 			// Blackhole: swallow the request without replying. The caller's
 			// deadline expires — exactly what a partition looks like.
 			n.countMetric("cluster.frames_blackholed")
 			continue
 		}
-		var msg message
-		if err := json.Unmarshal(payload, &msg); err != nil {
+		if err := msg.read(payload); err != nil {
 			return
 		}
-		rep := n.handleMessage(msg)
-		out, err := json.Marshal(rep)
-		if err != nil {
+		rep = reply{Seqs: rep.Seqs[:0], Dirty: rep.Dirty[:0]}
+		n.handleMessage(&msg, &rep)
+		// Whoever keeps the payload has it; a shipped snapshot's bytes must
+		// not stay alive while the connection waits for its next frame.
+		msg.Payload = nil
+		out = appendReply(wal.StartFrame(out), &rep)
+		if err := wal.SealFrame(out); err != nil {
 			return
 		}
 		conn.SetWriteDeadline(time.Now().Add(n.callTimeout))
-		if err := wal.WriteFrame(conn, out); err != nil {
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
+		out = kept(out)
 	}
 }
 
-// handleMessage dispatches one request. It must not hold n.mu across
-// catalog calls (the catalog's OnRecord hook takes n.mu under the shard
-// lock, so the lock order is always shard → node).
-func (n *Node) handleMessage(msg message) reply {
+// handleMessage answers one request in rep, a zero reply but for the
+// arrays it keeps. It must not hold n.mu across catalog calls (the
+// catalog's OnRecord hook takes n.mu under the shard lock, so the lock
+// order is always shard → node).
+func (n *Node) handleMessage(msg *message, rep *reply) {
 	n.countMetric("cluster.frames_recv")
 	switch msg.Kind {
 	case msgHeartbeat:
-		return n.handleHeartbeat(msg)
+		n.handleHeartbeat(msg, rep)
 	case msgAppend:
-		return n.handleAppend(msg)
+		n.handleAppend(msg, rep)
 	case msgSnapshot:
-		return n.handleSnapshot(msg)
+		n.handleSnapshot(msg, rep)
 	case msgVote:
-		return n.handleVote(msg)
+		n.handleVote(msg, rep)
 	default:
-		return reply{OK: false, Err: fmt.Sprintf("unknown message kind %q", msg.Kind)}
+		rep.Err = fmt.Sprintf("unknown message kind %q", msg.Kind)
 	}
 }
 
 // adoptLeader processes the term/leader claims common to heartbeat, append,
 // and snapshot messages. It returns (currentTerm, ok); !ok means the sender
 // is stale and must be rejected.
-func (n *Node) adoptLeader(msg message) (uint64, bool) {
+func (n *Node) adoptLeader(msg *message) (uint64, bool) {
 	n.mu.Lock()
 	if msg.Term < n.term {
 		term := n.term
@@ -283,7 +304,8 @@ func (n *Node) adoptLeader(msg message) (uint64, bool) {
 	}
 	n.lastHeartbeat = time.Now()
 	if msg.Kind == msgHeartbeat && msg.Seqs != nil {
-		n.leaderSeqs = msg.Seqs
+		// msg.Seqs is the connection's array, read over by its next frame.
+		n.leaderSeqs = append(n.leaderSeqs[:0], msg.Seqs...)
 		if n.opt.Metrics != nil {
 			lag, _ := n.replicaLagLocked()
 			n.opt.Metrics.Gauge("cluster.replica.lag_frames").Set(int64(lag))
@@ -297,15 +319,17 @@ func (n *Node) adoptLeader(msg message) (uint64, bool) {
 	return term, true
 }
 
-func (n *Node) handleHeartbeat(msg message) reply {
+func (n *Node) handleHeartbeat(msg *message, rep *reply) {
 	if msg.Shards != 0 && msg.Shards != n.cat.Shards() {
-		return reply{OK: false, Err: fmt.Sprintf("shard count mismatch: leader %d, local %d", msg.Shards, n.cat.Shards())}
+		rep.Err = fmt.Sprintf("shard count mismatch: leader %d, local %d", msg.Shards, n.cat.Shards())
+		return
 	}
-	term, ok := n.adoptLeader(msg)
-	if !ok {
-		return reply{OK: false, Term: term}
+	var ok bool
+	if rep.Term, ok = n.adoptLeader(msg); !ok {
+		return
 	}
-	rep := reply{OK: true, Term: term, Seqs: n.cat.ShardSeqs()}
+	rep.OK = true
+	rep.Seqs = n.cat.AppendShardSeqs(rep.Seqs)
 	n.mu.Lock()
 	for i, d := range n.dirty {
 		if d {
@@ -313,63 +337,78 @@ func (n *Node) handleHeartbeat(msg message) reply {
 		}
 	}
 	n.mu.Unlock()
-	return rep
 }
 
-func (n *Node) handleAppend(msg message) reply {
-	term, ok := n.adoptLeader(msg)
-	if !ok {
-		return reply{OK: false, Term: term}
+func (n *Node) handleAppend(msg *message, rep *reply) {
+	var ok bool
+	if rep.Term, ok = n.adoptLeader(msg); !ok {
+		return
 	}
 	if msg.Shard < 0 || msg.Shard >= n.cat.Shards() {
-		return reply{OK: false, Term: term, Err: fmt.Sprintf("no shard %d", msg.Shard)}
+		rep.Err = fmt.Sprintf("no shard %d", msg.Shard)
+		return
 	}
+	rep.OK, rep.NeedSync, rep.Err = n.appendRecord(msg)
+	rep.Seqs = n.cat.AppendShardSeqs(rep.Seqs)
+}
+
+// appendRecord applies an append message's record to its shard, which
+// exists, and says how to answer: whether the shard holds the record now,
+// whether the leader must ship a snapshot instead, and an apply error.
+func (n *Node) appendRecord(msg *message) (ok, needSync bool, errText string) {
 	n.mu.Lock()
-	dirty := msg.Shard >= 0 && msg.Shard < len(n.dirty) && n.dirty[msg.Shard]
+	dirty := n.dirty[msg.Shard]
 	n.mu.Unlock()
 	if dirty {
-		return reply{OK: false, Term: term, NeedSync: true, Seqs: n.cat.ShardSeqs()}
+		return false, true, ""
 	}
 	local := n.cat.ShardSeq(msg.Shard)
 	switch {
 	case msg.Seq <= local:
 		// Duplicate delivery (retry, dup fault, reorder); already applied.
 		n.countMetric("cluster.frames_duplicate")
-		return reply{OK: true, Term: term, Seqs: n.cat.ShardSeqs()}
+		return true, false, ""
 	case msg.Seq > local+1:
 		n.countMetric("cluster.frames_gap")
-		return reply{OK: false, Term: term, NeedSync: true, Seqs: n.cat.ShardSeqs()}
+		return false, true, ""
 	case len(msg.Payload) == 0:
 		// A position probe for a record this node turns out not to have
 		// (its reported seq went stale, e.g. across a restart). Not a gap —
 		// just report the real position so the leader resumes real appends.
-		return reply{OK: false, Term: term, Seqs: n.cat.ShardSeqs()}
+		return false, false, ""
 	}
 	if _, err := n.cat.ApplyRecord(msg.Shard, msg.Payload); err != nil {
 		if errors.Is(err, catalog.ErrOutOfOrder) {
-			return reply{OK: false, Term: term, NeedSync: true, Seqs: n.cat.ShardSeqs()}
+			return false, true, ""
 		}
-		return reply{OK: false, Term: term, Err: err.Error(), Seqs: n.cat.ShardSeqs()}
+		return false, false, err.Error()
 	}
 	n.mu.Lock()
 	n.lastLogTerm = msg.Term
 	n.mu.Unlock()
 	n.countMetric("cluster.frames_applied")
-	return reply{OK: true, Term: term, Seqs: n.cat.ShardSeqs()}
+	return true, false, ""
 }
 
-func (n *Node) handleSnapshot(msg message) reply {
-	term, ok := n.adoptLeader(msg)
-	if !ok {
-		return reply{OK: false, Term: term}
+func (n *Node) handleSnapshot(msg *message, rep *reply) {
+	var ok bool
+	if rep.Term, ok = n.adoptLeader(msg); !ok {
+		return
 	}
+	rep.OK, rep.Err = n.installSnapshot(msg)
+	rep.Seqs = n.cat.AppendShardSeqs(rep.Seqs)
+}
+
+// installSnapshot installs a snapshot message's shard and says how to
+// answer: whether it was installed, or why not.
+func (n *Node) installSnapshot(msg *message) (ok bool, errText string) {
 	if crc32.ChecksumIEEE(msg.Payload) != msg.CRC {
 		n.countMetric("cluster.catchup_rejected")
-		return reply{OK: false, Term: term, Err: "snapshot checksum mismatch", Seqs: n.cat.ShardSeqs()}
+		return false, "snapshot checksum mismatch"
 	}
 	if err := n.cat.InstallShardSnapshot(msg.Shard, msg.Payload); err != nil {
 		n.countMetric("cluster.catchup_rejected")
-		return reply{OK: false, Term: term, Err: err.Error(), Seqs: n.cat.ShardSeqs()}
+		return false, err.Error()
 	}
 	// The install jumped the shard past anything buffered in the record
 	// ring; drop the stale tail so the ring never holds a seq gap (get()
@@ -385,20 +424,20 @@ func (n *Node) handleSnapshot(msg message) reply {
 	n.mu.Unlock()
 	n.countMetric("cluster.catchups_installed")
 	n.logger.Info("installed shard snapshot", "shard", msg.Shard, "seq", msg.Seq)
-	return reply{OK: true, Term: term, Seqs: n.cat.ShardSeqs()}
+	return true, ""
 }
 
 // handleVote grants at most one vote per term, refuses candidates while the
 // local leader lease is fresh, and refuses candidates whose log is behind:
 // lower last-log term, or any shard position behind the voter's. This is
 // the rule that keeps acknowledged mutations electable-leader-only.
-func (n *Node) handleVote(msg message) reply {
-	local := n.cat.ShardSeqs()
+func (n *Node) handleVote(msg *message, rep *reply) {
+	local := n.cat.AppendShardSeqs(nil)
 	n.mu.Lock()
 	if msg.Term < n.term {
-		rep := reply{Term: n.term}
+		rep.Term = n.term
 		n.mu.Unlock()
-		return rep
+		return
 	}
 	// Lease check against the leadership state *before* adopting the higher
 	// term: a fresh lease from a live leader refuses disruptive candidates.
@@ -442,9 +481,8 @@ func (n *Node) handleVote(msg message) reply {
 			grant = false
 		}
 	}
-	rep := reply{OK: true, Term: term, Granted: grant}
+	rep.OK, rep.Term, rep.Granted = true, term, grant
 	if grant {
 		n.countMetric("cluster.votes_granted")
 	}
-	return rep
 }

@@ -97,11 +97,12 @@ func (s *Set) Frozen() bool { return s.frozen }
 func (s *Set) snapshot() *Compiled { return s.snapshotSpan(nil) }
 
 // compileWork is the storage a compile reuses: Constr[A]'s degree counts,
-// and the dependency digraph with Kosaraju's working arrays. Nothing a
-// Compiled keeps aliases it.
+// the dependency digraph's edge list, and the digraph with Kosaraju's
+// working arrays. Nothing a Compiled keeps aliases it.
 type compileWork struct {
-	deg []int
-	scc graph.SCCWork
+	deg   []int
+	edges [][2]int32
+	scc   graph.SCCWork
 }
 
 var compileWorkPool = sync.Pool{New: func() any { return new(compileWork) }}
@@ -149,7 +150,9 @@ func (s *Set) compile(parent *obs.Span, w *compileWork) *Compiled {
 		onLHS:     src.constraintsOn(w.deg),
 		totalSize: src.TotalSize(),
 	}
-	w.scc.Build(n, src.edges())
+	// TotalSize bounds the edge count, so a fresh work grows its list once.
+	w.edges = src.appendEdges(slices.Grow(w.edges[:0], c.totalSize))
+	w.scc.Build(n, w.edges)
 	if ph != nil {
 		ph.End()
 		ph = sp.Child("scc")

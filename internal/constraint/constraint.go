@@ -18,7 +18,6 @@ package constraint
 
 import (
 	"fmt"
-	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -448,25 +447,23 @@ func (s *Set) Format(c Constraint) string {
 // hypernode). Level constants are omitted — they are always "done" and
 // never affect strong connectivity.
 func (s *Set) Graph() *graph.Digraph {
-	return graph.FromEdges(len(s.names), s.edges())
+	// TotalSize bounds the edge count, so the list is allocated once.
+	return graph.FromEdges(len(s.names), s.appendEdges(make([][2]int32, 0, s.TotalSize())))
 }
 
-// edges yields the edges of Graph in constraint order: attribute a's
-// successors come out in the order of its Constr[A] list, with level
-// right-hand sides skipped.
-func (s *Set) edges() iter.Seq2[int, int] {
-	return func(yield func(u, v int) bool) {
-		for _, c := range s.cons {
-			if c.RHS.IsLevel {
-				continue
-			}
-			for _, a := range c.LHS {
-				if !yield(int(a), int(c.RHS.Attr)) {
-					return
-				}
-			}
+// appendEdges appends the edges of Graph to dst in constraint order:
+// attribute a's successors come out in the order of its Constr[A] list,
+// with level right-hand sides skipped.
+func (s *Set) appendEdges(dst [][2]int32) [][2]int32 {
+	for _, c := range s.cons {
+		if c.RHS.IsLevel {
+			continue
+		}
+		for _, a := range c.LHS {
+			dst = append(dst, [2]int32{int32(a), int32(c.RHS.Attr)})
 		}
 	}
+	return dst
 }
 
 // Priorities computes the paper's §4 priority structure: SCCs of Graph()

@@ -40,18 +40,19 @@ func New(n int) *Digraph {
 	}
 }
 
-// FromEdges returns the digraph over n nodes with the edges u -> v that
-// edges yields, ranging over edges twice: once to count every node's out-
+// FromEdges returns the digraph over n nodes with the edges u -> v listed
+// in edges, passing over the list twice: once to count every node's out-
 // and in-degree, once to fill the lists. Each direction's lists share one
 // backing array, cut into one window per node whose capacity is capped at
 // its degree, so a later AddEdge reallocates the list it grows and never
-// writes into a neighbour's window. Lists come out in yield order, equal
+// writes into a neighbour's window. Lists come out in edge order, equal
 // to those AddEdge calls in the same order would build; a node without
-// edges keeps a nil list. edges must yield the same sequence both times.
-func FromEdges(n int, edges iter.Seq2[int, int]) *Digraph {
+// edges keeps a nil list.
+func FromEdges(n int, edges [][2]int32) *Digraph {
 	g := New(n)
 	deg := make([]int, 2*n) // out-degrees, then in-degrees
-	for u, v := range edges {
+	for _, e := range edges {
+		u, v := int(e[0]), int(e[1])
 		g.check(u)
 		g.check(v)
 		deg[u]++
@@ -70,7 +71,8 @@ func FromEdges(n int, edges iter.Seq2[int, int]) *Digraph {
 			po += d
 		}
 	}
-	for u, v := range edges {
+	for _, e := range edges {
+		u, v := int(e[0]), int(e[1])
 		g.succ[u] = append(g.succ[u], v)
 		g.pred[v] = append(g.pred[v], u)
 	}
@@ -128,18 +130,16 @@ func (g *Digraph) Reverse() *Digraph {
 	return r
 }
 
-// edges yields the graph's edges u -> v, node by node in increasing order
+// edges lists the graph's edges u -> v, node by node in increasing order
 // and each node's successors in list order.
-func (g *Digraph) edges() iter.Seq2[int, int] {
-	return func(yield func(u, v int) bool) {
-		for u, vs := range g.succ {
-			for _, v := range vs {
-				if !yield(u, v) {
-					return
-				}
-			}
+func (g *Digraph) edges() [][2]int32 {
+	edges := make([][2]int32, 0, g.m)
+	for u, vs := range g.succ {
+		for _, v := range vs {
+			edges = append(edges, [2]int32{int32(u), int32(v)})
 		}
 	}
+	return edges
 }
 
 // PostOrder returns the nodes in DFS finish order (earliest-finished first),
@@ -177,11 +177,11 @@ type SCCWork struct {
 	stack      [][2]int32 // DFS path: node, position of its next successor
 }
 
-// Build stores the digraph over n nodes with the edges u -> v that edges
-// yields, replacing the one the work held. Like FromEdges it ranges over
-// edges twice, once to count every node's degrees and once to place the
-// edges, so edges must yield the same sequence both times.
-func (w *SCCWork) Build(n int, edges iter.Seq2[int, int]) {
+// Build stores the digraph over n nodes with the edges u -> v listed in
+// edges, replacing the one the work held. Like FromEdges it passes over
+// the list twice, once to count every node's degrees and once to place
+// the edges, each node's in list order.
+func (w *SCCWork) Build(n int, edges [][2]int32) {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
@@ -189,7 +189,8 @@ func (w *SCCWork) Build(n int, edges iter.Seq2[int, int]) {
 	w.soff, w.poff = zeroed(w.soff, n+2), zeroed(w.poff, n+2)
 	// Counts go two places up, so that after the prefix sums soff[u+1] is
 	// u's first position and placing an edge advances it to u's end.
-	for u, v := range edges {
+	for _, e := range edges {
+		u, v := e[0], e[1]
 		if uint(u) >= uint(n) || uint(v) >= uint(n) {
 			panic(fmt.Sprintf("graph: edge %d -> %d out of range [0,%d)", u, v, n))
 		}
@@ -202,10 +203,11 @@ func (w *SCCWork) Build(n int, edges iter.Seq2[int, int]) {
 	}
 	m := int(w.soff[n+1])
 	w.succ, w.pred = slices.Grow(w.succ[:0], m)[:m], slices.Grow(w.pred[:0], m)[:m]
-	for u, v := range edges {
-		w.succ[w.soff[u+1]] = int32(v)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		w.succ[w.soff[u+1]] = v
 		w.soff[u+1]++
-		w.pred[w.poff[v+1]] = int32(u)
+		w.pred[w.poff[v+1]] = u
 		w.poff[v+1]++
 	}
 }

@@ -397,13 +397,11 @@ func TestFromEdgesMatchesAddEdge(t *testing.T) {
 			}
 		}
 		want := buildGraph(n, edges)
-		got := FromEdges(n, func(yield func(u, v int) bool) {
-			for _, e := range edges {
-				if !yield(e[0], e[1]) {
-					return
-				}
-			}
-		})
+		list := make([][2]int32, len(edges))
+		for i, e := range edges {
+			list[i] = [2]int32{int32(e[0]), int32(e[1])}
+		}
+		got := FromEdges(n, list)
 		same := func(stage string) {
 			t.Helper()
 			if got.N() != want.N() || got.M() != want.M() {

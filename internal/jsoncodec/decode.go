@@ -1,8 +1,9 @@
 // Package jsoncodec is the one JSON reader and writer of minup's write
-// path: request bodies, problem instances and WAL records are read with
-// its Decoder, and solve bodies and WAL records are written with
-// AppendString. Neither uses reflection, and both are fuzzed against
-// encoding/json, whose results they reproduce.
+// path: request bodies, problem instances, WAL records and the cluster's
+// envelopes are read with its Decoder, and solve bodies, policy answers,
+// WAL records and envelopes are written with AppendString. Neither uses
+// reflection, and both are fuzzed against encoding/json, whose results
+// they reproduce.
 //
 // The Decoder reads one JSON value (RFC 8259) in one pass over its bytes,
 // through callbacks that name the fields a caller's struct has. It
@@ -23,6 +24,7 @@
 package jsoncodec
 
 import (
+	"encoding/base64"
 	"fmt"
 	"strconv"
 	"strings"
@@ -225,6 +227,96 @@ func (d *Decoder) Strings(dst []string) ([]string, error) {
 		return nil
 	})
 	return dst, err
+}
+
+// Uints reads an array of numbers into dst's array, as Uint reads each; a
+// null element is 0, as encoding/json decodes it. An empty array yields an
+// empty, non-nil slice. The caller reads a null array.
+func (d *Decoder) Uints(dst []uint64) ([]uint64, error) {
+	if dst == nil {
+		dst = []uint64{}
+	}
+	err := d.Array(func() error {
+		var n uint64
+		var err error
+		if !d.Null() {
+			n, err = d.Uint()
+		}
+		dst = append(dst, n)
+		return err
+	})
+	return dst, err
+}
+
+// Ints reads an array of numbers into dst's array, as Int reads each; a
+// null element is 0. An empty array yields an empty, non-nil slice. The
+// caller reads a null array.
+func (d *Decoder) Ints(dst []int) ([]int, error) {
+	if dst == nil {
+		dst = []int{}
+	}
+	err := d.Array(func() error {
+		var n int
+		var err error
+		if !d.Null() {
+			n, err = d.Int()
+		}
+		dst = append(dst, n)
+		return err
+	})
+	return dst, err
+}
+
+// Bool reads true or false.
+func (d *Decoder) Bool() (bool, error) {
+	switch {
+	case strings.HasPrefix(d.src[d.pos:], "true"):
+		d.pos += len("true")
+		return true, nil
+	case strings.HasPrefix(d.src[d.pos:], "false"):
+		d.pos += len("false")
+		return false, nil
+	}
+	return false, d.want("true or false")
+}
+
+// Base64 reads a string literal as encoding/json reads a []byte: standard
+// base64 with padding, line breaks skipped. The result owns its bytes; an
+// empty string yields an empty, non-nil slice.
+func (d *Decoder) Base64() ([]byte, error) {
+	at := d.pos
+	s, _, err := d.str()
+	if err != nil {
+		return nil, err
+	}
+	// Decode reads its source only, so the string's bytes stand in for it.
+	src := unsafe.Slice(unsafe.StringData(s), len(s))
+	b := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+	n, err := base64.StdEncoding.Decode(b, src)
+	if err != nil {
+		d.pos = at
+		return nil, d.errorf("invalid base64 string: %v", err)
+	}
+	return b[:n], nil
+}
+
+// StrKnown reads a string literal and, when it decodes to one of known,
+// returns that string: it neither allocates nor shares the input. Any
+// other string is what Str returns.
+func (d *Decoder) StrKnown(known ...string) (string, error) {
+	s, fresh, err := d.str()
+	if err != nil {
+		return "", err
+	}
+	for _, k := range known {
+		if s == k {
+			return k, nil
+		}
+	}
+	if d.copy && !fresh {
+		s = strings.Clone(s)
+	}
+	return s, nil
 }
 
 // OptStr reads a string into dst, or null, which leaves dst alone.

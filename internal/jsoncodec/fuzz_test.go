@@ -13,14 +13,19 @@ import (
 // has a reader for, a map, and a list of nested items.
 type item struct {
 	S     string            `json:"s"`
+	K     string            `json:"k"`
 	L     []string          `json:"l"`
 	M     map[string]string `json:"m"`
 	U     uint64            `json:"u"`
 	I     int               `json:"i"`
+	B     bool              `json:"b"`
+	Y     []byte            `json:"y"`
+	N     []uint64          `json:"n"`
+	Z     []int             `json:"z"`
 	Items []item            `json:"items"`
 }
 
-var itemFields = []string{"s", "l", "m", "u", "i", "items"}
+var itemFields = []string{"s", "k", "l", "m", "u", "i", "b", "y", "n", "z", "items"}
 
 // decodeItem reads an item the way the codec's callers read theirs: null
 // wherever encoding/json takes it, with encoding/json's result.
@@ -35,6 +40,8 @@ func decodeItem(d *Decoder, it *item) error {
 		switch itemFields[i] {
 		case "s":
 			it.S, err = d.Str()
+		case "k":
+			it.K, err = d.StrKnown("x", "é")
 		case "l":
 			it.L, err = d.Strings(nil)
 		case "m":
@@ -51,6 +58,14 @@ func decodeItem(d *Decoder, it *item) error {
 			it.U, err = d.Uint()
 		case "i":
 			it.I, err = d.Int()
+		case "b":
+			it.B, err = d.Bool()
+		case "y":
+			it.Y, err = d.Base64()
+		case "n":
+			it.N, err = d.Uints(nil)
+		case "z":
+			it.Z, err = d.Ints(nil)
 		default:
 			it.Items = []item{}
 			err = d.Array(func() error {
@@ -141,6 +156,10 @@ func FuzzDecoder(f *testing.F) {
 		`{"s":"\ud83d\ude00\ud800x\udc00\\u00e9\/\"\\\b\f\n\r\t\\u2028<>&` + "\xff\xed\xa0\x80\xc3" + `"}`,
 		`{"s":"\\u0041\ud834\udd1e\ud834\ud834\udd1e\udd1e\ud834x"}`,
 		`{"u":-0,"i":-0}`,
+		`{"k":"x","b":true,"y":"AAEC/w==","n":[1,null,18446744073709551615],"z":[-1,0,null]}`,
+		`{"k":"\u00e9","b":false,"y":"","n":[],"z":[]}`,
+		`{"k":"y","y":"QU\nJD\u000d\nRA==","n":[-1]}`,
+		`{"b":1,"y":"A","z":[1.5]}`,
 		`{"u":1.0}`,
 		`{"i":1e2}`,
 		`{"i":01}`,

@@ -20,29 +20,45 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestFrameStreamRoundTrip writes frames with WriteFrame and reads them back
-// with ReadFrame on a buffered reader, including an empty payload and a
-// large one.
+// writeFrame writes payload's frame to w as a stream writer does: sealed
+// in place after the room StartFrame leaves.
+func writeFrame(t *testing.T, w io.Writer, payload []byte) {
+	t.Helper()
+	frame := append(StartFrame(nil), payload...)
+	if err := SealFrame(frame); err != nil {
+		t.Fatalf("SealFrame: %v", err)
+	}
+	if _, err := w.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrameStreamRoundTrip writes frames with StartFrame and SealFrame and
+// reads them back with ReadFrame on a buffered reader, including an empty
+// payload and a large one, into one reused buffer.
 func TestFrameStreamRoundTrip(t *testing.T) {
-	want := [][]byte{[]byte("one"), []byte(""), bytes.Repeat([]byte{0xCD}, 9000)}
+	want := [][]byte{[]byte("one"), []byte(""), bytes.Repeat([]byte{0xCD}, 9000), []byte("two")}
 	var buf bytes.Buffer
 	for _, p := range want {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+		writeFrame(t, &buf, p)
 	}
 	br := bufio.NewReader(&buf)
+	var kept []byte
 	for i, p := range want {
-		got, err := ReadFrame(br)
+		got, err := ReadFrame(br, kept)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !bytes.Equal(got, p) {
 			t.Fatalf("frame %d: got %q want %q", i, got, p)
 		}
+		kept = got[:0]
 	}
-	if _, err := ReadFrame(br); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrame(br, kept); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of stream: got %v, want io.EOF", err)
+	}
+	if err := SealFrame(append(StartFrame(nil), make([]byte, MaxRecord+1)...)); err == nil {
+		t.Fatal("SealFrame took a payload over MaxRecord")
 	}
 }
 
@@ -58,9 +74,7 @@ func TestFrameStreamMatchesLogBytes(t *testing.T) {
 		if err := l.Append(p); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
-		if err := WriteFrame(&stream, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+		writeFrame(t, &stream, p)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -76,20 +90,20 @@ func TestFrameStreamMatchesLogBytes(t *testing.T) {
 func TestReadFrameErrors(t *testing.T) {
 	full := EncodeFrame([]byte("payload"))
 
-	if _, err := ReadFrame(bytes.NewReader(full[:5])); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrame(bytes.NewReader(full[:5]), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn header: got %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(full[:len(full)-2])); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrame(bytes.NewReader(full[:len(full)-2]), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn payload: got %v", err)
 	}
 	bad := append([]byte(nil), full...)
 	bad[len(bad)-1] ^= 0xFF
-	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrFrameCorrupt) {
+	if _, err := ReadFrame(bytes.NewReader(bad), nil); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("flipped byte: got %v, want ErrFrameCorrupt", err)
 	}
 	huge := EncodeFrame([]byte("x"))
 	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, err := ReadFrame(bytes.NewReader(huge)); !errors.Is(err, ErrFrameCorrupt) {
+	if _, err := ReadFrame(bytes.NewReader(huge), nil); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("implausible length: got %v, want ErrFrameCorrupt", err)
 	}
 }

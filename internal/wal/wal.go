@@ -77,24 +77,35 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// WriteFrame frames payload and writes it to w in a single Write call,
-// preserving the torn-tail invariant when w is a file or socket.
-func WriteFrame(w io.Writer, payload []byte) error {
+// StartFrame empties buf and leaves room in it for a frame header: the
+// caller appends the payload after the room and seals the frame with
+// SealFrame, so a payload written in place needs no copy. A sealed frame
+// goes out in a single Write call, preserving the torn-tail invariant
+// when the writer is a file or socket.
+func StartFrame(buf []byte) []byte { return append(buf[:0], make([]byte, headerSize)...) }
+
+// SealFrame writes the header of frame, whose payload follows the room
+// StartFrame left, and refuses a payload over MaxRecord.
+func SealFrame(frame []byte) error {
+	payload := frame[headerSize:]
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("wal: frame of %d bytes exceeds MaxRecord", len(payload))
 	}
-	_, err := w.Write(EncodeFrame(payload))
-	return err
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return nil
 }
 
-// ReadFrame reads one frame from r and returns its payload. A clean end of
-// stream returns io.EOF; a frame cut mid-header or mid-payload returns
+// ReadFrame reads one frame from r and returns its payload, read into
+// buf's array when it has room (buf may be nil), so a caller that keeps
+// the result's array reads a stream of frames in one buffer. A clean end
+// of stream returns io.EOF; a frame cut mid-header or mid-payload returns
 // io.ErrUnexpectedEOF; an implausible length or CRC mismatch returns
 // ErrFrameCorrupt. The reader should be buffered (bufio) for frame streams;
 // ReadFrame issues exactly the reads it needs and never over-reads.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
+	hdr := slices.Grow(buf[:0], headerSize)[:headerSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
@@ -105,7 +116,11 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxRecord {
 		return nil, fmt.Errorf("%w: implausible length %d", ErrFrameCorrupt, n)
 	}
-	payload := make([]byte, n)
+	payload := hdr[:0]
+	if int(n) > cap(payload) {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}

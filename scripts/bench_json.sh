@@ -9,8 +9,9 @@
 # the version the last stage made, and again onto one whose spare room an
 # earlier stage took),
 # the compile and compile + cold solve every refreshed version pays,
-# compile + repair of the same version, and the JSON codec's rungs: a PUT
-# body's read and decode, and a WAL record's encode and decode — and
+# compile + repair of the same version, the JSON codec's rungs: a PUT
+# body's read and decode, and a WAL record's encode and decode, and one
+# replicated append's round trip over loopback (internal/cluster) — and
 # write the measurements as machine-readable JSON (default
 # BENCH_solve.json), seeding the perf trajectory CI keeps as an artifact.
 #
@@ -34,8 +35,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkAppendChain|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled|BenchmarkPolicyBody|BenchmarkWALRecord)$' \
-  -benchmem -count 1 . ./cmd/minupd ./internal/catalog | tee "$tmp"
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkAppendChain|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled|BenchmarkPolicyBody|BenchmarkWALRecord|BenchmarkClusterAppendRPC)$' \
+  -benchmem -count 1 . ./cmd/minupd ./internal/catalog ./internal/cluster | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
 # `go test -bench` lines are "Name-N  iters  ns/op  B/op  allocs/op".
