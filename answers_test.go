@@ -46,80 +46,139 @@ var pinnedAnswers = map[string]string{
 // set, a 20×21 suppress grid and a depth-24 depinf DAG (cold_create's).
 func TestPinnedAnswers(t *testing.T) {
 	ctx := context.Background()
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("chain/seed=%d", seed), func(t *testing.T) {
-			fi, err := workload.GenerateFamily("paper", seed, 20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			set := parsePinned(t, fi.Lattice, fi.Constraints)
-			h := sha256.New()
-			digestVersion(ctx, t, h, set)
-			rng := rand.New(rand.NewSource(seed))
-			fresh := 0
-			for i := 0; i < 16; i++ {
-				set = set.Clone()
-				if err := set.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
-					t.Fatal(err)
+	for _, sh := range pinnedShapes {
+		for seed := int64(1); seed <= sh.seeds; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", sh.name, seed), func(t *testing.T) {
+				h := sha256.New()
+				for _, set := range sh.build(t, seed) {
+					digestVersion(ctx, t, h, set)
 				}
-				digestVersion(ctx, t, h, set)
-			}
-			checkPinned(t, h)
-		})
-	}
-	for seed := int64(1); seed <= 2; seed++ {
-		t.Run(fmt.Sprintf("paper67/seed=%d", seed), func(t *testing.T) {
-			fi, err := workload.GenerateFamily("paper", seed, 67)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			digestVersion(ctx, t, h, parsePinned(t, fi.Lattice, fi.Constraints))
-			checkPinned(t, h)
-		})
-		t.Run(fmt.Sprintf("suppress/seed=%d", seed), func(t *testing.T) {
-			tab, err := suppress.Generate(suppress.GenSpec{Seed: seed, Rows: 20, Cols: 21})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pinProblem(ctx, t, suppress.Frontend{}, tab)
-		})
-		t.Run(fmt.Sprintf("depinf/seed=%d", seed), func(t *testing.T) {
-			rel, err := depinf.Generate(depinf.GenSpec{Seed: seed, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pinProblem(ctx, t, depinf.Frontend{}, rel)
-		})
+				checkPinned(t, h)
+			})
+		}
 	}
 }
 
-func parsePinned(t *testing.T, latticeText, constraintText string) *constraint.Set {
-	t.Helper()
+// pinnedShapes are the shapes TestPinnedAnswers pins: how many seeds it
+// pins, the row of BenchmarkSolveShapes that solves the last version of
+// seed 1, and a builder of one seed's versions in the order they are
+// solved.
+var pinnedShapes = []struct {
+	name, bench string
+	seeds       int64
+	build       func(tb testing.TB, seed int64) []*constraint.Set
+}{
+	{"chain", "append16", 3, appendChain},
+	{"paper67", "paper67", 2, func(tb testing.TB, seed int64) []*constraint.Set {
+		fi, err := workload.GenerateFamily("paper", seed, 67)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return []*constraint.Set{parsePinned(tb, fi.Lattice, fi.Constraints)}
+	}},
+	{"suppress", "suppress", 2, func(tb testing.TB, seed int64) []*constraint.Set {
+		tab, _ := coldCreateProblems(tb, seed)
+		return []*constraint.Set{problemPolicy(tb, suppress.Frontend{}, tab)}
+	}},
+	{"depinf", "depinf", 2, func(tb testing.TB, seed int64) []*constraint.Set {
+		_, rel := coldCreateProblems(tb, seed)
+		return []*constraint.Set{problemPolicy(tb, depinf.Frontend{}, rel)}
+	}},
+}
+
+// appendChain returns a size-20 paper policy and the 16 versions that
+// appended batches drawn like replicated_write's make of it, each batch
+// staged into a clone of the last version as the catalog stages an append.
+func appendChain(tb testing.TB, seed int64) []*constraint.Set {
+	fi, err := workload.GenerateFamily("paper", seed, 20)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	set := parsePinned(tb, fi.Lattice, fi.Constraints)
+	versions := []*constraint.Set{set}
+	rng := rand.New(rand.NewSource(seed))
+	fresh := 0
+	for i := 0; i < 16; i++ {
+		set = set.Clone()
+		if err := set.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
+			tb.Fatal(err)
+		}
+		versions = append(versions, set)
+	}
+	return versions
+}
+
+func parsePinned(tb testing.TB, latticeText, constraintText string) *constraint.Set {
+	tb.Helper()
 	lat, err := lattice.Parse(strings.NewReader(latticeText))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	set := constraint.NewSet(lat)
 	if err := set.ParseString(constraintText); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return set
 }
 
-func pinProblem(ctx context.Context, t *testing.T, f frontend.Frontend, inst frontend.Instance) {
-	t.Helper()
+// problemPolicy compiles a problem instance to its policy texts and parses
+// them as the catalog does.
+func problemPolicy(tb testing.TB, f frontend.Frontend, inst frontend.Instance) *constraint.Set {
+	tb.Helper()
 	c, err := f.Compile(inst)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	set, err := constraint.ParsePolicy(c.LatticeText, c.ConstraintText)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	h := sha256.New()
-	digestVersion(ctx, t, h, set)
-	checkPinned(t, h)
+	return set
+}
+
+// TestChainPathMatchesCounted solves every version of every pinned shape
+// twice, plainly and with CollectLatticeOps. Each of them has a chain
+// lattice, so the plain solve takes the solver's inline chain operations
+// and the counted one calls every operation through the counting wrapper:
+// the two must give the same answer after the same steps.
+func TestChainPathMatchesCounted(t *testing.T) {
+	ctx := context.Background()
+	for _, sh := range pinnedShapes {
+		for seed := int64(1); seed <= sh.seeds; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", sh.name, seed), func(t *testing.T) {
+				for v, set := range sh.build(t, seed) {
+					if _, ok := set.Lattice().(*lattice.Chain); !ok {
+						t.Fatalf("version %d: lattice %T is not a chain", v, set.Lattice())
+					}
+					c := set.Snapshot()
+					plain, err := core.SolveContext(ctx, c, core.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					counted, err := core.SolveContext(ctx, c, core.Options{CollectLatticeOps: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if counted.Stats.LatticeOps.Total() == 0 {
+						t.Fatalf("version %d: the counted solve counted no lattice operation", v)
+					}
+					if !plain.Assignment.Equal(counted.Assignment) {
+						t.Fatalf("version %d: the chain path and the counted path give different answers", v)
+					}
+					if p, q := solveSteps(plain.Stats), solveSteps(counted.Stats); p != q {
+						t.Fatalf("version %d: chain path steps %+v, counted path %+v", v, p, q)
+					}
+				}
+			})
+		}
+	}
+}
+
+// solveSteps is Stats without the fields a solve's path may change: its
+// lattice operation counts, pool hit and duration.
+func solveSteps(st core.Stats) core.Stats {
+	st.LatticeOps, st.PoolHit, st.Duration = lattice.OpCounts{}, false, 0
+	return st
 }
 
 // digestVersion compiles and solves one version and writes its priority

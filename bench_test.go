@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -696,17 +697,39 @@ func BenchmarkSolveDepinf(b *testing.B) {
 	}
 }
 
-// coldCreateProblems returns the frontend instances of perfbench's
-// cold_create workload: a 20x21 suppress grid and a 504-attribute depinf
-// DAG.
-func coldCreateProblems(b *testing.B) (*suppress.Table, *depinf.Relation) {
-	tab, err := suppress.Generate(suppress.GenSpec{Seed: 1, Rows: 20, Cols: 21})
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkSolveShapes measures the cold solve of a compiled version of
+// each shape perfbench's workloads solve, on TestPinnedAnswers' seed-1
+// instances: append16 is the size-20 paper policy after 16 appended
+// batches (replicated_write), paper67 the size-67 paper set, and suppress
+// and depinf the policies of coldCreateProblems' instances (cold_create).
+// A solve allocates only its result.
+func BenchmarkSolveShapes(b *testing.B) {
+	ctx := context.Background()
+	for _, sh := range pinnedShapes {
+		versions := sh.build(b, 1)
+		compiled := versions[len(versions)-1].Snapshot()
+		b.Run(sh.bench, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.SolveContext(ctx, compiled, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
+}
+
+// coldCreateProblems returns the frontend instances of perfbench's
+// cold_create workload, drawn from seed: a 20x21 suppress grid and a
+// 504-attribute depinf DAG. The benchmarks use seed 1.
+func coldCreateProblems(tb testing.TB, seed int64) (*suppress.Table, *depinf.Relation) {
+	tab, err := suppress.Generate(suppress.GenSpec{Seed: seed, Rows: 20, Cols: 21})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	rel, err := depinf.Generate(depinf.GenSpec{Seed: seed, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return tab, rel
 }
@@ -716,7 +739,7 @@ func coldCreateProblems(b *testing.B) (*suppress.Table, *depinf.Relation) {
 // and writes its lattice and constraint texts, on perfbench's cold_create
 // instances.
 func BenchmarkFrontendCompile(b *testing.B) {
-	tab, rel := coldCreateProblems(b)
+	tab, rel := coldCreateProblems(b, 1)
 	for _, tc := range []struct {
 		name string
 		fe   ProblemFrontend
@@ -740,7 +763,7 @@ func BenchmarkFrontendCompile(b *testing.B) {
 // frontend's Parse of the instance JSON, Marshal's output for
 // coldCreateProblems' instances, decoded and validated.
 func BenchmarkProblemParse(b *testing.B) {
-	tab, rel := coldCreateProblems(b)
+	tab, rel := coldCreateProblems(b, 1)
 	for _, tc := range []struct {
 		name string
 		fe   ProblemFrontend
@@ -774,7 +797,7 @@ func BenchmarkParsePolicy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, rel := coldCreateProblems(b)
+	tab, rel := coldCreateProblems(b, 1)
 	sup, err := suppress.Frontend{}.Compile(tab)
 	if err != nil {
 		b.Fatal(err)
@@ -959,32 +982,32 @@ type refreshBench struct {
 	base      constraint.Assignment // the base's solution, ⊥ for new attributes
 }
 
-func newRefreshBench(b *testing.B) refreshBench {
-	b.Helper()
+func newRefreshBench(tb testing.TB) refreshBench {
+	tb.Helper()
 	fi, err := workload.GenerateFamily("paper", 1, 20)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	lat, err := lattice.Parse(strings.NewReader(fi.Lattice))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	set := constraint.NewSet(lat)
 	if err := set.ParseString(fi.Constraints); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	fresh := 0
 	for i := 0; i < 12; i++ {
 		if err := set.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	base := core.MustSolve(set, core.Options{}).Assignment
 	for tries := 0; tries < 100; tries++ {
 		ext := set.Clone()
 		if err := ext.ParseString(appendBatch(rng, 120, &fresh)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		seeded := base.Clone()
 		for len(seeded) < ext.NumAttrs() {
@@ -994,7 +1017,7 @@ func newRefreshBench(b *testing.B) refreshBench {
 			return refreshBench{set: ext, baseCount: len(set.Constraints()), base: seeded}
 		}
 	}
-	b.Fatal("bench setup: no drawn batch violates the base solution")
+	tb.Fatal("bench setup: no drawn batch violates the base solution")
 	return refreshBench{}
 }
 
@@ -1043,6 +1066,30 @@ func BenchmarkCompile(b *testing.B) {
 		if c := rb.set.Snapshot(); c.NumAttrs() != rb.set.NumAttrs() {
 			b.Fatal("snapshot lost attributes")
 		}
+	}
+}
+
+// TestCompileBytes pins the bytes BenchmarkCompile's compile allocates: a
+// compile of newRefreshBench's version (123 attributes, 391 constraints)
+// keeps the set view, Constr[A] as two int32 arrays, the priority
+// numbering and the Compiled value, within 7 KiB. Its working storage
+// comes from a pool, which the race detector empties at random.
+func TestCompileBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops values under the race detector")
+	}
+	rb := newRefreshBench(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	rb.set.Snapshot()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rb.set.Snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 7<<10 {
+		t.Fatalf("a compile allocates %d bytes, want at most %d", b, 7<<10)
 	}
 }
 

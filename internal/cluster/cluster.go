@@ -49,6 +49,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,10 +143,14 @@ type stateFile struct {
 }
 
 // commitWaiter parks one Barrier call until its record is majority-acked.
+// Waiters are reused through Node.freeWaiters: one on that list is in no
+// Barrier and not in Node.waiters, its channel is empty, and its timer is
+// stopped (Go 1.23 timers deliver no stale tick after Stop or Reset).
 type commitWaiter struct {
 	shard int
 	seq   uint64
-	ch    chan error
+	ch    chan error // buffered; the single send happens under Node.mu
+	timer *time.Timer
 }
 
 // Node is one cluster member. Construct with Open; all methods are safe
@@ -175,6 +180,7 @@ type Node struct {
 	commit        []uint64 // leader: per-shard majority-replicated seq
 	peers         map[int]*peer
 	waiters       []*commitWaiter
+	freeWaiters   []*commitWaiter
 	elections     uint64
 
 	connMu sync.Mutex
@@ -666,40 +672,56 @@ func (n *Node) Barrier(ctx context.Context, shard int, seq uint64) error {
 		n.countMetric("cluster.acks")
 		return nil
 	}
-	w := &commitWaiter{shard: shard, seq: seq, ch: make(chan error, 1)}
+	var w *commitWaiter
+	if k := len(n.freeWaiters); k > 0 {
+		w = n.freeWaiters[k-1]
+		n.freeWaiters = n.freeWaiters[:k-1]
+		w.timer.Reset(n.opt.CommitTimeout)
+	} else {
+		w = &commitWaiter{ch: make(chan error, 1), timer: time.NewTimer(n.opt.CommitTimeout)}
+	}
+	w.shard, w.seq = shard, seq
 	n.waiters = append(n.waiters, w)
 	n.mu.Unlock()
 
-	timer := time.NewTimer(n.opt.CommitTimeout)
-	defer timer.Stop()
 	select {
 	case err := <-w.ch:
+		// Whoever sent took w out of n.waiters under n.mu.
+		w.timer.Stop()
+		n.mu.Lock()
+		n.freeWaiters = append(n.freeWaiters, w)
+		n.mu.Unlock()
 		if err == nil {
 			n.countMetric("cluster.acks")
 		}
 		return err
 	case <-ctx.Done():
+		w.timer.Stop()
 		n.dropWaiter(w)
 		return ctx.Err()
-	case <-timer.C:
+	case <-w.timer.C:
 		n.dropWaiter(w)
 		n.countMetric("cluster.ack_timeouts")
 		return fmt.Errorf("%w: shard %d seq %d after %s", ErrNoQuorum, shard, seq, n.opt.CommitTimeout)
 	case <-n.stopCh:
+		// A closing node may still send to w: it is not reused.
+		w.timer.Stop()
 		return ErrClosed
 	}
 }
 
+// dropWaiter takes a waiter whose Barrier gave up out of n.waiters, drains
+// the result a commit or a step-down may have sent it meanwhile, and puts
+// it on the free list.
 func (n *Node) dropWaiter(w *commitWaiter) {
 	n.mu.Lock()
-	kept := n.waiters[:0]
-	for _, x := range n.waiters {
-		if x != w {
-			kept = append(kept, x)
-		}
+	defer n.mu.Unlock()
+	if i := slices.Index(n.waiters, w); i >= 0 {
+		n.waiters = slices.Delete(n.waiters, i, i+1)
+	} else {
+		<-w.ch
 	}
-	n.waiters = kept
-	n.mu.Unlock()
+	n.freeWaiters = append(n.freeWaiters, w)
 }
 
 // IsLeader reports whether this node currently leads.

@@ -23,13 +23,13 @@ var ErrFrozen = errors.New("constraint: set is frozen by Compile")
 // solve reads: the attribute table, the constraint and upper-bound slices
 // (the set view), the Constr[A] adjacency, the §4 priority numbering of
 // the dependency digraph's SCCs, and (when §6 upper bounds are present) the
-// derived firm per-attribute bounds. Constr[A] is one flat array cut into
-// windows, and the priority sets are windows of the array that also holds
-// the numbering. The digraph and Kosaraju's working arrays live in storage
-// that compiles reuse, so a compile allocates only what it keeps. All of
-// this is the one-time "compile" cost of Theorem 5.2's complexity
-// argument; a Compiled value is safe for concurrent use by any number of
-// solver sessions.
+// derived firm per-attribute bounds. Constr[A] is two int32 arrays, n+1
+// offsets and the Σ|lhs| constraint indices they cut into windows, and the
+// priority sets are windows of the array that also holds the numbering.
+// The digraph and Kosaraju's working arrays live in storage that compiles
+// reuse, so a compile allocates only what it keeps. All of this is the
+// one-time "compile" cost of Theorem 5.2's complexity argument; a Compiled
+// value is safe for concurrent use by any number of solver sessions.
 //
 // Obtain one with Set.Compile (which freezes the source set so it can never
 // drift from the snapshot) or Set.Snapshot (which leaves the source
@@ -38,7 +38,8 @@ var ErrFrozen = errors.New("constraint: set is frozen by Compile")
 type Compiled struct {
 	src         *Set // private frozen copy of the source set
 	pr          *graph.PriorityResult
-	onLHS       [][]int
+	onOff       []int32 // Constr[a] is on[onOff[a]:onOff[a+1]]
+	on          []int32
 	acyclic     bool
 	totalSize   int
 	ub          Assignment // §6 firm bounds; nil when the set has no upper bounds
@@ -96,11 +97,10 @@ func (s *Set) Frozen() bool { return s.frozen }
 
 func (s *Set) snapshot() *Compiled { return s.snapshotSpan(nil) }
 
-// compileWork is the storage a compile reuses: Constr[A]'s degree counts,
-// the dependency digraph's edge list, and the digraph with Kosaraju's
-// working arrays. Nothing a Compiled keeps aliases it.
+// compileWork is the storage a compile reuses: the dependency digraph's
+// edge list, and the digraph with Kosaraju's working arrays. Nothing a
+// Compiled keeps aliases it.
 type compileWork struct {
-	deg   []int
 	edges [][2]int32
 	scc   graph.SCCWork
 }
@@ -143,13 +143,8 @@ func (s *Set) compile(parent *obs.Span, w *compileWork) *Compiled {
 		ph = sp.Child("graph")
 	}
 	n := len(src.names)
-	w.deg = slices.Grow(w.deg[:0], n)[:n]
-	clear(w.deg)
-	c := &Compiled{
-		src:       src,
-		onLHS:     src.constraintsOn(w.deg),
-		totalSize: src.TotalSize(),
-	}
+	c := &Compiled{src: src, totalSize: src.TotalSize()}
+	c.onOff, c.on = src.constrIndex()
 	// TotalSize bounds the edge count, so a fresh work grows its list once.
 	w.edges = src.appendEdges(slices.Grow(w.edges[:0], c.totalSize))
 	w.scc.Build(n, w.edges)
@@ -168,7 +163,7 @@ func (s *Set) compile(parent *obs.Span, w *compileWork) *Compiled {
 		if sp != nil {
 			ph = sp.Child("upper-bounds")
 		}
-		c.ub, c.ubConflicts = upperBoundFixpoint(src, c.onLHS, &c.cstats)
+		c.ub, c.ubConflicts = upperBoundFixpoint(src, c.onOff, c.on, &c.cstats)
 		if ph != nil {
 			ph.End()
 		}
@@ -224,9 +219,39 @@ func (c *Compiled) Graph() *graph.Digraph { return c.src.Graph() }
 // immutable and shared across all solves of this snapshot.
 func (c *Compiled) Priorities() *graph.PriorityResult { return c.pr }
 
-// ConstraintsOn returns the precomputed Constr[A] adjacency (constraint
-// indices with A on the left-hand side). Shared and immutable.
-func (c *Compiled) ConstraintsOn() [][]int { return c.onLHS }
+// ConstraintsOn returns Constr[a], the precomputed indices of the
+// constraints whose left-hand side contains a, in constraint order: a's
+// window of one shared array, capped at its length. Shared and immutable.
+func (c *Compiled) ConstraintsOn(a Attr) []int32 {
+	return c.on[c.onOff[a]:c.onOff[a+1]:c.onOff[a+1]]
+}
+
+// constrIndex builds Constr[A] for s as compressed rows: the windows
+// on[off[a]:off[a+1]] list each attribute's constraints in order.
+func (s *Set) constrIndex() (off, on []int32) {
+	n := len(s.names)
+	off = make([]int32, n+1)
+	for _, c := range s.cons {
+		for _, a := range c.LHS {
+			off[a+1]++
+		}
+	}
+	for a := range n {
+		off[a+1] += off[a]
+	}
+	on = make([]int32, off[n])
+	// off[a] is a's start; filling advances it to a's end, which is a+1's
+	// start, so shifting the offsets up by one restores the starts.
+	for i, c := range s.cons {
+		for _, a := range c.LHS {
+			on[off[a]] = int32(i)
+			off[a]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, on
+}
 
 // ConstraintsInto returns the per-attribute indices of the constraints
 // whose right-hand side is that attribute. No solve reads it, so it is not
@@ -259,9 +284,9 @@ func (c *Compiled) UpperBoundFixpoint() (Assignment, []string) { return c.ub, c.
 // attribute's bound strictly decreases on every update, so the pass
 // terminates after at most H updates per attribute, O(S·H·c) in the worst
 // case and O(S·c) when bounds settle in one pass as the paper assumes.
-// onLHS is s's Constr[A] adjacency. Worklist pops and bound tightenings are
-// counted into st when non-nil.
-func upperBoundFixpoint(s *Set, onLHS [][]int, st *CompileStats) (Assignment, []string) {
+// onOff and on are s's Constr[A] adjacency (Compiled.ConstraintsOn).
+// Worklist pops and bound tightenings are counted into st when non-nil.
+func upperBoundFixpoint(s *Set, onOff, on []int32, st *CompileStats) (Assignment, []string) {
 	lat := s.lat
 	n := len(s.names)
 	ub := make(Assignment, n)
@@ -315,8 +340,8 @@ func upperBoundFixpoint(s *Set, onLHS [][]int, st *CompileStats) (Assignment, []
 			if st != nil {
 				st.UBTightenings++
 			}
-			for _, dep := range onLHS[rhs] {
-				push(dep)
+			for _, dep := range on[onOff[rhs]:onOff[rhs+1]] {
+				push(int(dep))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -173,8 +174,10 @@ func TestConcurrentCompiles(t *testing.T) {
 		sets = append(sets, s)
 	}
 	want := make([]*Compiled, len(sets))
+	on := make([][][]int, len(sets))
 	for i, s := range sets {
 		want[i] = s.Snapshot()
+		on[i] = s.ConstraintsOn()
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -185,7 +188,7 @@ func TestConcurrentCompiles(t *testing.T) {
 				k := (g + i) % len(sets)
 				c := sets[k].Snapshot()
 				if !reflect.DeepEqual(c.Priorities(), want[k].Priorities()) ||
-					!reflect.DeepEqual(c.ConstraintsOn(), want[k].ConstraintsOn()) {
+					constrWindowsErr(c, on[k]) != nil {
 					t.Errorf("goroutine %d: compile of set %d differs from a lone compile", g, k)
 					return
 				}
@@ -213,8 +216,8 @@ func TestCompileCachesStructure(t *testing.T) {
 	if c.HasUpperBounds() {
 		t.Fatal("no upper bounds were added")
 	}
-	if on := c.ConstraintsOn(); len(on) != 2 {
-		t.Fatalf("ConstraintsOn has %d rows, want 2", len(on))
+	if err := constrWindowsErr(c, s.ConstraintsOn()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -240,4 +243,24 @@ func TestCompileUpperBoundFixpointCached(t *testing.T) {
 	if got := lat.FormatLevel(ub[b]); got != "C" {
 		t.Fatalf("firm bound of b = %s, want C", got)
 	}
+}
+
+// constrWindowsErr checks c's Constr[A] against on, Set.ConstraintsOn's
+// lists: every attribute's window holds its list's indices and is capped
+// at its length, so an append to one window cannot write into the next.
+func constrWindowsErr(c *Compiled, on [][]int) error {
+	if c.NumAttrs() != len(on) {
+		return fmt.Errorf("compiled set has %d attributes, Set.ConstraintsOn %d", c.NumAttrs(), len(on))
+	}
+	for a, want := range on {
+		w := c.ConstraintsOn(Attr(a))
+		ok := len(w) == len(want) && cap(w) == len(w)
+		for i := 0; ok && i < len(w); i++ {
+			ok = int(w[i]) == want[i]
+		}
+		if !ok {
+			return fmt.Errorf("Constr[%d] = %v (cap %d), Set.ConstraintsOn %v", a, w, cap(w), want)
+		}
+	}
+	return nil
 }

@@ -486,13 +486,8 @@ func (s *Set) Acyclic() bool {
 // array of Σ|lhs| indices, each capped at its length; an attribute on no
 // left-hand side has a nil list.
 func (s *Set) ConstraintsOn() [][]int {
-	return s.constraintsOn(make([]int, len(s.names)))
-}
-
-// constraintsOn is ConstraintsOn counting degrees into deg, which holds
-// len(s.names) zeros; the result does not alias deg.
-func (s *Set) constraintsOn(deg []int) [][]int {
 	out := make([][]int, len(s.names))
+	deg := make([]int, len(s.names))
 	total := 0
 	for _, c := range s.cons {
 		for _, a := range c.LHS {

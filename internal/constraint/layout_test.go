@@ -38,8 +38,8 @@ func TestCompiledLayoutMatchesSet(t *testing.T) {
 					t.Fatal("an acyclic spec compiled as cyclic")
 				}
 				on := s.ConstraintsOn()
-				if !reflect.DeepEqual(c.ConstraintsOn(), on) {
-					t.Fatalf("Compiled.ConstraintsOn() = %v, Set = %v", c.ConstraintsOn(), on)
+				if err := constraint.ConstrWindowsErr(c, on); err != nil {
+					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(c.ConstraintsInto(), s.ConstraintsInto()) {
 					t.Fatalf("Compiled.ConstraintsInto() = %v, Set = %v", c.ConstraintsInto(), s.ConstraintsInto())
@@ -60,8 +60,8 @@ func TestCompiledLayoutMatchesSet(t *testing.T) {
 }
 
 // TestConstraintsOnWindowsAreCapped: appending to one attribute's Constr[A]
-// list must not write into the next attribute's window of the shared
-// array.
+// list, a Set's or a Compiled's, must not write into the next attribute's
+// window of the shared array.
 func TestConstraintsOnWindowsAreCapped(t *testing.T) {
 	s := constraint.NewSet(lattice.MustChain("mil", "U", "C", "S", "TS"))
 	if err := s.ParseString("a >= C\nb >= S\nlub(a, b) >= TS\n"); err != nil {
@@ -73,5 +73,13 @@ func TestConstraintsOnWindowsAreCapped(t *testing.T) {
 	_ = append(on[a], 99)
 	if want := []int{1, 2}; !reflect.DeepEqual(on[b], want) {
 		t.Fatalf("appending to a's list changed b's to %v, want %v", on[b], want)
+	}
+	c := s.Snapshot()
+	_ = append(c.ConstraintsOn(a), 99)
+	if want := []int32{1, 2}; !reflect.DeepEqual(c.ConstraintsOn(b), want) {
+		t.Fatalf("appending to a's window changed b's to %v, want %v", c.ConstraintsOn(b), want)
+	}
+	if err := constraint.ConstrWindowsErr(c, on); err != nil {
+		t.Fatal(err)
 	}
 }

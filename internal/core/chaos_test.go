@@ -183,6 +183,34 @@ func TestLatticePanicConvertsToInternal(t *testing.T) {
 	}
 }
 
+// TestChainPathOnlyUnwrapped: a session makes a chain's operations inline
+// only when it calls the chain itself. Counting lattice operations or
+// arming a fault injector wraps the lattice first, so every operation goes
+// through the wrapper's counters and its "lattice.*" fault points.
+func TestChainPathOnlyUnwrapped(t *testing.T) {
+	chain := lattice.MustChain("c", "U", "C", "S", "TS")
+	mls := lattice.MustMLS("m", []string{"U", "S"}, []string{"x", "y"})
+	for _, tc := range []struct {
+		name   string
+		lat    lattice.Lattice
+		opt    Options
+		inline bool
+	}{
+		{"chain", chain, Options{}, true},
+		{"chain/counted", chain, Options{CollectLatticeOps: true}, false},
+		{"chain/fault", chain, Options{Fault: fault.New(1)}, false},
+		{"mls", mls, Options{}, false},
+	} {
+		c := workload.MustConstraints(tc.lat, concurrentSpec(5, false)).Compile()
+		sv := acquireSession(context.Background(), c, tc.opt)
+		inline := sv.chain
+		sv.release()
+		if inline != tc.inline {
+			t.Errorf("%s: inline chain operations %v, want %v", tc.name, inline, tc.inline)
+		}
+	}
+}
+
 func TestInjectedCancelIsTyped(t *testing.T) {
 	lat := lattice.MustChain("c", "U", "C", "S", "TS")
 	s := workload.MustConstraints(lat, concurrentSpec(9, false))

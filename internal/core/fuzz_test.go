@@ -75,6 +75,17 @@ func FuzzSolve(f *testing.F) {
 		if verr := Verify(s, res.Assignment); verr != nil {
 			t.Fatalf("solve of lat=%q cons=%q returned a non-satisfying assignment: %v", latText, consText, verr)
 		}
+		// Counting routes every lattice operation through the wrapper; on a
+		// chain the plain solve makes them inline. Both must take the same
+		// steps to the same answer.
+		counted, err := SolveContext(context.Background(), c, Options{CollectLatticeOps: true})
+		if err != nil {
+			t.Fatalf("counted solve of lat=%q cons=%q: %v", latText, consText, err)
+		}
+		if !counted.Assignment.Equal(res.Assignment) || solveSteps(counted.Stats) != solveSteps(res.Stats) {
+			t.Fatalf("lat=%q cons=%q: plain solve %v %+v, counted %v %+v", latText, consText,
+				res.Assignment, solveSteps(res.Stats), counted.Assignment, solveSteps(counted.Stats))
+		}
 		// Solve, probe and repair are the three users of Try: the probe must
 		// certify the solve, and a repair from a solution of the first half
 		// of the constraints must be satisfying and certified minimal too.
@@ -108,4 +119,11 @@ func FuzzSolve(f *testing.F) {
 			t.Fatalf("probe of the repair of lat=%q cons=%q: minimal=%v witness=%+v err=%v", latText, consText, minimal, w, err)
 		}
 	})
+}
+
+// solveSteps is st without what a solve's path may change: its lattice
+// operation counts, its pool hit and its duration.
+func solveSteps(st Stats) Stats {
+	st.LatticeOps, st.PoolHit, st.Duration = lattice.OpCounts{}, false, 0
+	return st
 }

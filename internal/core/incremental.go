@@ -243,9 +243,10 @@ func (sv *session) partialSolve(affected []bool) error {
 		if sv.ctx.Err() != nil {
 			return canceled(sv.ctx)
 		}
-		for _, node := range sv.pr.Sets[p] {
+		nodes := sv.pr.Sets[p]
+		for _, node := range nodes {
 			if affected[node] {
-				if err := sv.processAttr(constraint.Attr(node)); err != nil {
+				if err := sv.processAttr(constraint.Attr(node), len(nodes) == 1); err != nil {
 					return err
 				}
 			}

@@ -46,9 +46,10 @@
 // set or the context carries a span — and the Figure 2(b) Trace and the
 // solve span tree are rendered from that log after the solve; with no log
 // the hot path pays a single nil check per step. Options.CollectLatticeOps
-// wraps the lattice in a counting forwarder (no wrapper at all otherwise);
-// Options.Metrics aggregates each solve's Stats into a shared obs.Registry
-// after the run.
+// wraps the lattice in a counting forwarder (no wrapper at all otherwise;
+// an unwrapped chain lattice has its lub, glb and dominance taken inline as
+// max, min and ≥); Options.Metrics aggregates each solve's Stats into a
+// shared obs.Registry after the run.
 package core
 
 import (
@@ -100,7 +101,7 @@ type Options struct {
 	// CollectLatticeOps counts the primitive lattice operations (lub, glb,
 	// dominance, covers) performed by the solve into Result.Stats.
 	// LatticeOps. Off by default: counting routes every operation through
-	// a forwarding wrapper.
+	// a forwarding wrapper, so a chain's operations are no longer inline.
 	CollectLatticeOps bool
 
 	// Metrics, when non-nil, aggregates the solve's Stats (and its
@@ -308,9 +309,13 @@ type session struct {
 	ctx context.Context
 
 	cons    []constraint.Constraint
-	constr  [][]int // Constr[A]: constraint indices with A on the lhs
 	pr      *graph.PriorityResult
 	minComp lattice.ComplementMinimizer // non-nil when the fast path applies
+	// chain is set when lat, as the session calls it, is a *lattice.Chain:
+	// a level is then its rank, so lub, glb and dominance are max, min and
+	// ≥, taken inline. A counting or fault wrapper hides the chain, so such
+	// a solve makes every operation through the wrapper.
+	chain bool
 
 	lambda    constraint.Assignment // λ; freshly allocated, handed to the Result
 	done      []bool
@@ -469,7 +474,6 @@ func acquireSession(ctx context.Context, c *constraint.Compiled, opt Options) *s
 	sv.opt = opt
 	sv.ctx = ctx
 	sv.cons = c.Constraints()
-	sv.constr = c.ConstraintsOn()
 	sv.pr = c.Priorities()
 	sv.minComp = nil
 	if !opt.DisableMinComplement {
@@ -487,6 +491,7 @@ func acquireSession(ctx context.Context, c *constraint.Compiled, opt Options) *s
 		sv.counted = lattice.Counted{L: sv.lat, C: &sv.stats.LatticeOps, F: opt.Fault}
 		sv.lat = &sv.counted
 	}
+	_, sv.chain = sv.lat.(*lattice.Chain)
 	sv.lambda = nil
 	sv.start = nil
 	sv.eagerMinlevel = false
@@ -510,7 +515,6 @@ func (sv *session) release() {
 	sv.ctx = nil
 	sv.opt = Options{}
 	sv.cons = nil
-	sv.constr = nil
 	sv.pr = nil
 	sv.minComp = nil
 	sv.lambda = nil
@@ -577,8 +581,8 @@ func (sv *session) run() error {
 			sv.lambda[i] = sv.lat.Top()
 		}
 	}
-	for i, c := range sv.cons {
-		if !c.Simple() {
+	for i := range sv.cons {
+		if c := &sv.cons[i]; !c.Simple() {
 			sv.unlabeled[i] = len(c.LHS)
 		}
 	}
@@ -591,8 +595,9 @@ func (sv *session) bigloop() error {
 		if sv.ctx.Err() != nil {
 			return canceled(sv.ctx)
 		}
+		nodes := sv.pr.Sets[p]
 		if sv.opt.CollapseSimpleCycles {
-			handled, err := sv.collapseSet(sv.pr.Sets[p])
+			handled, err := sv.collapseSet(nodes)
 			if err != nil {
 				return err
 			}
@@ -600,8 +605,8 @@ func (sv *session) bigloop() error {
 				continue
 			}
 		}
-		for _, node := range sv.pr.Sets[p] {
-			if err := sv.processAttr(constraint.Attr(node)); err != nil {
+		for _, node := range nodes {
+			if err := sv.processAttr(constraint.Attr(node), len(nodes) == 1); err != nil {
 				return err
 			}
 		}
@@ -623,7 +628,7 @@ func (sv *session) collapseSet(nodes []int) (bool, error) {
 		if err := sv.poll(); err != nil {
 			return false, err
 		}
-		for _, ci := range sv.constr[constraint.Attr(node)] {
+		for _, ci := range sv.c.ConstraintsOn(constraint.Attr(node)) {
 			if !sv.cons[ci].Simple() {
 				return false, nil
 			}
@@ -638,14 +643,14 @@ func (sv *session) collapseSet(nodes []int) (bool, error) {
 	for _, node := range nodes {
 		inSet[constraint.Attr(node)] = true
 	}
-	l := sv.lat.Bottom()
+	l := sv.bottom()
 	for _, node := range nodes {
-		for _, ci := range sv.constr[constraint.Attr(node)] {
-			c := sv.cons[ci]
+		for _, ci := range sv.c.ConstraintsOn(constraint.Attr(node)) {
+			c := &sv.cons[ci]
 			if !c.RHS.IsLevel && inSet[c.RHS.Attr] {
 				continue
 			}
-			l = sv.lat.Lub(l, sv.set.RHSLevel(sv.lambda, c.RHS))
+			l = sv.lub(l, sv.rhsLevel(c))
 		}
 	}
 	for _, node := range nodes {
@@ -664,8 +669,8 @@ func (sv *session) collapseSet(nodes []int) (bool, error) {
 }
 
 // processAttr labels one attribute: the body of BigLoop's second-level
-// loop.
-func (sv *session) processAttr(a constraint.Attr) error {
+// loop. single reports that a's priority set holds only a.
+func (sv *session) processAttr(a constraint.Attr, single bool) error {
 	if sv.fault != nil {
 		if err := sv.fault.Hit("solve.step"); err != nil {
 			return err
@@ -673,25 +678,28 @@ func (sv *session) processAttr(a constraint.Attr) error {
 	}
 	sv.stats.AttrsProcessed++
 	aDone := true
-	l := sv.lat.Bottom()
-	for _, ci := range sv.constr[a] {
-		c := sv.cons[ci]
+	l := sv.bottom()
+	cons := sv.cons
+	for _, ci := range sv.c.ConstraintsOn(a) {
+		c := &cons[ci]
 		if !c.Simple() {
 			sv.unlabeled[ci]--
 		}
 		if sv.rhsDone(c) {
 			if c.Simple() {
-				l = sv.lat.Lub(l, sv.set.RHSLevel(sv.lambda, c.RHS))
+				l = sv.lub(l, sv.rhsLevel(c))
 			} else if sv.unlabeled[ci] == 0 || sv.eagerMinlevel {
-				l = sv.lat.Lub(l, sv.minlevel(a, c))
-			} else if !sv.othersCover(a, c) {
+				l = sv.lub(l, sv.minlevel(a, c))
+			} else if !single && !sv.othersCover(a, c) {
 				// A complex constraint with unlabeled siblings may be
 				// deferred to the sibling that is labeled last — but only
 				// while it holds no matter how low a goes. Outside cycles
-				// that is automatic (unlabeled siblings still sit at ⊤);
-				// inside an SCC, Try may already have lowered a sibling, in
-				// which case a must go through forward lowering so the
-				// constraint is re-checked at every step.
+				// that is automatic: an unlabeled sibling sits in a lower
+				// priority set, which no Try has reached, so it is still at
+				// ⊤ and the check is skipped. Inside an SCC, Try may already
+				// have lowered a sibling, in which case a must go through
+				// forward lowering so the constraint is re-checked at every
+				// step.
 				aDone = false
 			}
 		} else {
@@ -711,7 +719,15 @@ func (sv *session) processAttr(a constraint.Attr) error {
 	// start over from a's new level.
 	for lowered := true; lowered; {
 		lowered = false
-		sv.dset = lattice.AppendCoversAbove(sv.dset[:0], sv.lat, sv.lambda[a], l)
+		if sv.chain {
+			// A chain level covers only the rank below it.
+			sv.dset = sv.dset[:0]
+			if sv.lambda[a] > l {
+				sv.dset = append(sv.dset, sv.lambda[a]-1)
+			}
+		} else {
+			sv.dset = lattice.AppendCoversAbove(sv.dset[:0], sv.lat, sv.lambda[a], l)
+		}
 		sv.stats.DescentSteps += len(sv.dset)
 		for _, cand := range sv.dset {
 			lower, ok, err := sv.try(a, cand)
@@ -753,22 +769,75 @@ func (sv *session) processAttr(a constraint.Attr) error {
 	return nil
 }
 
+// lub, glb, dominates and bottom are the lattice operations the solver
+// makes: inline on a chain, calls through lat otherwise.
+func (sv *session) lub(x, y lattice.Level) lattice.Level {
+	if sv.chain {
+		return max(x, y)
+	}
+	return sv.lat.Lub(x, y)
+}
+
+func (sv *session) glb(x, y lattice.Level) lattice.Level {
+	if sv.chain {
+		return min(x, y)
+	}
+	return sv.lat.Glb(x, y)
+}
+
+func (sv *session) dominates(x, y lattice.Level) bool {
+	if sv.chain {
+		return x >= y
+	}
+	return sv.lat.Dominates(x, y)
+}
+
+func (sv *session) bottom() lattice.Level {
+	if sv.chain {
+		return 0
+	}
+	return sv.lat.Bottom()
+}
+
+// lubOthers returns the lub of the levels of c's left-hand-side attributes
+// other than a.
+func (sv *session) lubOthers(a constraint.Attr, c *constraint.Constraint) lattice.Level {
+	var l lattice.Level
+	if sv.chain {
+		for _, o := range c.LHS {
+			if o != a {
+				l = max(l, sv.lambda[o])
+			}
+		}
+		return l
+	}
+	l = sv.lat.Bottom()
+	for _, o := range c.LHS {
+		if o != a {
+			l = sv.lat.Lub(l, sv.lambda[o])
+		}
+	}
+	return l
+}
+
 // othersCover reports whether the lub of the left-hand-side attributes
 // other than a already dominates the right-hand side, i.e. the constraint
 // holds regardless of the level assigned to a.
-func (sv *session) othersCover(a constraint.Attr, c constraint.Constraint) bool {
-	lubothers := sv.lat.Bottom()
-	for _, o := range c.LHS {
-		if o != a {
-			lubothers = sv.lat.Lub(lubothers, sv.lambda[o])
-		}
+func (sv *session) othersCover(a constraint.Attr, c *constraint.Constraint) bool {
+	return sv.dominates(sv.lubOthers(a, c), sv.rhsLevel(c))
+}
+
+// rhsLevel returns the level of c's right-hand side under λ.
+func (sv *session) rhsLevel(c *constraint.Constraint) lattice.Level {
+	if c.RHS.IsLevel {
+		return c.RHS.Level
 	}
-	return sv.lat.Dominates(lubothers, sv.set.RHSLevel(sv.lambda, c.RHS))
+	return sv.lambda[c.RHS.Attr]
 }
 
 // rhsDone reports whether a constraint's right-hand side is definitively
 // labeled (level constants always are).
-func (sv *session) rhsDone(c constraint.Constraint) bool {
+func (sv *session) rhsDone(c *constraint.Constraint) bool {
 	return c.RHS.IsLevel || sv.done[c.RHS.Attr]
 }
 
@@ -779,20 +848,15 @@ func (sv *session) rhsDone(c constraint.Constraint) bool {
 // otherwise the procedure descends the lattice from a's current level,
 // stopping at the lowest level all of whose immediate descendants would
 // violate the constraint.
-func (sv *session) minlevel(a constraint.Attr, c constraint.Constraint) lattice.Level {
+func (sv *session) minlevel(a constraint.Attr, c *constraint.Constraint) lattice.Level {
 	sv.stats.MinlevelCalls++
-	lubothers := sv.lat.Bottom()
-	for _, o := range c.LHS {
-		if o != a {
-			lubothers = sv.lat.Lub(lubothers, sv.lambda[o])
-		}
-	}
-	rhs := sv.set.RHSLevel(sv.lambda, c.RHS)
+	lubothers := sv.lubOthers(a, c)
+	rhs := sv.rhsLevel(c)
 	if sv.minComp != nil {
 		return sv.minComp.MinComplement(lubothers, rhs)
 	}
-	if sv.lat.Dominates(lubothers, rhs) {
-		return sv.lat.Bottom()
+	if sv.dominates(lubothers, rhs) {
+		return sv.bottom()
 	}
 	last := sv.lambda[a]
 	trylevels := sv.lat.Covers(last)
@@ -800,7 +864,7 @@ func (sv *session) minlevel(a constraint.Attr, c constraint.Constraint) lattice.
 	for len(trylevels) > 0 {
 		l := trylevels[0]
 		trylevels = trylevels[1:]
-		if sv.lat.Dominates(sv.lat.Lub(l, lubothers), rhs) {
+		if sv.dominates(sv.lub(l, lubothers), rhs) {
 			last = l
 			trylevels = sv.lat.Covers(last)
 			sv.stats.DescentSteps += len(trylevels)
@@ -831,6 +895,7 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) ([]lowering, bool, er
 
 	tocheck.put(a, l, gen)
 	queue = append(queue, a)
+	lambda, cons := sv.lambda, sv.cons
 
 	for qi := 0; qi < len(queue); qi++ {
 		cur := queue[qi]
@@ -842,8 +907,8 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) ([]lowering, bool, er
 		tolower.put(cur, curLvl, gen)
 		lowered = append(lowered, cur)
 
-		for _, ci := range sv.constr[cur] {
-			c := sv.cons[ci]
+		for _, ci := range sv.c.ConstraintsOn(cur) {
+			c := &cons[ci]
 			sv.stats.TrySteps++
 			if sv.log != nil {
 				// One try_step event per constraint check — the unit the
@@ -856,40 +921,50 @@ func (sv *session) try(a constraint.Attr, l lattice.Level) ([]lowering, bool, er
 			}
 			// Level of the lhs under the tentative lowerings: Tolower
 			// entries override λ.
-			level := sv.lat.Bottom()
-			for _, m := range c.LHS {
-				if lv, ok := tolower.get(m, gen); ok {
-					level = sv.lat.Lub(level, lv)
-				} else {
-					level = sv.lat.Lub(level, sv.lambda[m])
+			level := sv.bottom()
+			if sv.chain {
+				for _, m := range c.LHS {
+					lv := lambda[m]
+					if tolower.stamp[m] == gen {
+						lv = tolower.level[m]
+					}
+					level = max(level, lv)
+				}
+			} else {
+				for _, m := range c.LHS {
+					if lv, ok := tolower.get(m, gen); ok {
+						level = sv.lat.Lub(level, lv)
+					} else {
+						level = sv.lat.Lub(level, lambda[m])
+					}
 				}
 			}
-			rhsLvl := sv.set.RHSLevel(sv.lambda, c.RHS)
+			rhsLvl := sv.rhsLevel(c)
 			if sv.rhsDone(c) {
-				if !sv.lat.Dominates(level, rhsLvl) {
-					sv.lastFailure = ci
+				if !sv.dominates(level, rhsLvl) {
+					sv.lastFailure = int(ci)
 					return nil, false, nil
 				}
 				continue
 			}
-			if sv.lat.Dominates(level, rhsLvl) {
+			if sv.dominates(level, rhsLvl) {
 				continue
 			}
 			rhs := c.RHS.Attr
-			newlevel := sv.lat.Glb(rhsLvl, level)
+			newlevel := sv.glb(rhsLvl, level)
 			if old, ok := tolower.get(rhs, gen); ok {
-				if sv.lat.Dominates(newlevel, old) {
+				if sv.dominates(newlevel, old) {
 					continue // existing lowering already suffices
 				}
-				newlevel = sv.lat.Glb(old, newlevel)
+				newlevel = sv.glb(old, newlevel)
 				tolower.del(rhs)
 				tocheck.put(rhs, newlevel, gen)
 				queue = append(queue, rhs)
 			} else if old, ok := tocheck.get(rhs, gen); ok {
-				if sv.lat.Dominates(newlevel, old) {
+				if sv.dominates(newlevel, old) {
 					continue
 				}
-				tocheck.put(rhs, sv.lat.Glb(old, newlevel), gen) // already queued
+				tocheck.put(rhs, sv.glb(old, newlevel), gen) // already queued
 			} else {
 				tocheck.put(rhs, newlevel, gen)
 				queue = append(queue, rhs)

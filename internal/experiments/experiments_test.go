@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -112,5 +113,33 @@ func TestEntangledCycleShape(t *testing.T) {
 	res := core.MustSolve(s, core.Options{})
 	if v := s.Violations(res.Assignment); v != nil {
 		t.Fatalf("violations: %v", v)
+	}
+}
+
+// TestE2LatticeOpsPerS checks Theorem 5.2's acyclic bound by counting. An
+// acyclic solve makes one lattice operation per left-hand-side occurrence
+// (a simple constraint's lub, and for a complex one the lub of the other
+// members plus the lub of Minlevel's answer), so ops/S = 1 − N_C/S stays
+// under 1, and with widths drawn from 1..w for w ≥ 3 above 2/3: within a
+// factor 1.5 at every width. A check that scans the left-hand side for each
+// member makes ops/S grow with the width.
+func TestE2LatticeOpsPerS(t *testing.T) {
+	sizes := []int{1000, 4000}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, n := range sizes {
+		lo, hi := math.Inf(1), 0.0
+		for _, w := range e2Widths {
+			r := latticeOpsPerS(acyclicWidthSet(n, w))
+			t.Logf("n=%d, lhs ≤ %d: %.3f lattice ops per unit of S", n, w, r)
+			lo, hi = min(lo, r), max(hi, r)
+		}
+		if hi >= 1 {
+			t.Errorf("n=%d: %.3f lattice ops per unit of S, want under 1", n, hi)
+		}
+		if hi > 1.5*lo {
+			t.Errorf("n=%d: lattice ops per unit of S range from %.3f to %.3f across lhs widths, want within a factor 1.5", n, lo, hi)
+		}
 	}
 }
