@@ -95,8 +95,9 @@ chaos:
 # Short fuzz of every fuzz target (go fuzzes one target per invocation).
 # The jsoncodec targets are differential against encoding/json: FuzzDecoder
 # the reader, FuzzAppendString the string writer, FuzzWALRecord the WAL
-# record's bytes and round trip, and FuzzClusterEnvelope the cluster
-# message and reply bytes, their reading, and the refusal of a repeated or
+# record's bytes and round trip, FuzzSnapshot a shard snapshot's bytes
+# (json.MarshalIndent's), and FuzzClusterEnvelope the cluster message and
+# reply bytes, their reading, and the refusal of a repeated or
 # differently cased key. FuzzDepinfParse, FuzzSolveBody and FuzzInfoBody
 # check depinf's instance layout and minupd's solve-body and policy-answer
 # (GET, PUT, append and problem ack) layouts on top of that codec.
@@ -114,5 +115,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/jsoncodec
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime $(FUZZTIME) ./internal/jsoncodec
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/catalog
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/catalog
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterEnvelope$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzInfoBody$$' -fuzztime $(FUZZTIME) ./cmd/minupd

@@ -14,6 +14,7 @@ import (
 	"minup/internal/core"
 	"minup/internal/frontend"
 	"minup/internal/frontend/depinf"
+	"minup/internal/frontend/frontendtest"
 	"minup/internal/frontend/suppress"
 	"minup/internal/lattice"
 	"minup/internal/workload"
@@ -77,11 +78,11 @@ var pinnedShapes = []struct {
 		return []*constraint.Set{parsePinned(tb, fi.Lattice, fi.Constraints)}
 	}},
 	{"suppress", "suppress", 2, func(tb testing.TB, seed int64) []*constraint.Set {
-		tab, _ := coldCreateProblems(tb, seed)
+		tab, _ := frontendtest.ColdCreate(tb, seed)
 		return []*constraint.Set{problemPolicy(tb, suppress.Frontend{}, tab)}
 	}},
 	{"depinf", "depinf", 2, func(tb testing.TB, seed int64) []*constraint.Set {
-		_, rel := coldCreateProblems(tb, seed)
+		_, rel := frontendtest.ColdCreate(tb, seed)
 		return []*constraint.Set{problemPolicy(tb, depinf.Frontend{}, rel)}
 	}},
 }

@@ -29,6 +29,7 @@ import (
 	"minup/internal/constraint"
 	"minup/internal/core"
 	"minup/internal/frontend/depinf"
+	"minup/internal/frontend/frontendtest"
 	"minup/internal/frontend/suppress"
 	"minup/internal/lattice"
 	"minup/internal/poset"
@@ -701,7 +702,7 @@ func BenchmarkSolveDepinf(b *testing.B) {
 // each shape perfbench's workloads solve, on TestPinnedAnswers' seed-1
 // instances: append16 is the size-20 paper policy after 16 appended
 // batches (replicated_write), paper67 the size-67 paper set, and suppress
-// and depinf the policies of coldCreateProblems' instances (cold_create).
+// and depinf the policies of frontendtest.ColdCreate's instances (cold_create).
 // A solve allocates only its result.
 func BenchmarkSolveShapes(b *testing.B) {
 	ctx := context.Background()
@@ -719,27 +720,13 @@ func BenchmarkSolveShapes(b *testing.B) {
 	}
 }
 
-// coldCreateProblems returns the frontend instances of perfbench's
-// cold_create workload, drawn from seed: a 20x21 suppress grid and a
-// 504-attribute depinf DAG. The benchmarks use seed 1.
-func coldCreateProblems(tb testing.TB, seed int64) (*suppress.Table, *depinf.Relation) {
-	tab, err := suppress.Generate(suppress.GenSpec{Seed: seed, Rows: 20, Cols: 21})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rel, err := depinf.Generate(depinf.GenSpec{Seed: seed, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return tab, rel
-}
-
-// BenchmarkFrontendCompile measures what a problem create runs before the
-// catalog sees it: the frontend's Compile, which validates the instance
-// and writes its lattice and constraint texts, on perfbench's cold_create
-// instances.
+// BenchmarkFrontendCompile measures what a problem create runs between
+// the frontend's Parse and the catalog: the frontend's Compile of the
+// parsed instance, which writes its lattice and constraint texts, on
+// perfbench's cold_create instances. suppress validates the instance
+// again; depinf reuses the lattice Parse validated.
 func BenchmarkFrontendCompile(b *testing.B) {
-	tab, rel := coldCreateProblems(b, 1)
+	tab, rel := frontendtest.ColdCreate(b, 1)
 	for _, tc := range []struct {
 		name string
 		fe   ProblemFrontend
@@ -748,6 +735,13 @@ func BenchmarkFrontendCompile(b *testing.B) {
 		{"suppress", suppress.Frontend{}, tab},
 		{"depinf", depinf.Frontend{}, rel},
 	} {
+		raw, err := MarshalProblemInstance(tc.inst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tc.inst, err = tc.fe.Parse(raw); err != nil {
+			b.Fatal(err)
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -761,9 +755,9 @@ func BenchmarkFrontendCompile(b *testing.B) {
 
 // BenchmarkProblemParse measures the first step of a problem create: the
 // frontend's Parse of the instance JSON, Marshal's output for
-// coldCreateProblems' instances, decoded and validated.
+// frontendtest.ColdCreate's instances, decoded and validated.
 func BenchmarkProblemParse(b *testing.B) {
-	tab, rel := coldCreateProblems(b, 1)
+	tab, rel := frontendtest.ColdCreate(b, 1)
 	for _, tc := range []struct {
 		name string
 		fe   ProblemFrontend
@@ -787,30 +781,65 @@ func BenchmarkProblemParse(b *testing.B) {
 	}
 }
 
-// BenchmarkParsePolicy measures building a policy from its source texts
-// the way the catalog does on every put, append, follower apply and WAL
-// replay, with constraint.ParsePolicy. The shapes and sizes are those of
-// perfbench's cold_create workload: a 402-attribute paper set and the
-// texts coldCreateProblems' instances compile to.
-func BenchmarkParsePolicy(b *testing.B) {
+// TestDepinfParseBytes pins the bytes BenchmarkProblemParse/depinf's Parse
+// allocates at 200 KiB: the instance's lists are copied out of pooled
+// scratch at their final lengths rather than regrown while it is read.
+// The race detector empties that pool at random.
+func TestDepinfParseBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops values under the race detector")
+	}
+	_, rel := frontendtest.ColdCreate(t, 1)
+	raw, err := MarshalProblemInstance(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	fe := depinf.Frontend{}
+	fe.Parse(raw)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := fe.Parse(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 200<<10 {
+		t.Fatalf("a depinf Parse allocates %d bytes, want at most %d", b, 200<<10)
+	}
+}
+
+// coldCreatePolicies returns the source texts of perfbench's cold_create
+// policies: a 402-attribute paper set and the texts
+// frontendtest.ColdCreate's instances compile to.
+func coldCreatePolicies(tb testing.TB) []struct{ name, lattice, constraints string } {
 	paper, err := workload.GenerateFamily("paper", 1, 67)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	tab, rel := coldCreateProblems(b, 1)
+	tab, rel := frontendtest.ColdCreate(tb, 1)
 	sup, err := suppress.Frontend{}.Compile(tab)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dep, err := depinf.Frontend{}.Compile(rel)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, tc := range []struct{ name, lattice, constraints string }{
+	return []struct{ name, lattice, constraints string }{
 		{"paper", paper.Lattice, paper.Constraints},
 		{"suppress", sup.LatticeText, sup.ConstraintText},
 		{"depinf", dep.LatticeText, dep.ConstraintText},
-	} {
+	}
+}
+
+// BenchmarkParsePolicy measures building a policy from its source texts
+// the way the catalog does on every put, append, follower apply and WAL
+// replay, with constraint.ParsePolicy, on coldCreatePolicies' texts.
+func BenchmarkParsePolicy(b *testing.B) {
+	for _, tc := range coldCreatePolicies(b) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -819,6 +848,27 @@ func BenchmarkParsePolicy(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestParsePolicyAllocs bounds BenchmarkParsePolicy's allocations at 30
+// per policy: every list and the name index are made once at the size the
+// texts give them, the index from the attrs line, so none regrows while
+// the constraints are read. The race detector's instrumentation moves
+// some values to the heap, so it counts more.
+func TestParsePolicyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates more")
+	}
+	for _, tc := range coldCreatePolicies(t) {
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := constraint.ParsePolicy(tc.lattice, tc.constraints); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 30 {
+			t.Errorf("%s: ParsePolicy allocates %v times, want at most 30", tc.name, n)
+		}
 	}
 }
 

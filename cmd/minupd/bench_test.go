@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"minup/internal/catalog"
+	"minup/internal/frontend"
 	"minup/internal/frontend/depinf"
+	"minup/internal/frontend/frontendtest"
 	"minup/internal/obs"
 	"minup/internal/workload"
 )
@@ -59,15 +61,64 @@ func BenchmarkHTTPPolicySolve(b *testing.B) {
 	}
 }
 
+// BenchmarkHTTPProblemCreate measures POST /problems/{family}?wait=1 of
+// perfbench's cold_create instances (frontendtest.ColdCreate, seed 1)
+// through the service's own handler on a memory-only catalog: the bounded
+// body read, the frontend's Parse and Compile, the catalog's put with its
+// policy-text parse, WAL record and inline compile and cold solve, and the
+// ack. Each iteration creates the policy anew: the previous one is deleted
+// with the timer stopped, so every ack is version 1's.
+func BenchmarkHTTPProblemCreate(b *testing.B) {
+	tab, rel := frontendtest.ColdCreate(b, 1)
+	for _, tc := range []struct {
+		family string
+		inst   frontend.Instance
+	}{
+		{"suppress", tab},
+		{"depinf", rel},
+	} {
+		b.Run(tc.family, func(b *testing.B) {
+			body, err := frontend.Marshal(tc.inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := defaultConfig()
+			reg := obs.NewRegistry()
+			cat, err := catalog.Open(catalog.Options{Metrics: reg, Flight: cfg.flight})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cat.Close()
+			h := newServer(cat, reg, cfg).routes(slog.New(slog.NewJSONHandler(io.Discard, nil)))
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/problems/"+tc.family+"?wait=1", nil)
+			req.Body, req.ContentLength = io.NopCloser(rd), int64(len(body))
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusCreated {
+					b.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
+				}
+				b.StopTimer()
+				if err := cat.Delete(ctx, tc.inst.InstanceName(), catalog.Unconditional, catalog.MutateOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkSolveBody measures what the first hit of a version runs to
 // write the body every later hit serves: Pairs' sort of the names plus
 // solveBody, on the answer of perfbench's cold_create depinf instance, a
 // 504-attribute dependency DAG.
 func BenchmarkSolveBody(b *testing.B) {
-	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, rel := frontendtest.ColdCreate(b, 1)
 	c, err := depinf.Frontend{}.Compile(rel)
 	if err != nil {
 		b.Fatal(err)

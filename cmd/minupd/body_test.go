@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"unsafe"
 
 	"minup/internal/catalog"
+	"minup/internal/frontend"
+	"minup/internal/frontend/depinf"
 )
 
 // TestPolicyBodyStringsOwnTheirBytes: the texts a PUT decodes become the
@@ -85,5 +88,72 @@ func TestBodiesRefuseRepeatedFields(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/problems/suppress", strings.NewReader(suppressBody(`"sensitive":[`+suppressCell+`]`))))
 	if rec.Code != http.StatusCreated {
 		t.Fatalf("suppress create = %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestPooledBodiesLeaveStoredTextsAlone: a request's body buffer goes back
+// to bodyPool once the body is decoded, and the next body read takes it.
+// So a PUT, an append and a problem create, each followed by bodies of the
+// same size through the same pool, must leave the texts their versions
+// stored as they were. The later bodies are refused, after readBody has
+// read them whole.
+func TestPooledBodiesLeaveStoredTextsAlone(t *testing.T) {
+	srv, h, _ := newTestServer(t)
+	send := func(method, path, body string, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s = %d, want %d: %s", method, path, rec.Code, want, rec.Body.String())
+		}
+	}
+	overwrite := func(method, path string, size int) {
+		t.Helper()
+		for _, c := range "qrstuvwxyzQRSTUV" {
+			send(method, path, strings.Repeat(string(c), size), http.StatusBadRequest)
+		}
+	}
+	const lat, cons, more = "chain mil\nlevels U C S TS\n", "attrs pay rank\npay >= rank\nrank >= S\n", "pay >= TS\n"
+	body := func(req policyRequest) string {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	put := body(policyRequest{Lattice: lat, Constraints: cons})
+	send(http.MethodPut, "/policies/p", put, http.StatusCreated)
+	overwrite(http.MethodPut, "/policies/p", len(put))
+	appended := body(policyRequest{Constraints: more})
+	send(http.MethodPost, "/policies/p/constraints", appended, http.StatusOK)
+	overwrite(http.MethodPost, "/policies/p/constraints", len(appended))
+
+	rel, err := depinf.Generate(depinf.GenSpec{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := frontend.Marshal(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := depinf.Frontend{}.Compile(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(http.MethodPost, "/problems/depinf", string(raw), http.StatusCreated)
+	overwrite(http.MethodPost, "/problems/depinf", len(raw))
+
+	for _, tc := range []struct{ name, lattice, constraints string }{
+		{"p", lat, cons + "\n" + more},
+		{rel.Name, want.LatticeText, want.ConstraintText},
+	} {
+		info, err := srv.cat.Get(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Name != tc.name || info.Lattice != tc.lattice || info.ConstraintText != tc.constraints {
+			t.Errorf("policy %q stored as %q, lattice %q, constraints %q; want lattice %q, constraints %q",
+				tc.name, info.Name, info.Lattice, info.ConstraintText, tc.lattice, tc.constraints)
+		}
 	}
 }

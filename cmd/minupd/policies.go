@@ -102,12 +102,14 @@ func preconditionFrom(r *http.Request) (int64, error) {
 var policyFields = []string{"lattice", "constraints"}
 
 // decodePolicyBody reads a bounded JSON body into dst, answering the
-// failure itself (bodyError).
+// failure itself (bodyError). The body's buffer goes back to bodyPool
+// before it returns: dst's texts are copies.
 func decodePolicyBody(w http.ResponseWriter, r *http.Request, dst *policyRequest) bool {
 	body, err := readBody(w, r)
 	if err == nil {
-		err = decodePolicy(body, dst)
+		err = decodePolicy(*body, dst)
 	}
+	releaseBody(body)
 	if err != nil {
 		bodyError(w, "decoding body: ", err)
 		return false

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"net/http"
 	"strings"
+	"sync"
 
 	"minup/internal/frontend"
 	// The families register themselves with frontend on import.
@@ -47,18 +48,40 @@ func (s *server) handleProblemList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, problemListResponse{Count: len(entries), Families: entries})
 }
 
-// readBody reads r's body, capped at maxPolicyBody. A body whose
-// Content-Length is within the cap is read into a buffer of that size; any
-// other body, chunked or too long, into one that grows as it reads.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	var size int64
+// bodyPool keeps request-body buffers between requests: readBody takes
+// one and releaseBody gives it back once the body is decoded. So whatever
+// a handler keeps of a body must be a copy; every body reader makes one
+// (decodePolicy, and both frontends' Parse).
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody is the largest buffer bodyPool keeps. A buffer that grew
+// past it for an outsized body is dropped rather than kept, so one such
+// body does not stay allocated.
+const maxPooledBody = 256 << 10
+
+// readBody reads r's body, capped at maxPolicyBody, into a buffer from
+// bodyPool, grown first to the body's Content-Length when that is within
+// the cap. The caller gives the buffer back with releaseBody, also after
+// an error.
+func readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
+	bp := bodyPool.Get().(*[]byte)
+	buf := bytes.NewBuffer((*bp)[:0])
 	if n := r.ContentLength; n > 0 && n <= maxPolicyBody {
-		size = n
+		// MinRead more, so that ReadFrom meets EOF without growing the
+		// buffer.
+		buf.Grow(int(n) + bytes.MinRead)
 	}
-	// MinRead more, so that ReadFrom meets EOF without growing the buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxPolicyBody))
-	return buf.Bytes(), err
+	*bp = buf.Bytes()
+	return bp, err
+}
+
+// releaseBody gives a buffer readBody returned back to bodyPool, unless it
+// grew past maxPooledBody. Nothing may read the body after it.
+func releaseBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
 }
 
 func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
@@ -79,10 +102,12 @@ func (s *server) handleProblemCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := readBody(w, r)
 	if err != nil {
+		releaseBody(body)
 		bodyError(w, "reading body: ", err)
 		return
 	}
-	inst, err := fe.Parse(body)
+	inst, err := fe.Parse(*body)
+	releaseBody(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

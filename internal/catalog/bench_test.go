@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"minup/internal/frontend/depinf"
+	"minup/internal/frontend/frontendtest"
 	"minup/internal/frontend/suppress"
 	"minup/internal/workload"
 )
@@ -18,15 +19,8 @@ func BenchmarkWALRecord(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, err := suppress.Generate(suppress.GenSpec{Seed: 1, Rows: 20, Cols: 21})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tab, rel := frontendtest.ColdCreate(b, 1)
 	sup, err := suppress.Frontend{}.Compile(tab)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 24, Width: 21, Fanout: 4, Extra: 128})
 	if err != nil {
 		b.Fatal(err)
 	}

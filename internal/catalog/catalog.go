@@ -668,10 +668,7 @@ func (c *Catalog) maybeCompact(s *shard) {
 // covers, so a crash between the two steps merely replays records the
 // snapshot already contains — replay skips them by sequence number.
 func (c *Catalog) compactShard(s *shard) error {
-	data, err := encodeSnapshot(s.seq, s.snapshotPolicies(make([]snapshotPolicy, 0, len(s.pol))))
-	if err != nil {
-		return err
-	}
+	data := encodeSnapshot(s.seq, s.snapshotPolicies(make([]snapshotPolicy, 0, len(s.pol))))
 	if err := s.store.Compact(data); err != nil {
 		return err
 	}
@@ -692,18 +689,6 @@ func (s *shard) snapshotPolicies(pols []snapshotPolicy) []snapshotPolicy {
 	return pols
 }
 
-// encodeSnapshot serializes policies deterministically: sorted by name,
-// stable JSON field order, trailing newline.
-func encodeSnapshot(lastSeq uint64, pols []snapshotPolicy) ([]byte, error) {
-	sort.Slice(pols, func(i, j int) bool { return pols[i].Name < pols[j].Name })
-	snap := snapshotFile{LastSeq: lastSeq, Policies: pols}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("catalog: encoding snapshot: %w", err)
-	}
-	return append(data, '\n'), nil
-}
-
 // Fingerprint returns a deterministic serialization of the full catalog
 // state (names, versions, lattice and constraint text, sorted across all
 // shards). Two catalogs with equal fingerprints hold byte-identical policy
@@ -718,11 +703,7 @@ func (c *Catalog) Fingerprint() []byte {
 		pols = s.snapshotPolicies(pols)
 		s.mu.RUnlock()
 	}
-	data, err := encodeSnapshot(0, pols)
-	if err != nil {
-		panic(err) // marshal of plain strings cannot fail
-	}
-	return data
+	return encodeSnapshot(0, pols)
 }
 
 // ---------------------------------------------------------------------------

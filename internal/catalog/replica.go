@@ -97,8 +97,7 @@ func (c *Catalog) ShardSnapshot(i int) (data []byte, seq uint64, err error) {
 	pols := s.snapshotPolicies(make([]snapshotPolicy, 0, len(s.pol)))
 	seq = s.seq
 	s.mu.RUnlock()
-	data, err = encodeSnapshot(seq, pols)
-	return data, seq, err
+	return encodeSnapshot(seq, pols), seq, nil
 }
 
 // InstallShardSnapshot replaces shard i's entire state with a shipped

@@ -248,6 +248,10 @@ func (s *Set) declare(name string, checkLevel bool) (Attr, error) {
 		s.index = maps.Clone(s.index)
 		s.sharedIndex.Store(false)
 	}
+	if s.index == nil {
+		// ParsePolicy leaves the index to the first declaration.
+		s.index = make(map[string]Attr)
+	}
 	a := Attr(len(s.names))
 	s.names = append(s.names, name)
 	s.index[name] = a

@@ -62,8 +62,13 @@ func (s *Set) ParseString(text string) error {
 			fields := strings.Fields(names)
 			if !s.frozen {
 				// Room for the whole line in one step: on a new set that is
-				// exact, so the names its clones share carry no slack.
+				// exact, so the names its clones share carry no slack. An
+				// empty index that nothing shares is made at the line's
+				// size, so it does not regrow while the line declares.
 				s.names = slices.Grow(s.names, len(fields))
+				if len(s.index) == 0 && !s.sharedIndex.Load() {
+					s.index = make(map[string]Attr, len(fields))
+				}
 			}
 			for _, name := range fields {
 				if _, err := s.AddAttr(name); err != nil {
@@ -112,7 +117,9 @@ func (s *Set) parsePolicy(latticeText, constraintText string) (*Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lattice: %w", err)
 	}
-	s.lat, s.index = lat, make(map[string]Attr)
+	// The name index is made by the first declaration: at the attrs
+	// line's size when the text starts with one.
+	s.lat = lat
 	if err := s.ParseString(constraintText); err != nil {
 		return nil, fmt.Errorf("constraints: %w", err)
 	}

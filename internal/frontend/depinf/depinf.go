@@ -74,6 +74,11 @@ type Relation struct {
 	// Sensitive maps attribute names to required protection levels.
 	Sensitive map[string]string `json:"sensitive"`
 	Deps      []Dependency      `json:"deps"`
+	// parsed is the lattice Parse validated the instance against, which
+	// Compile formats the floors' levels with instead of validating the
+	// instance again. It is nil on a relation that did not come from
+	// Parse.
+	parsed lattice.Lattice
 }
 
 // Family implements frontend.Instance.
@@ -282,13 +287,16 @@ func (Frontend) Describe() string {
 
 // Parse implements frontend.Frontend. It reads the instance in one pass
 // (decode.go): the fields Marshal writes, each at most once and spelled
-// exactly so, and nothing but white space after the object.
+// exactly so, and nothing but white space after the object. The relation
+// it returns is validated once: it keeps the lattice Parse validated it
+// against, and Compile trusts it, so a caller that changes its fields
+// compiles them unchecked.
 func (Frontend) Parse(data []byte) (frontend.Instance, error) {
 	r, err := decode(string(data))
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Validate(); err != nil {
+	if r.parsed, err = r.validate(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -310,15 +318,19 @@ func (Frontend) Generate(seed int64, size int) (frontend.Instance, error) {
 // (in sorted order, so compilation is deterministic despite the map) and
 // one inference constraint per dependency, its premises deduplicated in
 // first-seen order. Self-dependencies (To among From) are trivially
-// satisfied and dropped, as mlsdb does.
+// satisfied and dropped, as mlsdb does. A relation Parse returned is not
+// validated again; any other is.
 func (Frontend) Compile(inst frontend.Instance) (*frontend.Compiled, error) {
 	r, ok := inst.(*Relation)
 	if !ok {
 		return nil, fmt.Errorf("depinf: cannot compile %T", inst)
 	}
-	lat, err := r.validate()
-	if err != nil {
-		return nil, err
+	lat := r.parsed
+	if lat == nil {
+		var err error
+		if lat, err = r.validate(); err != nil {
+			return nil, err
+		}
 	}
 	size := len("attrs\n")
 	for _, a := range r.Attrs {

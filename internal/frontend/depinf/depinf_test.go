@@ -27,7 +27,7 @@ func TestDepinfRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: parse: %v", seed, err)
 		}
-		if !reflect.DeepEqual(got, rel) {
+		if !reflect.DeepEqual(depinf.ExportedFields(got.(*depinf.Relation)), rel) {
 			t.Fatalf("seed %d: round trip changed the instance:\n%s", seed, raw)
 		}
 	}
@@ -92,9 +92,60 @@ func TestDepinfValidateRejects(t *testing.T) {
 		if err := rel.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid relation", tc.name)
 		}
+		// A relation built by hand is validated by Compile too.
+		if _, err := (depinf.Frontend{}).Compile(rel); err == nil {
+			t.Errorf("%s: Compile accepted an invalid relation", tc.name)
+		}
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base relation should be valid: %v", err)
+	}
+}
+
+// TestCompileTrustsParse: Compile of a relation Parse returned formats
+// its floors with the lattice Parse validated it against, and validates
+// nothing again, so it parses no lattice: it allocates at least a lattice
+// parse's worth less than Compile of an equal relation built by hand,
+// which it validates, and writes the same texts.
+func TestCompileTrustsParse(t *testing.T) {
+	rel, err := depinf.Generate(depinf.GenSpec{Seed: 1, Depth: 8, Width: 6, Fanout: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := frontend.Marshal(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := depinf.Frontend{}
+	parsed, err := fe.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHand := depinf.ExportedFields(parsed.(*depinf.Relation))
+	for _, inst := range []*depinf.Relation{rel, byHand} {
+		want, err := fe.Compile(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := fe.Compile(parsed); *got != *want {
+			t.Fatalf("a parsed relation compiles to\n%+v\nan equal one built by hand to\n%+v", got, want)
+		}
+	}
+	latticeParse := testing.AllocsPerRun(20, func() {
+		if _, err := lattice.Parse(strings.NewReader(rel.Lattice)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	compile := func(inst frontend.Instance) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := fe.Compile(inst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if p, h := compile(parsed), compile(byHand); p > h-latticeParse {
+		t.Fatalf("Compile of a parsed relation allocates %v times, of one built by hand %v: "+
+			"it saves less than a lattice parse (%v)", p, h, latticeParse)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package jsoncodec is the one JSON reader and writer of minup's write
 // path: request bodies, problem instances, WAL records and the cluster's
 // envelopes are read with its Decoder, and solve bodies, policy answers,
-// WAL records and envelopes are written with AppendString. Neither uses
+// WAL records, shard snapshots and envelopes are written with
+// AppendString. Neither uses
 // reflection, and both are fuzzed against encoding/json, whose results
 // they reproduce.
 //
@@ -280,10 +281,32 @@ func (d *Decoder) Bool() (bool, error) {
 	return false, d.want("true or false")
 }
 
-// Base64 reads a string literal as encoding/json reads a []byte: standard
-// base64 with padding, line breaks skipped. The result owns its bytes; an
-// empty string yields an empty, non-nil slice.
+// Base64 reads a value as encoding/json reads a []byte: a string literal
+// holds standard base64 with padding, line breaks skipped, and an array
+// holds one number from 0 to 255 per byte, read as Uint reads it, where a
+// null element is 0. The result owns its bytes; an empty string or array
+// yields an empty, non-nil slice.
 func (d *Decoder) Base64() ([]byte, error) {
+	if d.pos < len(d.src) && d.src[d.pos] == '[' {
+		b := []byte{}
+		err := d.Array(func() error {
+			var n uint64
+			if !d.Null() {
+				at := d.pos
+				var err error
+				if n, err = d.Uint(); err != nil {
+					return err
+				}
+				if n > 255 {
+					d.pos = at
+					return d.errorf("number %d does not fit a byte", n)
+				}
+			}
+			b = append(b, byte(n))
+			return nil
+		})
+		return b, err
+	}
 	at := d.pos
 	s, _, err := d.str()
 	if err != nil {

@@ -161,6 +161,12 @@ func FuzzDecoder(f *testing.F) {
 		`{"k":"y","y":"QU\nJD\u000d\nRA==","n":[-1]}`,
 		`{"b":1,"y":"A","z":[1.5]}`,
 		`{"u":1.0}`,
+		// encoding/json also reads a []byte from an array of numbers.
+		`{"y":[]}`,
+		`{"y":[0,255,null]}`,
+		`{"y":[256]}`,
+		`{"y":[-1]}`,
+		`{"y":[1.5]}`,
 		`{"i":1e2}`,
 		`{"i":01}`,
 		`{"u":18446744073709551616}`,

@@ -3,6 +3,7 @@
 # cold solve of each shape perfbench's workloads solve, the
 # policy catalog's memoized serve path and the HTTP handler above it
 # (cmd/minupd), the solve-body writer a version's first hit runs, a waited
+# problem create through that handler (cmd/minupd), a waited
 # put and append through the catalog, the problem frontends' instance
 # parse and compile to
 # policy text, the policy-text parse every put, append and replay pays,
@@ -36,7 +37,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT INT TERM
 
 go test -run '^$' \
-  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveShapes|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkAppendChain|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled|BenchmarkPolicyBody|BenchmarkWALRecord|BenchmarkClusterAppendRPC)$' \
+  -bench '^(BenchmarkSolveFresh|BenchmarkSolveCompiled|BenchmarkSolveShapes|BenchmarkSolveCompiledStats|BenchmarkCatalogServe|BenchmarkCatalogMutate|BenchmarkHTTPPolicySolve|BenchmarkHTTPProblemCreate|BenchmarkSolveBody|BenchmarkSolveSuppress|BenchmarkSolveDepinf|BenchmarkFrontendCompile|BenchmarkProblemParse|BenchmarkParsePolicy|BenchmarkAppendStage|BenchmarkAppendChain|BenchmarkCompile|BenchmarkRefresh|BenchmarkRepairCompiled|BenchmarkPolicyBody|BenchmarkWALRecord|BenchmarkClusterAppendRPC)$' \
   -benchmem -count 1 . ./cmd/minupd ./internal/catalog ./internal/cluster | tee "$tmp"
 
 # One JSON object keyed by benchmark name (GOMAXPROCS suffix stripped);
